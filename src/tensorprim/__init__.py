@@ -30,6 +30,8 @@ from .tensor import (
     split_fp32,
     to_array,
     view_at,
+    vnni_pack_a,
+    vnni_unpack_a,
 )
 from .ops import (
     Approx,
@@ -68,8 +70,6 @@ from .contraction import (
     brgemm,
     gemm,
     matmul,
-    vnni_pack_a,
-    vnni_unpack_a,
 )
 from .equation import (
     Buffered,

@@ -27,6 +27,14 @@ EXP_MAX_REL_ERR = 3e-4            # on [-10, 10]
 SIGMOID_BUDGET_FACTOR = 1.1       # sigmoid inherits 1.1x the tanh budget
 
 
+class Approx(enum.Enum):
+    """Approximation selector for the transcendental kinds."""
+    PADE78 = "pade78"
+    MINIMAX16 = "minimax16"
+    TAYLOR2 = "taylor2"
+    EXACT = "exact"
+
+
 @dataclass(frozen=True)
 class PadeRational:
     """Odd/even rational approximant evaluated as num(|x|)/den(|x|) with the
@@ -219,67 +227,53 @@ def exp_taylor(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# selector plumbing used by the unary kinds
+# the activations behind the unary kinds; ``flag`` is an Approx or None
 # ---------------------------------------------------------------------------
-
-class _Sel(enum.Enum):  # local mirror to avoid importing ops (cycle)
-    PADE78 = "pade78"
-    MINIMAX16 = "minimax16"
-    TAYLOR2 = "taylor2"
-    EXACT = "exact"
-
-
-def _sel(flag) -> _Sel:
-    if flag is None:
-        return _Sel.PADE78
-    return _Sel(getattr(flag, "value", flag))
-
 
 _erf_vec = np.vectorize(math.erf, otypes=[np.float64])
 
 
-def tanh(x: np.ndarray, flag=None) -> np.ndarray:
-    s = _sel(flag)
-    if s is _Sel.MINIMAX16:
+def tanh(x: np.ndarray, flag: Approx | None = None) -> np.ndarray:
+    if flag is Approx.MINIMAX16:
         return minimax_eval(TANH_MINIMAX, x)
-    if s is _Sel.EXACT:
+    if flag is Approx.EXACT:
         return np.tanh(x)
     return tanh_pade78(x)
 
 
-def tanh_grad(x: np.ndarray, flag=None) -> np.ndarray:
+def tanh_grad(x: np.ndarray, flag: Approx | None = None) -> np.ndarray:
     f = tanh(x, flag)
     return np.asarray(x).dtype.type(1.0) - f * f
 
 
-def sigmoid_via_tanh(x: np.ndarray, flag=None) -> np.ndarray:
+def sigmoid_via_tanh(x: np.ndarray, flag: Approx | None = None) -> np.ndarray:
     """sigmoid(x) = (tanh(x/2) + 1) / 2 applied to the selected tanh."""
     x = np.asarray(x)
     dt = x.dtype.type
     return (tanh(x * dt(0.5), flag) + dt(1.0)) * dt(0.5)
 
 
-def sigmoid_grad(x: np.ndarray, flag=None) -> np.ndarray:
+def sigmoid_grad(x: np.ndarray, flag: Approx | None = None) -> np.ndarray:
     s = sigmoid_via_tanh(x, flag)
     return s * (np.asarray(x).dtype.type(1.0) - s)
 
 
-def gelu(x: np.ndarray, flag=None) -> np.ndarray:
+def gelu(x: np.ndarray, flag: Approx | None = None) -> np.ndarray:
     """GELU(x) = 0.5 x (1 + erf(x / sqrt 2)); the erf factor comes from the
     16-interval table unless the exact path is selected."""
     x = np.asarray(x)
     dt = x.dtype.type
-    if _sel(flag) is _Sel.EXACT:
+    if flag is Approx.EXACT:
         h = _erf_vec(x / dt(math.sqrt(2.0))).astype(x.dtype)
     else:
         h = minimax_eval(GELU_ERF_MINIMAX, x)
     return dt(0.5) * x * (dt(1.0) + h)
 
 
-def gelu_grad(x: np.ndarray, flag=None) -> np.ndarray:
+def gelu_grad(x: np.ndarray, flag: Approx | None = None) -> np.ndarray:
     x = np.asarray(x)
     dt = x.dtype.type
-    if _sel(flag) is _Sel.EXACT:
+    if flag is Approx.EXACT:
         h = _erf_vec(x / dt(math.sqrt(2.0))).astype(x.dtype)
         hp = (np.sqrt(dt(2.0 / math.pi)) * np.exp(dt(-0.5) * x * x)).astype(x.dtype)
     else:

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import approx, bench, equation as eqn, verify
 from .dtypes import DType
@@ -20,12 +20,8 @@ from .tensor import TensorDesc
 
 @dataclass
 class RunConfig:
-    command: str
-    seed: int = 0
-    threads: int = 1
     fmt: str = "text"
     out: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def _emit(config: RunConfig, text_lines: list[str], rows: list[dict]) -> None:
@@ -55,7 +51,7 @@ def _emit(config: RunConfig, text_lines: list[str], rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = RunConfig("verify", args.seed, args.threads, args.format, args.out)
+    config = RunConfig(args.format, args.out)
     verify.inject_fault(args.inject_fault)
     try:
         only = args.only.split(",") if args.only else None
@@ -92,7 +88,7 @@ def _parse_arg_descs(spec: str | None, count_hint: int, dtype: DType) -> list[Te
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    config = RunConfig("plan", args.seed, args.threads, args.format, args.out)
+    config = RunConfig(args.format, args.out)
     # count the argument slots actually referenced by the equation text
     import re
     refs = [int(m) for m in re.findall(r"\bT(\d+)\b", args.equation)]
@@ -130,7 +126,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_approx_report(args: argparse.Namespace) -> int:
-    config = RunConfig("approx-report", args.seed, args.threads, args.format, args.out)
+    config = RunConfig(args.format, args.out)
     checks = ["approx-pade-tanh", "approx-minimax-tanh", "approx-exp-taylor",
               "approx-sigmoid-identity", "approx-bounds-monotonic"]
     results = verify.run_checks(only=checks, seed=args.seed)
@@ -150,7 +146,7 @@ def cmd_approx_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = RunConfig("bench", args.seed, args.threads, args.format, args.out)
+    config = RunConfig(args.format, args.out)
     m, n, k = args.m, args.n, args.k
     results: list[bench.BenchResult] = []
     if args.op in ("brgemm", "all"):
@@ -183,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
         sp.add_argument("--out", default=None, help="write the report to a file")
 
@@ -214,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="micro-benchmarks")
     common(b)
+    b.add_argument("--threads", type=int, default=1)
     b.add_argument("--op", choices=["brgemm", "fc", "softmax", "all"], default="all")
     b.add_argument("--m", type=int, default=64)
     b.add_argument("--n", type=int, default=64)

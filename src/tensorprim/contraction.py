@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .dtypes import DType, bf16_to_fp32
-from .tensor import TensorError, TensorView
+from .tensor import TensorError, TensorView, vnni_alpha, vnni_pack_a, vnni_unpack_a
 
 _ITEM = {DType.FP64: np.float64, DType.FP32: np.float32, DType.BF16: np.uint16,
          DType.INT8: np.int8, DType.INT32: np.int32}
@@ -71,6 +71,8 @@ class GemmSpec:
             raise TensorError("ldc < M")
         if self.compute_path is ComputePath.EMULATED_SPLIT and self.in_dtype is not DType.BF16:
             raise TensorError("EMULATED_SPLIT applies to BF16 inputs")
+        if self.a_layout is ALayout.VNNI:
+            vnni_alpha(self.in_dtype)  # raises for types without a VNNI form
 
     @property
     def acc_dtype(self) -> DType:
@@ -82,7 +84,7 @@ class GemmSpec:
 
     @property
     def alpha(self) -> int:
-        return 4 if self.in_dtype is DType.INT8 else 2
+        return vnni_alpha(self.in_dtype)
 
 
 @dataclass(frozen=True)
@@ -195,37 +197,25 @@ def _load_a(spec: GemmSpec, ref: Ref) -> np.ndarray:
     if spec.a_layout is ALayout.PLAIN:
         block = _strided2d(buf, off, spec.m, spec.k, spec.lda)
         if spec.compute_path is ComputePath.EMULATED_SPLIT:
-            return _widen_emulated(_pack_pairs(block), spec.m, spec.k)
+            return _widen_emulated(vnni_pack_a(block, 2), spec.m, spec.k)
         return _widen(block, spec.in_dtype)
-    # VNNI layout [K/alpha][M][alpha]
     al = spec.alpha
-    groups = -(-spec.k // al)
-    if off < 0 or buf.size - off < groups * spec.m * al:
+    size = -(-spec.k // al) * spec.m * al
+    if off < 0 or buf.size - off < size:
         raise TensorError("VNNI block exceeds buffer")
-    grid = buf[off:off + groups * spec.m * al].reshape(groups, spec.m, al)
+    flat = buf[off:off + size]
     if spec.compute_path is ComputePath.EMULATED_SPLIT:
-        return _widen_emulated(grid, spec.m, spec.k)
-    logical = grid.transpose(1, 0, 2).reshape(spec.m, groups * al)[:, :spec.k]
-    return _widen(logical, spec.in_dtype)
+        return _widen_emulated(flat, spec.m, spec.k)
+    return _widen(vnni_unpack_a(flat, al, spec.m, spec.k), spec.in_dtype)
 
 
-def _pack_pairs(block: np.ndarray) -> np.ndarray:
-    """Plain BF16 (M, K) patterns -> pair grid (ceil(K/2), M, 2), zero tail."""
-    m, k = block.shape
+def _widen_emulated(flat: np.ndarray, m: int, k: int) -> np.ndarray:
+    """Reconstruct FP32 operands from BF16 pairs in the VNNI layout with
+    mask/shift arithmetic: the even (low-half) element by an unmasked load
+    plus a 32-bit left shift, the odd (high-half) element by zero-masking the
+    low 16 bits."""
     groups = -(-k // 2)
-    grid = np.zeros((groups, m, 2), dtype=np.uint16)
-    grid[:, :, 0] = block[:, 0::2].T
-    if k > 1:
-        grid[:k // 2, :, 1] = block[:, 1::2].T
-    return grid
-
-
-def _widen_emulated(grid: np.ndarray, m: int, k: int) -> np.ndarray:
-    """Reconstruct FP32 operands from packed BF16 pairs with mask/shift
-    arithmetic: the even (low-half) element by an unmasked load plus a 32-bit
-    left shift, the odd (high-half) element by zero-masking the low 16 bits."""
-    groups = grid.shape[0]
-    lanes = grid.reshape(-1).copy()  # fresh buffer: aligned for the u32 view
+    lanes = flat.copy()              # fresh buffer: aligned for the u32 view
     u32 = lanes.view(np.uint32)      # one lane per pair
     even = (u32 << np.uint32(16)).view(np.float32).reshape(groups, m)
     odd = (u32 & np.uint32(0xFFFF0000)).view(np.float32).reshape(groups, m)
@@ -233,25 +223,6 @@ def _widen_emulated(grid: np.ndarray, m: int, k: int) -> np.ndarray:
     out[:, 0::2] = even.T
     out[:, 1::2] = odd.T
     return out[:, :k]
-
-
-def vnni_pack_a(a_patterns: np.ndarray, alpha: int) -> np.ndarray:
-    """Plain (M, K) A into the [K/alpha][M][alpha] flat layout, zero-padded
-    tail group; element (m, k) lands at group k//alpha, row m, slot k%alpha."""
-    if alpha not in (2, 4):
-        raise TensorError("alpha must be 2 (16-bit) or 4 (8-bit)")
-    m, k = a_patterns.shape
-    groups = -(-k // alpha)
-    padded = np.zeros((m, groups * alpha), dtype=a_patterns.dtype)
-    padded[:, :k] = a_patterns
-    return np.ascontiguousarray(padded.reshape(m, groups, alpha).transpose(1, 0, 2)).reshape(-1)
-
-
-def vnni_unpack_a(flat: np.ndarray, alpha: int, m: int, k: int) -> np.ndarray:
-    """Inverse of :func:`vnni_pack_a` (drops tail padding)."""
-    groups = -(-k // alpha)
-    grid = flat[:groups * m * alpha].reshape(groups, m, alpha)
-    return grid.transpose(1, 0, 2).reshape(m, groups * alpha)[:, :k]
 
 
 # ---------------------------------------------------------------------------

@@ -32,19 +32,18 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import contraction as gemm_engine
 from . import ops
 from .ops import (
     Approx,
     BinaryKind,
     CmpOp,
     InvalidSpecError,
+    Kernel,
     KernelSpec,
     ReduceSpec,
     TernaryKind,
     TransformSpec,
     UnaryKind,
-    infer_output_desc,
 )
 from .tensor import Bcast, TensorDesc, TensorView, alloc, broadcast
 
@@ -69,10 +68,7 @@ class EqNode:
     children: list["EqNode"] = field(default_factory=list)
     arg_slot: Optional[int] = None         # leaf binding
     out_desc: Optional[TensorDesc] = None
-    approx: Optional[Approx] = None
-    reduce: Optional[ReduceSpec] = None
-    transform: Optional[TransformSpec] = None
-    cmp: Optional[CmpOp] = None
+    kernel: Optional[Kernel] = None        # the dispatched primitive
     score: int = -1
     need: int = -1       # true minimal temps for this subtree (drives visit order)
     timestamp: int = -1
@@ -122,7 +118,9 @@ class EquationError(ValueError):
 # ---------------------------------------------------------------------------
 
 class TreeBuilder:
-    """Programmatic tree construction with shape inference at every node."""
+    """Programmatic tree construction: every operation node is bound to the
+    kernel dispatched for its children's descriptors, whose output descriptor
+    becomes the node's."""
 
     def __init__(self, args: Sequence[TensorDesc]):
         self.args = list(args)
@@ -137,25 +135,26 @@ class TreeBuilder:
             raise EquationError(f"argument slot {slot} out of range")
         return EqNode(self._nid(), None, [], arg_slot=slot, out_desc=self.args[slot])
 
+    def _op(self, kind: OpKind, children: list[EqNode], **flags) -> EqNode:
+        spec = KernelSpec(kind, tuple(c.out_desc for c in children), **flags)
+        try:
+            kern = ops.dispatch(spec)
+        except InvalidSpecError as e:
+            raise EquationError(f"shape inference failed at {kind.value}: {e}") from None
+        return EqNode(self._nid(), kind, children, out_desc=kern.out_desc, kernel=kern)
+
     def unary(self, kind: UnaryKind, child: EqNode, approx: Approx | None = None,
               reduce: ReduceSpec | None = None,
               transform: TransformSpec | None = None) -> EqNode:
-        n = EqNode(self._nid(), kind, [child], approx=approx, reduce=reduce,
-                   transform=transform)
-        n.out_desc = _node_out_desc(n)
-        return n
+        return self._op(kind, [child], approx=approx, reduce=reduce, transform=transform)
 
     def binary(self, kind: BinaryKind, left: EqNode, right: EqNode,
                cmp: CmpOp | None = None) -> EqNode:
-        n = EqNode(self._nid(), kind, [left, right], cmp=cmp)
-        n.out_desc = _node_out_desc(n)
-        return n
+        return self._op(kind, [left, right], cmp=cmp)
 
     def ternary(self, kind: TernaryKind, left: EqNode, middle: EqNode,
                 right: EqNode) -> EqNode:
-        n = EqNode(self._nid(), kind, [left, middle, right])
-        n.out_desc = _node_out_desc(n)
-        return n
+        return self._op(kind, [left, middle, right])
 
     def tree(self, root: EqNode) -> EqTree:
         if root.is_leaf:
@@ -179,17 +178,6 @@ class TreeBuilder:
 
         check(root)
         return EqTree(root, list(self.args))
-
-
-def _node_out_desc(n: EqNode) -> TensorDesc:
-    spec = KernelSpec(kind=n.kind, ins=tuple(c.out_desc for c in n.children),
-                      approx=n.approx, reduce=n.reduce, transform=n.transform,
-                      cmp=n.cmp,
-                      dropout_p=0.5 if n.kind is UnaryKind.DROPOUT else None)
-    try:
-        return infer_output_desc(spec)
-    except InvalidSpecError as e:
-        raise EquationError(f"shape inference failed at {n.label()}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -525,25 +513,13 @@ def _run_node(n: EqNode, ins: list[TensorView], out: TensorView) -> None:
     # contraction and layout nodes cannot write over an operand; when the
     # node inherited its child's temp slot, stage through a fresh buffer
     # (the copy is an exact bit move)
-    if (k is BinaryKind.MATMUL or k is TernaryKind.GEMM
-            or (isinstance(k, UnaryKind) and k is UnaryKind.TRANSFORM)):
+    if k is BinaryKind.MATMUL or k is TernaryKind.GEMM or k is UnaryKind.TRANSFORM:
         if any(np.may_share_memory(v.primary, out.primary) for v in ins):
             staged = alloc(out.desc.contiguous())
-            _run_node(n, ins, staged)
+            n.kernel(*ins, out=staged)
             out.as2d()[:, :] = staged.as2d()
             return
-    if isinstance(k, UnaryKind):
-        ops.apply_unary(k, ins[0], out, approx_flag=n.approx, reduce_spec=n.reduce,
-                        transform_spec=n.transform)
-    elif isinstance(k, BinaryKind):
-        ops.apply_binary(k, ins[0], ins[1], out, cmp=n.cmp)
-    elif k is TernaryKind.GEMM:
-        a, b, c = ins
-        out.as2d()[:, :] = c.logical2d()
-        spec = gemm_engine.spec_for_views(a, b, out, beta=1.0)
-        gemm_engine.gemm(spec, a, b, out)
-    else:
-        ops.apply_ternary(k, ins[0], ins[1], ins[2], out)
+    n.kernel(*ins, out=out)
 
 
 class _SlotArena:

@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import approx
+from . import approx, contraction
+from .approx import Approx
 from .dtypes import COMPUTE_DTYPE, DType, fp32_to_bf16_rne, pack_fp32_bits
 from .tensor import (
     TensorDesc,
@@ -26,6 +27,9 @@ from .tensor import (
     bool_to_mask,
     mask_to_bool,
     values2d,
+    vnni_alpha,
+    vnni_pack_a,
+    vnni_unpack_a,
 )
 
 
@@ -128,14 +132,6 @@ class TransformSpec:
     cols: int = 0
 
 
-class Approx(enum.Enum):
-    """Approximation selector for the transcendental kinds."""
-    PADE78 = "pade78"
-    MINIMAX16 = "minimax16"
-    TAYLOR2 = "taylor2"
-    EXACT = "exact"
-
-
 class GatherMode(enum.Enum):
     GATHER_ROWS = "gather_rows"
     GATHER_COLS = "gather_cols"
@@ -154,22 +150,6 @@ DEFAULT_APPROX = {
     UnaryKind.GELU_INV: Approx.MINIMAX16,
     UnaryKind.EXP: Approx.TAYLOR2,
 }
-
-ELEMENTWISE_UNARY = {
-    UnaryKind.IDENTITY, UnaryKind.SQUARE, UnaryKind.INC, UnaryKind.DEC,
-    UnaryKind.SQRT, UnaryKind.RECIPROCAL, UnaryKind.RSQRT, UnaryKind.EXP,
-    UnaryKind.TANH, UnaryKind.RELU, UnaryKind.SIGMOID, UnaryKind.GELU,
-    UnaryKind.TANH_INV, UnaryKind.SIGMOID_INV, UnaryKind.GELU_INV,
-    UnaryKind.RELU_INV, UnaryKind.DROPOUT, UnaryKind.DROPOUT_INV,
-}
-
-ELEMENTWISE_BINARY = {
-    BinaryKind.ADD, BinaryKind.SUB, BinaryKind.MUL, BinaryKind.DIV,
-    BinaryKind.MAX, BinaryKind.MIN,
-}
-
-ELEMENTWISE_TERNARY = {TernaryKind.MULADD, TernaryKind.NMULADD, TernaryKind.BLEND}
-
 
 class InvalidSpecError(ValueError):
     """Kernel spec rejected; ``code`` is one of 'shape', 'dtype', 'flag'."""
@@ -526,14 +506,6 @@ def reduce(inp: TensorView, spec: ReduceSpec, out: TensorView) -> None:
 # transforms
 # ---------------------------------------------------------------------------
 
-def vnni_alpha_for(dtype: DType) -> int:
-    if dtype.bits == 16:
-        return 2
-    if dtype.bits == 8:
-        return 4
-    raise InvalidSpecError("dtype", f"no VNNI group size for {dtype}")
-
-
 def transform(inp: TensorView, spec: TransformSpec, out: TensorView) -> None:
     """Transpose, VNNI formatting, or VNNI to VNNI-transpose.
 
@@ -549,47 +521,38 @@ def transform(inp: TensorView, spec: TransformSpec, out: TensorView) -> None:
         return
     if spec.kind is TransformKind.VNNI:
         _check_alpha(inp.desc.dtype, spec.alpha)
-        packed = vnni_pack(inp.logical2d(), spec.alpha)
-        _require_logical_shape(out, packed.shape[0], packed.shape[1], "VNNI output")
-        out.as2d()[:, :] = packed
+        _store_vnni(out, inp.logical2d(), spec.alpha, "VNNI output")
         return
     if spec.kind is TransformKind.VNNI_TO_VNNIT:
         _check_alpha(inp.desc.dtype, spec.alpha)
         _check_alpha(out.desc.dtype, spec.alpha_out)
         if spec.rows <= 0 or spec.cols <= 0:
             raise InvalidSpecError("shape", "VNNI_TO_VNNIT needs the logical extent")
-        logical = vnni_unpack(inp.logical2d(), spec.alpha, spec.rows, spec.cols)
-        packed = vnni_pack(logical.T, spec.alpha_out)
-        _require_logical_shape(out, packed.shape[0], packed.shape[1], "VNNI_TO_VNNIT output")
-        out.as2d()[:, :] = packed
+        groups = -(-spec.cols // spec.alpha)
+        if (inp.desc.rows, inp.desc.cols) != (spec.rows * spec.alpha, groups):
+            raise InvalidSpecError("shape", "VNNI_TO_VNNIT input does not match the extent")
+        flat = inp.logical2d().T.reshape(-1)  # column-major order of the VNNI view
+        logical = vnni_unpack_a(flat, spec.alpha, spec.rows, spec.cols)
+        _store_vnni(out, logical.T, spec.alpha_out, "VNNI_TO_VNNIT output")
         return
     raise InvalidSpecError("flag", f"unknown transform {spec.kind}")
 
 
 def _check_alpha(dtype: DType, alpha: int) -> None:
-    want = vnni_alpha_for(dtype)
+    try:
+        want = vnni_alpha(dtype)
+    except TensorError as e:
+        raise InvalidSpecError("dtype", str(e)) from None
     if alpha != want:
         raise InvalidSpecError("flag", f"alpha {alpha} incompatible with {dtype} (want {want})")
 
 
-def vnni_pack(a: np.ndarray, alpha: int) -> np.ndarray:
-    """Logical (M, N) array -> (M * alpha, ceil(N / alpha)) VNNI array."""
-    m, n = a.shape
-    groups = -(-n // alpha)
-    padded = np.zeros((m, groups * alpha), dtype=a.dtype)
-    padded[:, :n] = a
-    # (m, g, r) -> (g, m, r); raveling the first two axes puts alpha
-    # consecutive source columns innermost
-    blocks = padded.reshape(m, groups, alpha).transpose(1, 0, 2)
-    return blocks.reshape(groups, m * alpha).T
-
-
-def vnni_unpack(packed: np.ndarray, alpha: int, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vnni_pack` (drops the zero padding)."""
-    groups = packed.shape[1]
-    blocks = packed.T.reshape(groups, rows, alpha)
-    full = blocks.transpose(1, 0, 2).reshape(rows, groups * alpha)
-    return full[:, :cols]
+def _store_vnni(out: TensorView, a: np.ndarray, alpha: int, what: str) -> None:
+    """Pack logical (M, N) ``a`` into ``out``, an (M * alpha) x ceil(N / alpha)
+    view whose column-major order is the VNNI layout."""
+    rows, groups = a.shape[0] * alpha, -(-a.shape[1] // alpha)
+    _require_logical_shape(out, rows, groups, what)
+    out.as2d()[:, :] = vnni_pack_a(a, alpha).reshape(groups, rows).T
 
 
 def shuffle_network_transpose(inp: TensorView, out: TensorView) -> None:
@@ -747,7 +710,6 @@ def replicate_cols(inp: TensorView, times: int, out: TensorView) -> None:
 def apply_binary(kind: BinaryKind, a: TensorView, b: TensorView, out: TensorView,
                  cmp: CmpOp | None = None) -> None:
     if kind is BinaryKind.MATMUL:
-        from . import contraction
         contraction.matmul(a, b, out)
         return
     if kind is BinaryKind.PACK:
@@ -795,8 +757,13 @@ def _pack_binary(hi: TensorView, lo: TensorView, out: TensorView) -> None:
 
 def apply_ternary(kind: TernaryKind, a: TensorView, b: TensorView, c: TensorView,
                   out: TensorView) -> None:
-    if kind in (TernaryKind.GEMM, TernaryKind.BRGEMM):
-        raise InvalidSpecError("flag", "GEMM/BRGEMM live in the gemm module")
+    if kind is TernaryKind.GEMM:
+        # out = C + A x B; ``out`` must not alias A or B
+        out.as2d()[:, :] = c.logical2d()
+        contraction.gemm(contraction.spec_for_views(a, b, out, beta=1.0), a, b, out)
+        return
+    if kind is TernaryKind.BRGEMM:
+        raise InvalidSpecError("flag", "BRGEMM lives in the contraction module")
     if kind is TernaryKind.BLEND:
         if c.desc.dtype is not DType.BIT:
             raise InvalidSpecError("dtype", "BLEND selector must be a bitmask")
@@ -835,9 +802,6 @@ class KernelSpec:
     dropout_p: float | None = None
     times: int | None = None
     index_desc: TensorDesc | None = None
-
-    def output_desc(self) -> TensorDesc:
-        return infer_output_desc(self)
 
 
 def infer_output_desc(spec: KernelSpec) -> TensorDesc:
@@ -890,8 +854,10 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
             if d.dtype is not DType.FP32:
                 raise InvalidSpecError("dtype", "UNPACK takes FP32")
             return TensorDesc(d.rows, d.cols, d.rows, DType.BF16)
-        if k is UnaryKind.DROPOUT and spec.dropout_p is None:
-            raise InvalidSpecError("flag", "DROPOUT needs p")
+        if k in (UnaryKind.DROPOUT, UnaryKind.DROPOUT_INV) and spec.dropout_p is None:
+            raise InvalidSpecError("flag", f"{k.name} needs p")
+        if k in (UnaryKind.STRIDED_LOAD, UnaryKind.STRIDED_STORE):
+            raise InvalidSpecError("flag", "use strided_load/strided_store helpers")
         return TensorDesc(d.rows, d.cols, d.rows, d.dtype)
     if isinstance(k, BinaryKind):
         if len(ins) != 2:
@@ -920,7 +886,9 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
         if len(ins) != 3:
             raise InvalidSpecError("shape", "ternary spec takes three input descs")
         a, b, c = ins
-        if k in (TernaryKind.GEMM, TernaryKind.BRGEMM):
+        if k is TernaryKind.BRGEMM:
+            raise InvalidSpecError("flag", "BRGEMM takes a block batch: use contraction.brgemm")
+        if k is TernaryKind.GEMM:
             if a.cols != b.rows or (c.rows, c.cols) != (a.rows, b.cols):
                 raise InvalidSpecError("shape", "GEMM operand shapes inconsistent")
             return TensorDesc(c.rows, c.cols, c.rows, c.dtype)
@@ -939,7 +907,8 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
 
 
 class Kernel:
-    """An immutable, dispatched primitive instance."""
+    """An immutable, dispatched primitive instance.  Its flags apply to any
+    operand views the call passes: whole tensors or tiles of them."""
 
     __slots__ = ("spec", "out_desc")
 

@@ -1,4 +1,5 @@
-"""2D tensor descriptors, views, broadcast semantics and bitmask companions.
+"""2D tensor descriptors, views, broadcast semantics, bitmask companions and
+the VNNI layout.
 
 Storage is column-major: element (i, j) of an M x N tensor lives at linear
 index ``i + j * ld`` of the flat backing buffer, with ``ld >= M``.  Broadcast
@@ -76,12 +77,6 @@ class TensorDesc:
 
     def contiguous(self) -> "TensorDesc":
         return replace(self, ld=self.phys_rows)
-
-
-def desc(rows: int, cols: int, dtype: DType = DType.FP32, ld: int | None = None,
-         bcast: Bcast = Bcast.NONE) -> TensorDesc:
-    d = TensorDesc(rows, cols, ld if ld is not None else rows, dtype, bcast)
-    return d
 
 
 @dataclass
@@ -239,10 +234,6 @@ def bitmask_bytes(rows: int, cols: int) -> int:
     return ((rows + 7) // 8) * cols
 
 
-def alloc_bitmask(rows: int, cols: int) -> np.ndarray:
-    return np.zeros(bitmask_bytes(rows, cols), dtype=np.uint8)
-
-
 def bool_to_mask(b: np.ndarray) -> np.ndarray:
     """Pack a boolean M x N array into the column-padded bitmask layout."""
     b = np.asarray(b, dtype=bool)
@@ -259,6 +250,40 @@ def mask_to_bool(mask: np.ndarray, rows: int, cols: int) -> np.ndarray:
     m = np.asarray(mask, dtype=np.uint8).reshape(cols, bpc).T
     bits = np.unpackbits(m, axis=0, bitorder="little")
     return bits[:rows, :].astype(bool)
+
+
+# -- VNNI layout ----------------------------------------------------------------
+
+def vnni_alpha(dtype: DType) -> int:
+    """VNNI group size: 2 for 16-bit, 4 for 8-bit elements; wider types have
+    no VNNI form."""
+    if dtype.bits == 16:
+        return 2
+    if dtype.bits == 8:
+        return 4
+    raise TensorError(f"no VNNI group size for {dtype}")
+
+
+def vnni_pack_a(a_patterns: np.ndarray, alpha: int) -> np.ndarray:
+    """Plain (M, K) A into the [K/alpha][M][alpha] flat layout, zero-padded
+    tail group; element (m, k) lands at group k//alpha, row m, slot k%alpha.
+
+    Read column-major as an (M * alpha) x ceil(K / alpha) tensor, the flat
+    array is the VNNI transform's output view."""
+    if alpha not in (2, 4):
+        raise TensorError("alpha must be 2 (16-bit) or 4 (8-bit)")
+    m, k = a_patterns.shape
+    groups = -(-k // alpha)
+    padded = np.zeros((m, groups * alpha), dtype=a_patterns.dtype)
+    padded[:, :k] = a_patterns
+    return np.ascontiguousarray(padded.reshape(m, groups, alpha).transpose(1, 0, 2)).reshape(-1)
+
+
+def vnni_unpack_a(flat: np.ndarray, alpha: int, m: int, k: int) -> np.ndarray:
+    """Inverse of :func:`vnni_pack_a` (drops tail padding)."""
+    groups = -(-k // alpha)
+    grid = flat[:groups * m * alpha].reshape(groups, m, alpha)
+    return grid.transpose(1, 0, 2).reshape(m, groups * alpha)[:, :k]
 
 
 # -- split tensors -------------------------------------------------------------

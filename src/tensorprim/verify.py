@@ -487,8 +487,8 @@ def check_vnni(seed: int = 0) -> CheckResult:
             else:
                 a = fp32_to_bf16_rne(rng.standard_normal((m, k)).astype(np.float32))
                 b = fp32_to_bf16_rne(rng.standard_normal((k, n)).astype(np.float32))
-            packed = gemm_engine.vnni_pack_a(a, alpha)
-            if not _bits_equal(gemm_engine.vnni_unpack_a(packed, alpha, m, k), a):
+            packed = tz.vnni_pack_a(a, alpha)
+            if not _bits_equal(tz.vnni_unpack_a(packed, alpha, m, k), a):
                 bad += 1
                 continue
             bf = _colmajor_flat(b)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tensorprim.cli import main
 
 
@@ -101,6 +103,15 @@ def test_verify_seed_determinism(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("cmd", [["verify"], ["plan", "relu(T0)"], ["approx-report"]])
+def test_threads_is_usage_error_outside_bench(cmd, capsys):
+    """Only bench runs work on threads; elsewhere --threads is rejected."""
+    with pytest.raises(SystemExit) as e:
+        main([*cmd, "--threads", "2"])
+    assert e.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_bench_reports_metrics(capsys):
     code, out, _ = run_cli(["bench", "--op", "brgemm", "--m", "16", "--n", "16",
                             "--k", "16", "--count", "4", "--repeats", "2"], capsys)
@@ -116,7 +127,8 @@ def test_bench_softmax_scratch_comparison(capsys):
 
 def test_bench_deterministic_checksums(capsys):
     args = ["bench", "--op", "brgemm", "--m", "8", "--n", "8", "--k", "8",
-            "--count", "2", "--repeats", "1", "--format", "json", "--seed", "3"]
+            "--count", "2", "--repeats", "1", "--format", "json", "--seed", "3",
+            "--threads", "2"]
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert json.loads(out1)[0]["checksum"] == json.loads(out2)[0]["checksum"]

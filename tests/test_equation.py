@@ -58,6 +58,21 @@ def test_mismatched_matmul_dims_rejected():
         parse_equation("T0 matmul T1", [D(4, 3), D(4, 4)])
 
 
+def test_nodes_bound_to_dispatched_kernels():
+    tree = parse_equation(WORKED, [D(4, 4)] * 5)
+    for n in tree.internal_nodes():
+        assert n.kernel.spec.kind is n.kind
+        assert n.out_desc == n.kernel.out_desc
+    assert tree.root.out_desc == D(4, 4)
+
+
+def test_dropout_node_rejected_at_build():
+    """An equation has no drop probability to give a DROPOUT node."""
+    b = TreeBuilder([D(4, 4)])
+    with pytest.raises(EquationError, match="DROPOUT needs p"):
+        b.unary(UnaryKind.DROPOUT, b.leaf(0))
+
+
 def test_parse_error_has_position():
     with pytest.raises(ParseError) as e:
         parse_equation("tanh(T0", [D(2, 2)])
@@ -305,6 +320,30 @@ def test_fusion_fidelity_random_sample():
             got = alloc(plan.out_desc.contiguous())
             evaluate(plan, TileFused(2, 2), args, got)
             assert bits_equal(to_array(got), to_array(ref))
+
+
+def test_ternary_gemm_node_all_strategies():
+    """relu(T0) x T1 + T2 * T3 as a ternary GEMM node under an elementwise
+    root; the GEMM inherits relu's slot, so Buffered stages its output.
+    Small integers keep every sum exact, so numpy is a bitwise oracle."""
+    rng = np.random.default_rng(12)
+    m, k, n = 5, 3, 6
+    descs = [D(m, k), D(k, n), D(m, n), D(m, n), D(m, n)]
+    vals = [rng.integers(-4, 5, size=(d.rows, d.cols)).astype(np.float32) for d in descs]
+    b = TreeBuilder(descs)
+    g = b.ternary(TernaryKind.GEMM, b.unary(UnaryKind.RELU, b.leaf(0)), b.leaf(1),
+                  b.binary(BinaryKind.MUL, b.leaf(2), b.leaf(3)))
+    tree = b.tree(b.binary(BinaryKind.ADD, g, b.leaf(4)))
+    plan = create_execution_plan(assign_register_score(tree))
+    args = [from_array(v) for v in vals]
+    ref = alloc(plan.out_desc.contiguous())
+    evaluate_naive(tree, args, ref)
+    want = np.maximum(vals[0], 0) @ vals[1] + vals[2] * vals[3] + vals[4]
+    assert bits_equal(to_array(ref), want.astype(np.float32))
+    for strat in (Buffered(), Hybrid(2, 4)):
+        got = alloc(plan.out_desc.contiguous())
+        evaluate(plan, strat, args, got)
+        assert bits_equal(to_array(got), to_array(ref))
 
 
 def test_argument_validation():

@@ -10,12 +10,15 @@ from tensorprim import (
     GemmSpec,
     TensorDesc,
     TensorError,
+    TransformKind,
+    TransformSpec,
     alloc,
     brgemm,
     from_array,
     gemm,
     matmul,
     to_array,
+    transform,
     vnni_pack_a,
     vnni_unpack_a,
 )
@@ -202,6 +205,45 @@ def test_vnni_gemm_matches_plain_bitwise():
         gemm(spec_mnk(m, n, k, dtype, a_layout=ALayout.VNNI),
              (vnni_pack_a(a, alpha), 0), (colmajor_flat(b), 0), cv)
         assert bits_equal(np.array(cp.as2d()), np.array(cv.as2d()))
+
+
+def test_vnni_transform_output_is_a_vnni_operand():
+    """The VNNI transform and the contraction share one layout: the
+    transform's output buffer, used as A, gives the plain-A result bitwise,
+    also when K leaves a zero-padded tail group."""
+    rng = np.random.default_rng(13)
+    m, n = 5, 4
+    for dtype, alpha in ((DType.BF16, 2), (DType.INT8, 4)):
+        acc = DType.INT32 if dtype is DType.INT8 else DType.FP32
+        for k in sorted({3 * alpha, 3 * alpha + 1, 4 * alpha - 1}):
+            if dtype is DType.INT8:
+                a = rng.integers(-128, 128, size=(m, k), dtype=np.int8)
+                b = rng.integers(-128, 128, size=(k, n), dtype=np.int8)
+            else:
+                a = fp32_to_bf16_rne(rng.standard_normal((m, k)).astype(np.float32))
+                b = fp32_to_bf16_rne(rng.standard_normal((k, n)).astype(np.float32))
+            av = alloc(D(m, k, dtype))
+            av.as2d()[:, :] = a
+            packed = alloc(D(m * alpha, -(-k // alpha), dtype))
+            transform(av, TransformSpec(TransformKind.VNNI, alpha=alpha), packed)
+            cp = alloc(D(m, n, acc))
+            gemm(spec_mnk(m, n, k, dtype), av, (colmajor_flat(b), 0), cp)
+            paths = [ComputePath.NATIVE]
+            if dtype is DType.BF16:
+                paths.append(ComputePath.EMULATED_SPLIT)
+            for path in paths:
+                cv = alloc(D(m, n, acc))
+                gemm(spec_mnk(m, n, k, dtype, a_layout=ALayout.VNNI, compute_path=path),
+                     packed, (colmajor_flat(b), 0), cv)
+                assert bits_equal(np.array(cp.as2d()), np.array(cv.as2d()))
+
+
+@pytest.mark.parametrize("dtype", [DType.FP32, DType.FP64])
+def test_vnni_layout_needs_a_narrow_type(dtype):
+    with pytest.raises(TensorError):
+        spec_mnk(4, 4, 4, dtype, a_layout=ALayout.VNNI)
+    assert spec_mnk(4, 4, 4, DType.BF16, a_layout=ALayout.VNNI).alpha == 2
+    assert spec_mnk(4, 4, 4, DType.INT8, a_layout=ALayout.VNNI).alpha == 4
 
 
 def test_bf16_emulated_single_product():

@@ -37,8 +37,9 @@ from tensorprim import (
     strided_store,
     to_array,
     transform,
+    vnni_pack_a,
+    vnni_unpack_a,
 )
-from tensorprim.ops import vnni_pack, vnni_unpack
 from tensorprim.tensor import bool_to_mask, mask_to_bool
 
 from util import bits_equal
@@ -83,6 +84,18 @@ def test_dispatch_distinct_approx_flags():
 def test_dispatch_gather_without_indices_is_invalid():
     with pytest.raises(InvalidSpecError) as e:
         dispatch(KernelSpec(UnaryKind.GATHER, (D(4, 4),)))
+    assert e.value.code == "flag"
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec(UnaryKind.DROPOUT, (D(4, 4),)),
+    KernelSpec(UnaryKind.DROPOUT_INV, (D(4, 4),)),
+    KernelSpec(UnaryKind.STRIDED_LOAD, (D(4, 4),)),
+    KernelSpec(TernaryKind.BRGEMM, (D(4, 4),) * 3),
+])
+def test_dispatch_rejects_specs_no_call_can_run(spec):
+    with pytest.raises(InvalidSpecError) as e:
+        dispatch(spec)
     assert e.value.code == "flag"
 
 
@@ -239,22 +252,21 @@ def test_transpose_involution():
 def test_vnni_roundtrip_index_formula():
     rng = np.random.default_rng(3)
     pats = rng.integers(0, 1 << 16, size=(4, 6), dtype=np.uint16)
-    packed = vnni_pack(pats, 2)
-    assert packed.shape == (8, 3)
+    flat = vnni_pack_a(pats, 2)
+    assert flat.shape == (24,)  # 3 groups x 4 rows x 2
     # element (m, k) lands at group k//2, row m, slot k%2
-    flat = packed.T.reshape(-1)
     for m in range(4):
         for k in range(6):
             assert flat[(k // 2) * 8 + m * 2 + (k % 2)] == pats[m, k]
-    assert np.array_equal(vnni_unpack(packed, 2, 4, 6), pats)
+    assert np.array_equal(vnni_unpack_a(flat, 2, 4, 6), pats)
 
 
 def test_vnni_tail_padding():
     pats = np.arange(6, dtype=np.uint16).reshape(2, 3)  # 3 cols, alpha 2
-    packed = vnni_pack(pats, 2)
-    assert packed.shape == (4, 2)
-    assert np.array_equal(vnni_unpack(packed, 2, 2, 3), pats)
-    assert packed.T.reshape(-1)[5] == 0  # padded slot of the tail group
+    flat = vnni_pack_a(pats, 2)
+    assert flat.shape == (8,)  # 2 groups x 2 rows x 2
+    assert np.array_equal(vnni_unpack_a(flat, 2, 2, 3), pats)
+    assert flat[5] == 0  # padded slot of the tail group
 
 
 def test_vnni_transform_op_and_alpha_guard():
@@ -263,7 +275,7 @@ def test_vnni_transform_op_and_alpha_guard():
     spec = TransformSpec(TransformKind.VNNI, alpha=2)
     out = alloc(TensorDesc(8, 1, 8, DType.BF16))
     transform(xb, spec, out)
-    assert bits_equal(vnni_unpack(np.array(out.as2d()), 2, 4, 2), np.array(xb.as2d()))
+    assert bits_equal(vnni_unpack_a(out.primary, 2, 4, 2), np.array(xb.as2d()))
     with pytest.raises(InvalidSpecError):
         transform(xb, TransformSpec(TransformKind.VNNI, alpha=4), out)
 
@@ -281,8 +293,7 @@ def test_vnni_to_vnnit_composition():
     transform(vn, TransformSpec(TransformKind.VNNI_TO_VNNIT, alpha=2, alpha_out=2,
                                 rows=m, cols=n), out)
     # oracle: de-format, transpose, re-format
-    want = vnni_pack(pats.T, 2)
-    assert bits_equal(np.array(out.as2d()), want)
+    assert bits_equal(out.primary, vnni_pack_a(pats.T, 2))
 
 
 # ---------------------------------------------------------------------------
