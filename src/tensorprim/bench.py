@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contraction as gemm_engine, equation as eqn, kernels
-from .dtypes import DType
-from .tensor import TensorDesc, alloc, from_array, to_array
+from .contraction import ALayout, ComputePath
+from .dtypes import DType, fp32_to_bf16_rne
+from .tensor import TensorDesc, alloc, from_array, to_array, vnni_alpha, vnni_pack_a
 
 
 @dataclass
@@ -42,25 +43,49 @@ def _time(fn, repeats: int) -> tuple[float, float]:
     return times[len(times) // 2], times[0]
 
 
+# one row per supported contraction path: (input type, A layout, compute path)
+BRGEMM_PATHS = (
+    (DType.FP64, ALayout.PLAIN, ComputePath.NATIVE),
+    (DType.FP32, ALayout.PLAIN, ComputePath.NATIVE),
+    (DType.BF16, ALayout.PLAIN, ComputePath.NATIVE),
+    (DType.BF16, ALayout.VNNI, ComputePath.EMULATED_SPLIT),
+    (DType.INT8, ALayout.VNNI, ComputePath.NATIVE),
+)
+
+
 def bench_brgemm(m: int = 64, n: int = 64, k: int = 64, count: int = 16,
                  dtype: DType = DType.FP32, repeats: int = 5, threads: int = 1,
-                 seed: int = 0) -> BenchResult:
+                 seed: int = 0, a_layout: ALayout = ALayout.PLAIN,
+                 compute_path: ComputePath = ComputePath.NATIVE) -> BenchResult:
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, k * count)).astype(np.float32)
-    b = rng.standard_normal((k, n * count)).astype(np.float32)
-    if dtype is DType.BF16:
-        from .dtypes import fp32_to_bf16_rne
-        a, b = fp32_to_bf16_rne(a), fp32_to_bf16_rne(b)
-    af = np.asarray(a, order="F").reshape(-1, order="F").copy()
-    bf = np.asarray(b, order="F").reshape(-1, order="F").copy()
-    acc = DType.FP32
-    spec = gemm_engine.GemmSpec(m, n, k, m, k, m, in_dtype=dtype, out_dtype=acc)
-    batch = gemm_engine.BrgemmBatch.stride(af, bf, k * m, n * k, count)
+    if dtype is DType.INT8:
+        a = rng.integers(-128, 128, size=(count, m, k), dtype=np.int8)
+        b = rng.integers(-128, 128, size=(count, k, n), dtype=np.int8)
+    else:
+        a = rng.standard_normal((count, m, k)).astype(np.float32)
+        b = rng.standard_normal((count, k, n)).astype(np.float32)
+        if dtype is DType.BF16:
+            a, b = fp32_to_bf16_rne(a), fp32_to_bf16_rne(b)
+        else:
+            a, b = a.astype(dtype.storage), b.astype(dtype.storage)
+    # A_i and B_i are consecutive column-major blocks; VNNI A blocks are packed
+    if a_layout is ALayout.VNNI:
+        a_blocks = [vnni_pack_a(blk, vnni_alpha(dtype)) for blk in a]
+    else:
+        a_blocks = [blk.T.reshape(-1) for blk in a]
+    af = np.concatenate(a_blocks)
+    bf = b.transpose(0, 2, 1).reshape(-1).copy()
+    acc = gemm_engine.accumulator_dtype(dtype)
+    spec = gemm_engine.GemmSpec(m, n, k, m, k, m, in_dtype=dtype, out_dtype=acc,
+                                a_layout=a_layout, compute_path=compute_path)
+    batch = gemm_engine.BrgemmBatch.stride(af, bf, a_blocks[0].size, n * k, count)
     c = alloc(TensorDesc(m, n, m, acc))
     med, mn = _time(lambda: gemm_engine.brgemm(spec, batch, c, threads=threads), repeats)
     flops = 2.0 * m * n * k * count
     checksum = float(np.sum(np.array(c.as2d(), dtype=np.float64)))
-    return BenchResult(f"brgemm-{dtype.value}-{m}x{n}x{k}x{count}", med, mn,
+    path = ("-vnni" if a_layout is ALayout.VNNI else "") + (
+        "-emulated" if compute_path is ComputePath.EMULATED_SPLIT else "")
+    return BenchResult(f"brgemm-{dtype.value}{path}-{m}x{n}x{k}x{count}", med, mn,
                        flops / med / 1e9, {"threads": threads, "checksum": checksum})
 
 

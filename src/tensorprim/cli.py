@@ -149,9 +149,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = RunConfig(args.format, args.out)
     m, n, k = args.m, args.n, args.k
     results: list[bench.BenchResult] = []
-    if args.op in ("brgemm", "all"):
+    if args.op == "brgemm":
         results.append(bench.bench_brgemm(m, n, k, args.count, DType(args.dtype),
                                           args.repeats, args.threads, args.seed))
+    if args.op == "all":
+        results.extend(bench.bench_brgemm(m, n, k, args.count, dtype, args.repeats,
+                                          args.threads, args.seed, layout, path)
+                       for dtype, layout, path in bench.BRGEMM_PATHS)
     if args.op in ("fc", "all"):
         results.append(bench.bench_fc(repeats=args.repeats, threads=args.threads,
                                       seed=args.seed))
@@ -178,12 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
         sp.add_argument("--out", default=None, help="write the report to a file")
 
     v = sub.add_parser("verify", help="run the property/invariant suites")
     common(v)
+    v.add_argument("--seed", type=int, default=0)
     v.add_argument("--only", default=None,
                    help="comma-separated check names (see docs); default all")
     v.add_argument("--max-nodes", type=int, default=None,
@@ -203,12 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ar = sub.add_parser("approx-report", help="approximation error report")
     common(ar)
+    ar.add_argument("--seed", type=int, default=0)
     ar.add_argument("--coefficients", default=None,
                     help="dump the fitted coefficient tables as JSON to this path")
     ar.set_defaults(fn=cmd_approx_report)
 
     b = sub.add_parser("bench", help="micro-benchmarks")
     common(b)
+    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--threads", type=int, default=1)
     b.add_argument("--op", choices=["brgemm", "fc", "softmax", "all"], default="all")
     b.add_argument("--m", type=int, default=64)

@@ -1,13 +1,16 @@
-"""GEMM and batch-reduce GEMM via a portable blocked microkernel.
+"""GEMM and batch-reduce GEMM with a bitwise-fixed accumulation order.
 
-The contraction C = beta*C + sum_i A_i x B_i runs as an output-stationary
-blocked loop nest: C is tiled m_b x n_b, each tile's accumulator is loaded
-once, every (A_i, B_i) pair contributes rank-1 updates in ascending batch
-order then ascending k, and the accumulator is stored (with at most one
-datatype conversion) at the end.  The per-element accumulation order is
-therefore fixed regardless of blocking or thread count, which makes all
-results bit-reproducible and lets the three batch addressing variants be
-compared bitwise.
+The contraction C = beta*C + sum_i A_i x B_i keeps the batch as an array
+axis: the widened A_i are stacked into one (n, M, K) array and the B_i into
+one (n, K, N) array, and a single loop over ascending k adds the rank-1
+update of every entry's partial at once (one numpy multiply and one add per
+k).  Each entry's partial starts from zero, and the partials are folded onto
+beta*C one at a time in ascending batch order; C is stored once at the end.
+numpy neither fuses the multiply-add nor reorders it, so every output
+element sees one fixed sequence of IEEE operations, independent of how C is
+tiled or how many threads run the tiles.  That makes all results
+bit-reproducible and lets the three batch addressing variants be compared
+bitwise.
 
 BF16 and INT8 inputs widen exactly to FP32 / INT32 before the multiply;
 the optional EMULATED_SPLIT path reconstructs the FP32 operands from the
@@ -29,6 +32,15 @@ from .tensor import TensorError, TensorView, vnni_alpha, vnni_pack_a, vnni_unpac
 
 _ITEM = {DType.FP64: np.float64, DType.FP32: np.float32, DType.BF16: np.uint16,
          DType.INT8: np.int8, DType.INT32: np.int32}
+
+
+def accumulator_dtype(in_dtype: DType) -> DType:
+    """The accumulator (and output) type of a contraction over ``in_dtype``."""
+    if in_dtype is DType.FP64:
+        return DType.FP64
+    if in_dtype is DType.INT8:
+        return DType.INT32
+    return DType.FP32
 
 
 class ALayout(enum.Enum):
@@ -76,11 +88,7 @@ class GemmSpec:
 
     @property
     def acc_dtype(self) -> DType:
-        if self.in_dtype is DType.FP64:
-            return DType.FP64
-        if self.in_dtype is DType.INT8:
-            return DType.INT32
-        return DType.FP32
+        return accumulator_dtype(self.in_dtype)
 
     @property
     def alpha(self) -> int:
@@ -96,15 +104,6 @@ class BlockingParams:
     def __post_init__(self):
         if min(self.m_b, self.n_b, self.k_b) < 1:
             raise TensorError("blocking factors must be positive")
-
-
-# FP32 microkernel shape is C_{64x6}; other dtypes scale m_b by 32/width
-DEFAULT_BLOCKING = {
-    DType.FP64: BlockingParams(32, 6, 64),
-    DType.FP32: BlockingParams(64, 6, 64),
-    DType.BF16: BlockingParams(128, 6, 64),
-    DType.INT8: BlockingParams(256, 6, 64),
-}
 
 
 class BatchKind(enum.Enum):
@@ -237,8 +236,17 @@ def brgemm(spec: GemmSpec, batch: BrgemmBatch, c: TensorView,
     along ascending k, and the entry partials are then folded onto beta*C in
     ascending batch order.  The per-entry grouping makes exact-arithmetic
     identities hold exactly in floating point too (duplicating a batch entry
-    doubles the result bitwise; a negated duplicate cancels to exact zero),
-    and the order is independent of blocking and thread count.
+    doubles the result bitwise; a negated duplicate cancels to exact zero).
+
+    The batch is one array axis: the widened A_i are stacked into an
+    (n, M, K) array and the B_i into (n, K, N), and one loop over k adds the
+    rank-1 updates of all n entry partials at once.  C is partitioned into
+    ``m_b x n_b`` tiles by ``blocking``; ``blocking=None`` is one tile
+    covering all of C, or ``threads`` column tiles when ``threads > 1``.
+    With ``threads > 1`` the tiles run concurrently.  Every tile runs the
+    same k loop on its slices of the stacked operands, and ``k_b`` never
+    changes the k order, so the result is independent of blocking and thread
+    count.
     """
     if (c.desc.rows, c.desc.cols) != (spec.m, spec.n):
         raise TensorError(f"C must be {spec.m}x{spec.n}")
@@ -246,45 +254,43 @@ def brgemm(spec: GemmSpec, batch: BrgemmBatch, c: TensorView,
         raise TensorError(f"C dtype {c.desc.dtype} != {spec.out_dtype}")
     if c.desc.ld != spec.ldc:
         raise TensorError("C ld mismatch")
+    item = _ITEM[spec.in_dtype]
     for buf, _ in (*batch.a_refs, *batch.b_refs):
+        if buf.dtype != item:
+            raise TensorError(f"{buf.dtype} block buffer under a {spec.in_dtype} spec")
         if np.may_share_memory(c.primary, buf):
             raise TensorError("C must not alias any batch input")
 
-    blk = blocking or DEFAULT_BLOCKING[spec.in_dtype]
-    m_b = min(blk.m_b, spec.m)
-    n_b = min(blk.n_b, spec.n)
-    k_b = min(blk.k_b, spec.k)
-
-    a_blocks = [_load_a(spec, ref) for ref in batch.a_refs]
-    b_blocks = [_widen(_strided2d(buf, off, spec.k, spec.n, spec.ldb), spec.in_dtype)
-                for buf, off in batch.b_refs]
     cw = c.as2d()
     acc_np = _ITEM[spec.acc_dtype]
+    if batch.n:
+        a = np.stack([_load_a(spec, ref) for ref in batch.a_refs])
+        b = np.stack([_widen(_strided2d(buf, off, spec.k, spec.n, spec.ldb), spec.in_dtype)
+                      for buf, off in batch.b_refs])
 
-    tiles = [(im, in_) for in_ in range(0, spec.n, n_b) for im in range(0, spec.m, m_b)]
-
-    def run_tile(tile):
-        im, in_ = tile
-        mh = min(m_b, spec.m - im)
-        nh = min(n_b, spec.n - in_)
-        cc = cw[im:im + mh, in_:in_ + nh]
+    def run_tile(tile: tuple[slice, slice]) -> None:
+        rows, cols = tile
+        cc = cw[rows, cols]
         if spec.beta == 0.0:
-            acc = np.zeros((mh, nh), dtype=acc_np)
+            acc = np.zeros(cc.shape, dtype=acc_np)
         elif spec.beta == 1.0:
             acc = cc.astype(acc_np, copy=True)
         else:
             acc = cc.astype(acc_np, copy=True) * acc_np(spec.beta)
-        with np.errstate(all="ignore"):
-            for i in range(batch.n):
-                at = a_blocks[i][im:im + mh, :]
-                bt = b_blocks[i][:, in_:in_ + nh]
-                part = np.zeros((mh, nh), dtype=acc_np)
-                for k0 in range(0, spec.k, k_b):
-                    for k in range(k0, min(k0 + k_b, spec.k)):
-                        part += at[:, k:k + 1] * bt[k:k + 1, :]
-                acc += part
+        if batch.n:
+            at, bt = a[:, rows, :], b[:, :, cols]
+            part = np.zeros((batch.n, *cc.shape), dtype=acc_np)
+            with np.errstate(all="ignore"):
+                for k in range(spec.k):
+                    part += at[:, :, k, None] * bt[:, None, k, :]
+                for i in range(batch.n):
+                    acc += part[i]
         cc[:, :] = acc
 
+    blk = blocking or BlockingParams(spec.m, -(-spec.n // max(threads, 1)), spec.k)
+    m_b, n_b = min(blk.m_b, spec.m), min(blk.n_b, spec.n)
+    tiles = [(slice(im, im + m_b), slice(in_, in_ + n_b))
+             for in_ in range(0, spec.n, n_b) for im in range(0, spec.m, m_b)]
     if threads <= 1 or len(tiles) == 1:
         for t in tiles:
             run_tile(t)

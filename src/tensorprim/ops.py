@@ -10,6 +10,7 @@ across runs, blockings and thread counts.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 import enum
 import threading
@@ -866,9 +867,9 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
         if k is BinaryKind.MATMUL:
             if a.cols != b.rows:
                 raise InvalidSpecError("shape", f"matmul inner dims {a.cols} != {b.rows}")
-            out_dt = a.dtype if a.dtype is DType.FP64 else (
-                DType.INT32 if a.dtype is DType.INT8 else DType.FP32)
-            return TensorDesc(a.rows, b.cols, a.rows, out_dt)
+            if b.dtype is not a.dtype:
+                raise InvalidSpecError("dtype", f"matmul B is {b.dtype}, A is {a.dtype}")
+            return TensorDesc(a.rows, b.cols, a.rows, contraction.accumulator_dtype(a.dtype))
         if k is BinaryKind.PACK:
             return TensorDesc(a.rows, a.cols, a.rows, DType.FP32)
         rows, cols = _join_shapes([(a.rows, a.cols), (b.rows, b.cols)])
@@ -891,6 +892,10 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
         if k is TernaryKind.GEMM:
             if a.cols != b.rows or (c.rows, c.cols) != (a.rows, b.cols):
                 raise InvalidSpecError("shape", "GEMM operand shapes inconsistent")
+            acc = contraction.accumulator_dtype(a.dtype)
+            if b.dtype is not a.dtype or c.dtype is not acc:
+                raise InvalidSpecError("dtype", f"GEMM takes B of {a.dtype} and C of {acc}, "
+                                                f"got {b.dtype} and {c.dtype}")
             return TensorDesc(c.rows, c.cols, c.rows, c.dtype)
         if k is TernaryKind.BLEND:
             if c.dtype is not DType.BIT:
@@ -930,15 +935,20 @@ class Kernel:
             apply_ternary(k, views[0], views[1], views[2], out)
 
 
-_dispatch_cache: dict[KernelSpec, Kernel] = {}
+DISPATCH_CACHE_SIZE = 1024  # kernels kept; the least recently dispatched is dropped first
+_dispatch_cache: OrderedDict[KernelSpec, Kernel] = OrderedDict()
 _dispatch_lock = threading.Lock()
 
 
 def dispatch(spec: KernelSpec) -> Kernel:
     """Validate a spec and return the (cached) kernel for it."""
-    hit = _dispatch_cache.get(spec)
-    if hit is not None:
-        return hit
-    kern = Kernel(spec)  # raises InvalidSpecError on a bad spec
     with _dispatch_lock:
-        return _dispatch_cache.setdefault(spec, kern)
+        kern = _dispatch_cache.get(spec)
+        if kern is None:
+            kern = Kernel(spec)  # raises InvalidSpecError on a bad spec
+            _dispatch_cache[spec] = kern
+            if len(_dispatch_cache) > DISPATCH_CACHE_SIZE:
+                _dispatch_cache.popitem(last=False)
+        else:
+            _dispatch_cache.move_to_end(spec)
+        return kern

@@ -112,6 +112,14 @@ def test_threads_is_usage_error_outside_bench(cmd, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_seed_is_usage_error_for_plan(capsys):
+    """plan draws no random numbers, so it takes no --seed."""
+    with pytest.raises(SystemExit) as e:
+        main(["plan", "relu(T0)", "--seed", "1"])
+    assert e.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_bench_reports_metrics(capsys):
     code, out, _ = run_cli(["bench", "--op", "brgemm", "--m", "16", "--n", "16",
                             "--k", "16", "--count", "4", "--repeats", "2"], capsys)
@@ -126,12 +134,21 @@ def test_bench_softmax_scratch_comparison(capsys):
 
 
 def test_bench_deterministic_checksums(capsys):
-    args = ["bench", "--op", "brgemm", "--m", "8", "--n", "8", "--k", "8",
-            "--count", "2", "--repeats", "1", "--format", "json", "--seed", "3",
-            "--threads", "2"]
-    _, out1, _ = run_cli(args, capsys)
-    _, out2, _ = run_cli(args, capsys)
-    assert json.loads(out1)[0]["checksum"] == json.loads(out2)[0]["checksum"]
+    """Two runs give the same rows and checksums; ``--op all`` has one brgemm
+    row per contraction path (K = 7 leaves a padded VNNI tail)."""
+    want = {"brgemm": ["brgemm-fp32-8x8x7x2"],
+            "all": ["brgemm-fp64-8x8x7x2", "brgemm-fp32-8x8x7x2", "brgemm-bf16-8x8x7x2",
+                    "brgemm-bf16-vnni-emulated-8x8x7x2", "brgemm-int8-vnni-8x8x7x2"]}
+    for op, names in want.items():
+        args = ["bench", "--op", op, "--m", "8", "--n", "8", "--k", "7",
+                "--count", "2", "--repeats", "1", "--format", "json", "--seed", "3",
+                "--threads", "2"]
+        _, out1, _ = run_cli(args, capsys)
+        _, out2, _ = run_cli(args, capsys)
+        rows1, rows2 = json.loads(out1), json.loads(out2)
+        assert [r["name"] for r in rows1] == [r["name"] for r in rows2]
+        assert [r["checksum"] for r in rows1] == [r["checksum"] for r in rows2]
+        assert [r["name"] for r in rows1 if r["name"].startswith("brgemm-")] == names
 
 
 def test_approx_report_and_coefficients(tmp_path, capsys):

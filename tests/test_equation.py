@@ -346,6 +346,16 @@ def test_ternary_gemm_node_all_strategies():
         assert bits_equal(to_array(got), to_array(ref))
 
 
+def test_mixed_contraction_dtypes_rejected_at_build():
+    """An FP32 x BF16 matmul used to build and read BF16 bit patterns as
+    values; a GEMM node with a BF16 addend used to fail only in evaluate."""
+    with pytest.raises(EquationError):
+        plan_equation("T0 matmul T1", [D(2, 2), D(2, 2, DType.BF16)])
+    b = TreeBuilder([D(2, 3), D(3, 2), D(2, 2, DType.BF16)])
+    with pytest.raises(EquationError):
+        b.tree(b.ternary(TernaryKind.GEMM, b.leaf(0), b.leaf(1), b.leaf(2)))
+
+
 def test_argument_validation():
     plan = plan_equation("relu(T0)", [D(4, 4)])
     with pytest.raises(EquationError):

@@ -21,8 +21,9 @@ from tensorprim import (
     transform,
     vnni_pack_a,
     vnni_unpack_a,
+    view_at,
 )
-from tensorprim.dtypes import fp32_to_bf16_rne
+from tensorprim.dtypes import bf16_to_fp32, fp32_to_bf16_rne
 
 from util import bits_equal, colmajor_flat
 
@@ -310,3 +311,160 @@ def test_spec_validation():
     with pytest.raises(TensorError):
         GemmSpec(2, 2, 2, 2, 2, 2, in_dtype=DType.FP32,
                  out_dtype=DType.FP32, compute_path=ComputePath.EMULATED_SPLIT)
+
+
+# ---------------------------------------------------------------------------
+# edge cases against a scalar per-element reference
+# ---------------------------------------------------------------------------
+
+_PAD = {DType.FP64: np.array([0x7FF8_0000_0000_BEEF], np.uint64).view(np.float64)[0],
+        DType.FP32: np.array([0x7FC0_BEEF], np.uint32).view(np.float32)[0],
+        DType.BF16: np.uint16(0x7FC1), DType.INT8: np.int8(99)}
+_C_SENTINEL = {DType.FP64: -12345.0, DType.FP32: -12345.0, DType.INT32: -12345}
+
+
+def _scalar_brgemm(a_blocks, b_blocks, c0, beta, acc_np):
+    """The documented order, one output element at a time: each entry's
+    partial from zero along ascending k, then folded onto beta*C in ascending
+    batch order (beta 0 ignores C, beta 1 takes it unscaled)."""
+    rows, cols = c0.shape
+    out = np.empty_like(c0)
+    with np.errstate(all="ignore"):
+        for i in range(rows):
+            for j in range(cols):
+                if beta == 0.0:
+                    acc = acc_np(0)
+                elif beta == 1.0:
+                    acc = c0[i, j]
+                else:
+                    acc = c0[i, j] * acc_np(beta)
+                for ab, bb in zip(a_blocks, b_blocks):
+                    part = acc_np(0)
+                    for k in range(ab.shape[1]):
+                        part = part + ab[i, k] * bb[k, j]
+                    acc = acc + part
+                out[i, j] = acc
+    return out
+
+
+def _edge_values(rng, dtype, shape):
+    if dtype is DType.INT8:
+        return rng.choice(np.array([127, -128, -127, 126], np.int8), size=shape)
+    x = rng.standard_normal(shape).astype(np.float32)
+    return fp32_to_bf16_rne(x) if dtype is DType.BF16 else x.astype(dtype.storage)
+
+
+def _widened(x, dtype):
+    if dtype is DType.BF16:
+        return bf16_to_fp32(x)
+    return x.astype(np.int32) if dtype is DType.INT8 else x
+
+
+EDGE_CASES = {
+    # name: (dtype, m, n, k, count, (lda, ldb, ldc) padding, beta, options)
+    "m1": (DType.FP32, 1, 4, 5, 2, (0, 0, 0), 0.0, ()),
+    "n1": (DType.FP32, 4, 1, 5, 2, (0, 0, 0), 1.0, ()),
+    "k1": (DType.FP64, 3, 4, 1, 3, (0, 0, 0), 0.5, ()),
+    "all-extents-1": (DType.FP32, 1, 1, 1, 2, (2, 2, 2), 1.0, ()),
+    "padded-ld": (DType.FP32, 5, 4, 6, 2, (3, 2, 1), 0.5, ()),
+    "beta0": (DType.FP32, 4, 3, 5, 2, (1, 1, 1), 0.0, ()),
+    "beta1": (DType.FP32, 4, 3, 5, 2, (1, 1, 1), 1.0, ()),
+    "beta0.5": (DType.FP32, 4, 3, 5, 2, (1, 1, 1), 0.5, ()),
+    "duplicated-entry": (DType.FP64, 4, 4, 4, 2, (1, 0, 0), 0.0, ("dup",)),
+    "negated-entry": (DType.FP32, 4, 4, 4, 2, (0, 1, 0), 0.0, ("neg",)),
+    "fp32-nan-inf-subnormal": (DType.FP32, 4, 3, 5, 2, (1, 1, 1), 1.0, ("special",)),
+    "fp32-signed-zeros": (DType.FP32, 3, 3, 1, 2, (0, 0, 0), 1.0, ("zeros",)),
+    "bf16-vnni-odd-k-native": (DType.BF16, 3, 4, 5, 2, (0, 1, 1), 1.0, ("vnni",)),
+    "bf16-vnni-odd-k-emulated": (DType.BF16, 3, 4, 5, 2, (0, 1, 1), 1.0,
+                                 ("vnni", "emulated")),
+    "bf16-plain-emulated": (DType.BF16, 3, 4, 5, 2, (2, 1, 0), 0.0, ("emulated",)),
+    "int8-extremes": (DType.INT8, 3, 4, 6, 3, (1, 2, 1), 1.0, ()),
+    "int8-vnni-k-tail": (DType.INT8, 3, 4, 7, 2, (0, 1, 1), 0.0, ("vnni",)),
+}
+
+
+@pytest.mark.parametrize("kind", ["address", "offset", "stride"])
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_brgemm_edge_cases_match_scalar_reference(case, kind):
+    dtype, m, n, k, count, (pa, pb, pc), beta, opts = EDGE_CASES[case]
+    rng = np.random.default_rng(sorted(EDGE_CASES).index(case))
+    acc = {DType.FP64: DType.FP64, DType.INT8: DType.INT32}.get(dtype, DType.FP32)
+    layout = ALayout.VNNI if "vnni" in opts else ALayout.PLAIN
+    path = ComputePath.EMULATED_SPLIT if "emulated" in opts else ComputePath.NATIVE
+    lda, ldb, ldc = m + pa, k + pb, m + pc
+    a = [_edge_values(rng, dtype, (m, k)) for _ in range(count)]
+    b = [_edge_values(rng, dtype, (k, n)) for _ in range(count)]
+    if "neg" in opts:
+        a[1] = -a[0]
+        b[1] = b[0]
+    if "zeros" in opts:  # a partial starts at +0, so an all -0 chain still ends +0
+        a = [rng.choice(np.array([-0.0, 0.0], np.float32), size=(m, k)) for _ in a]
+    if "special" in opts:
+        a[0][0, 0] = _PAD[DType.FP32]                      # NaN with a payload
+        a[0][1, 1] = np.float32(1e-40)                     # subnormal
+        a[0][2, 2] = np.float32(-0.0)
+        b[0][3, 1] = np.float32(np.inf)
+        b[0][1, 2] = np.float32(-1e-42)
+        b[1][4, 0] = np.float32(-np.inf)
+
+    # each block at its own place in one flat buffer, padding never read
+    if layout is ALayout.VNNI:
+        a_flat = [vnni_pack_a(x, 2 if dtype is DType.BF16 else 4) for x in a]
+    else:
+        a_flat = []
+        for x in a:
+            blk = np.full((k, lda), _PAD[dtype], dtype=x.dtype)
+            blk[:, :m] = x.T
+            a_flat.append(blk.reshape(-1))
+    b_flat = []
+    for x in b:
+        blk = np.full((n, ldb), _PAD[dtype], dtype=x.dtype)
+        blk[:, :k] = x.T
+        b_flat.append(blk.reshape(-1))
+    sa, sb = a_flat[0].size, b_flat[0].size
+    entries = [0] * count if "dup" in opts else list(range(count))
+    if kind == "address":
+        batch = BrgemmBatch.address([(a_flat[i], 0) for i in entries],
+                                    [(b_flat[i], 0) for i in entries])
+    else:
+        abuf, bbuf = np.concatenate(a_flat), np.concatenate(b_flat)
+        if kind == "offset":
+            batch = BrgemmBatch.offset(abuf, bbuf, [i * sa for i in entries],
+                                       [i * sb for i in entries])
+        else:
+            step = 0 if "dup" in opts else 1
+            batch = BrgemmBatch.stride(abuf, bbuf, step * sa, step * sb, count)
+
+    if acc is DType.INT32:
+        c0 = rng.integers(-1000, 1000, size=(m, n)).astype(np.int32)
+    else:
+        c0 = rng.standard_normal((m, n)).astype(acc.storage)
+    if "zeros" in opts:
+        c0[:] = -0.0
+    cbuf = np.full(ldc * n, _C_SENTINEL[acc], dtype=acc.storage)
+    cbuf.reshape(n, ldc)[:, :m] = c0.T
+    c = view_at(cbuf, 0, TensorDesc(m, n, ldc, acc))
+    spec = GemmSpec(m, n, k, lda, ldb, ldc, in_dtype=dtype, out_dtype=acc, beta=beta,
+                    a_layout=layout, compute_path=path)
+    brgemm(spec, batch, c)
+
+    want = _scalar_brgemm([_widened(a[i], dtype) for i in entries],
+                          [_widened(b[i], dtype) for i in entries], c0, beta, acc.storage.type)
+    assert bits_equal(np.array(c.as2d()), want)
+    assert np.all(cbuf.reshape(n, ldc)[:, m:] == _C_SENTINEL[acc])  # ldc padding untouched
+    if "neg" in opts:
+        assert np.all(np.array(c.as2d()) == 0.0)
+
+
+@pytest.mark.parametrize("a_dtype, b_dtype", [(np.float32, np.uint16), (np.uint16, np.float32),
+                                              (np.float32, np.float32)])
+def test_brgemm_rejects_buffers_of_another_dtype(a_dtype, b_dtype):
+    """A BF16 spec reads uint16 patterns; a float32 buffer would be read as
+    pairs of patterns, so it is refused, not reinterpreted."""
+    sp = spec_mnk(2, 2, 2, DType.BF16)
+    c = alloc(D(2, 2))
+    with pytest.raises(TensorError):
+        gemm(sp, (np.ones(4, a_dtype), 0), (np.ones(4, b_dtype), 0), c)
+    with pytest.raises(TensorError):
+        matmul(from_array(np.ones((2, 2), np.float32)),
+               from_array(np.ones((2, 2), np.float32), DType.BF16), c)

@@ -105,6 +105,40 @@ def test_dispatch_shape_error_code():
     assert e.value.code == "shape"
 
 
+@pytest.mark.parametrize("spec", [
+    KernelSpec(BinaryKind.MATMUL, (D(4, 3), D(3, 4, DType.BF16))),
+    KernelSpec(BinaryKind.MATMUL, (D(4, 3, DType.BF16), D(3, 4))),
+    KernelSpec(TernaryKind.GEMM, (D(4, 3), D(3, 4, DType.FP64), D(4, 4))),
+    KernelSpec(TernaryKind.GEMM, (D(4, 3), D(3, 4), D(4, 4, DType.BF16))),
+    KernelSpec(TernaryKind.GEMM, (D(4, 3, DType.INT8), D(3, 4, DType.INT8), D(4, 4))),
+])
+def test_dispatch_rejects_mixed_contraction_dtypes(spec):
+    """B must have A's type and the GEMM addend C the accumulator type."""
+    with pytest.raises(InvalidSpecError) as e:
+        dispatch(spec)
+    assert e.value.code == "dtype"
+
+
+def test_dispatch_cache_is_bounded_lru():
+    """Every equation node dispatches a kernel; trees over more distinct
+    shapes than the bound leave at most the bound cached."""
+    import tensorprim.ops as ops
+    from tensorprim import TreeBuilder
+    bound = ops.DISPATCH_CACHE_SIZE
+    hot = KernelSpec(UnaryKind.RELU, (D(1, 1),))
+    kept = dispatch(hot)
+    for i in range(bound + 50):
+        b = TreeBuilder([D(2, i + 1)])
+        b.tree(b.unary(UnaryKind.RELU, b.leaf(0)))
+        if i % 100 == 0:
+            assert dispatch(hot) is kept  # recently used: never the one dropped
+        assert len(ops._dispatch_cache) <= bound
+    assert len(ops._dispatch_cache) == bound
+    assert dispatch(KernelSpec(UnaryKind.RELU, (D(1, 1),))) is kept
+    first = KernelSpec(UnaryKind.RELU, (D(2, 1),))
+    assert first not in ops._dispatch_cache  # least recently used: dropped
+
+
 # ---------------------------------------------------------------------------
 # unary elementwise
 # ---------------------------------------------------------------------------
