@@ -17,9 +17,11 @@ leaves are argument tensors.  Planning happens in two passes:
 Evaluation replays the plan either through full-size slot buffers
 (BUFFERED), through per-tile slices when every operator is a pure
 elementwise map (TILE_FUSED), or through a mix where only the elementwise
-regions are tiled (HYBRID).  All three produce bitwise-identical results to
-naive per-node evaluation because each node runs the same kernel on the same
-values in the same order.
+regions are tiled (HYBRID).  A tiled region runs each node's bound ndarray
+math (``Kernel.math``) on numpy slices and rounds every result to the node's
+dtype, as storing a temporary does.  All three produce bitwise-identical
+results to naive per-node evaluation because each node runs the same math on
+the same values in the same order.
 """
 
 from __future__ import annotations
@@ -45,20 +47,16 @@ from .ops import (
     TransformSpec,
     UnaryKind,
 )
-from .tensor import Bcast, TensorDesc, TensorView, alloc, broadcast
+from .tensor import Bcast, TensorDesc, TensorView, alloc
 
 OpKind = Union[UnaryKind, BinaryKind, TernaryKind]
 
-# kinds that may appear inside a register-tiled (fused) region: pure
-# per-element maps whose result does not depend on absolute element position
-FUSABLE_UNARY = {
-    UnaryKind.IDENTITY, UnaryKind.SQUARE, UnaryKind.INC, UnaryKind.DEC,
-    UnaryKind.SQRT, UnaryKind.RECIPROCAL, UnaryKind.RSQRT, UnaryKind.EXP,
-    UnaryKind.TANH, UnaryKind.RELU, UnaryKind.SIGMOID, UnaryKind.GELU,
-}
-FUSABLE_BINARY = {BinaryKind.ADD, BinaryKind.SUB, BinaryKind.MUL,
-                  BinaryKind.DIV, BinaryKind.MAX, BinaryKind.MIN}
-FUSABLE_TERNARY = {TernaryKind.MULADD, TernaryKind.NMULADD}
+# Deepest operation nesting an equation may have (a leaf has depth 0).  The
+# tree walks of building, planning, evaluation and export recurse one or two
+# interpreter frames per level and the parser three per parenthesis level,
+# so this keeps them inside Python's default limit of 1000 frames; library
+# and benchmark equations stay below 30 levels.
+MAX_DEPTH = 256
 
 
 @dataclass
@@ -69,6 +67,7 @@ class EqNode:
     arg_slot: Optional[int] = None         # leaf binding
     out_desc: Optional[TensorDesc] = None
     kernel: Optional[Kernel] = None        # the dispatched primitive
+    depth: int = 0                         # longest path down to a leaf
     score: int = -1
     need: int = -1       # true minimal temps for this subtree (drives visit order)
     timestamp: int = -1
@@ -79,8 +78,9 @@ class EqNode:
         return self.kind is None
 
     def fusable(self) -> bool:
-        return (self.kind in FUSABLE_UNARY or self.kind in FUSABLE_BINARY
-                or self.kind in FUSABLE_TERNARY)
+        """A pure per-element map (its kernel has bound ndarray math), so it
+        may run inside a tiled region."""
+        return self.kernel is not None and self.kernel.math is not None
 
     def label(self) -> str:
         if self.is_leaf:
@@ -136,12 +136,16 @@ class TreeBuilder:
         return EqNode(self._nid(), None, [], arg_slot=slot, out_desc=self.args[slot])
 
     def _op(self, kind: OpKind, children: list[EqNode], **flags) -> EqNode:
+        depth = 1 + max(c.depth for c in children)
+        if depth > MAX_DEPTH:
+            raise EquationError(f"equation deeper than MAX_DEPTH = {MAX_DEPTH} operations")
         spec = KernelSpec(kind, tuple(c.out_desc for c in children), **flags)
         try:
             kern = ops.dispatch(spec)
         except InvalidSpecError as e:
             raise EquationError(f"shape inference failed at {kind.value}: {e}") from None
-        return EqNode(self._nid(), kind, children, out_desc=kern.out_desc, kernel=kern)
+        return EqNode(self._nid(), kind, children, out_desc=kern.out_desc, kernel=kern,
+                      depth=depth)
 
     def unary(self, kind: UnaryKind, child: EqNode, approx: Approx | None = None,
               reduce: ReduceSpec | None = None,
@@ -211,6 +215,7 @@ class _Parser:
         self.toks: list[tuple[str, str, int]] = []
         self._tokenize()
         self.i = 0
+        self.nesting = 0
 
     def _tokenize(self):
         pos = 0
@@ -271,26 +276,28 @@ class _Parser:
 
     def factor(self) -> EqNode:
         kind, val, pos = self._next()
-        if kind == "sym" and val == "(":
-            node = self.expr()
-            k2, v2, p2 = self._next()
-            if v2 != ")":
-                raise ParseError("expected ')'", p2)
-            return node
-        if kind == "name":
-            if re.fullmatch(r"T\d+", val):
-                return self.b.leaf(int(val[1:]))
-            if val in _UNARY_NAMES:
-                k2, v2, p2 = self._next()
-                if v2 != "(":
-                    raise ParseError(f"expected '(' after {val}", p2)
-                child = self.expr()
-                k3, v3, p3 = self._next()
-                if v3 != ")":
-                    raise ParseError("expected ')'", p3)
-                return self.b.unary(_UNARY_NAMES[val], child)
+        if kind == "name" and re.fullmatch(r"T\d+", val):
+            return self.b.leaf(int(val[1:]))
+        unary = None
+        if kind == "name" and val in _UNARY_NAMES:
+            unary = _UNARY_NAMES[val]
+            kind, v2, pos = self._next()
+            if v2 != "(":
+                raise ParseError(f"expected '(' after {val}", pos)
+        elif kind == "name":
             raise ParseError(f"unknown identifier {val!r}", pos)
-        raise ParseError(f"unexpected token {val!r}", pos)
+        elif val != "(":
+            raise ParseError(f"unexpected token {val!r}", pos)
+        # a parenthesised group; the parser recurses three frames deep per level
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH}", pos)
+        node = self.expr()
+        _, v3, p3 = self._next()
+        if v3 != ")":
+            raise ParseError("expected ')'", p3)
+        self.nesting -= 1
+        return node if unary is None else self.b.unary(unary, node)
 
 
 def parse_equation(text: str, args: Sequence[TensorDesc]) -> EqTree:
@@ -563,7 +570,7 @@ def evaluate(plan: ExecPlan, strategy: EvalStrategy, args: Sequence[TensorView],
             if not s.node.fusable():
                 raise EquationError(
                     f"TILE_FUSED is only legal for elementwise trees; {s.node.label()} is not")
-        _eval_tiled(plan, plan.steps, args, out, strategy.tile_m, strategy.tile_n)
+        _eval_tiled(plan.steps, args, out, strategy.tile_m, strategy.tile_n)
     elif isinstance(strategy, Hybrid):
         _eval_hybrid(plan, args, out, strategy)
     else:
@@ -579,6 +586,8 @@ def _check_args(plan: ExecPlan, args: Sequence[TensorView], out: TensorView) -> 
     od = plan.out_desc
     if (out.desc.rows, out.desc.cols) != (od.rows, od.cols):
         raise EquationError("output shape mismatch")
+    if out.desc.bcast is not Bcast.NONE:
+        raise EquationError("the output must not be a broadcast view")
 
 
 def _eval_buffered(plan: ExecPlan, args: Sequence[TensorView], out: TensorView,
@@ -612,66 +621,55 @@ def _slot_death(plan: ExecPlan, slot: int, write_ts: int) -> int:
     return plan.steps[-1].timestamp + 1 if plan.steps else 0
 
 
-def _leaf_tile(v: TensorView, full_rows: int, full_cols: int,
-               i0: int, th: int, j0: int, tw: int) -> TensorView:
-    """Tile-restricted argument view honouring broadcast extents."""
-    d = v.desc
-    if d.bcast is not Bcast.NONE:
-        phys = TensorView(TensorDesc(d.phys_rows, d.phys_cols, d.ld, d.dtype),
-                          v.primary, v.secondary, v.tertiary)
-        if d.bcast is Bcast.SCALAR:
-            return broadcast(phys, Bcast.SCALAR, th, tw)
-        if d.bcast is Bcast.ROW:
-            p = phys.col_block(j0, tw) if d.cols == full_cols else phys
-            return broadcast(p, Bcast.ROW, th, p.desc.cols)
-        p = phys.row_block(i0, th) if d.rows == full_rows else phys
-        return broadcast(p, Bcast.COL, p.desc.rows, tw)
-    r = v
-    if d.rows == 1:
-        pass
-    elif d.rows == full_rows:
-        r = r.row_block(i0, th)
-    else:
-        raise EquationError("argument rows neither 1 nor the full extent")
-    if r.desc.cols == 1:
-        return r
-    if r.desc.cols == full_cols:
-        return r.col_block(j0, tw)
-    raise EquationError("argument cols neither 1 nor the full extent")
+def _eval_tiled(steps: list[PlanStep], args: Sequence[TensorView], out: TensorView,
+                tile_m: int, tile_n: int,
+                materialized: dict[int, TensorView] | None = None) -> None:
+    """Run ``steps`` (all fusable, the region's root last) tile by tile.
 
-
-def _eval_tiled(plan: ExecPlan, steps: list[PlanStep], args: Sequence[TensorView],
-                out: TensorView, tile_m: int, tile_n: int,
-                inputs_override: dict[int, TensorView] | None = None,
-                region_root: EqNode | None = None) -> None:
-    """Run ``steps`` (all fusable) tile by tile with tile-sized temps."""
-    root = region_root or plan.tree.root
+    Every argument or materialised input is read once, whole, in its compute
+    dtype; each tile slices those arrays and runs the nodes' bound math.  A
+    node's tile is narrowed to its dtype and widened back, as storing and
+    reloading a temporary would, and the root's tile is narrowed into its
+    slice of ``out``.  Each value keeps its physical extent: a row, column or
+    scalar operand broadcasts inside the math, as it would through a view."""
+    materialized = materialized or {}
+    root = steps[-1].node
     rows, cols = root.out_desc.rows, root.out_desc.cols
-    overrides = inputs_override or {}
-    for i0 in range(0, rows, tile_m):
-        th = min(tile_m, rows - i0)
-        for j0 in range(0, cols, tile_n):
-            tw = min(tile_n, cols - j0)
-            vals: dict[int, TensorView] = {}
-            for s in steps:
-                ins = []
-                for c, (kind, ref) in zip(s.node.children, s.inputs):
-                    if c.node_id in overrides:
-                        ins.append(_leaf_tile(overrides[c.node_id], rows, cols,
-                                              i0, th, j0, tw))
-                    elif kind == "arg":
-                        ins.append(_leaf_tile(args[ref], rows, cols, i0, th, j0, tw))
-                    else:
-                        ins.append(vals[c.node_id])
-                if s.node is root:
-                    dst = out.row_block(i0, th).col_block(j0, tw)
-                else:
-                    dd = s.node.out_desc
-                    trows = th if dd.rows == rows else dd.rows
-                    tcols = tw if dd.cols == cols else dd.cols
-                    dst = alloc(TensorDesc(trows, tcols, trows, dd.dtype))
-                    vals[s.node.node_id] = dst
-                _run_node(s.node, ins, dst)
+    region = {s.node.node_id: i for i, s in enumerate(steps)}
+    inputs: list[tuple[np.ndarray, bool, bool]] = []  # (values, tile rows?, tile cols?)
+    read: dict[int, int] = {}    # id(view) -> position in inputs
+    source: dict[int, int] = {}  # node id of a child outside the region -> position in inputs
+    for s in steps:
+        for c, (_, ref) in zip(s.node.children, s.inputs):
+            if c.node_id in region:
+                continue
+            v = materialized[c.node_id] if c.node_id in materialized else args[ref]
+            if id(v) not in read:
+                a = ops.widen(v.as2d(), v.desc.dtype)
+                read[id(v)] = len(inputs)
+                inputs.append((a, a.shape[0] != 1, a.shape[1] != 1))
+            source[c.node_id] = read[id(v)]
+    # per tile, the values list holds the input tiles, then each step's tile
+    program = [(s.node.kernel.math,
+                [len(inputs) + region[c.node_id] if c.node_id in region else source[c.node_id]
+                 for c in s.node.children],
+                s.node.out_desc.dtype)
+               for s in steps]
+    body, (root_math, root_refs, _) = program[:-1], program[-1]
+
+    out2d = out.as2d()
+    whole = slice(None)
+    with np.errstate(all="ignore"):
+        for i0 in range(0, rows, tile_m):
+            rs = slice(i0, i0 + tile_m)
+            for j0 in range(0, cols, tile_n):
+                cs = slice(j0, j0 + tile_n)
+                vals = [a[rs if tr else whole, cs if tc else whole] for a, tr, tc in inputs]
+                for math, refs, dtype in body:
+                    r = math(*[vals[k] for k in refs])
+                    vals.append(ops.widen(ops.narrow(r, dtype), dtype))
+                r = root_math(*[vals[k] for k in root_refs])
+                out2d[rs, cs] = ops.narrow(r, out.desc.dtype)
 
 
 def _eval_hybrid(plan: ExecPlan, args: Sequence[TensorView], out: TensorView,
@@ -698,8 +696,7 @@ def _eval_hybrid(plan: ExecPlan, args: Sequence[TensorView], out: TensorView,
 
         collect(top)
         region.sort(key=lambda s: s.timestamp)
-        _eval_tiled(plan, region, args, dst, strategy.tile_m, strategy.tile_n,
-                    inputs_override=materialized, region_root=top)
+        _eval_tiled(region, args, dst, strategy.tile_m, strategy.tile_n, materialized)
 
     for s in plan.steps:
         if s.node.fusable():

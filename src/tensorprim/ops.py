@@ -14,20 +14,19 @@ from collections import OrderedDict
 from dataclasses import dataclass
 import enum
 import threading
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import approx, contraction
 from .approx import Approx
-from .dtypes import COMPUTE_DTYPE, DType, fp32_to_bf16_rne, pack_fp32_bits
+from .dtypes import COMPUTE_DTYPE, DType, bf16_to_fp32, fp32_to_bf16_rne, pack_fp32_bits
 from .tensor import (
     TensorDesc,
     TensorError,
     TensorView,
     bool_to_mask,
     mask_to_bool,
-    values2d,
     vnni_alpha,
     vnni_pack_a,
     vnni_unpack_a,
@@ -142,6 +141,11 @@ class GatherMode(enum.Enum):
     SCATTER2D = "scatter2d"
 
 
+_GATHER_MODE = {UnaryKind.GATHER: GatherMode.GATHER_COLS,
+                UnaryKind.SCATTER: GatherMode.SCATTER_COLS,
+                UnaryKind.GATHER2D: GatherMode.GATHER2D,
+                UnaryKind.SCATTER2D: GatherMode.SCATTER2D}
+
 DEFAULT_APPROX = {
     UnaryKind.TANH: Approx.PADE78,
     UnaryKind.TANH_INV: Approx.PADE78,
@@ -151,6 +155,40 @@ DEFAULT_APPROX = {
     UnaryKind.GELU_INV: Approx.MINIMAX16,
     UnaryKind.EXP: Approx.TAYLOR2,
 }
+
+# The math of every fusable kind: ndarray functions taking and returning
+# compute-dtype values, shared by ``apply_*`` and the tiled equation engine.
+# Unary entries take the approximation selector as a second argument.
+UNARY_MATH: dict[UnaryKind, Callable[[np.ndarray, Optional[Approx]], np.ndarray]] = {
+    UnaryKind.IDENTITY: lambda x, sel: x,
+    UnaryKind.SQUARE: lambda x, sel: x * x,
+    UnaryKind.INC: lambda x, sel: x + x.dtype.type(1),
+    UnaryKind.DEC: lambda x, sel: x - x.dtype.type(1),
+    UnaryKind.SQRT: lambda x, sel: np.sqrt(x),
+    UnaryKind.RECIPROCAL: lambda x, sel: x.dtype.type(1) / x,
+    UnaryKind.RSQRT: lambda x, sel: x.dtype.type(1) / np.sqrt(x),
+    UnaryKind.EXP: lambda x, sel: approx.exp_taylor(x) if sel is not Approx.EXACT else np.exp(x),
+    UnaryKind.TANH: lambda x, sel: approx.tanh(x, sel),
+    UnaryKind.SIGMOID: lambda x, sel: approx.sigmoid_via_tanh(x, sel),
+    UnaryKind.GELU: lambda x, sel: approx.gelu(x, sel),
+    UnaryKind.RELU: lambda x, sel: np.maximum(x, x.dtype.type(0)),
+}
+BINARY_MATH: dict[BinaryKind, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    BinaryKind.ADD: np.add,
+    BinaryKind.SUB: np.subtract,
+    BinaryKind.MUL: np.multiply,
+    BinaryKind.DIV: np.true_divide,
+    BinaryKind.MAX: np.maximum,
+    BinaryKind.MIN: np.minimum,
+}
+TERNARY_MATH: dict[TernaryKind, Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = {
+    TernaryKind.MULADD: lambda a, b, c: c + a * b,
+    TernaryKind.NMULADD: lambda a, b, c: c - a * b,
+}
+
+_CMP_PREDICATE = {CmpOp.EQ: np.equal, CmpOp.NE: np.not_equal, CmpOp.LT: np.less,
+                  CmpOp.LE: np.less_equal, CmpOp.GT: np.greater,
+                  CmpOp.GE: np.greater_equal}
 
 class InvalidSpecError(ValueError):
     """Kernel spec rejected; ``code`` is one of 'shape', 'dtype', 'flag'."""
@@ -221,21 +259,29 @@ class PrngState:
 # helpers
 # ---------------------------------------------------------------------------
 
+def widen(stored: np.ndarray, dtype: DType) -> np.ndarray:
+    """Stored elements of ``dtype`` in its compute dtype (BF16 patterns
+    widened exactly, narrow integers sign-extended)."""
+    a = bf16_to_fp32(stored) if dtype is DType.BF16 else stored
+    cd = COMPUTE_DTYPE[dtype]
+    return a if a.dtype == cd else a.astype(cd)
+
+
+def narrow(values: np.ndarray, dtype: DType) -> np.ndarray:
+    """Compute values in the storage representation of ``dtype``: BF16
+    rounds to nearest even, every other type casts (integers wrap)."""
+    if dtype is DType.BF16:
+        return fp32_to_bf16_rne(np.asarray(values, dtype=np.float32))
+    return np.asarray(values).astype(dtype.storage, copy=False)
+
+
 def _compute_values(v: TensorView) -> np.ndarray:
     """Logical window widened to the compute dtype."""
-    a = values2d(v)
-    cd = COMPUTE_DTYPE[v.desc.dtype]
-    if a.dtype != cd:
-        a = a.astype(cd)
-    return a
+    return widen(v.logical2d(), v.desc.dtype)
 
 
 def _store(out: TensorView, values: np.ndarray) -> None:
-    dst = out.as2d()
-    if out.desc.dtype is DType.BF16:
-        dst[:, :] = fp32_to_bf16_rne(np.asarray(values, dtype=np.float32))
-    else:
-        dst[:, :] = np.asarray(values).astype(out.desc.dtype.storage, copy=False)
+    out.as2d()[:, :] = narrow(values, out.desc.dtype)
 
 
 def _require_logical_shape(v: TensorView, rows: int, cols: int, what: str) -> None:
@@ -290,19 +336,11 @@ def apply_unary(kind: UnaryKind, inp: Optional[TensorView], out: TensorView,
     if kind is UnaryKind.REPLICATE_COLS:
         replicate_cols(inp, times if times is not None else out.desc.cols, out)
         return
-    if kind in (UnaryKind.GATHER, UnaryKind.SCATTER, UnaryKind.GATHER2D,
-                UnaryKind.SCATTER2D):
-        mode = {UnaryKind.GATHER: GatherMode.GATHER_COLS,
-                UnaryKind.SCATTER: GatherMode.SCATTER_COLS,
-                UnaryKind.GATHER2D: GatherMode.GATHER2D,
-                UnaryKind.SCATTER2D: GatherMode.SCATTER2D}[kind]
-        gather_scatter(inp, inp.secondary, mode, out)
+    if kind in _GATHER_MODE:
+        gather_scatter(inp, inp.secondary, _GATHER_MODE[kind], out)
         return
     if kind is UnaryKind.UNPACK:
         _unpack(inp, out)
-        return
-    if kind is UnaryKind.IDENTITY:
-        _identity(inp, out)
         return
     if kind is UnaryKind.PRNG:
         _prng_fill(inp, out)
@@ -321,29 +359,9 @@ def apply_unary(kind: UnaryKind, inp: Optional[TensorView], out: TensorView,
     x = _compute_values(inp)
     sel = approx_flag or DEFAULT_APPROX.get(kind)
     with np.errstate(all="ignore"):
-        if kind is UnaryKind.SQUARE:
-            r = x * x
-        elif kind is UnaryKind.INC:
-            r = x + x.dtype.type(1)
-        elif kind is UnaryKind.DEC:
-            r = x - x.dtype.type(1)
-        elif kind is UnaryKind.SQRT:
-            r = np.sqrt(x)
-        elif kind is UnaryKind.RECIPROCAL:
-            r = x.dtype.type(1) / x
-        elif kind is UnaryKind.RSQRT:
-            r = x.dtype.type(1) / np.sqrt(x)
-        elif kind is UnaryKind.EXP:
-            r = approx.exp_taylor(x) if sel is not Approx.EXACT else np.exp(x)
-        elif kind is UnaryKind.TANH:
-            r = approx.tanh(x, sel)
-        elif kind is UnaryKind.SIGMOID:
-            r = approx.sigmoid_via_tanh(x, sel)
-        elif kind is UnaryKind.GELU:
-            r = approx.gelu(x, sel)
-        elif kind is UnaryKind.RELU:
-            r = np.maximum(x, x.dtype.type(0))
-            if bitmask_output:
+        if kind in UNARY_MATH:
+            r = UNARY_MATH[kind](x, sel)
+            if kind is UnaryKind.RELU and bitmask_output:
                 out.secondary = bool_to_mask(x > 0)
         elif kind is UnaryKind.RELU_INV:
             mask = _mask_from(inp, "RELU_INV")
@@ -374,11 +392,6 @@ def _forward_arg(inp: TensorView) -> np.ndarray:
         raise TensorError("backward kind requires the forward input in secondary")
     x = TensorView(inp.desc, np.asarray(inp.secondary))
     return _compute_values(x)
-
-
-def _identity(inp: TensorView, out: TensorView) -> None:
-    _require_logical_shape(out, inp.desc.rows, inp.desc.cols, "IDENTITY output")
-    _store(out, _compute_values(inp))
 
 
 def _unpack(inp: TensorView, out: TensorView) -> None:
@@ -729,19 +742,13 @@ def apply_binary(kind: BinaryKind, a: TensorView, b: TensorView, out: TensorView
         if out.desc.dtype is not DType.BIT:
             raise InvalidSpecError("dtype", "COMPARE output is a bitmask")
         _require_logical_shape(out, rows, cols, "COMPARE output")
-        pred = {CmpOp.EQ: np.equal, CmpOp.NE: np.not_equal, CmpOp.LT: np.less,
-                CmpOp.LE: np.less_equal, CmpOp.GT: np.greater,
-                CmpOp.GE: np.greater_equal}[cmp]
-        bits = np.broadcast_to(pred(xa, xb), (rows, cols))
+        bits = np.broadcast_to(_CMP_PREDICATE[cmp](xa, xb), (rows, cols))
         out.primary[:] = bool_to_mask(bits)
         return
 
     _require_logical_shape(out, rows, cols, f"{kind} output")
-    fn = {BinaryKind.ADD: np.add, BinaryKind.SUB: np.subtract,
-          BinaryKind.MUL: np.multiply, BinaryKind.DIV: np.true_divide,
-          BinaryKind.MAX: np.maximum, BinaryKind.MIN: np.minimum}[kind]
     with np.errstate(all="ignore"):
-        r = fn(xa, xb)
+        r = BINARY_MATH[kind](xa, xb)
     _store(out, np.broadcast_to(r, (rows, cols)))
 
 
@@ -779,8 +786,7 @@ def apply_ternary(kind: TernaryKind, a: TensorView, b: TensorView, c: TensorView
     rows, cols = _join_shapes([xa.shape, xb.shape, xc.shape])
     _require_logical_shape(out, rows, cols, f"{kind} output")
     with np.errstate(all="ignore"):
-        prod = xa * xb
-        r = xc + prod if kind is TernaryKind.MULADD else xc - prod
+        r = TERNARY_MATH[kind](xa, xb, xc)
     _store(out, np.broadcast_to(r, (rows, cols)))
 
 
@@ -833,8 +839,7 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
             if spec.times is None or spec.times < 1:
                 raise InvalidSpecError("flag", "REPLICATE_COLS needs times >= 1")
             return TensorDesc(d.rows, spec.times, d.rows, d.dtype)
-        if k in (UnaryKind.GATHER, UnaryKind.SCATTER, UnaryKind.GATHER2D,
-                 UnaryKind.SCATTER2D):
+        if k in _GATHER_MODE:
             if spec.index_desc is None:
                 raise InvalidSpecError("flag", f"{k} needs an index companion descriptor")
             kk = spec.index_desc.rows * spec.index_desc.cols
@@ -913,13 +918,26 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
 
 class Kernel:
     """An immutable, dispatched primitive instance.  Its flags apply to any
-    operand views the call passes: whole tensors or tiles of them."""
+    operand views the call passes: whole tensors or tiles of them.
 
-    __slots__ = ("spec", "out_desc")
+    ``math`` is the kind's bound ndarray function for the fusable kinds
+    (compute-dtype arrays in, compute-dtype array out, flags applied), the
+    same math the call runs; it is None for every other kind."""
+
+    __slots__ = ("spec", "out_desc", "math")
 
     def __init__(self, spec: KernelSpec):
         self.spec = spec
         self.out_desc = infer_output_desc(spec)
+        k = spec.kind
+        self.math: Optional[Callable[..., np.ndarray]] = None
+        if k in UNARY_MATH and not spec.bitmask_output:
+            fn, sel = UNARY_MATH[k], spec.approx or DEFAULT_APPROX.get(k)
+            self.math = lambda x: fn(x, sel)
+        elif k in BINARY_MATH:
+            self.math = BINARY_MATH[k]
+        elif k in TERNARY_MATH:
+            self.math = TERNARY_MATH[k]
 
     def __call__(self, *views: TensorView, out: TensorView) -> None:
         s = self.spec

@@ -99,6 +99,8 @@ class TensorView:
         buf = np.asarray(self.primary)
         if buf.ndim != 1:
             raise TensorError("primary buffer must be flat (1-D)")
+        if not buf.flags.c_contiguous:
+            raise TensorError("primary buffer must be contiguous (unit stride)")
         if buf.dtype != self.desc.dtype.storage:
             raise TensorError(
                 f"buffer dtype {buf.dtype} does not match {self.desc.dtype}")
@@ -114,12 +116,9 @@ class TensorView:
         d = self.desc
         if d.dtype is DType.BIT:
             raise TensorError("BIT tensors are packed; use mask_to_bool")
-        pr, pc, ld = d.phys_rows, d.phys_cols, d.ld
-        return np.lib.stride_tricks.as_strided(
-            self.primary,
-            shape=(pr, pc),
-            strides=(self.primary.strides[0], ld * self.primary.strides[0]),
-        )
+        buf = self.primary
+        step = buf.itemsize
+        return np.ndarray((d.phys_rows, d.phys_cols), buf.dtype, buf, 0, (step, d.ld * step))
 
     def logical2d(self) -> np.ndarray:
         """Read-only logical M x N window with broadcast applied."""
@@ -218,14 +217,6 @@ def to_array(v: TensorView) -> np.ndarray:
     if v.desc.dtype is DType.BF16:
         return bf16_to_fp32(a)
     return a
-
-
-def values2d(v: TensorView) -> np.ndarray:
-    """Logical window in compute representation (BF16 widened, zero copy
-    for everything that does not need widening)."""
-    if v.desc.dtype is DType.BF16:
-        return bf16_to_fp32(v.logical2d())
-    return v.logical2d()
 
 
 # -- bitmask companions ------------------------------------------------------

@@ -18,6 +18,8 @@ import ast
 from dataclasses import dataclass
 import inspect
 import math
+import os
+import traceback
 from typing import Callable
 
 import numpy as np
@@ -1243,6 +1245,9 @@ ALL_CHECKS: dict[str, Callable[..., CheckResult]] = {
 
 def run_checks(only: list[str] | None = None, seed: int = 0,
                max_nodes: int | None = None) -> list[CheckResult]:
+    """Run the named checks (default all) in registry order.  A check that
+    raises is reported as FAIL with the exception in ``detail``, and the
+    remaining checks still run."""
     names = list(ALL_CHECKS)
     if only:
         missing = [o for o in only if o not in ALL_CHECKS]
@@ -1255,5 +1260,11 @@ def run_checks(only: list[str] | None = None, seed: int = 0,
         kwargs = {"seed": seed}
         if max_nodes is not None and "max_nodes" in inspect.signature(fn).parameters:
             kwargs["max_nodes"] = max_nodes
-        results.append(fn(**kwargs))
+        try:
+            results.append(fn(**kwargs))
+        except Exception as e:
+            where = traceback.extract_tb(e.__traceback__)[-1]
+            results.append(CheckResult(
+                n, False, "raised", "no exception",
+                f"{type(e).__name__}: {e} (at {os.path.basename(where.filename)}:{where.lineno})"))
     return results

@@ -62,6 +62,35 @@ def test_verify_subset_passes(capsys):
     assert "2/2 checks passed" in out
 
 
+def test_verify_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
+    from tensorprim import verify
+
+    def broken(seed=0):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(verify.ALL_CHECKS, "core-bf16-rne", broken)
+    results = verify.run_checks(only=["core-bf16-rne", "core-split-pack-identity"])
+    assert [r.name for r in results] == ["core-bf16-rne", "core-split-pack-identity"]
+    assert not results[0].passed and "RuntimeError: boom" in results[0].detail
+    assert results[1].passed
+    code, out, _ = run_cli(["verify", "--only", "core-bf16-rne,core-split-pack-identity"],
+                           capsys)
+    assert code == 1
+    assert "[FAIL] core-bf16-rne" in out and "RuntimeError: boom" in out
+    assert "1/2 checks passed" in out
+
+
+@pytest.mark.parametrize("text", ["+".join(["T0"] * 1200),
+                                  "(" * 1200 + "T0+T0" + ")" * 1200],
+                         ids=["flat-sum", "nested-parentheses"])
+def test_plan_too_deep_is_a_one_line_usage_error(text, capsys):
+    code, out, err = run_cli(["plan", text, "--args", "2x2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "MAX_DEPTH" in err
+    assert "Traceback" not in err
+
+
 def test_verify_unknown_check_usage_error(capsys):
     code, _, err = run_cli(["verify", "--only", "no-such-check"], capsys)
     assert code == 2

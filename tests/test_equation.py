@@ -23,7 +23,7 @@ from tensorprim import (
     plan_equation,
     to_array,
 )
-from tensorprim.equation import EquationError, ParseError, plan_to_dict
+from tensorprim.equation import MAX_DEPTH, EquationError, ParseError, plan_to_dict
 from tensorprim import verify
 
 from util import bits_equal
@@ -363,6 +363,196 @@ def test_argument_validation():
     with pytest.raises(EquationError):
         evaluate(plan, Buffered(), [from_array(np.ones((3, 3), dtype=np.float32))],
                  alloc(D(4, 4)))
+
+
+# ---------------------------------------------------------------------------
+# tiled evaluation edge cases: every strategy agrees bitwise with naive
+# ---------------------------------------------------------------------------
+
+_TILES = ((1, 1), (3, 5), (64, 64))  # unit, non-dividing, larger than the tensor
+
+
+def _strategies_agree(plan, args, out_desc=None):
+    """Evaluate naively, Buffered, Hybrid and (when every node is
+    elementwise) TileFused at each of ``_TILES``; every output buffer,
+    padding included, must be bitwise the naive one, and the padding must
+    keep its sentinel bytes.  Returns the naive output."""
+    out_desc = out_desc or plan.out_desc.contiguous()
+
+    def fresh():
+        o = alloc(out_desc)
+        o.primary.view(np.uint8)[:] = 0xA5
+        return o
+
+    ref = fresh()
+    evaluate_naive(plan.tree, args, ref)
+    pad = np.ones(ref.primary.size, bool)
+    pad[[i + j * out_desc.ld for i in range(out_desc.rows) for j in range(out_desc.cols)]] = False
+    assert np.all(ref.primary[pad].view(np.uint8) == 0xA5)
+    strategies = [Buffered()] + [Hybrid(m, n) for m, n in _TILES]
+    if all(s.node.fusable() for s in plan.steps):
+        strategies += [TileFused(m, n) for m, n in _TILES]
+    for strat in strategies:
+        got = fresh()
+        evaluate(plan, strat, args, got)
+        assert bits_equal(got.primary, ref.primary), strat
+    return ref
+
+
+def test_tiles_need_not_divide_the_extent():
+    rng = np.random.default_rng(21)
+    plan = plan_equation("tanh(T0) * (T1 + T2) - exp(T3) / sqrt(T4)", [D(7, 11)] * 5)
+    args = [from_array(rng.uniform(0.1, 2.0, (7, 11)).astype(np.float32)) for _ in range(5)]
+    assert np.all(np.isfinite(to_array(_strategies_agree(plan, args))))
+    # a mixed plan: Hybrid tiles the elementwise regions around the matmul
+    plan = plan_equation("exp(T0 - T1) * (T2 matmul T3) + T1", [D(7, 11), D(7, 11), D(7, 4),
+                                                                D(4, 11)])
+    args = [from_array(rng.uniform(-1.0, 1.0, (d.rows, d.cols)).astype(np.float32))
+            for d in plan.tree.args]
+    _strategies_agree(plan, args)
+
+
+def test_bf16_arguments_and_intermediates_round_at_every_node():
+    rng = np.random.default_rng(22)
+    text = "gelu(T0) * T1 + sigmoid(T2 - T0) / (T1 * T1 + T2)"
+    plan = plan_equation(text, [D(6, 9, DType.BF16)] * 3)
+    assert all(s.node.out_desc.dtype is DType.BF16 for s in plan.steps)
+    vals = [rng.uniform(0.5, 2.0, (6, 9)).astype(np.float32) for _ in range(3)]
+    ref = _strategies_agree(plan, [from_array(v, DType.BF16) for v in vals])
+    # rounding only the final FP32 result gives other bits
+    plan32 = plan_equation(text, [D(6, 9)] * 3)
+    o32 = alloc(D(6, 9))
+    evaluate(plan32, Buffered(), [from_array(to_array(from_array(v, DType.BF16))) for v in vals],
+             o32)
+    assert not bits_equal(ref.primary, from_array(to_array(o32), DType.BF16).primary)
+
+
+def test_int8_wraps_at_every_node():
+    rng = np.random.default_rng(23)
+    a, b, c = (rng.integers(-128, 128, (5, 7)).astype(np.int8) for _ in range(3))
+    a[0, :3], b[0, :3] = (127, 100, -128), (127, 2, -1)  # wrap to 1, -56 and -128
+    # relu sees the wrapped product, so wrapping only the result would differ
+    plan = plan_equation("relu(T0 * T1) - T2 + inc(T0)", [D(5, 7, DType.INT8)] * 3)
+    assert plan.out_desc.dtype is DType.INT8
+    ref = _strategies_agree(plan, [from_array(v) for v in (a, b, c)])
+    want = np.maximum(a * b, np.int8(0)) - c + (a + np.int8(1))  # int8 arithmetic wraps
+    assert bits_equal(to_array(ref), want)
+
+
+def test_broadcast_and_single_row_or_column_arguments():
+    from tensorprim import Bcast, broadcast
+    rng = np.random.default_rng(24)
+    rows, cols = 7, 10
+    descs = [D(rows, cols), TensorDesc(rows, cols, 1, DType.FP32, Bcast.ROW),
+             TensorDesc(rows, cols, rows, DType.FP32, Bcast.COL),
+             TensorDesc(rows, cols, 1, DType.FP32, Bcast.SCALAR), D(1, cols), D(rows, 1)]
+    b = TreeBuilder(descs)
+    scaled = b.binary(BinaryKind.MUL, b.binary(BinaryKind.ADD, b.leaf(0), b.leaf(1)), b.leaf(2))
+    outer = b.binary(BinaryKind.MAX, b.unary(UnaryKind.EXP, b.leaf(4)),
+                     b.unary(UnaryKind.INC, b.leaf(5)))  # 1 x N against M x 1
+    fma = b.ternary(TernaryKind.MULADD, scaled, b.leaf(3), outer)
+    root = b.binary(BinaryKind.MIN, fma, b.unary(UnaryKind.SQUARE, b.leaf(4)))
+    plan = create_execution_plan(assign_register_score(b.tree(root)))
+
+    def vals(r, c):
+        return rng.standard_normal((r, c)).astype(np.float32)
+
+    args = [from_array(vals(rows, cols)),
+            broadcast(from_array(vals(1, cols)), Bcast.ROW, rows, cols),
+            broadcast(from_array(vals(rows, 1)), Bcast.COL, rows, cols),
+            broadcast(from_array(vals(1, 1)), Bcast.SCALAR, rows, cols),
+            from_array(vals(1, cols)), from_array(vals(rows, 1))]
+    _strategies_agree(plan, args)
+
+
+def test_padded_output_keeps_its_padding():
+    rng = np.random.default_rng(25)
+    out_desc = TensorDesc(6, 5, 9, DType.FP32)
+    plan = plan_equation("relu(T0 - T1) * exp(T1)", [D(6, 5)] * 2)
+    args = [from_array(rng.standard_normal((6, 5)).astype(np.float32)) for _ in range(2)]
+    _strategies_agree(plan, args, out_desc)
+    plan = plan_equation("(relu(T0) * T1) matmul T2", [D(6, 4), D(6, 4), D(4, 5)])
+    args = [from_array(rng.standard_normal((d.rows, d.cols)).astype(np.float32))
+            for d in plan.tree.args]
+    _strategies_agree(plan, args, out_desc)
+
+
+@pytest.mark.parametrize("dtype", [DType.FP32, DType.BF16])
+def test_nan_inf_and_subnormal_inputs(dtype):
+    """NaN (with a payload), infinities, subnormals and signed zeros pass
+    through every strategy with the same bits.  Only T0 carries NaN, so no
+    operation meets two NaNs: which of two NaNs survives is left open by
+    IEEE 754, and numpy's vector and scalar loops choose differently."""
+    rng = np.random.default_rng(26)
+    payload_nan = np.uint32(0x7FC12345).view(np.float32)
+    tiny = np.float32(1e-40)  # subnormal in FP32 and BF16
+    t0 = [np.nan, payload_nan, np.inf, -np.inf, tiny, -tiny, 0.0, -0.0, 0.75, -2.5]
+    t1 = [tiny, -tiny, 0.0, -0.0, 1.0, -1.5, 3.0, 0.25]
+    t2 = [tiny, 0.0, -0.0, np.inf, 2.0, 1e30]
+    vals = [rng.permutation(np.resize(np.array(t, np.float32), 8 * 9)).reshape(8, 9)
+            for t in (t0, t1, t2)]
+    text = "tanh(T0) * T1 + exp(T1) / (T1 * T1 + inc(T1)) - sqrt(T2)"
+    plan = plan_equation(text, [D(8, 9, dtype)] * 3)
+    ref = to_array(_strategies_agree(plan, [from_array(v, dtype) for v in vals]))
+    assert np.isnan(ref).any() and np.isinf(ref).any() and np.isfinite(ref).any()
+
+
+def test_tiled_views_do_not_grow_with_the_tile_count(monkeypatch):
+    """Tiles slice numpy arrays: softmax under Hybrid(1, 1) builds exactly as
+    many TensorViews as under one tile per slice."""
+    from tensorprim import SoftmaxSpec, TensorView, softmax
+    spec = SoftmaxSpec(8, 2, 8)
+    x = from_array(np.random.default_rng(27).standard_normal((8, 16)).astype(np.float32))
+    made = [0]
+    post_init = TensorView.__post_init__
+
+    def counted(self):
+        made[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(TensorView, "__post_init__", counted)
+    counts, outs = [], []
+    for strategy in (Hybrid(1, 1), Hybrid(64, 64)):
+        y = alloc(D(8, 16))
+        softmax(spec, x, y, strategy=strategy)  # plans are built and cached here
+        made[0] = 0
+        softmax(spec, x, y, strategy=strategy)
+        counts.append(made[0])
+        outs.append(y)
+    assert counts[0] == counts[1]
+    assert bits_equal(outs[0].primary, outs[1].primary)
+
+
+# ---------------------------------------------------------------------------
+# depth limit
+# ---------------------------------------------------------------------------
+
+def test_equation_at_the_depth_limit_plans_evaluates_and_exports():
+    args = [from_array(np.full((3, 4), 0.5, np.float32))]
+    flat_sum = "+".join(["T0"] * (MAX_DEPTH + 1))
+    relu_chain = "relu(" * MAX_DEPTH + "T0" + ")" * MAX_DEPTH
+    for text, want in ((flat_sum, 0.5 * (MAX_DEPTH + 1)), (relu_chain, 0.5)):
+        plan = plan_equation(text, [D(3, 4)])
+        assert plan.tree.root.depth == MAX_DEPTH
+        ref = _strategies_agree(plan, args)
+        assert np.all(to_array(ref) == want)
+        assert import_plan(export_plan(plan, "json")) == plan_to_dict(plan)
+        assert export_plan(plan, "dot").count("->") == len(plan.tree.nodes()) - 1
+    nested = "(" * MAX_DEPTH + "T0+T0" + ")" * MAX_DEPTH
+    assert parse_equation(nested, [D(3, 4)]).root.depth == 1
+
+
+def test_deeper_equations_raise_typed_errors():
+    with pytest.raises(EquationError, match="MAX_DEPTH"):
+        plan_equation("+".join(["T0"] * (MAX_DEPTH + 2)), [D(2, 2)])
+    with pytest.raises(ParseError, match="MAX_DEPTH"):
+        parse_equation("(" * (MAX_DEPTH + 1) + "T0+T0" + ")" * (MAX_DEPTH + 1), [D(2, 2)])
+    b = TreeBuilder([D(2, 2)])
+    node = b.leaf(0)
+    for _ in range(MAX_DEPTH):
+        node = b.unary(UnaryKind.RELU, node)
+    with pytest.raises(EquationError, match="MAX_DEPTH"):
+        b.unary(UnaryKind.RELU, node)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,40 @@ def test_buffer_too_small_rejected():
         TensorView(TensorDesc(4, 4, 4, DType.FP32), np.zeros(15, np.float32))
 
 
+def test_strided_primary_rejected():
+    with pytest.raises(TensorError, match="contiguous"):
+        TensorView(TensorDesc(2, 2, 2, DType.FP32), np.zeros(8, np.float32)[::2])
+
+
+def test_as2d_with_padded_ld_is_a_writable_zero_copy_window():
+    v = alloc(TensorDesc(3, 4, 5, DType.FP64))
+    v.primary[:] = -1.0
+    w = v.as2d()
+    assert w.shape == (3, 4) and w.flags.writeable
+    assert np.shares_memory(w, v.primary)
+    vals = np.arange(12, dtype=np.float64).reshape(3, 4)
+    w[:, :] = vals
+    for i in range(3):
+        for j in range(4):
+            assert v.primary[i + 5 * j] == vals[i, j]
+    pad = np.ones(v.primary.size, bool)
+    pad[[i + 5 * j for i in range(3) for j in range(4)]] = False
+    assert np.all(v.primary[pad] == -1.0)
+
+
+def test_blocks_of_a_padded_view_round_trip():
+    rng = np.random.default_rng(3)
+    v = alloc(TensorDesc(5, 6, 7, DType.FP32))
+    ref = rng.standard_normal((5, 6)).astype(np.float32)
+    v.as2d()[:, :] = ref
+    sub = v.col_block(2, 3).row_block(1, 3)
+    assert bits_equal(to_array(sub), ref[1:4, 2:5])
+    assert bits_equal(to_array(v.row_block(1, 3).col_block(2, 3)), ref[1:4, 2:5])
+    sub.as2d()[:, :] = 0.0
+    ref[1:4, 2:5] = 0.0
+    assert bits_equal(to_array(v), ref)
+
+
 def test_broadcast_views_match_replication():
     rng = np.random.default_rng(1)
     m, n = 4, 6
