@@ -195,6 +195,16 @@ def minimax_grad(table: MinimaxTable, x: np.ndarray) -> np.ndarray:
 # exp via 2^n * 2^y
 # ---------------------------------------------------------------------------
 
+def _exp_constants(dt) -> tuple:
+    """log2(e), c1, c2, c3, 1, the two band edges, +inf and 0 as ``dt``."""
+    bits = (EXP_LOG2E, EXP_C1, EXP_C2, EXP_C3)
+    return (*(dt(float(u.view(np.float32))) for u in bits),
+            dt(1.0), dt(EXP_HI_BAND), dt(EXP_LO_BAND), dt(np.inf), dt(0.0))
+
+
+_EXP_CONSTANTS = {np.dtype(t): _exp_constants(t) for t in (np.float32, np.float64)}
+
+
 def exp_taylor(x: np.ndarray) -> np.ndarray:
     """exp(x) = 2^n * 2^y with n = round(x*log2 e) and a cubic for 2^y.
 
@@ -203,26 +213,22 @@ def exp_taylor(x: np.ndarray) -> np.ndarray:
     0 / +inf by sign.
     """
     x = np.asarray(x)
-    f64 = x.dtype == np.float64
-    dt = x.dtype.type
-    log2e = dt(float(EXP_LOG2E.view(np.float32)))
-    c1 = dt(float(EXP_C1.view(np.float32)))
-    c2 = dt(float(EXP_C2.view(np.float32)))
-    c3 = dt(float(EXP_C3.view(np.float32)))
+    log2e, c1, c2, c3, one, hi, lo, inf, zero = (
+        _EXP_CONSTANTS.get(x.dtype) or _exp_constants(x.dtype.type))
     with np.errstate(all="ignore"):  # out-of-band inputs saturate below
         r = x * log2e
         n = np.rint(r)
         y = r - n
-        q = ((c3 * y + c2) * y + c1) * y + dt(1.0)
-        if f64:
+        q = ((c3 * y + c2) * y + c1) * y + one
+        if x.dtype == np.float64:
             ni = np.clip(n, -1022, 1023).astype(np.int64)
             pow2 = ((ni + np.int64(1023)) << np.int64(52)).view(np.float64)
         else:
             ni = np.clip(n, -126, 127).astype(np.int32)
             pow2 = ((ni + np.int32(127)) << np.int32(23)).view(np.float32)
         out = q * pow2
-        out = np.where(x > dt(EXP_HI_BAND), dt(np.inf), out)
-        out = np.where(x < dt(EXP_LO_BAND), dt(0.0), out)
+        out = np.where(x > hi, inf, out)
+        out = np.where(x < lo, zero, out)
     return out
 
 

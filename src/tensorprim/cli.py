@@ -52,15 +52,13 @@ def _emit(config: RunConfig, text_lines: list[str], rows: list[dict]) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = RunConfig(args.format, args.out)
-    verify.inject_fault(args.inject_fault)
+    only = args.only.split(",") if args.only else None
     try:
-        only = args.only.split(",") if args.only else None
-        results = verify.run_checks(only=only, seed=args.seed, max_nodes=args.max_nodes)
+        with verify.inject_fault(args.inject_fault):
+            results = verify.run_checks(only=only, seed=args.seed, max_nodes=args.max_nodes)
     except KeyError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    finally:
-        verify.inject_fault(None)
     lines = [r.line() for r in results]
     npass = sum(r.passed for r in results)
     lines.append(f"{npass}/{len(results)} checks passed"

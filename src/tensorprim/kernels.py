@@ -5,6 +5,10 @@ Nothing in this module touches tensor elements directly: all bulk math goes
 through dispatched primitives or planned equations, and the only arithmetic
 here is scalar glue (per-row statistics folding) on values read back one at a
 time.  A source audit test enforces that no array library is imported.
+
+The sparse kernels make a fixed number of primitive calls per bag, never one
+per index: a bag's columns are gathered into a scratch block once and reduced
+once, with the reduction's pinned ascending order.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from . import equation as eqn
 from .dtypes import DType
 from .contraction import BrgemmBatch, GemmSpec, brgemm
 from .ops import (
+    BINARY_MATH,
     BinaryKind,
+    GatherMode,
     ReduceAxis,
     ReduceOp,
     ReduceSpec,
@@ -29,6 +35,8 @@ from .ops import (
     apply_binary,
     apply_ternary,
     apply_unary,
+    gather_scatter,
+    reduce,
     transform,
 )
 from .tensor import (
@@ -261,23 +269,51 @@ class EmbeddingSpec:
     length: int    # feature length per entry
 
 
+# (table, out) dtypes whose single FP32 (FP64) reduce gives the bits of one
+# add per index in ``out``'s precision
+_EMBEDDING_DTYPES = {(DType.FP32, DType.FP32), (DType.BF16, DType.FP32),
+                     (DType.FP64, DType.FP64)}
+
+
+def _gather_bag(table: TensorView, indices: Sequence[int]) -> TensorView:
+    """The indexed columns of ``table`` as a contiguous scratch block; an
+    out-of-range index raises IndexError before anything is written."""
+    if table.desc.bcast is not Bcast.NONE:
+        raise TensorError("cannot gather the columns of a broadcast table")
+    rows = table.desc.rows
+    bag = alloc(TensorDesc(rows, len(indices), rows, table.desc.dtype))
+    gather_scatter(table, indices, GatherMode.GATHER_COLS, bag)
+    return bag
+
+
 def embedding_gather_reduce(spec: EmbeddingSpec, table: TensorView,
                             indices: Sequence[int], out: TensorView) -> None:
-    """Multi-hot lookup: out = sum of the indexed table entries, accumulated
-    in index order without materialising the gathered entries.
+    """Multi-hot lookup: out = sum of the indexed table entries.
 
-    The table stores one entry per column (feature dimension contiguous).
+    One GATHER_COLS copies the bag's entries into a length x k scratch block
+    and one ROWS SUM reduce folds its columns into ``out`` in index order,
+    starting from +0; an empty bag gives zeros.  The table stores one entry
+    per column (feature dimension contiguous).
+
+    Accepted dtypes, (table, out): (FP32, FP32), (BF16, FP32), (FP64, FP64).
+    The reduce accumulates in FP32 (FP64 for an FP64 table), which equals one
+    add per index in ``out``'s precision only for these.  Every other pair
+    raises TensorError before any write: a BF16 or integer ``out``, an
+    integer table, an FP32 or BF16 table into an FP64 ``out`` and an FP64
+    table into an FP32 ``out``.
     """
     if (table.desc.rows, table.desc.cols) != (spec.length, spec.rows):
         raise TensorError("table must be length x rows (one entry per column)")
     if (out.desc.rows, out.desc.cols) != (spec.length, 1):
         raise TensorError("output must be length x 1")
-    for p in indices:
-        if not 0 <= int(p) < spec.rows:
-            raise IndexError(f"embedding index {p} out of range")
-    apply_unary(UnaryKind.ZERO, None, out)
-    for p in indices:
-        apply_binary(BinaryKind.ADD, out, table.col_block(int(p), 1), out)
+    if (table.desc.dtype, out.desc.dtype) not in _EMBEDDING_DTYPES:
+        raise TensorError(f"embedding of a {table.desc.dtype.name} table into a "
+                          f"{out.desc.dtype.name} output is not supported")
+    if len(indices) == 0:
+        apply_unary(UnaryKind.ZERO, None, out)
+        return
+    bag = _gather_bag(table, indices)
+    reduce(bag, ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM), out)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +422,18 @@ def binary_reduce_aggregate(table0: TensorView, table1: TensorView,
                             idx0: Sequence[int], idx1: Sequence[int],
                             binary: BinaryKind, reduce_op: ReduceOp,
                             out: TensorView) -> None:
-    """Feature aggregation: running reduce over i of
-    binary(table0[:, idx0[i]], table1[:, idx1[i]]), fused (no gathered
-    columns are materialised), accumulated in index order."""
+    """Feature aggregation: reduce over i of
+    binary(table0[:, idx0[i]], table1[:, idx1[i]]), in index order.
+
+    One GATHER_COLS per table, one elementwise ``binary`` over the two
+    gathered blocks into a scratch block of ``out``'s dtype (each element
+    narrowed to it), then one ROWS reduce into ``out``.  SUM starts from +0
+    (no pairs give zeros); MIN/MAX start from the first pair and need one.
+
+    The tables may have any dtypes; ``out`` must be FP32 or FP64, where the
+    reduce's accumulation precision is ``out``'s own.  A BF16 or integer
+    ``out`` raises TensorError before any write.
+    """
     if len(idx0) != len(idx1):
         raise TensorError("index lists must have equal length")
     if table0.desc.rows != table1.desc.rows:
@@ -397,26 +442,17 @@ def binary_reduce_aggregate(table0: TensorView, table1: TensorView,
         raise TensorError("output must be feature-length x 1")
     if reduce_op not in (ReduceOp.SUM, ReduceOp.MAX, ReduceOp.MIN):
         raise TensorError("reduce must be SUM, MAX or MIN")
-    for p in idx0:
-        if not 0 <= int(p) < table0.desc.cols:
-            raise IndexError("idx0 out of bounds")
-    for p in idx1:
-        if not 0 <= int(p) < table1.desc.cols:
-            raise IndexError("idx1 out of bounds")
-
-    fold = {ReduceOp.SUM: BinaryKind.ADD, ReduceOp.MAX: BinaryKind.MAX,
-            ReduceOp.MIN: BinaryKind.MIN}[reduce_op]
-    tmp = alloc(TensorDesc(table0.desc.rows, 1, table0.desc.rows, out.desc.dtype))
-    if reduce_op is ReduceOp.SUM:
-        apply_unary(UnaryKind.ZERO, None, out)
-        start = 0
-    else:
-        if not idx0:
+    if binary not in BINARY_MATH:
+        raise TensorError(f"{binary} is not an elementwise binary kind")
+    if out.desc.dtype not in (DType.FP32, DType.FP64):
+        raise TensorError(f"aggregation into a {out.desc.dtype.name} output is not supported")
+    if len(idx0) == 0:
+        if reduce_op is not ReduceOp.SUM:
             raise TensorError("MIN/MAX aggregation needs at least one index pair")
-        apply_binary(binary, table0.col_block(int(idx0[0]), 1),
-                     table1.col_block(int(idx1[0]), 1), out)
-        start = 1
-    for i in range(start, len(idx0)):
-        apply_binary(binary, table0.col_block(int(idx0[i]), 1),
-                     table1.col_block(int(idx1[i]), 1), tmp)
-        apply_binary(fold, out, tmp, out)
+        apply_unary(UnaryKind.ZERO, None, out)
+        return
+    g0 = _gather_bag(table0, idx0)
+    g1 = _gather_bag(table1, idx1)
+    pairs = alloc(TensorDesc(g0.desc.rows, g0.desc.cols, g0.desc.rows, out.desc.dtype))
+    apply_binary(binary, g0, g1, pairs)
+    reduce(pairs, ReduceSpec(ReduceAxis.ROWS, reduce_op), out)

@@ -619,8 +619,11 @@ def _interleave(u: np.ndarray, v: np.ndarray, w: int, lo: bool) -> np.ndarray:
 def gather_scatter(inp: TensorView, indices, mode: GatherMode, out: TensorView) -> None:
     """Gather/scatter rows, columns or (row, col) elements.
 
-    Index bounds are validated before any write; scatters apply in ascending
-    source order, so duplicate targets are deterministic last-writer-wins.
+    Index bounds are validated before any write.  Gathers are pure copies,
+    one fancy-index assignment each.  Scatters apply in ascending source
+    order, so duplicate targets are deterministic last-writer-wins; they stay
+    loops because numpy leaves unspecified which write wins when one
+    fancy-index assignment repeats a target.
     """
     if indices is None:
         raise InvalidSpecError("flag", f"{mode} requires an index companion")
@@ -638,8 +641,7 @@ def gather_scatter(inp: TensorView, indices, mode: GatherMode, out: TensorView) 
         k = idx.shape[0]
         if mode is GatherMode.GATHER2D:
             _require_logical_shape(out, k, 1, "GATHER2D output")
-            for t in range(k):
-                dst[t, 0] = src[idx[t, 0], idx[t, 1]]
+            dst[:, 0] = src[idx[:, 0], idx[:, 1]]
         else:
             _require_logical_shape(inp, k, 1, "SCATTER2D input")
             for t in range(k):
@@ -658,12 +660,10 @@ def gather_scatter(inp: TensorView, indices, mode: GatherMode, out: TensorView) 
 
     if mode is GatherMode.GATHER_COLS:
         _require_logical_shape(out, src.shape[0], k, "GATHER_COLS output")
-        for t in range(k):
-            dst[:, t] = src[:, idx[t]]
+        dst[:, :] = src[:, idx]
     elif mode is GatherMode.GATHER_ROWS:
         _require_logical_shape(out, k, src.shape[1], "GATHER_ROWS output")
-        for t in range(k):
-            dst[t, :] = src[idx[t], :]
+        dst[:, :] = src[idx, :]
     elif mode is GatherMode.SCATTER_COLS:
         _require_logical_shape(inp, dst.shape[0], k, "SCATTER_COLS input")
         for t in range(k):

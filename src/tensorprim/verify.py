@@ -15,12 +15,13 @@ planner checks (which do not depend on arithmetic order) stay green.
 from __future__ import annotations
 
 import ast
+import contextlib
 from dataclasses import dataclass
 import inspect
 import math
 import os
 import traceback
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -53,14 +54,18 @@ class CheckResult:
             f" ({self.detail})" if self.detail else "")
 
 
-def inject_fault(name: str | None) -> None:
-    """Enable a test-only fault; currently only 'reduce-order'."""
-    if name is None:
-        ops._FAULT_DESCENDING_REDUCE = False
-    elif name == "reduce-order":
-        ops._FAULT_DESCENDING_REDUCE = True
-    else:
+@contextlib.contextmanager
+def inject_fault(name: str | None) -> Iterator[None]:
+    """Enable a test-only fault inside the ``with`` block (None for none;
+    currently only 'reduce-order').  The fault is cleared on leaving the
+    block, also when the block raises."""
+    if name not in (None, "reduce-order"):
         raise ValueError(f"unknown fault {name!r}")
+    ops._FAULT_DESCENDING_REDUCE = name == "reduce-order"
+    try:
+        yield
+    finally:
+        ops._FAULT_DESCENDING_REDUCE = False
 
 
 def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -1029,8 +1034,9 @@ def check_layernorm(seed: int = 0, instances: int = 100) -> CheckResult:
 
 
 def check_embedding_fused(seed: int = 0, instances: int = 100) -> CheckResult:
-    """Fused gather-reduce equals materialise-then-reduce bitwise; FP64 path
-    equals the one-hot contraction exactly."""
+    """The embedding bag equals materialise-then-reduce and a numpy loop of
+    one FP32 add per index, in index order, bitwise; FP64 path equals the
+    one-hot contraction exactly."""
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(instances):
@@ -1045,7 +1051,11 @@ def check_embedding_fused(seed: int = 0, instances: int = 100) -> CheckResult:
         ops.gather_scatter(tv, idx, GatherMode.GATHER_COLS, gath)
         red = alloc(TensorDesc(ee, 1, ee, DType.FP32))
         ops.reduce(gath, ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM), red)
-        if not _bits_equal(to_array(out), to_array(red)):
+        want = np.zeros(ee, dtype=np.float32)
+        for p in idx:  # index order, one FP32 add per index
+            want = want + table[:, p]
+        if not (_bits_equal(to_array(out), to_array(red))
+                and _bits_equal(to_array(out)[:, 0], want)):
             bad += 1
     # FP64 one-hot contraction comparison (distinct indices)
     table = rng.standard_normal((6, 10))
@@ -1119,7 +1129,15 @@ def check_dilated_conv(seed: int = 0, instances: int = 100) -> CheckResult:
     return CheckResult("kernels-dilated-conv", bad == 0, bad, 0)
 
 
+_PAIR_ORACLE = {BinaryKind.ADD: np.add, BinaryKind.MUL: np.multiply,
+                BinaryKind.MAX: np.maximum}
+_FOLD_ORACLE = {ReduceOp.SUM: np.add, ReduceOp.MAX: np.maximum, ReduceOp.MIN: np.minimum}
+
+
 def check_binary_reduce(seed: int = 0, instances: int = 100) -> CheckResult:
+    """Binary-reduce aggregation equals gather, binary, reduce materialised
+    and a numpy loop of one FP32 binary and one fold per index pair, in index
+    order, bitwise."""
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(instances):
@@ -1144,7 +1162,15 @@ def check_binary_reduce(seed: int = 0, instances: int = 100) -> CheckResult:
         ops.apply_binary(binary, g0, g1, bo)
         ro = alloc(TensorDesc(f, 1, f, DType.FP32))
         ops.reduce(bo, ReduceSpec(ReduceAxis.ROWS, red), ro)
-        if not _bits_equal(to_array(out), to_array(ro)):
+        pair, fold = _PAIR_ORACLE[binary], _FOLD_ORACLE[red]
+        if red is ReduceOp.SUM:
+            want, start = np.zeros(f, dtype=np.float32), 0
+        else:
+            want, start = pair(t0[:, i0[0]], t1[:, i1[0]]), 1
+        for t in range(start, k):  # index order
+            want = fold(want, pair(t0[:, i0[t]], t1[:, i1[t]]))
+        if not (_bits_equal(to_array(out), to_array(ro))
+                and _bits_equal(to_array(out)[:, 0], want)):
             bad += 1
     return CheckResult("kernels-binary-reduce", bad == 0, bad, 0)
 

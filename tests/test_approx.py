@@ -81,6 +81,28 @@ def test_exp_exact_at_zero_and_ln2():
     assert abs(float(approx.exp_taylor(np.float32(math.log(2.0)))) / 2.0 - 1.0) <= 1e-4
 
 
+def test_exp_special_inputs_golden_bits():
+    """NaN (sign and payload kept), +-Inf, +-0, subnormal and out-of-band
+    inputs give frozen output bits in FP32 and FP64."""
+    x32 = np.array([0x7FC00000, 0xFFC00000, 0x7F800000, 0xFF800000, 0x0, 0x80000000,
+                    0x1, 0x800116C2, 0x3F000000, 0xC0500000, 0x42B00000, 0x42B10000,
+                    0xC2AE0000, 0xC2AF0000, 0x7149F2CA, 0xF149F2CA], np.uint32)
+    y32 = [0x7FC00000, 0xFFC00000, 0x7F800000, 0x0, 0x3F800000, 0x3F800000,
+           0x3F800000, 0x3F800000, 0x3FD3103D, 0x3D1ED54D, 0x7EF882F4, 0x7F800000,
+           0xB3352B, 0x0, 0x7F800000, 0x0]
+    assert approx.exp_taylor(x32.view(np.float32)).view(np.uint32).tolist() == y32
+    x64 = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000000,
+                    0xFFF0000000000000, 0x0, 0x8000000000000000, 0x1, 0x800012688B70E62B,
+                    0x3FE0000000000000, 0xC00A000000000000, 0x4056000000000000,
+                    0x4056200000000000, 0xC055C00000000000, 0xC055E00000000000,
+                    0x46293E5939A08CEA, 0xC6293E5939A08CEA], np.uint64)
+    y64 = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000000, 0x0,
+           0x3FF0000000000000, 0x3FF0000000000000, 0x3FF0000000000000, 0x3FF0000000000000,
+           0x3FFA620792914D01, 0x3FA3DAA9B43D6C7B, 0x47DF105FE461BB08, 0x7FF0000000000000,
+           0x381666A3C8C92812, 0x0, 0x7FF0000000000000, 0x0]
+    assert approx.exp_taylor(x64.view(np.float64)).view(np.uint64).tolist() == y64
+
+
 def test_exp_budget_and_saturation():
     g = np.linspace(-10, 10, 200_001).astype(np.float32)
     rel = np.max(np.abs(approx.exp_taylor(g).astype(np.float64)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from tensorprim import verify
 from tensorprim.cli import main
 
 
@@ -123,6 +124,17 @@ def test_verify_fault_injection_negative_control(capsys):
     # and the fault does not leak into subsequent runs
     code2, out2, _ = run_cli(["verify", "--only", "kernels-embedding-fused"], capsys)
     assert code2 == 0
+
+
+def test_inject_fault_is_cleared_when_the_block_raises():
+    with pytest.raises(RuntimeError):
+        with verify.inject_fault("reduce-order"):
+            assert not verify.check_embedding_fused(instances=20).passed
+            raise RuntimeError("check crashed")
+    assert verify.check_embedding_fused(instances=20).passed
+    with pytest.raises(ValueError):
+        with verify.inject_fault("no-such-fault"):
+            pass
 
 
 def test_verify_seed_determinism(capsys):

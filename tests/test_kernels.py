@@ -16,8 +16,11 @@ from tensorprim import (
     SoftmaxSpec,
     TensorDesc,
     TensorError,
+    TensorView,
     UnaryKind,
     alloc,
+    apply_binary,
+    apply_unary,
     binary_reduce_aggregate,
     broadcast,
     dilated_conv1d_forward,
@@ -272,6 +275,10 @@ def test_embedding_fused_equals_gather_then_reduce_bitwise():
     red = alloc(D(7, 1))
     reduce(g, ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM), red)
     assert bits_equal(to_array(fused), to_array(red))
+    want = np.zeros(7, dtype=np.float32)
+    for p in idx:  # index order, one FP32 add per index
+        want = want + table[:, p]
+    assert bits_equal(to_array(fused)[:, 0], want)
 
 
 def test_embedding_bounds_checked_before_accumulation():
@@ -463,7 +470,6 @@ def test_binary_reduce_matches_materialized_oracle_bitwise():
         out = alloc(D(f, 1))
         binary_reduce_aggregate(from_array(t0), from_array(t1), list(i0), list(i1),
                                 binary, red, out)
-        from tensorprim import apply_binary
         g0, g1 = alloc(D(f, k)), alloc(D(f, k))
         gather_scatter(from_array(t0), i0, GatherMode.GATHER_COLS, g0)
         gather_scatter(from_array(t1), i1, GatherMode.GATHER_COLS, g1)
@@ -472,6 +478,17 @@ def test_binary_reduce_matches_materialized_oracle_bitwise():
         ro = alloc(D(f, 1))
         reduce(bo, ReduceSpec(ReduceAxis.ROWS, red), ro)
         assert bits_equal(to_array(out), to_array(ro))
+        pair = {BinaryKind.ADD: np.add, BinaryKind.MUL: np.multiply,
+                BinaryKind.SUB: np.subtract}[binary]
+        fold = {ReduceOp.SUM: np.add, ReduceOp.MAX: np.maximum,
+                ReduceOp.MIN: np.minimum}[red]
+        if red is ReduceOp.SUM:
+            want, start = np.zeros(f, dtype=np.float32), 0
+        else:
+            want, start = pair(t0[:, i0[0]], t1[:, i1[0]]), 1
+        for t in range(start, k):  # index order
+            want = fold(want, pair(t0[:, i0[t]], t1[:, i1[t]]))
+        assert bits_equal(to_array(out)[:, 0], want)
 
 
 def test_binary_reduce_guards():
@@ -481,6 +498,232 @@ def test_binary_reduce_guards():
         binary_reduce_aggregate(t, t, [0, 1], [0], BinaryKind.ADD, ReduceOp.SUM, out)
     with pytest.raises(IndexError):
         binary_reduce_aggregate(t, t, [5], [0], BinaryKind.ADD, ReduceOp.SUM, out)
+
+
+# ---------------------------------------------------------------------------
+# sparse kernels against the per-index loops they replaced
+# ---------------------------------------------------------------------------
+
+def _embedding_loop(table, indices, out):
+    """Oracle: zero ``out``, then one ADD per index in index order, each
+    rounded to ``out``'s dtype (the kernel's former implementation)."""
+    apply_unary(UnaryKind.ZERO, None, out)
+    for p in indices:
+        apply_binary(BinaryKind.ADD, out, table.col_block(int(p), 1), out)
+
+
+def _binary_reduce_loop(t0, t1, idx0, idx1, binary, reduce_op, out):
+    """Oracle: one binary into a temporary of ``out``'s dtype and one fold
+    per index pair, in index order (the kernel's former implementation)."""
+    fold = {ReduceOp.SUM: BinaryKind.ADD, ReduceOp.MAX: BinaryKind.MAX,
+            ReduceOp.MIN: BinaryKind.MIN}[reduce_op]
+    tmp = alloc(D(t0.desc.rows, 1, out.desc.dtype))
+    start = 0
+    if reduce_op is ReduceOp.SUM:
+        apply_unary(UnaryKind.ZERO, None, out)
+    else:
+        apply_binary(binary, t0.col_block(int(idx0[0]), 1),
+                     t1.col_block(int(idx1[0]), 1), out)
+        start = 1
+    for i in range(start, len(idx0)):
+        apply_binary(binary, t0.col_block(int(idx0[i]), 1),
+                     t1.col_block(int(idx1[i]), 1), tmp)
+        apply_binary(fold, out, tmp, out)
+
+
+SENTINEL = 0xA5  # every byte of a buffer before the data is written
+
+
+def _sentinel_view(rows, cols, dtype, pad):
+    d = TensorDesc(rows, cols, rows + pad, dtype)
+    buf = np.full(d.min_buffer_len * dtype.storage.itemsize, SENTINEL, np.uint8)
+    return TensorView(d, buf.view(dtype.storage))
+
+
+def _table(values, dtype, pad=0):
+    """``values`` stored as ``dtype`` with ld = rows + pad, sentinel padding."""
+    v = _sentinel_view(*values.shape, dtype, pad)
+    v.as2d()[:, :] = from_array(values, dtype).as2d()
+    return v
+
+
+def _assert_kernel_matches_loop(kernel, loop, rows, dtype, pad):
+    """Run both into column 1 of a sentinel-filled rows x 3 buffer with
+    ld = rows + pad: the whole buffers must agree bitwise, and nothing
+    outside the written column may change."""
+    bases = []
+    for fn in (kernel, loop):
+        base = _sentinel_view(rows, 3, dtype, pad)
+        fn(base.col_block(1, 1))
+        bases.append(base)
+    got, want = bases
+    assert bits_equal(got.primary, want.primary)
+    untouched = np.ones(got.primary.size, dtype=bool)
+    untouched[rows + pad:2 * (rows + pad) - pad] = False
+    assert np.all(got.primary.view(np.uint8).reshape(got.primary.size, -1)[untouched]
+                  == SENTINEL)
+
+
+_FINITE = np.array([0.0, -0.0, 1e-45, -1e-45, 1e-40, -3e-39, 1.5, -2.25, 1024.0], np.float32)
+_ODD = np.array([np.nan, np.inf, -np.inf,
+                 np.uint32(0xFFC00123).view(np.float32)], np.float32)
+
+
+def _specials(rng, rows, cols, bag):
+    """FP32 table of signed zeros, subnormals and normals; every other row
+    has one NaN or infinity among the ``bag`` columns (distinct), so no
+    operation of an in-order fold ever meets two NaNs."""
+    t = rng.choice(_FINITE, size=(rows, cols))
+    for r in range(0, rows, 2):
+        t[r, rng.choice(bag)] = _ODD[r // 2 % len(_ODD)]
+    return t
+
+
+def _embedding_case(name):
+    rng = np.random.default_rng(sorted(EMBEDDING_CASES).index(name))
+    rows, cols, dtype, pad, idx = EMBEDDING_CASES[name]
+    out_dtype = DType.FP64 if dtype is DType.FP64 else DType.FP32
+    if name == "specials":
+        values = _specials(rng, rows, cols, idx)
+    elif name == "signed-zeros":
+        values = np.full((rows, cols), -0.0)
+    else:
+        values = rng.standard_normal((rows, cols))
+    return _table(values.astype(out_dtype.storage), dtype, pad), idx, out_dtype
+
+
+# name -> (length, table entries, table dtype, ld padding, indices)
+EMBEDDING_CASES = {
+    "duplicates": (6, 9, DType.FP32, 0, [4, 4, 0, 4, 8, 0]),
+    "k1": (6, 9, DType.FP32, 0, [3]),
+    "length1": (1, 7, DType.FP32, 0, [6, 0, 6, 2]),
+    "int64-array": (5, 8, DType.FP32, 0, np.array([7, 1, 1, 5], dtype=np.int64)),
+    "bf16-table": (7, 11, DType.BF16, 0, [10, 3, 3, 0, 6, 2]),
+    "fp64": (7, 11, DType.FP64, 0, [10, 3, 3, 0, 6, 2]),
+    "padded": (5, 6, DType.FP32, 3, [5, 0, 2, 2]),
+    "specials": (12, 10, DType.FP32, 0, [9, 2, 6, 0, 4]),
+    "signed-zeros": (3, 4, DType.FP32, 0, [1, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMBEDDING_CASES))
+@pytest.mark.parametrize("out_pad", [0, 2])
+def test_embedding_edge_cases_match_per_index_loop(name, out_pad):
+    table, idx, out_dtype = _embedding_case(name)
+    length, entries = table.desc.rows, table.desc.cols
+    spec = EmbeddingSpec(entries, length)
+    _assert_kernel_matches_loop(
+        lambda out: embedding_gather_reduce(spec, table, idx, out),
+        lambda out: _embedding_loop(table, idx, out), length, out_dtype, out_pad)
+
+
+# name -> (length, (table0 dtype, table1 dtype), out dtype, ld padding, idx0, idx1)
+BINARY_REDUCE_CASES = {
+    "duplicates": (6, (DType.FP32, DType.FP32), DType.FP32, 0, [4, 4, 0, 4], [1, 1, 2, 1]),
+    "k1": (6, (DType.FP32, DType.FP32), DType.FP32, 0, [3], [2]),
+    "length1": (1, (DType.FP32, DType.FP32), DType.FP32, 0, [6, 0, 6], [0, 3, 3]),
+    "int64-array": (5, (DType.FP32, DType.FP32), DType.FP32, 0,
+                    np.array([7, 1, 5], dtype=np.int64), np.array([0, 3, 3], dtype=np.int64)),
+    "bf16-fp32-tables": (7, (DType.BF16, DType.FP32), DType.FP32, 0, [5, 3, 3, 0], [1, 2, 0, 2]),
+    "fp64": (7, (DType.FP64, DType.FP64), DType.FP64, 0, [5, 3, 3, 0], [1, 2, 0, 2]),
+    "fp32-tables-fp64-out": (7, (DType.FP32, DType.FP32), DType.FP64, 0, [5, 3, 0], [1, 2, 2]),
+    "fp64-tables-fp32-out": (7, (DType.FP64, DType.FP64), DType.FP32, 0, [5, 3, 0], [1, 2, 2]),
+    "int8-tables": (4, (DType.INT8, DType.INT8), DType.FP32, 0, [5, 3, 0], [1, 2, 2]),
+    "padded": (5, (DType.FP32, DType.BF16), DType.FP32, 3, [5, 0, 2, 2], [3, 0, 1, 3]),
+    "specials": (12, (DType.FP32, DType.FP32), DType.FP32, 0, [5, 2, 6, 0, 4], [3, 0, 1, 3, 2]),
+    "signed-zeros": (3, (DType.FP32, DType.FP32), DType.FP32, 0, [1, 2, 1], [0, 3, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_REDUCE_CASES))
+@pytest.mark.parametrize("binary", [BinaryKind.ADD, BinaryKind.SUB, BinaryKind.MUL,
+                                    BinaryKind.DIV, BinaryKind.MAX, BinaryKind.MIN])
+@pytest.mark.parametrize("reduce_op", [ReduceOp.SUM, ReduceOp.MAX, ReduceOp.MIN])
+def test_binary_reduce_edge_cases_match_per_index_loop(name, binary, reduce_op):
+    rng = np.random.default_rng(sorted(BINARY_REDUCE_CASES).index(name))
+    length, (dt0, dt1), out_dtype, pad, i0, i1 = BINARY_REDUCE_CASES[name]
+    if name == "specials":
+        v0 = _specials(rng, length, 7, i0)
+        v1 = rng.choice(np.array([-1.5, 2.0, 0.75, -0.5], np.float32), size=(length, 4))
+    elif name == "int8-tables":
+        v0 = rng.integers(-128, 128, size=(length, 6)).astype(np.int8)
+        v1 = rng.integers(-128, 128, size=(length, 3)).astype(np.int8)
+        v1[v1 == 0] = 1  # DIV: no integer division by zero
+    elif name == "signed-zeros":
+        v0, v1 = np.full((length, 3), -0.0), np.ones((length, 4))
+    else:
+        v0 = rng.standard_normal((length, 8))
+        v1 = rng.standard_normal((length, 4))
+    t0 = _table(v0.astype(dt0.storage if dt0 is not DType.BF16 else np.float32), dt0, pad)
+    t1 = _table(v1.astype(dt1.storage if dt1 is not DType.BF16 else np.float32), dt1, pad)
+    _assert_kernel_matches_loop(
+        lambda out: binary_reduce_aggregate(t0, t1, i0, i1, binary, reduce_op, out),
+        lambda out: _binary_reduce_loop(t0, t1, i0, i1, binary, reduce_op, out),
+        length, out_dtype, pad)
+
+
+@pytest.mark.parametrize("indices", [[], np.array([], dtype=np.int64)])
+def test_empty_bags(indices):
+    table = from_array(np.ones((3, 4), dtype=np.float32))
+    out = alloc(D(3, 1), fill=9.0)
+    embedding_gather_reduce(EmbeddingSpec(4, 3), table, indices, out)
+    assert bits_equal(to_array(out), np.zeros((3, 1), np.float32))
+    out = alloc(D(3, 1), fill=9.0)
+    binary_reduce_aggregate(table, table, indices, indices, BinaryKind.MUL, ReduceOp.SUM, out)
+    assert bits_equal(to_array(out), np.zeros((3, 1), np.float32))
+    for red in (ReduceOp.MAX, ReduceOp.MIN):
+        out = alloc(D(3, 1), fill=9.0)
+        with pytest.raises(TensorError):
+            binary_reduce_aggregate(table, table, indices, indices, BinaryKind.ADD, red, out)
+        assert np.all(to_array(out) == 9.0)
+
+
+_INT_TYPES = (DType.INT32, DType.INT16, DType.INT8)
+_STORED = (DType.FP64, DType.FP32, DType.BF16, *_INT_TYPES)
+REJECTED_EMBEDDING = [(t, o) for t in _STORED for o in _STORED
+                      if (t, o) not in ((DType.FP32, DType.FP32), (DType.BF16, DType.FP32),
+                                        (DType.FP64, DType.FP64))]
+
+
+@pytest.mark.parametrize("table_dtype,out_dtype", REJECTED_EMBEDDING,
+                         ids=[f"{t.name}-{o.name}" for t, o in REJECTED_EMBEDDING])
+def test_embedding_rejects_dtype_pairs_before_any_write(table_dtype, out_dtype):
+    table = alloc(D(4, 5, table_dtype))
+    out = _sentinel_view(4, 1, out_dtype, 0)
+    with pytest.raises(TensorError):
+        embedding_gather_reduce(EmbeddingSpec(5, 4), table, [1, 1, 3], out)
+    assert np.all(out.primary.view(np.uint8) == SENTINEL)
+
+
+@pytest.mark.parametrize("out_dtype", [DType.BF16, *_INT_TYPES])
+def test_binary_reduce_rejects_narrow_outputs_before_any_write(out_dtype):
+    table = alloc(D(4, 5))
+    out = _sentinel_view(4, 1, out_dtype, 0)
+    for red in (ReduceOp.SUM, ReduceOp.MAX):
+        with pytest.raises(TensorError):
+            binary_reduce_aggregate(table, table, [1, 3], [0, 2], BinaryKind.ADD, red, out)
+    assert np.all(out.primary.view(np.uint8) == SENTINEL)
+
+
+def test_sparse_kernels_reject_broadcast_tables_and_bad_indices_before_any_write():
+    col = from_array(np.ones((3, 1), dtype=np.float32))
+    bcast = broadcast(col, Bcast.COL, 3, 4)
+    table = from_array(np.ones((3, 4), dtype=np.float32))
+    out = alloc(D(3, 1), fill=9.0)
+    with pytest.raises(TensorError):
+        embedding_gather_reduce(EmbeddingSpec(4, 3), bcast, [0, 1], out)
+    with pytest.raises(TensorError):
+        binary_reduce_aggregate(table, bcast, [0], [1], BinaryKind.ADD, ReduceOp.SUM, out)
+    for idx in ([0, -1], np.array([3, 4]), [7]):
+        with pytest.raises(IndexError):
+            embedding_gather_reduce(EmbeddingSpec(4, 3), table, idx, out)
+        with pytest.raises(IndexError):
+            binary_reduce_aggregate(table, table, [0] * len(idx), idx,
+                                    BinaryKind.ADD, ReduceOp.MAX, out)
+        with pytest.raises(IndexError):
+            binary_reduce_aggregate(table, table, idx, [0] * len(idx),
+                                    BinaryKind.ADD, ReduceOp.SUM, out)
+    assert np.all(to_array(out) == 9.0)
 
 
 # ---------------------------------------------------------------------------

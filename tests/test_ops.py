@@ -18,6 +18,7 @@ from tensorprim import (
     ReduceSpec,
     TensorDesc,
     TensorError,
+    TensorView,
     TernaryKind,
     TransformKind,
     TransformSpec,
@@ -436,6 +437,32 @@ def test_gather2d_example():
     out = alloc(D(2, 1))
     gather_scatter(x, np.array([[0, 0], [1, 1]]), GatherMode.GATHER2D, out)
     assert to_array(out)[:, 0].tolist() == [1.0, 4.0]
+
+
+@pytest.mark.parametrize("mode", [GatherMode.GATHER_COLS, GatherMode.GATHER_ROWS,
+                                  GatherMode.GATHER2D])
+def test_gathers_match_element_loop_with_padded_ld(mode):
+    """Each gather is one fancy-index copy: duplicate indices, padded-ld
+    source and destination (padding untouched) and a NaN payload all copy
+    exactly as an element-by-element loop does."""
+    rng = np.random.default_rng(8)
+    src = TensorView(TensorDesc(4, 5, 7, DType.FP32),
+                     rng.standard_normal(7 * 4 + 4).astype(np.float32))
+    src.as2d()[1, 2] = np.uint32(0xFFC00123).view(np.float32)
+    x = src.as2d()
+    idx = {GatherMode.GATHER_COLS: np.array([2, 0, 2, 4]),
+           GatherMode.GATHER_ROWS: np.array([3, 1, 1]),
+           GatherMode.GATHER2D: np.array([[1, 2], [0, 4], [1, 2], [3, 0]])}[mode]
+    want = {GatherMode.GATHER_COLS: lambda: [[x[i, j] for j in idx] for i in range(4)],
+            GatherMode.GATHER_ROWS: lambda: [[x[i, j] for j in range(5)] for i in idx],
+            GatherMode.GATHER2D: lambda: [[x[i, j]] for i, j in idx]}[mode]()
+    want = np.array(want, dtype=np.float32)
+    rows, cols = want.shape
+    out = TensorView(TensorDesc(rows, cols, rows + 2, DType.FP32),
+                     np.full((rows + 2) * cols, -7.0, np.float32))
+    gather_scatter(src, idx, mode, out)
+    assert bits_equal(to_array(out), want)
+    assert np.all(out.primary.reshape(cols, rows + 2)[:, rows:] == -7.0)
 
 
 def test_out_of_bounds_rejected_before_write():
