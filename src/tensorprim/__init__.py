@@ -63,7 +63,6 @@ from .ops import (
 )
 from .contraction import (
     ALayout,
-    BlockingParams,
     BrgemmBatch,
     ComputePath,
     GemmSpec,

@@ -54,8 +54,8 @@ BRGEMM_PATHS = (
 
 
 def bench_brgemm(m: int = 64, n: int = 64, k: int = 64, count: int = 16,
-                 dtype: DType = DType.FP32, repeats: int = 5, threads: int = 1,
-                 seed: int = 0, a_layout: ALayout = ALayout.PLAIN,
+                 dtype: DType = DType.FP32, repeats: int = 5, seed: int = 0,
+                 a_layout: ALayout = ALayout.PLAIN,
                  compute_path: ComputePath = ComputePath.NATIVE) -> BenchResult:
     rng = np.random.default_rng(seed)
     if dtype is DType.INT8:
@@ -80,27 +80,27 @@ def bench_brgemm(m: int = 64, n: int = 64, k: int = 64, count: int = 16,
                                 a_layout=a_layout, compute_path=compute_path)
     batch = gemm_engine.BrgemmBatch.stride(af, bf, a_blocks[0].size, n * k, count)
     c = alloc(TensorDesc(m, n, m, acc))
-    med, mn = _time(lambda: gemm_engine.brgemm(spec, batch, c, threads=threads), repeats)
+    med, mn = _time(lambda: gemm_engine.brgemm(spec, batch, c), repeats)
     flops = 2.0 * m * n * k * count
     checksum = float(np.sum(np.array(c.as2d(), dtype=np.float64)))
     path = ("-vnni" if a_layout is ALayout.VNNI else "") + (
         "-emulated" if compute_path is ComputePath.EMULATED_SPLIT else "")
     return BenchResult(f"brgemm-{dtype.value}{path}-{m}x{n}x{k}x{count}", med, mn,
-                       flops / med / 1e9, {"threads": threads, "checksum": checksum})
+                       flops / med / 1e9, {"checksum": checksum})
 
 
 def bench_fc(m_b: int = 4, n_b: int = 4, k_b: int = 4, bm: int = 32, bn: int = 32,
-             bk: int = 32, repeats: int = 5, threads: int = 1, seed: int = 0) -> BenchResult:
+             bk: int = 32, repeats: int = 5, seed: int = 0) -> BenchResult:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(m_b * k_b * bk * bm).astype(np.float32)
     b = rng.standard_normal(n_b * k_b * bn * bk).astype(np.float32)
     c = alloc(TensorDesc(bm, n_b * m_b * bn, bm, DType.FP32))
     spec = kernels.FcSpec(m_b, n_b, k_b, bm, bn, bk, activation=None)
-    med, mn = _time(lambda: kernels.fc_forward(spec, a, b, c, threads=threads), repeats)
+    med, mn = _time(lambda: kernels.fc_forward(spec, a, b, c), repeats)
     flops = 2.0 * (m_b * bm) * (n_b * bn) * (k_b * bk)
     checksum = float(np.sum(np.array(c.as2d(), dtype=np.float64)))
     return BenchResult(f"fc-{m_b * bm}x{n_b * bn}x{k_b * bk}", med, mn,
-                       flops / med / 1e9, {"threads": threads, "checksum": checksum})
+                       flops / med / 1e9, {"checksum": checksum})
 
 
 def bench_softmax(s1: int = 64, s2: int = 8, s3: int = 64, repeats: int = 5,

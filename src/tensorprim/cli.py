@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from . import approx, bench, equation as eqn, verify
 from .dtypes import DType
-from .tensor import TensorDesc
+from .ops import InvalidSpecError
+from .tensor import TensorDesc, TensorError
 
 
 @dataclass
@@ -149,14 +150,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     results: list[bench.BenchResult] = []
     if args.op == "brgemm":
         results.append(bench.bench_brgemm(m, n, k, args.count, DType(args.dtype),
-                                          args.repeats, args.threads, args.seed))
+                                          args.repeats, args.seed))
     if args.op == "all":
         results.extend(bench.bench_brgemm(m, n, k, args.count, dtype, args.repeats,
-                                          args.threads, args.seed, layout, path)
+                                          args.seed, layout, path)
                        for dtype, layout, path in bench.BRGEMM_PATHS)
     if args.op in ("fc", "all"):
-        results.append(bench.bench_fc(repeats=args.repeats, threads=args.threads,
-                                      seed=args.seed))
+        results.append(bench.bench_fc(repeats=args.repeats, seed=args.seed))
     if args.op in ("softmax", "all"):
         results.extend(bench.bench_softmax(repeats=args.repeats, seed=args.seed))
     rows = [r.row() for r in results]
@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="micro-benchmarks")
     common(b)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--threads", type=int, default=1)
     b.add_argument("--op", choices=["brgemm", "fc", "softmax", "all"], default="all")
     b.add_argument("--m", type=int, default=64)
     b.add_argument("--n", type=int, default=64)
@@ -232,6 +231,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
+    except (TensorError, InvalidSpecError, eqn.EquationError) as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

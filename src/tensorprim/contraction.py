@@ -7,10 +7,15 @@ update of every entry's partial at once (one numpy multiply and one add per
 k).  Each entry's partial starts from zero, and the partials are folded onto
 beta*C one at a time in ascending batch order; C is stored once at the end.
 numpy neither fuses the multiply-add nor reorders it, so every output
-element sees one fixed sequence of IEEE operations, independent of how C is
-tiled or how many threads run the tiles.  That makes all results
+element sees one fixed sequence of IEEE operations.  That makes all results
 bit-reproducible and lets the three batch addressing variants be compared
 bitwise.
+
+Like a TPP, a call is a single-core building block: it computes all of C on
+the caller's thread.  Blocking and parallelism belong to the caller's loop
+nest; a caller that computes C as tiles, one call per tile, in any order or
+from several threads, gets the same bits, since each element's sequence does
+not depend on the other elements.
 
 BF16 and INT8 inputs widen exactly to FP32 / INT32 before the multiply;
 the optional EMULATED_SPLIT path reconstructs the FP32 operands from the
@@ -20,18 +25,14 @@ zero-masking, even halves by a left shift), which is bit-identical.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import enum
 from typing import Sequence
 
 import numpy as np
 
-from .dtypes import DType, bf16_to_fp32
+from .dtypes import DType, widen
 from .tensor import TensorError, TensorView, vnni_alpha, vnni_pack_a, vnni_unpack_a
-
-_ITEM = {DType.FP64: np.float64, DType.FP32: np.float32, DType.BF16: np.uint16,
-         DType.INT8: np.int8, DType.INT32: np.int32}
 
 
 def accumulator_dtype(in_dtype: DType) -> DType:
@@ -93,17 +94,6 @@ class GemmSpec:
     @property
     def alpha(self) -> int:
         return vnni_alpha(self.in_dtype)
-
-
-@dataclass(frozen=True)
-class BlockingParams:
-    m_b: int
-    n_b: int
-    k_b: int
-
-    def __post_init__(self):
-        if min(self.m_b, self.n_b, self.k_b) < 1:
-            raise TensorError("blocking factors must be positive")
 
 
 class BatchKind(enum.Enum):
@@ -182,14 +172,6 @@ def _strided2d(buf: np.ndarray, off: int, rows: int, cols: int, ld: int) -> np.n
                                            strides=(s, ld * s))
 
 
-def _widen(a: np.ndarray, in_dtype: DType) -> np.ndarray:
-    if in_dtype is DType.BF16:
-        return bf16_to_fp32(a)
-    if in_dtype is DType.INT8:
-        return a.astype(np.int32)
-    return a
-
-
 def _load_a(spec: GemmSpec, ref: Ref) -> np.ndarray:
     """A block as a widened logical (M, K) array."""
     buf, off = ref
@@ -197,7 +179,7 @@ def _load_a(spec: GemmSpec, ref: Ref) -> np.ndarray:
         block = _strided2d(buf, off, spec.m, spec.k, spec.lda)
         if spec.compute_path is ComputePath.EMULATED_SPLIT:
             return _widen_emulated(vnni_pack_a(block, 2), spec.m, spec.k)
-        return _widen(block, spec.in_dtype)
+        return widen(block, spec.in_dtype)
     al = spec.alpha
     size = -(-spec.k // al) * spec.m * al
     if off < 0 or buf.size - off < size:
@@ -205,7 +187,7 @@ def _load_a(spec: GemmSpec, ref: Ref) -> np.ndarray:
     flat = buf[off:off + size]
     if spec.compute_path is ComputePath.EMULATED_SPLIT:
         return _widen_emulated(flat, spec.m, spec.k)
-    return _widen(vnni_unpack_a(flat, al, spec.m, spec.k), spec.in_dtype)
+    return widen(vnni_unpack_a(flat, al, spec.m, spec.k), spec.in_dtype)
 
 
 def _widen_emulated(flat: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -228,8 +210,7 @@ def _widen_emulated(flat: np.ndarray, m: int, k: int) -> np.ndarray:
 # the kernel
 # ---------------------------------------------------------------------------
 
-def brgemm(spec: GemmSpec, batch: BrgemmBatch, c: TensorView,
-           blocking: BlockingParams | None = None, threads: int = 1) -> None:
+def brgemm(spec: GemmSpec, batch: BrgemmBatch, c: TensorView) -> None:
     """C = beta*C + sum_i A_i x B_i with bitwise-fixed accumulation order.
 
     Per output element: each batch entry's contribution is summed from zero
@@ -240,13 +221,9 @@ def brgemm(spec: GemmSpec, batch: BrgemmBatch, c: TensorView,
 
     The batch is one array axis: the widened A_i are stacked into an
     (n, M, K) array and the B_i into (n, K, N), and one loop over k adds the
-    rank-1 updates of all n entry partials at once.  C is partitioned into
-    ``m_b x n_b`` tiles by ``blocking``; ``blocking=None`` is one tile
-    covering all of C, or ``threads`` column tiles when ``threads > 1``.
-    With ``threads > 1`` the tiles run concurrently.  Every tile runs the
-    same k loop on its slices of the stacked operands, and ``k_b`` never
-    changes the k order, so the result is independent of blocking and thread
-    count.
+    rank-1 updates of all n entry partials at once.  The call computes all
+    of C on the caller's thread; blocking C into tiles and running tiles on
+    threads is the caller's loop nest, and gives the same bits.
     """
     if (c.desc.rows, c.desc.cols) != (spec.m, spec.n):
         raise TensorError(f"C must be {spec.m}x{spec.n}")
@@ -254,56 +231,36 @@ def brgemm(spec: GemmSpec, batch: BrgemmBatch, c: TensorView,
         raise TensorError(f"C dtype {c.desc.dtype} != {spec.out_dtype}")
     if c.desc.ld != spec.ldc:
         raise TensorError("C ld mismatch")
-    item = _ITEM[spec.in_dtype]
     for buf, _ in (*batch.a_refs, *batch.b_refs):
-        if buf.dtype != item:
+        if buf.dtype != spec.in_dtype.storage:
             raise TensorError(f"{buf.dtype} block buffer under a {spec.in_dtype} spec")
         if np.may_share_memory(c.primary, buf):
             raise TensorError("C must not alias any batch input")
 
     cw = c.as2d()
-    acc_np = _ITEM[spec.acc_dtype]
+    acc_np = spec.acc_dtype.storage.type
+    if spec.beta == 0.0:
+        acc = np.zeros(cw.shape, dtype=acc_np)
+    elif spec.beta == 1.0:
+        acc = cw.astype(acc_np, copy=True)
+    else:
+        acc = cw.astype(acc_np, copy=True) * acc_np(spec.beta)
     if batch.n:
         a = np.stack([_load_a(spec, ref) for ref in batch.a_refs])
-        b = np.stack([_widen(_strided2d(buf, off, spec.k, spec.n, spec.ldb), spec.in_dtype)
+        b = np.stack([widen(_strided2d(buf, off, spec.k, spec.n, spec.ldb), spec.in_dtype)
                       for buf, off in batch.b_refs])
-
-    def run_tile(tile: tuple[slice, slice]) -> None:
-        rows, cols = tile
-        cc = cw[rows, cols]
-        if spec.beta == 0.0:
-            acc = np.zeros(cc.shape, dtype=acc_np)
-        elif spec.beta == 1.0:
-            acc = cc.astype(acc_np, copy=True)
-        else:
-            acc = cc.astype(acc_np, copy=True) * acc_np(spec.beta)
-        if batch.n:
-            at, bt = a[:, rows, :], b[:, :, cols]
-            part = np.zeros((batch.n, *cc.shape), dtype=acc_np)
-            with np.errstate(all="ignore"):
-                for k in range(spec.k):
-                    part += at[:, :, k, None] * bt[:, None, k, :]
-                for i in range(batch.n):
-                    acc += part[i]
-        cc[:, :] = acc
-
-    blk = blocking or BlockingParams(spec.m, -(-spec.n // max(threads, 1)), spec.k)
-    m_b, n_b = min(blk.m_b, spec.m), min(blk.n_b, spec.n)
-    tiles = [(slice(im, im + m_b), slice(in_, in_ + n_b))
-             for in_ in range(0, spec.n, n_b) for im in range(0, spec.m, m_b)]
-    if threads <= 1 or len(tiles) == 1:
-        for t in tiles:
-            run_tile(t)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_tile, tiles))
+        part = np.zeros((batch.n, spec.m, spec.n), dtype=acc_np)
+        with np.errstate(all="ignore"):
+            for k in range(spec.k):
+                part += a[:, :, k, None] * b[:, None, k, :]
+            for i in range(batch.n):
+                acc += part[i]
+    cw[:, :] = acc
 
 
-def gemm(spec: GemmSpec, a, b, c: TensorView,
-         blocking: BlockingParams | None = None, threads: int = 1) -> None:
+def gemm(spec: GemmSpec, a, b, c: TensorView) -> None:
     """Single contraction C = beta*C + A x B (a one-entry batch)."""
-    batch = BrgemmBatch.address([_as_ref(a)], [_as_ref(b)])
-    brgemm(spec, batch, c, blocking=blocking, threads=threads)
+    brgemm(spec, BrgemmBatch.address([_as_ref(a)], [_as_ref(b)]), c)
 
 
 def spec_for_views(a: TensorView, b: TensorView, c: TensorView, beta: float = 0.0,

@@ -97,6 +97,22 @@ def fp32_to_bf16_rne(values: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(v), nan_fix, rounded)
 
 
+def widen(stored: np.ndarray, dtype: DType) -> np.ndarray:
+    """Stored elements of ``dtype`` in its compute dtype (BF16 patterns
+    widened exactly, narrow integers sign-extended)."""
+    a = bf16_to_fp32(stored) if dtype is DType.BF16 else stored
+    cd = COMPUTE_DTYPE[dtype]
+    return a if a.dtype == cd else a.astype(cd)
+
+
+def narrow(values: np.ndarray, dtype: DType) -> np.ndarray:
+    """Compute values in the storage representation of ``dtype``: BF16
+    rounds to nearest even, every other type casts (integers wrap)."""
+    if dtype is DType.BF16:
+        return fp32_to_bf16_rne(np.asarray(values, dtype=np.float32))
+    return np.asarray(values).astype(dtype.storage, copy=False)
+
+
 def split_fp32_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split FP32 values into (hi, lo) 16-bit halves; pure bit split."""
     u = np.asarray(values, dtype=np.float32).view(np.uint32)

@@ -35,6 +35,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import ops
+from .dtypes import narrow, widen
 from .ops import (
     Approx,
     BinaryKind,
@@ -645,7 +646,7 @@ def _eval_tiled(steps: list[PlanStep], args: Sequence[TensorView], out: TensorVi
                 continue
             v = materialized[c.node_id] if c.node_id in materialized else args[ref]
             if id(v) not in read:
-                a = ops.widen(v.as2d(), v.desc.dtype)
+                a = widen(v.as2d(), v.desc.dtype)
                 read[id(v)] = len(inputs)
                 inputs.append((a, a.shape[0] != 1, a.shape[1] != 1))
             source[c.node_id] = read[id(v)]
@@ -667,9 +668,9 @@ def _eval_tiled(steps: list[PlanStep], args: Sequence[TensorView], out: TensorVi
                 vals = [a[rs if tr else whole, cs if tc else whole] for a, tr, tc in inputs]
                 for math, refs, dtype in body:
                     r = math(*[vals[k] for k in refs])
-                    vals.append(ops.widen(ops.narrow(r, dtype), dtype))
+                    vals.append(widen(narrow(r, dtype), dtype))
                 r = root_math(*[vals[k] for k in root_refs])
-                out2d[rs, cs] = ops.narrow(r, out.desc.dtype)
+                out2d[rs, cs] = narrow(r, out.desc.dtype)
 
 
 def _eval_hybrid(plan: ExecPlan, args: Sequence[TensorView], out: TensorView,

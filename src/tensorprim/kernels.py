@@ -13,7 +13,6 @@ once, with the reduction's pinned ascending order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
 from typing import Optional, Sequence
@@ -333,7 +332,7 @@ class FcSpec:
     activation: Optional[UnaryKind] = None
 
 
-def fc_forward(spec: FcSpec, a_buf, b_buf, c: TensorView, threads: int = 1) -> None:
+def fc_forward(spec: FcSpec, a_buf, b_buf, c: TensorView) -> None:
     """Per output block: stride-based batch contraction over the K blocks
     (stride_A = bk*bm, stride_B = bn*bk), then the optional activation fused
     on the just-computed block."""
@@ -344,25 +343,15 @@ def fc_forward(spec: FcSpec, a_buf, b_buf, c: TensorView, threads: int = 1) -> N
                      in_dtype=DType.FP32, out_dtype=DType.FP32, beta=0.0)
     a_stride = bk * bm
     b_stride = bn * bk
-
-    def run_block(job):
-        ib_n, ib_m = job
-        off_a = ib_m * (spec.k_b * a_stride)
-        off_b = ib_n * (spec.k_b * b_stride)
-        cblk = c.col_block((ib_n * spec.m_b + ib_m) * bn, bn)
-        batch = BrgemmBatch.stride((a_buf, off_a), (b_buf, off_b),
-                                   a_stride, b_stride, spec.k_b)
-        brgemm(gspec, batch, cblk)
-        if spec.activation is not None:
-            apply_unary(spec.activation, cblk, cblk)
-
-    jobs = [(ib_n, ib_m) for ib_n in range(spec.n_b) for ib_m in range(spec.m_b)]
-    if threads <= 1:
-        for j in jobs:
-            run_block(j)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, jobs))
+    for ib_n in range(spec.n_b):
+        for ib_m in range(spec.m_b):
+            batch = BrgemmBatch.stride((a_buf, ib_m * spec.k_b * a_stride),
+                                       (b_buf, ib_n * spec.k_b * b_stride),
+                                       a_stride, b_stride, spec.k_b)
+            cblk = c.col_block((ib_n * spec.m_b + ib_m) * bn, bn)
+            brgemm(gspec, batch, cblk)
+            if spec.activation is not None:
+                apply_unary(spec.activation, cblk, cblk)
 
 
 # ---------------------------------------------------------------------------

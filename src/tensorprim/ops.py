@@ -4,8 +4,9 @@ reductions, layout transforms, gather/scatter and deterministic dropout.
 Every operator follows the same blueprint: load logical sub-tensors (with
 broadcast and datatype widening applied), run the point operation in the
 compute precision, store once (narrowing if the output is BF16).  Reductions
-use a fixed, ascending accumulation order so results are bit-reproducible
-across runs, blockings and thread counts.
+use a fixed, ascending accumulation order so results are bit-reproducible.
+Every call runs on the caller's thread; blocking and threads belong to the
+caller's loop nest.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import numpy as np
 
 from . import approx, contraction
 from .approx import Approx
-from .dtypes import COMPUTE_DTYPE, DType, bf16_to_fp32, fp32_to_bf16_rne, pack_fp32_bits
+from .dtypes import DType, narrow, pack_fp32_bits, widen
 from .tensor import (
+    Bcast,
     TensorDesc,
     TensorError,
     TensorView,
@@ -258,22 +260,6 @@ class PrngState:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def widen(stored: np.ndarray, dtype: DType) -> np.ndarray:
-    """Stored elements of ``dtype`` in its compute dtype (BF16 patterns
-    widened exactly, narrow integers sign-extended)."""
-    a = bf16_to_fp32(stored) if dtype is DType.BF16 else stored
-    cd = COMPUTE_DTYPE[dtype]
-    return a if a.dtype == cd else a.astype(cd)
-
-
-def narrow(values: np.ndarray, dtype: DType) -> np.ndarray:
-    """Compute values in the storage representation of ``dtype``: BF16
-    rounds to nearest even, every other type casts (integers wrap)."""
-    if dtype is DType.BF16:
-        return fp32_to_bf16_rne(np.asarray(values, dtype=np.float32))
-    return np.asarray(values).astype(dtype.storage, copy=False)
-
 
 def _compute_values(v: TensorView) -> np.ndarray:
     """Logical window widened to the compute dtype."""
@@ -623,12 +609,15 @@ def gather_scatter(inp: TensorView, indices, mode: GatherMode, out: TensorView) 
     one fancy-index assignment each.  Scatters apply in ascending source
     order, so duplicate targets are deterministic last-writer-wins; they stay
     loops because numpy leaves unspecified which write wins when one
-    fancy-index assignment repeats a target.
+    fancy-index assignment repeats a target.  ``inp`` is read through its
+    logical (broadcast) window; a broadcast ``out`` raises TensorError.
     """
     if indices is None:
         raise InvalidSpecError("flag", f"{mode} requires an index companion")
+    if out.desc.bcast is not Bcast.NONE:
+        raise TensorError(f"{mode} cannot write a broadcast output")
     idx = np.asarray(indices)
-    src = inp.as2d()
+    src = inp.logical2d()
     dst = out.as2d()
 
     if mode in (GatherMode.GATHER2D, GatherMode.SCATTER2D):
@@ -917,12 +906,13 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
 
 
 class Kernel:
-    """An immutable, dispatched primitive instance.  Its flags apply to any
-    operand views the call passes: whole tensors or tiles of them.
+    """An immutable, dispatched primitive instance.  Its flags apply to the
+    operand views each call passes.
 
     ``math`` is the kind's bound ndarray function for the fusable kinds
     (compute-dtype arrays in, compute-dtype array out, flags applied), the
-    same math the call runs; it is None for every other kind."""
+    same math the call runs; the tiled equation strategies run it on numpy
+    slices of each tile.  It is None for every other kind."""
 
     __slots__ = ("spec", "out_desc", "math")
 

@@ -21,9 +21,10 @@ import numpy as np
 from .dtypes import (
     DType,
     bf16_to_fp32,
-    fp32_to_bf16_rne,
+    narrow,
     pack_fp32_bits,
     split_fp32_bits,
+    widen,
 )
 
 
@@ -191,10 +192,7 @@ def from_array(a: np.ndarray, dtype: DType | None = None) -> TensorView:
     rows, cols = a.shape
     d = TensorDesc(rows, cols, rows, dtype)
     v = alloc(d)
-    if dtype is DType.BF16:
-        v.as2d()[:, :] = fp32_to_bf16_rne(a.astype(np.float32))
-    else:
-        v.as2d()[:, :] = a.astype(dtype.storage)
+    v.as2d()[:, :] = narrow(a, dtype)
     return v
 
 
@@ -361,11 +359,5 @@ def convert(src: TensorView, dst_dtype: DType, out: TensorView | None = None) ->
         out = alloc(TensorDesc(rows, cols, rows, dst_dtype))
     elif (out.desc.rows, out.desc.cols) != (rows, cols) or out.desc.dtype != dst_dtype:
         raise TensorError("convert output mismatch")
-    s = src.as2d()
-    if sd is DType.BF16:
-        s = bf16_to_fp32(s)
-    if dst_dtype is DType.BF16:
-        out.as2d()[:, :] = fp32_to_bf16_rne(np.asarray(s, dtype=np.float32))
-    else:
-        out.as2d()[:, :] = np.asarray(s).astype(dst_dtype.storage)
+    out.as2d()[:, :] = narrow(widen(src.as2d(), sd), dst_dtype)
     return out

@@ -15,6 +15,7 @@ planner checks (which do not depend on arithmetic order) stay green.
 from __future__ import annotations
 
 import ast
+from concurrent.futures import ThreadPoolExecutor
 import contextlib
 from dataclasses import dataclass
 import inspect
@@ -425,29 +426,35 @@ def check_brgemm_variants(seed: int = 0, cases: int = 200) -> CheckResult:
 
 
 def check_tiling_invariance(seed: int = 0) -> CheckResult:
-    """Results are bitwise-identical across blockings and thread counts."""
+    """One brgemm call over all of C equals, bitwise, C computed by the
+    caller as m_b x n_b tiles, one call per tile, with the tiles run in order
+    and from 4 concurrent threads."""
     rng = np.random.default_rng(seed)
     m, n, k, cnt = 37, 23, 29, 4
     bad = 0
     for dtype in (DType.FP32, DType.FP64, DType.BF16):
         acc = DType.FP64 if dtype is DType.FP64 else DType.FP32
         af, bf = _random_operands(rng, m, n, k, cnt, dtype)
-        spec = gemm_engine.GemmSpec(m, n, k, m, k, m, in_dtype=dtype, out_dtype=acc, beta=0.0)
-        batch = gemm_engine.BrgemmBatch.stride(af, bf, k * m, n * k, cnt)
-        blockings = [None, gemm_engine.BlockingParams(1, 1, 1),
-                     gemm_engine.BlockingParams(8, 3, 5),
-                     gemm_engine.BlockingParams(37, 23, 29),
-                     gemm_engine.BlockingParams(5, 16, 2),
-                     gemm_engine.BlockingParams(16, 2, 64)]
-        ref = None
-        for blk in blockings:
+        whole = alloc(TensorDesc(m, n, m, acc))
+        gemm_engine.brgemm(gemm_engine.GemmSpec(m, n, k, m, k, m, in_dtype=dtype, out_dtype=acc),
+                           gemm_engine.BrgemmBatch.stride(af, bf, k * m, n * k, cnt), whole)
+        for m_b, n_b in ((m, n), (1, 1), (8, 3), (37, 23), (5, 16), (16, 2)):
             for threads in (1, 4):
                 c = alloc(TensorDesc(m, n, m, acc))
-                gemm_engine.brgemm(spec, batch, c, blocking=blk, threads=threads)
-                got = np.array(c.as2d())
-                if ref is None:
-                    ref = got
-                elif not _bits_equal(ref, got):
+
+                def tile(start):
+                    i0, j0 = start
+                    mb, nb = min(m_b, m - i0), min(n_b, n - j0)
+                    spec = gemm_engine.GemmSpec(mb, nb, k, m, k, m, in_dtype=dtype,
+                                                out_dtype=acc)
+                    batch = gemm_engine.BrgemmBatch.stride((af, i0), (bf, j0 * k),
+                                                           k * m, n * k, cnt)
+                    gemm_engine.brgemm(spec, batch, c.row_block(i0, mb).col_block(j0, nb))
+
+                starts = [(i0, j0) for j0 in range(0, n, n_b) for i0 in range(0, m, m_b)]
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    list(pool.map(tile, starts))
+                if not _bits_equal(whole.as2d(), c.as2d()):
                     bad += 1
     return CheckResult("gemm-tiling-invariance", bad == 0, bad, 0)
 

@@ -54,7 +54,7 @@ def test_criterion_04_brgemm_variant_equivalence():
 def test_criterion_05_tiling_invariance():
     t0 = time.time()
     r = verify.check_tiling_invariance(seed=2024)
-    _report(5, "bitwise-identical across 6 blockings x threads {1,4}", t0, 30.0, r)
+    _report(5, "one call == caller-side tiles, 6 blockings x threads {1,4}", t0, 30.0, r)
 
 
 def test_criterion_06_bf16_emulation():

@@ -144,13 +144,25 @@ def test_verify_seed_determinism(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("cmd", [["verify"], ["plan", "relu(T0)"], ["approx-report"]])
-def test_threads_is_usage_error_outside_bench(cmd, capsys):
-    """Only bench runs work on threads; elsewhere --threads is rejected."""
+@pytest.mark.parametrize("cmd", [["verify"], ["plan", "relu(T0)"], ["approx-report"],
+                                 ["bench"]])
+def test_threads_is_usage_error(cmd, capsys):
+    """Every call runs on the caller's thread, so no subcommand takes --threads."""
     with pytest.raises(SystemExit) as e:
         main([*cmd, "--threads", "2"])
     assert e.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [["plan", "T0 + T1", "--args", "4x4,0x4"],
+                                 ["bench", "--op", "brgemm", "--m", "0"]],
+                         ids=["plan-zero-extent", "bench-zero-extent"])
+def test_invalid_input_is_a_one_line_usage_error(cmd, capsys):
+    code, out, err = run_cli(cmd, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "extent" in err
+    assert "Traceback" not in err
 
 
 def test_seed_is_usage_error_for_plan(capsys):
@@ -182,8 +194,7 @@ def test_bench_deterministic_checksums(capsys):
                     "brgemm-bf16-vnni-emulated-8x8x7x2", "brgemm-int8-vnni-8x8x7x2"]}
     for op, names in want.items():
         args = ["bench", "--op", op, "--m", "8", "--n", "8", "--k", "7",
-                "--count", "2", "--repeats", "1", "--format", "json", "--seed", "3",
-                "--threads", "2"]
+                "--count", "2", "--repeats", "1", "--format", "json", "--seed", "3"]
         _, out1, _ = run_cli(args, capsys)
         _, out2, _ = run_cli(args, capsys)
         rows1, rows2 = json.loads(out1), json.loads(out2)

@@ -1,9 +1,10 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from tensorprim import (
     ALayout,
-    BlockingParams,
     BrgemmBatch,
     ComputePath,
     DType,
@@ -164,22 +165,29 @@ def test_brgemm_rejects_c_aliasing_inputs():
 
 
 def test_tiling_and_threads_bitwise_invariant():
+    """A caller that computes C as m_b x n_b tiles, one brgemm call per tile,
+    in order or from 4 threads, gets the bits of one call over all of C."""
     rng = np.random.default_rng(5)
     m, n, k, cnt = 19, 11, 13, 3
     af = colmajor_flat(rng.standard_normal((m, k * cnt)).astype(np.float32))
     bf = colmajor_flat(rng.standard_normal((k, n * cnt)).astype(np.float32))
-    sp = spec_mnk(m, n, k)
-    batch = BrgemmBatch.stride(af, bf, k * m, n * k, cnt)
-    ref = None
-    for blk in (None, BlockingParams(1, 1, 1), BlockingParams(4, 4, 4),
-                BlockingParams(19, 11, 13), BlockingParams(7, 2, 5)):
+    whole = alloc(D(m, n))
+    brgemm(spec_mnk(m, n, k), BrgemmBatch.stride(af, bf, k * m, n * k, cnt), whole)
+    for m_b, n_b in ((m, n), (1, 1), (4, 4), (7, 2)):
         for threads in (1, 4):
             c = alloc(D(m, n))
-            brgemm(sp, batch, c, blocking=blk, threads=threads)
-            got = to_array(c)
-            if ref is None:
-                ref = got
-            assert bits_equal(ref, got)
+
+            def tile(start):
+                i0, j0 = start
+                mb, nb = min(m_b, m - i0), min(n_b, n - j0)
+                sp = GemmSpec(mb, nb, k, m, k, m)
+                batch = BrgemmBatch.stride((af, i0), (bf, j0 * k), k * m, n * k, cnt)
+                brgemm(sp, batch, c.row_block(i0, mb).col_block(j0, nb))
+
+            starts = [(i0, j0) for j0 in range(0, n, n_b) for i0 in range(0, m, m_b)]
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(tile, starts))
+            assert bits_equal(to_array(whole), to_array(c))
 
 
 def test_vnni_pack_single_group():

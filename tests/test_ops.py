@@ -465,6 +465,25 @@ def test_gathers_match_element_loop_with_padded_ld(mode):
     assert np.all(out.primary.reshape(cols, rows + 2)[:, rows:] == -7.0)
 
 
+@pytest.mark.parametrize("bcast, phys, idx", [(Bcast.COL, (3, 1), [2]),
+                                               (Bcast.ROW, (1, 4), [0, 1, 2, 3])],
+                         ids=["col", "row"])
+def test_gather_cols_reads_the_logical_broadcast_view(bcast, phys, idx):
+    x = np.random.default_rng(9).standard_normal(phys).astype(np.float32)
+    src = broadcast(from_array(x), bcast, 3, 4)
+    out = alloc(D(3, len(idx)))
+    gather_scatter(src, np.array(idx), GatherMode.GATHER_COLS, out)
+    assert bits_equal(to_array(out), to_array(src)[:, idx])
+
+
+def test_scatter_into_broadcast_output_rejected():
+    dst = broadcast(alloc(D(3, 1), fill=5.0), Bcast.COL, 3, 4)
+    with pytest.raises(TensorError):
+        gather_scatter(from_array(np.ones((3, 1), np.float32)), np.array([2]),
+                       GatherMode.SCATTER_COLS, dst)
+    assert np.all(dst.primary == 5.0)
+
+
 def test_out_of_bounds_rejected_before_write():
     x = from_array(np.ones((2, 2), dtype=np.float32))
     out = alloc(D(2, 2), fill=5.0)
