@@ -1,5 +1,7 @@
 """Micro-benchmarks: wall times, derived FLOP rates, and the deterministic
 scratch-memory comparison between planned and naive equation evaluation.
+Contraction rows name the ``backend`` that ran them: the C kernels
+(``"native"``) or the numpy reference loop (``"numpy"``).
 
 Timings are hardware-dependent and never gate anything; the only asserted
 facts are that differently-fused evaluations produce identical bits before
@@ -86,7 +88,8 @@ def bench_brgemm(m: int = 64, n: int = 64, k: int = 64, count: int = 16,
     path = ("-vnni" if a_layout is ALayout.VNNI else "") + (
         "-emulated" if compute_path is ComputePath.EMULATED_SPLIT else "")
     return BenchResult(f"brgemm-{dtype.value}{path}-{m}x{n}x{k}x{count}", med, mn,
-                       flops / med / 1e9, {"checksum": checksum})
+                       flops / med / 1e9, {"checksum": checksum,
+                                           "backend": gemm_engine.backend()})
 
 
 def bench_fc(m_b: int = 4, n_b: int = 4, k_b: int = 4, bm: int = 32, bn: int = 32,
@@ -100,7 +103,8 @@ def bench_fc(m_b: int = 4, n_b: int = 4, k_b: int = 4, bm: int = 32, bn: int = 3
     flops = 2.0 * (m_b * bm) * (n_b * bn) * (k_b * bk)
     checksum = float(np.sum(np.array(c.as2d(), dtype=np.float64)))
     return BenchResult(f"fc-{m_b * bm}x{n_b * bn}x{k_b * bk}", med, mn,
-                       flops / med / 1e9, {"checksum": checksum})
+                       flops / med / 1e9, {"checksum": checksum,
+                                           "backend": gemm_engine.backend()})
 
 
 def bench_softmax(s1: int = 64, s2: int = 8, s3: int = 64, repeats: int = 5,

@@ -74,13 +74,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # plan
 # ---------------------------------------------------------------------------
 
-def _parse_arg_descs(spec: str | None, count_hint: int, dtype: DType) -> list[TensorDesc]:
-    """--args '4x4,4x8,8x4' -> descriptors; unspecified slots default 32x32."""
-    descs = []
-    if spec:
-        for part in spec.split(","):
-            r, _, c = part.strip().partition("x")
-            descs.append(TensorDesc(int(r), int(c), int(r), dtype))
+def _shape_list(text: str) -> list[tuple[int, int]]:
+    """argparse type of --args: '4x4,4x8,8x4' -> [(4, 4), (4, 8), (8, 4)]."""
+    shapes = []
+    for part in text.split(","):
+        r, _, c = part.strip().partition("x")
+        try:
+            shapes.append((int(r), int(c)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected shapes like '4x4,4x8', got {part.strip()!r}") from None
+    return shapes
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of --count and --repeats."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _parse_arg_descs(shapes: list[tuple[int, int]] | None, count_hint: int,
+                     dtype: DType) -> list[TensorDesc]:
+    """Per-slot descriptors from the --args shapes; unspecified slots default
+    to 32x32."""
+    descs = [TensorDesc(r, c, r, dtype) for r, c in shapes or ()]
     while len(descs) < count_hint:
         descs.append(TensorDesc(32, 32, 32, dtype))
     return descs
@@ -173,10 +191,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # main
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line and exits 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="tensorprim",
-                                description="2D tensor primitive kernels: verification, "
-                                            "plan inspection and benchmarks")
+    p = _Parser(prog="tensorprim",
+                description="2D tensor primitive kernels: verification, "
+                            "plan inspection and benchmarks")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -190,14 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated check names (see docs); default all")
     v.add_argument("--max-nodes", type=int, default=None,
                    help="cap for the planner brute-force oracle")
-    v.add_argument("--inject-fault", choices=["reduce-order"], default=None,
-                   help="test-only negative control: flip reduction order")
+    v.add_argument("--inject-fault", choices=verify.FAULTS, default=None,
+                   help="test-only negative control: flip the reduction order, "
+                        "or reverse the contraction's k loop or batch fold")
     v.set_defaults(fn=cmd_verify)
 
     pl = sub.add_parser("plan", help="score, plan and dump an equation")
     common(pl)
     pl.add_argument("equation", help="e.g. 'tanh(T0) + (T1 matmul T2) / (T3 - T4)'")
-    pl.add_argument("--args", default=None, help="per-slot shapes, e.g. '4x4,4x8,8x4'")
+    pl.add_argument("--args", type=_shape_list, default=None,
+                    help="per-slot shapes, e.g. '4x4,4x8,8x4'")
     pl.add_argument("--dtype", choices=[d.value for d in
                                         (DType.FP32, DType.FP64)], default="fp32")
     pl.add_argument("--dot", default=None, help="write a DOT rendering to this path")
@@ -217,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--m", type=int, default=64)
     b.add_argument("--n", type=int, default=64)
     b.add_argument("--k", type=int, default=64)
-    b.add_argument("--count", type=int, default=16)
+    b.add_argument("--count", type=_positive_int, default=16)
     b.add_argument("--dtype", choices=["fp32", "bf16"], default="fp32")
-    b.add_argument("--repeats", type=int, default=5)
+    b.add_argument("--repeats", type=_positive_int, default=5)
     b.set_defaults(fn=cmd_bench)
     return p
 

@@ -1,15 +1,23 @@
 """GEMM and batch-reduce GEMM with a bitwise-fixed accumulation order.
 
-The contraction C = beta*C + sum_i A_i x B_i keeps the batch as an array
-axis: the widened A_i are stacked into one (n, M, K) array and the B_i into
-one (n, K, N) array, and a single loop over ascending k adds the rank-1
-update of every entry's partial at once (one numpy multiply and one add per
-k).  Each entry's partial starts from zero, and the partials are folded onto
-beta*C one at a time in ascending batch order; C is stored once at the end.
-numpy neither fuses the multiply-add nor reorders it, so every output
-element sees one fixed sequence of IEEE operations.  That makes all results
-bit-reproducible and lets the three batch addressing variants be compared
-bitwise.
+The contraction C = beta*C + sum_i A_i x B_i sums each batch entry's
+partial from zero along ascending k, rounding every product before adding
+it, and folds the partials onto beta*C one at a time in ascending batch
+order; C is stored once at the end.  Every output element therefore sees one
+fixed sequence of IEEE operations, which makes all results bit-reproducible
+and lets the three batch addressing variants be compared bitwise.
+
+Two paths compute that sequence and give the same bits.  The C kernels in
+``brgemm.c`` (built on first use, see ``native``) read PLAIN A and B blocks
+in place through per-entry pointers and leading dimensions, and widen BF16
+and INT8 themselves; VNNI and EMULATED_SPLIT A blocks are widened here and
+run through the kernel of their accumulator type.  The numpy reference path
+stacks the widened blocks into (n, M, K) and (n, K, N) arrays and runs one
+loop over k for all entries at once (numpy neither fuses the multiply-add
+nor reorders it).  It runs when no C compiler or cached build is available,
+and it recomputes any float result that holds a NaN: the compiler may swap
+the operands of ``*`` and ``+``, which only matters for which NaN payload
+survives where two NaNs meet.
 
 Like a TPP, a call is a single-core building block: it computes all of C on
 the caller's thread.  Blocking and parallelism belong to the caller's loop
@@ -31,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import native
 from .dtypes import DType, widen
 from .tensor import TensorError, TensorView, vnni_alpha, vnni_pack_a, vnni_unpack_a
 
@@ -163,10 +172,14 @@ class BrgemmBatch:
 # operand loading
 # ---------------------------------------------------------------------------
 
-def _strided2d(buf: np.ndarray, off: int, rows: int, cols: int, ld: int) -> np.ndarray:
+def _check_block(buf: np.ndarray, off: int, rows: int, cols: int, ld: int) -> None:
     need = off + ld * (cols - 1) + rows
     if off < 0 or need > buf.size:
         raise TensorError(f"block exceeds buffer: need {need}, have {buf.size}")
+
+
+def _strided2d(buf: np.ndarray, off: int, rows: int, cols: int, ld: int) -> np.ndarray:
+    _check_block(buf, off, rows, cols, ld)
     s = buf.strides[0]
     return np.lib.stride_tricks.as_strided(buf[off:], shape=(rows, cols),
                                            strides=(s, ld * s))
@@ -190,6 +203,12 @@ def _load_a(spec: GemmSpec, ref: Ref) -> np.ndarray:
     return widen(vnni_unpack_a(flat, al, spec.m, spec.k), spec.in_dtype)
 
 
+def _load_b(spec: GemmSpec, ref: Ref) -> np.ndarray:
+    """B block as a widened logical (K, N) array."""
+    buf, off = ref
+    return widen(_strided2d(buf, off, spec.k, spec.n, spec.ldb), spec.in_dtype)
+
+
 def _widen_emulated(flat: np.ndarray, m: int, k: int) -> np.ndarray:
     """Reconstruct FP32 operands from BF16 pairs in the VNNI layout with
     mask/shift arithmetic: the even (low-half) element by an unmasked load
@@ -206,9 +225,115 @@ def _widen_emulated(flat: np.ndarray, m: int, k: int) -> np.ndarray:
     return out[:, :k]
 
 
+def _in_place_pointers(refs, rows: int, cols: int, ld: int) -> np.ndarray | None:
+    """Addresses of column-major blocks read in place, after each block's
+    bounds check; None when a buffer is not 1-D, contiguous and aligned."""
+    bases: dict[int, int] = {}
+    ptrs = []
+    for buf, off in refs:
+        _check_block(buf, off, rows, cols, ld)
+        base = bases.get(id(buf))
+        if base is None:
+            if buf.ndim != 1 or buf.strides[0] != buf.itemsize or not buf.flags.aligned:
+                return None
+            base = bases[id(buf)] = buf.ctypes.data
+        ptrs.append(base + off * buf.itemsize)
+    return np.array(ptrs, dtype=np.uintp)
+
+
+def _column_major_stack(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Copy logical (rows, cols) blocks into one C-contiguous (n, cols, rows)
+    stack, each block column-major with ld = rows; returns the stack and
+    the address of each block."""
+    rows, cols = blocks[0].shape
+    stack = np.empty((len(blocks), cols, rows), dtype=blocks[0].dtype)
+    for dst, blk in zip(stack, blocks):
+        dst[...] = blk.T
+    step = np.uintp(stack[0].nbytes)
+    return stack, stack.ctypes.data + np.arange(len(blocks), dtype=np.uintp) * step
+
+
 # ---------------------------------------------------------------------------
 # the kernel
 # ---------------------------------------------------------------------------
+
+# Test-only switches.  ``_USE_NATIVE = False`` forces the numpy reference
+# path; the faults (set by ``verify.inject_fault``) reverse the k loop or the
+# batch fold, and while one is set every call takes the numpy path.
+_USE_NATIVE = True
+_FAULT_K_ORDER = False
+_FAULT_BATCH_FOLD = False
+
+# C kernel per input type for blocks read in place, and per accumulator type
+# for blocks widened in Python (VNNI or EMULATED_SPLIT A)
+_IN_PLACE_KERNEL = {DType.FP32: "brgemm_f32", DType.FP64: "brgemm_f64",
+                    DType.BF16: "brgemm_bf16", DType.INT8: "brgemm_i8"}
+_WIDENED_KERNEL = {DType.FP32: "brgemm_f32", DType.FP64: "brgemm_f64",
+                   DType.INT32: "brgemm_i32"}
+
+
+def _native_library():
+    if not _USE_NATIVE or _FAULT_K_ORDER or _FAULT_BATCH_FOLD:
+        return None
+    return native.library()
+
+
+def backend() -> str:
+    """``"native"`` when ``brgemm`` runs the C kernels, ``"numpy"`` when it
+    runs the numpy reference loop (no compiler, or a test-only switch)."""
+    return "native" if _native_library() is not None else "numpy"
+
+
+def _scaled_c(spec: GemmSpec, cw: np.ndarray) -> np.ndarray:
+    """beta*C as a fresh column-major accumulator (beta 0 ignores C, beta 1
+    takes it unscaled)."""
+    acc_np = spec.acc_dtype.storage.type
+    if spec.beta == 0.0:
+        return np.zeros(cw.shape, dtype=acc_np, order="F")
+    acc = np.array(cw, dtype=acc_np, order="F")
+    if spec.beta != 1.0:
+        acc *= acc_np(spec.beta)
+    return acc
+
+
+def _brgemm_numpy(spec: GemmSpec, batch: BrgemmBatch, acc: np.ndarray) -> None:
+    """The reference path: the widened A_i stacked into (n, M, K) and the B_i
+    into (n, K, N), one loop over k adding the rank-1 updates of all n entry
+    partials at once, then the fold onto ``acc`` in batch order."""
+    a = np.stack([_load_a(spec, ref) for ref in batch.a_refs])
+    b = np.stack([_load_b(spec, ref) for ref in batch.b_refs])
+    part = np.zeros((batch.n, spec.m, spec.n), dtype=acc.dtype)
+    ks = range(spec.k - 1, -1, -1) if _FAULT_K_ORDER else range(spec.k)
+    entries = range(batch.n - 1, -1, -1) if _FAULT_BATCH_FOLD else range(batch.n)
+    with np.errstate(all="ignore"):
+        for k in ks:
+            part += a[:, :, k, None] * b[:, None, k, :]
+        for i in entries:
+            acc += part[i]
+
+
+def _brgemm_native(lib, spec: GemmSpec, batch: BrgemmBatch, acc: np.ndarray) -> bool:
+    """Run the C kernel into ``acc``; False, with ``acc`` untouched, when a
+    buffer cannot be read in place.  PLAIN blocks (other than EMULATED_SPLIT)
+    are read in place; the others are widened here into stacks of
+    column-major blocks and run through the accumulator-typed kernel."""
+    if spec.a_layout is ALayout.PLAIN and spec.compute_path is ComputePath.NATIVE:
+        a_ptrs = _in_place_pointers(batch.a_refs, spec.m, spec.k, spec.lda)
+        if a_ptrs is None:
+            return False
+        b_ptrs = _in_place_pointers(batch.b_refs, spec.k, spec.n, spec.ldb)
+        if b_ptrs is None:
+            return False
+        kernel, lda, ldb = _IN_PLACE_KERNEL[spec.in_dtype], spec.lda, spec.ldb
+    else:
+        # the stacks a and b must outlive the C call that reads them
+        a, a_ptrs = _column_major_stack([_load_a(spec, ref) for ref in batch.a_refs])
+        b, b_ptrs = _column_major_stack([_load_b(spec, ref) for ref in batch.b_refs])
+        kernel, lda, ldb = _WIDENED_KERNEL[spec.acc_dtype], spec.m, spec.k
+    getattr(lib, kernel)(batch.n, spec.m, spec.n, spec.k, a_ptrs.ctypes.data, lda,
+                         b_ptrs.ctypes.data, ldb, acc.ctypes.data)
+    return True
+
 
 def brgemm(spec: GemmSpec, batch: BrgemmBatch, c: TensorView) -> None:
     """C = beta*C + sum_i A_i x B_i with bitwise-fixed accumulation order.
@@ -219,11 +344,14 @@ def brgemm(spec: GemmSpec, batch: BrgemmBatch, c: TensorView) -> None:
     identities hold exactly in floating point too (duplicating a batch entry
     doubles the result bitwise; a negated duplicate cancels to exact zero).
 
-    The batch is one array axis: the widened A_i are stacked into an
-    (n, M, K) array and the B_i into (n, K, N), and one loop over k adds the
-    rank-1 updates of all n entry partials at once.  The call computes all
-    of C on the caller's thread; blocking C into tiles and running tiles on
-    threads is the caller's loop nest, and gives the same bits.
+    The C kernel and the numpy reference path give the same bits.  When a
+    float result holds a NaN, the call is recomputed on the numpy path from
+    beta*C: the compiler may swap the operands of ``*`` and ``+``, which
+    decides which payload survives where two NaNs meet, and only there
+    (without NaNs, IEEE ``+`` and ``*`` commute bitwise, and a NaN never
+    leaves a chain).  The call computes all of C on the caller's thread;
+    blocking C into tiles and running tiles on threads is the caller's loop
+    nest, and gives the same bits.
     """
     if (c.desc.rows, c.desc.cols) != (spec.m, spec.n):
         raise TensorError(f"C must be {spec.m}x{spec.n}")
@@ -231,30 +359,23 @@ def brgemm(spec: GemmSpec, batch: BrgemmBatch, c: TensorView) -> None:
         raise TensorError(f"C dtype {c.desc.dtype} != {spec.out_dtype}")
     if c.desc.ld != spec.ldc:
         raise TensorError("C ld mismatch")
-    for buf, _ in (*batch.a_refs, *batch.b_refs):
-        if buf.dtype != spec.in_dtype.storage:
+    storage = spec.in_dtype.storage
+    buffers = {id(buf): buf for buf, _ in (*batch.a_refs, *batch.b_refs)}
+    for buf in buffers.values():
+        if buf.dtype != storage:
             raise TensorError(f"{buf.dtype} block buffer under a {spec.in_dtype} spec")
         if np.may_share_memory(c.primary, buf):
             raise TensorError("C must not alias any batch input")
 
     cw = c.as2d()
-    acc_np = spec.acc_dtype.storage.type
-    if spec.beta == 0.0:
-        acc = np.zeros(cw.shape, dtype=acc_np)
-    elif spec.beta == 1.0:
-        acc = cw.astype(acc_np, copy=True)
-    else:
-        acc = cw.astype(acc_np, copy=True) * acc_np(spec.beta)
+    acc = _scaled_c(spec, cw)
     if batch.n:
-        a = np.stack([_load_a(spec, ref) for ref in batch.a_refs])
-        b = np.stack([widen(_strided2d(buf, off, spec.k, spec.n, spec.ldb), spec.in_dtype)
-                      for buf, off in batch.b_refs])
-        part = np.zeros((batch.n, spec.m, spec.n), dtype=acc_np)
-        with np.errstate(all="ignore"):
-            for k in range(spec.k):
-                part += a[:, :, k, None] * b[:, None, k, :]
-            for i in range(batch.n):
-                acc += part[i]
+        lib = _native_library()
+        if lib is None or not _brgemm_native(lib, spec, batch, acc):
+            _brgemm_numpy(spec, batch, acc)
+        elif acc.dtype.kind == "f" and np.isnan(acc).any():
+            acc = _scaled_c(spec, cw)
+            _brgemm_numpy(spec, batch, acc)
     cw[:, :] = acc
 
 

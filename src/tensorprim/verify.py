@@ -6,10 +6,12 @@ under test (scalar loops, exhaustive enumeration, a subset-lattice search
 over evaluation orders, high-precision references) and reports a measured
 value against a fixed budget.
 
-The ``reduce-order`` fault hook flips the accumulation direction of the
-reduction primitive; running the suite with the fault injected demonstrates
-that the bitwise-equivalence checks actually detect ordering bugs while the
-planner checks (which do not depend on arithmetic order) stay green.
+The fault hooks are negative controls.  ``reduce-order`` flips the
+accumulation direction of the reduction primitive; ``k-order`` and
+``batch-fold`` reverse the contraction's k loop or its fold of the batch
+entries.  Running the suite with a fault injected demonstrates that the
+bitwise-equivalence checks actually detect ordering bugs while the planner
+checks (which do not depend on arithmetic order) stay green.
 """
 
 from __future__ import annotations
@@ -55,18 +57,26 @@ class CheckResult:
             f" ({self.detail})" if self.detail else "")
 
 
+FAULTS = ("reduce-order", "k-order", "batch-fold")
+
+
 @contextlib.contextmanager
 def inject_fault(name: str | None) -> Iterator[None]:
-    """Enable a test-only fault inside the ``with`` block (None for none;
-    currently only 'reduce-order').  The fault is cleared on leaving the
+    """Enable a test-only fault (one of ``FAULTS``, None for none) inside the
+    ``with`` block.  While a contraction fault is set, ``brgemm`` runs its
+    numpy path with the fault applied.  The fault is cleared on leaving the
     block, also when the block raises."""
-    if name not in (None, "reduce-order"):
+    if name not in (None, *FAULTS):
         raise ValueError(f"unknown fault {name!r}")
     ops._FAULT_DESCENDING_REDUCE = name == "reduce-order"
+    gemm_engine._FAULT_K_ORDER = name == "k-order"
+    gemm_engine._FAULT_BATCH_FOLD = name == "batch-fold"
     try:
         yield
     finally:
         ops._FAULT_DESCENDING_REDUCE = False
+        gemm_engine._FAULT_K_ORDER = False
+        gemm_engine._FAULT_BATCH_FOLD = False
 
 
 def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -383,8 +393,30 @@ def _random_operands(rng, m, n, k, count, dtype: DType):
     return _colmajor_flat(a), _colmajor_flat(b)
 
 
+def _pinned_order_oracle(af: np.ndarray, bf: np.ndarray, m: int, n: int, k: int,
+                         count: int, dtype: DType, acc: DType) -> np.ndarray:
+    """The documented contraction order with beta = 0, re-derived here from
+    the consecutive column-major blocks of ``af`` and ``bf``: each entry's
+    partial from zero along ascending k, the partials folded onto zero in
+    ascending batch order."""
+    if dtype is DType.BF16:
+        af, bf = bf16_to_fp32(af), bf16_to_fp32(bf)
+    af, bf = af.astype(acc.storage), bf.astype(acc.storage)
+    out = np.zeros((m, n), dtype=acc.storage)
+    with np.errstate(all="ignore"):
+        for i in range(count):
+            a = af[i * m * k:(i + 1) * m * k].reshape(k, m).T
+            b = bf[i * k * n:(i + 1) * k * n].reshape(n, k).T
+            part = np.zeros((m, n), dtype=acc.storage)
+            for kk in range(k):
+                part += a[:, kk, None] * b[None, kk, :]
+            out += part
+    return out
+
+
 def check_brgemm_variants(seed: int = 0, cases: int = 200) -> CheckResult:
-    """ADDRESS == OFFSET == STRIDE bitwise; n=1, beta=1 equals plain GEMM."""
+    """ADDRESS == OFFSET == STRIDE == the pinned-order oracle, bitwise; n=1,
+    beta=1 equals plain GEMM."""
     rng = np.random.default_rng(seed)
     bad = 0
     for dtype in (DType.FP64, DType.FP32, DType.BF16, DType.INT8):
@@ -408,7 +440,8 @@ def check_brgemm_variants(seed: int = 0, cases: int = 200) -> CheckResult:
                 c = alloc(TensorDesc(m, n, m, acc))
                 gemm_engine.brgemm(spec, b, c)
                 outs.append(np.array(c.as2d()))
-            if not (_bits_equal(outs[0], outs[1]) and _bits_equal(outs[1], outs[2])):
+            want = _pinned_order_oracle(af, bf, m, n, k, cnt, dtype, acc)
+            if not all(_bits_equal(out, want) for out in outs):
                 bad += 1
         # n=1 with beta=1 equals gemm with beta=1
         m, n, k = 5, 4, 6

@@ -2,7 +2,9 @@
 
 Each test runs the criterion at its stated tolerance and scale, prints a
 pass/fail line with the measured value and elapsed time (visible under
-``pytest -s``), and asserts both the property and the time budget.
+``pytest -s``), and asserts both the property and the time budget.  The
+contraction criteria (04-07) run once on the C kernels and once on the numpy
+reference path.
 """
 
 import time
@@ -45,28 +47,32 @@ def test_criterion_03_fusion_fidelity():
     _report(3, "buffered / tile-fused / naive agree bitwise (fp32 + fp64)", t0, 60.0, r)
 
 
-def test_criterion_04_brgemm_variant_equivalence():
+def test_criterion_04_brgemm_variant_equivalence(brgemm_backend):
     t0 = time.time()
     r = verify.check_brgemm_variants(seed=2024, cases=200)
-    _report(4, "ADDRESS == OFFSET == STRIDE bitwise, n=1/beta=1 equals GEMM", t0, 30.0, r)
+    _report(4, f"ADDRESS == OFFSET == STRIDE == pinned-order oracle bitwise, n=1/beta=1 "
+               f"equals GEMM ({brgemm_backend})", t0, 30.0, r)
 
 
-def test_criterion_05_tiling_invariance():
+def test_criterion_05_tiling_invariance(brgemm_backend):
     t0 = time.time()
     r = verify.check_tiling_invariance(seed=2024)
-    _report(5, "one call == caller-side tiles, 6 blockings x threads {1,4}", t0, 30.0, r)
+    _report(5, f"one call == caller-side tiles, 6 blockings x threads {{1,4}} ({brgemm_backend})",
+            t0, 30.0, r)
 
 
-def test_criterion_06_bf16_emulation():
+def test_criterion_06_bf16_emulation(brgemm_backend):
     t0 = time.time()
     r = verify.check_bf16_emulation(seed=2024, cases=200)
-    _report(6, "EMULATED_SPLIT == NATIVE BF16 bitwise incl. subnormal/NaN", t0, 30.0, r)
+    _report(6, f"EMULATED_SPLIT == NATIVE BF16 bitwise incl. subnormal/NaN ({brgemm_backend})",
+            t0, 30.0, r)
 
 
-def test_criterion_07_vnni():
+def test_criterion_07_vnni(brgemm_backend):
     t0 = time.time()
     r = verify.check_vnni(seed=2024)
-    _report(7, "VNNI pack/unpack bijection; VNNI GEMM == plain GEMM bitwise", t0, 10.0, r)
+    _report(7, f"VNNI pack/unpack bijection; VNNI GEMM == plain GEMM bitwise ({brgemm_backend})",
+            t0, 10.0, r)
 
 
 def test_criterion_08_split_sgd():

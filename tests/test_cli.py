@@ -1,10 +1,11 @@
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from tensorprim import verify
+from tensorprim import contraction, native, verify
 from tensorprim.cli import main
 
 
@@ -126,6 +127,21 @@ def test_verify_fault_injection_negative_control(capsys):
     assert code2 == 0
 
 
+@pytest.mark.parametrize("fault", ["k-order", "batch-fold"])
+def test_contraction_faults_fail_the_gemm_and_conv_checks(fault, capsys):
+    """A reversed k loop or batch fold fails the variant check (against its
+    pinned-order oracle) and the dilated-conv oracle; the planner check does
+    not depend on arithmetic order and passes."""
+    checks = "equation-minimality,gemm-variant-equivalence,kernels-dilated-conv"
+    code, out, _ = run_cli(["verify", "--inject-fault", fault, "--only", checks], capsys)
+    assert code == 1
+    assert "[PASS] equation-minimality" in out
+    assert "[FAIL] gemm-variant-equivalence" in out
+    assert "[FAIL] kernels-dilated-conv" in out
+    code2, _, _ = run_cli(["verify", "--only", checks], capsys)
+    assert code2 == 0
+
+
 def test_inject_fault_is_cleared_when_the_block_raises():
     with pytest.raises(RuntimeError):
         with verify.inject_fault("reduce-order"):
@@ -165,6 +181,20 @@ def test_invalid_input_is_a_one_line_usage_error(cmd, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cmd, arg", [(["plan", "T0 + T1", "--args", "4xa"], "--args"),
+                                      (["bench", "--op", "brgemm", "--count", "0"], "--count"),
+                                      (["bench", "--op", "fc", "--repeats", "0"], "--repeats")],
+                         ids=["plan-bad-shape", "bench-count-0", "bench-repeats-0"])
+def test_malformed_argument_is_a_one_line_usage_error(cmd, arg, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(cmd)
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and arg in err
+    assert "Traceback" not in err
+
+
 def test_seed_is_usage_error_for_plan(capsys):
     """plan draws no random numbers, so it takes no --seed."""
     with pytest.raises(SystemExit) as e:
@@ -201,6 +231,20 @@ def test_bench_deterministic_checksums(capsys):
         assert [r["name"] for r in rows1] == [r["name"] for r in rows2]
         assert [r["checksum"] for r in rows1] == [r["checksum"] for r in rows2]
         assert [r["name"] for r in rows1 if r["name"].startswith("brgemm-")] == names
+
+
+def test_bench_rows_name_the_contraction_backend(monkeypatch, capsys):
+    args = ["bench", "--op", "all", "--m", "8", "--n", "8", "--k", "8", "--count", "2",
+            "--repeats", "1", "--format", "json"]
+
+    def backends():
+        rows = json.loads(run_cli(args, capsys)[1])
+        return {r["name"].split("-")[0]: r.get("backend") for r in rows}
+
+    want = "native" if shutil.which(native.CC) else "numpy"
+    assert backends() == {"brgemm": want, "fc": want, "softmax": None}
+    monkeypatch.setattr(contraction, "_USE_NATIVE", False)
+    assert backends() == {"brgemm": "numpy", "fc": "numpy", "softmax": None}
 
 
 def test_approx_report_and_coefficients(tmp_path, capsys):

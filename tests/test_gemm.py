@@ -1,4 +1,6 @@
 from concurrent.futures import ThreadPoolExecutor
+import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from tensorprim import (
     vnni_unpack_a,
     view_at,
 )
+from tensorprim import contraction, native
 from tensorprim.dtypes import bf16_to_fp32, fp32_to_bf16_rne
 
 from util import bits_equal, colmajor_flat
@@ -368,6 +371,17 @@ def _widened(x, dtype):
     return x.astype(np.int32) if dtype is DType.INT8 else x
 
 
+def _nan(dtype, payload, negative=False):
+    """A quiet NaN of ``dtype`` (storage form) with the given payload."""
+    if dtype is DType.BF16:
+        return np.uint16((0xFFC0 if negative else 0x7FC0) | payload)
+    if dtype is DType.FP64:
+        bits = np.array([(0xFFF8 << 48 if negative else 0x7FF8 << 48) | payload], np.uint64)
+        return bits.view(np.float64)[0]
+    bits = np.array([(0xFFC00000 if negative else 0x7FC00000) | payload], np.uint32)
+    return bits.view(np.float32)[0]
+
+
 EDGE_CASES = {
     # name: (dtype, m, n, k, count, (lda, ldb, ldc) padding, beta, options)
     "m1": (DType.FP32, 1, 4, 5, 2, (0, 0, 0), 0.0, ()),
@@ -386,6 +400,9 @@ EDGE_CASES = {
     "bf16-vnni-odd-k-emulated": (DType.BF16, 3, 4, 5, 2, (0, 1, 1), 1.0,
                                  ("vnni", "emulated")),
     "bf16-plain-emulated": (DType.BF16, 3, 4, 5, 2, (2, 1, 0), 0.0, ("emulated",)),
+    "fp32-competing-nan-payloads": (DType.FP32, 4, 4, 5, 2, (1, 1, 1), 1.0, ("nans",)),
+    "fp64-competing-nan-payloads": (DType.FP64, 4, 4, 5, 2, (1, 1, 1), 1.0, ("nans",)),
+    "bf16-competing-nan-payloads": (DType.BF16, 4, 4, 5, 2, (1, 1, 1), 1.0, ("nans",)),
     "int8-extremes": (DType.INT8, 3, 4, 6, 3, (1, 2, 1), 1.0, ()),
     "int8-vnni-k-tail": (DType.INT8, 3, 4, 7, 2, (0, 1, 1), 0.0, ("vnni",)),
 }
@@ -393,7 +410,7 @@ EDGE_CASES = {
 
 @pytest.mark.parametrize("kind", ["address", "offset", "stride"])
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
-def test_brgemm_edge_cases_match_scalar_reference(case, kind):
+def test_brgemm_edge_cases_match_scalar_reference(case, kind, brgemm_backend, monkeypatch):
     dtype, m, n, k, count, (pa, pb, pc), beta, opts = EDGE_CASES[case]
     rng = np.random.default_rng(sorted(EDGE_CASES).index(case))
     acc = {DType.FP64: DType.FP64, DType.INT8: DType.INT32}.get(dtype, DType.FP32)
@@ -414,6 +431,14 @@ def test_brgemm_edge_cases_match_scalar_reference(case, kind):
         b[0][3, 1] = np.float32(np.inf)
         b[0][1, 2] = np.float32(-1e-42)
         b[1][4, 0] = np.float32(-np.inf)
+    if "nans" in opts:
+        # NaNs of three payloads meet in a product (0, 0), in a partial
+        # (row 1: A's NaN from k=0 meets B's at k=3), in the batch fold (row 3)
+        # and in the fold onto C (row 2)
+        a[0][0, 0], b[0][0, 0] = _nan(dtype, 0x11), _nan(dtype, 0x22, True)
+        a[0][1, 0], b[0][3, 1] = _nan(dtype, 0x11, True), _nan(dtype, 0x22)
+        a[1][2, 1] = _nan(dtype, 0x33)
+        a[0][3, 4], a[1][3, 2] = _nan(dtype, 0x11), _nan(dtype, 0x22, True)
 
     # each block at its own place in one flat buffer, padding never read
     if layout is ALayout.VNNI:
@@ -449,19 +474,34 @@ def test_brgemm_edge_cases_match_scalar_reference(case, kind):
         c0 = rng.standard_normal((m, n)).astype(acc.storage)
     if "zeros" in opts:
         c0[:] = -0.0
-    cbuf = np.full(ldc * n, _C_SENTINEL[acc], dtype=acc.storage)
-    cbuf.reshape(n, ldc)[:, :m] = c0.T
-    c = view_at(cbuf, 0, TensorDesc(m, n, ldc, acc))
+    if "nans" in opts:
+        c0[2, :] = _nan(acc, 0x33, True)
     spec = GemmSpec(m, n, k, lda, ldb, ldc, in_dtype=dtype, out_dtype=acc, beta=beta,
                     a_layout=layout, compute_path=path)
-    brgemm(spec, batch, c)
 
+    def run():
+        cbuf = np.full(ldc * n, _C_SENTINEL[acc], dtype=acc.storage)
+        cbuf.reshape(n, ldc)[:, :m] = c0.T
+        c = view_at(cbuf, 0, TensorDesc(m, n, ldc, acc))
+        brgemm(spec, batch, c)
+        assert np.all(cbuf.reshape(n, ldc)[:, m:] == _C_SENTINEL[acc])  # ldc padding untouched
+        return np.array(c.as2d())
+
+    got = run()
     want = _scalar_brgemm([_widened(a[i], dtype) for i in entries],
                           [_widened(b[i], dtype) for i in entries], c0, beta, acc.storage.type)
-    assert bits_equal(np.array(c.as2d()), want)
-    assert np.all(cbuf.reshape(n, ldc)[:, m:] == _C_SENTINEL[acc])  # ldc padding untouched
+    if "nans" in opts:
+        # numpy's scalar and vector loops keep different payloads where two
+        # NaNs meet (README), so the scalar reference fixes only where NaNs are
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan) and bits_equal(got[~nan], want[~nan])
+    else:
+        assert bits_equal(got, want)
     if "neg" in opts:
-        assert np.all(np.array(c.as2d()) == 0.0)
+        assert np.all(got == 0.0)
+    if brgemm_backend == "native":
+        monkeypatch.setattr(contraction, "_USE_NATIVE", False)
+        assert bits_equal(got, run())
 
 
 @pytest.mark.parametrize("a_dtype, b_dtype", [(np.float32, np.uint16), (np.uint16, np.float32),
@@ -476,3 +516,79 @@ def test_brgemm_rejects_buffers_of_another_dtype(a_dtype, b_dtype):
     with pytest.raises(TensorError):
         matmul(from_array(np.ones((2, 2), np.float32)),
                from_array(np.ones((2, 2), np.float32), DType.BF16), c)
+
+
+# ---------------------------------------------------------------------------
+# the C kernel build
+# ---------------------------------------------------------------------------
+
+def _fp32_call(monkeypatch):
+    """A small FP32 STRIDE call; returns (run, want) where ``run()`` computes
+    C and ``want`` is C from the numpy reference path."""
+    rng = np.random.default_rng(21)
+    m, n, k, cnt = 9, 7, 11, 3
+    af = colmajor_flat(rng.standard_normal((m, k * cnt)).astype(np.float32))
+    bf = colmajor_flat(rng.standard_normal((k, n * cnt)).astype(np.float32))
+
+    def run():
+        c = alloc(D(m, n))
+        brgemm(spec_mnk(m, n, k), BrgemmBatch.stride(af, bf, k * m, n * k, cnt), c)
+        return to_array(c)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(contraction, "_USE_NATIVE", False)
+        want = run()
+    return run, want
+
+
+def test_buffers_not_readable_in_place_take_the_numpy_path(monkeypatch):
+    """A strided or misaligned block buffer is not handed to C; the call
+    still gives the numpy path's bits."""
+    rng = np.random.default_rng(22)
+    m, n, k = 5, 4, 6
+    a = colmajor_flat(rng.standard_normal((m, k)).astype(np.float32))
+    b = colmajor_flat(rng.standard_normal((k, n)).astype(np.float32))
+    strided = np.zeros(2 * a.size, np.float32)[::2]
+    strided[:] = a
+    raw = np.zeros(b.nbytes + 1, np.uint8)
+    misaligned = raw[1:].view(np.float32)
+    misaligned[:] = b
+    assert not misaligned.flags.aligned
+    for a_buf, b_buf in ((strided, b), (a, misaligned)):
+        outs = []
+        for use_native in (True, False):
+            monkeypatch.setattr(contraction, "_USE_NATIVE", use_native)
+            c = alloc(D(m, n))
+            gemm(spec_mnk(m, n, k), (a_buf, 0), (b_buf, 0), c)
+            outs.append(to_array(c))
+        assert bits_equal(outs[0], outs[1])
+
+
+def test_missing_compiler_falls_back_to_numpy(tmp_path, monkeypatch):
+    run, want = _fp32_call(monkeypatch)
+    monkeypatch.setattr(native, "CC", str(tmp_path / "no-such-cc"))
+    monkeypatch.setattr(native, "CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setattr(native, "_lib", None)
+    assert bits_equal(run(), want)
+    assert contraction.backend() == "numpy"
+    assert not any((tmp_path / "cache").glob("*"))
+
+
+@pytest.mark.skipif(shutil.which(native.CC) is None, reason="no C compiler on PATH")
+def test_cold_cache_built_once_from_four_threads(tmp_path, monkeypatch):
+    """Four threads make the first call at once: one build, no temporary
+    file left behind, every thread gets the numpy path's bits."""
+    run, want = _fp32_call(monkeypatch)
+    monkeypatch.setattr(native, "CACHE_DIR", tmp_path)
+    monkeypatch.setattr(native, "_lib", None)
+    start = threading.Barrier(4)
+
+    def first_call(_):
+        start.wait(timeout=60)
+        return run()
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        outs = list(pool.map(first_call, range(4), timeout=300))
+    assert all(bits_equal(out, want) for out in outs)
+    assert contraction.backend() == "native"
+    assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
