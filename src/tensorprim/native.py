@@ -22,9 +22,7 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fPIC", "-shared")
 SOURCE = Path(__file__).with_name("brgemm.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 
-# kernel name per (input storage, accumulator) pair; every kernel has the
-# signature (count, m, n, k, a_ptrs, lda, b_ptrs, ldb, acc)
-KERNELS = ("brgemm_f32", "brgemm_f64", "brgemm_bf16", "brgemm_i8", "brgemm_i32")
+# every kernel has the signature (count, m, n, k, a_ptrs, lda, b_ptrs, ldb, acc)
 _ARGTYPES = [ctypes.c_int64] * 4 + [ctypes.c_void_p, ctypes.c_int64,
                                     ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
 
@@ -43,6 +41,19 @@ def library() -> ctypes.CDLL | None:
     return _lib or None
 
 
+def kernel(name: str):
+    """The kernel ``name`` of :func:`library`, ready to call; None if the
+    library cannot be built here."""
+    lib = library()
+    if lib is None:
+        return None
+    fn = getattr(lib, name)
+    if fn.argtypes is None:
+        fn.restype = None        # set first: argtypes marks fn as ready
+        fn.argtypes = _ARGTYPES
+    return fn
+
+
 def _load() -> ctypes.CDLL | None:
     import hashlib
 
@@ -52,14 +63,9 @@ def _load() -> ctypes.CDLL | None:
     if not path.exists() and not _build(path):
         return None
     try:
-        lib = ctypes.CDLL(str(path))
+        return ctypes.CDLL(str(path))
     except OSError:
         return None
-    for name in KERNELS:
-        fn = getattr(lib, name)
-        fn.argtypes = _ARGTYPES
-        fn.restype = None
-    return lib
 
 
 def _build(path: Path) -> bool:

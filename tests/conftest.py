@@ -1,17 +1,32 @@
+import ctypes
 import shutil
+import subprocess
 
 import pytest
 
 from tensorprim import contraction, native
 
 
-@pytest.fixture(params=["native", "numpy"])
+@pytest.fixture(scope="session")
+def default_build(tmp_path_factory):
+    """The C kernels built without their AVX2 clones (``-DMULTIVERSION=``):
+    the code that runs where the CPU lacks AVX2."""
+    path = tmp_path_factory.mktemp("default-build") / "brgemm.so"
+    subprocess.run([native.CC, *native.FLAGS, "-DMULTIVERSION=", "-o", str(path),
+                    str(native.SOURCE)], check=True, capture_output=True)
+    return ctypes.CDLL(str(path))
+
+
+@pytest.fixture(params=["native", "native-default", "numpy"])
 def brgemm_backend(request, monkeypatch):
-    """Run the test once on the C kernels and once on the numpy reference
-    path (forced by the module's test-only switch)."""
+    """Run the test on the C kernels as loaded on this machine, on their
+    default (non-AVX2) build, and on the numpy reference path (forced by
+    the module's test-only switch)."""
     if request.param == "numpy":
         monkeypatch.setattr(contraction, "_USE_NATIVE", False)
     elif shutil.which(native.CC) is None:
         pytest.skip(f"no C compiler {native.CC!r} on PATH")
-    assert contraction.backend() == request.param
+    elif request.param == "native-default":
+        monkeypatch.setattr(native, "_lib", request.getfixturevalue("default_build"))
+    assert contraction.backend() == request.param.split("-")[0]
     return request.param

@@ -499,7 +499,7 @@ def test_brgemm_edge_cases_match_scalar_reference(case, kind, brgemm_backend, mo
         assert bits_equal(got, want)
     if "neg" in opts:
         assert np.all(got == 0.0)
-    if brgemm_backend == "native":
+    if brgemm_backend != "numpy":
         monkeypatch.setattr(contraction, "_USE_NATIVE", False)
         assert bits_equal(got, run())
 
@@ -581,6 +581,14 @@ def test_cold_cache_built_once_from_four_threads(tmp_path, monkeypatch):
     run, want = _fp32_call(monkeypatch)
     monkeypatch.setattr(native, "CACHE_DIR", tmp_path)
     monkeypatch.setattr(native, "_lib", None)
+    builds = []
+    build = native._build
+
+    def counted_build(path):
+        builds.append(path)
+        return build(path)
+
+    monkeypatch.setattr(native, "_build", counted_build)
     start = threading.Barrier(4)
 
     def first_call(_):
@@ -591,4 +599,5 @@ def test_cold_cache_built_once_from_four_threads(tmp_path, monkeypatch):
         outs = list(pool.map(first_call, range(4), timeout=300))
     assert all(bits_equal(out, want) for out in outs)
     assert contraction.backend() == "native"
+    assert len(builds) == 1
     assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
