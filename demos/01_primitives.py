@@ -43,7 +43,7 @@ print("c + x*x =\n", to_array(out3))
 print("\n== reductions run in a fixed ascending order ==")
 s = alloc(TensorDesc(1, 1, 1, DType.FP32))
 reduce(x, ReduceSpec(ReduceAxis.ALL, ReduceOp.SUM), s)
-print("sum(x) =", s.item())
+print("sum(x) =", to_array(s)[0, 0])
 sq = alloc(TensorDesc(2, 1, 2, DType.FP32))
 reduce(x, ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, squared=True), sq)
 print("row sums of squares:", to_array(sq)[:, 0])

@@ -25,7 +25,7 @@ softmax(spec, x, y)
 out = to_array(y)
 print("slice sums:", [round(float(out[:, j * 32:(j + 1) * 32].sum()), 7) for j in range(2)])
 
-print("\n== layernorm: reduces + scalar glue + one two-FMADD equation ==")
+print("\n== layernorm: reduces + FP64 statistics primitives + one two-FMADD equation ==")
 xs = rng.standard_normal((4, 32)).astype(np.float32)
 g = broadcast(from_array(np.ones((1, 32), dtype=np.float32)), Bcast.ROW, 4, 32)
 b = broadcast(from_array(np.zeros((1, 32), dtype=np.float32)), Bcast.ROW, 4, 32)

@@ -1,10 +1,12 @@
 """Composite deep-learning kernels assembled exclusively from the primitive
 operators, the contraction engine and equation plans.
 
-Nothing in this module touches tensor elements directly: all bulk math goes
-through dispatched primitives or planned equations, and the only arithmetic
-here is scalar glue (per-row statistics folding) on values read back one at a
-time.  A source audit test enforces that no array library is imported.
+Nothing in this module touches tensor elements directly: all math goes
+through primitive calls or planned equations, the normalisation statistics
+included (FP64 primitive calls on per-row sums), and buffers are
+reinterpreted only through ``view_at``.  A source audit check enforces that
+no array library is imported and that no element buffer is indexed or used
+in arithmetic.
 
 The sparse kernels make a fixed number of primitive calls per bag, never one
 per index: a bag's columns are gathered into a scratch block once and reduced
@@ -14,7 +16,6 @@ once, with the reduction's pinned ascending order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 from typing import Optional, Sequence
 
 from . import equation as eqn
@@ -46,6 +47,7 @@ from .tensor import (
     TensorView,
     alloc,
     broadcast,
+    view_at,
 )
 
 
@@ -138,15 +140,59 @@ def _as_col_bcast(v: TensorView, rows: int, cols: int) -> TensorView:
     return broadcast(v, Bcast.COL, rows, cols)
 
 
+def _norm_stats(x: TensorView, groups: int, eps: float,
+                mean_out: TensorView | None = None,
+                var_out: TensorView | None = None) -> tuple[TensorView, TensorView]:
+    """Per-row FP32 scale = 1/sqrt(var + eps) and shift = (mu * -1) * scale,
+    broadcast along the columns, for ``groups`` equal groups of consecutive rows.
+
+    FP32 row sums and squared sums are widened to FP64 and summed per group in
+    row order; mu = s/n and var = max(ss/n - mu*mu, 0) (cancellation can go
+    below 0), each step one correctly rounded FP64 primitive call, each
+    statistic narrowed once into its M x 1 vector.
+    """
+    rows, cols = x.desc.rows, x.desc.cols
+    per_group = rows // groups
+
+    def grid(v: TensorView) -> TensorView:
+        # an M x 1 vector as per_group x groups: one column per group
+        return view_at(v.primary, 0, TensorDesc(per_group, groups, per_group, v.desc.dtype))
+
+    def const(c: float) -> TensorView:
+        return broadcast(alloc(TensorDesc(1, 1, 1, DType.FP64), fill=c),
+                         Bcast.SCALAR, 1, groups)
+
+    wide = alloc(TensorDesc(per_group, groups, per_group, DType.FP64))
+    s, ss, mu, var, rstd, neg = (alloc(TensorDesc(1, groups, 1, DType.FP64)) for _ in range(6))
+    scale, shift = _col_vec(rows), _col_vec(rows)
+    for squared, total in ((False, s), (True, ss)):  # scale holds the row sums
+        reduce(x, ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, squared=squared), scale)
+        apply_unary(UnaryKind.IDENTITY, grid(scale), wide)
+        reduce(wide, ReduceSpec(ReduceAxis.COLS, ReduceOp.SUM), total)
+    n = const(per_group * cols)
+    apply_binary(BinaryKind.DIV, s, n, mu)
+    apply_binary(BinaryKind.DIV, ss, n, var)
+    apply_ternary(TernaryKind.NMULADD, mu, mu, var, var)
+    apply_binary(BinaryKind.MAX, var, const(0.0), var)
+    apply_binary(BinaryKind.ADD, var, const(eps), rstd)
+    apply_unary(UnaryKind.RSQRT, rstd, rstd)
+    apply_binary(BinaryKind.MUL, mu, const(-1.0), neg)
+    apply_binary(BinaryKind.MUL, neg, rstd, neg)
+    for stat, dst in ((rstd, scale), (neg, shift), (mu, mean_out), (var, var_out)):
+        if dst is not None:
+            apply_unary(UnaryKind.IDENTITY, broadcast(stat, Bcast.ROW, per_group, groups),
+                        grid(dst))
+    return _as_col_bcast(scale, rows, cols), _as_col_bcast(shift, rows, cols)
+
+
 def layernorm(x: TensorView, g: TensorView, b: TensorView, eps: float,
               out: TensorView, mean_out: TensorView | None = None,
               var_out: TensorView | None = None) -> None:
     """Per-row layer normalisation with optional affine scaling.
 
-    Row statistics come from a sum-reduce and a squared-sum-reduce; the two
-    scalars per row are folded into scale/shift vectors in glue code and the
-    actual scaling is one equation of two cascading multiply-adds:
-    (X - mu) * rstd * G + B.
+    The row statistics are those of :func:`_norm_stats` with one group per
+    row (``mean_out``/``var_out``, rows x 1, receive mu and var); the scaling
+    is one equation of two cascading multiply-adds: (X - mu) * rstd * G + B.
     """
     rows, cols = x.desc.rows, x.desc.cols
     if cols < 2:
@@ -156,31 +202,13 @@ def layernorm(x: TensorView, g: TensorView, b: TensorView, eps: float,
     for v, name in ((g, "G"), (b, "B")):
         if (v.desc.rows, v.desc.cols) != (rows, cols):
             raise TensorError(f"{name} must broadcast to the input shape")
+    for v in (mean_out, var_out):
+        if v is not None and (v.desc.rows, v.desc.cols, v.desc.bcast) != (rows, 1, Bcast.NONE):
+            raise TensorError("mean and variance outputs must be rows x 1")
 
-    m = _col_vec(rows)
-    v2 = _col_vec(rows)
-    apply_unary(UnaryKind.REDUCE, x, m,
-                reduce_spec=ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM))
-    apply_unary(UnaryKind.REDUCE, x, v2,
-                reduce_spec=ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, squared=True))
-
-    scale = _col_vec(rows)
-    shift = _col_vec(rows)
-    for i in range(rows):
-        mu = m.item(i, 0) / cols
-        var = v2.item(i, 0) / cols - mu * mu
-        rstd = 1.0 / math.sqrt(var + eps)
-        scale.set_item(i, 0, rstd)
-        shift.set_item(i, 0, -mu * rstd)
-        if mean_out is not None:
-            mean_out.set_item(i, 0, mu)
-        if var_out is not None:
-            var_out.set_item(i, 0, var)
-
-    plan = _scaling_plan(rows, cols, x.desc.dtype)
-    eqn.evaluate(plan, eqn.Buffered(),
-                 [x, _as_col_bcast(scale, rows, cols), _as_col_bcast(shift, rows, cols),
-                  g, b], out)
+    scale, shift = _norm_stats(x, rows, eps, mean_out, var_out)
+    eqn.evaluate(_scaling_plan(rows, cols, x.desc.dtype), eqn.Buffered(),
+                 [x, scale, shift, g, b], out)
 
 
 class NormMode:
@@ -199,29 +227,9 @@ def norm_scaling(x: TensorView, m_prime: TensorView | None, v_prime: TensorView 
     """
     rows, cols = x.desc.rows, x.desc.cols
     if mode == NormMode.GROUPNORM:
-        if rows % groups != 0:
+        if groups < 1 or rows % groups != 0:
             raise TensorError(f"groups {groups} does not divide channels {rows}")
-        m = _col_vec(rows)
-        v2 = _col_vec(rows)
-        apply_unary(UnaryKind.REDUCE, x, m,
-                    reduce_spec=ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM))
-        apply_unary(UnaryKind.REDUCE, x, v2,
-                    reduce_spec=ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, squared=True))
-        m_prime = _col_vec(rows)
-        v_prime = _col_vec(rows)
-        per_group = rows // groups
-        n_elems = per_group * cols
-        for gi in range(groups):
-            s = ss = 0.0
-            for c in range(gi * per_group, (gi + 1) * per_group):
-                s += m.item(c, 0)
-                ss += v2.item(c, 0)
-            mu = s / n_elems
-            var = ss / n_elems - mu * mu
-            rstd = 1.0 / math.sqrt(var + eps)
-            for c in range(gi * per_group, (gi + 1) * per_group):
-                m_prime.set_item(c, 0, rstd)
-                v_prime.set_item(c, 0, -mu * rstd)
+        m_prime, v_prime = _norm_stats(x, groups, eps)
     elif mode != NormMode.BATCHNORM:
         raise TensorError(f"unknown norm mode {mode!r}")
     if m_prime is None or v_prime is None:
@@ -248,8 +256,7 @@ def split_sgd_step(weights: SplitTensor, grad: TensorView, lr: float) -> None:
     w = alloc(TensorDesc(rows, cols, rows, DType.FP32))
     apply_binary(BinaryKind.PACK, weights.hi, weights.lo, w)
 
-    lr_view = alloc(TensorDesc(1, 1, 1, DType.FP32))
-    lr_view.set_item(0, 0, lr)
+    lr_view = alloc(TensorDesc(1, 1, 1, DType.FP32), fill=lr)
     apply_ternary(TernaryKind.NMULADD, grad,
                   broadcast(lr_view, Bcast.SCALAR, rows, cols), w, w)
 

@@ -70,7 +70,8 @@ def _load() -> ctypes.CDLL | None:
 
 def _build(path: Path) -> bool:
     """Compile into a private temporary name, then move it into place, so a
-    concurrent process never loads a half-written library."""
+    concurrent process never loads a half-written library.  A successful
+    build deletes the cache's other (stale) builds."""
     import subprocess
 
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -79,7 +80,13 @@ def _build(path: Path) -> bool:
         subprocess.run([CC, *FLAGS, "-o", str(tmp), str(SOURCE)],
                        check=True, capture_output=True, timeout=300)
         os.replace(tmp, path)
-        return True
     except (OSError, subprocess.SubprocessError):
         tmp.unlink(missing_ok=True)
         return False
+    for stale in path.parent.glob("brgemm-*.so"):
+        if stale != path:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
+    return True

@@ -129,14 +129,6 @@ class TensorView:
             return phys
         return np.broadcast_to(phys, (d.rows, d.cols))
 
-    # -- scalar element access (used by kernel glue code) -------------------
-
-    def item(self, i: int = 0, j: int = 0) -> float:
-        return self.logical2d()[i, j].item()
-
-    def set_item(self, i: int, j: int, value) -> None:
-        self.as2d()[i, j] = value
-
     # -- sub-views -----------------------------------------------------------
 
     def col_block(self, j0: int, ncols: int) -> "TensorView":

@@ -137,7 +137,8 @@ def check_split_pack(seed: int = 0) -> CheckResult:
 
 
 def check_addressing(seed: int = 0) -> CheckResult:
-    """Column-major addressing: write/read every (i, j) with ld > M."""
+    """Column-major addressing: every (i, j) written through the 2D window
+    is read back from the flat buffer at i + j*ld, with ld > M."""
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(20):
@@ -146,10 +147,9 @@ def check_addressing(seed: int = 0) -> CheckResult:
         ld = m + int(rng.integers(0, 4))
         v = alloc(TensorDesc(m, n, ld, DType.FP32))
         vals = rng.standard_normal((m, n)).astype(np.float32)
-        for i in range(m):
-            for j in range(n):
-                v.set_item(i, j, vals[i, j])
-        if not _bits_equal(np.array(v.as2d()), vals):
+        v.as2d()[:, :] = vals
+        flat = np.array([[v.primary[i + j * ld] for j in range(n)] for i in range(m)])
+        if not _bits_equal(flat, vals):
             bad += 1
     return CheckResult("core-colmajor-addressing", bad == 0, bad, 0)
 
@@ -367,7 +367,7 @@ def check_reduce_determinism(seed: int = 0) -> CheckResult:
     for _ in range(3):
         o = alloc(TensorDesc(1, 1, 1, DType.FP32))
         ops.reduce(from_array(x), ReduceSpec(ReduceAxis.ALL, ReduceOp.SUM), o)
-        outs.append(o.item())
+        outs.append(to_array(o).tobytes())
     ok = outs[0] == outs[1] == outs[2]
     return CheckResult("ops-reduce-determinism", ok, 0 if ok else 1, 0)
 
@@ -459,9 +459,9 @@ def check_brgemm_variants(seed: int = 0, cases: int = 200) -> CheckResult:
 
 
 def check_tiling_invariance(seed: int = 0) -> CheckResult:
-    """One brgemm call over all of C equals, bitwise, C computed by the
-    caller as m_b x n_b tiles, one call per tile, with the tiles run in order
-    and from 4 concurrent threads."""
+    """One brgemm call over all of C equals, bitwise, the pinned-order oracle
+    and C computed by the caller as m_b x n_b tiles, one call per tile, with
+    the tiles run in order and from 4 concurrent threads."""
     rng = np.random.default_rng(seed)
     m, n, k, cnt = 37, 23, 29, 4
     bad = 0
@@ -471,6 +471,8 @@ def check_tiling_invariance(seed: int = 0) -> CheckResult:
         whole = alloc(TensorDesc(m, n, m, acc))
         gemm_engine.brgemm(gemm_engine.GemmSpec(m, n, k, m, k, m, in_dtype=dtype, out_dtype=acc),
                            gemm_engine.BrgemmBatch.stride(af, bf, k * m, n * k, cnt), whole)
+        if not _bits_equal(whole.as2d(), _pinned_order_oracle(af, bf, m, n, k, cnt, dtype, acc)):
+            bad += 1
         for m_b, n_b in ((m, n), (1, 1), (8, 3), (37, 23), (5, 16), (16, 2)):
             for threads in (1, 4):
                 c = alloc(TensorDesc(m, n, m, acc))
@@ -493,7 +495,8 @@ def check_tiling_invariance(seed: int = 0) -> CheckResult:
 
 
 def check_bf16_emulation(seed: int = 0, cases: int = 200) -> CheckResult:
-    """EMULATED_SPLIT == NATIVE bitwise, including subnormal/NaN patterns."""
+    """EMULATED_SPLIT == NATIVE bitwise, including subnormal/NaN patterns;
+    on the non-adversarial cases both also equal the pinned-order oracle."""
     rng = np.random.default_rng(seed)
     bad = 0
     for case in range(cases):
@@ -516,11 +519,15 @@ def check_bf16_emulation(seed: int = 0, cases: int = 200) -> CheckResult:
             outs.append(np.array(c.as2d()))
         if not _bits_equal(outs[0], outs[1]):
             bad += 1
+        elif case % 4 and not _bits_equal(
+                outs[0], _pinned_order_oracle(af, bf, m, n, k, cnt, DType.BF16, DType.FP32)):
+            bad += 1
     return CheckResult("gemm-bf16-emulation", bad == 0, bad, 0)
 
 
 def check_vnni(seed: int = 0) -> CheckResult:
-    """VNNI pack/unpack is a bijection; GEMM on VNNI A equals plain A."""
+    """VNNI pack/unpack is a bijection; GEMM on VNNI A equals plain A, and
+    both equal the pinned-order oracle."""
     rng = np.random.default_rng(seed)
     bad = 0
     for dtype, alpha in ((DType.BF16, 2), (DType.INT8, 4)):
@@ -538,17 +545,18 @@ def check_vnni(seed: int = 0) -> CheckResult:
             if not _bits_equal(tz.vnni_unpack_a(packed, alpha, m, k), a):
                 bad += 1
                 continue
-            bf = _colmajor_flat(b)
+            af, bf = _colmajor_flat(a), _colmajor_flat(b)
             cp = alloc(TensorDesc(m, n, m, acc))
             gemm_engine.gemm(gemm_engine.GemmSpec(m, n, k, m, k, m, in_dtype=dtype,
                                                   out_dtype=acc),
-                             (_colmajor_flat(a), 0), (bf, 0), cp)
+                             (af, 0), (bf, 0), cp)
             cv = alloc(TensorDesc(m, n, m, acc))
             gemm_engine.gemm(gemm_engine.GemmSpec(m, n, k, m, k, m, in_dtype=dtype,
                                                   out_dtype=acc,
                                                   a_layout=gemm_engine.ALayout.VNNI),
                              (packed, 0), (bf, 0), cv)
-            if not _bits_equal(np.array(cp.as2d()), np.array(cv.as2d())):
+            want = _pinned_order_oracle(af, bf, m, n, k, 1, dtype, acc)
+            if not (_bits_equal(cp.as2d(), want) and _bits_equal(cv.as2d(), want)):
                 bad += 1
     return CheckResult("gemm-vnni", bad == 0, bad, 0)
 
@@ -575,7 +583,8 @@ def check_int8_oracle(seed: int = 0) -> CheckResult:
 
 
 def check_gemm_linearity(seed: int = 0) -> CheckResult:
-    """brgemm over {(A,B),(A,B)} with beta=0 equals 2*gemm(A,B) in FP64."""
+    """brgemm over {(A,B),(A,B)} with beta=0 equals 2*gemm(A,B) in FP64, and
+    gemm(A,B) equals the pinned-order oracle."""
     rng = np.random.default_rng(seed)
     m = n = k = 8
     a = rng.standard_normal((m, k))
@@ -586,7 +595,9 @@ def check_gemm_linearity(seed: int = 0) -> CheckResult:
     gemm_engine.brgemm(spec, gemm_engine.BrgemmBatch.address([(af, 0)] * 2, [(bf, 0)] * 2), c2)
     c1 = alloc(TensorDesc(m, n, m, DType.FP64))
     gemm_engine.gemm(spec, (af, 0), (bf, 0), c1)
-    ok = _bits_equal(np.array(c2.as2d()), 2.0 * np.array(c1.as2d()))
+    ok = (_bits_equal(np.array(c2.as2d()), 2.0 * np.array(c1.as2d()))
+          and _bits_equal(c1.as2d(), _pinned_order_oracle(af, bf, m, n, k, 1, DType.FP64,
+                                                          DType.FP64)))
     return CheckResult("gemm-linearity", ok, int(not ok), 0,
                        "x+x == 2*x exactly in IEEE")
 
@@ -1115,7 +1126,8 @@ def check_embedding_fused(seed: int = 0, instances: int = 100) -> CheckResult:
 
 
 def check_fc_fused(seed: int = 0, instances: int = 100) -> CheckResult:
-    """FC with fused activation equals contraction-then-activation bitwise."""
+    """FC with fused activation equals contraction-then-activation bitwise,
+    and the contraction equals the pinned-order oracle per output block."""
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(instances):
@@ -1130,8 +1142,12 @@ def check_fc_fused(seed: int = 0, instances: int = 100) -> CheckResult:
         c2 = alloc(TensorDesc(bm, nb * mb * bn, bm, DType.FP32))
         kernels.fc_forward(kernels.FcSpec(mb, nb, kb, bm, bn, bk, activation=None),
                            a.reshape(-1), b.reshape(-1), c2)
+        want = np.concatenate([_pinned_order_oracle(a[i_m].reshape(-1), b[i_n].reshape(-1),
+                                                    bm, bn, bk, kb, DType.FP32, DType.FP32)
+                               for i_n in range(nb) for i_m in range(mb)], axis=1)
+        ok = _bits_equal(to_array(c2), want)
         ops.apply_unary(UnaryKind.RELU, c2, c2)
-        if not _bits_equal(to_array(c1), to_array(c2)):
+        if not (ok and _bits_equal(to_array(c1), to_array(c2))):
             bad += 1
     return CheckResult("kernels-fc-fused", bad == 0, bad, 0)
 
@@ -1235,8 +1251,9 @@ def check_split_sgd(seed: int = 0, steps: int = 100) -> CheckResult:
 
 
 def check_kernels_source_audit(seed: int = 0) -> CheckResult:
-    """The composite-kernel module must not import an array library nor do
-    arithmetic on raw element buffers; bulk math flows through primitives."""
+    """The composite-kernel module must not import an array library, nor
+    index or do arithmetic on raw element buffers; all math flows through
+    primitives."""
     src = inspect.getsource(kernels)
     tree = ast.parse(src)
     violations = []
@@ -1252,6 +1269,10 @@ def check_kernels_source_audit(seed: int = 0) -> CheckResult:
             f = node.func
             if isinstance(f, ast.Attribute) and f.attr in ("as2d", "logical2d"):
                 violations.append(f"raw buffer access .{f.attr} (line {node.lineno})")
+        elif isinstance(node, ast.Subscript):
+            v = node.value
+            if isinstance(v, ast.Attribute) and v.attr in ("primary", "secondary"):
+                violations.append(f"indexed raw buffer .{v.attr} (line {node.lineno})")
         elif isinstance(node, (ast.BinOp, ast.AugAssign)):
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Attribute) and sub.attr in ("primary", "secondary"):

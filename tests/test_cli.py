@@ -129,15 +129,20 @@ def test_verify_fault_injection_negative_control(capsys):
 
 @pytest.mark.parametrize("fault", ["k-order", "batch-fold"])
 def test_contraction_faults_fail_the_gemm_and_conv_checks(fault, capsys):
-    """A reversed k loop or batch fold fails the variant check (against its
-    pinned-order oracle) and the dilated-conv oracle; the planner check does
-    not depend on arithmetic order and passes."""
-    checks = "equation-minimality,gemm-variant-equivalence,kernels-dilated-conv"
+    """A reversed k loop or batch fold fails every gemm and contraction-kernel
+    check, each of which compares with the pinned-order oracle; the planner
+    check does not depend on arithmetic order and passes.  gemm-vnni runs
+    one-entry batches and gemm-linearity folds two equal entries, so only
+    the k loop can reach them."""
+    failing = ["gemm-variant-equivalence", "gemm-tiling-invariance",
+               "gemm-bf16-emulation", "kernels-fc-fused", "kernels-dilated-conv"]
+    failing += ["gemm-vnni", "gemm-linearity"] if fault == "k-order" else []
+    checks = ",".join(["equation-minimality", *failing])
     code, out, _ = run_cli(["verify", "--inject-fault", fault, "--only", checks], capsys)
     assert code == 1
     assert "[PASS] equation-minimality" in out
-    assert "[FAIL] gemm-variant-equivalence" in out
-    assert "[FAIL] kernels-dilated-conv" in out
+    for name in failing:
+        assert f"[FAIL] {name}" in out
     code2, _, _ = run_cli(["verify", "--only", checks], capsys)
     assert code2 == 0
 

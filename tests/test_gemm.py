@@ -265,7 +265,7 @@ def test_bf16_emulated_single_product():
         c = alloc(D(1, 1))
         gemm(spec_mnk(1, 1, 1, DType.BF16, compute_path=path),
              (colmajor_flat(a), 0), (colmajor_flat(b), 0), c)
-        assert c.item() == 3.0
+        assert to_array(c)[0, 0] == 3.0
 
 
 def test_bf16_emulated_matches_native_bitwise():
@@ -301,7 +301,7 @@ def test_int8_accumulates_in_int32_without_saturation():
     b = np.full((300, 1), 127, dtype=np.int8)
     c = alloc(D(1, 1, DType.INT32))
     gemm(spec_mnk(1, 1, 300, DType.INT8), (colmajor_flat(a), 0), (colmajor_flat(b), 0), c)
-    assert int(c.item()) == 127 * 127 * 300  # ≈ 4.8M: no int8/int16 saturation
+    assert int(to_array(c)[0, 0]) == 127 * 127 * 300  # ≈ 4.8M: no int8/int16 saturation
 
 
 def test_matmul_wrapper_and_dim_guard():
@@ -601,3 +601,19 @@ def test_cold_cache_built_once_from_four_threads(tmp_path, monkeypatch):
     assert contraction.backend() == "native"
     assert len(builds) == 1
     assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+
+
+@pytest.mark.skipif(shutil.which(native.CC) is None, reason="no C compiler on PATH")
+def test_build_deletes_stale_builds(tmp_path, monkeypatch):
+    """A fresh build removes the cache's builds of other sources or flags,
+    and leaves files that are not builds alone."""
+    run, want = _fp32_call(monkeypatch)
+    monkeypatch.setattr(native, "CACHE_DIR", tmp_path)
+    monkeypatch.setattr(native, "_lib", None)
+    (tmp_path / "brgemm-0123456789abcdef.so").write_bytes(b"stale")
+    (tmp_path / "other.so").write_bytes(b"kept")
+    assert bits_equal(run(), want)
+    assert contraction.backend() == "native"
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert len(names) == 2 and "other.so" in names
+    assert names[0].startswith("brgemm-") and names[0] != "brgemm-0123456789abcdef.so"

@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from tensorprim import (
     pack_fp32,
     split_sgd_step,
     to_array,
+    view_at,
 )
 from tensorprim import verify
 
@@ -127,6 +129,9 @@ def test_layernorm_guards():
         layernorm(x, g, b, 0.0, alloc(D(2, 8)))
     with pytest.raises(TensorError):
         layernorm(from_array(np.ones((2, 1), dtype=np.float32)), g, b, 1e-5, alloc(D(2, 1)))
+    for wrong in (alloc(D(1, 1)), alloc(D(2, 2))):
+        with pytest.raises(TensorError):
+            layernorm(x, g, b, 1e-5, alloc(D(2, 8)), var_out=wrong)
 
 
 def test_norm_scaling_identity():
@@ -178,9 +183,115 @@ def test_groupnorm_full_groups_equal_per_channel_stats():
 def test_groupnorm_group_count_guard():
     x = from_array(np.ones((6, 4), dtype=np.float32))
     ones = from_array(np.ones((6, 1), dtype=np.float32))
-    with pytest.raises(TensorError):
-        norm_scaling(x, None, None, ones, ones, NormMode.GROUPNORM,
-                     alloc(D(6, 4)), groups=4)
+    for groups in (4, 0, -2):
+        with pytest.raises(TensorError):
+            norm_scaling(x, None, None, ones, ones, NormMode.GROUPNORM,
+                         alloc(D(6, 4)), groups=groups)
+
+
+def _norm_oracle(x, groups, eps):
+    """Per-channel (scale, shift, mean, var) of ``x`` in the documented order:
+    FP32 row sums and squared sums folded from +0 in ascending column order,
+    then Python floats (IEEE doubles) per group, each result rounded once to
+    FP32."""
+    rows, cols = x.shape
+    s = np.zeros(rows, np.float32)
+    ss = np.zeros(rows, np.float32)
+    for j in range(cols):
+        s = s + x[:, j]
+        ss = ss + x[:, j] * x[:, j]
+    per = rows // groups
+    stats = np.empty((4, rows), np.float32)
+    for gi in range(groups):
+        chans = range(gi * per, (gi + 1) * per)
+        gs = gss = 0.0
+        for c in chans:
+            gs += float(s[c])
+            gss += float(ss[c])
+        mu = gs / (per * cols)
+        var = gss / (per * cols) - mu * mu
+        assert var >= 0.0, "the pin covers inputs whose variance is not negative"
+        rstd = 1.0 / math.sqrt(var + eps)
+        for c in chans:
+            stats[:, c] = (rstd, -mu * rstd, mu, var)
+    return stats[:, :, None]
+
+
+def _norm_inputs(rows, cols):
+    """Random rows, rows of +0 and -0, and rows holding subnormals."""
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((rows, cols)).astype(np.float32)
+    x[1] = np.where(rng.random(cols) < 0.5, np.float32(0.0), np.float32(-0.0))
+    x[2, ::3] = np.float32(1e-40) * rng.choice([-1, 1], size=x[2, ::3].shape)
+    x[3, 1::2] = np.float32(1.4e-45)
+    return x
+
+
+def _padded(x, pad, fill=np.nan):
+    """``x`` as a view whose ld exceeds its rows, padding filled with ``fill``."""
+    rows, cols = x.shape
+    d = TensorDesc(rows, cols, rows + pad, DType.FP32)
+    v = view_at(np.full(d.min_buffer_len + 5, fill, np.float32), 0, d)
+    v.as2d()[:, :] = x
+    return v
+
+
+@pytest.mark.parametrize("pad", [0, 3])
+def test_layernorm_bits_match_the_documented_order(pad):
+    rows, cols = 6, 37
+    x = _norm_inputs(rows, cols)
+    rng = np.random.default_rng(18)
+    g = rng.standard_normal((rows, cols)).astype(np.float32)
+    b = rng.standard_normal((rows, cols)).astype(np.float32)
+    out = _padded(np.zeros_like(x), pad)
+    mo, vo = alloc(D(rows, 1)), alloc(D(rows, 1))
+    layernorm(_padded(x, pad), from_array(g), from_array(b), 1e-5, out, mo, vo)
+    scale, shift, mean, var = _norm_oracle(x, rows, 1e-5)
+    assert bits_equal(to_array(out), b + (shift + x * scale) * g)
+    assert bits_equal(to_array(mo), mean) and bits_equal(to_array(vo), var)
+
+
+@pytest.mark.parametrize("groups", [1, 2, 6])
+@pytest.mark.parametrize("pad", [0, 3])
+def test_groupnorm_bits_match_the_documented_order(groups, pad):
+    rows, cols = 6, 37
+    x = _norm_inputs(rows, cols)
+    rng = np.random.default_rng(19)
+    g = rng.standard_normal((rows, 1)).astype(np.float32)
+    b = rng.standard_normal((rows, 1)).astype(np.float32)
+    out = _padded(np.zeros_like(x), pad)
+    norm_scaling(_padded(x, pad), None, None, from_array(g), from_array(b),
+                 NormMode.GROUPNORM, out, groups=groups, eps=1e-5)
+    scale, shift, _, _ = _norm_oracle(x, groups, 1e-5)
+    assert bits_equal(to_array(out), b + (shift + x * scale) * g)
+
+
+def test_norm_variance_lost_to_cancellation_is_clamped_at_zero():
+    """ss/n - mu*mu of a constant row of 1000.1 cancels below -eps; the
+    variance is clamped at 0 instead of reaching a negative square root."""
+    x = from_array(np.full((1, 64), 1000.1, dtype=np.float32))
+    g, b = _gb(1, 64)
+    out, mo, vo = alloc(D(1, 64)), alloc(D(1, 1)), alloc(D(1, 1))
+    layernorm(x, g, b, 1e-5, out, mo, vo)
+    assert np.all(np.isfinite(to_array(out)))
+    assert bits_equal(to_array(vo), np.zeros((1, 1), np.float32))
+
+    x8 = from_array(np.full((8, 64), 1000.1, dtype=np.float32))
+    ones = from_array(np.ones((8, 1), dtype=np.float32))
+    zeros = from_array(np.zeros((8, 1), dtype=np.float32))
+    out8 = alloc(D(8, 64))
+    norm_scaling(x8, None, None, ones, zeros, NormMode.GROUPNORM, out8, groups=2)
+    assert np.all(np.isfinite(to_array(out8)))
+
+
+def test_layernorm_bf16_statistics_round_to_nearest_even():
+    """Means of 3.5 (exact in BF16) and 1 + 2^-8 (a tie, to even: 1.0)."""
+    x = from_array(np.array([[3.0, 4.0], [1.0, 1.0078125]], dtype=np.float32))
+    g, b = _gb(2, 2)
+    mo, vo = alloc(D(2, 1, DType.BF16)), alloc(D(2, 1, DType.BF16))
+    layernorm(x, g, b, 1e-5, alloc(D(2, 2)), mo, vo)
+    assert to_array(mo)[:, 0].tolist() == [3.5, 1.0]
+    assert to_array(vo)[0, 0] == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -738,3 +849,15 @@ def test_sparse_kernels_reject_broadcast_tables_and_bad_indices_before_any_write
 def test_kernels_module_audit():
     r = verify.check_kernels_source_audit()
     assert r.passed, r.detail
+
+
+@pytest.mark.parametrize("line, flagged", [
+    ("w = v.secondary[1:3]", "indexed raw buffer .secondary"),
+    ("v.primary[0] = 1.0", "indexed raw buffer .primary"),
+    ("w = v.primary", None),
+])
+def test_kernels_audit_flags_indexed_buffers(monkeypatch, line, flagged):
+    monkeypatch.setattr(verify.inspect, "getsource", lambda mod: f"def f(v):\n    {line}\n")
+    r = verify.check_kernels_source_audit()
+    assert r.passed is (flagged is None)
+    assert flagged is None or flagged in r.measured

@@ -38,7 +38,7 @@ def test_column_major_addressing_with_padding():
         ref = rng.standard_normal((m, n))
         for i in range(m):
             for j in range(n):
-                v.set_item(i, j, ref[i, j])
+                v.as2d()[i, j] = ref[i, j]
         # element (i, j) must land at flat index i + j*ld
         for i in range(m):
             for j in range(n):
@@ -113,14 +113,14 @@ def test_col_and_row_blocks_are_views():
     rb = v.row_block(1, 2)
     assert bits_equal(to_array(cb), np.arange(24, dtype=np.float32).reshape(4, 6)[:, 2:5])
     assert bits_equal(to_array(rb), np.arange(24, dtype=np.float32).reshape(4, 6)[1:3, :])
-    cb.set_item(0, 0, -1.0)
-    assert v.item(0, 2) == -1.0  # shared storage
+    cb.as2d()[0, 0] = -1.0
+    assert to_array(v)[0, 2] == -1.0  # shared storage
 
 
 def test_view_at_offsets():
     buf = np.arange(20, dtype=np.float32)
     v = view_at(buf, 4, TensorDesc(2, 3, 4, DType.FP32))
-    assert v.item(0, 0) == 4.0 and v.item(1, 2) == 13.0
+    assert to_array(v)[0, 0] == 4.0 and to_array(v)[1, 2] == 13.0
 
 
 def test_convert_bf16_round_trip_exact_values():
@@ -133,7 +133,7 @@ def test_convert_bf16_round_trip_exact_values():
 def test_convert_fp64_paths_and_rejections():
     x = from_array(np.array([[1.5]], dtype=np.float32))
     d = convert(x, DType.FP64)
-    assert d.desc.dtype is DType.FP64 and d.item() == 1.5
+    assert d.desc.dtype is DType.FP64 and to_array(d)[0, 0] == 1.5
     with pytest.raises(TensorError):
         convert(x, DType.INT8)  # int8 only via the quantize path
     b = convert(x, DType.BF16)
