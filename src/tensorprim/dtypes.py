@@ -105,11 +105,29 @@ def widen(stored: np.ndarray, dtype: DType) -> np.ndarray:
     return a if a.dtype == cd else a.astype(cd)
 
 
+def _to_fp32_round_to_odd(values: np.ndarray) -> np.ndarray:
+    """FP64 values in FP32, rounded to odd: truncated toward zero, then the
+    last bit set if the result is inexact.  FP32 keeps at least 2 bits more
+    than BF16, so rounding this once more, to nearest even, gives the BF16
+    nearest the FP64 value (direct rounding twice can land on a false tie).
+    Overflow lands on the largest finite FP32; NaNs convert as a cast does."""
+    v = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = v.astype(np.float32)
+        u = r.view(np.uint32) - (np.abs(r) > np.abs(v)).astype(np.uint32)
+        inexact = (u.view(np.float32) != v) & ~np.isnan(v)
+    return (u | inexact.astype(np.uint32)).view(np.float32)
+
+
 def narrow(values: np.ndarray, dtype: DType) -> np.ndarray:
     """Compute values in the storage representation of ``dtype``: BF16
-    rounds to nearest even, every other type casts (integers wrap)."""
+    rounds to nearest even (once, from any input precision), every other
+    type casts (integers wrap)."""
     if dtype is DType.BF16:
-        return fp32_to_bf16_rne(np.asarray(values, dtype=np.float32))
+        v = np.asarray(values)
+        if v.dtype != np.float32:
+            v = _to_fp32_round_to_odd(v)
+        return fp32_to_bf16_rne(v)
     return np.asarray(values).astype(dtype.storage, copy=False)
 
 

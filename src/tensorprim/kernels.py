@@ -16,6 +16,7 @@ once, with the reduction's pinned ascending order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 from typing import Optional, Sequence
 
 from . import equation as eqn
@@ -23,6 +24,7 @@ from .dtypes import DType
 from .contraction import BrgemmBatch, GemmSpec, brgemm
 from .ops import (
     BINARY_MATH,
+    DISPATCH_CACHE_SIZE,
     BinaryKind,
     GatherMode,
     ReduceAxis,
@@ -63,14 +65,8 @@ class SoftmaxSpec:
     s3: int
 
 
-_softmax_plans: dict[tuple, tuple] = {}
-
-
+@functools.lru_cache(maxsize=DISPATCH_CACHE_SIZE)
 def _softmax_trees(s1: int, s3: int, dtype: DType):
-    key = (s1, s3, dtype)
-    hit = _softmax_plans.get(key)
-    if hit is not None:
-        return hit
     d = TensorDesc(s1, s3, s1, dtype)
     # numerator tree: exp(X - max(X)), the max broadcast over the slice
     b = eqn.TreeBuilder([d])
@@ -84,10 +80,8 @@ def _softmax_trees(s1: int, s3: int, dtype: DType):
                   reduce=ReduceSpec(ReduceAxis.ALL, ReduceOp.SUM))
     t2 = b2.tree(b2.binary(BinaryKind.MUL, b2.leaf(0),
                            b2.unary(UnaryKind.RECIPROCAL, sm)))
-    plans = (eqn.create_execution_plan(eqn.assign_register_score(t1)),
-             eqn.create_execution_plan(eqn.assign_register_score(t2)))
-    _softmax_plans[key] = plans
-    return plans
+    return (eqn.create_execution_plan(eqn.assign_register_score(t1)),
+            eqn.create_execution_plan(eqn.assign_register_score(t2)))
 
 
 def softmax(spec: SoftmaxSpec, x: TensorView, y: TensorView,
@@ -112,24 +106,16 @@ def softmax(spec: SoftmaxSpec, x: TensorView, y: TensorView,
 # normalisation
 # ---------------------------------------------------------------------------
 
-_scaling_plans: dict[tuple, eqn.ExecPlan] = {}
-
-
+@functools.lru_cache(maxsize=DISPATCH_CACHE_SIZE)
 def _scaling_plan(rows: int, cols: int, dtype: DType) -> eqn.ExecPlan:
     """Y = (m' * X + v') * G + B as one equation of two cascading FMADDs;
     m', v' broadcast per row (channel), G, B per the caller's layout."""
-    key = (rows, cols, dtype)
-    hit = _scaling_plans.get(key)
-    if hit is not None:
-        return hit
     x = TensorDesc(rows, cols, rows, dtype)
     colv = TensorDesc(rows, cols, rows, DType.FP32, Bcast.COL)
     b = eqn.TreeBuilder([x, colv, colv, colv, colv])
     inner = b.ternary(TernaryKind.MULADD, b.leaf(0), b.leaf(1), b.leaf(2))
     root = b.ternary(TernaryKind.MULADD, inner, b.leaf(3), b.leaf(4))
-    plan = eqn.create_execution_plan(eqn.assign_register_score(b.tree(root)))
-    _scaling_plans[key] = plan
-    return plan
+    return eqn.create_execution_plan(eqn.assign_register_score(b.tree(root)))
 
 
 def _col_vec(rows: int) -> TensorView:
@@ -373,7 +359,6 @@ class DilatedConvSpec:
     out_width: int       # Q (output positions)
     taps: int            # S (filter size)
     dilation: int        # d
-    block_q: int = 8     # output-position block
 
     def __post_init__(self):
         if self.out_width + (self.taps - 1) * self.dilation > self.width:
@@ -382,9 +367,10 @@ class DilatedConvSpec:
 
 def dilated_conv1d_forward(spec: DilatedConvSpec, inp: TensorView,
                            weights: TensorView, out: TensorView) -> None:
-    """Forward pass: transpose the weights once, then per position block run
-    an address-based batch contraction over the filter taps, with the input
-    pointers at dilated offsets pos + s*d.
+    """Forward pass: transpose the weights once, then one address-based batch
+    contraction over the filter taps covers every output position: tap s
+    reads the Q input columns from s*d on (Q + (S-1)*d <= W keeps them inside
+    the input).
 
     ``inp`` is C x W (one column per position); ``weights`` is (C*S) x K with
     row s*C + c holding tap s of input channel c; ``out`` is K x Q.
@@ -400,14 +386,12 @@ def dilated_conv1d_forward(spec: DilatedConvSpec, inp: TensorView,
     wt = alloc(TensorDesc(k_ch, c_ch * s_taps, k_ch, weights.desc.dtype))
     transform(weights, TransformSpec(TransformKind.TRANSPOSE), wt)
 
-    for pos in range(0, spec.out_width, spec.block_q):
-        bq = min(spec.block_q, spec.out_width - pos)
-        a_refs = [(wt.primary, s * c_ch * k_ch) for s in range(s_taps)]
-        b_refs = [(inp.primary, (pos + s * d) * inp.desc.ld) for s in range(s_taps)]
-        gspec = GemmSpec(m=k_ch, n=bq, k=c_ch, lda=k_ch, ldb=inp.desc.ld,
-                         ldc=out.desc.ld, in_dtype=wt.desc.dtype,
-                         out_dtype=out.desc.dtype, beta=0.0)
-        brgemm(gspec, BrgemmBatch.address(a_refs, b_refs), out.col_block(pos, bq))
+    a_refs = [(wt.primary, s * c_ch * k_ch) for s in range(s_taps)]
+    b_refs = [(inp.primary, s * d * inp.desc.ld) for s in range(s_taps)]
+    gspec = GemmSpec(m=k_ch, n=spec.out_width, k=c_ch, lda=k_ch, ldb=inp.desc.ld,
+                     ldc=out.desc.ld, in_dtype=wt.desc.dtype,
+                     out_dtype=out.desc.dtype, beta=0.0)
+    brgemm(gspec, BrgemmBatch.address(a_refs, b_refs), out)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +410,8 @@ def binary_reduce_aggregate(table0: TensorView, table1: TensorView,
     narrowed to it), then one ROWS reduce into ``out``.  SUM starts from +0
     (no pairs give zeros); MIN/MAX start from the first pair and need one.
 
-    The tables may have any dtypes; ``out`` must be FP32 or FP64, where the
+    The tables may have any dtypes, both float or both integer (a mixed pair
+    raises InvalidSpecError); ``out`` must be FP32 or FP64, where the
     reduce's accumulation precision is ``out``'s own.  A BF16 or integer
     ``out`` raises TensorError before any write.
     """

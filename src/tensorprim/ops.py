@@ -1,12 +1,19 @@
 """The 2D tensor operator set: unary / binary / ternary kinds, dispatch,
 reductions, layout transforms, gather/scatter and deterministic dropout.
 
+A primitive is described once (``KernelSpec``: kind, input descriptors,
+flags) and validated once: ``infer_output_desc`` is the only check of a
+spec, and ``dispatch`` caches the ``Kernel`` built from it, which then runs
+without re-checking.  ``apply_*``, ``reduce``, ``transform`` and
+``replicate_cols`` dispatch the spec of their views and call its kernel;
+ZERO and PRNG, whose extent is the output's, run directly.
+
 Every operator follows the same blueprint: load logical sub-tensors (with
 broadcast and datatype widening applied), run the point operation in the
-compute precision, store once (narrowing if the output is BF16).  Reductions
-use a fixed, ascending accumulation order so results are bit-reproducible.
-Every call runs on the caller's thread; blocking and threads belong to the
-caller's loop nest.
+compute precision, store once (narrowing to the output's dtype).
+Reductions use a fixed, ascending accumulation order so results are
+bit-reproducible.  Every call runs on the caller's thread; blocking and
+threads belong to the caller's loop nest.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 import enum
+import functools
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -52,10 +60,6 @@ class UnaryKind(enum.Enum):
     TRANSFORM = "transform"
     UNPACK = "unpack"
     REPLICATE_COLS = "replicate_cols"
-    GATHER = "gather"
-    SCATTER = "scatter"
-    GATHER2D = "gather2d"
-    SCATTER2D = "scatter2d"
     STRIDED_LOAD = "strided_load"
     STRIDED_STORE = "strided_store"
     TANH = "tanh"
@@ -143,11 +147,6 @@ class GatherMode(enum.Enum):
     SCATTER2D = "scatter2d"
 
 
-_GATHER_MODE = {UnaryKind.GATHER: GatherMode.GATHER_COLS,
-                UnaryKind.SCATTER: GatherMode.SCATTER_COLS,
-                UnaryKind.GATHER2D: GatherMode.GATHER2D,
-                UnaryKind.SCATTER2D: GatherMode.SCATTER2D}
-
 DEFAULT_APPROX = {
     UnaryKind.TANH: Approx.PADE78,
     UnaryKind.TANH_INV: Approx.PADE78,
@@ -159,7 +158,8 @@ DEFAULT_APPROX = {
 }
 
 # The math of every fusable kind: ndarray functions taking and returning
-# compute-dtype values, shared by ``apply_*`` and the tiled equation engine.
+# compute-dtype values, bound into each ``Kernel`` (``Kernel.math``) that both
+# a kernel call and the tiled equation engine run.
 # Unary entries take the approximation selector as a second argument.
 UNARY_MATH: dict[UnaryKind, Callable[[np.ndarray, Optional[Approx]], np.ndarray]] = {
     UnaryKind.IDENTITY: lambda x, sel: x,
@@ -291,251 +291,141 @@ def _mask_from(view: TensorView, what: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# unary
+# dispatch: the one place a spec is validated
 # ---------------------------------------------------------------------------
 
-def apply_unary(kind: UnaryKind, inp: Optional[TensorView], out: TensorView,
-                approx_flag: Approx | None = None,
-                reduce_spec: ReduceSpec | None = None,
-                transform_spec: TransformSpec | None = None,
-                bitmask_output: bool = False,
-                dropout_p: float | None = None,
-                times: int | None = None) -> None:
-    """Apply a unary operator; elementwise kinds require matching logical
-    shapes (broadcast allowed on the input only)."""
-    if kind is UnaryKind.ZERO:
-        out.as2d()[:, :] = 0
-        return
-    if inp is None:
-        raise TensorError(f"{kind} requires an input view")
+@dataclass(frozen=True)
+class KernelSpec:
+    """A fully-specified primitive instance; output shape is a total function
+    of (kind, inputs, flags)."""
 
-    if kind is UnaryKind.REDUCE:
-        if reduce_spec is None:
-            raise InvalidSpecError("flag", "REDUCE needs a ReduceSpec")
-        reduce(inp, reduce_spec, out)
-        return
-    if kind is UnaryKind.TRANSFORM:
-        if transform_spec is None:
-            raise InvalidSpecError("flag", "TRANSFORM needs a TransformSpec")
-        transform(inp, transform_spec, out)
-        return
-    if kind is UnaryKind.REPLICATE_COLS:
-        replicate_cols(inp, times if times is not None else out.desc.cols, out)
-        return
-    if kind in _GATHER_MODE:
-        gather_scatter(inp, inp.secondary, _GATHER_MODE[kind], out)
-        return
-    if kind is UnaryKind.UNPACK:
-        _unpack(inp, out)
-        return
-    if kind is UnaryKind.PRNG:
-        _prng_fill(inp, out)
-        return
-    if kind is UnaryKind.QUANTIZE:
-        _quantize(inp, out)
-        return
-    if kind is UnaryKind.DEQUANTIZE:
-        _dequantize(inp, out)
-        return
-    if kind in (UnaryKind.STRIDED_LOAD, UnaryKind.STRIDED_STORE):
-        raise InvalidSpecError("flag", "use strided_load/strided_store helpers")
-
-    # elementwise math kinds
-    _require_logical_shape(out, inp.desc.rows, inp.desc.cols, f"{kind} output")
-    x = _compute_values(inp)
-    sel = approx_flag or DEFAULT_APPROX.get(kind)
-    with np.errstate(all="ignore"):
-        if kind in UNARY_MATH:
-            r = UNARY_MATH[kind](x, sel)
-            if kind is UnaryKind.RELU and bitmask_output:
-                out.secondary = bool_to_mask(x > 0)
-        elif kind is UnaryKind.RELU_INV:
-            mask = _mask_from(inp, "RELU_INV")
-            r = np.where(mask, x, x.dtype.type(0))
-        elif kind is UnaryKind.TANH_INV:
-            r = x * approx.tanh_grad(_forward_arg(inp), sel)
-        elif kind is UnaryKind.SIGMOID_INV:
-            r = x * approx.sigmoid_grad(_forward_arg(inp), sel)
-        elif kind is UnaryKind.GELU_INV:
-            r = x * approx.gelu_grad(_forward_arg(inp), sel)
-        elif kind is UnaryKind.DROPOUT:
-            r = _dropout(inp, out, x, dropout_p)
-        elif kind is UnaryKind.DROPOUT_INV:
-            if dropout_p is None:
-                raise InvalidSpecError("flag", "DROPOUT_INV needs the keep probability")
-            mask = _mask_from(inp, "DROPOUT_INV")
-            scale = x.dtype.type(1.0 / (1.0 - dropout_p)) if dropout_p < 1.0 else x.dtype.type(0)
-            r = np.where(mask, x * scale, x.dtype.type(0))
-        else:
-            raise InvalidSpecError("flag", f"unhandled unary kind {kind}")
-    _store(out, r)
+    kind: UnaryKind | BinaryKind | TernaryKind
+    ins: tuple[TensorDesc, ...]
+    approx: Approx | None = None
+    reduce: ReduceSpec | None = None
+    transform: TransformSpec | None = None
+    cmp: CmpOp | None = None
+    bitmask_output: bool = False
+    dropout_p: float | None = None
+    times: int | None = None
 
 
-def _forward_arg(inp: TensorView) -> np.ndarray:
-    """Backward activation kinds carry dy in primary and the forward input x
-    in secondary (same layout as the descriptor)."""
-    if inp.secondary is None:
-        raise TensorError("backward kind requires the forward input in secondary")
-    x = TensorView(inp.desc, np.asarray(inp.secondary))
-    return _compute_values(x)
+def infer_output_desc(spec: KernelSpec) -> TensorDesc:
+    """The output descriptor of ``spec``, or InvalidSpecError ('shape',
+    'dtype' or 'flag') if no call could run it.  Every check of a spec's
+    kind, flags, input shapes and input dtypes lives here."""
+    k, ins = spec.kind, spec.ins
+    if isinstance(k, UnaryKind):
+        if len(ins) != 1:
+            raise InvalidSpecError("shape", "unary spec takes one input desc")
+        d = ins[0]
+        if k is UnaryKind.REDUCE:
+            if spec.reduce is None:
+                raise InvalidSpecError("flag", "REDUCE needs a ReduceSpec")
+            r, c = {ReduceAxis.ROWS: (d.rows, 1), ReduceAxis.COLS: (1, d.cols),
+                    ReduceAxis.ALL: (1, 1)}[spec.reduce.axis]
+            out_dt = DType.FP64 if d.dtype is DType.FP64 else DType.FP32
+            return TensorDesc(r, c, r, out_dt)
+        if k is UnaryKind.TRANSFORM:
+            return _transform_desc(spec.transform, d)
+        if k is UnaryKind.REPLICATE_COLS:
+            if spec.times is None or spec.times < 1:
+                raise InvalidSpecError("flag", "REPLICATE_COLS needs times >= 1")
+            return TensorDesc(d.rows, spec.times, d.rows, d.dtype)
+        if k is UnaryKind.QUANTIZE:
+            if d.dtype is not DType.FP32:
+                raise InvalidSpecError("dtype", "QUANTIZE takes FP32")
+            return TensorDesc(d.rows, d.cols, d.rows, DType.INT8)
+        if k is UnaryKind.DEQUANTIZE:
+            if d.dtype is not DType.INT8:
+                raise InvalidSpecError("dtype", "DEQUANTIZE takes INT8")
+            return TensorDesc(d.rows, d.cols, d.rows, DType.FP32)
+        if k is UnaryKind.UNPACK:
+            if d.dtype is not DType.FP32:
+                raise InvalidSpecError("dtype", "UNPACK takes FP32")
+            return TensorDesc(d.rows, d.cols, d.rows, DType.BF16)
+        if k in (UnaryKind.DROPOUT, UnaryKind.DROPOUT_INV) and spec.dropout_p is None:
+            raise InvalidSpecError("flag", f"{k.name} needs p")
+        if k is UnaryKind.DROPOUT and not 0.0 <= spec.dropout_p < 1.0:
+            raise InvalidSpecError("flag", f"dropout p must be in [0, 1), got {spec.dropout_p}")
+        if k in (UnaryKind.STRIDED_LOAD, UnaryKind.STRIDED_STORE):
+            raise InvalidSpecError("flag", "use strided_load/strided_store helpers")
+        return TensorDesc(d.rows, d.cols, d.rows, d.dtype)
+    if isinstance(k, BinaryKind):
+        if len(ins) != 2:
+            raise InvalidSpecError("shape", "binary spec takes two input descs")
+        a, b = ins
+        if k is BinaryKind.MATMUL:
+            if a.cols != b.rows:
+                raise InvalidSpecError("shape", f"matmul inner dims {a.cols} != {b.rows}")
+            if b.dtype is not a.dtype:
+                raise InvalidSpecError("dtype", f"matmul B is {b.dtype}, A is {a.dtype}")
+            return TensorDesc(a.rows, b.cols, a.rows, contraction.accumulator_dtype(a.dtype))
+        if k is BinaryKind.PACK:
+            if a.dtype.bits != 16 or b.dtype.bits != 16:
+                raise InvalidSpecError("dtype", "PACK inputs are 16-bit pattern tensors")
+            if (a.rows, a.cols) != (b.rows, b.cols):
+                raise InvalidSpecError("shape", "PACK hi/lo shape mismatch")
+            return TensorDesc(a.rows, a.cols, a.rows, DType.FP32)
+        rows, cols = _join_shapes([(a.rows, a.cols), (b.rows, b.cols)])
+        if k is BinaryKind.COMPARE:
+            if spec.cmp is None:
+                raise InvalidSpecError("flag", "COMPARE needs a predicate")
+            return TensorDesc(rows, cols, rows, DType.BIT)
+        if a.dtype.is_float != b.dtype.is_float:
+            raise InvalidSpecError("dtype", "mixed int/float elementwise inputs")
+        out_dt = DType.FP64 if DType.FP64 in (a.dtype, b.dtype) else (
+            a.dtype if a.dtype == b.dtype else
+            (DType.FP32 if a.dtype.is_float else DType.INT32))
+        return TensorDesc(rows, cols, rows, out_dt)
+    if isinstance(k, TernaryKind):
+        if len(ins) != 3:
+            raise InvalidSpecError("shape", "ternary spec takes three input descs")
+        a, b, c = ins
+        if k is TernaryKind.BRGEMM:
+            raise InvalidSpecError("flag", "BRGEMM takes a block batch: use contraction.brgemm")
+        if k is TernaryKind.GEMM:
+            if a.cols != b.rows or (c.rows, c.cols) != (a.rows, b.cols):
+                raise InvalidSpecError("shape", "GEMM operand shapes inconsistent")
+            acc = contraction.accumulator_dtype(a.dtype)
+            if b.dtype is not a.dtype or c.dtype is not acc:
+                raise InvalidSpecError("dtype", f"GEMM takes B of {a.dtype} and C of {acc}, "
+                                                f"got {b.dtype} and {c.dtype}")
+            return TensorDesc(c.rows, c.cols, c.rows, c.dtype)
+        rows, cols = _join_shapes([(a.rows, a.cols), (b.rows, b.cols), (c.rows, c.cols)])
+        if k is TernaryKind.BLEND:
+            if c.dtype is not DType.BIT:
+                raise InvalidSpecError("dtype", "BLEND selector must be a bitmask")
+            return TensorDesc(rows, cols, rows,
+                              DType.FP64 if DType.FP64 in (a.dtype, b.dtype) else DType.FP32
+                              if a.dtype.is_float else DType.INT32)
+        out_dt = DType.FP64 if DType.FP64 in (a.dtype, b.dtype, c.dtype) else (
+            DType.FP32 if a.dtype.is_float else DType.INT32)
+        return TensorDesc(rows, cols, rows, out_dt)
+    raise InvalidSpecError("flag", f"unknown kind {k}")
 
 
-def _unpack(inp: TensorView, out: TensorView) -> None:
-    """FP32 -> two 16-bit halves: hi into out.primary (BF16 patterns), lo into
-    out.secondary.  Other dtypes are rejected."""
-    if inp.desc.dtype is not DType.FP32:
-        raise InvalidSpecError("dtype", "UNPACK supports FP32 inputs only")
-    if out.desc.dtype is not DType.BF16:
-        raise InvalidSpecError("dtype", "UNPACK output holds BF16 (hi) patterns")
-    _require_logical_shape(out, inp.desc.rows, inp.desc.cols, "UNPACK output")
-    u = inp.as2d().view(np.uint32)
-    out.as2d()[:, :] = (u >> np.uint32(16)).astype(np.uint16)
-    lo = (u & np.uint32(0xFFFF)).astype(np.uint16)
-    if out.secondary is None or out.secondary.size < lo.size:
-        out.secondary = np.empty(inp.desc.rows * inp.desc.cols, dtype=np.uint16)
-    out.secondary.reshape(inp.desc.cols, inp.desc.rows).T[:, :] = lo
-
-
-def _prng_fill(inp: TensorView, out: TensorView) -> None:
-    if out.desc.dtype is not DType.FP32:
-        raise InvalidSpecError("dtype", "PRNG output must be FP32")
-    state = (inp.tertiary or {}).get("prng") if inp is not None else None
-    if state is None:
-        raise InvalidSpecError("flag", "PRNG needs a PrngState in tertiary")
-    if state.x.size != out.desc.cols:
-        state = PrngState(state.seed, out.desc.cols)
-    out.as2d()[:, :] = state.uniform_block(out.desc.rows)
-
-
-def _dropout(inp: TensorView, out: TensorView, x: np.ndarray, p: float | None) -> np.ndarray:
-    if p is None:
-        raise InvalidSpecError("flag", "DROPOUT needs the drop probability p")
-    if not 0.0 <= p < 1.0:
-        raise InvalidSpecError("flag", f"dropout p must be in [0, 1), got {p}")
-    state = (inp.tertiary or {}).get("prng")
-    if state is None:
-        raise InvalidSpecError("flag", "DROPOUT needs a PrngState in tertiary")
-    if state.x.size != inp.desc.cols:
-        state = PrngState(state.seed, inp.desc.cols)
-    u = state.uniform_block(inp.desc.rows)
-    keep = u >= np.float32(p)
-    out.secondary = bool_to_mask(keep)
-    scale = x.dtype.type(1.0 / (1.0 - p))
-    return np.where(keep, x * scale, x.dtype.type(0))
-
-
-def _quantize(inp: TensorView, out: TensorView) -> None:
-    """Symmetric per-tensor INT8 quantization; the scale lands in
-    out.tertiary['scale']."""
-    if inp.desc.dtype is not DType.FP32 or out.desc.dtype is not DType.INT8:
-        raise InvalidSpecError("dtype", "QUANTIZE is FP32 -> INT8")
-    x = inp.as2d().astype(np.float64)
-    scale = (inp.tertiary or {}).get("scale")
-    if scale is None:
-        amax = float(np.max(np.abs(x))) if x.size else 0.0
-        scale = amax / 127.0 if amax > 0 else 1.0
-    q = np.clip(np.rint(x / scale), -127, 127).astype(np.int8)
-    out.as2d()[:, :] = q
-    out.tertiary = dict(out.tertiary or {})
-    out.tertiary["scale"] = float(scale)
-
-
-def _dequantize(inp: TensorView, out: TensorView) -> None:
-    if inp.desc.dtype is not DType.INT8 or out.desc.dtype is not DType.FP32:
-        raise InvalidSpecError("dtype", "DEQUANTIZE is INT8 -> FP32")
-    scale = (inp.tertiary or {}).get("scale")
-    if scale is None:
-        raise InvalidSpecError("flag", "DEQUANTIZE needs tertiary['scale']")
-    out.as2d()[:, :] = inp.as2d().astype(np.float32) * np.float32(scale)
-
-
-# ---------------------------------------------------------------------------
-# reduce
-# ---------------------------------------------------------------------------
-
-_REDUCE_COMBINE = {
-    ReduceOp.SUM: np.add,
-    ReduceOp.MUL: np.multiply,
-    ReduceOp.MIN: np.minimum,
-    ReduceOp.MAX: np.maximum,
-}
-
-
-def reduce(inp: TensorView, spec: ReduceSpec, out: TensorView) -> None:
-    """Reduce rows / columns / everything with a fixed ascending index order.
-
-    Accumulation happens in FP32 (FP64 for FP64 inputs) regardless of the
-    storage dtype.  SUM starts from 0, MUL from 1; MIN/MAX fold from the
-    first element along the order.
-    """
-    d = inp.desc
-    exp_shape = {ReduceAxis.ROWS: (d.rows, 1), ReduceAxis.COLS: (1, d.cols),
-                 ReduceAxis.ALL: (1, 1)}[spec.axis]
-    _require_logical_shape(out, *exp_shape, what="reduce output")
-
-    acc_dt = np.float64 if d.dtype is DType.FP64 else np.float32
-    x = _compute_values(inp).astype(acc_dt, copy=False)
-    if spec.squared:
-        x = x * x
-    comb = _REDUCE_COMBINE[spec.op]
-
-    def fold(slices: list[np.ndarray]) -> np.ndarray:
-        order = list(reversed(slices)) if _FAULT_DESCENDING_REDUCE else slices
-        if spec.op is ReduceOp.SUM:
-            acc = np.zeros_like(order[0])
-        elif spec.op is ReduceOp.MUL:
-            acc = np.ones_like(order[0])
-        else:
-            acc = order[0].copy()
-            order = order[1:]
-        for s in order:
-            acc = comb(acc, s)
-        return acc
-
-    if spec.axis is ReduceAxis.ROWS:
-        r = fold([x[:, j] for j in range(d.cols)]).reshape(d.rows, 1)
-    elif spec.axis is ReduceAxis.COLS:
-        r = fold([x[i, :] for i in range(d.rows)]).reshape(1, d.cols)
-    else:
-        per_col = fold([x[i, :] for i in range(d.rows)])
-        r = fold([per_col[j:j + 1] for j in range(d.cols)]).reshape(1, 1)
-    _store(out, r)
-
-
-# ---------------------------------------------------------------------------
-# transforms
-# ---------------------------------------------------------------------------
-
-def transform(inp: TensorView, spec: TransformSpec, out: TensorView) -> None:
-    """Transpose, VNNI formatting, or VNNI to VNNI-transpose.
-
-    VNNI re-lays a logical M x N tensor (linear layout ``[N][M]``) as
-    ``[N/alpha][M][alpha]``: groups of ``alpha`` consecutive columns become
-    the innermost dimension, the tail group zero-padded.  The resulting view
-    is (M * alpha) x ceil(N / alpha) with a contiguous leading dimension.
-    """
-    if spec.kind is TransformKind.TRANSPOSE:
-        d = inp.desc
-        _require_logical_shape(out, d.cols, d.rows, "TRANSPOSE output")
-        out.as2d()[:, :] = inp.logical2d().T
-        return
-    if spec.kind is TransformKind.VNNI:
-        _check_alpha(inp.desc.dtype, spec.alpha)
-        _store_vnni(out, inp.logical2d(), spec.alpha, "VNNI output")
-        return
-    if spec.kind is TransformKind.VNNI_TO_VNNIT:
-        _check_alpha(inp.desc.dtype, spec.alpha)
-        _check_alpha(out.desc.dtype, spec.alpha_out)
-        if spec.rows <= 0 or spec.cols <= 0:
+def _transform_desc(t: TransformSpec | None, d: TensorDesc) -> TensorDesc:
+    """The output of :func:`transform`; VNNI_TO_VNNIT takes the VNNI view of
+    a ``rows`` x ``cols`` tensor to that of its transpose."""
+    if t is None:
+        raise InvalidSpecError("flag", "TRANSFORM needs a TransformSpec")
+    if t.kind is TransformKind.TRANSPOSE:
+        return TensorDesc(d.cols, d.rows, d.cols, d.dtype)
+    if t.kind is TransformKind.VNNI:
+        _check_alpha(d.dtype, t.alpha)
+        rows, groups = d.rows * t.alpha, -(-d.cols // t.alpha)
+    elif t.kind is TransformKind.VNNI_TO_VNNIT:
+        _check_alpha(d.dtype, t.alpha)
+        _check_alpha(d.dtype, t.alpha_out)
+        if t.rows <= 0 or t.cols <= 0:
             raise InvalidSpecError("shape", "VNNI_TO_VNNIT needs the logical extent")
-        groups = -(-spec.cols // spec.alpha)
-        if (inp.desc.rows, inp.desc.cols) != (spec.rows * spec.alpha, groups):
+        if (d.rows, d.cols) != (t.rows * t.alpha, -(-t.cols // t.alpha)):
             raise InvalidSpecError("shape", "VNNI_TO_VNNIT input does not match the extent")
-        flat = inp.logical2d().T.reshape(-1)  # column-major order of the VNNI view
-        logical = vnni_unpack_a(flat, spec.alpha, spec.rows, spec.cols)
-        _store_vnni(out, logical.T, spec.alpha_out, "VNNI_TO_VNNIT output")
-        return
-    raise InvalidSpecError("flag", f"unknown transform {spec.kind}")
+        rows, groups = t.cols * t.alpha_out, -(-t.rows // t.alpha_out)
+    else:
+        raise InvalidSpecError("flag", f"unknown transform {t.kind}")
+    return TensorDesc(rows, groups, rows, d.dtype)
 
 
 def _check_alpha(dtype: DType, alpha: int) -> None:
@@ -547,13 +437,358 @@ def _check_alpha(dtype: DType, alpha: int) -> None:
         raise InvalidSpecError("flag", f"alpha {alpha} incompatible with {dtype} (want {want})")
 
 
-def _store_vnni(out: TensorView, a: np.ndarray, alpha: int, what: str) -> None:
-    """Pack logical (M, N) ``a`` into ``out``, an (M * alpha) x ceil(N / alpha)
-    view whose column-major order is the VNNI layout."""
-    rows, groups = a.shape[0] * alpha, -(-a.shape[1] // alpha)
-    _require_logical_shape(out, rows, groups, what)
-    out.as2d()[:, :] = vnni_pack_a(a, alpha).reshape(groups, rows).T
+class Kernel:
+    """An immutable, dispatched primitive instance: its spec was validated
+    and its kind's implementation bound when it was built.  A call checks
+    only that each operand has the extent and dtype of the spec and ``out``
+    the output extent (``out``'s dtype is free: the store narrows to it).
 
+    ``math`` is the kind's bound ndarray function for the fusable kinds
+    (compute-dtype arrays in, compute-dtype array out, flags applied), the
+    same math the call runs; the tiled equation strategies run it on numpy
+    slices of each tile.  It is None for every other kind."""
+
+    __slots__ = ("spec", "out_desc", "math", "_ins", "_run")
+
+    def __init__(self, spec: KernelSpec):
+        self.spec = spec
+        self.out_desc = infer_output_desc(spec)
+        self._ins = tuple((d.rows, d.cols, d.dtype) for d in spec.ins)
+        k = spec.kind
+        self.math: Optional[Callable[..., np.ndarray]] = None
+        if k in UNARY_MATH and not (k is UnaryKind.RELU and spec.bitmask_output):
+            fn, sel = UNARY_MATH[k], spec.approx or DEFAULT_APPROX.get(k)
+            self.math = lambda x: fn(x, sel)
+        elif k in BINARY_MATH:
+            self.math = BINARY_MATH[k]
+        elif k in TERNARY_MATH:
+            self.math = TERNARY_MATH[k]
+        self._run = (functools.partial(_elementwise, self.math) if self.math is not None
+                     else functools.partial(_IMPL[k], spec))
+
+    def __call__(self, *views: TensorView, out: TensorView) -> None:
+        got = tuple([(v.desc.rows, v.desc.cols, v.desc.dtype) for v in views])
+        if got != self._ins:
+            raise TensorError(f"{self.spec.kind} kernel takes {self._ins}, got {got}")
+        od = self.out_desc
+        if (out.desc.rows, out.desc.cols) != (od.rows, od.cols):
+            raise TensorError(f"{self.spec.kind} output: expected {od.rows}x{od.cols}, "
+                              f"got {out.desc.rows}x{out.desc.cols}")
+        self._run(*views, out)
+
+
+DISPATCH_CACHE_SIZE = 1024  # kernels kept; the least recently dispatched is dropped first
+_dispatch_cache: OrderedDict[KernelSpec, Kernel] = OrderedDict()
+_dispatch_lock = threading.Lock()
+
+
+def dispatch(spec: KernelSpec) -> Kernel:
+    """Validate a spec and return the (cached) kernel for it."""
+    with _dispatch_lock:
+        kern = _dispatch_cache.get(spec)
+        if kern is None:
+            kern = Kernel(spec)  # raises InvalidSpecError on a bad spec
+            _dispatch_cache[spec] = kern
+            if len(_dispatch_cache) > DISPATCH_CACHE_SIZE:
+                _dispatch_cache.popitem(last=False)
+        else:
+            _dispatch_cache.move_to_end(spec)
+        return kern
+
+
+# ---------------------------------------------------------------------------
+# entry points: describe the call, dispatch it, run the kernel
+# ---------------------------------------------------------------------------
+
+def apply_unary(kind: UnaryKind, inp: Optional[TensorView], out: TensorView,
+                approx_flag: Approx | None = None,
+                reduce_spec: ReduceSpec | None = None,
+                transform_spec: TransformSpec | None = None,
+                bitmask_output: bool = False,
+                dropout_p: float | None = None,
+                times: int | None = None) -> None:
+    """Apply a unary operator; elementwise kinds require matching logical
+    shapes (broadcast allowed on the input only).  ZERO and PRNG take their
+    extent from ``out``, not from an input, so they run without dispatch."""
+    if kind is UnaryKind.ZERO:
+        _zero(None, inp, out)
+        return
+    if inp is None:
+        raise TensorError(f"{kind} requires an input view")
+    if kind is UnaryKind.PRNG:
+        _prng_fill(None, inp, out)
+        return
+    if kind is UnaryKind.REPLICATE_COLS and times is None:
+        times = out.desc.cols
+    dispatch(KernelSpec(kind, (inp.desc,), approx=approx_flag, reduce=reduce_spec,
+                        transform=transform_spec, bitmask_output=bitmask_output,
+                        dropout_p=dropout_p, times=times))(inp, out=out)
+
+
+def reduce(inp: TensorView, spec: ReduceSpec, out: TensorView) -> None:
+    """Reduce rows / columns / everything with a fixed ascending index order.
+
+    Accumulation happens in FP32 (FP64 for FP64 inputs) regardless of the
+    storage dtype.  SUM starts from 0, MUL from 1; MIN/MAX fold from the
+    first element along the order.
+    """
+    dispatch(KernelSpec(UnaryKind.REDUCE, (inp.desc,), reduce=spec))(inp, out=out)
+
+
+def transform(inp: TensorView, spec: TransformSpec, out: TensorView) -> None:
+    """Transpose, VNNI formatting, or VNNI to VNNI-transpose.
+
+    VNNI re-lays a logical M x N tensor (linear layout ``[N][M]``) as
+    ``[N/alpha][M][alpha]``: groups of ``alpha`` consecutive columns become
+    the innermost dimension, the tail group zero-padded.  The resulting view
+    is (M * alpha) x ceil(N / alpha) with a contiguous leading dimension.
+    """
+    dispatch(KernelSpec(UnaryKind.TRANSFORM, (inp.desc,), transform=spec))(inp, out=out)
+
+
+def replicate_cols(inp: TensorView, times: int, out: TensorView) -> None:
+    """Replicate an M x 1 column a fixed number of times."""
+    dispatch(KernelSpec(UnaryKind.REPLICATE_COLS, (inp.desc,), times=times))(inp, out=out)
+
+
+def apply_binary(kind: BinaryKind, a: TensorView, b: TensorView, out: TensorView,
+                 cmp: CmpOp | None = None) -> None:
+    dispatch(KernelSpec(kind, (a.desc, b.desc), cmp=cmp))(a, b, out=out)
+
+
+def apply_ternary(kind: TernaryKind, a: TensorView, b: TensorView, c: TensorView,
+                  out: TensorView) -> None:
+    dispatch(KernelSpec(kind, (a.desc, b.desc, c.desc)))(a, b, c, out=out)
+
+
+# ---------------------------------------------------------------------------
+# kernel implementations: the spec is valid and the extents match; only
+# runtime payloads (companions, PRNG state, scales) and output storage are
+# checked here
+# ---------------------------------------------------------------------------
+
+def _elementwise(math: Callable[..., np.ndarray], *operands: TensorView) -> None:
+    """Run a fusable kind's bound math; the last operand is the output."""
+    *views, out = operands
+    with np.errstate(all="ignore"):
+        r = math(*[_compute_values(v) for v in views])
+    _store(out, r)
+
+
+def _zero(spec: Optional[KernelSpec], inp: Optional[TensorView], out: TensorView) -> None:
+    out.as2d()[:, :] = 0
+
+
+def _relu_with_mask(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
+    x = _compute_values(inp)
+    with np.errstate(all="ignore"):
+        r = UNARY_MATH[UnaryKind.RELU](x, None)
+        out.secondary = bool_to_mask(x > 0)
+    _store(out, r)
+
+
+def _relu_inv(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
+    mask = _mask_from(inp, "RELU_INV")
+    x = _compute_values(inp)
+    _store(out, np.where(mask, x, x.dtype.type(0)))
+
+
+_ACTIVATION_GRAD = {UnaryKind.TANH_INV: lambda x, sel: approx.tanh_grad(x, sel),
+                    UnaryKind.SIGMOID_INV: lambda x, sel: approx.sigmoid_grad(x, sel),
+                    UnaryKind.GELU_INV: lambda x, sel: approx.gelu_grad(x, sel)}
+
+
+def _activation_grad(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
+    """dy * f'(x): dy in primary, the forward input x in secondary."""
+    if inp.secondary is None:
+        raise TensorError("backward kind requires the forward input in secondary")
+    x = _compute_values(TensorView(inp.desc, np.asarray(inp.secondary)))
+    sel = spec.approx or DEFAULT_APPROX[spec.kind]
+    with np.errstate(all="ignore"):
+        r = _compute_values(inp) * _ACTIVATION_GRAD[spec.kind](x, sel)
+    _store(out, r)
+
+
+def _unpack(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
+    """FP32 -> two 16-bit halves: hi into out.primary (BF16 patterns), lo into
+    out.secondary."""
+    if out.desc.dtype is not DType.BF16:
+        raise InvalidSpecError("dtype", "UNPACK output holds BF16 (hi) patterns")
+    u = inp.as2d().view(np.uint32)
+    out.as2d()[:, :] = (u >> np.uint32(16)).astype(np.uint16)
+    lo = (u & np.uint32(0xFFFF)).astype(np.uint16)
+    if out.secondary is None or out.secondary.size < lo.size:
+        out.secondary = np.empty(inp.desc.rows * inp.desc.cols, dtype=np.uint16)
+    out.secondary.reshape(inp.desc.cols, inp.desc.rows).T[:, :] = lo
+
+
+def _prng_fill(spec: Optional[KernelSpec], inp: TensorView, out: TensorView) -> None:
+    if out.desc.dtype is not DType.FP32:
+        raise InvalidSpecError("dtype", "PRNG output must be FP32")
+    state = (inp.tertiary or {}).get("prng")
+    if state is None:
+        raise InvalidSpecError("flag", "PRNG needs a PrngState in tertiary")
+    if state.x.size != out.desc.cols:
+        state = PrngState(state.seed, out.desc.cols)
+    out.as2d()[:, :] = state.uniform_block(out.desc.rows)
+
+
+def _dropout(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
+    state = (inp.tertiary or {}).get("prng")
+    if state is None:
+        raise InvalidSpecError("flag", "DROPOUT needs a PrngState in tertiary")
+    if state.x.size != inp.desc.cols:
+        state = PrngState(state.seed, inp.desc.cols)
+    p = spec.dropout_p
+    keep = state.uniform_block(inp.desc.rows) >= np.float32(p)
+    out.secondary = bool_to_mask(keep)
+    x = _compute_values(inp)
+    with np.errstate(all="ignore"):
+        r = np.where(keep, x * x.dtype.type(1.0 / (1.0 - p)), x.dtype.type(0))
+    _store(out, r)
+
+
+def _dropout_inv(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
+    mask = _mask_from(inp, "DROPOUT_INV")
+    x = _compute_values(inp)
+    p = spec.dropout_p
+    scale = x.dtype.type(1.0 / (1.0 - p)) if p < 1.0 else x.dtype.type(0)
+    with np.errstate(all="ignore"):
+        r = np.where(mask, x * scale, x.dtype.type(0))
+    _store(out, r)
+
+
+def _quantize(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
+    """Symmetric per-tensor INT8 quantization; the scale lands in
+    out.tertiary['scale']."""
+    x = _compute_values(inp).astype(np.float64)
+    scale = (inp.tertiary or {}).get("scale")
+    if scale is None:
+        amax = float(np.max(np.abs(x))) if x.size else 0.0
+        scale = amax / 127.0 if amax > 0 else 1.0
+    _store(out, np.clip(np.rint(x / scale), -127, 127).astype(np.int8))
+    out.tertiary = dict(out.tertiary or {})
+    out.tertiary["scale"] = float(scale)
+
+
+def _dequantize(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
+    scale = (inp.tertiary or {}).get("scale")
+    if scale is None:
+        raise InvalidSpecError("flag", "DEQUANTIZE needs tertiary['scale']")
+    _store(out, _compute_values(inp).astype(np.float32) * np.float32(scale))
+
+
+_REDUCE_COMBINE = {
+    ReduceOp.SUM: np.add,
+    ReduceOp.MUL: np.multiply,
+    ReduceOp.MIN: np.minimum,
+    ReduceOp.MAX: np.maximum,
+}
+
+
+def _reduce(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
+    rs, d = spec.reduce, inp.desc
+    acc_dt = np.float64 if d.dtype is DType.FP64 else np.float32
+    x = _compute_values(inp).astype(acc_dt, copy=False)
+    if rs.squared:
+        x = x * x
+    comb = _REDUCE_COMBINE[rs.op]
+
+    def fold(slices: list[np.ndarray]) -> np.ndarray:
+        order = list(reversed(slices)) if _FAULT_DESCENDING_REDUCE else slices
+        if rs.op is ReduceOp.SUM:
+            acc = np.zeros_like(order[0])
+        elif rs.op is ReduceOp.MUL:
+            acc = np.ones_like(order[0])
+        else:
+            acc = order[0].copy()
+            order = order[1:]
+        for s in order:
+            acc = comb(acc, s)
+        return acc
+
+    if rs.axis is ReduceAxis.ROWS:
+        r = fold([x[:, j] for j in range(d.cols)]).reshape(d.rows, 1)
+    elif rs.axis is ReduceAxis.COLS:
+        r = fold([x[i, :] for i in range(d.rows)]).reshape(1, d.cols)
+    else:
+        per_col = fold([x[i, :] for i in range(d.rows)])
+        r = fold([per_col[j:j + 1] for j in range(d.cols)]).reshape(1, 1)
+    _store(out, r)
+
+
+def _transform(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
+    t = spec.transform
+    if t.kind is TransformKind.TRANSPOSE:
+        out.as2d()[:, :] = inp.logical2d().T
+        return
+    a = inp.logical2d()
+    if t.kind is TransformKind.VNNI_TO_VNNIT:
+        flat = a.T.reshape(-1)  # column-major order of the VNNI view
+        a = vnni_unpack_a(flat, t.alpha, t.rows, t.cols).T
+    alpha = t.alpha if t.kind is TransformKind.VNNI else t.alpha_out
+    # the column-major order of ``out`` is the VNNI layout
+    out.as2d()[:, :] = vnni_pack_a(a, alpha).reshape(out.desc.cols, out.desc.rows).T
+
+
+def _replicate_cols(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
+    if inp.desc.phys_cols != 1:
+        raise TensorError("replicate_cols input must be M x 1")
+    _store(out, np.repeat(_compute_values(inp)[:, :1], spec.times, axis=1))
+
+
+def _pack(spec: KernelSpec, hi: TensorView, lo: TensorView, out: TensorView) -> None:
+    _store(out, pack_fp32_bits(hi.as2d(), lo.as2d()))
+
+
+def _compare(spec: KernelSpec, a: TensorView, b: TensorView, out: TensorView) -> None:
+    if out.desc.dtype is not DType.BIT:
+        raise InvalidSpecError("dtype", "COMPARE output is a bitmask")
+    bits = _CMP_PREDICATE[spec.cmp](_compute_values(a), _compute_values(b))
+    out.primary[:] = bool_to_mask(bits)
+
+
+def _gemm(spec: KernelSpec, a: TensorView, b: TensorView, c: TensorView,
+          out: TensorView) -> None:
+    # out = C + A x B; ``out`` must not alias A or B
+    out.as2d()[:, :] = c.logical2d()
+    contraction.gemm(contraction.spec_for_views(a, b, out, beta=1.0), a, b, out)
+
+
+def _blend(spec: KernelSpec, a: TensorView, b: TensorView, c: TensorView,
+           out: TensorView) -> None:
+    mask = mask_to_bool(c.primary, c.desc.rows, c.desc.cols)
+    _store(out, np.where(mask, _compute_values(a), _compute_values(b)))
+
+
+# the implementation of every kind without bound math (RELU: with a bitmask)
+_IMPL: dict[UnaryKind | BinaryKind | TernaryKind, Callable[..., None]] = {
+    UnaryKind.ZERO: _zero,
+    UnaryKind.PRNG: _prng_fill,
+    UnaryKind.RELU: _relu_with_mask,
+    UnaryKind.RELU_INV: _relu_inv,
+    UnaryKind.TANH_INV: _activation_grad,
+    UnaryKind.SIGMOID_INV: _activation_grad,
+    UnaryKind.GELU_INV: _activation_grad,
+    UnaryKind.DROPOUT: _dropout,
+    UnaryKind.DROPOUT_INV: _dropout_inv,
+    UnaryKind.QUANTIZE: _quantize,
+    UnaryKind.DEQUANTIZE: _dequantize,
+    UnaryKind.UNPACK: _unpack,
+    UnaryKind.REDUCE: _reduce,
+    UnaryKind.TRANSFORM: _transform,
+    UnaryKind.REPLICATE_COLS: _replicate_cols,
+    BinaryKind.MATMUL: lambda spec, a, b, out: contraction.matmul(a, b, out),
+    BinaryKind.PACK: _pack,
+    BinaryKind.COMPARE: _compare,
+    TernaryKind.GEMM: _gemm,
+    TernaryKind.BLEND: _blend,
+}
+
+
+# ---------------------------------------------------------------------------
+# layout helpers outside dispatch
+# ---------------------------------------------------------------------------
 
 def shuffle_network_transpose(inp: TensorView, out: TensorView) -> None:
     """Transpose a square 2^k x 2^k 32-bit tile with k interleave stages.
@@ -673,290 +908,37 @@ def affine_offsets(rows: int, cols: int, row_stride: int, col_stride: int,
     return np.stack([r, c], axis=1)
 
 
+def _check_offsets(offs: np.ndarray, shape: tuple[int, int], what: str) -> None:
+    """Every offset pair inside ``shape``; a negative offset would wrap."""
+    if np.any(offs < 0) or np.any(offs[:, 0] >= shape[0]) or np.any(offs[:, 1] >= shape[1]):
+        raise IndexError(f"strided {what} out of bounds")
+
+
 def strided_load(inp: TensorView, out: TensorView, row_stride: int, col_stride: int,
                  base_row: int = 0, base_col: int = 0) -> None:
-    """Strided 2D load: out[i, j] = in[base_row + i*row_stride, base_col + j*col_stride]."""
+    """Strided 2D load: out[i, j] = in[base_row + i*row_stride, base_col + j*col_stride].
+    A stride of 0 reads one element many times (a broadcast read)."""
     offs = affine_offsets(out.desc.rows, out.desc.cols, row_stride, col_stride,
                           base_row, base_col)
     src = inp.as2d()
-    if np.any(offs[:, 0] >= src.shape[0]) or np.any(offs[:, 1] >= src.shape[1]):
-        raise IndexError("strided load out of bounds")
+    _check_offsets(offs, src.shape, "load")
     dst = out.as2d()
     dst[:, :] = src[offs[:, 0], offs[:, 1]].reshape(out.desc.cols, out.desc.rows).T
 
 
 def strided_store(inp: TensorView, out: TensorView, row_stride: int, col_stride: int,
                   base_row: int = 0, base_col: int = 0) -> None:
-    """Strided 2D store: out[base_row + i*row_stride, base_col + j*col_stride] = in[i, j]."""
+    """Strided 2D store: out[base_row + i*row_stride, base_col + j*col_stride] = in[i, j].
+
+    A stride of 0 along an extent above 1 would send several elements to one
+    location, where numpy leaves the winner unspecified: TensorError."""
+    if (row_stride == 0 and inp.desc.rows > 1) or (col_stride == 0 and inp.desc.cols > 1):
+        raise TensorError("strided store with stride 0 writes several elements to one place")
     offs = affine_offsets(inp.desc.rows, inp.desc.cols, row_stride, col_stride,
                           base_row, base_col)
     dst = out.as2d()
-    if np.any(offs[:, 0] >= dst.shape[0]) or np.any(offs[:, 1] >= dst.shape[1]):
-        raise IndexError("strided store out of bounds")
+    _check_offsets(offs, dst.shape, "store")
     src = inp.as2d()
     dst[offs[:, 0], offs[:, 1]] = src.T.reshape(-1)
 
 
-def replicate_cols(inp: TensorView, times: int, out: TensorView) -> None:
-    """Replicate an M x 1 column a fixed number of times."""
-    d = inp.desc
-    if d.phys_cols != 1:
-        raise TensorError("replicate_cols input must be M x 1")
-    _require_logical_shape(out, d.rows, times, "replicate_cols output")
-    _store(out, np.repeat(_compute_values(inp)[:, :1], times, axis=1))
-
-
-# ---------------------------------------------------------------------------
-# binary / ternary
-# ---------------------------------------------------------------------------
-
-def apply_binary(kind: BinaryKind, a: TensorView, b: TensorView, out: TensorView,
-                 cmp: CmpOp | None = None) -> None:
-    if kind is BinaryKind.MATMUL:
-        contraction.matmul(a, b, out)
-        return
-    if kind is BinaryKind.PACK:
-        _pack_binary(a, b, out)
-        return
-
-    xa, xb = _compute_values(a), _compute_values(b)
-    try:
-        rows, cols = _join_shapes([xa.shape, xb.shape])
-    except InvalidSpecError as e:
-        raise TensorError(str(e)) from None
-
-    if kind is BinaryKind.COMPARE:
-        if cmp is None:
-            raise InvalidSpecError("flag", "COMPARE needs a predicate")
-        if out.desc.dtype is not DType.BIT:
-            raise InvalidSpecError("dtype", "COMPARE output is a bitmask")
-        _require_logical_shape(out, rows, cols, "COMPARE output")
-        bits = np.broadcast_to(_CMP_PREDICATE[cmp](xa, xb), (rows, cols))
-        out.primary[:] = bool_to_mask(bits)
-        return
-
-    _require_logical_shape(out, rows, cols, f"{kind} output")
-    with np.errstate(all="ignore"):
-        r = BINARY_MATH[kind](xa, xb)
-    _store(out, np.broadcast_to(r, (rows, cols)))
-
-
-def _pack_binary(hi: TensorView, lo: TensorView, out: TensorView) -> None:
-    if hi.desc.dtype.bits != 16 or lo.desc.dtype.bits != 16:
-        raise InvalidSpecError("dtype", "PACK inputs are 16-bit pattern tensors")
-    if (hi.desc.rows, hi.desc.cols) != (lo.desc.rows, lo.desc.cols):
-        raise TensorError("PACK hi/lo shape mismatch")
-    if out.desc.dtype is not DType.FP32:
-        raise InvalidSpecError("dtype", "PACK output is FP32")
-    _require_logical_shape(out, hi.desc.rows, hi.desc.cols, "PACK output")
-    out.as2d()[:, :] = pack_fp32_bits(hi.as2d(), lo.as2d())
-
-
-def apply_ternary(kind: TernaryKind, a: TensorView, b: TensorView, c: TensorView,
-                  out: TensorView) -> None:
-    if kind is TernaryKind.GEMM:
-        # out = C + A x B; ``out`` must not alias A or B
-        out.as2d()[:, :] = c.logical2d()
-        contraction.gemm(contraction.spec_for_views(a, b, out, beta=1.0), a, b, out)
-        return
-    if kind is TernaryKind.BRGEMM:
-        raise InvalidSpecError("flag", "BRGEMM lives in the contraction module")
-    if kind is TernaryKind.BLEND:
-        if c.desc.dtype is not DType.BIT:
-            raise InvalidSpecError("dtype", "BLEND selector must be a bitmask")
-        xa, xb = _compute_values(a), _compute_values(b)
-        rows, cols = _join_shapes([xa.shape, xb.shape])
-        _require_logical_shape(out, rows, cols, "BLEND output")
-        mask = mask_to_bool(c.primary, c.desc.rows, c.desc.cols)
-        _store(out, np.where(mask, np.broadcast_to(xa, (rows, cols)),
-                             np.broadcast_to(xb, (rows, cols))))
-        return
-    xa, xb, xc = _compute_values(a), _compute_values(b), _compute_values(c)
-    rows, cols = _join_shapes([xa.shape, xb.shape, xc.shape])
-    _require_logical_shape(out, rows, cols, f"{kind} output")
-    with np.errstate(all="ignore"):
-        r = TERNARY_MATH[kind](xa, xb, xc)
-    _store(out, np.broadcast_to(r, (rows, cols)))
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """A fully-specified primitive instance; output shape is a total function
-    of (kind, inputs, flags)."""
-
-    kind: UnaryKind | BinaryKind | TernaryKind
-    ins: tuple[TensorDesc, ...]
-    approx: Approx | None = None
-    reduce: ReduceSpec | None = None
-    transform: TransformSpec | None = None
-    cmp: CmpOp | None = None
-    bitmask_output: bool = False
-    dropout_p: float | None = None
-    times: int | None = None
-    index_desc: TensorDesc | None = None
-
-
-def infer_output_desc(spec: KernelSpec) -> TensorDesc:
-    k, ins = spec.kind, spec.ins
-    if isinstance(k, UnaryKind):
-        if len(ins) != 1:
-            raise InvalidSpecError("shape", "unary spec takes one input desc")
-        d = ins[0]
-        if k is UnaryKind.REDUCE:
-            if spec.reduce is None:
-                raise InvalidSpecError("flag", "REDUCE needs a ReduceSpec")
-            r, c = {ReduceAxis.ROWS: (d.rows, 1), ReduceAxis.COLS: (1, d.cols),
-                    ReduceAxis.ALL: (1, 1)}[spec.reduce.axis]
-            out_dt = DType.FP64 if d.dtype is DType.FP64 else DType.FP32
-            return TensorDesc(r, c, r, out_dt)
-        if k is UnaryKind.TRANSFORM:
-            t = spec.transform
-            if t is None:
-                raise InvalidSpecError("flag", "TRANSFORM needs a TransformSpec")
-            if t.kind is TransformKind.TRANSPOSE:
-                return TensorDesc(d.cols, d.rows, d.cols, d.dtype)
-            if t.kind is TransformKind.VNNI:
-                g = -(-d.cols // t.alpha)
-                return TensorDesc(d.rows * t.alpha, g, d.rows * t.alpha, d.dtype)
-            g = -(-t.rows // t.alpha_out)
-            return TensorDesc(t.cols * t.alpha_out, g, t.cols * t.alpha_out, d.dtype)
-        if k is UnaryKind.REPLICATE_COLS:
-            if spec.times is None or spec.times < 1:
-                raise InvalidSpecError("flag", "REPLICATE_COLS needs times >= 1")
-            return TensorDesc(d.rows, spec.times, d.rows, d.dtype)
-        if k in _GATHER_MODE:
-            if spec.index_desc is None:
-                raise InvalidSpecError("flag", f"{k} needs an index companion descriptor")
-            kk = spec.index_desc.rows * spec.index_desc.cols
-            if k is UnaryKind.GATHER:
-                return TensorDesc(d.rows, kk, d.rows, d.dtype)
-            if k is UnaryKind.GATHER2D:
-                return TensorDesc(kk, 1, kk, d.dtype)
-            return TensorDesc(d.rows, d.cols, d.rows, d.dtype)
-        if k is UnaryKind.QUANTIZE:
-            if d.dtype is not DType.FP32:
-                raise InvalidSpecError("dtype", "QUANTIZE takes FP32")
-            return TensorDesc(d.rows, d.cols, d.rows, DType.INT8)
-        if k is UnaryKind.DEQUANTIZE:
-            if d.dtype is not DType.INT8:
-                raise InvalidSpecError("dtype", "DEQUANTIZE takes INT8")
-            return TensorDesc(d.rows, d.cols, d.rows, DType.FP32)
-        if k is UnaryKind.UNPACK:
-            if d.dtype is not DType.FP32:
-                raise InvalidSpecError("dtype", "UNPACK takes FP32")
-            return TensorDesc(d.rows, d.cols, d.rows, DType.BF16)
-        if k in (UnaryKind.DROPOUT, UnaryKind.DROPOUT_INV) and spec.dropout_p is None:
-            raise InvalidSpecError("flag", f"{k.name} needs p")
-        if k in (UnaryKind.STRIDED_LOAD, UnaryKind.STRIDED_STORE):
-            raise InvalidSpecError("flag", "use strided_load/strided_store helpers")
-        return TensorDesc(d.rows, d.cols, d.rows, d.dtype)
-    if isinstance(k, BinaryKind):
-        if len(ins) != 2:
-            raise InvalidSpecError("shape", "binary spec takes two input descs")
-        a, b = ins
-        if k is BinaryKind.MATMUL:
-            if a.cols != b.rows:
-                raise InvalidSpecError("shape", f"matmul inner dims {a.cols} != {b.rows}")
-            if b.dtype is not a.dtype:
-                raise InvalidSpecError("dtype", f"matmul B is {b.dtype}, A is {a.dtype}")
-            return TensorDesc(a.rows, b.cols, a.rows, contraction.accumulator_dtype(a.dtype))
-        if k is BinaryKind.PACK:
-            return TensorDesc(a.rows, a.cols, a.rows, DType.FP32)
-        rows, cols = _join_shapes([(a.rows, a.cols), (b.rows, b.cols)])
-        if k is BinaryKind.COMPARE:
-            if spec.cmp is None:
-                raise InvalidSpecError("flag", "COMPARE needs a predicate")
-            return TensorDesc(rows, cols, rows, DType.BIT)
-        if a.dtype.is_float != b.dtype.is_float:
-            raise InvalidSpecError("dtype", "mixed int/float elementwise inputs")
-        out_dt = DType.FP64 if DType.FP64 in (a.dtype, b.dtype) else (
-            a.dtype if a.dtype == b.dtype else
-            (DType.FP32 if a.dtype.is_float else DType.INT32))
-        return TensorDesc(rows, cols, rows, out_dt)
-    if isinstance(k, TernaryKind):
-        if len(ins) != 3:
-            raise InvalidSpecError("shape", "ternary spec takes three input descs")
-        a, b, c = ins
-        if k is TernaryKind.BRGEMM:
-            raise InvalidSpecError("flag", "BRGEMM takes a block batch: use contraction.brgemm")
-        if k is TernaryKind.GEMM:
-            if a.cols != b.rows or (c.rows, c.cols) != (a.rows, b.cols):
-                raise InvalidSpecError("shape", "GEMM operand shapes inconsistent")
-            acc = contraction.accumulator_dtype(a.dtype)
-            if b.dtype is not a.dtype or c.dtype is not acc:
-                raise InvalidSpecError("dtype", f"GEMM takes B of {a.dtype} and C of {acc}, "
-                                                f"got {b.dtype} and {c.dtype}")
-            return TensorDesc(c.rows, c.cols, c.rows, c.dtype)
-        if k is TernaryKind.BLEND:
-            if c.dtype is not DType.BIT:
-                raise InvalidSpecError("dtype", "BLEND selector must be a bitmask")
-            rows, cols = _join_shapes([(a.rows, a.cols), (b.rows, b.cols)])
-            return TensorDesc(rows, cols, rows,
-                              DType.FP64 if DType.FP64 in (a.dtype, b.dtype) else DType.FP32
-                              if a.dtype.is_float else DType.INT32)
-        rows, cols = _join_shapes([(a.rows, a.cols), (b.rows, b.cols), (c.rows, c.cols)])
-        out_dt = DType.FP64 if DType.FP64 in (a.dtype, b.dtype, c.dtype) else (
-            DType.FP32 if a.dtype.is_float else DType.INT32)
-        return TensorDesc(rows, cols, rows, out_dt)
-    raise InvalidSpecError("flag", f"unknown kind {k}")
-
-
-class Kernel:
-    """An immutable, dispatched primitive instance.  Its flags apply to the
-    operand views each call passes.
-
-    ``math`` is the kind's bound ndarray function for the fusable kinds
-    (compute-dtype arrays in, compute-dtype array out, flags applied), the
-    same math the call runs; the tiled equation strategies run it on numpy
-    slices of each tile.  It is None for every other kind."""
-
-    __slots__ = ("spec", "out_desc", "math")
-
-    def __init__(self, spec: KernelSpec):
-        self.spec = spec
-        self.out_desc = infer_output_desc(spec)
-        k = spec.kind
-        self.math: Optional[Callable[..., np.ndarray]] = None
-        if k in UNARY_MATH and not spec.bitmask_output:
-            fn, sel = UNARY_MATH[k], spec.approx or DEFAULT_APPROX.get(k)
-            self.math = lambda x: fn(x, sel)
-        elif k in BINARY_MATH:
-            self.math = BINARY_MATH[k]
-        elif k in TERNARY_MATH:
-            self.math = TERNARY_MATH[k]
-
-    def __call__(self, *views: TensorView, out: TensorView) -> None:
-        s = self.spec
-        k = s.kind
-        if isinstance(k, UnaryKind):
-            apply_unary(k, views[0] if views else None, out, approx_flag=s.approx,
-                        reduce_spec=s.reduce, transform_spec=s.transform,
-                        bitmask_output=s.bitmask_output, dropout_p=s.dropout_p,
-                        times=s.times)
-        elif isinstance(k, BinaryKind):
-            apply_binary(k, views[0], views[1], out, cmp=s.cmp)
-        else:
-            apply_ternary(k, views[0], views[1], views[2], out)
-
-
-DISPATCH_CACHE_SIZE = 1024  # kernels kept; the least recently dispatched is dropped first
-_dispatch_cache: OrderedDict[KernelSpec, Kernel] = OrderedDict()
-_dispatch_lock = threading.Lock()
-
-
-def dispatch(spec: KernelSpec) -> Kernel:
-    """Validate a spec and return the (cached) kernel for it."""
-    with _dispatch_lock:
-        kern = _dispatch_cache.get(spec)
-        if kern is None:
-            kern = Kernel(spec)  # raises InvalidSpecError on a bad spec
-            _dispatch_cache[spec] = kern
-            if len(_dispatch_cache) > DISPATCH_CACHE_SIZE:
-                _dispatch_cache.popitem(last=False)
-        else:
-            _dispatch_cache.move_to_end(spec)
-        return kern

@@ -1059,9 +1059,41 @@ def check_softmax(seed: int = 0, instances: int = 100) -> CheckResult:
                        "sum<=1e-6 ref<=1e-5")
 
 
+def norm_oracle(x: np.ndarray, groups: int, eps: float) -> np.ndarray:
+    """Per-channel (scale, shift, mean, var) of an FP32 ``x`` in the
+    documented order, as a (4, rows, 1) FP32 array: FP32 row sums and squared
+    sums folded from +0 in ascending column order, then Python floats (IEEE
+    doubles) summed per group in ascending row order, the variance clamped
+    at 0, each statistic rounded once to FP32."""
+    rows, cols = x.shape
+    s = np.zeros(rows, np.float32)
+    ss = np.zeros(rows, np.float32)
+    for j in range(cols):
+        s = s + x[:, j]
+        ss = ss + x[:, j] * x[:, j]
+    per = rows // groups
+    stats = np.empty((4, rows), np.float32)
+    for gi in range(groups):
+        chans = range(gi * per, (gi + 1) * per)
+        gs = gss = 0.0
+        for c in chans:
+            gs += float(s[c])
+            gss += float(ss[c])
+        mu = gs / (per * cols)
+        var = max(gss / (per * cols) - mu * mu, 0.0)
+        rstd = 1.0 / math.sqrt(var + eps)
+        for c in chans:
+            stats[:, c] = (rstd, -mu * rstd, mu, var)
+    return stats[:, :, None]
+
+
 def check_layernorm(seed: int = 0, instances: int = 100) -> CheckResult:
+    """Unit mean and variance per row, within tolerance of a float64
+    reference, and bitwise equal to the documented-order oracle (output,
+    mean and variance)."""
     rng = np.random.default_rng(seed)
     worst_mean = worst_var = worst_ref = 0.0
+    bad = 0
     for _ in range(instances):
         m = int(rng.integers(2, 17))
         n = int(rng.integers(8, 65))
@@ -1070,18 +1102,25 @@ def check_layernorm(seed: int = 0, instances: int = 100) -> CheckResult:
         g = broadcast(from_array(np.ones((1, n), dtype=np.float32)), Bcast.ROW, m, n)
         b = broadcast(from_array(np.zeros((1, n), dtype=np.float32)), Bcast.ROW, m, n)
         out = alloc(TensorDesc(m, n, m, DType.FP32))
-        kernels.layernorm(xv, g, b, 1e-5, out)
+        mo, vo = (alloc(TensorDesc(m, 1, m, DType.FP32)) for _ in range(2))
+        kernels.layernorm(xv, g, b, 1e-5, out, mo, vo)
+        scale, shift, mean, var = norm_oracle(x, m, 1e-5)
+        one, zero = np.float32(1), np.float32(0)
+        if not (_bits_equal(to_array(out), zero + (shift + x * scale) * one)
+                and _bits_equal(to_array(mo), mean) and _bits_equal(to_array(vo), var)):
+            bad += 1
         o = to_array(out).astype(np.float64)
         worst_mean = max(worst_mean, float(np.max(np.abs(o.mean(axis=1)))))
         worst_var = max(worst_var, float(np.max(np.abs(o.var(axis=1) - 1.0))))
         mu = x.astype(np.float64).mean(axis=1, keepdims=True)
-        var = x.astype(np.float64).var(axis=1, keepdims=True)
-        ref = (x - mu) / np.sqrt(var + 1e-5)
+        v64 = x.astype(np.float64).var(axis=1, keepdims=True)
+        ref = (x - mu) / np.sqrt(v64 + 1e-5)
         worst_ref = max(worst_ref, float(np.max(np.abs(o - ref))))
-    ok = worst_mean <= 1e-6 and worst_var <= 1e-4 and worst_ref <= 1e-5
+    ok = bad == 0 and worst_mean <= 1e-6 and worst_var <= 1e-4 and worst_ref <= 1e-5
     return CheckResult("kernels-layernorm", ok,
-                       f"mean={worst_mean:.2e} var={worst_var:.2e} ref={worst_ref:.2e}",
-                       "mean<=1e-6 var<=1e-4 ref<=1e-5")
+                       f"bitwise-mismatches={bad} mean={worst_mean:.2e} "
+                       f"var={worst_var:.2e} ref={worst_ref:.2e}",
+                       "mismatches=0 mean<=1e-6 var<=1e-4 ref<=1e-5")
 
 
 def check_embedding_fused(seed: int = 0, instances: int = 100) -> CheckResult:

@@ -1,9 +1,13 @@
+from fractions import Fraction
+import math
+
 import numpy as np
 
 from tensorprim.dtypes import (
     DType,
     bf16_to_fp32,
     fp32_to_bf16_rne,
+    narrow,
     pack_fp32_bits,
     split_fp32_bits,
 )
@@ -89,3 +93,51 @@ def test_split_pack_random_corpus():
     pats = rng.integers(0, 1 << 32, size=1_000_000, dtype=np.uint32).view(np.float32)
     hi, lo = split_fp32_bits(pats)
     assert bits_equal(pack_fp32_bits(hi, lo), pats)
+
+
+def _nearest_bf16(x: float) -> int:
+    """The BF16 pattern nearest ``x`` (ties to even), by exact rational
+    arithmetic; magnitudes from the midpoint above the largest finite BF16
+    up round to infinity."""
+    sign = 0x8000 if math.copysign(1.0, x) < 0 else 0
+    if math.isinf(x):
+        return sign | 0x7F80
+    if x == 0.0:
+        return sign
+    ulp = Fraction(2) ** (max(math.frexp(abs(x))[1] - 1, -126) - 7)
+    value = round(Fraction(abs(x)) / ulp) * ulp  # round() on a Fraction ties to even
+    if value >= Fraction(2) ** 128:
+        return sign | 0x7F80
+    return sign | int(np.float32(float(value)).view(np.uint32)) >> 16
+
+
+def test_fp64_to_bf16_rounds_once():
+    """1 + 2^-8 + 2^-30 lies just above the tie between 1.0 and 1.0078125:
+    rounding to FP32 first would make it an exact tie and round it to 1.0."""
+    assert int(narrow(np.array([1 + 2 ** -8 + 2 ** -30]), DType.BF16)[0]) == 0x3F81
+    assert int(narrow(np.array([1 + 2 ** -8]), DType.BF16)[0]) == 0x3F80  # a true tie
+
+
+def test_fp64_to_bf16_matches_exact_nearest_even():
+    rng = np.random.default_rng(23)
+    pats = rng.integers(0, 0x7F7F, size=600, dtype=np.uint16)
+    lo = bf16_to_fp32(pats).astype(np.float64)
+    mids = (lo + bf16_to_fp32(pats + 1).astype(np.float64)) / 2
+    xs = np.concatenate([
+        mids, np.nextafter(mids, 0), np.nextafter(mids, np.inf), -mids,
+        rng.standard_normal(600) * np.exp2(rng.integers(-140, 130, size=600)),
+        [0.0, -0.0, 5e-324, -5e-324, 1e-45, 2.0 ** -134, np.nextafter(2.0 ** -134, 1),
+         np.nextafter(2.0 ** -134, 0), 1e-40, 3.3895313892515355e38, 3.39e38, 3.4e38, 1e39,
+         -1e300, np.inf, -np.inf]])
+    got = narrow(xs, DType.BF16)
+    want = np.array([_nearest_bf16(float(x)) for x in xs], dtype=np.uint16)
+    assert xs.size > 3000
+    assert bits_equal(got, want)
+
+
+def test_bf16_narrowing_keeps_nan_and_fp32_bits():
+    nan = narrow(np.array([np.nan, -np.nan]), DType.BF16)
+    assert np.all(np.isnan(bf16_to_fp32(nan)))
+    assert bits_equal(nan >> 15, np.array([0, 1], dtype=np.uint16))
+    x = np.random.default_rng(24).standard_normal(1000).astype(np.float32)
+    assert bits_equal(narrow(x, DType.BF16), fp32_to_bf16_rne(x))

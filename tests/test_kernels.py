@@ -1,5 +1,4 @@
 from concurrent.futures import ThreadPoolExecutor
-import math
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from tensorprim import (
     EmbeddingSpec,
     FcSpec,
     GatherMode,
+    InvalidSpecError,
     NormMode,
     ReduceAxis,
     ReduceOp,
@@ -42,6 +42,7 @@ from tensorprim import (
     view_at,
 )
 from tensorprim import verify
+from tensorprim.verify import norm_oracle
 
 from util import bits_equal
 
@@ -189,34 +190,6 @@ def test_groupnorm_group_count_guard():
                          alloc(D(6, 4)), groups=groups)
 
 
-def _norm_oracle(x, groups, eps):
-    """Per-channel (scale, shift, mean, var) of ``x`` in the documented order:
-    FP32 row sums and squared sums folded from +0 in ascending column order,
-    then Python floats (IEEE doubles) per group, each result rounded once to
-    FP32."""
-    rows, cols = x.shape
-    s = np.zeros(rows, np.float32)
-    ss = np.zeros(rows, np.float32)
-    for j in range(cols):
-        s = s + x[:, j]
-        ss = ss + x[:, j] * x[:, j]
-    per = rows // groups
-    stats = np.empty((4, rows), np.float32)
-    for gi in range(groups):
-        chans = range(gi * per, (gi + 1) * per)
-        gs = gss = 0.0
-        for c in chans:
-            gs += float(s[c])
-            gss += float(ss[c])
-        mu = gs / (per * cols)
-        var = gss / (per * cols) - mu * mu
-        assert var >= 0.0, "the pin covers inputs whose variance is not negative"
-        rstd = 1.0 / math.sqrt(var + eps)
-        for c in chans:
-            stats[:, c] = (rstd, -mu * rstd, mu, var)
-    return stats[:, :, None]
-
-
 def _norm_inputs(rows, cols):
     """Random rows, rows of +0 and -0, and rows holding subnormals."""
     rng = np.random.default_rng(17)
@@ -246,7 +219,7 @@ def test_layernorm_bits_match_the_documented_order(pad):
     out = _padded(np.zeros_like(x), pad)
     mo, vo = alloc(D(rows, 1)), alloc(D(rows, 1))
     layernorm(_padded(x, pad), from_array(g), from_array(b), 1e-5, out, mo, vo)
-    scale, shift, mean, var = _norm_oracle(x, rows, 1e-5)
+    scale, shift, mean, var = norm_oracle(x, rows, 1e-5)
     assert bits_equal(to_array(out), b + (shift + x * scale) * g)
     assert bits_equal(to_array(mo), mean) and bits_equal(to_array(vo), var)
 
@@ -262,7 +235,7 @@ def test_groupnorm_bits_match_the_documented_order(groups, pad):
     out = _padded(np.zeros_like(x), pad)
     norm_scaling(_padded(x, pad), None, None, from_array(g), from_array(b),
                  NormMode.GROUPNORM, out, groups=groups, eps=1e-5)
-    scale, shift, _, _ = _norm_oracle(x, groups, 1e-5)
+    scale, shift, _, _ = norm_oracle(x, groups, 1e-5)
     assert bits_equal(to_array(out), b + (shift + x * scale) * g)
 
 
@@ -616,6 +589,15 @@ def test_binary_reduce_guards():
         binary_reduce_aggregate(t, t, [5], [0], BinaryKind.ADD, ReduceOp.SUM, out)
 
 
+def test_binary_reduce_rejects_a_float_table_with_an_integer_one():
+    t = from_array(np.ones((3, 3), dtype=np.float32))
+    i8 = from_array(np.ones((3, 3), dtype=np.int8))
+    out = alloc(D(3, 1), fill=9.0)
+    with pytest.raises(InvalidSpecError) as e:
+        binary_reduce_aggregate(t, i8, [0], [1], BinaryKind.MUL, ReduceOp.SUM, out)
+    assert e.value.code == "dtype" and np.all(to_array(out) == 9.0)
+
+
 # ---------------------------------------------------------------------------
 # sparse kernels against the per-index loops they replaced
 # ---------------------------------------------------------------------------
@@ -861,3 +843,10 @@ def test_kernels_audit_flags_indexed_buffers(monkeypatch, line, flagged):
     r = verify.check_kernels_source_audit()
     assert r.passed is (flagged is None)
     assert flagged is None or flagged in r.measured
+
+
+def test_kernel_plan_caches_are_bounded_like_dispatch():
+    from tensorprim import kernels, ops
+    for cached in (kernels._softmax_trees, kernels._scaling_plan):
+        assert cached.cache_info().maxsize == ops.DISPATCH_CACHE_SIZE
+    assert kernels._scaling_plan(4, 6, DType.FP32) is kernels._scaling_plan(4, 6, DType.FP32)

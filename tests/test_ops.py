@@ -82,12 +82,6 @@ def test_dispatch_distinct_approx_flags():
     assert np.allclose(to_array(o1), to_array(o2), atol=3e-3)
 
 
-def test_dispatch_gather_without_indices_is_invalid():
-    with pytest.raises(InvalidSpecError) as e:
-        dispatch(KernelSpec(UnaryKind.GATHER, (D(4, 4),)))
-    assert e.value.code == "flag"
-
-
 @pytest.mark.parametrize("spec", [
     KernelSpec(UnaryKind.DROPOUT, (D(4, 4),)),
     KernelSpec(UnaryKind.DROPOUT_INV, (D(4, 4),)),
@@ -118,6 +112,70 @@ def test_dispatch_rejects_mixed_contraction_dtypes(spec):
     with pytest.raises(InvalidSpecError) as e:
         dispatch(spec)
     assert e.value.code == "dtype"
+
+
+@pytest.mark.parametrize("spec, code", [
+    (KernelSpec(UnaryKind.TRANSFORM, (D(4, 2, DType.BF16),),
+                transform=TransformSpec(TransformKind.VNNI, alpha=4)), "flag"),
+    (KernelSpec(UnaryKind.TRANSFORM, (D(4, 2),),
+                transform=TransformSpec(TransformKind.VNNI, alpha=2)), "dtype"),
+    (KernelSpec(UnaryKind.TRANSFORM, (D(8, 2, DType.BF16),),
+                transform=TransformSpec(TransformKind.VNNI_TO_VNNIT, alpha=2, alpha_out=2,
+                                        rows=4, cols=2)), "shape"),
+    (KernelSpec(BinaryKind.PACK, (D(2, 2), D(2, 2))), "dtype"),
+    (KernelSpec(BinaryKind.PACK, (D(2, 2, DType.BF16), D(2, 3, DType.BF16))), "shape"),
+    (KernelSpec(UnaryKind.DROPOUT, (D(4, 4),), dropout_p=1.0), "flag"),
+    (KernelSpec(UnaryKind.DROPOUT, (D(4, 4),), dropout_p=-0.1), "flag"),
+])
+def test_dispatch_rejects_what_only_a_call_used_to_check(spec, code):
+    """VNNI alpha, the VNNI_TO_VNNIT extent, PACK's two equal-shaped 16-bit
+    inputs and dropout p in [0, 1) are spec properties: dispatch checks them."""
+    with pytest.raises(InvalidSpecError) as e:
+        dispatch(spec)
+    assert e.value.code == code
+
+
+def test_kernel_call_checks_only_extents_and_input_dtypes():
+    kern = dispatch(KernelSpec(BinaryKind.ADD, (D(4, 4), D(4, 4))))
+    a = from_array(np.ones((4, 4), dtype=np.float32))
+    for bad in (from_array(np.ones((4, 3), dtype=np.float32)), from_array(np.ones((4, 4)))):
+        with pytest.raises(TensorError):
+            kern(a, bad, out=alloc(D(4, 4)))
+    with pytest.raises(TensorError):
+        kern(a, a, out=alloc(D(4, 3)))
+    with pytest.raises(TensorError):
+        kern(a, out=alloc(D(4, 4)))
+    wide = alloc(D(4, 4, DType.FP64))  # the output dtype is free: the store narrows
+    kern(a, a, out=wide)
+    assert np.all(to_array(wide) == 2.0)
+
+
+def test_validation_runs_once_per_spec(monkeypatch):
+    """Building a plan dispatches its nodes; evaluating it, or repeating a
+    direct call on the same descriptors, validates nothing again, and a
+    kernel call goes through no ``apply_*``."""
+    import tensorprim.ops as ops
+    from tensorprim import Buffered, plan_equation, evaluate
+    calls = []
+    infer = ops.infer_output_desc
+    monkeypatch.setattr(ops, "infer_output_desc", lambda spec: calls.append(spec) or infer(spec))
+    plan = plan_equation("relu(T0 + T1) * T0 - exp(T1)", [D(3, 5), D(3, 5)])
+    assert calls
+    x = from_array(np.linspace(-1, 1, 15, dtype=np.float32).reshape(3, 5))
+    out1, out2 = alloc(D(3, 5)), alloc(D(3, 5))
+    calls.clear()
+    for name in ("apply_unary", "apply_binary", "apply_ternary"):
+        monkeypatch.setattr(ops, name, None)
+    evaluate(plan, Buffered(), [x, x], out1)
+    evaluate(plan, Buffered(), [x, x], out2)
+    assert calls == [] and bits_equal(to_array(out1), to_array(out2))
+    monkeypatch.undo()
+    monkeypatch.setattr(ops, "infer_output_desc", lambda spec: calls.append(spec) or infer(spec))
+    y = from_array(np.ones((7, 3), dtype=np.float32))
+    apply_binary(BinaryKind.SUB, y, y, alloc(D(7, 3)))
+    calls.clear()
+    apply_binary(BinaryKind.SUB, y, y, alloc(D(7, 3)))
+    assert calls == []
 
 
 def test_dispatch_cache_is_bounded_lru():
@@ -510,6 +568,40 @@ def test_strided_load_store_affine():
     assert back[0, 0] == 0 and back[2, 4] == 16 and back[1, 1] == 0
 
 
+def test_strided_load_rejects_negative_offsets():
+    x = from_array(np.arange(24, dtype=np.float32).reshape(4, 6))
+    with pytest.raises(IndexError):
+        strided_load(x, alloc(D(2, 2)), row_stride=1, col_stride=1, base_row=-1)
+    with pytest.raises(IndexError):
+        strided_load(x, alloc(D(2, 2)), row_stride=1, col_stride=-1, base_col=0)
+
+
+def test_strided_load_with_stride_zero_is_a_broadcast_read():
+    x = from_array(np.arange(24, dtype=np.float32).reshape(4, 6))
+    out = alloc(D(2, 3))
+    strided_load(x, out, row_stride=1, col_stride=0, base_col=5)
+    assert to_array(out).tolist() == [[5, 5, 5], [11, 11, 11]]
+
+
+def test_strided_store_rejects_negative_offsets_before_any_write():
+    src = from_array(np.ones((2, 3), dtype=np.float32))
+    dst = alloc(D(4, 6), fill=7.0)
+    with pytest.raises(IndexError):
+        strided_store(src, dst, row_stride=1, col_stride=-1, base_col=1)
+    assert np.all(to_array(dst) == 7.0)
+
+
+def test_strided_store_rejects_stride_zero_along_an_extent_above_one():
+    dst = alloc(D(4, 6), fill=7.0)
+    with pytest.raises(TensorError):
+        strided_store(from_array(np.ones((2, 3), dtype=np.float32)), dst, 1, 0)
+    with pytest.raises(TensorError):
+        strided_store(from_array(np.ones((2, 3), dtype=np.float32)), dst, 0, 1)
+    assert np.all(to_array(dst) == 7.0)
+    strided_store(from_array(np.full((1, 3), 2.0, dtype=np.float32)), dst, 0, 2, base_row=3)
+    assert to_array(dst)[3].tolist() == [2, 7, 2, 7, 2, 7]
+
+
 def test_replicate_cols_examples():
     x = from_array(np.array([[1.0], [2.0]], dtype=np.float32))
     out = alloc(D(2, 3))
@@ -598,6 +690,63 @@ def test_blend_with_bitmask():
     assert to_array(out).tolist() == [[1.0, 9.0]]
     with pytest.raises(InvalidSpecError):
         apply_ternary(TernaryKind.BLEND, a, b, b, out)
+
+
+def test_mixed_int_float_elementwise_call_is_rejected():
+    """A direct call validates as tree building does: no silent promotion."""
+    a = from_array(np.ones((2, 2), dtype=np.int32))
+    b = from_array(np.ones((2, 2), dtype=np.float32))
+    with pytest.raises(InvalidSpecError) as e:
+        apply_binary(BinaryKind.ADD, a, b, alloc(D(2, 2)))
+    assert e.value.code == "dtype"
+
+
+def test_binary_shapes_that_cannot_join_are_a_shape_error():
+    a = from_array(np.ones((2, 3), dtype=np.float32))
+    b = from_array(np.ones((3, 2), dtype=np.float32))
+    with pytest.raises(InvalidSpecError) as e:
+        apply_binary(BinaryKind.MUL, a, b, alloc(D(3, 3)))
+    assert e.value.code == "shape"
+
+
+def test_contraction_calls_with_mixed_dtypes_are_spec_errors():
+    a = from_array(np.ones((2, 2), dtype=np.float32))
+    b = from_array(np.ones((2, 2), dtype=np.float32), DType.BF16)
+    with pytest.raises(InvalidSpecError):
+        apply_binary(BinaryKind.MATMUL, a, b, alloc(D(2, 2)))
+    c = from_array(np.ones((2, 2)))
+    with pytest.raises(InvalidSpecError):
+        apply_ternary(TernaryKind.GEMM, a, a, c, alloc(D(2, 2)))
+
+
+def test_pack_shape_mismatch_and_blend_selector_shape_are_spec_errors():
+    hi = from_array(np.ones((2, 2), dtype=np.float32), DType.BF16)
+    lo = from_array(np.ones((2, 3), dtype=np.float32), DType.BF16)
+    with pytest.raises(InvalidSpecError) as e:
+        apply_binary(BinaryKind.PACK, hi, lo, alloc(D(2, 2)))
+    assert e.value.code == "shape"
+    a = from_array(np.ones((2, 2), dtype=np.float32))
+    mask = alloc(TensorDesc(3, 2, 3, DType.BIT))
+    with pytest.raises(InvalidSpecError) as e:
+        apply_ternary(TernaryKind.BLEND, a, a, mask, alloc(D(2, 2)))
+    assert e.value.code == "shape"
+
+
+def test_pack_and_dequantize_store_into_any_output_dtype():
+    """As for every kind but COMPARE, UNPACK and PRNG, the store narrows to
+    the output's dtype."""
+    x = np.array([[2.75, -0.375]], dtype=np.float32)
+    from tensorprim import split_fp32
+    s = split_fp32(from_array(x))
+    wide = alloc(D(1, 2, DType.FP64))
+    apply_binary(BinaryKind.PACK, s.hi, s.lo, wide)
+    assert to_array(wide).tolist() == [[2.75, -0.375]]
+    q = alloc(D(1, 2, DType.INT8))
+    apply_unary(UnaryKind.QUANTIZE, from_array(x), q)
+    d32, d64 = alloc(D(1, 2)), alloc(D(1, 2, DType.FP64))
+    apply_unary(UnaryKind.DEQUANTIZE, q, d32)
+    apply_unary(UnaryKind.DEQUANTIZE, q, d64)
+    assert bits_equal(to_array(d64), to_array(d32).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
