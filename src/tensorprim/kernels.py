@@ -359,6 +359,7 @@ class DilatedConvSpec:
     out_width: int       # Q (output positions)
     taps: int            # S (filter size)
     dilation: int        # d
+    block_q: int = 8     # output-position block
 
     def __post_init__(self):
         if self.out_width + (self.taps - 1) * self.dilation > self.width:
@@ -367,10 +368,9 @@ class DilatedConvSpec:
 
 def dilated_conv1d_forward(spec: DilatedConvSpec, inp: TensorView,
                            weights: TensorView, out: TensorView) -> None:
-    """Forward pass: transpose the weights once, then one address-based batch
-    contraction over the filter taps covers every output position: tap s
-    reads the Q input columns from s*d on (Q + (S-1)*d <= W keeps them inside
-    the input).
+    """Forward pass: transpose the weights once, then per position block run
+    an address-based batch contraction over the filter taps, with the input
+    pointers at dilated offsets pos + s*d.
 
     ``inp`` is C x W (one column per position); ``weights`` is (C*S) x K with
     row s*C + c holding tap s of input channel c; ``out`` is K x Q.
@@ -386,12 +386,14 @@ def dilated_conv1d_forward(spec: DilatedConvSpec, inp: TensorView,
     wt = alloc(TensorDesc(k_ch, c_ch * s_taps, k_ch, weights.desc.dtype))
     transform(weights, TransformSpec(TransformKind.TRANSPOSE), wt)
 
-    a_refs = [(wt.primary, s * c_ch * k_ch) for s in range(s_taps)]
-    b_refs = [(inp.primary, s * d * inp.desc.ld) for s in range(s_taps)]
-    gspec = GemmSpec(m=k_ch, n=spec.out_width, k=c_ch, lda=k_ch, ldb=inp.desc.ld,
-                     ldc=out.desc.ld, in_dtype=wt.desc.dtype,
-                     out_dtype=out.desc.dtype, beta=0.0)
-    brgemm(gspec, BrgemmBatch.address(a_refs, b_refs), out)
+    for pos in range(0, spec.out_width, spec.block_q):
+        bq = min(spec.block_q, spec.out_width - pos)
+        a_refs = [(wt.primary, s * c_ch * k_ch) for s in range(s_taps)]
+        b_refs = [(inp.primary, (pos + s * d) * inp.desc.ld) for s in range(s_taps)]
+        gspec = GemmSpec(m=k_ch, n=bq, k=c_ch, lda=k_ch, ldb=inp.desc.ld,
+                         ldc=out.desc.ld, in_dtype=wt.desc.dtype,
+                         out_dtype=out.desc.dtype, beta=0.0)
+        brgemm(gspec, BrgemmBatch.address(a_refs, b_refs), out.col_block(pos, bq))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ A primitive is described once (``KernelSpec``: kind, input descriptors,
 flags) and validated once: ``infer_output_desc`` is the only check of a
 spec, and ``dispatch`` caches the ``Kernel`` built from it, which then runs
 without re-checking.  ``apply_*``, ``reduce``, ``transform`` and
-``replicate_cols`` dispatch the spec of their views and call its kernel;
-ZERO and PRNG, whose extent is the output's, run directly.
+``replicate_cols`` dispatch the spec of their views and run its kernel, and
+a kernel called from a plan step enters through the ``apply_*`` of its
+family, so every primitive call takes this one path.  ZERO and PRNG, whose
+extent is the output's, run directly.
 
 Every operator follows the same blueprint: load logical sub-tensors (with
 broadcast and datatype widening applied), run the point operation in the
@@ -18,11 +20,9 @@ threads belong to the caller's loop nest.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 import enum
 import functools
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -350,6 +350,8 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
             raise InvalidSpecError("flag", f"dropout p must be in [0, 1), got {spec.dropout_p}")
         if k in (UnaryKind.STRIDED_LOAD, UnaryKind.STRIDED_STORE):
             raise InvalidSpecError("flag", "use strided_load/strided_store helpers")
+        if k in (UnaryKind.ZERO, UnaryKind.PRNG):
+            raise InvalidSpecError("flag", f"{k.name} takes its extent from out: use apply_unary")
         return TensorDesc(d.rows, d.cols, d.rows, d.dtype)
     if isinstance(k, BinaryKind):
         if len(ins) != 2:
@@ -439,16 +441,23 @@ def _check_alpha(dtype: DType, alpha: int) -> None:
 
 class Kernel:
     """An immutable, dispatched primitive instance: its spec was validated
-    and its kind's implementation bound when it was built.  A call checks
-    only that each operand has the extent and dtype of the spec and ``out``
-    the output extent (``out``'s dtype is free: the store narrows to it).
+    and its kind's implementation bound when it was built.
+
+    A call checks only that each operand has the extent and dtype of the
+    spec and ``out`` the output extent; ``out``'s dtype is free (the store
+    narrows to it) except where the kind writes raw storage: a bitmask
+    (COMPARE), BF16 patterns (UNPACK) or a layout copy (TRANSFORM).  The
+    call enters through the public function of its family
+    (``apply_unary``, ``apply_binary``, ``apply_ternary``), which finds the
+    kernel of the operands' descriptors in the dispatch cache, so a plan
+    step and a direct call take the same path and neither re-validates.
 
     ``math`` is the kind's bound ndarray function for the fusable kinds
     (compute-dtype arrays in, compute-dtype array out, flags applied), the
     same math the call runs; the tiled equation strategies run it on numpy
     slices of each tile.  It is None for every other kind."""
 
-    __slots__ = ("spec", "out_desc", "math", "_ins", "_run")
+    __slots__ = ("spec", "out_desc", "math", "_ins", "_impl")
 
     def __init__(self, spec: KernelSpec):
         self.spec = spec
@@ -463,37 +472,40 @@ class Kernel:
             self.math = BINARY_MATH[k]
         elif k in TERNARY_MATH:
             self.math = TERNARY_MATH[k]
-        self._run = (functools.partial(_elementwise, self.math) if self.math is not None
-                     else functools.partial(_IMPL[k], spec))
+        self._impl = (functools.partial(_elementwise, self.math) if self.math is not None
+                      else functools.partial(_IMPL[k], spec))
 
     def __call__(self, *views: TensorView, out: TensorView) -> None:
         got = tuple([(v.desc.rows, v.desc.cols, v.desc.dtype) for v in views])
         if got != self._ins:
             raise TensorError(f"{self.spec.kind} kernel takes {self._ins}, got {got}")
+        s = self.spec
+        k = s.kind
+        if isinstance(k, UnaryKind):
+            apply_unary(k, views[0], out, approx_flag=s.approx, reduce_spec=s.reduce,
+                        transform_spec=s.transform, bitmask_output=s.bitmask_output,
+                        dropout_p=s.dropout_p, times=s.times)
+        elif isinstance(k, BinaryKind):
+            apply_binary(k, views[0], views[1], out, cmp=s.cmp)
+        else:
+            apply_ternary(k, views[0], views[1], views[2], out)
+
+    def _run(self, views: tuple[TensorView, ...], out: TensorView) -> None:
         od = self.out_desc
         if (out.desc.rows, out.desc.cols) != (od.rows, od.cols):
             raise TensorError(f"{self.spec.kind} output: expected {od.rows}x{od.cols}, "
                               f"got {out.desc.rows}x{out.desc.cols}")
-        self._run(*views, out)
+        self._impl(*views, out)
 
 
 DISPATCH_CACHE_SIZE = 1024  # kernels kept; the least recently dispatched is dropped first
-_dispatch_cache: OrderedDict[KernelSpec, Kernel] = OrderedDict()
-_dispatch_lock = threading.Lock()
 
 
+@functools.lru_cache(maxsize=DISPATCH_CACHE_SIZE)
 def dispatch(spec: KernelSpec) -> Kernel:
-    """Validate a spec and return the (cached) kernel for it."""
-    with _dispatch_lock:
-        kern = _dispatch_cache.get(spec)
-        if kern is None:
-            kern = Kernel(spec)  # raises InvalidSpecError on a bad spec
-            _dispatch_cache[spec] = kern
-            if len(_dispatch_cache) > DISPATCH_CACHE_SIZE:
-                _dispatch_cache.popitem(last=False)
-        else:
-            _dispatch_cache.move_to_end(spec)
-        return kern
+    """Validate a spec and return the (cached) kernel for it; a bad spec
+    raises InvalidSpecError and is not cached."""
+    return Kernel(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +523,18 @@ def apply_unary(kind: UnaryKind, inp: Optional[TensorView], out: TensorView,
     shapes (broadcast allowed on the input only).  ZERO and PRNG take their
     extent from ``out``, not from an input, so they run without dispatch."""
     if kind is UnaryKind.ZERO:
-        _zero(None, inp, out)
+        out.as2d()[:, :] = 0
         return
     if inp is None:
         raise TensorError(f"{kind} requires an input view")
     if kind is UnaryKind.PRNG:
-        _prng_fill(None, inp, out)
+        _prng_fill(inp, out)
         return
     if kind is UnaryKind.REPLICATE_COLS and times is None:
         times = out.desc.cols
     dispatch(KernelSpec(kind, (inp.desc,), approx=approx_flag, reduce=reduce_spec,
                         transform=transform_spec, bitmask_output=bitmask_output,
-                        dropout_p=dropout_p, times=times))(inp, out=out)
+                        dropout_p=dropout_p, times=times))._run((inp,), out)
 
 
 def reduce(inp: TensorView, spec: ReduceSpec, out: TensorView) -> None:
@@ -532,7 +544,7 @@ def reduce(inp: TensorView, spec: ReduceSpec, out: TensorView) -> None:
     storage dtype.  SUM starts from 0, MUL from 1; MIN/MAX fold from the
     first element along the order.
     """
-    dispatch(KernelSpec(UnaryKind.REDUCE, (inp.desc,), reduce=spec))(inp, out=out)
+    dispatch(KernelSpec(UnaryKind.REDUCE, (inp.desc,), reduce=spec))._run((inp,), out)
 
 
 def transform(inp: TensorView, spec: TransformSpec, out: TensorView) -> None:
@@ -542,23 +554,24 @@ def transform(inp: TensorView, spec: TransformSpec, out: TensorView) -> None:
     ``[N/alpha][M][alpha]``: groups of ``alpha`` consecutive columns become
     the innermost dimension, the tail group zero-padded.  The resulting view
     is (M * alpha) x ceil(N / alpha) with a contiguous leading dimension.
+    ``out`` holds the input's dtype (a layout copy does not convert).
     """
-    dispatch(KernelSpec(UnaryKind.TRANSFORM, (inp.desc,), transform=spec))(inp, out=out)
+    dispatch(KernelSpec(UnaryKind.TRANSFORM, (inp.desc,), transform=spec))._run((inp,), out)
 
 
 def replicate_cols(inp: TensorView, times: int, out: TensorView) -> None:
     """Replicate an M x 1 column a fixed number of times."""
-    dispatch(KernelSpec(UnaryKind.REPLICATE_COLS, (inp.desc,), times=times))(inp, out=out)
+    dispatch(KernelSpec(UnaryKind.REPLICATE_COLS, (inp.desc,), times=times))._run((inp,), out)
 
 
 def apply_binary(kind: BinaryKind, a: TensorView, b: TensorView, out: TensorView,
                  cmp: CmpOp | None = None) -> None:
-    dispatch(KernelSpec(kind, (a.desc, b.desc), cmp=cmp))(a, b, out=out)
+    dispatch(KernelSpec(kind, (a.desc, b.desc), cmp=cmp))._run((a, b), out)
 
 
 def apply_ternary(kind: TernaryKind, a: TensorView, b: TensorView, c: TensorView,
                   out: TensorView) -> None:
-    dispatch(KernelSpec(kind, (a.desc, b.desc, c.desc)))(a, b, c, out=out)
+    dispatch(KernelSpec(kind, (a.desc, b.desc, c.desc)))._run((a, b, c), out)
 
 
 # ---------------------------------------------------------------------------
@@ -573,10 +586,6 @@ def _elementwise(math: Callable[..., np.ndarray], *operands: TensorView) -> None
     with np.errstate(all="ignore"):
         r = math(*[_compute_values(v) for v in views])
     _store(out, r)
-
-
-def _zero(spec: Optional[KernelSpec], inp: Optional[TensorView], out: TensorView) -> None:
-    out.as2d()[:, :] = 0
 
 
 def _relu_with_mask(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
@@ -622,7 +631,7 @@ def _unpack(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
     out.secondary.reshape(inp.desc.cols, inp.desc.rows).T[:, :] = lo
 
 
-def _prng_fill(spec: Optional[KernelSpec], inp: TensorView, out: TensorView) -> None:
+def _prng_fill(inp: TensorView, out: TensorView) -> None:
     if out.desc.dtype is not DType.FP32:
         raise InvalidSpecError("dtype", "PRNG output must be FP32")
     state = (inp.tertiary or {}).get("prng")
@@ -718,6 +727,9 @@ def _reduce(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
 
 
 def _transform(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
+    if out.desc.dtype is not inp.desc.dtype:
+        raise InvalidSpecError("dtype", f"a transform copies {inp.desc.dtype} storage, "
+                                        f"the output is {out.desc.dtype}")
     t = spec.transform
     if t.kind is TransformKind.TRANSPOSE:
         out.as2d()[:, :] = inp.logical2d().T
@@ -763,8 +775,6 @@ def _blend(spec: KernelSpec, a: TensorView, b: TensorView, c: TensorView,
 
 # the implementation of every kind without bound math (RELU: with a bitmask)
 _IMPL: dict[UnaryKind | BinaryKind | TernaryKind, Callable[..., None]] = {
-    UnaryKind.ZERO: _zero,
-    UnaryKind.PRNG: _prng_fill,
     UnaryKind.RELU: _relu_with_mask,
     UnaryKind.RELU_INV: _relu_inv,
     UnaryKind.TANH_INV: _activation_grad,

@@ -152,8 +152,8 @@ def test_kernel_call_checks_only_extents_and_input_dtypes():
 
 def test_validation_runs_once_per_spec(monkeypatch):
     """Building a plan dispatches its nodes; evaluating it, or repeating a
-    direct call on the same descriptors, validates nothing again, and a
-    kernel call goes through no ``apply_*``."""
+    direct call on the same descriptors, validates nothing again; a kernel
+    call enters through the ``apply_*`` of its family."""
     import tensorprim.ops as ops
     from tensorprim import Buffered, plan_equation, evaluate
     calls = []
@@ -164,11 +164,14 @@ def test_validation_runs_once_per_spec(monkeypatch):
     x = from_array(np.linspace(-1, 1, 15, dtype=np.float32).reshape(3, 5))
     out1, out2 = alloc(D(3, 5)), alloc(D(3, 5))
     calls.clear()
+    entered = []
     for name in ("apply_unary", "apply_binary", "apply_ternary"):
-        monkeypatch.setattr(ops, name, None)
+        monkeypatch.setattr(ops, name, lambda *a, _fn=getattr(ops, name), _name=name, **kw:
+                            entered.append(_name) or _fn(*a, **kw))
     evaluate(plan, Buffered(), [x, x], out1)
     evaluate(plan, Buffered(), [x, x], out2)
     assert calls == [] and bits_equal(to_array(out1), to_array(out2))
+    assert sorted(entered) == ["apply_binary"] * 6 + ["apply_unary"] * 4
     monkeypatch.undo()
     monkeypatch.setattr(ops, "infer_output_desc", lambda spec: calls.append(spec) or infer(spec))
     y = from_array(np.ones((7, 3), dtype=np.float32))
@@ -191,11 +194,12 @@ def test_dispatch_cache_is_bounded_lru():
         b.tree(b.unary(UnaryKind.RELU, b.leaf(0)))
         if i % 100 == 0:
             assert dispatch(hot) is kept  # recently used: never the one dropped
-        assert len(ops._dispatch_cache) <= bound
-    assert len(ops._dispatch_cache) == bound
+        assert dispatch.cache_info().currsize <= bound
+    assert dispatch.cache_info().currsize == bound
     assert dispatch(KernelSpec(UnaryKind.RELU, (D(1, 1),))) is kept
-    first = KernelSpec(UnaryKind.RELU, (D(2, 1),))
-    assert first not in ops._dispatch_cache  # least recently used: dropped
+    misses = dispatch.cache_info().misses
+    dispatch(KernelSpec(UnaryKind.RELU, (D(2, 1),)))
+    assert dispatch.cache_info().misses == misses + 1  # least recently used: dropped
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +393,24 @@ def test_vnni_to_vnnit_composition():
     assert bits_equal(out.primary, vnni_pack_a(pats.T, 2))
 
 
+@pytest.mark.parametrize("out_dtype", [DType.FP32, DType.FP64])
+def test_transform_output_holds_the_input_dtype(out_dtype):
+    """A transform copies storage: a BF16 VNNI_TO_VNNIT or TRANSPOSE into an
+    output of another dtype would store bit patterns as values (1.0 as
+    16256.0), so it raises before any write."""
+    m, n = 4, 2
+    vn = from_array(np.ones((m * 2, n // 2), np.float32), DType.BF16)
+    out = alloc(TensorDesc(n * 2, m // 2, n * 2, out_dtype))
+    for inp, spec, o in ((vn, TransformSpec(TransformKind.VNNI_TO_VNNIT, alpha=2, alpha_out=2,
+                                           rows=m, cols=n), out),
+                         (vn, TransformSpec(TransformKind.TRANSPOSE),
+                          alloc(TensorDesc(1, 8, 1, out_dtype)))):
+        with pytest.raises(InvalidSpecError) as e:
+            transform(inp, spec, o)
+        assert e.value.code == "dtype"
+        assert not np.any(to_array(o))
+
+
 # ---------------------------------------------------------------------------
 # shuffle-network transpose
 # ---------------------------------------------------------------------------
@@ -462,6 +484,21 @@ def test_gather_scatter_rows():
     gather_scatter(out, np.array([2, 0]), GatherMode.SCATTER_ROWS, back)
     b = to_array(back)
     assert b[2].tolist() == [5, 6] and b[0].tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("kind", [UnaryKind.ZERO, UnaryKind.PRNG])
+def test_zero_and_prng_run_only_through_apply_unary(kind):
+    """ZERO and PRNG take their extent from ``out``: no spec describes them,
+    and apply_unary runs them directly (PRNG into FP32 from any input)."""
+    with pytest.raises(InvalidSpecError) as e:
+        dispatch(KernelSpec(kind, (D(2, 3, DType.BF16),)))
+    assert e.value.code == "flag"
+    src = alloc(D(2, 3, DType.BF16))
+    src.tertiary = {"prng": PrngState(5, 3)}
+    out = alloc(D(2, 3), fill=7.0)
+    apply_unary(kind, src, out)
+    vals = to_array(out)
+    assert np.all(vals == 0) if kind is UnaryKind.ZERO else np.all((vals >= 0) & (vals < 1))
 
 
 def test_prng_unary_fills_deterministic_uniforms():
