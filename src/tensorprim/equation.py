@@ -15,11 +15,12 @@ leaves are argument tensors.  Planning happens in two passes:
    over all evaluation orders.
 
 Evaluation replays the plan either through full-size slot buffers
-(BUFFERED), through per-tile slices when every operator is a pure
+(BUFFERED), through slices of whole tiles when every operator is a pure
 elementwise map (TILE_FUSED), or through a mix where only the elementwise
 regions are tiled (HYBRID).  A tiled region runs each node's bound ndarray
-math (``Kernel.math``) on numpy slices and rounds every result to the node's
-dtype, as storing a temporary does.  All three produce bitwise-identical
+math (``Kernel.math``) on numpy slices, one block of tiles within a fixed
+byte budget at a time, and rounds every result to the node's dtype, as
+storing a temporary does.  All three produce bitwise-identical
 results to naive per-node evaluation because each node runs the same math on
 the same values in the same order.
 """
@@ -35,7 +36,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import ops
-from .dtypes import narrow, widen
+from .dtypes import COMPUTE_DTYPE, narrow, widen
 from .ops import (
     Approx,
     BinaryKind,
@@ -622,17 +623,40 @@ def _slot_death(plan: ExecPlan, slot: int, write_ts: int) -> int:
     return plan.steps[-1].timestamp + 1 if plan.steps else 0
 
 
+# Bytes a tiled region's live values may take per block (see ``_eval_tiled``).
+_TILE_BLOCK_BYTES = 1 << 18
+
+
+def _block_extent(rows: int, cols: int, tile_m: int, tile_n: int,
+                  elem_bytes: int) -> tuple[int, int]:
+    """Rows and columns of a block of whole tiles over a ``rows`` x ``cols``
+    region: as many tiles as fit ``_TILE_BLOCK_BYTES`` at ``elem_bytes`` per
+    element, rows first, at least one tile.  The walk's slices cut a block
+    to the extent."""
+    tm, tn = min(tile_m, rows), min(tile_n, cols)
+    fit = _TILE_BLOCK_BYTES // elem_bytes
+    block_m = min(rows, tm * max(1, fit // (tm * tn)))
+    return block_m, tn * max(1, fit // (block_m * tn))
+
+
 def _eval_tiled(steps: list[PlanStep], args: Sequence[TensorView], out: TensorView,
                 tile_m: int, tile_n: int,
                 materialized: dict[int, TensorView] | None = None) -> None:
-    """Run ``steps`` (all fusable, the region's root last) tile by tile.
+    """Run ``steps`` (all fusable, the region's root last) in blocks of whole
+    tiles.
 
     Every argument or materialised input is read once, whole, in its compute
-    dtype; each tile slices those arrays and runs the nodes' bound math.  A
-    node's tile is narrowed to its dtype and widened back, as storing and
-    reloading a temporary would, and the root's tile is narrowed into its
-    slice of ``out``.  Each value keeps its physical extent: a row, column or
-    scalar operand broadcasts inside the math, as it would through a view."""
+    dtype; each block slices those arrays and runs the nodes' bound math.  A
+    block is ``km * tile_m`` x ``kn * tile_n`` (cut to the extent), as many
+    tiles as fit ``_TILE_BLOCK_BYTES`` for the region's live values (its
+    inputs plus one compute-dtype array per node), grown along rows first
+    because storage is column-major, and never less than one tile.  A node's
+    block is narrowed to its dtype and widened back, as storing and
+    reloading a temporary would, and the root's block is narrowed into its
+    slice of ``out``.  Every node is elementwise and rounds every element at
+    the same point, so the block shape changes no bit.  Each value keeps its
+    physical extent: a row, column or scalar operand broadcasts inside the
+    math, as it would through a view."""
     materialized = materialized or {}
     root = steps[-1].node
     rows, cols = root.out_desc.rows, root.out_desc.cols
@@ -650,21 +674,24 @@ def _eval_tiled(steps: list[PlanStep], args: Sequence[TensorView], out: TensorVi
                 read[id(v)] = len(inputs)
                 inputs.append((a, a.shape[0] != 1, a.shape[1] != 1))
             source[c.node_id] = read[id(v)]
-    # per tile, the values list holds the input tiles, then each step's tile
+    # per block, the values list holds the input blocks, then each step's block
     program = [(s.node.kernel.math,
                 [len(inputs) + region[c.node_id] if c.node_id in region else source[c.node_id]
                  for c in s.node.children],
                 s.node.out_desc.dtype)
                for s in steps]
     body, (root_math, root_refs, _) = program[:-1], program[-1]
+    elem_bytes = (sum(a.itemsize for a, _, _ in inputs)
+                  + sum(COMPUTE_DTYPE[s.node.out_desc.dtype].itemsize for s in steps))
+    block_m, block_n = _block_extent(rows, cols, tile_m, tile_n, elem_bytes)
 
     out2d = out.as2d()
     whole = slice(None)
     with np.errstate(all="ignore"):
-        for i0 in range(0, rows, tile_m):
-            rs = slice(i0, i0 + tile_m)
-            for j0 in range(0, cols, tile_n):
-                cs = slice(j0, j0 + tile_n)
+        for i0 in range(0, rows, block_m):
+            rs = slice(i0, i0 + block_m)
+            for j0 in range(0, cols, block_n):
+                cs = slice(j0, j0 + block_n)
                 vals = [a[rs if tr else whole, cs if tc else whole] for a, tr, tc in inputs]
                 for math, refs, dtype in body:
                     r = math(*[vals[k] for k in refs])

@@ -495,6 +495,8 @@ class Kernel:
         if (out.desc.rows, out.desc.cols) != (od.rows, od.cols):
             raise TensorError(f"{self.spec.kind} output: expected {od.rows}x{od.cols}, "
                               f"got {out.desc.rows}x{out.desc.cols}")
+        if out.desc.bcast is not Bcast.NONE:
+            raise TensorError(f"{self.spec.kind} output must not be a broadcast view")
         self._impl(*views, out)
 
 
@@ -721,8 +723,17 @@ def _reduce(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
     elif rs.axis is ReduceAxis.COLS:
         r = fold([x[i, :] for i in range(d.rows)]).reshape(1, d.cols)
     else:
+        # the column partials fold in one ``accumulate`` call, from 0 (SUM)
+        # or 1 (MUL), or from the first partial (MIN, MAX); ``accumulate`` is
+        # sequential by definition, ``ufunc.reduce`` may sum pairwise
         per_col = fold([x[i, :] for i in range(d.rows)])
-        r = fold([per_col[j:j + 1] for j in range(d.cols)]).reshape(1, 1)
+        if _FAULT_DESCENDING_REDUCE:
+            per_col = per_col[::-1]
+        if rs.op is ReduceOp.SUM:
+            per_col = np.concatenate([np.zeros(1, acc_dt), per_col])
+        elif rs.op is ReduceOp.MUL:
+            per_col = np.concatenate([np.ones(1, acc_dt), per_col])
+        r = comb.accumulate(per_col)[-1:].reshape(1, 1)
     _store(out, r)
 
 

@@ -359,17 +359,43 @@ def check_quantize_roundtrip(seed: int = 0) -> CheckResult:
     return CheckResult("ops-quantize-roundtrip", err <= scale / 2 + 1e-9, err, scale / 2)
 
 
+def reduce_oracle(x: np.ndarray, axis: ReduceAxis, op: ReduceOp) -> np.ndarray:
+    """The documented reduction order of an FP32 ``x`` in scalar loops: ROWS
+    folds each row in ascending column order, COLS each column in ascending
+    row order, ALL each column in ascending row order and then those
+    partials in ascending column order.  SUM folds from +0, MUL from 1, MIN
+    and MAX from the first element.  Returns the reduced shape, FP32."""
+    comb = {ReduceOp.SUM: np.add, ReduceOp.MUL: np.multiply,
+            ReduceOp.MIN: np.minimum, ReduceOp.MAX: np.maximum}[op]
+    start = {ReduceOp.SUM: np.float32(0), ReduceOp.MUL: np.float32(1)}.get(op)
+
+    def fold(values) -> np.float32:
+        values = list(values)
+        acc = values.pop(0) if start is None else start
+        for v in values:
+            acc = comb(acc, v)
+        return acc
+
+    rows, cols = x.shape
+    if axis is ReduceAxis.ROWS:
+        return np.array([[fold(x[i, j] for j in range(cols))] for i in range(rows)], np.float32)
+    per_col = [fold(x[i, j] for i in range(rows)) for j in range(cols)]
+    return np.array([per_col] if axis is ReduceAxis.COLS else [[fold(per_col)]], np.float32)
+
+
 def check_reduce_determinism(seed: int = 0) -> CheckResult:
-    """Reductions are reproducible across repeated runs (fixed order)."""
+    """ALL, ROWS and COLS reductions with SUM and MAX equal the ascending
+    scalar-loop oracle, bitwise."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((33, 29)).astype(np.float32)
-    outs = []
-    for _ in range(3):
-        o = alloc(TensorDesc(1, 1, 1, DType.FP32))
-        ops.reduce(from_array(x), ReduceSpec(ReduceAxis.ALL, ReduceOp.SUM), o)
-        outs.append(to_array(o).tobytes())
-    ok = outs[0] == outs[1] == outs[2]
-    return CheckResult("ops-reduce-determinism", ok, 0 if ok else 1, 0)
+    bad = 0
+    for axis in (ReduceAxis.ALL, ReduceAxis.ROWS, ReduceAxis.COLS):
+        for op in (ReduceOp.SUM, ReduceOp.MAX):
+            want = reduce_oracle(x, axis, op)
+            o = alloc(TensorDesc(*want.shape, want.shape[0], DType.FP32))
+            ops.reduce(from_array(x), ReduceSpec(axis, op), o)
+            bad += not _bits_equal(to_array(o), want)
+    return CheckResult("ops-reduce-determinism", bad == 0, bad, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -118,12 +118,14 @@ def test_verify_fault_injection_negative_control(capsys):
     """The reduce-order fault breaks the fused-vs-oracle bitwise checks but
     not the planner minimality check, and the failure exits nonzero."""
     code, out, _ = run_cli(["verify", "--inject-fault", "reduce-order", "--only",
-                            "equation-minimality,kernels-embedding-fused,kernels-layernorm"],
+                            "equation-minimality,kernels-embedding-fused,kernels-layernorm,"
+                            "ops-reduce-determinism"],
                            capsys)
     assert code == 1
     assert "[PASS] equation-minimality" in out
     assert "[FAIL] kernels-embedding-fused" in out
     assert "[FAIL] kernels-layernorm" in out
+    assert "[FAIL] ops-reduce-determinism" in out
     # and the fault does not leak into subsequent runs
     code2, out2, _ = run_cli(["verify", "--only", "kernels-embedding-fused"], capsys)
     assert code2 == 0

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from tensorprim import (
     to_array,
 )
 from tensorprim.equation import MAX_DEPTH, EquationError, ParseError, plan_to_dict
-from tensorprim import verify
+from tensorprim import equation, verify
 
 from util import bits_equal
 
@@ -374,9 +376,10 @@ _TILES = ((1, 1), (3, 5), (64, 64))  # unit, non-dividing, larger than the tenso
 
 def _strategies_agree(plan, args, out_desc=None):
     """Evaluate naively, Buffered, Hybrid and (when every node is
-    elementwise) TileFused at each of ``_TILES``; every output buffer,
-    padding included, must be bitwise the naive one, and the padding must
-    keep its sentinel bytes.  Returns the naive output."""
+    elementwise) TileFused at each of ``_TILES``, the tiled strategies both
+    in blocks of tiles and one tile per block; every output buffer, padding
+    included, must be bitwise the naive one, and the padding must keep its
+    sentinel bytes.  Returns the naive output."""
     out_desc = out_desc or plan.out_desc.contiguous()
 
     def fresh():
@@ -393,9 +396,11 @@ def _strategies_agree(plan, args, out_desc=None):
     if all(s.node.fusable() for s in plan.steps):
         strategies += [TileFused(m, n) for m, n in _TILES]
     for strat in strategies:
-        got = fresh()
-        evaluate(plan, strat, args, got)
-        assert bits_equal(got.primary, ref.primary), strat
+        for budget in (equation._TILE_BLOCK_BYTES, 1):  # 1: one tile per block
+            got = fresh()
+            with mock.patch.object(equation, "_TILE_BLOCK_BYTES", budget):
+                evaluate(plan, strat, args, got)
+            assert bits_equal(got.primary, ref.primary), (strat, budget)
     return ref
 
 
@@ -521,6 +526,82 @@ def test_tiled_views_do_not_grow_with_the_tile_count(monkeypatch):
         outs.append(y)
     assert counts[0] == counts[1]
     assert bits_equal(outs[0].primary, outs[1].primary)
+
+
+def test_a_region_runs_in_blocks_of_whole_tiles_ragged_edges_included(monkeypatch):
+    """With a budget of a few 3 x 5 tiles, a 37 x 23 region runs in several
+    blocks that partition it, the ragged last row and column included, and
+    stays bitwise equal to naive evaluation."""
+    rng = np.random.default_rng(28)
+    plan = plan_equation("tanh(T0) * (T1 + T2) - exp(T3)", [D(37, 23)] * 4)
+    args = [from_array(rng.uniform(0.2, 1.5, (37, 23)).astype(np.float32)) for _ in range(4)]
+    ref = alloc(D(37, 23))
+    evaluate_naive(plan.tree, args, ref)
+    root = plan.steps[-1].node
+    blocks = []
+
+    def math(*xs, inner=root.kernel.math):
+        r = inner(*xs)
+        blocks.append(r.shape)
+        return r
+
+    monkeypatch.setattr(root.kernel, "math", math)
+    # 4 tiles of 15 elements at 36 B each: 4 FP32 inputs and 5 FP32 nodes
+    monkeypatch.setattr(equation, "_TILE_BLOCK_BYTES", 4 * 15 * 36)
+    for strat in (TileFused(3, 5), Hybrid(3, 5)):
+        blocks.clear()
+        got = alloc(D(37, 23))
+        evaluate(plan, strat, args, got)
+        assert bits_equal(got.primary, ref.primary), strat
+        assert 1 < len(blocks) < 13 * 5  # fewer blocks than tiles
+        assert sum(r * c for r, c in blocks) == 37 * 23
+        assert all(r % 3 == 0 or r == 37 % 3 for r, _ in blocks)
+        assert all(c % 5 == 0 or c == 23 % 5 for _, c in blocks)
+        assert 37 % 3 in {r for r, _ in blocks} and 23 % 5 in {c for _, c in blocks}
+
+
+def test_softmax_hybrid_runs_exp_once_per_slice(monkeypatch):
+    """Softmax 64 x (8 x 64) under Hybrid(16, 16) fits each slice's fused
+    region in one block: one ``exp_taylor`` call per slice, not per tile."""
+    from tensorprim import SoftmaxSpec, approx, softmax
+    spec = SoftmaxSpec(64, 8, 64)
+    x = from_array(np.random.default_rng(29).standard_normal((64, 512)).astype(np.float32))
+    y = alloc(D(64, 512))
+    softmax(spec, x, y, strategy=Hybrid(16, 16))  # plans are built and cached here
+    calls = [0]
+    exp_taylor = approx.exp_taylor
+
+    def counted(v):
+        calls[0] += 1
+        return exp_taylor(v)
+
+    monkeypatch.setattr(approx, "exp_taylor", counted)
+    softmax(spec, x, y, strategy=Hybrid(16, 16))
+    assert calls[0] == 8
+
+
+def test_no_block_array_exceeds_the_budget(monkeypatch):
+    rng = np.random.default_rng(30)
+    plan = plan_equation("sigmoid(T0 * T1) + T2 / (T0 - T1)", [D(40, 40)] * 3)
+    args = [from_array(rng.uniform(0.2, 1.5, (40, 40)).astype(np.float32)) for _ in range(3)]
+    budget = 4096
+    largest = [0]
+
+    def watched(inner):
+        def math(*xs):
+            r = inner(*xs)
+            largest[0] = max([largest[0], r.nbytes] + [v.nbytes for v in xs])
+            return r
+        return math
+
+    for s in plan.steps:
+        monkeypatch.setattr(s.node.kernel, "math", watched(s.node.kernel.math))
+    monkeypatch.setattr(equation, "_TILE_BLOCK_BYTES", budget)
+    ref, got = alloc(D(40, 40)), alloc(D(40, 40))
+    evaluate_naive(plan.tree, args, ref)  # kernel calls, not the patched math
+    evaluate(plan, TileFused(4, 4), args, got)
+    assert 4 * 4 * 4 <= largest[0] <= budget
+    assert bits_equal(got.primary, ref.primary)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from tensorprim import (
     vnni_unpack_a,
 )
 from tensorprim.tensor import bool_to_mask, mask_to_bool
+from tensorprim.verify import reduce_oracle
 
 from util import bits_equal
 
@@ -319,6 +320,34 @@ def test_reduce_fixed_ascending_order():
     assert to_array(out)[0, 0] == asc
 
 
+def test_numpy_pairwise_reduce_is_not_the_pinned_order():
+    """``np.add.reduce`` sums a contiguous axis pairwise, so it must never
+    stand in for the sequential fold: on this 1 x 300 row the two differ."""
+    x = np.random.default_rng(3).standard_normal((1, 300)).astype(np.float32)
+    seq = np.float32(0)
+    for v in x[0]:
+        seq = seq + v
+    assert np.add.reduce(x[0]).tobytes() != seq.tobytes()
+    out = alloc(D(1, 1))
+    reduce(from_array(x), ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM), out)
+    assert to_array(out)[0, 0].tobytes() == seq.tobytes()
+
+
+@pytest.mark.parametrize("axis", list(ReduceAxis))
+@pytest.mark.parametrize("op", list(ReduceOp))
+def test_reduce_equals_the_ascending_loop_oracle(axis, op):
+    rng = np.random.default_rng(4)
+    shape = (24, 150)
+    if op is ReduceOp.MUL:  # stay clear of overflow and underflow
+        x = rng.uniform(0.9, 1.1, shape).astype(np.float32)
+    else:
+        x = rng.standard_normal(shape).astype(np.float32)
+    want = reduce_oracle(x, axis, op)
+    out = alloc(D(*want.shape))
+    reduce(from_array(x), ReduceSpec(axis, op), out)
+    assert bits_equal(to_array(out), want)
+
+
 def test_reduce_shape_guard():
     with pytest.raises(TensorError):
         reduce(from_array(np.ones((2, 2), dtype=np.float32)),
@@ -576,6 +605,17 @@ def test_scatter_into_broadcast_output_rejected():
     with pytest.raises(TensorError):
         gather_scatter(from_array(np.ones((3, 1), np.float32)), np.array([2]),
                        GatherMode.SCATTER_COLS, dst)
+    assert np.all(dst.primary == 5.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda dst: apply_unary(UnaryKind.IDENTITY, from_array(np.ones((3, 4), np.float32)), dst),
+    lambda dst: replicate_cols(from_array(np.ones((3, 1), np.float32)), 4, dst),
+], ids=["apply_unary", "replicate_cols"])
+def test_direct_call_into_a_broadcast_output_rejected(call):
+    dst = broadcast(alloc(D(3, 1), fill=5.0), Bcast.COL, 3, 4)
+    with pytest.raises(TensorError):
+        call(dst)
     assert np.all(dst.primary == 5.0)
 
 
