@@ -105,12 +105,6 @@ class GemmSpec:
         return vnni_alpha(self.in_dtype)
 
 
-class BatchKind(enum.Enum):
-    ADDRESS = "address"
-    OFFSET = "offset"
-    STRIDE = "stride"
-
-
 Ref = tuple[np.ndarray, int]  # (flat buffer, element offset)
 
 
@@ -133,7 +127,6 @@ class BrgemmBatch:
     other (but never the output).
     """
 
-    kind: BatchKind
     a_refs: tuple[Ref, ...]
     b_refs: tuple[Ref, ...]
 
@@ -147,7 +140,7 @@ class BrgemmBatch:
         b = tuple(_as_ref(r) for r in b_refs)
         if len(a) != len(b):
             raise TensorError(f"batch length mismatch: {len(a)} A blocks, {len(b)} B blocks")
-        return BrgemmBatch(BatchKind.ADDRESS, a, b)
+        return BrgemmBatch(a, b)
 
     @staticmethod
     def offset(a_base, b_base, a_offsets: Sequence[int], b_offsets: Sequence[int]) -> "BrgemmBatch":
@@ -157,7 +150,7 @@ class BrgemmBatch:
         bb, bo = _as_ref(b_base)
         a = tuple((ab, ao + int(o)) for o in a_offsets)
         b = tuple((bb, bo + int(o)) for o in b_offsets)
-        return BrgemmBatch(BatchKind.OFFSET, a, b)
+        return BrgemmBatch(a, b)
 
     @staticmethod
     def stride(a_base, b_base, stride_a: int, stride_b: int, count: int) -> "BrgemmBatch":
@@ -165,7 +158,7 @@ class BrgemmBatch:
         bb, bo = _as_ref(b_base)
         a = tuple((ab, ao + i * int(stride_a)) for i in range(count))
         b = tuple((bb, bo + i * int(stride_b)) for i in range(count))
-        return BrgemmBatch(BatchKind.STRIDE, a, b)
+        return BrgemmBatch(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,22 @@ leaves are argument tensors.  Planning happens in two passes:
    take 1 when all children are leaves, else max(3, children)), plus the
    exact requirement used for ordering (see ``_assign_need``);
 2. a recursive walk visits children in decreasing-requirement order (ties
-   left-to-right), stamps each node on completion, and reserves / inherits /
-   recycles temporary slots so that the live set never exceeds the minimum
-   over all evaluation orders.
+   left-to-right), stamps each node on completion, and gives it a temporary
+   slot by one rule for every arity: inherit the slot of the first non-leaf
+   child (left, right, middle) and recycle the others, so that the live set
+   never exceeds the minimum over all evaluation orders.  The plan records
+   each slot's byte size.
 
-Evaluation replays the plan either through full-size slot buffers
-(BUFFERED), through slices of whole tiles when every operator is a pure
-elementwise map (TILE_FUSED), or through a mix where only the elementwise
-regions are tiled (HYBRID).  A tiled region runs each node's bound ndarray
-math (``Kernel.math``) on numpy slices, one block of tiles within a fixed
-byte budget at a time, and rounds every result to the node's dtype, as
-storing a temporary does.  All three produce bitwise-identical
-results to naive per-node evaluation because each node runs the same math on
-the same values in the same order.
+Evaluation replays the plan's decisions.  BUFFERED runs every step into its
+planned slot, over byte buffers of the recorded sizes made fresh for each
+call.  HYBRID runs the non-elementwise nodes the same way, into private
+buffers, and each maximal region of pure elementwise maps (TILE_FUSED: the
+whole tree, which must be one such region) in blocks of whole tiles: each
+node's bound ndarray math (``Kernel.math``) runs on numpy slices, one block
+within a fixed byte budget at a time, and every result is rounded to the
+node's dtype, as storing a temporary does.  All three produce
+bitwise-identical results to naive per-node evaluation because each node
+runs the same math on the same values in the same order.
 """
 
 from __future__ import annotations
@@ -200,7 +203,7 @@ _UNARY_NAMES = {
     "identity": UnaryKind.IDENTITY,
 }
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*/()]))")
+_TOKEN_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*/()])|(?P<bad>\S)")
 
 
 class ParseError(ValueError):
@@ -213,25 +216,13 @@ class _Parser:
     def __init__(self, text: str, builder: TreeBuilder):
         self.text = text
         self.b = builder
-        self.pos = 0
         self.toks: list[tuple[str, str, int]] = []
-        self._tokenize()
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", m.start())
+            self.toks.append((m.lastgroup, m.group(), m.start()))
         self.i = 0
         self.nesting = 0
-
-    def _tokenize(self):
-        pos = 0
-        while pos < len(self.text):
-            m = _TOKEN_RE.match(self.text, pos)
-            if not m or m.end() == pos:
-                if self.text[pos:].strip():
-                    raise ParseError(f"unexpected character {self.text[pos:pos+1]!r}", pos)
-                break
-            if m.group("name"):
-                self.toks.append(("name", m.group("name"), m.start("name")))
-            else:
-                self.toks.append(("sym", m.group("sym"), m.start("sym")))
-            pos = m.end()
 
     def _peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else ("eof", "", len(self.text))
@@ -380,16 +371,20 @@ class PlanStep:
 class ExecPlan:
     tree: EqTree
     steps: list[PlanStep]
-    temp_count: int           # distinct slots reserved by the planner
-    rep_bytes: int            # representative slot size: max non-root intermediate
-    naive_bytes: int          # sum of non-root intermediate sizes
-    recycled: bool            # whether any slot was ever freed and reused
+    temp_count: int              # distinct slots reserved by the planner
+    slot_bytes: dict[int, int]   # slot -> bytes of its largest non-root occupant
+    naive_bytes: int             # sum of non-root intermediate sizes
+    recycled: bool               # whether any slot was ever freed and reused
+
+    @property
+    def rep_bytes(self) -> int:
+        """Representative slot size: the largest non-root intermediate."""
+        return max(self.slot_bytes.values(), default=0)
 
     @property
     def temp_bytes(self) -> int:
         """Scratch footprint: materialised slots x representative size."""
-        slots = {s.output[1] for s in self.steps if not s.is_root}
-        return len(slots) * self.rep_bytes
+        return len(self.slot_bytes) * self.rep_bytes
 
     @property
     def out_desc(self) -> TensorDesc:
@@ -402,91 +397,47 @@ def create_execution_plan(tree: EqTree) -> ExecPlan:
     Children are visited in decreasing order of their true temp requirement
     (ties left-to-right; for unary/binary trees this requirement equals the
     register score, for ternary nodes the score's floor of 3 would misorder
-    some trees); a node inherits the slot of a preferred non-leaf child
-    (left, then right, then middle) and recycles the slots of the remaining
-    non-leaf children.
+    some trees).  A node inherits the slot of its first non-leaf child in the
+    order left, right, middle and recycles the slots of the others; a node
+    over leaves only takes the lowest free slot, or a new one.
     """
     if tree.root.score < 0 or tree.root.need < 0:
         assign_register_score(tree)
 
     free: list[int] = []
-    next_slot = 0
-    clock = 0
+    temp_count = 0
     steps: list[PlanStep] = []
-    recycled_any = False
-
-    def reserve() -> int:
-        nonlocal next_slot
-        if free:
-            return heapq.heappop(free)
-        next_slot += 1
-        return next_slot - 1
-
-    def recycle(slot: Optional[int]) -> None:
-        nonlocal recycled_any
-        if slot is not None:
-            heapq.heappush(free, slot)
-            recycled_any = True
-
-    def stamp(n: EqNode) -> None:
-        nonlocal clock
-        n.timestamp = clock
-        clock += 1
-
-    def emit(n: EqNode) -> None:
-        ins = tuple(("arg", c.arg_slot) if c.is_leaf else ("tmp", c.temp_id)
-                    for c in n.children)
-        steps.append(PlanStep(n.timestamp, n, ins, ("tmp", n.temp_id),
-                              is_root=n is tree.root))
+    slot_bytes: dict[int, int] = {}
+    recycled = False
 
     def plan(n: EqNode) -> None:
-        if n.is_leaf:
-            return
-        if isinstance(n.kind, UnaryKind):
-            child = n.children[0]
-            plan(child)
-            stamp(n)
-            n.temp_id = reserve() if child.is_leaf else child.temp_id
-        elif isinstance(n.kind, BinaryKind):
-            l, r = n.children
-            for c in sorted((l, r), key=lambda c: -c.need):
+        nonlocal temp_count, recycled
+        for c in sorted(n.children, key=lambda c: -c.need):
+            if not c.is_leaf:
                 plan(c)
-            stamp(n)
-            if l.is_leaf and r.is_leaf:
-                n.temp_id = reserve()
-            elif not l.is_leaf:
-                n.temp_id = l.temp_id
-                if not r.is_leaf:
-                    recycle(r.temp_id)
-            else:
-                n.temp_id = r.temp_id
+        n.timestamp = len(steps)
+        held = [c.temp_id for c in (n.children[0], *n.children[:0:-1]) if not c.is_leaf]
+        if held:
+            n.temp_id = held[0]
+            for slot in held[1:]:
+                heapq.heappush(free, slot)
+                recycled = True
+        elif free:
+            n.temp_id = heapq.heappop(free)
         else:
-            l, m, r = n.children
-            for c in sorted((l, m, r), key=lambda c: -c.need):
-                plan(c)
-            stamp(n)
-            if l.is_leaf and m.is_leaf and r.is_leaf:
-                n.temp_id = reserve()
-            elif not l.is_leaf:
-                n.temp_id = l.temp_id
-                if not m.is_leaf:
-                    recycle(m.temp_id)
-                if not r.is_leaf:
-                    recycle(r.temp_id)
-            elif not r.is_leaf:
-                n.temp_id = r.temp_id
-                if not m.is_leaf:
-                    recycle(m.temp_id)
-            else:
-                n.temp_id = m.temp_id
-        emit(n)
+            n.temp_id = temp_count
+            temp_count += 1
+        is_root = n is tree.root
+        if not is_root:
+            slot_bytes[n.temp_id] = max(slot_bytes.get(n.temp_id, 0), n.out_desc.nbytes)
+        steps.append(PlanStep(n.timestamp, n,
+                              tuple(("arg", c.arg_slot) if c.is_leaf else ("tmp", c.temp_id)
+                                    for c in n.children),
+                              ("tmp", n.temp_id), is_root))
 
     plan(tree.root)
-    steps.sort(key=lambda s: s.timestamp)
-    non_root = [s.node.out_desc.nbytes for s in steps if not s.is_root]
-    return ExecPlan(tree, steps, temp_count=next_slot,
-                    rep_bytes=max(non_root, default=0),
-                    naive_bytes=sum(non_root), recycled=recycled_any)
+    naive = sum(s.node.out_desc.nbytes for s in steps if not s.is_root)
+    return ExecPlan(tree, steps, temp_count, slot_bytes, naive, recycled)
 
 
 def plan_equation(text: str, args: Sequence[TensorDesc]) -> ExecPlan:
@@ -524,57 +475,33 @@ def _run_node(n: EqNode, ins: list[TensorView], out: TensorView) -> None:
     # (the copy is an exact bit move)
     if k is BinaryKind.MATMUL or k is TernaryKind.GEMM or k is UnaryKind.TRANSFORM:
         if any(np.may_share_memory(v.primary, out.primary) for v in ins):
-            staged = alloc(out.desc.contiguous())
+            staged = alloc(out.desc)
             n.kernel(*ins, out=staged)
             out.as2d()[:, :] = staged.as2d()
             return
     n.kernel(*ins, out=out)
 
 
-class _SlotArena:
-    """Byte arenas for temp slots; each slot serves differently-shaped
-    intermediates over its lifetime."""
-
-    def __init__(self, plan: ExecPlan):
-        cap: dict[int, int] = {}
-        for s in plan.steps:
-            if s.is_root:
-                continue
-            slot = s.output[1]
-            cap[slot] = max(cap.get(slot, 0), s.node.out_desc.nbytes)
-        self.bufs = {slot: np.zeros(n, dtype=np.uint8) for slot, n in cap.items()}
-        self.views: dict[int, TensorView] = {}
-
-    def out_view(self, slot: int, desc: TensorDesc) -> TensorView:
-        d = desc.contiguous()
-        raw = self.bufs[slot]
-        if d.dtype.storage == np.uint8:
-            buf = raw[:d.min_buffer_len]
-        else:
-            nb = d.min_buffer_len * d.dtype.storage.itemsize
-            buf = raw[:nb].view(d.dtype.storage)
-        v = TensorView(d, buf)
-        self.views[slot] = v
-        return v
+def _slot_view(buf: np.ndarray, desc: TensorDesc) -> TensorView:
+    """``desc`` (a kernel output, so dense) over the head of a slot's bytes."""
+    return TensorView(desc, buf[:desc.nbytes].view(desc.dtype.storage))
 
 
 def evaluate(plan: ExecPlan, strategy: EvalStrategy, args: Sequence[TensorView],
              out: TensorView, step_hook: Callable | None = None) -> None:
     """Execute a plan.  ``step_hook(step, dead_views)`` runs after every
-    buffered step with the views whose slots are recycled but not yet
-    rewritten (test instrumentation: poisoning them must not change the
-    result)."""
+    buffered step with the views of the slots that step recycled (test
+    instrumentation: poisoning them must not change the result)."""
     _check_args(plan, args, out)
     if isinstance(strategy, Buffered):
         _eval_buffered(plan, args, out, step_hook)
-    elif isinstance(strategy, TileFused):
-        for s in plan.steps:
-            if not s.node.fusable():
-                raise EquationError(
-                    f"TILE_FUSED is only legal for elementwise trees; {s.node.label()} is not")
-        _eval_tiled(plan.steps, args, out, strategy.tile_m, strategy.tile_n)
-    elif isinstance(strategy, Hybrid):
-        _eval_hybrid(plan, args, out, strategy)
+    elif isinstance(strategy, (TileFused, Hybrid)):
+        if isinstance(strategy, TileFused):
+            for s in plan.steps:
+                if not s.node.fusable():
+                    raise EquationError(
+                        f"TILE_FUSED is only legal for elementwise trees; {s.node.label()} is not")
+        _eval_hybrid(plan, args, out, strategy.tile_m, strategy.tile_n)
     else:
         raise EquationError(f"unknown strategy {strategy!r}")
 
@@ -594,33 +521,20 @@ def _check_args(plan: ExecPlan, args: Sequence[TensorView], out: TensorView) -> 
 
 def _eval_buffered(plan: ExecPlan, args: Sequence[TensorView], out: TensorView,
                    step_hook: Callable | None) -> None:
-    arena = _SlotArena(plan)
-    # slots whose occupant's parent has already run are dead until rewritten
-    last_write: dict[int, int] = {}
+    # fresh slot buffers per call, so concurrent evaluations of one plan
+    # share nothing
+    bufs = {slot: np.zeros(n, dtype=np.uint8) for slot, n in plan.slot_bytes.items()}
+    views: dict[int, TensorView] = {}
     for s in plan.steps:
-        ins = [args[ref] if kind == "arg" else arena.views[ref]
-               for (kind, ref) in s.inputs]
+        ins = [args[ref] if kind == "arg" else views[ref] for (kind, ref) in s.inputs]
         if s.is_root:
             dst = out
         else:
-            dst = arena.out_view(s.output[1], s.node.out_desc)
-            last_write[s.output[1]] = s.timestamp
+            dst = views[s.output[1]] = _slot_view(bufs[s.output[1]], s.node.out_desc)
         _run_node(s.node, ins, dst)
         if step_hook is not None:
-            dead = [arena.views[slot] for slot, t in last_write.items()
-                    if s.timestamp >= _slot_death(plan, slot, t)]
-            step_hook(s, dead)
-
-
-def _slot_death(plan: ExecPlan, slot: int, write_ts: int) -> int:
-    """Timestamp at which the value written into ``slot`` at ``write_ts`` is
-    consumed (the parent's step)."""
-    for s in plan.steps:
-        if s.timestamp <= write_ts:
-            continue
-        if any(k == "tmp" and r == slot for (k, r) in s.inputs):
-            return s.timestamp
-    return plan.steps[-1].timestamp + 1 if plan.steps else 0
+            step_hook(s, [views[ref] for (kind, ref) in s.inputs
+                          if kind == "tmp" and ref != s.output[1]])
 
 
 # Bytes a tiled region's live values may take per block (see ``_eval_tiled``).
@@ -640,10 +554,10 @@ def _block_extent(rows: int, cols: int, tile_m: int, tile_n: int,
 
 
 def _eval_tiled(steps: list[PlanStep], args: Sequence[TensorView], out: TensorView,
-                tile_m: int, tile_n: int,
-                materialized: dict[int, TensorView] | None = None) -> None:
+                tile_m: int, tile_n: int, materialized: dict[int, TensorView]) -> None:
     """Run ``steps`` (all fusable, the region's root last) in blocks of whole
-    tiles.
+    tiles; a child outside the region is an argument or a value in
+    ``materialized`` (by node id).
 
     Every argument or materialised input is read once, whole, in its compute
     dtype; each block slices those arrays and runs the nodes' bound math.  A
@@ -657,7 +571,6 @@ def _eval_tiled(steps: list[PlanStep], args: Sequence[TensorView], out: TensorVi
     the same point, so the block shape changes no bit.  Each value keeps its
     physical extent: a row, column or scalar operand broadcasts inside the
     math, as it would through a view."""
-    materialized = materialized or {}
     root = steps[-1].node
     rows, cols = root.out_desc.rows, root.out_desc.cols
     region = {s.node.node_id: i for i, s in enumerate(steps)}
@@ -665,10 +578,10 @@ def _eval_tiled(steps: list[PlanStep], args: Sequence[TensorView], out: TensorVi
     read: dict[int, int] = {}    # id(view) -> position in inputs
     source: dict[int, int] = {}  # node id of a child outside the region -> position in inputs
     for s in steps:
-        for c, (_, ref) in zip(s.node.children, s.inputs):
+        for c, (kind, ref) in zip(s.node.children, s.inputs):
             if c.node_id in region:
                 continue
-            v = materialized[c.node_id] if c.node_id in materialized else args[ref]
+            v = args[ref] if kind == "arg" else materialized[c.node_id]
             if id(v) not in read:
                 a = widen(v.as2d(), v.desc.dtype)
                 read[id(v)] = len(inputs)
@@ -701,51 +614,39 @@ def _eval_tiled(steps: list[PlanStep], args: Sequence[TensorView], out: TensorVi
 
 
 def _eval_hybrid(plan: ExecPlan, args: Sequence[TensorView], out: TensorView,
-                 strategy: Hybrid) -> None:
-    """Buffered execution of the non-elementwise nodes, tiled execution of
-    each maximal elementwise region.
+                 tile_m: int, tile_n: int) -> None:
+    """Buffered execution of the non-elementwise nodes and tiled execution of
+    each maximal elementwise region, at the step of the region's root.
 
-    Fused regions run lazily when a non-elementwise consumer needs them,
-    which stretches value lifetimes past the plan's timestamps; every
-    materialised intermediate therefore gets a private buffer rather than a
-    recycled plan slot."""
-    by_node: dict[int, PlanStep] = {s.node.node_id: s for s in plan.steps}
-    materialized: dict[int, TensorView] = {}
-
-    def flush_region(top: EqNode, dst: TensorView) -> None:
-        region: list[PlanStep] = []
-
-        def collect(n: EqNode):
-            if n.is_leaf or n.node_id in materialized:
-                return
+    One reverse pass over the steps (parents before children) puts every
+    fusable node in the region of its fusable parent, or makes it the root
+    of a region of its own.  Tiled nodes write no slot, so a region reads
+    its inputs after the plan may have recycled their slots; every
+    materialised value therefore gets a private buffer rather than a plan
+    slot."""
+    regions: dict[int, list[PlanStep]] = {}  # region root's node id -> steps, root first
+    region_of: dict[int, int] = {}           # node id -> its region root's node id
+    for s in reversed(plan.steps):
+        n = s.node
+        if n.fusable():
+            top = region_of.get(n.node_id, n.node_id)
+            regions.setdefault(top, []).append(s)
             for c in n.children:
-                collect(c)
-            region.append(by_node[n.node_id])
+                region_of[c.node_id] = top
 
-        collect(top)
-        region.sort(key=lambda s: s.timestamp)
-        _eval_tiled(region, args, dst, strategy.tile_m, strategy.tile_n, materialized)
-
+    materialized: dict[int, TensorView] = {}
     for s in plan.steps:
-        if s.node.fusable():
-            if s.is_root:
-                flush_region(s.node, out)
-            continue  # non-root fusable nodes are deferred into a region flush
-        ins = []
-        for c, (kind, ref) in zip(s.node.children, s.inputs):
-            if c.is_leaf:
-                ins.append(args[ref])
-            elif c.node_id in materialized:
-                ins.append(materialized[c.node_id])
-            else:
-                v = alloc(c.out_desc.contiguous())
-                flush_region(c, v)
-                materialized[c.node_id] = v
-                ins.append(v)
-        dst = out if s.is_root else alloc(s.node.out_desc.contiguous())
-        _run_node(s.node, ins, dst)
-        if not s.is_root:
-            materialized[s.node.node_id] = dst
+        n = s.node
+        region = regions.get(n.node_id)
+        if region is None and n.fusable():
+            continue  # runs inside its region
+        dst = out if s.is_root else alloc(n.out_desc)
+        if region is not None:
+            _eval_tiled(region[::-1], args, dst, tile_m, tile_n, materialized)
+        else:
+            _run_node(n, [args[ref] if kind == "arg" else materialized[c.node_id]
+                          for c, (kind, ref) in zip(n.children, s.inputs)], dst)
+        materialized[n.node_id] = dst
 
 
 def evaluate_naive(tree: EqTree, args: Sequence[TensorView], out: TensorView) -> None:
@@ -756,7 +657,7 @@ def evaluate_naive(tree: EqTree, args: Sequence[TensorView], out: TensorView) ->
         if n.is_leaf:
             return args[n.arg_slot]
         ins = [run(c) for c in n.children]
-        dst = out if n is tree.root else alloc(n.out_desc.contiguous())
+        dst = out if n is tree.root else alloc(n.out_desc)
         _run_node(n, ins, dst)
         return dst
 

@@ -94,7 +94,7 @@ def softmax(spec: SoftmaxSpec, x: TensorView, y: TensorView,
         raise TensorError("softmax output shape mismatch")
     p1, p2 = _softmax_trees(spec.s1, spec.s3, x.desc.dtype)
     strategy = strategy or eqn.Buffered()
-    scratch = alloc(p1.out_desc.contiguous())
+    scratch = alloc(p1.out_desc)
     for j in range(spec.s2):
         xs = x.col_block(j * spec.s3, spec.s3)
         ys = y.col_block(j * spec.s3, spec.s3)

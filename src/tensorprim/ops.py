@@ -29,7 +29,7 @@ import numpy as np
 
 from . import approx, contraction
 from .approx import Approx
-from .dtypes import DType, narrow, pack_fp32_bits, widen
+from .dtypes import DType, narrow, pack_fp32_bits, split_fp32_bits, widen
 from .tensor import (
     Bcast,
     TensorDesc,
@@ -60,8 +60,6 @@ class UnaryKind(enum.Enum):
     TRANSFORM = "transform"
     UNPACK = "unpack"
     REPLICATE_COLS = "replicate_cols"
-    STRIDED_LOAD = "strided_load"
-    STRIDED_STORE = "strided_store"
     TANH = "tanh"
     TANH_INV = "tanh_inv"
     RELU = "relu"
@@ -88,7 +86,6 @@ class BinaryKind(enum.Enum):
 
 class TernaryKind(enum.Enum):
     GEMM = "gemm"
-    BRGEMM = "brgemm"
     MULADD = "muladd"
     NMULADD = "nmuladd"
     BLEND = "blend"
@@ -147,14 +144,19 @@ class GatherMode(enum.Enum):
     SCATTER2D = "scatter2d"
 
 
-DEFAULT_APPROX = {
-    UnaryKind.TANH: Approx.PADE78,
-    UnaryKind.TANH_INV: Approx.PADE78,
-    UnaryKind.SIGMOID: Approx.PADE78,
-    UnaryKind.SIGMOID_INV: Approx.PADE78,
-    UnaryKind.GELU: Approx.MINIMAX16,
-    UnaryKind.GELU_INV: Approx.MINIMAX16,
-    UnaryKind.EXP: Approx.TAYLOR2,
+_TANH_SELECTORS = (Approx.PADE78, Approx.MINIMAX16, Approx.EXACT)
+_GELU_SELECTORS = (Approx.MINIMAX16, Approx.EXACT)
+
+# The approximation selectors each kind implements, its default first; a
+# spec naming any other selector is rejected at dispatch.
+APPROX_SELECTORS: dict[UnaryKind, tuple[Approx, ...]] = {
+    UnaryKind.TANH: _TANH_SELECTORS,
+    UnaryKind.TANH_INV: _TANH_SELECTORS,
+    UnaryKind.SIGMOID: _TANH_SELECTORS,
+    UnaryKind.SIGMOID_INV: _TANH_SELECTORS,
+    UnaryKind.GELU: _GELU_SELECTORS,
+    UnaryKind.GELU_INV: _GELU_SELECTORS,
+    UnaryKind.EXP: (Approx.TAYLOR2, Approx.EXACT),
 }
 
 # The math of every fusable kind: ndarray functions taking and returning
@@ -315,6 +317,8 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
     'dtype' or 'flag') if no call could run it.  Every check of a spec's
     kind, flags, input shapes and input dtypes lives here."""
     k, ins = spec.kind, spec.ins
+    if spec.approx is not None and spec.approx not in APPROX_SELECTORS.get(k, ()):
+        raise InvalidSpecError("flag", f"{k.name} does not implement {spec.approx}")
     if isinstance(k, UnaryKind):
         if len(ins) != 1:
             raise InvalidSpecError("shape", "unary spec takes one input desc")
@@ -348,8 +352,6 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
             raise InvalidSpecError("flag", f"{k.name} needs p")
         if k is UnaryKind.DROPOUT and not 0.0 <= spec.dropout_p < 1.0:
             raise InvalidSpecError("flag", f"dropout p must be in [0, 1), got {spec.dropout_p}")
-        if k in (UnaryKind.STRIDED_LOAD, UnaryKind.STRIDED_STORE):
-            raise InvalidSpecError("flag", "use strided_load/strided_store helpers")
         if k in (UnaryKind.ZERO, UnaryKind.PRNG):
             raise InvalidSpecError("flag", f"{k.name} takes its extent from out: use apply_unary")
         return TensorDesc(d.rows, d.cols, d.rows, d.dtype)
@@ -384,8 +386,6 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
         if len(ins) != 3:
             raise InvalidSpecError("shape", "ternary spec takes three input descs")
         a, b, c = ins
-        if k is TernaryKind.BRGEMM:
-            raise InvalidSpecError("flag", "BRGEMM takes a block batch: use contraction.brgemm")
         if k is TernaryKind.GEMM:
             if a.cols != b.rows or (c.rows, c.cols) != (a.rows, b.cols):
                 raise InvalidSpecError("shape", "GEMM operand shapes inconsistent")
@@ -466,7 +466,7 @@ class Kernel:
         k = spec.kind
         self.math: Optional[Callable[..., np.ndarray]] = None
         if k in UNARY_MATH and not (k is UnaryKind.RELU and spec.bitmask_output):
-            fn, sel = UNARY_MATH[k], spec.approx or DEFAULT_APPROX.get(k)
+            fn, sel = UNARY_MATH[k], spec.approx or APPROX_SELECTORS.get(k, (None,))[0]
             self.math = lambda x: fn(x, sel)
         elif k in BINARY_MATH:
             self.math = BINARY_MATH[k]
@@ -614,7 +614,7 @@ def _activation_grad(spec: KernelSpec, inp: TensorView, out: TensorView) -> None
     if inp.secondary is None:
         raise TensorError("backward kind requires the forward input in secondary")
     x = _compute_values(TensorView(inp.desc, np.asarray(inp.secondary)))
-    sel = spec.approx or DEFAULT_APPROX[spec.kind]
+    sel = spec.approx or APPROX_SELECTORS[spec.kind][0]
     with np.errstate(all="ignore"):
         r = _compute_values(inp) * _ACTIVATION_GRAD[spec.kind](x, sel)
     _store(out, r)
@@ -625,9 +625,8 @@ def _unpack(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
     out.secondary."""
     if out.desc.dtype is not DType.BF16:
         raise InvalidSpecError("dtype", "UNPACK output holds BF16 (hi) patterns")
-    u = inp.as2d().view(np.uint32)
-    out.as2d()[:, :] = (u >> np.uint32(16)).astype(np.uint16)
-    lo = (u & np.uint32(0xFFFF)).astype(np.uint16)
+    hi, lo = split_fp32_bits(inp.as2d())
+    out.as2d()[:, :] = hi
     if out.secondary is None or out.secondary.size < lo.size:
         out.secondary = np.empty(inp.desc.rows * inp.desc.cols, dtype=np.uint16)
     out.secondary.reshape(inp.desc.cols, inp.desc.rows).T[:, :] = lo

@@ -12,7 +12,7 @@ within a column and every column padded up to a byte boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import enum
 from typing import Optional
 
@@ -75,9 +75,6 @@ class TensorDesc:
         if self.dtype is DType.BIT:
             return bitmask_bytes(self.rows, self.cols)
         return self.rows * self.cols * self.dtype.storage.itemsize
-
-    def contiguous(self) -> "TensorDesc":
-        return replace(self, ld=self.phys_rows)
 
 
 @dataclass

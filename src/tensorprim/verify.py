@@ -364,9 +364,11 @@ def reduce_oracle(x: np.ndarray, axis: ReduceAxis, op: ReduceOp) -> np.ndarray:
     folds each row in ascending column order, COLS each column in ascending
     row order, ALL each column in ascending row order and then those
     partials in ascending column order.  SUM folds from +0, MUL from 1, MIN
-    and MAX from the first element.  Returns the reduced shape, FP32."""
+    and MAX from the first element, by plain comparisons that keep a NaN and
+    return the second operand on a tie.  Returns the reduced shape, FP32."""
     comb = {ReduceOp.SUM: np.add, ReduceOp.MUL: np.multiply,
-            ReduceOp.MIN: np.minimum, ReduceOp.MAX: np.maximum}[op]
+            ReduceOp.MIN: lambda a, b: a if a < b or a != a else b,
+            ReduceOp.MAX: lambda a, b: a if a > b or a != a else b}[op]
     start = {ReduceOp.SUM: np.float32(0), ReduceOp.MUL: np.float32(1)}.get(op)
 
     def fold(values) -> np.float32:
@@ -991,22 +993,22 @@ def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
         tree, args = random_equation(rng, dtype)
         plan = eqn.create_execution_plan(eqn.assign_register_score(tree))
         od = plan.out_desc
-        ref = alloc(od.contiguous())
+        ref = alloc(od)
         eqn.evaluate_naive(tree, args, ref)
         refa = to_array(ref)
-        got = alloc(od.contiguous())
+        got = alloc(od)
         eqn.evaluate(plan, eqn.Buffered(), args, got)
         if not _bits_equal(to_array(got), refa):
             bad += 1
             continue
-        got_h = alloc(od.contiguous())
+        got_h = alloc(od)
         eqn.evaluate(plan, eqn.Hybrid(2, 2), args, got_h)
         if not _bits_equal(to_array(got_h), refa):
             bad += 1
             continue
         if all(s.node.fusable() for s in plan.steps):
             fused_seen += 1
-            got_t = alloc(od.contiguous())
+            got_t = alloc(od)
             eqn.evaluate(plan, eqn.TileFused(2, 2), args, got_t)
             if not _bits_equal(to_array(got_t), refa):
                 bad += 1

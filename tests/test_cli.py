@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 import shutil
 import subprocess
 import sys
@@ -270,6 +272,15 @@ def test_console_script_entrypoint():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "temp slots: 1" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli_from_a_source_checkout():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "tensorprim", "verify", "--only",
+                           "core-bf16-roundtrip"], cwd=root, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH="src"), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "core-bf16-roundtrip" in proc.stdout
 
 
 def test_usage_error_exit_code():

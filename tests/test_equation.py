@@ -79,6 +79,10 @@ def test_parse_error_has_position():
     with pytest.raises(ParseError) as e:
         parse_equation("tanh(T0", [D(2, 2)])
     assert e.value.pos == 7
+    # the character after a space is the one named, not the space
+    with pytest.raises(ParseError, match=r"unexpected character '\$'") as e:
+        parse_equation("T0 + $T1", [D(2, 2)] * 2)
+    assert e.value.pos == 5
 
 
 def test_unknown_identifier():
@@ -306,20 +310,51 @@ def test_poisoning_recycled_temps_is_harmless():
     assert bits_equal(to_array(clean), to_array(poisoned))
 
 
+def test_threads_evaluating_one_plan_get_single_thread_bits():
+    """Every evaluation makes its own buffers: two threads running one plan
+    at once, each on its own arguments, get the bits each gets alone."""
+    from concurrent.futures import ThreadPoolExecutor
+    import threading
+    rng = np.random.default_rng(31)
+    cases = [(plan_equation("tanh(T0) * (T1 + T2) - exp(T0) / sqrt(T2)", [D(64, 64)] * 3),
+              (Buffered(), Hybrid(16, 16), TileFused(16, 16))),
+             (plan_equation("exp(T0 - T1) * (T2 matmul T1) + T1", [D(64, 64)] * 3),
+              (Buffered(), Hybrid(16, 16)))]
+    for plan, strategies in cases:
+        inputs = [[from_array(rng.uniform(0.2, 1.5, (64, 64)).astype(np.float32))
+                   for _ in range(3)] for _ in range(2)]
+        for strat in strategies:
+            alone = []
+            for args in inputs:
+                alone.append(alloc(plan.out_desc))
+                evaluate(plan, strat, args, alone[-1])
+            start = threading.Barrier(2, timeout=30)
+
+            def run(i):
+                start.wait()
+                outs = [alloc(plan.out_desc) for _ in range(20)]
+                for o in outs:
+                    evaluate(plan, strat, inputs[i], o)
+                return all(bits_equal(o.primary, alone[i].primary) for o in outs)
+
+            with ThreadPoolExecutor(2) as pool:
+                assert all(pool.map(run, range(2))), strat
+
+
 def test_fusion_fidelity_random_sample():
     rng = np.random.default_rng(8)
     for i in range(60):
         dtype = DType.FP64 if i % 2 else DType.FP32
         tree, args = verify.random_equation(rng, dtype)
         plan = create_execution_plan(assign_register_score(tree))
-        ref = alloc(plan.out_desc.contiguous())
+        ref = alloc(plan.out_desc)
         evaluate_naive(tree, args, ref)
         for strat in (Buffered(), Hybrid(2, 2)):
-            got = alloc(plan.out_desc.contiguous())
+            got = alloc(plan.out_desc)
             evaluate(plan, strat, args, got)
             assert bits_equal(to_array(got), to_array(ref))
         if all(s.node.fusable() for s in plan.steps):
-            got = alloc(plan.out_desc.contiguous())
+            got = alloc(plan.out_desc)
             evaluate(plan, TileFused(2, 2), args, got)
             assert bits_equal(to_array(got), to_array(ref))
 
@@ -338,12 +373,12 @@ def test_ternary_gemm_node_all_strategies():
     tree = b.tree(b.binary(BinaryKind.ADD, g, b.leaf(4)))
     plan = create_execution_plan(assign_register_score(tree))
     args = [from_array(v) for v in vals]
-    ref = alloc(plan.out_desc.contiguous())
+    ref = alloc(plan.out_desc)
     evaluate_naive(tree, args, ref)
     want = np.maximum(vals[0], 0) @ vals[1] + vals[2] * vals[3] + vals[4]
     assert bits_equal(to_array(ref), want.astype(np.float32))
     for strat in (Buffered(), Hybrid(2, 4)):
-        got = alloc(plan.out_desc.contiguous())
+        got = alloc(plan.out_desc)
         evaluate(plan, strat, args, got)
         assert bits_equal(to_array(got), to_array(ref))
 
@@ -380,7 +415,7 @@ def _strategies_agree(plan, args, out_desc=None):
     in blocks of tiles and one tile per block; every output buffer, padding
     included, must be bitwise the naive one, and the padding must keep its
     sentinel bytes.  Returns the naive output."""
-    out_desc = out_desc or plan.out_desc.contiguous()
+    out_desc = out_desc or plan.out_desc
 
     def fresh():
         o = alloc(out_desc)

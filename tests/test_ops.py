@@ -86,13 +86,46 @@ def test_dispatch_distinct_approx_flags():
 @pytest.mark.parametrize("spec", [
     KernelSpec(UnaryKind.DROPOUT, (D(4, 4),)),
     KernelSpec(UnaryKind.DROPOUT_INV, (D(4, 4),)),
-    KernelSpec(UnaryKind.STRIDED_LOAD, (D(4, 4),)),
-    KernelSpec(TernaryKind.BRGEMM, (D(4, 4),) * 3),
+    KernelSpec(UnaryKind.TANH, (D(4, 4),), approx=Approx.TAYLOR2),
+    KernelSpec(UnaryKind.EXP, (D(4, 4),), approx=Approx.PADE78),
+    KernelSpec(UnaryKind.SQUARE, (D(4, 4),), approx=Approx.EXACT),
 ])
 def test_dispatch_rejects_specs_no_call_can_run(spec):
     with pytest.raises(InvalidSpecError) as e:
         dispatch(spec)
     assert e.value.code == "flag"
+
+
+_KIND_FLAGS = {
+    UnaryKind.REDUCE: dict(reduce=ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM)),
+    UnaryKind.TRANSFORM: dict(transform=TransformSpec(TransformKind.TRANSPOSE)),
+    UnaryKind.REPLICATE_COLS: dict(times=3),
+    UnaryKind.DROPOUT: dict(dropout_p=0.5),
+    UnaryKind.DROPOUT_INV: dict(dropout_p=0.5),
+    BinaryKind.COMPARE: dict(cmp=CmpOp.LT),
+}
+_KIND_DTYPES = {
+    UnaryKind.DEQUANTIZE: (DType.INT8,),
+    BinaryKind.PACK: (DType.BF16, DType.BF16),
+    TernaryKind.BLEND: (DType.FP32, DType.FP32, DType.BIT),
+}
+
+
+@pytest.mark.parametrize("layout", [
+    dict(ld=7), dict(ld=1, bcast=Bcast.ROW), dict(ld=4, bcast=Bcast.COL),
+    dict(ld=1, bcast=Bcast.SCALAR)], ids=["padded", "row", "col", "scalar"])
+def test_every_kernel_output_is_dense(layout):
+    """Whatever the inputs' leading dimension or broadcast, a kernel's
+    ``out_desc`` has ``ld == rows`` and no broadcast, so a plan or a caller
+    allocates it as it is."""
+    kinds = [k for family in (UnaryKind, BinaryKind, TernaryKind) for k in family
+             if k not in (UnaryKind.ZERO, UnaryKind.PRNG)]  # these run without dispatch
+    for k in kinds:
+        arity = 1 if isinstance(k, UnaryKind) else 2 if isinstance(k, BinaryKind) else 3
+        dtypes = _KIND_DTYPES.get(k, (DType.FP32,) * arity)
+        ins = tuple(TensorDesc(4, 4, dtype=dt, **layout) for dt in dtypes)
+        od = dispatch(KernelSpec(k, ins, **_KIND_FLAGS.get(k, {}))).out_desc
+        assert od.ld == od.rows and od.bcast is Bcast.NONE, (k, od)
 
 
 def test_dispatch_shape_error_code():
@@ -346,6 +379,39 @@ def test_reduce_equals_the_ascending_loop_oracle(axis, op):
     out = alloc(D(*want.shape))
     reduce(from_array(x), ReduceSpec(axis, op), out)
     assert bits_equal(to_array(out), want)
+
+
+_POS0, _NEG0 = 0x00000000, 0x80000000  # FP32 bit patterns of +0 and -0
+
+
+def test_min_max_ties_return_the_second_operand():
+    """MIN and MAX keep their second operand when the two compare equal,
+    which pins the sign of a zero result.  Inputs and expected outputs are
+    literal sign bits; nothing here calls numpy's min or max."""
+    def f32(bits):
+        return np.array(bits, dtype=np.uint32).view(np.float32)
+
+    def bits(v):
+        return np.ascontiguousarray(to_array(v)).view(np.uint32).tolist()
+
+    a, b = from_array(f32([[_POS0, _NEG0]])), from_array(f32([[_NEG0, _POS0]]))
+    for kind in (BinaryKind.MAX, BinaryKind.MIN):
+        out = alloc(D(1, 2))
+        apply_binary(kind, a, b, out)
+        assert bits(out) == [[_NEG0, _POS0]], kind
+    out = alloc(D(1, 2))
+    apply_unary(UnaryKind.RELU, b, out)  # RELU(x) = MAX(x, +0)
+    assert bits(out) == [[_POS0, _POS0]]
+    # rows [+0, -0] and [-0, +0]; each fold runs acc = op(acc, next element)
+    x = f32([[_POS0, _NEG0], [_NEG0, _POS0]])
+    for axis, want in ((ReduceAxis.ROWS, [[_NEG0], [_POS0]]),
+                       (ReduceAxis.COLS, [[_NEG0, _POS0]]),
+                       (ReduceAxis.ALL, [[_POS0]])):
+        for op in (ReduceOp.MAX, ReduceOp.MIN):
+            out = alloc(D(len(want), len(want[0])))
+            reduce(from_array(x), ReduceSpec(axis, op), out)
+            assert bits(out) == want, (axis, op)
+            assert reduce_oracle(x, axis, op).view(np.uint32).tolist() == want, (axis, op)
 
 
 def test_reduce_shape_guard():
