@@ -1,7 +1,8 @@
 """Micro-benchmarks: wall times, derived FLOP rates, and the deterministic
 scratch-memory comparison between planned and naive equation evaluation.
-Contraction rows name the ``backend`` that ran them: the C kernels
-(``"native"``) or the numpy reference loop (``"numpy"``).
+Contraction rows name the ``backend`` of ``brgemm`` and softmax rows that
+of the reductions: the C kernels (``"native"``) or the numpy reference
+path (``"numpy"``).
 
 Timings are hardware-dependent and never gate anything; the only asserted
 facts are that differently-fused evaluations produce identical bits before
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import contraction as gemm_engine, equation as eqn, kernels
+from . import contraction as gemm_engine, equation as eqn, kernels, ops
 from .contraction import ALayout, ComputePath
 from .dtypes import DType, fp32_to_bf16_rne
 from .tensor import TensorDesc, alloc, from_array, to_array, vnni_alpha, vnni_pack_a
@@ -126,6 +127,7 @@ def bench_softmax(s1: int = 64, s2: int = 8, s3: int = 64, repeats: int = 5,
         results.append(BenchResult(f"softmax-{name}-{s1}x{s2}x{s3}", med, mn,
                                    float("nan"),
                                    {"checksum": checksum,
+                                    "backend": ops.reduce_backend(),
                                     "plan_temp_bytes": fused_bytes,
                                     "naive_temp_bytes": naive_bytes}))
     # identical outputs are a precondition for comparing the timings at all

@@ -8,7 +8,7 @@ fixed sequence of IEEE operations, which makes all results bit-reproducible
 and lets the three batch addressing variants be compared bitwise.
 
 Two paths compute that sequence and give the same bits.  The C kernels in
-``brgemm.c`` (built on first use, see ``native``) read PLAIN A and B blocks
+``native.c`` (built on first use, see ``native``) read PLAIN A and B blocks
 in place through per-entry pointers and leading dimensions, and widen BF16
 and INT8 themselves; VNNI and EMULATED_SPLIT A blocks are widened here and
 run through the kernel of their accumulator type.  The numpy reference path
@@ -250,10 +250,9 @@ def _column_major_stack(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarra
 # the kernel
 # ---------------------------------------------------------------------------
 
-# Test-only switches.  ``_USE_NATIVE = False`` forces the numpy reference
-# path; the faults (set by ``verify.inject_fault``) reverse the k loop or the
-# batch fold, and while one is set every call takes the numpy path.
-_USE_NATIVE = True
+# Test-only faults, set by ``verify.inject_fault``: they reverse the k loop
+# or the batch fold, and while one is set every call takes the numpy path
+# (``native._USE_NATIVE = False`` forces that path without a fault).
 _FAULT_K_ORDER = False
 _FAULT_BATCH_FOLD = False
 
@@ -268,7 +267,7 @@ _WIDENED_KERNEL = {DType.FP32: "brgemm_f32", DType.INT32: "brgemm_i32"}
 def backend() -> str:
     """``"native"`` when ``brgemm`` runs the C kernels, ``"numpy"`` when it
     runs the numpy reference loop (no compiler, or a test-only switch)."""
-    if not _USE_NATIVE or _FAULT_K_ORDER or _FAULT_BATCH_FOLD:
+    if _FAULT_K_ORDER or _FAULT_BATCH_FOLD:
         return "numpy"
     return "native" if native.library() is not None else "numpy"
 

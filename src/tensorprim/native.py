@@ -1,11 +1,13 @@
-"""Build and load the C BRGEMM kernels (``brgemm.c``) on first use.
+"""Build and load the C kernels (``native.c``) on first use: the
+batch-reduce GEMM of ``contraction``, and the reductions and xorshift
+streams of ``ops``.
 
 The shared library is compiled once per machine with the system C compiler
 and cached in this package's ``__pycache__/``, under a name keyed by a hash
 of the C source, the compiler flags and the platform.  Later processes load
 the cached build without starting the compiler.  When no compiler is
-installed or the build fails, :func:`library` returns None and callers take
-their numpy path; nothing is downloaded.
+installed or the build fails, :func:`library` returns None and every caller
+takes its numpy path; nothing is downloaded.
 """
 
 from __future__ import annotations
@@ -19,12 +21,26 @@ import threading
 
 CC = "gcc"
 FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fPIC", "-shared")
-SOURCE = Path(__file__).with_name("brgemm.c")
+SOURCE = Path(__file__).with_name("native.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
+_STALE = ("native-*.so", "brgemm-*.so")   # builds of other sources, flags or names
 
-# every kernel has the signature (count, m, n, k, a_ptrs, lda, b_ptrs, ldb, acc)
-_ARGTYPES = [ctypes.c_int64] * 4 + [ctypes.c_void_p, ctypes.c_int64,
-                                    ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+_i64, _ptr = ctypes.c_int64, ctypes.c_void_p
+# (count, m, n, k, a_ptrs, lda, b_ptrs, ldb, acc)
+_BRGEMM = [_i64] * 4 + [_ptr, _i64, _ptr, _i64, _ptr]
+# (m, n, x, ld, axis, op, squared, out)
+_REDUCE = [_i64, _i64, _ptr, _i64, _i64, _i64, _i64, _ptr]
+# the argument types of every kernel of the library
+ARGTYPES: dict[str, list] = {
+    "brgemm_f32": _BRGEMM, "brgemm_f64": _BRGEMM, "brgemm_bf16": _BRGEMM,
+    "brgemm_i8": _BRGEMM, "brgemm_i32": _BRGEMM,
+    "reduce_f32": _REDUCE, "reduce_f64": _REDUCE,
+    "xorshift_uniform": [_i64, _i64, _ptr, _ptr],   # (streams, rows, state, out)
+}
+
+# Test-only switch: False makes :func:`library` return None, so every
+# caller of a C kernel takes its numpy path.
+_USE_NATIVE = True
 
 _lock = threading.Lock()
 _lib: ctypes.CDLL | None | bool = None   # None: not tried yet; False: unavailable
@@ -32,8 +48,10 @@ _lib: ctypes.CDLL | None | bool = None   # None: not tried yet; False: unavailab
 
 def library() -> ctypes.CDLL | None:
     """The loaded kernel library, building it on the first call; None if it
-    cannot be built here."""
+    cannot be built here or the test-only switch is off."""
     global _lib
+    if not _USE_NATIVE:
+        return None
     if _lib is None:
         with _lock:
             if _lib is None:
@@ -43,14 +61,14 @@ def library() -> ctypes.CDLL | None:
 
 def kernel(name: str):
     """The kernel ``name`` of :func:`library`, ready to call; None if the
-    library cannot be built here."""
+    library is unavailable."""
     lib = library()
     if lib is None:
         return None
     fn = getattr(lib, name)
     if fn.argtypes is None:
         fn.restype = None        # set first: argtypes marks fn as ready
-        fn.argtypes = _ARGTYPES
+        fn.argtypes = ARGTYPES[name]
     return fn
 
 
@@ -59,7 +77,7 @@ def _load() -> ctypes.CDLL | None:
 
     source = SOURCE.read_bytes()
     key = hashlib.sha256(source + repr((FLAGS, sys.platform, platform.machine())).encode())
-    path = CACHE_DIR / f"brgemm-{key.hexdigest()[:16]}.so"
+    path = CACHE_DIR / f"native-{key.hexdigest()[:16]}.so"
     if not path.exists() and not _build(path):
         return None
     try:
@@ -83,10 +101,11 @@ def _build(path: Path) -> bool:
     except (OSError, subprocess.SubprocessError):
         tmp.unlink(missing_ok=True)
         return False
-    for stale in path.parent.glob("brgemm-*.so"):
-        if stale != path:
-            try:
-                stale.unlink()
-            except OSError:
-                pass
+    for pattern in _STALE:
+        for stale in path.parent.glob(pattern):
+            if stale != path:
+                try:
+                    stale.unlink()
+                except OSError:
+                    pass
     return True

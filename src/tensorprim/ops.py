@@ -14,8 +14,10 @@ Every operator follows the same blueprint: load logical sub-tensors (with
 broadcast and datatype widening applied), run the point operation in the
 compute precision, store once (narrowing to the output's dtype).
 Reductions use a fixed, ascending accumulation order so results are
-bit-reproducible.  Every call runs on the caller's thread; blocking and
-threads belong to the caller's loop nest.
+bit-reproducible.  The reductions and the xorshift streams run C kernels
+(``native.c``) when the library is built; their numpy code is the
+reference path and gives the same bits.  Every call runs on the caller's
+thread; blocking and threads belong to the caller's loop nest.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import approx, contraction
+from . import approx, contraction, native
 from .approx import Approx
 from .dtypes import DType, narrow, pack_fp32_bits, split_fp32_bits, widen
 from .tensor import (
@@ -158,6 +160,18 @@ APPROX_SELECTORS: dict[UnaryKind, tuple[Approx, ...]] = {
     UnaryKind.GELU_INV: _GELU_SELECTORS,
     UnaryKind.EXP: (Approx.TAYLOR2, Approx.EXACT),
 }
+# The flags of ``KernelSpec`` each kind reads besides ``approx``; a spec
+# setting any other flag is rejected at dispatch.
+KIND_FLAGS: dict[UnaryKind | BinaryKind | TernaryKind, tuple[str, ...]] = {
+    UnaryKind.REDUCE: ("reduce",),
+    UnaryKind.TRANSFORM: ("transform",),
+    UnaryKind.REPLICATE_COLS: ("times",),
+    UnaryKind.RELU: ("bitmask_output",),
+    UnaryKind.DROPOUT: ("dropout_p",),
+    UnaryKind.DROPOUT_INV: ("dropout_p",),
+    BinaryKind.COMPARE: ("cmp",),
+}
+_FLAGS = ("reduce", "transform", "cmp", "bitmask_output", "dropout_p", "times")
 
 # The math of every fusable kind: ndarray functions taking and returning
 # compute-dtype values, bound into each ``Kernel`` (``Kernel.math``) that both
@@ -251,8 +265,16 @@ class PrngState:
         return self.w
 
     def uniform_block(self, rows: int) -> np.ndarray:
-        """rows x ncols FP32 uniforms in [0, 1), row i from the i-th step."""
+        """rows x ncols FP32 uniforms in [0, 1), row i from the i-th step:
+        one call of the C kernel, or, without it, a loop of :meth:`step`;
+        both leave the same state."""
         out = np.empty((rows, self.x.size), dtype=np.float32)
+        fn = native.kernel("xorshift_uniform")
+        if fn is not None:
+            state = np.stack([self.x, self.y, self.z, self.w])  # a fresh uint32 array
+            fn(self.x.size, rows, state.ctypes.data, out.ctypes.data)
+            self.x, self.y, self.z, self.w = state
+            return out
         for i in range(rows):
             w = self.step()
             out[i, :] = (w >> np.uint32(8)).astype(np.float32) * np.float32(2.0 ** -24)
@@ -319,6 +341,10 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
     k, ins = spec.kind, spec.ins
     if spec.approx is not None and spec.approx not in APPROX_SELECTORS.get(k, ()):
         raise InvalidSpecError("flag", f"{k.name} does not implement {spec.approx}")
+    for flag in _FLAGS:
+        value = getattr(spec, flag)
+        if value is not None and value is not False and flag not in KIND_FLAGS.get(k, ()):
+            raise InvalidSpecError("flag", f"{k.name} does not read {flag}")
     if isinstance(k, UnaryKind):
         if len(ins) != 1:
             raise InvalidSpecError("shape", "unary spec takes one input desc")
@@ -544,7 +570,9 @@ def reduce(inp: TensorView, spec: ReduceSpec, out: TensorView) -> None:
 
     Accumulation happens in FP32 (FP64 for FP64 inputs) regardless of the
     storage dtype.  SUM starts from 0, MUL from 1; MIN/MAX fold from the
-    first element along the order.
+    first element along the order.  A C kernel runs the fold when the
+    library is built (``reduce_backend()``), the numpy fold otherwise, with
+    the same bits.
     """
     dispatch(KernelSpec(UnaryKind.REDUCE, (inp.desc,), reduce=spec))._run((inp,), out)
 
@@ -694,14 +722,55 @@ _REDUCE_COMBINE = {
     ReduceOp.MIN: np.minimum,
     ReduceOp.MAX: np.maximum,
 }
+# the codes ``native.c`` gives each axis and op
+_REDUCE_AXIS_CODE = {ReduceAxis.ROWS: 0, ReduceAxis.COLS: 1, ReduceAxis.ALL: 2}
+_REDUCE_OP_CODE = {ReduceOp.SUM: 0, ReduceOp.MUL: 1, ReduceOp.MIN: 2, ReduceOp.MAX: 3}
+_REDUCE_KERNEL = {np.dtype(np.float32): "reduce_f32", np.dtype(np.float64): "reduce_f64"}
+
+
+def reduce_backend() -> str:
+    """``"native"`` when reductions run the C kernels, ``"numpy"`` when they
+    run the numpy fold (no compiler, a fault, or the test-only switch)."""
+    if _FAULT_DESCENDING_REDUCE:
+        return "numpy"
+    return "native" if native.library() is not None else "numpy"
 
 
 def _reduce(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
+    """Fold in FP32 (FP64 for FP64 inputs) in the pinned order.
+
+    BF16 and integer inputs widen here and run as FP32.  The C kernel
+    (``native.c``) and the numpy fold give the same bits; a result that
+    holds a NaN is recomputed on the numpy fold, as ``contraction.brgemm``
+    does, because the compiler may swap the operands of ``+`` and ``*``,
+    which decides which payload survives where two NaNs meet."""
     rs, d = spec.reduce, inp.desc
     acc_dt = np.float64 if d.dtype is DType.FP64 else np.float32
     x = _compute_values(inp).astype(acc_dt, copy=False)
-    if rs.squared:
-        x = x * x
+    if reduce_backend() == "numpy" or np.isnan(r := _reduce_native(rs, x)).any():
+        r = _reduce_numpy(rs, x)
+    _store(out, r)
+
+
+def _reduce_native(rs: ReduceSpec, x: np.ndarray) -> np.ndarray:
+    """The C fold of ``x``, read in place when its rows are contiguous
+    (a padded ``ld`` or a COL broadcast is), else from a column-major copy."""
+    rows, cols = x.shape
+    step = x.itemsize
+    if (rows > 1 and x.strides[0] != step) or not x.flags.aligned:
+        x = np.asfortranarray(x)
+    r = np.empty((rows if rs.axis is ReduceAxis.ROWS else 1,
+                  cols if rs.axis is ReduceAxis.COLS else 1), x.dtype)
+    native.kernel(_REDUCE_KERNEL[x.dtype])(
+        rows, cols, x.ctypes.data, x.strides[1] // step, _REDUCE_AXIS_CODE[rs.axis],
+        _REDUCE_OP_CODE[rs.op], rs.squared, r.ctypes.data)
+    return r
+
+
+def _reduce_numpy(rs: ReduceSpec, x: np.ndarray) -> np.ndarray:
+    """The reference fold: one numpy call per column (ROWS) or row (COLS and
+    the row stage of ALL); reversed under the ``reduce-order`` fault."""
+    rows, cols = x.shape
     comb = _REDUCE_COMBINE[rs.op]
 
     def fold(slices: list[np.ndarray]) -> np.ndarray:
@@ -717,23 +786,24 @@ def _reduce(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
             acc = comb(acc, s)
         return acc
 
-    if rs.axis is ReduceAxis.ROWS:
-        r = fold([x[:, j] for j in range(d.cols)]).reshape(d.rows, 1)
-    elif rs.axis is ReduceAxis.COLS:
-        r = fold([x[i, :] for i in range(d.rows)]).reshape(1, d.cols)
-    else:
+    with np.errstate(all="ignore"):
+        if rs.squared:
+            x = x * x
+        if rs.axis is ReduceAxis.ROWS:
+            return fold([x[:, j] for j in range(cols)]).reshape(rows, 1)
+        per_col = fold([x[i, :] for i in range(rows)])
+        if rs.axis is ReduceAxis.COLS:
+            return per_col.reshape(1, cols)
         # the column partials fold in one ``accumulate`` call, from 0 (SUM)
         # or 1 (MUL), or from the first partial (MIN, MAX); ``accumulate`` is
         # sequential by definition, ``ufunc.reduce`` may sum pairwise
-        per_col = fold([x[i, :] for i in range(d.rows)])
         if _FAULT_DESCENDING_REDUCE:
             per_col = per_col[::-1]
         if rs.op is ReduceOp.SUM:
-            per_col = np.concatenate([np.zeros(1, acc_dt), per_col])
+            per_col = np.concatenate([np.zeros(1, x.dtype), per_col])
         elif rs.op is ReduceOp.MUL:
-            per_col = np.concatenate([np.ones(1, acc_dt), per_col])
-        r = comb.accumulate(per_col)[-1:].reshape(1, 1)
-    _store(out, r)
+            per_col = np.concatenate([np.ones(1, x.dtype), per_col])
+        return comb.accumulate(per_col)[-1:].reshape(1, 1)
 
 
 def _transform(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:

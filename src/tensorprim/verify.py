@@ -63,8 +63,9 @@ FAULTS = ("reduce-order", "k-order", "batch-fold")
 @contextlib.contextmanager
 def inject_fault(name: str | None) -> Iterator[None]:
     """Enable a test-only fault (one of ``FAULTS``, None for none) inside the
-    ``with`` block.  While a contraction fault is set, ``brgemm`` runs its
-    numpy path with the fault applied.  The fault is cleared on leaving the
+    ``with`` block.  While a fault is set, the code it breaks runs its
+    numpy path with the fault applied: every reduction under
+    ``reduce-order``, ``brgemm`` under a contraction fault.  The fault is cleared on leaving the
     block, also when the block raises."""
     if name not in (None, *FAULTS):
         raise ValueError(f"unknown fault {name!r}")
@@ -329,20 +330,23 @@ def check_transpose(seed: int = 0) -> CheckResult:
 
 
 def check_prng_recurrence(seed: int = 5) -> CheckResult:
-    """Vectorised xorshift128 matches a scalar reference recurrence."""
-    st = ops.PrngState(seed, 3)
-    sx, sy, sz, sw = (int(st.x[1]), int(st.y[1]), int(st.z[1]), int(st.w[1]))
-    got = []
-    for _ in range(64):
-        got.append(int(st.step()[1]))
+    """Vectorised xorshift128, one step at a time and a block of steps at
+    once, matches a scalar reference recurrence: each step's word, each
+    block row's (w >> 8) * 2^-24, and the state the steps leave."""
+    st, blk = ops.PrngState(seed, 3), ops.PrngState(seed, 3)
+    x, y, z, w = (int(st.x[1]), int(st.y[1]), int(st.z[1]), int(st.w[1]))
+    got = [int(st.step()[1]) for _ in range(64)]
+    uniforms = blk.uniform_block(64)[:, 1]
     want = []
-    x, y, z, w = sx, sy, sz, sw
     for _ in range(64):
         t = (x ^ (x << 11)) & 0xFFFFFFFF
         x, y, z = y, z, w
         w = (w ^ (w >> 19)) ^ (t ^ (t >> 8))
         want.append(w)
     bad = sum(a != b for a, b in zip(got, want))
+    bad += sum(float(u) != (v >> 8) * 2.0 ** -24 for u, v in zip(uniforms, want))
+    bad += sum(int(getattr(p, word)[1]) != v for p in (st, blk)
+               for word, v in zip("xyzw", (x, y, z, w)))
     return CheckResult("ops-prng-recurrence", bad == 0, bad, 0)
 
 
@@ -360,18 +364,19 @@ def check_quantize_roundtrip(seed: int = 0) -> CheckResult:
 
 
 def reduce_oracle(x: np.ndarray, axis: ReduceAxis, op: ReduceOp) -> np.ndarray:
-    """The documented reduction order of an FP32 ``x`` in scalar loops: ROWS
-    folds each row in ascending column order, COLS each column in ascending
-    row order, ALL each column in ascending row order and then those
-    partials in ascending column order.  SUM folds from +0, MUL from 1, MIN
-    and MAX from the first element, by plain comparisons that keep a NaN and
-    return the second operand on a tie.  Returns the reduced shape, FP32."""
+    """The documented reduction order of an FP32 or FP64 ``x`` in scalar
+    loops: ROWS folds each row in ascending column order, COLS each column
+    in ascending row order, ALL each column in ascending row order and then
+    those partials in ascending column order.  SUM folds from +0, MUL from
+    1, MIN and MAX from the first element, by plain comparisons that keep a
+    NaN and return the second operand on a tie.  Returns the reduced shape,
+    in ``x``'s dtype."""
     comb = {ReduceOp.SUM: np.add, ReduceOp.MUL: np.multiply,
             ReduceOp.MIN: lambda a, b: a if a < b or a != a else b,
             ReduceOp.MAX: lambda a, b: a if a > b or a != a else b}[op]
-    start = {ReduceOp.SUM: np.float32(0), ReduceOp.MUL: np.float32(1)}.get(op)
+    start = {ReduceOp.SUM: x.dtype.type(0), ReduceOp.MUL: x.dtype.type(1)}.get(op)
 
-    def fold(values) -> np.float32:
+    def fold(values):
         values = list(values)
         acc = values.pop(0) if start is None else start
         for v in values:
@@ -380,9 +385,9 @@ def reduce_oracle(x: np.ndarray, axis: ReduceAxis, op: ReduceOp) -> np.ndarray:
 
     rows, cols = x.shape
     if axis is ReduceAxis.ROWS:
-        return np.array([[fold(x[i, j] for j in range(cols))] for i in range(rows)], np.float32)
+        return np.array([[fold(x[i, j] for j in range(cols))] for i in range(rows)], x.dtype)
     per_col = [fold(x[i, j] for i in range(rows)) for j in range(cols)]
-    return np.array([per_col] if axis is ReduceAxis.COLS else [[fold(per_col)]], np.float32)
+    return np.array([per_col] if axis is ReduceAxis.COLS else [[fold(per_col)]], x.dtype)
 
 
 def check_reduce_determinism(seed: int = 0) -> CheckResult:
@@ -1062,10 +1067,21 @@ def check_poison_liveness(seed: int = 0) -> CheckResult:
 # kernel checks
 # ---------------------------------------------------------------------------
 
+def softmax_oracle(x: np.ndarray) -> np.ndarray:
+    """One FP32 softmax slice in the documented order: the ALL MAX and ALL
+    SUM of :func:`reduce_oracle`, ``approx.exp_taylor`` of ``x - max`` and
+    the sum's FP32 reciprocal, multiplied in."""
+    e = approx.exp_taylor(x - reduce_oracle(x, ReduceAxis.ALL, ReduceOp.MAX)[0, 0])
+    return e * (np.float32(1) / reduce_oracle(e, ReduceAxis.ALL, ReduceOp.SUM)[0, 0])
+
+
 def check_softmax(seed: int = 0, instances: int = 100) -> CheckResult:
+    """Every slice sums to 1 and is within tolerance of a float64 softmax,
+    and equals :func:`softmax_oracle` bitwise."""
     rng = np.random.default_rng(seed)
     worst_sum = 0.0
     worst_ref = 0.0
+    bad = 0
     for _ in range(instances):
         # slice sizes as in attention blocks; at least ~128 elements so no
         # single probability dominates and the sum stays well conditioned
@@ -1077,14 +1093,16 @@ def check_softmax(seed: int = 0, instances: int = 100) -> CheckResult:
         y = to_array(yv)
         for j in range(s2):
             sl = y[:, j * s3:(j + 1) * s3]
+            bad += not _bits_equal(sl, softmax_oracle(x[:, j * s3:(j + 1) * s3]))
             worst_sum = max(worst_sum, abs(float(sl.sum()) - 1.0))
             xs = x[:, j * s3:(j + 1) * s3].astype(np.float64)
             ref = np.exp(xs - xs.max())
             ref /= ref.sum()
             worst_ref = max(worst_ref, float(np.max(np.abs(sl - ref))))
-    ok = worst_sum <= 1e-6 and worst_ref <= 1e-5
-    return CheckResult("kernels-softmax", ok, f"sum={worst_sum:.2e} ref={worst_ref:.2e}",
-                       "sum<=1e-6 ref<=1e-5")
+    ok = bad == 0 and worst_sum <= 1e-6 and worst_ref <= 1e-5
+    return CheckResult("kernels-softmax", ok,
+                       f"bitwise-mismatches={bad} sum={worst_sum:.2e} ref={worst_ref:.2e}",
+                       "mismatches=0 sum<=1e-6 ref<=1e-5")
 
 
 def norm_oracle(x: np.ndarray, groups: int, eps: float) -> np.ndarray:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from tensorprim import contraction, native, verify
+from tensorprim import native, verify
 from tensorprim.cli import main
 
 
@@ -121,12 +121,13 @@ def test_verify_fault_injection_negative_control(capsys):
     not the planner minimality check, and the failure exits nonzero."""
     code, out, _ = run_cli(["verify", "--inject-fault", "reduce-order", "--only",
                             "equation-minimality,kernels-embedding-fused,kernels-layernorm,"
-                            "ops-reduce-determinism"],
+                            "kernels-softmax,ops-reduce-determinism"],
                            capsys)
     assert code == 1
     assert "[PASS] equation-minimality" in out
     assert "[FAIL] kernels-embedding-fused" in out
     assert "[FAIL] kernels-layernorm" in out
+    assert "[FAIL] kernels-softmax" in out
     assert "[FAIL] ops-reduce-determinism" in out
     # and the fault does not leak into subsequent runs
     code2, out2, _ = run_cli(["verify", "--only", "kernels-embedding-fused"], capsys)
@@ -245,6 +246,8 @@ def test_bench_deterministic_checksums(capsys):
 
 
 def test_bench_rows_name_the_contraction_backend(monkeypatch, capsys):
+    """Contraction rows name the backend of ``brgemm``, softmax rows that of
+    the reductions; the test-only switch moves both onto numpy."""
     args = ["bench", "--op", "all", "--m", "8", "--n", "8", "--k", "8", "--count", "2",
             "--repeats", "1", "--format", "json"]
 
@@ -253,9 +256,9 @@ def test_bench_rows_name_the_contraction_backend(monkeypatch, capsys):
         return {r["name"].split("-")[0]: r.get("backend") for r in rows}
 
     want = "native" if shutil.which(native.CC) else "numpy"
-    assert backends() == {"brgemm": want, "fc": want, "softmax": None}
-    monkeypatch.setattr(contraction, "_USE_NATIVE", False)
-    assert backends() == {"brgemm": "numpy", "fc": "numpy", "softmax": None}
+    assert backends() == {"brgemm": want, "fc": want, "softmax": want}
+    monkeypatch.setattr(native, "_USE_NATIVE", False)
+    assert backends() == {"brgemm": "numpy", "fc": "numpy", "softmax": "numpy"}
 
 
 def test_approx_report_and_coefficients(tmp_path, capsys):

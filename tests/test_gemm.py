@@ -410,7 +410,7 @@ EDGE_CASES = {
 
 @pytest.mark.parametrize("kind", ["address", "offset", "stride"])
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
-def test_brgemm_edge_cases_match_scalar_reference(case, kind, brgemm_backend, monkeypatch):
+def test_brgemm_edge_cases_match_scalar_reference(case, kind, native_backend, monkeypatch):
     dtype, m, n, k, count, (pa, pb, pc), beta, opts = EDGE_CASES[case]
     rng = np.random.default_rng(sorted(EDGE_CASES).index(case))
     acc = {DType.FP64: DType.FP64, DType.INT8: DType.INT32}.get(dtype, DType.FP32)
@@ -499,8 +499,8 @@ def test_brgemm_edge_cases_match_scalar_reference(case, kind, brgemm_backend, mo
         assert bits_equal(got, want)
     if "neg" in opts:
         assert np.all(got == 0.0)
-    if brgemm_backend != "numpy":
-        monkeypatch.setattr(contraction, "_USE_NATIVE", False)
+    if native_backend != "numpy":
+        monkeypatch.setattr(native, "_USE_NATIVE", False)
         assert bits_equal(got, run())
 
 
@@ -536,7 +536,7 @@ def _fp32_call(monkeypatch):
         return to_array(c)
 
     with monkeypatch.context() as mp:
-        mp.setattr(contraction, "_USE_NATIVE", False)
+        mp.setattr(native, "_USE_NATIVE", False)
         want = run()
     return run, want
 
@@ -557,7 +557,7 @@ def test_buffers_not_readable_in_place_take_the_numpy_path(monkeypatch):
     for a_buf, b_buf in ((strided, b), (a, misaligned)):
         outs = []
         for use_native in (True, False):
-            monkeypatch.setattr(contraction, "_USE_NATIVE", use_native)
+            monkeypatch.setattr(native, "_USE_NATIVE", use_native)
             c = alloc(D(m, n))
             gemm(spec_mnk(m, n, k), (a_buf, 0), (b_buf, 0), c)
             outs.append(to_array(c))
@@ -606,14 +606,17 @@ def test_cold_cache_built_once_from_four_threads(tmp_path, monkeypatch):
 @pytest.mark.skipif(shutil.which(native.CC) is None, reason="no C compiler on PATH")
 def test_build_deletes_stale_builds(tmp_path, monkeypatch):
     """A fresh build removes the cache's builds of other sources or flags,
-    and leaves files that are not builds alone."""
+    also those made under the library's old name ``brgemm-*.so``, and
+    leaves files that are not builds alone."""
     run, want = _fp32_call(monkeypatch)
     monkeypatch.setattr(native, "CACHE_DIR", tmp_path)
     monkeypatch.setattr(native, "_lib", None)
-    (tmp_path / "brgemm-0123456789abcdef.so").write_bytes(b"stale")
+    stale = ["brgemm-0123456789abcdef.so", "native-0123456789abcdef.so"]
+    for name in stale:
+        (tmp_path / name).write_bytes(b"stale")
     (tmp_path / "other.so").write_bytes(b"kept")
     assert bits_equal(run(), want)
     assert contraction.backend() == "native"
     names = sorted(p.name for p in tmp_path.iterdir())
     assert len(names) == 2 and "other.so" in names
-    assert names[0].startswith("brgemm-") and names[0] != "brgemm-0123456789abcdef.so"
+    assert names[0].startswith("native-") and names[0] not in stale

@@ -89,6 +89,21 @@ def test_dispatch_distinct_approx_flags():
     KernelSpec(UnaryKind.TANH, (D(4, 4),), approx=Approx.TAYLOR2),
     KernelSpec(UnaryKind.EXP, (D(4, 4),), approx=Approx.PADE78),
     KernelSpec(UnaryKind.SQUARE, (D(4, 4),), approx=Approx.EXACT),
+    # flags the kind never reads
+    KernelSpec(UnaryKind.TANH, (D(4, 4),), times=3),
+    KernelSpec(UnaryKind.TANH, (D(4, 4),), dropout_p=0.5),
+    KernelSpec(UnaryKind.TANH, (D(4, 4),), dropout_p=0.0),
+    KernelSpec(UnaryKind.EXP, (D(4, 4),), cmp=CmpOp.LT),
+    KernelSpec(UnaryKind.SQRT, (D(4, 4),), reduce=ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM)),
+    KernelSpec(UnaryKind.IDENTITY, (D(4, 4),), transform=TransformSpec(TransformKind.TRANSPOSE)),
+    KernelSpec(UnaryKind.SIGMOID, (D(4, 4),), bitmask_output=True),
+    KernelSpec(UnaryKind.REDUCE, (D(4, 4),), reduce=ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM),
+               times=2),
+    KernelSpec(UnaryKind.DROPOUT, (D(4, 4),), dropout_p=0.5, bitmask_output=True),
+    KernelSpec(BinaryKind.ADD, (D(4, 4), D(4, 4)), reduce=ReduceSpec(ReduceAxis.ALL, ReduceOp.MAX)),
+    KernelSpec(BinaryKind.MUL, (D(4, 4), D(4, 4)), cmp=CmpOp.EQ),
+    KernelSpec(BinaryKind.COMPARE, (D(4, 4), D(4, 4)), cmp=CmpOp.EQ, times=1),
+    KernelSpec(TernaryKind.MULADD, (D(4, 4), D(4, 4), D(4, 4)), dropout_p=0.5),
 ])
 def test_dispatch_rejects_specs_no_call_can_run(spec):
     with pytest.raises(InvalidSpecError) as e:
@@ -904,6 +919,21 @@ def test_prng_state_never_zero_and_xorshift():
     t = (x ^ (x << 11)) & 0xFFFFFFFF
     want = (w ^ (w >> 19)) ^ (t ^ (t >> 8))
     assert got == want
+
+
+@pytest.mark.parametrize("streams, rows", [(1, 1), (3, 7), (37, 64)])
+def test_uniform_block_equals_the_step_loop(streams, rows, native_backend):
+    """A block of steps gives the uniforms and leaves the state of that many
+    single steps, on every backend, and later steps continue from it."""
+    blk, loop = PrngState(11, streams), PrngState(11, streams)
+    for _ in range(2):
+        got = blk.uniform_block(rows)
+        want = np.stack([(loop.step() >> np.uint32(8)).astype(np.float32) * np.float32(2.0 ** -24)
+                         for _ in range(rows)])
+        assert bits_equal(got, want)
+        for word in "xyzw":
+            assert bits_equal(getattr(blk, word), getattr(loop, word)), word
+    assert bits_equal(blk.step(), loop.step())
 
 
 def test_dropout_p0_is_identity():
