@@ -1,8 +1,7 @@
 """Micro-benchmarks: wall times, derived FLOP rates, and the deterministic
 scratch-memory comparison between planned and naive equation evaluation.
-Contraction rows name the ``backend`` of ``brgemm`` and softmax rows that
-of the reductions: the C kernels (``"native"``) or the numpy reference
-path (``"numpy"``).
+Contraction and softmax rows name the ``backend`` that ran them: the C
+kernels (``"native"``) or the numpy reference paths (``"numpy"``).
 
 Timings are hardware-dependent and never gate anything; the only asserted
 facts are that differently-fused evaluations produce identical bits before
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import contraction as gemm_engine, equation as eqn, kernels, ops
+from . import contraction as gemm_engine, equation as eqn, kernels, native
 from .contraction import ALayout, ComputePath
 from .dtypes import DType, fp32_to_bf16_rne
 from .tensor import TensorDesc, alloc, from_array, to_array, vnni_alpha, vnni_pack_a
@@ -90,7 +89,7 @@ def bench_brgemm(m: int = 64, n: int = 64, k: int = 64, count: int = 16,
         "-emulated" if compute_path is ComputePath.EMULATED_SPLIT else "")
     return BenchResult(f"brgemm-{dtype.value}{path}-{m}x{n}x{k}x{count}", med, mn,
                        flops / med / 1e9, {"checksum": checksum,
-                                           "backend": gemm_engine.backend()})
+                                           "backend": native.backend()})
 
 
 def bench_fc(m_b: int = 4, n_b: int = 4, k_b: int = 4, bm: int = 32, bn: int = 32,
@@ -105,7 +104,7 @@ def bench_fc(m_b: int = 4, n_b: int = 4, k_b: int = 4, bm: int = 32, bn: int = 3
     checksum = float(np.sum(np.array(c.as2d(), dtype=np.float64)))
     return BenchResult(f"fc-{m_b * bm}x{n_b * bn}x{k_b * bk}", med, mn,
                        flops / med / 1e9, {"checksum": checksum,
-                                           "backend": gemm_engine.backend()})
+                                           "backend": native.backend()})
 
 
 def bench_softmax(s1: int = 64, s2: int = 8, s3: int = 64, repeats: int = 5,
@@ -127,7 +126,7 @@ def bench_softmax(s1: int = 64, s2: int = 8, s3: int = 64, repeats: int = 5,
         results.append(BenchResult(f"softmax-{name}-{s1}x{s2}x{s3}", med, mn,
                                    float("nan"),
                                    {"checksum": checksum,
-                                    "backend": ops.reduce_backend(),
+                                    "backend": native.backend(),
                                     "plan_temp_bytes": fused_bytes,
                                     "naive_temp_bytes": naive_bytes}))
     # identical outputs are a precondition for comparing the timings at all

@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import approx, bench, equation as eqn, verify
+from . import approx, bench, equation as eqn, native, verify
 from .dtypes import DType
 from .ops import InvalidSpecError
 from .tensor import TensorDesc, TensorError
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated check names (see docs); default all")
     v.add_argument("--max-nodes", type=int, default=None,
                    help="cap for the planner brute-force oracle")
-    v.add_argument("--inject-fault", choices=verify.FAULTS, default=None,
+    v.add_argument("--inject-fault", choices=native.FAULTS, default=None,
                    help="test-only negative control: flip the reduction order, "
                         "or reverse the contraction's k loop or batch fold")
     v.set_defaults(fn=cmd_verify)

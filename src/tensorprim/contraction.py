@@ -250,26 +250,12 @@ def _column_major_stack(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarra
 # the kernel
 # ---------------------------------------------------------------------------
 
-# Test-only faults, set by ``verify.inject_fault``: they reverse the k loop
-# or the batch fold, and while one is set every call takes the numpy path
-# (``native._USE_NATIVE = False`` forces that path without a fault).
-_FAULT_K_ORDER = False
-_FAULT_BATCH_FOLD = False
-
 # C kernel per input type for blocks read in place, and per accumulator type
 # for blocks widened in Python (VNNI or EMULATED_SPLIT A); PLAIN BF16 and
 # INT8 read in place ran 1.2-3.3x faster than widened in Python
 _IN_PLACE_KERNEL = {DType.FP32: "brgemm_f32", DType.FP64: "brgemm_f64",
                     DType.BF16: "brgemm_bf16", DType.INT8: "brgemm_i8"}
 _WIDENED_KERNEL = {DType.FP32: "brgemm_f32", DType.INT32: "brgemm_i32"}
-
-
-def backend() -> str:
-    """``"native"`` when ``brgemm`` runs the C kernels, ``"numpy"`` when it
-    runs the numpy reference loop (no compiler, or a test-only switch)."""
-    if _FAULT_K_ORDER or _FAULT_BATCH_FOLD:
-        return "numpy"
-    return "native" if native.library() is not None else "numpy"
 
 
 def _scaled_c(spec: GemmSpec, cw: np.ndarray) -> np.ndarray:
@@ -287,12 +273,13 @@ def _scaled_c(spec: GemmSpec, cw: np.ndarray) -> np.ndarray:
 def _brgemm_numpy(spec: GemmSpec, batch: BrgemmBatch, acc: np.ndarray) -> None:
     """The reference path: the widened A_i stacked into (n, M, K) and the B_i
     into (n, K, N), one loop over k adding the rank-1 updates of all n entry
-    partials at once, then the fold onto ``acc`` in batch order."""
+    partials at once, then the fold onto ``acc`` in batch order (reversed
+    under the ``k-order`` or ``batch-fold`` fault of ``native``)."""
     a = np.stack([_load_a(spec, ref) for ref in batch.a_refs])
     b = np.stack([_load_b(spec, ref) for ref in batch.b_refs])
     part = np.zeros((batch.n, spec.m, spec.n), dtype=acc.dtype)
-    ks = range(spec.k - 1, -1, -1) if _FAULT_K_ORDER else range(spec.k)
-    entries = range(batch.n - 1, -1, -1) if _FAULT_BATCH_FOLD else range(batch.n)
+    ks = range(spec.k - 1, -1, -1) if native.fault == "k-order" else range(spec.k)
+    entries = range(batch.n - 1, -1, -1) if native.fault == "batch-fold" else range(batch.n)
     with np.errstate(all="ignore"):
         for k in ks:
             part += a[:, :, k, None] * b[:, None, k, :]
@@ -301,25 +288,30 @@ def _brgemm_numpy(spec: GemmSpec, batch: BrgemmBatch, acc: np.ndarray) -> None:
 
 
 def _brgemm_native(spec: GemmSpec, batch: BrgemmBatch, acc: np.ndarray) -> bool:
-    """Run the C kernel into ``acc``; False, with ``acc`` untouched, when a
-    buffer cannot be read in place.  PLAIN blocks (other than EMULATED_SPLIT)
-    are read in place; the others are widened here into stacks of
-    column-major blocks and run through the accumulator-typed kernel."""
-    if spec.a_layout is ALayout.PLAIN and spec.compute_path is ComputePath.NATIVE:
+    """Run the C kernel into ``acc``; False, with ``acc`` untouched, when the
+    library is off or a buffer cannot be read in place.  PLAIN blocks (other
+    than EMULATED_SPLIT) are read in place; the others are widened here into
+    stacks of column-major blocks and run through the accumulator-typed kernel."""
+    in_place = spec.a_layout is ALayout.PLAIN and spec.compute_path is ComputePath.NATIVE
+    fn = native.kernel(_IN_PLACE_KERNEL[spec.in_dtype] if in_place
+                       else _WIDENED_KERNEL[spec.acc_dtype])
+    if fn is None:
+        return False
+    if in_place:
         a_ptrs = _in_place_pointers(batch.a_refs, spec.m, spec.k, spec.lda)
         if a_ptrs is None:
             return False
         b_ptrs = _in_place_pointers(batch.b_refs, spec.k, spec.n, spec.ldb)
         if b_ptrs is None:
             return False
-        kernel, lda, ldb = _IN_PLACE_KERNEL[spec.in_dtype], spec.lda, spec.ldb
+        lda, ldb = spec.lda, spec.ldb
     else:
         # the stacks a and b must outlive the C call that reads them
         a, a_ptrs = _column_major_stack([_load_a(spec, ref) for ref in batch.a_refs])
         b, b_ptrs = _column_major_stack([_load_b(spec, ref) for ref in batch.b_refs])
-        kernel, lda, ldb = _WIDENED_KERNEL[spec.acc_dtype], spec.m, spec.k
-    native.kernel(kernel)(batch.n, spec.m, spec.n, spec.k, a_ptrs.ctypes.data, lda,
-                          b_ptrs.ctypes.data, ldb, acc.ctypes.data)
+        lda, ldb = spec.m, spec.k
+    fn(batch.n, spec.m, spec.n, spec.k, a_ptrs.ctypes.data, lda, b_ptrs.ctypes.data, ldb,
+       acc.ctypes.data)
     return True
 
 
@@ -358,7 +350,7 @@ def brgemm(spec: GemmSpec, batch: BrgemmBatch, c: TensorView) -> None:
     cw = c.as2d()
     acc = _scaled_c(spec, cw)
     if batch.n:
-        if backend() == "numpy" or not _brgemm_native(spec, batch, acc):
+        if not _brgemm_native(spec, batch, acc):
             _brgemm_numpy(spec, batch, acc)
         elif acc.dtype.kind == "f" and np.isnan(acc).any():
             acc = _scaled_c(spec, cw)

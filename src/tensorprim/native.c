@@ -1,7 +1,10 @@
 /* The native kernels of tensorprim, each in its pinned order: the
  * batch-reduce GEMM of the contraction, the ROWS / COLS / ALL reductions of
  * the operator set, and a block of the xorshift128 dropout streams.  Every
- * kernel gives, bit for bit, what its numpy reference path gives.
+ * kernel gives, bit for bit, what its numpy reference path gives.  Which of
+ * the two runs is decided in native.py alone: without a build, under the
+ * test-only switch or while a verify fault is set, every caller takes its
+ * numpy path.
  *
  * Every float operation is rounded to its own type, because the build
  * passes -ffp-contract=off and no fast-math flag, and the vectoriser works

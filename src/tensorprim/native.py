@@ -1,6 +1,7 @@
 """Build and load the C kernels (``native.c``) on first use: the
 batch-reduce GEMM of ``contraction``, and the reductions and xorshift
-streams of ``ops``.
+streams of ``ops``.  It alone chooses between a C kernel and its numpy
+reference path, and :func:`backend` reports the choice.
 
 The shared library is compiled once per machine with the system C compiler
 and cached in this package's ``__pycache__/``, under a name keyed by a hash
@@ -42,21 +43,34 @@ ARGTYPES: dict[str, list] = {
 # caller of a C kernel takes its numpy path.
 _USE_NATIVE = True
 
+# Negative controls for ``verify`` (``fault``: None or one name), each
+# reversing one pinned order of a numpy path: the reduction fold of ``ops``,
+# the k loop and the batch fold of ``contraction.brgemm``.  While one is
+# set, every C kernel is off, so the faulted path is the one that runs.
+FAULTS = ("reduce-order", "k-order", "batch-fold")
+fault: str | None = None
+
 _lock = threading.Lock()
 _lib: ctypes.CDLL | None | bool = None   # None: not tried yet; False: unavailable
 
 
 def library() -> ctypes.CDLL | None:
     """The loaded kernel library, building it on the first call; None if it
-    cannot be built here or the test-only switch is off."""
+    cannot be built here, the test-only switch is off or a fault is set."""
     global _lib
-    if not _USE_NATIVE:
+    if not _USE_NATIVE or fault is not None:
         return None
     if _lib is None:
         with _lock:
             if _lib is None:
                 _lib = _load() or False
     return _lib or None
+
+
+def backend() -> str:
+    """``"native"`` when the C kernels run, ``"numpy"`` when every caller
+    takes its numpy reference path."""
+    return "numpy" if library() is None else "native"
 
 
 def kernel(name: str):

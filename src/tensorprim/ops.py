@@ -6,16 +6,16 @@ flags) and validated once: ``infer_output_desc`` is the only check of a
 spec, and ``dispatch`` caches the ``Kernel`` built from it, which then runs
 without re-checking.  ``apply_*``, ``reduce``, ``transform`` and
 ``replicate_cols`` dispatch the spec of their views and run its kernel, and
-a kernel called from a plan step enters through the ``apply_*`` of its
-family, so every primitive call takes this one path.  ZERO and PRNG, whose
-extent is the output's, run directly.
+a kernel called from a plan step enters through the one of these that
+builds its spec, so every primitive call takes this one path.  ZERO and
+PRNG, whose extent is the output's, run directly.
 
 Every operator follows the same blueprint: load logical sub-tensors (with
 broadcast and datatype widening applied), run the point operation in the
 compute precision, store once (narrowing to the output's dtype).
 Reductions use a fixed, ascending accumulation order so results are
 bit-reproducible.  The reductions and the xorshift streams run C kernels
-(``native.c``) when the library is built; their numpy code is the
+(``native.c``) when ``native`` hands them out; their numpy code is the
 reference path and gives the same bits.  Every call runs on the caller's
 thread; blocking and threads belong to the caller's loop nest.
 """
@@ -214,11 +214,6 @@ class InvalidSpecError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(f"[{code}] {message}")
         self.code = code
-
-
-# test-only fault hook: verify's negative control flips reduction order to
-# demonstrate that the bitwise-equivalence checks actually bite
-_FAULT_DESCENDING_REDUCE = False
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +468,11 @@ class Kernel:
     spec and ``out`` the output extent; ``out``'s dtype is free (the store
     narrows to it) except where the kind writes raw storage: a bitmask
     (COMPARE), BF16 patterns (UNPACK) or a layout copy (TRANSFORM).  The
-    call enters through the public function of its family
-    (``apply_unary``, ``apply_binary``, ``apply_ternary``), which finds the
-    kernel of the operands' descriptors in the dispatch cache, so a plan
-    step and a direct call take the same path and neither re-validates.
+    call enters through the public function that builds its spec
+    (``reduce``, ``transform``, ``replicate_cols`` or the ``apply_*`` of its
+    family), which finds the kernel of the operands' descriptors in the
+    dispatch cache, so a plan step and a direct call take the same path and
+    neither re-validates.
 
     ``math`` is the kind's bound ndarray function for the fusable kinds
     (compute-dtype arrays in, compute-dtype array out, flags applied), the
@@ -507,10 +503,15 @@ class Kernel:
             raise TensorError(f"{self.spec.kind} kernel takes {self._ins}, got {got}")
         s = self.spec
         k = s.kind
-        if isinstance(k, UnaryKind):
-            apply_unary(k, views[0], out, approx_flag=s.approx, reduce_spec=s.reduce,
-                        transform_spec=s.transform, bitmask_output=s.bitmask_output,
-                        dropout_p=s.dropout_p, times=s.times)
+        if k is UnaryKind.REDUCE:
+            reduce(views[0], s.reduce, out)
+        elif k is UnaryKind.TRANSFORM:
+            transform(views[0], s.transform, out)
+        elif k is UnaryKind.REPLICATE_COLS:
+            replicate_cols(views[0], s.times, out)
+        elif isinstance(k, UnaryKind):
+            apply_unary(k, views[0], out, approx_flag=s.approx,
+                        bitmask_output=s.bitmask_output, dropout_p=s.dropout_p)
         elif isinstance(k, BinaryKind):
             apply_binary(k, views[0], views[1], out, cmp=s.cmp)
         else:
@@ -542,14 +543,13 @@ def dispatch(spec: KernelSpec) -> Kernel:
 
 def apply_unary(kind: UnaryKind, inp: Optional[TensorView], out: TensorView,
                 approx_flag: Approx | None = None,
-                reduce_spec: ReduceSpec | None = None,
-                transform_spec: TransformSpec | None = None,
                 bitmask_output: bool = False,
-                dropout_p: float | None = None,
-                times: int | None = None) -> None:
+                dropout_p: float | None = None) -> None:
     """Apply a unary operator; elementwise kinds require matching logical
     shapes (broadcast allowed on the input only).  ZERO and PRNG take their
-    extent from ``out``, not from an input, so they run without dispatch."""
+    extent from ``out``, not from an input, so they run without dispatch.
+    REDUCE, TRANSFORM and REPLICATE_COLS enter through :func:`reduce`,
+    :func:`transform` and :func:`replicate_cols`."""
     if kind is UnaryKind.ZERO:
         out.as2d()[:, :] = 0
         return
@@ -558,11 +558,8 @@ def apply_unary(kind: UnaryKind, inp: Optional[TensorView], out: TensorView,
     if kind is UnaryKind.PRNG:
         _prng_fill(inp, out)
         return
-    if kind is UnaryKind.REPLICATE_COLS and times is None:
-        times = out.desc.cols
-    dispatch(KernelSpec(kind, (inp.desc,), approx=approx_flag, reduce=reduce_spec,
-                        transform=transform_spec, bitmask_output=bitmask_output,
-                        dropout_p=dropout_p, times=times))._run((inp,), out)
+    dispatch(KernelSpec(kind, (inp.desc,), approx=approx_flag, bitmask_output=bitmask_output,
+                        dropout_p=dropout_p))._run((inp,), out)
 
 
 def reduce(inp: TensorView, spec: ReduceSpec, out: TensorView) -> None:
@@ -571,7 +568,7 @@ def reduce(inp: TensorView, spec: ReduceSpec, out: TensorView) -> None:
     Accumulation happens in FP32 (FP64 for FP64 inputs) regardless of the
     storage dtype.  SUM starts from 0, MUL from 1; MIN/MAX fold from the
     first element along the order.  A C kernel runs the fold when the
-    library is built (``reduce_backend()``), the numpy fold otherwise, with
+    library is built (``native.backend()``), the numpy fold otherwise, with
     the same bits.
     """
     dispatch(KernelSpec(UnaryKind.REDUCE, (inp.desc,), reduce=spec))._run((inp,), out)
@@ -660,25 +657,27 @@ def _unpack(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
     out.secondary.reshape(inp.desc.cols, inp.desc.rows).T[:, :] = lo
 
 
+def _prng_state(view: TensorView, cols: int) -> PrngState:
+    """The PrngState in ``view.tertiary["prng"]`` with ``cols`` streams; one
+    of another width is rebuilt from its seed and stored back, so the next
+    call advances it."""
+    state = (view.tertiary or {}).get("prng")
+    if state is None:
+        raise InvalidSpecError("flag", "PRNG and DROPOUT need a PrngState in tertiary")
+    if state.x.size != cols:
+        state = view.tertiary["prng"] = PrngState(state.seed, cols)
+    return state
+
+
 def _prng_fill(inp: TensorView, out: TensorView) -> None:
     if out.desc.dtype is not DType.FP32:
         raise InvalidSpecError("dtype", "PRNG output must be FP32")
-    state = (inp.tertiary or {}).get("prng")
-    if state is None:
-        raise InvalidSpecError("flag", "PRNG needs a PrngState in tertiary")
-    if state.x.size != out.desc.cols:
-        state = PrngState(state.seed, out.desc.cols)
-    out.as2d()[:, :] = state.uniform_block(out.desc.rows)
+    out.as2d()[:, :] = _prng_state(inp, out.desc.cols).uniform_block(out.desc.rows)
 
 
 def _dropout(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
-    state = (inp.tertiary or {}).get("prng")
-    if state is None:
-        raise InvalidSpecError("flag", "DROPOUT needs a PrngState in tertiary")
-    if state.x.size != inp.desc.cols:
-        state = PrngState(state.seed, inp.desc.cols)
     p = spec.dropout_p
-    keep = state.uniform_block(inp.desc.rows) >= np.float32(p)
+    keep = _prng_state(inp, inp.desc.cols).uniform_block(inp.desc.rows) >= np.float32(p)
     out.secondary = bool_to_mask(keep)
     x = _compute_values(inp)
     with np.errstate(all="ignore"):
@@ -728,14 +727,6 @@ _REDUCE_OP_CODE = {ReduceOp.SUM: 0, ReduceOp.MUL: 1, ReduceOp.MIN: 2, ReduceOp.M
 _REDUCE_KERNEL = {np.dtype(np.float32): "reduce_f32", np.dtype(np.float64): "reduce_f64"}
 
 
-def reduce_backend() -> str:
-    """``"native"`` when reductions run the C kernels, ``"numpy"`` when they
-    run the numpy fold (no compiler, a fault, or the test-only switch)."""
-    if _FAULT_DESCENDING_REDUCE:
-        return "numpy"
-    return "native" if native.library() is not None else "numpy"
-
-
 def _reduce(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
     """Fold in FP32 (FP64 for FP64 inputs) in the pinned order.
 
@@ -747,13 +738,14 @@ def _reduce(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
     rs, d = spec.reduce, inp.desc
     acc_dt = np.float64 if d.dtype is DType.FP64 else np.float32
     x = _compute_values(inp).astype(acc_dt, copy=False)
-    if reduce_backend() == "numpy" or np.isnan(r := _reduce_native(rs, x)).any():
+    fn = native.kernel(_REDUCE_KERNEL[x.dtype])
+    if fn is None or np.isnan(r := _reduce_native(fn, rs, x)).any():
         r = _reduce_numpy(rs, x)
     _store(out, r)
 
 
-def _reduce_native(rs: ReduceSpec, x: np.ndarray) -> np.ndarray:
-    """The C fold of ``x``, read in place when its rows are contiguous
+def _reduce_native(fn, rs: ReduceSpec, x: np.ndarray) -> np.ndarray:
+    """The C fold ``fn`` of ``x``, read in place when its rows are contiguous
     (a padded ``ld`` or a COL broadcast is), else from a column-major copy."""
     rows, cols = x.shape
     step = x.itemsize
@@ -761,20 +753,21 @@ def _reduce_native(rs: ReduceSpec, x: np.ndarray) -> np.ndarray:
         x = np.asfortranarray(x)
     r = np.empty((rows if rs.axis is ReduceAxis.ROWS else 1,
                   cols if rs.axis is ReduceAxis.COLS else 1), x.dtype)
-    native.kernel(_REDUCE_KERNEL[x.dtype])(
-        rows, cols, x.ctypes.data, x.strides[1] // step, _REDUCE_AXIS_CODE[rs.axis],
-        _REDUCE_OP_CODE[rs.op], rs.squared, r.ctypes.data)
+    fn(rows, cols, x.ctypes.data, x.strides[1] // step, _REDUCE_AXIS_CODE[rs.axis],
+       _REDUCE_OP_CODE[rs.op], rs.squared, r.ctypes.data)
     return r
 
 
 def _reduce_numpy(rs: ReduceSpec, x: np.ndarray) -> np.ndarray:
     """The reference fold: one numpy call per column (ROWS) or row (COLS and
-    the row stage of ALL); reversed under the ``reduce-order`` fault."""
+    the row stage of ALL); reversed under the ``reduce-order`` fault of
+    ``native``."""
     rows, cols = x.shape
     comb = _REDUCE_COMBINE[rs.op]
+    descending = native.fault == "reduce-order"
 
     def fold(slices: list[np.ndarray]) -> np.ndarray:
-        order = list(reversed(slices)) if _FAULT_DESCENDING_REDUCE else slices
+        order = list(reversed(slices)) if descending else slices
         if rs.op is ReduceOp.SUM:
             acc = np.zeros_like(order[0])
         elif rs.op is ReduceOp.MUL:
@@ -797,7 +790,7 @@ def _reduce_numpy(rs: ReduceSpec, x: np.ndarray) -> np.ndarray:
         # the column partials fold in one ``accumulate`` call, from 0 (SUM)
         # or 1 (MUL), or from the first partial (MIN, MAX); ``accumulate`` is
         # sequential by definition, ``ufunc.reduce`` may sum pairwise
-        if _FAULT_DESCENDING_REDUCE:
+        if descending:
             per_col = per_col[::-1]
         if rs.op is ReduceOp.SUM:
             per_col = np.concatenate([np.zeros(1, x.dtype), per_col])

@@ -6,7 +6,7 @@ under test (scalar loops, exhaustive enumeration, a subset-lattice search
 over evaluation orders, high-precision references) and reports a measured
 value against a fixed budget.
 
-The fault hooks are negative controls.  ``reduce-order`` flips the
+The faults of ``native`` are negative controls.  ``reduce-order`` flips the
 accumulation direction of the reduction primitive; ``k-order`` and
 ``batch-fold`` reverse the contraction's k loop or its fold of the batch
 entries.  Running the suite with a fault injected demonstrates that the
@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from . import approx, contraction as gemm_engine, equation as eqn, kernels, ops, tensor as tz
+from . import approx, contraction as gemm_engine, equation as eqn, kernels, native, ops, tensor as tz
 from .dtypes import DType, bf16_to_fp32, fp32_to_bf16_rne, pack_fp32_bits, split_fp32_bits
 from .ops import (
     Approx,
@@ -57,27 +57,19 @@ class CheckResult:
             f" ({self.detail})" if self.detail else "")
 
 
-FAULTS = ("reduce-order", "k-order", "batch-fold")
-
-
 @contextlib.contextmanager
 def inject_fault(name: str | None) -> Iterator[None]:
-    """Enable a test-only fault (one of ``FAULTS``, None for none) inside the
-    ``with`` block.  While a fault is set, the code it breaks runs its
-    numpy path with the fault applied: every reduction under
-    ``reduce-order``, ``brgemm`` under a contraction fault.  The fault is cleared on leaving the
-    block, also when the block raises."""
-    if name not in (None, *FAULTS):
+    """Set ``native.fault`` (one of ``native.FAULTS``, None for none) inside
+    the ``with`` block.  While a fault is set, every C kernel is off and the
+    numpy path it names runs with the fault applied.  The fault is cleared
+    on leaving the block, also when the block raises."""
+    if name not in (None, *native.FAULTS):
         raise ValueError(f"unknown fault {name!r}")
-    ops._FAULT_DESCENDING_REDUCE = name == "reduce-order"
-    gemm_engine._FAULT_K_ORDER = name == "k-order"
-    gemm_engine._FAULT_BATCH_FOLD = name == "batch-fold"
+    native.fault = name
     try:
         yield
     finally:
-        ops._FAULT_DESCENDING_REDUCE = False
-        gemm_engine._FAULT_K_ORDER = False
-        gemm_engine._FAULT_BATCH_FOLD = False
+        native.fault = None
 
 
 def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:

@@ -4,7 +4,7 @@ import subprocess
 
 import pytest
 
-from tensorprim import contraction, native, ops
+from tensorprim import native
 
 
 @pytest.fixture(scope="session")
@@ -30,5 +30,5 @@ def native_backend(request, monkeypatch):
     elif request.param == "native-default":
         monkeypatch.setattr(native, "_lib", request.getfixturevalue("default_build"))
     want = request.param.split("-")[0]
-    assert contraction.backend() == want and ops.reduce_backend() == want
+    assert native.backend() == want
     return request.param

@@ -118,13 +118,16 @@ def test_verify_report_formats(tmp_path, capsys):
 
 def test_verify_fault_injection_negative_control(capsys):
     """The reduce-order fault breaks the fused-vs-oracle bitwise checks but
-    not the planner minimality check, and the failure exits nonzero."""
+    not the planner minimality check nor the contraction order, and the
+    failure exits nonzero."""
     code, out, _ = run_cli(["verify", "--inject-fault", "reduce-order", "--only",
-                            "equation-minimality,kernels-embedding-fused,kernels-layernorm,"
+                            "equation-minimality,gemm-variant-equivalence,"
+                            "kernels-embedding-fused,kernels-layernorm,"
                             "kernels-softmax,ops-reduce-determinism"],
                            capsys)
     assert code == 1
     assert "[PASS] equation-minimality" in out
+    assert "[PASS] gemm-variant-equivalence" in out
     assert "[FAIL] kernels-embedding-fused" in out
     assert "[FAIL] kernels-layernorm" in out
     assert "[FAIL] kernels-softmax" in out
@@ -138,16 +141,17 @@ def test_verify_fault_injection_negative_control(capsys):
 def test_contraction_faults_fail_the_gemm_and_conv_checks(fault, capsys):
     """A reversed k loop or batch fold fails every gemm and contraction-kernel
     check, each of which compares with the pinned-order oracle; the planner
-    check does not depend on arithmetic order and passes.  gemm-vnni runs
-    one-entry batches and gemm-linearity folds two equal entries, so only
-    the k loop can reach them."""
+    check does not depend on arithmetic order and passes, and so does the
+    reduction order.  gemm-vnni runs one-entry batches and gemm-linearity
+    folds two equal entries, so only the k loop can reach them."""
     failing = ["gemm-variant-equivalence", "gemm-tiling-invariance",
                "gemm-bf16-emulation", "kernels-fc-fused", "kernels-dilated-conv"]
     failing += ["gemm-vnni", "gemm-linearity"] if fault == "k-order" else []
-    checks = ",".join(["equation-minimality", *failing])
+    checks = ",".join(["equation-minimality", "ops-reduce-determinism", *failing])
     code, out, _ = run_cli(["verify", "--inject-fault", fault, "--only", checks], capsys)
     assert code == 1
     assert "[PASS] equation-minimality" in out
+    assert "[PASS] ops-reduce-determinism" in out
     for name in failing:
         assert f"[FAIL] {name}" in out
     code2, _, _ = run_cli(["verify", "--only", checks], capsys)
@@ -155,10 +159,15 @@ def test_contraction_faults_fail_the_gemm_and_conv_checks(fault, capsys):
 
 
 def test_inject_fault_is_cleared_when_the_block_raises():
+    """A fault turns every C kernel off inside the block; leaving it, also
+    by an exception, restores the fault-free results and backend."""
+    before = native.backend()
     with pytest.raises(RuntimeError):
         with verify.inject_fault("reduce-order"):
+            assert native.backend() == "numpy"
             assert not verify.check_embedding_fused(instances=20).passed
             raise RuntimeError("check crashed")
+    assert native.backend() == before
     assert verify.check_embedding_fused(instances=20).passed
     with pytest.raises(ValueError):
         with verify.inject_fault("no-such-fault"):

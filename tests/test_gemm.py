@@ -26,7 +26,7 @@ from tensorprim import (
     vnni_unpack_a,
     view_at,
 )
-from tensorprim import contraction, native
+from tensorprim import native
 from tensorprim.dtypes import bf16_to_fp32, fp32_to_bf16_rne
 
 from util import bits_equal, colmajor_flat
@@ -570,17 +570,24 @@ def test_missing_compiler_falls_back_to_numpy(tmp_path, monkeypatch):
     monkeypatch.setattr(native, "CACHE_DIR", tmp_path / "cache")
     monkeypatch.setattr(native, "_lib", None)
     assert bits_equal(run(), want)
-    assert contraction.backend() == "numpy"
+    assert native.backend() == "numpy"
     assert not any((tmp_path / "cache").glob("*"))
 
 
 @pytest.mark.skipif(shutil.which(native.CC) is None, reason="no C compiler on PATH")
-def test_cold_cache_built_once_from_four_threads(tmp_path, monkeypatch):
-    """Four threads make the first call at once: one build, no temporary
-    file left behind, every thread gets the numpy path's bits."""
+def test_cold_cache_built_once_from_four_threads_deletes_stale_builds(tmp_path, monkeypatch):
+    """Four threads make the first call at once into a cache that holds
+    stale builds: one build, no temporary file left behind, every thread
+    gets the numpy path's bits.  The build removes the cache's builds of
+    other sources or flags, also those made under the library's old name
+    ``brgemm-*.so``, and leaves files that are not builds alone."""
     run, want = _fp32_call(monkeypatch)
     monkeypatch.setattr(native, "CACHE_DIR", tmp_path)
     monkeypatch.setattr(native, "_lib", None)
+    stale = ["brgemm-0123456789abcdef.so", "native-0123456789abcdef.so"]
+    for name in stale:
+        (tmp_path / name).write_bytes(b"stale")
+    (tmp_path / "other.so").write_bytes(b"kept")
     builds = []
     build = native._build
 
@@ -598,25 +605,9 @@ def test_cold_cache_built_once_from_four_threads(tmp_path, monkeypatch):
     with ThreadPoolExecutor(max_workers=4) as pool:
         outs = list(pool.map(first_call, range(4), timeout=300))
     assert all(bits_equal(out, want) for out in outs)
-    assert contraction.backend() == "native"
+    assert native.backend() == "native"
     assert len(builds) == 1
-    assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
-
-
-@pytest.mark.skipif(shutil.which(native.CC) is None, reason="no C compiler on PATH")
-def test_build_deletes_stale_builds(tmp_path, monkeypatch):
-    """A fresh build removes the cache's builds of other sources or flags,
-    also those made under the library's old name ``brgemm-*.so``, and
-    leaves files that are not builds alone."""
-    run, want = _fp32_call(monkeypatch)
-    monkeypatch.setattr(native, "CACHE_DIR", tmp_path)
-    monkeypatch.setattr(native, "_lib", None)
-    stale = ["brgemm-0123456789abcdef.so", "native-0123456789abcdef.so"]
-    for name in stale:
-        (tmp_path / name).write_bytes(b"stale")
-    (tmp_path / "other.so").write_bytes(b"kept")
-    assert bits_equal(run(), want)
-    assert contraction.backend() == "native"
+    assert [p.suffix for p in tmp_path.iterdir()] == [".so", ".so"]
     names = sorted(p.name for p in tmp_path.iterdir())
     assert len(names) == 2 and "other.so" in names
     assert names[0].startswith("native-") and names[0] not in stale

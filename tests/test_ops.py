@@ -936,6 +936,27 @@ def test_uniform_block_equals_the_step_loop(streams, rows, native_backend):
     assert bits_equal(blk.step(), loop.step())
 
 
+def test_prng_state_of_another_width_advances():
+    """A state of another width is rebuilt with one stream per column once
+    and then advances: PRNG fills and DROPOUT masks are the first two blocks
+    of a fresh state of the right width."""
+    x = from_array(np.arange(32, dtype=np.float32).reshape(4, 8))
+    x.tertiary = {"prng": PrngState(7, 1)}
+    fresh = PrngState(7, 8)
+    for _ in range(2):
+        out = alloc(D(4, 8))
+        apply_unary(UnaryKind.PRNG, x, out)
+        assert bits_equal(to_array(out), fresh.uniform_block(4))
+    x.tertiary = {"prng": PrngState(7, 1)}
+    fresh = PrngState(7, 8)
+    for _ in range(2):
+        out = alloc(D(4, 8))
+        apply_unary(UnaryKind.DROPOUT, x, out, dropout_p=0.5)
+        keep = fresh.uniform_block(4) >= np.float32(0.5)
+        assert bits_equal(to_array(out), np.where(keep, to_array(x) * np.float32(2), 0))
+        assert np.array_equal(mask_to_bool(out.secondary, 4, 8), keep)
+
+
 def test_dropout_p0_is_identity():
     x = from_array(np.arange(6, dtype=np.float32).reshape(2, 3))
     x.tertiary = {"prng": PrngState(1, 3)}
