@@ -8,16 +8,16 @@ fixed sequence of IEEE operations, which makes all results bit-reproducible
 and lets the three batch addressing variants be compared bitwise.
 
 Two paths compute that sequence and give the same bits.  The C kernels in
-``native.c`` (built on first use, see ``native``) read PLAIN A and B blocks
-in place through per-entry pointers and leading dimensions, and widen BF16
-and INT8 themselves; VNNI and EMULATED_SPLIT A blocks are widened here and
-run through the kernel of their accumulator type.  The numpy reference path
-stacks the widened blocks into (n, M, K) and (n, K, N) arrays and runs one
-loop over k for all entries at once (numpy neither fuses the multiply-add
-nor reorders it).  It runs when no C compiler or cached build is available,
-and it recomputes any float result that holds a NaN: the compiler may swap
-the operands of ``*`` and ``+``, which only matters for which NaN payload
-survives where two NaNs meet.
+``native.c`` (built on first use, see ``native``) read every A and B block
+in place through per-entry pointers, PLAIN or VNNI, and widen BF16 and INT8
+themselves; only native VNNI BF16 is first widened here, by the ``dtypes``
+codec, and runs through the FP32 kernel.  The numpy reference path stacks
+the widened blocks into (n, M, K) and (n, K, N) arrays and runs one loop
+over k for all entries at once (numpy neither fuses the multiply-add nor
+reorders it).  It runs when no C compiler or cached build is available, for
+buffers that cannot be read in place, and it recomputes any float result
+that holds a NaN: the compiler may swap the operands of ``*`` and ``+``,
+which only matters for which NaN payload survives where two NaNs meet.
 
 Like a TPP, a call is a single-core building block: it computes all of C on
 the caller's thread.  Blocking and parallelism belong to the caller's loop
@@ -33,6 +33,7 @@ zero-masking, even halves by a left shift), which is bit-identical.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 import enum
 from typing import Sequence
@@ -40,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import native
-from .dtypes import DType, widen
+from .dtypes import DType, bf16_to_fp32, widen
 from .tensor import TensorError, TensorView, vnni_alpha, vnni_pack_a, vnni_unpack_a
 
 
@@ -218,9 +219,10 @@ def _widen_emulated(flat: np.ndarray, m: int, k: int) -> np.ndarray:
     return out[:, :k]
 
 
-def _in_place_pointers(refs, rows: int, cols: int, ld: int) -> np.ndarray | None:
-    """Addresses of column-major blocks read in place, after each block's
-    bounds check; None when a buffer is not 1-D, contiguous and aligned."""
+def _in_place_pointers(refs, rows: int, cols: int, ld: int):
+    """A ctypes table of the addresses of column-major blocks read in place,
+    after each block's bounds check; None when a buffer is not 1-D,
+    contiguous and aligned."""
     bases: dict[int, int] = {}
     ptrs = []
     for buf, off in refs:
@@ -231,31 +233,30 @@ def _in_place_pointers(refs, rows: int, cols: int, ld: int) -> np.ndarray | None
                 return None
             base = bases[id(buf)] = buf.ctypes.data
         ptrs.append(base + off * buf.itemsize)
-    return np.array(ptrs, dtype=np.uintp)
+    return (ctypes.c_void_p * len(ptrs))(*ptrs)
 
 
-def _column_major_stack(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Copy logical (rows, cols) blocks into one C-contiguous (n, cols, rows)
-    stack, each block column-major with ld = rows; returns the stack and
-    the address of each block."""
-    rows, cols = blocks[0].shape
-    stack = np.empty((len(blocks), cols, rows), dtype=blocks[0].dtype)
-    for dst, blk in zip(stack, blocks):
-        dst[...] = blk.T
-    step = np.uintp(stack[0].nbytes)
-    return stack, stack.ctypes.data + np.arange(len(blocks), dtype=np.uintp) * step
+def _widened_spans(refs, rows: int, cols: int, ld: int) -> tuple[Ref, ...]:
+    """``refs`` moved into FP32 copies of their BF16 buffers: one
+    ``bf16_to_fp32`` call per distinct buffer, over the span its blocks
+    touch (after each block's bounds check)."""
+    spans: dict[int, tuple[np.ndarray, int, int]] = {}
+    for buf, off in refs:
+        _check_block(buf, off, rows, cols, ld)
+        end = off + ld * (cols - 1) + rows
+        _, lo, hi = spans.get(id(buf), (buf, off, end))
+        spans[id(buf)] = (buf, min(lo, off), max(hi, end))
+    wide = {key: (bf16_to_fp32(buf[lo:hi]), lo) for key, (buf, lo, hi) in spans.items()}
+    return tuple((wide[id(buf)][0], off - wide[id(buf)][1]) for buf, off in refs)
 
 
 # ---------------------------------------------------------------------------
 # the kernel
 # ---------------------------------------------------------------------------
 
-# C kernel per input type for blocks read in place, and per accumulator type
-# for blocks widened in Python (VNNI or EMULATED_SPLIT A); PLAIN BF16 and
-# INT8 read in place ran 1.2-3.3x faster than widened in Python
-_IN_PLACE_KERNEL = {DType.FP32: "brgemm_f32", DType.FP64: "brgemm_f64",
-                    DType.BF16: "brgemm_bf16", DType.INT8: "brgemm_i8"}
-_WIDENED_KERNEL = {DType.FP32: "brgemm_f32", DType.INT32: "brgemm_i32"}
+# the C kernel of each input type, reading its blocks in place
+_KERNEL = {DType.FP32: "brgemm_f32", DType.FP64: "brgemm_f64",
+           DType.BF16: "brgemm_bf16", DType.INT8: "brgemm_i8"}
 
 
 def _scaled_c(spec: GemmSpec, cw: np.ndarray) -> np.ndarray:
@@ -287,31 +288,52 @@ def _brgemm_numpy(spec: GemmSpec, batch: BrgemmBatch, acc: np.ndarray) -> None:
             acc += part[i]
 
 
-def _brgemm_native(spec: GemmSpec, batch: BrgemmBatch, acc: np.ndarray) -> bool:
-    """Run the C kernel into ``acc``; False, with ``acc`` untouched, when the
-    library is off or a buffer cannot be read in place.  PLAIN blocks (other
-    than EMULATED_SPLIT) are read in place; the others are widened here into
-    stacks of column-major blocks and run through the accumulator-typed kernel."""
-    in_place = spec.a_layout is ALayout.PLAIN and spec.compute_path is ComputePath.NATIVE
-    fn = native.kernel(_IN_PLACE_KERNEL[spec.in_dtype] if in_place
-                       else _WIDENED_KERNEL[spec.acc_dtype])
+def _brgemm_native(spec: GemmSpec, batch: BrgemmBatch, cw: np.ndarray) -> bool:
+    """Run the C kernel of the input type into C (``cw``).  It reads every
+    block in place: PLAIN at its ld, VNNI as its (M*alpha) x ceil(K/alpha)
+    column-major form, and PLAIN EMULATED_SPLIT BF16 as plain BF16 (a plain
+    layout has no pairs to split, and the shift gives the same bits).  Native
+    VNNI BF16 is the one exception: the span of each buffer its blocks touch
+    is widened by ``dtypes.bf16_to_fp32`` first and read by the FP32 kernel,
+    so that BF16 native and emulated stay two implementations to compare.
+
+    Every bounds check runs before the first write to C.  Returns False for
+    the numpy path to compute C when the library is off, a buffer cannot be
+    read in place, the kernel could not allocate its scratch or a float
+    result holds a NaN; C then holds what it held, or, under beta 0, maybe
+    partial sums that the numpy path overwrites."""
+    vnni = spec.a_layout is ALayout.VNNI
+    widened = vnni and spec.in_dtype is DType.BF16 and spec.compute_path is ComputePath.NATIVE
+    fn = native.kernel("brgemm_f32" if widened else _KERNEL[spec.in_dtype])
     if fn is None:
         return False
-    if in_place:
-        a_ptrs = _in_place_pointers(batch.a_refs, spec.m, spec.k, spec.lda)
-        if a_ptrs is None:
-            return False
-        b_ptrs = _in_place_pointers(batch.b_refs, spec.k, spec.n, spec.ldb)
-        if b_ptrs is None:
-            return False
-        lda, ldb = spec.lda, spec.ldb
+    if vnni:
+        al = spec.alpha
+        a_dims = (spec.m * al, -(-spec.k // al), spec.m * al)
     else:
-        # the stacks a and b must outlive the C call that reads them
-        a, a_ptrs = _column_major_stack([_load_a(spec, ref) for ref in batch.a_refs])
-        b, b_ptrs = _column_major_stack([_load_b(spec, ref) for ref in batch.b_refs])
-        lda, ldb = spec.m, spec.k
-    fn(batch.n, spec.m, spec.n, spec.k, a_ptrs.ctypes.data, lda, b_ptrs.ctypes.data, ldb,
-       acc.ctypes.data)
+        a_dims = (spec.m, spec.k, spec.lda)
+    b_dims = (spec.k, spec.n, spec.ldb)
+    a_refs, b_refs = batch.a_refs, batch.b_refs
+    if widened:   # the spans must outlive the C call that reads them
+        a_refs, b_refs = _widened_spans(a_refs, *a_dims), _widened_spans(b_refs, *b_dims)
+    a_ptrs = _in_place_pointers(a_refs, *a_dims)
+    b_ptrs = None if a_ptrs is None else _in_place_pointers(b_refs, *b_dims)
+    if b_ptrs is None:
+        return False
+    # beta 0 into a dense C: accumulate in C itself, no copy
+    direct = spec.beta == 0.0 and cw.dtype == spec.acc_dtype.storage and cw.flags.f_contiguous
+    if direct:
+        acc = cw
+        acc.fill(0)
+    else:
+        acc = _scaled_c(spec, cw)
+    if fn(batch.n, spec.m, spec.n, spec.k, a_ptrs, spec.lda, b_ptrs, spec.ldb,
+          acc.ctypes.data, vnni):
+        return False
+    if acc.dtype.kind == "f" and np.isnan(acc).any():
+        return False
+    if not direct:
+        cw[:, :] = acc
     return True
 
 
@@ -324,14 +346,16 @@ def brgemm(spec: GemmSpec, batch: BrgemmBatch, c: TensorView) -> None:
     identities hold exactly in floating point too (duplicating a batch entry
     doubles the result bitwise; a negated duplicate cancels to exact zero).
 
-    The C kernel and the numpy reference path give the same bits.  When a
-    float result holds a NaN, the call is recomputed on the numpy path from
-    beta*C: the compiler may swap the operands of ``*`` and ``+``, which
-    decides which payload survives where two NaNs meet, and only there
-    (without NaNs, IEEE ``+`` and ``*`` commute bitwise, and a NaN never
-    leaves a chain).  The call computes all of C on the caller's thread;
-    blocking C into tiles and running tiles on threads is the caller's loop
-    nest, and gives the same bits.
+    The C kernel reads every block in place, PLAIN or VNNI, and gives the
+    bits of the numpy reference path.  When a float result holds a NaN, the
+    call is recomputed on the numpy path from beta*C: the compiler may swap
+    the operands of ``*`` and ``+``, which decides which payload survives
+    where two NaNs meet, and only there (without NaNs, IEEE ``+`` and ``*``
+    commute bitwise, and a NaN never leaves a chain).  A block that exceeds
+    its buffer raises ``TensorError`` before C is written.  The call
+    computes all of C on the caller's thread; blocking C into tiles and
+    running tiles on threads is the caller's loop nest, and gives the same
+    bits.
     """
     if (c.desc.rows, c.desc.cols) != (spec.m, spec.n):
         raise TensorError(f"C must be {spec.m}x{spec.n}")
@@ -348,13 +372,11 @@ def brgemm(spec: GemmSpec, batch: BrgemmBatch, c: TensorView) -> None:
             raise TensorError("C must not alias any batch input")
 
     cw = c.as2d()
+    if batch.n and _brgemm_native(spec, batch, cw):
+        return
     acc = _scaled_c(spec, cw)
     if batch.n:
-        if not _brgemm_native(spec, batch, acc):
-            _brgemm_numpy(spec, batch, acc)
-        elif acc.dtype.kind == "f" and np.isnan(acc).any():
-            acc = _scaled_c(spec, cw)
-            _brgemm_numpy(spec, batch, acc)
+        _brgemm_numpy(spec, batch, acc)
     cw[:, :] = acc
 
 

@@ -9,13 +9,13 @@
  * Every float operation is rounded to its own type, because the build
  * passes -ffp-contract=off and no fast-math flag, and the vectoriser works
  * across independent elements, which leaves each element's sequence of
- * operations untouched.  No kernel needs scratch memory from its caller,
- * so concurrent calls share nothing.  On x86-64 Linux each kernel is also
- * built for AVX2 and picked at load time (5.0 -> 4.2 ms a `dense` benchmark
- * step on a 2-vCPU x86-64 VM); AVX2 brings no fused multiply-add, so both
- * builds give the same bits.  Building with -DMULTIVERSION= leaves only the
- * default build, which the tests use to check its bits on machines that
- * have AVX2.
+ * operations untouched.  The brgemm kernels allocate their scratch per call
+ * and the others need none, so concurrent calls share nothing.  On x86-64
+ * Linux each kernel is also built for AVX2 and picked at load time (5.0 ->
+ * 4.2 ms a `dense` benchmark step on a 2-vCPU x86-64 VM); AVX2 brings no
+ * fused multiply-add, so both builds give the same bits.  Building with
+ * -DMULTIVERSION= leaves only the default build, which the tests use to
+ * check its bits on machines that have AVX2.
  *
  * BRGEMM.  acc (M x N, column-major, ld M) already holds beta*C.  For each
  * batch entry e in ascending order and each output element (i, j):
@@ -24,11 +24,21 @@
  *     for kk = 0 .. K-1:  part = part + A_e(i, kk) * B_e(kk, j)
  *     acc(i, j) = acc(i, j) + part
  *
- * A_e(i, kk) lives at a[e][i + kk*lda] and B_e(kk, j) at b[e][kk + j*ldb].
- * Partials for a block of MB rows are kept in a local array.  One kernel
- * per (input storage, accumulator) pair: BF16 widens by a 16-bit shift;
- * integer kernels add in uint32_t, so wrap-around is defined and gives the
- * bits of INT32 two's-complement arithmetic.
+ * B_e(kk, j) lives at b[e][kk + j*ldb].  A PLAIN A_e(i, kk) lives at
+ * a[e][i + kk*lda]; a VNNI one ([K/alpha][M][alpha], alpha = 2 for 16-bit
+ * and 4 for 8-bit elements, the tail group zero-padded) at
+ * a[e][(kk/alpha)*M*alpha + i*alpha + kk%alpha].  Either is read in place:
+ * the kernel copies A_e one block of MB rows at a time into its scratch,
+ * widened to the accumulator type and column-major, and runs the k loop of
+ * every column from there, the block's partials in a local array.  The
+ * scratch (MB x K accumulator elements) is malloc'd per call; when that
+ * fails the kernel returns 1 with acc untouched, and the caller takes its
+ * numpy path.  One kernel per (input storage, accumulator) pair: BF16 widens
+ * by a 16-bit shift, and a VNNI BF16 pair is read as one uint32 lane and
+ * split as the emulated path splits it (the low element lane << 16, the high
+ * one lane & 0xFFFF0000), which gives the same FP32 values; INT8 is sign
+ * extended; integer kernels add in uint32_t, so wrap-around is defined and
+ * gives the bits of INT32 two's-complement arithmetic.
  *
  * REDUCE.  x (M x N, column-major, element (i, j) at x[i + j*ld]; ld 0
  * reads one column N times) folds into out (M, N or 1 elements):
@@ -52,6 +62,7 @@
 
 #include <float.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* The pinned order needs each float operation rounded to its own type.  A
@@ -89,47 +100,88 @@ static inline float bf16_widen(uint16_t x)
 #define LOAD_BF16(x) bf16_widen(x)
 #define LOAD_U32(x) ((uint32_t)(int32_t)(x))
 
-#define DEFINE_BRGEMM(NAME, TIN, TACC, LOAD)                                   \
-INLINE void                                                                    \
-NAME##_rows(TACC *restrict c, const TIN *a, int64_t lda, const TIN *b,         \
-            int64_t k, int64_t rows)                                           \
-{                                                                              \
-    TACC part[MB];                                                             \
-    for (int64_t i = 0; i < rows; i++)                                         \
-        part[i] = 0;                                                           \
-    for (int64_t kk = 0; kk < k; kk++) {                                       \
-        const TACC bv = LOAD(b[kk]);                                           \
-        const TIN *ak = a + kk * lda;                                          \
-        for (int64_t i = 0; i < rows; i++)                                     \
-            part[i] = part[i] + LOAD(ak[i]) * bv;                              \
-    }                                                                          \
-    for (int64_t i = 0; i < rows; i++)                                         \
-        c[i] = c[i] + part[i];                                                 \
-}                                                                              \
-                                                                               \
-MULTIVERSION void                                                              \
-NAME(int64_t count, int64_t m, int64_t n, int64_t k,                           \
-     const TIN *const *a, int64_t lda, const TIN *const *b, int64_t ldb,       \
-     TACC *restrict acc)                                                       \
-{                                                                              \
-    const int64_t full = m - m % MB;                                           \
-    for (int64_t e = 0; e < count; e++) {                                      \
-        for (int64_t j = 0; j < n; j++) {                                      \
-            const TIN *bj = b[e] + j * ldb;                                    \
-            TACC *cj = acc + j * m;                                            \
-            for (int64_t i0 = 0; i0 < full; i0 += MB)                          \
-                NAME##_rows(cj + i0, a[e] + i0, lda, bj, k, MB);               \
-            if (full < m)                                                      \
-                NAME##_rows(cj + full, a[e] + full, lda, bj, k, m - full);     \
-        }                                                                      \
-    }                                                                          \
+/* Slot r of the VNNI group at p, widened.  BF16 reads its pair as one
+ * uint32 lane: slot 0 (the low half) by a 16-bit left shift, slot 1 by
+ * masking the low 16 bits. */
+#define VLOAD_SAME(p, r) ((p)[r])
+#define VLOAD_U32(p, r) LOAD_U32((p)[r])
+#define VLOAD_BF16(p, r) bf16_lane(p, r)
+
+static inline float bf16_lane(const uint16_t *p, int64_t r)
+{
+    uint32_t u;
+    memcpy(&u, p, sizeof u);
+    u = r ? u & 0xFFFF0000u : u << 16;
+    float f;
+    memcpy(&f, &u, sizeof f);
+    return f;
 }
 
-DEFINE_BRGEMM(brgemm_f32, float, float, LOAD_SAME)
-DEFINE_BRGEMM(brgemm_f64, double, double, LOAD_SAME)
-DEFINE_BRGEMM(brgemm_bf16, uint16_t, float, LOAD_BF16)
-DEFINE_BRGEMM(brgemm_i8, int8_t, uint32_t, LOAD_U32)
-DEFINE_BRGEMM(brgemm_i32, int32_t, uint32_t, LOAD_U32)
+/* ALPHA is the VNNI group size of TIN, or 1 for a type without a VNNI form,
+ * whose VNNI branch the compiler then drops.  The k loop always runs all MB
+ * rows of a block, so it compiles once; rows past the block's end are zero
+ * in the scratch and their partials are never stored.  K >= 1.  Returns 0,
+ * or 1 with acc untouched when the scratch cannot be allocated. */
+#define DEFINE_BRGEMM(NAME, TIN, TACC, LOAD, ALPHA, VLOAD)                     \
+/* s (MB x k, column-major, ld MB) = rows i0 .. i0+rows-1 of A, widened */     \
+INLINE void                                                                    \
+NAME##_unpack(TACC *restrict s, const TIN *a, int64_t lda, int64_t vnni,       \
+              int64_t m, int64_t k, int64_t i0, int64_t rows)                  \
+{                                                                              \
+    for (int64_t kk = 0; kk < k; kk++) {                                       \
+        TACC *sk = s + kk * MB;                                                \
+        if (ALPHA > 1 && vnni) {                                               \
+            const TIN *ag = a + ((kk / ALPHA) * m + i0) * ALPHA;               \
+            for (int64_t i = 0; i < rows; i++)                                 \
+                sk[i] = VLOAD(ag + i * ALPHA, kk % ALPHA);                     \
+        } else {                                                               \
+            const TIN *ak = a + kk * lda + i0;                                 \
+            for (int64_t i = 0; i < rows; i++)                                 \
+                sk[i] = LOAD(ak[i]);                                           \
+        }                                                                      \
+        for (int64_t i = rows; i < MB; i++)                                    \
+            sk[i] = 0;                                                         \
+    }                                                                          \
+}                                                                              \
+                                                                               \
+MULTIVERSION int64_t                                                           \
+NAME(int64_t count, int64_t m, int64_t n, int64_t k,                           \
+     const TIN *const *a, int64_t lda, const TIN *const *b, int64_t ldb,       \
+     TACC *restrict acc, int64_t a_vnni)                                       \
+{                                                                              \
+    if (k > PTRDIFF_MAX / (int64_t)(MB * sizeof(TACC)))                        \
+        return 1;                                                              \
+    TACC *s = malloc((size_t)k * MB * sizeof(TACC));                           \
+    if (s == NULL)                                                             \
+        return 1;                                                              \
+    for (int64_t e = 0; e < count; e++)                                        \
+        for (int64_t i0 = 0; i0 < m; i0 += MB) {                               \
+            const int64_t rows = m - i0 < MB ? m - i0 : MB;                    \
+            NAME##_unpack(s, a[e], lda, a_vnni, m, k, i0, rows);               \
+            for (int64_t j = 0; j < n; j++) {                                  \
+                const TIN *bj = b[e] + j * ldb;                                \
+                TACC *cj = acc + j * m + i0;                                   \
+                TACC part[MB];                                                 \
+                for (int64_t i = 0; i < MB; i++)                               \
+                    part[i] = 0;                                               \
+                for (int64_t kk = 0; kk < k; kk++) {                           \
+                    const TACC bv = LOAD(bj[kk]);                              \
+                    const TACC *sk = s + kk * MB;                              \
+                    for (int64_t i = 0; i < MB; i++)                           \
+                        part[i] = part[i] + sk[i] * bv;                        \
+                }                                                              \
+                for (int64_t i = 0; i < rows; i++)                             \
+                    cj[i] = cj[i] + part[i];                                   \
+            }                                                                  \
+        }                                                                      \
+    free(s);                                                                   \
+    return 0;                                                                  \
+}
+
+DEFINE_BRGEMM(brgemm_f32, float, float, LOAD_SAME, 2, VLOAD_SAME)
+DEFINE_BRGEMM(brgemm_f64, double, double, LOAD_SAME, 1, VLOAD_SAME)
+DEFINE_BRGEMM(brgemm_bf16, uint16_t, float, LOAD_BF16, 2, VLOAD_BF16)
+DEFINE_BRGEMM(brgemm_i8, int8_t, uint32_t, LOAD_U32, 4, VLOAD_U32)
 
 /* ------------------------------------------------------------------------ */
 /* reductions                                                                */

@@ -27,17 +27,20 @@ CACHE_DIR = Path(__file__).with_name("__pycache__")
 _STALE = ("native-*.so", "brgemm-*.so")   # builds of other sources, flags or names
 
 _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
-# (count, m, n, k, a_ptrs, lda, b_ptrs, ldb, acc)
-_BRGEMM = [_i64] * 4 + [_ptr, _i64, _ptr, _i64, _ptr]
+# (count, m, n, k, a_ptrs, lda, b_ptrs, ldb, acc, a_vnni)
+_BRGEMM = [_i64] * 4 + [_ptr, _i64, _ptr, _i64, _ptr, _i64]
 # (m, n, x, ld, axis, op, squared, out)
 _REDUCE = [_i64, _i64, _ptr, _i64, _i64, _i64, _i64, _ptr]
 # the argument types of every kernel of the library
 ARGTYPES: dict[str, list] = {
     "brgemm_f32": _BRGEMM, "brgemm_f64": _BRGEMM, "brgemm_bf16": _BRGEMM,
-    "brgemm_i8": _BRGEMM, "brgemm_i32": _BRGEMM,
+    "brgemm_i8": _BRGEMM,
     "reduce_f32": _REDUCE, "reduce_f64": _REDUCE,
     "xorshift_uniform": [_i64, _i64, _ptr, _ptr],   # (streams, rows, state, out)
 }
+# the kernels that return a status (nonzero: the call did nothing); the
+# others return nothing
+RESTYPES = {name: _i64 for name in ARGTYPES if name.startswith("brgemm_")}
 
 # Test-only switch: False makes :func:`library` return None, so every
 # caller of a C kernel takes its numpy path.
@@ -81,7 +84,7 @@ def kernel(name: str):
         return None
     fn = getattr(lib, name)
     if fn.argtypes is None:
-        fn.restype = None        # set first: argtypes marks fn as ready
+        fn.restype = RESTYPES.get(name)   # set first: argtypes marks fn as ready
         fn.argtypes = ARGTYPES[name]
     return fn
 

@@ -1,5 +1,6 @@
 from concurrent.futures import ThreadPoolExecutor
 import shutil
+import sys
 import threading
 
 import numpy as np
@@ -26,7 +27,7 @@ from tensorprim import (
     vnni_unpack_a,
     view_at,
 )
-from tensorprim import native
+from tensorprim import contraction, native
 from tensorprim.dtypes import bf16_to_fp32, fp32_to_bf16_rne
 
 from util import bits_equal, colmajor_flat
@@ -405,6 +406,32 @@ EDGE_CASES = {
     "bf16-competing-nan-payloads": (DType.BF16, 4, 4, 5, 2, (1, 1, 1), 1.0, ("nans",)),
     "int8-extremes": (DType.INT8, 3, 4, 6, 3, (1, 2, 1), 1.0, ()),
     "int8-vnni-k-tail": (DType.INT8, 3, 4, 7, 2, (0, 1, 1), 0.0, ("vnni",)),
+    # VNNI A unpacked by the C kernel one block of 32 rows at a time
+    "vnni-bf16-native-m33": (DType.BF16, 33, 3, 6, 2, (0, 1, 1), 1.0, ("vnni",)),
+    "vnni-bf16-emulated-m33": (DType.BF16, 33, 3, 6, 2, (0, 1, 1), 0.5,
+                               ("vnni", "emulated")),
+    "vnni-int8-m33": (DType.INT8, 33, 3, 8, 2, (0, 1, 1), 1.0, ("vnni",)),
+    "vnni-bf16-native-m70": (DType.BF16, 70, 2, 5, 2, (0, 0, 1), 0.0, ("vnni",)),
+    "vnni-bf16-emulated-m70": (DType.BF16, 70, 2, 5, 2, (0, 0, 1), 1.0, ("vnni", "emulated")),
+    "vnni-int8-m70": (DType.INT8, 70, 2, 7, 2, (0, 1, 0), 1.0, ("vnni",)),
+    # K tails: a last group that is partly zero padding
+    "vnni-bf16-native-k1": (DType.BF16, 4, 3, 1, 2, (0, 1, 1), 1.0, ("vnni",)),
+    "vnni-bf16-emulated-k1": (DType.BF16, 4, 3, 1, 2, (0, 1, 1), 1.0, ("vnni", "emulated")),
+    "vnni-bf16-native-k3": (DType.BF16, 4, 3, 3, 2, (0, 0, 1), 0.5, ("vnni",)),
+    "vnni-bf16-emulated-k3": (DType.BF16, 4, 3, 3, 2, (0, 0, 1), 0.5, ("vnni", "emulated")),
+    "vnni-int8-k1": (DType.INT8, 4, 3, 1, 2, (0, 1, 1), 1.0, ("vnni",)),
+    "vnni-int8-k2": (DType.INT8, 4, 3, 2, 2, (0, 1, 1), 1.0, ("vnni",)),
+    "vnni-int8-k5": (DType.INT8, 4, 3, 5, 2, (0, 1, 1), 1.0, ("vnni",)),
+    "vnni-bf16-native-competing-nan-payloads": (DType.BF16, 4, 4, 5, 2, (0, 1, 1), 1.0,
+                                                ("vnni", "nans")),
+    "vnni-bf16-emulated-competing-nan-payloads": (DType.BF16, 4, 4, 5, 2, (0, 1, 1), 1.0,
+                                                  ("vnni", "emulated", "nans")),
+    # beta 0 accumulates in a dense C itself, and through a copy into a padded one
+    "vnni-bf16-native-beta0-dense-c": (DType.BF16, 5, 4, 6, 2, (0, 1, 0), 0.0, ("vnni",)),
+    "vnni-bf16-emulated-beta0-padded-c": (DType.BF16, 5, 4, 6, 2, (0, 1, 2), 0.0,
+                                          ("vnni", "emulated")),
+    "vnni-int8-beta0-dense-c": (DType.INT8, 5, 4, 6, 2, (0, 0, 0), 0.0, ("vnni",)),
+    "vnni-int8-beta0-padded-c": (DType.INT8, 5, 4, 6, 2, (0, 1, 2), 0.0, ("vnni",)),
 }
 
 
@@ -516,6 +543,124 @@ def test_brgemm_rejects_buffers_of_another_dtype(a_dtype, b_dtype):
     with pytest.raises(TensorError):
         matmul(from_array(np.ones((2, 2), np.float32)),
                from_array(np.ones((2, 2), np.float32), DType.BF16), c)
+
+
+# ---------------------------------------------------------------------------
+# VNNI A read in place by the C kernel
+# ---------------------------------------------------------------------------
+
+def _vnni_calls(m, n, k, count, seed):
+    """The three VNNI calls of a dense step (BF16 native, BF16 emulated,
+    INT8; OFFSET batches into a dense C, beta 0) as (spec, batch) pairs."""
+    rng = np.random.default_rng(seed)
+    calls = []
+    for dtype, path in ((DType.BF16, ComputePath.NATIVE),
+                        (DType.BF16, ComputePath.EMULATED_SPLIT),
+                        (DType.INT8, ComputePath.NATIVE)):
+        alpha = 2 if dtype is DType.BF16 else 4
+        a = [_edge_values(rng, dtype, (m, k)) for _ in range(count)]
+        b = [_edge_values(rng, dtype, (k, n)) for _ in range(count)]
+        abuf = np.concatenate([vnni_pack_a(x, alpha) for x in a])
+        bbuf = np.concatenate([colmajor_flat(x) for x in b])
+        sa, sb = abuf.size // count, bbuf.size // count
+        batch = BrgemmBatch.offset(abuf, bbuf, [i * sa for i in range(count)],
+                                   [i * sb for i in range(count)])
+        calls.append((spec_mnk(m, n, k, dtype, a_layout=ALayout.VNNI, compute_path=path),
+                      batch))
+    return calls
+
+
+def _run(spec, batch):
+    c = alloc(D(spec.m, spec.n, spec.out_dtype))
+    brgemm(spec, batch, c)
+    return to_array(c)
+
+
+def test_dense_vnni_calls_never_take_the_numpy_path(native_backend, monkeypatch):
+    """The dense step's VNNI calls run in C alone on a native backend: no
+    silent fallback to the numpy path."""
+    calls = _vnni_calls(64, 64, 64, 8, seed=31)
+    with monkeypatch.context() as mp:
+        mp.setattr(native, "_USE_NATIVE", False)
+        want = [_run(spec, batch) for spec, batch in calls]
+    entered = []
+    numpy_path = contraction._brgemm_numpy
+
+    def counted(*args):
+        entered.append(args[0])
+        return numpy_path(*args)
+
+    monkeypatch.setattr(contraction, "_brgemm_numpy", counted)
+    got = [_run(spec, batch) for spec, batch in calls]
+    assert all(bits_equal(g, w) for g, w in zip(got, want))
+    assert len(entered) == (3 if native_backend == "numpy" else 0)
+
+
+def test_vnni_calls_from_four_threads_on_one_buffer_give_the_same_bits(native_backend):
+    """Each call unpacks A into its own scratch: four threads running the
+    three VNNI calls at once over shared A buffers get the one-thread bits."""
+    calls = _vnni_calls(70, 48, 33, 6, seed=32)
+    want = [_run(spec, batch) for spec, batch in calls]
+    start = threading.Barrier(4)
+
+    def worker(_):
+        start.wait(timeout=60)
+        return [[_run(spec, batch) for spec, batch in calls] for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(worker, range(4), timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(bits_equal(g, w) for rounds in results for outs in rounds
+               for g, w in zip(outs, want))
+
+
+@pytest.mark.parametrize("beta, ldc_pad", [(0.0, 0), (0.0, 2), (1.0, 0)])
+def test_vnni_a_one_element_short_raises_before_writing_c(beta, ldc_pad, native_backend):
+    """A VNNI A block that ends one element past its buffer raises
+    ``TensorError`` and leaves every bit of C (padding included) as it was,
+    also where a beta-0 call would accumulate in C itself."""
+    m, n, k = 5, 4, 7
+    for spec, batch in _vnni_calls(m, n, k, 2, seed=33):
+        spec = GemmSpec(m, n, k, m, k, m + ldc_pad, in_dtype=spec.in_dtype,
+                        out_dtype=spec.out_dtype, beta=beta, a_layout=ALayout.VNNI,
+                        compute_path=spec.compute_path)
+        abuf = batch.a_refs[0][0]
+        short = BrgemmBatch.address([(abuf[:-1], off) for _, off in batch.a_refs],
+                                    batch.b_refs)
+        cbuf = np.arange(spec.ldc * n).astype(spec.out_dtype.storage)
+        before = cbuf.copy()
+        with pytest.raises(TensorError):
+            brgemm(spec, short, view_at(cbuf, 0, TensorDesc(m, n, spec.ldc, spec.out_dtype)))
+        assert bits_equal(cbuf, before)
+
+
+@pytest.mark.skipif(shutil.which(native.CC) is None, reason="no C compiler on PATH")
+@pytest.mark.parametrize("name", ["brgemm_f32", "brgemm_bf16", "brgemm_i8"])
+def test_vnni_kernel_reports_a_failed_scratch_allocation(name):
+    """A VNNI call whose scratch cannot be allocated returns 1 and writes
+    nothing: malloc refuses 2^57 bytes, and a size that overflows is
+    refused before malloc."""
+    fn = native.kernel(name)
+    acc = np.full(4, 7, np.int32)
+    for k in (1 << 50, 1 << 62):
+        assert fn(0, 1, 1, k, None, 1, None, 1, acc.ctypes.data, 1) == 1
+    assert np.all(acc == 7)
+
+
+@pytest.mark.skipif(shutil.which(native.CC) is None, reason="no C compiler on PATH")
+def test_failed_scratch_allocation_takes_the_numpy_path(monkeypatch):
+    """When a kernel reports that it could not allocate its scratch, the call
+    is computed on the numpy path, with its bits."""
+    calls = _vnni_calls(33, 5, 6, 2, seed=34)
+    with monkeypatch.context() as mp:
+        mp.setattr(native, "_USE_NATIVE", False)
+        want = [_run(spec, batch) for spec, batch in calls]
+    monkeypatch.setattr(native, "kernel", lambda name: lambda *args: 1)
+    assert all(bits_equal(_run(spec, batch), w) for (spec, batch), w in zip(calls, want))
 
 
 # ---------------------------------------------------------------------------
