@@ -10,15 +10,24 @@ Three schemes back the TANH / SIGMOID / GELU / EXP kinds:
 
 Error budgets are module constants so a regression in any fit or in the
 interval indexing is immediately visible to the verification suite.
+
+The three engines (``tanh_pade78``, ``minimax_eval``, ``exp_taylor``) run
+an FP32 array with unit-stride columns as one C call (``native.c``), which
+performs the numpy code's operations in the same order and gives its bits.
+The numpy code is the reference path; it runs FP64, every other layout,
+and every call while ``native`` hands out no kernel (no compiler, the
+test-only switch off, a verify fault set).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import enum
 import math
 
 import numpy as np
+
+from . import native
+from .dtypes import IdentityEnum
 
 # acceptance budgets, measured on dense grids by the verification suite
 PADE_TANH_MAX_ABS_ERR = 1e-5      # on [-5, 5]
@@ -27,7 +36,7 @@ EXP_MAX_REL_ERR = 3e-4            # on [-10, 10]
 SIGMOID_BUDGET_FACTOR = 1.1       # sigmoid inherits 1.1x the tanh budget
 
 
-class Approx(enum.Enum):
+class Approx(IdentityEnum):
     """Approximation selector for the transcendental kinds."""
     PADE78 = "pade78"
     MINIMAX16 = "minimax16"
@@ -77,13 +86,45 @@ def exp_decomposition() -> ExpDecomposition:
                             EXP_LO_BAND, EXP_HI_BAND)
 
 
+def _native_f32(name: str, x: np.ndarray, *extra) -> np.ndarray | None:
+    """``x`` mapped by the C engine ``name`` of ``native.c``, or None.
+
+    The engine runs where ``x`` is FP32 with unit-stride columns (a 1-D
+    array, or a column-major block of any ``ld``: a dense or padded view, a
+    tiled slice) and ``native`` hands it out.  Everywhere else (FP64, a 0-d,
+    broadcast or C-ordered array, no compiler, the test-only switch off, a
+    verify fault set) it returns None and the caller runs its numpy
+    reference path, which gives the same bits."""
+    if x.dtype != np.float32 or x.ndim not in (1, 2) or x.strides[0] != 4 \
+            or not x.flags.aligned:
+        return None
+    rows, cols = x.shape if x.ndim == 2 else (x.shape[0], 1)
+    ld = rows
+    if cols > 1:
+        ld, rem = divmod(x.strides[1], 4)
+        if rem or ld < rows:
+            return None
+    fn = native.kernel(name)
+    if fn is None:
+        return None
+    out = np.empty(x.shape, np.float32, order="F")
+    fn(rows, cols, x.ctypes.data, ld, out.ctypes.data, *extra)
+    return out
+
+
 def tanh_pade78(x: np.ndarray) -> np.ndarray:
     """Rational [7/8] tanh; |x| > clamp saturates to +-1.
 
     Numerator and denominator are evaluated by Horner's rule in x*x on |x|
-    and the sign is reapplied, which makes f(-x) == -f(x) bitwise.
+    and the sign is reapplied, which makes f(-x) == -f(x) bitwise.  FP32
+    blocks run in C (``tanh_pade78_f32``), the rest in numpy.
     """
     x = np.asarray(x)
+    r = _native_f32("tanh_pade78_f32", x)
+    return _tanh_pade78_numpy(x) if r is None else r
+
+
+def _tanh_pade78_numpy(x: np.ndarray) -> np.ndarray:
     dt = x.dtype.type
     with np.errstate(all="ignore"):  # the saturation branch covers |x| where
         ax = np.abs(x)               # the rational itself would overflow
@@ -167,8 +208,19 @@ GELU_ERF_MINIMAX = _fit_table("gelu_erf", _erf_scaled, emin=-5)  # covers [0, 8)
 
 
 def minimax_eval(table: MinimaxTable, x: np.ndarray) -> np.ndarray:
-    """Piecewise cubic via exponent/MSB interval lookup, sign reapplied."""
+    """Piecewise cubic via exponent/MSB interval lookup, sign reapplied.
+    FP32 blocks run in C (``minimax_f32``) for a table of FP32
+    coefficients, the rest in numpy."""
     x = np.asarray(x)
+    c = table.coeffs
+    r = None
+    if c.dtype == np.float32 and c.shape == (4, 16) and c.flags.c_contiguous:
+        r = _native_f32("minimax_f32", x, c.ctypes.data, table.base, table.range_max,
+                        table.saturation)
+    return _minimax_numpy(table, x) if r is None else r
+
+
+def _minimax_numpy(table: MinimaxTable, x: np.ndarray) -> np.ndarray:
     dt = x.dtype.type
     ax = np.abs(x)
     bits = ax.astype(np.float32).view(np.uint32)
@@ -210,9 +262,15 @@ def exp_taylor(x: np.ndarray) -> np.ndarray:
 
     The power-of-two factor is built directly in the exponent field, so the
     final scaling is exact.  Outside [-87, 88] the result saturates to
-    0 / +inf by sign.
+    0 / +inf by sign.  FP32 blocks run in C (``exp_taylor_f32``), the rest
+    in numpy.
     """
     x = np.asarray(x)
+    r = _native_f32("exp_taylor_f32", x)
+    return _exp_taylor_numpy(x) if r is None else r
+
+
+def _exp_taylor_numpy(x: np.ndarray) -> np.ndarray:
     log2e, c1, c2, c3, one, hi, lo, inf, zero = (
         _EXP_CONSTANTS.get(x.dtype) or _exp_constants(x.dtype.type))
     with np.errstate(all="ignore"):  # out-of-band inputs saturate below

@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-import enum
 from typing import Sequence
 
 import numpy as np
 
 from . import native
-from .dtypes import DType, bf16_to_fp32, widen
+from .dtypes import DType, IdentityEnum, bf16_to_fp32, widen
 from .tensor import TensorError, TensorView, vnni_alpha, vnni_pack_a, vnni_unpack_a
 
 
@@ -54,12 +53,12 @@ def accumulator_dtype(in_dtype: DType) -> DType:
     return DType.FP32
 
 
-class ALayout(enum.Enum):
+class ALayout(IdentityEnum):
     PLAIN = "plain"
     VNNI = "vnni"
 
 
-class ComputePath(enum.Enum):
+class ComputePath(IdentityEnum):
     NATIVE = "native"
     EMULATED_SPLIT = "emulated_split"
 

@@ -14,7 +14,16 @@ import enum
 import numpy as np
 
 
-class DType(enum.Enum):
+class IdentityEnum(enum.Enum):
+    """The base of the library's enums.  A member is a singleton (a pickle
+    round trip returns the same object), so it hashes by identity: dict and
+    cache lookups keyed by members, or by descriptors and specs holding them,
+    run in C instead of calling ``Enum.__hash__``."""
+
+    __hash__ = object.__hash__
+
+
+class DType(IdentityEnum):
     FP64 = "fp64"
     FP32 = "fp32"
     BF16 = "bf16"

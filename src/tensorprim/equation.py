@@ -8,7 +8,8 @@ leaves are argument tensors.  Planning happens in two passes:
    needs (leaves 0; unary nodes inherit, or take 1 over a leaf; binary nodes
    take max of the children, plus one when the children tie; ternary nodes
    take 1 when all children are leaves, else max(3, children)), plus the
-   exact requirement used for ordering (see ``_assign_need``);
+   exact requirement used for ordering (see ``_score``); ``TreeBuilder``
+   sets both as it builds each node, from its children's;
 2. a recursive walk visits children in decreasing-requirement order (ties
    left-to-right), stamps each node on completion, and gives it a temporary
    slot by one rule for every arity: inherit the slot of the first non-leaf
@@ -125,7 +126,7 @@ class EquationError(ValueError):
 class TreeBuilder:
     """Programmatic tree construction: every operation node is bound to the
     kernel dispatched for its children's descriptors, whose output descriptor
-    becomes the node's."""
+    becomes the node's, and gets its register score and need (``_score``)."""
 
     def __init__(self, args: Sequence[TensorDesc]):
         self.args = list(args)
@@ -138,7 +139,8 @@ class TreeBuilder:
     def leaf(self, slot: int) -> EqNode:
         if not 0 <= slot < len(self.args):
             raise EquationError(f"argument slot {slot} out of range")
-        return EqNode(self._nid(), None, [], arg_slot=slot, out_desc=self.args[slot])
+        return EqNode(self._nid(), None, [], arg_slot=slot, out_desc=self.args[slot],
+                      score=0, need=0)
 
     def _op(self, kind: OpKind, children: list[EqNode], **flags) -> EqNode:
         depth = 1 + max(c.depth for c in children)
@@ -149,8 +151,10 @@ class TreeBuilder:
             kern = ops.dispatch(spec)
         except InvalidSpecError as e:
             raise EquationError(f"shape inference failed at {kind.value}: {e}") from None
-        return EqNode(self._nid(), kind, children, out_desc=kern.out_desc, kernel=kern,
+        node = EqNode(self._nid(), kind, children, out_desc=kern.out_desc, kernel=kern,
                       depth=depth)
+        _score(node)
+        return node
 
     def unary(self, kind: UnaryKind, child: EqNode, approx: Approx | None = None,
               reduce: ReduceSpec | None = None,
@@ -204,6 +208,7 @@ _UNARY_NAMES = {
 }
 
 _TOKEN_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*/()])|(?P<bad>\S)")
+_ARG_RE = re.compile(r"T\d+")
 
 
 class ParseError(ValueError):
@@ -269,7 +274,7 @@ class _Parser:
 
     def factor(self) -> EqNode:
         kind, val, pos = self._next()
-        if kind == "name" and re.fullmatch(r"T\d+", val):
+        if kind == "name" and _ARG_RE.fullmatch(val):
             return self.b.leaf(int(val[1:]))
         unary = None
         if kind == "name" and val in _UNARY_NAMES:
@@ -279,6 +284,8 @@ class _Parser:
                 raise ParseError(f"expected '(' after {val}", pos)
         elif kind == "name":
             raise ParseError(f"unknown identifier {val!r}", pos)
+        elif kind == "eof":
+            raise ParseError("unexpected end of equation", pos)
         elif val != "(":
             raise ParseError(f"unexpected token {val!r}", pos)
         # a parenthesised group; the parser recurses three frames deep per level
@@ -303,52 +310,42 @@ def parse_equation(text: str, args: Sequence[TensorDesc]) -> EqTree:
 # ---------------------------------------------------------------------------
 
 def assign_register_score(tree: EqTree) -> EqTree:
-    """Annotate every node with the number of temporaries its subtree needs."""
-
-    def score(n: EqNode) -> None:
-        if n.is_leaf:
-            n.score = 0
-            return
-        for c in n.children:
-            score(c)
-        if isinstance(n.kind, UnaryKind):
-            child = n.children[0]
-            n.score = 1 if child.is_leaf else child.score
-        elif isinstance(n.kind, BinaryKind):
-            l, r = n.children
-            n.score = l.score + 1 if l.score == r.score else max(l.score, r.score)
-        else:
-            l, m, r = n.children
-            if l.is_leaf and m.is_leaf and r.is_leaf:
-                n.score = 1
-            else:
-                n.score = max(3, l.score, m.score, r.score)
-
-    score(tree.root)
-    _assign_need(tree.root)
+    """Annotate every node with the number of temporaries its subtree needs
+    (and its need), children first, in one walk.  ``TreeBuilder`` already
+    did so for the trees it builds."""
+    for n in tree.nodes():
+        _score(n)
     return tree
 
 
-def _assign_need(n: EqNode) -> int:
-    """Minimal concurrent temporaries to evaluate the subtree at ``n``.
+def _score(n: EqNode) -> None:
+    """Set the register score and the need of ``n`` from its children's.
 
-    Evaluating non-leaf children in decreasing-need order, the j-th child
-    runs while j-1 earlier outputs are held, so the subtree needs
-    max_j(need_j + j - 1); with only leaf children one slot is taken for the
-    node itself.  For unary/binary trees this coincides with the register
-    score; the ternary score's floor of 3 can over- or under-state the true
-    requirement, so planning order and slot counts use this value.
+    The need is the minimal number of concurrent temporaries to evaluate the
+    subtree at ``n``.  Evaluating non-leaf children in decreasing-need order,
+    the j-th child runs while j-1 earlier outputs are held, so the subtree
+    needs max_j(need_j + j - 1); with only leaf children one slot is taken
+    for the node itself; a leaf needs 0.  For unary/binary trees this
+    coincides with the register score; the ternary score's floor of 3 can
+    over- or under-state the true requirement, so planning order and slot
+    counts use this value.
     """
-    if n.is_leaf:
-        n.need = 0
-        return 0
-    kid_needs = sorted((_assign_need(c) for c in n.children if not c.is_leaf),
-                       reverse=True)
-    if not kid_needs:
-        n.need = 1
+    kids = n.children
+    if n.kind is None:
+        n.score = n.need = 0
+    elif len(kids) == 1:
+        c = kids[0]
+        n.score, n.need = (1, 1) if c.kind is None else (c.score, c.need)
     else:
-        n.need = max(v + j for j, v in enumerate(kid_needs))
-    return n.need
+        if len(kids) == 2:
+            l, r = kids
+            n.score = l.score + 1 if l.score == r.score else max(l.score, r.score)
+        elif all(c.kind is None for c in kids):
+            n.score = 1
+        else:
+            n.score = max(3, *(c.score for c in kids))
+        needs = sorted([c.need for c in kids if c.kind is not None], reverse=True)
+        n.need = max([v + j for j, v in enumerate(needs)], default=1)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +409,8 @@ def create_execution_plan(tree: EqTree) -> ExecPlan:
 
     def plan(n: EqNode) -> None:
         nonlocal temp_count, recycled
-        for c in sorted(n.children, key=lambda c: -c.need):
+        kids = n.children
+        for c in sorted(kids, key=lambda c: -c.need) if len(kids) > 1 else kids:
             if not c.is_leaf:
                 plan(c)
         n.timestamp = len(steps)
@@ -441,7 +439,7 @@ def create_execution_plan(tree: EqTree) -> ExecPlan:
 
 
 def plan_equation(text: str, args: Sequence[TensorDesc]) -> ExecPlan:
-    return create_execution_plan(assign_register_score(parse_equation(text, args)))
+    return create_execution_plan(parse_equation(text, args))
 
 
 # ---------------------------------------------------------------------------

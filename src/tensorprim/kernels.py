@@ -80,8 +80,7 @@ def _softmax_trees(s1: int, s3: int, dtype: DType):
                   reduce=ReduceSpec(ReduceAxis.ALL, ReduceOp.SUM))
     t2 = b2.tree(b2.binary(BinaryKind.MUL, b2.leaf(0),
                            b2.unary(UnaryKind.RECIPROCAL, sm)))
-    return (eqn.create_execution_plan(eqn.assign_register_score(t1)),
-            eqn.create_execution_plan(eqn.assign_register_score(t2)))
+    return eqn.create_execution_plan(t1), eqn.create_execution_plan(t2)
 
 
 def softmax(spec: SoftmaxSpec, x: TensorView, y: TensorView,
@@ -115,7 +114,7 @@ def _scaling_plan(rows: int, cols: int, dtype: DType) -> eqn.ExecPlan:
     b = eqn.TreeBuilder([x, colv, colv, colv, colv])
     inner = b.ternary(TernaryKind.MULADD, b.leaf(0), b.leaf(1), b.leaf(2))
     root = b.ternary(TernaryKind.MULADD, inner, b.leaf(3), b.leaf(4))
-    return eqn.create_execution_plan(eqn.assign_register_score(b.tree(root)))
+    return eqn.create_execution_plan(b.tree(root))
 
 
 def _col_vec(rows: int) -> TensorView:

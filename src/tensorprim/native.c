@@ -1,10 +1,11 @@
 /* The native kernels of tensorprim, each in its pinned order: the
  * batch-reduce GEMM of the contraction, the ROWS / COLS / ALL reductions of
- * the operator set, and a block of the xorshift128 dropout streams.  Every
- * kernel gives, bit for bit, what its numpy reference path gives.  Which of
- * the two runs is decided in native.py alone: without a build, under the
- * test-only switch or while a verify fault is set, every caller takes its
- * numpy path.
+ * the operator set, a block of the xorshift128 dropout streams, and the
+ * three FP32 approximation engines (rational tanh, piecewise cubic, exp).
+ * Every kernel gives, bit for bit, what its numpy reference path gives.
+ * Which of the two runs is decided in native.py alone: without a build,
+ * under the test-only switch or while a verify fault is set, every caller
+ * takes its numpy path.
  *
  * Every float operation is rounded to its own type, because the build
  * passes -ffp-contract=off and no fast-math flag, and the vectoriser works
@@ -58,9 +59,24 @@
  *
  * XORSHIFT.  Marsaglia's xorshift128 ("Xorshift RNGs", J. Stat. Softw.
  * 8(14), 2003), one stream per column, in uint32_t arithmetic only.
+ *
+ * APPROXIMATIONS.  x (M x N, column-major, ld) maps into out (M x N, ld M),
+ * each element on its own, by the operations of approx.py in its order:
+ *
+ *     tanh_pade78_f32  ax = |x|, t = ax*ax; num = ((36 t + 6930) t +
+ *                      270270) t + 2027025, times ax; den = (((1 t + 630) t
+ *                      + 51975) t + 945945) t + 2027025; r = num / den, 1
+ *                      where ax > 5; copysign(r, x)
+ *     minimax_f32      ax = |x|; i = clamp(bits(ax) >> 22 - base, 0, 15);
+ *                      p = ((c3[i] ax + c2[i]) ax + c1[i]) ax + c0[i],
+ *                      saturation where ax >= range_max; copysign(p, x)
+ *     exp_taylor_f32   r = x*log2e, n = rint(r), y = r - n; q = ((c3 y + c2)
+ *                      y + c1) y + 1; q * 2^clamp(n, -126, 127); +inf where
+ *                      x > 88, 0 where x < -87
  */
 
 #include <float.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -331,4 +347,102 @@ xorshift_uniform(int64_t streams, int64_t rows, uint32_t *restrict state,
             o[c] = (float)(wn >> 8) * 0x1p-24f;
         }
     }
+}
+
+/* ------------------------------------------------------------------------ */
+/* FP32 approximation engines                                                */
+/* ------------------------------------------------------------------------ */
+
+/* Where two NaNs meet in an engine, both carry the input's payload, so the
+ * operand order the compiler picks cannot change a bit, and no result needs
+ * the numpy recompute that brgemm and the reductions make. */
+
+/* approx.TANH_PADE78: Horner in t = |x|*|x|, saturating beyond the clamp */
+INLINE float tanh_pade78_one(float x)
+{
+    const float ax = fabsf(x);
+    const float t = ax * ax;
+    float num = 36.0f;
+    num = num * t + 6930.0f;
+    num = num * t + 270270.0f;
+    num = num * t + 2027025.0f;
+    num = num * ax;
+    float den = 1.0f;
+    den = den * t + 630.0f;
+    den = den * t + 51975.0f;
+    den = den * t + 945945.0f;
+    den = den * t + 2027025.0f;
+    float r = num / den;
+    r = ax > 5.0f ? 1.0f : r;
+    return copysignf(r, x);
+}
+
+/* One of approx's MinimaxTable: c (4 x 16, row-major: c[j*16 + interval])
+ * in FP32; the interval is bits(|x|) >> 22 less `base`, clamped to
+ * [0, 15]. */
+INLINE float minimax_one(float x, const float *c, int32_t base, float range_max,
+                         float saturation)
+{
+    const float ax = fabsf(x);
+    uint32_t bits;
+    memcpy(&bits, &ax, sizeof bits);
+    int32_t idx = (int32_t)(bits >> 22) - base;
+    idx = idx < 0 ? 0 : idx > 15 ? 15 : idx;
+    float p = ((c[48 + idx] * ax + c[32 + idx]) * ax + c[16 + idx]) * ax + c[idx];
+    p = ax >= range_max ? saturation : p;
+    return copysignf(p, x);
+}
+
+/* approx.exp_taylor: 2^n * q(y) with n = rint(x*log2e), y = x*log2e - n and
+ * the cubic q of approx.EXP_C1 .. EXP_C3; 2^n is
+ * built in the exponent field from n clamped to [-126, 127].  The numpy
+ * path casts a NaN n to an integer whose 2^n is finite (1.0 on x86-64), so
+ * a NaN lane takes n = 0, 2^0 = 1.0, and keeps q's NaN either way. */
+#define EXP_LOG2E 0x1.715476p+0f  /* 0x3FB8AA3B */
+#define EXP_C1 0x1.62defap-1f     /* 0x3F316F7D */
+#define EXP_C2 0x1.f03ddcp-3f     /* 0x3E781EEE */
+#define EXP_C3 0x1.cac8cp-5f      /* 0x3D656460 */
+
+INLINE float exp_taylor_one(float x)
+{
+    const float r = x * EXP_LOG2E;
+    const float n = rintf(r);
+    const float y = r - n;
+    const float q = ((EXP_C3 * y + EXP_C2) * y + EXP_C1) * y + 1.0f;
+    float nc = n < -126.0f ? -126.0f : n;
+    nc = nc > 127.0f ? 127.0f : nc;
+    nc = nc == nc ? nc : 0.0f;
+    const uint32_t e = (uint32_t)((int32_t)nc + 127) << 23;
+    float pow2;
+    memcpy(&pow2, &e, sizeof pow2);
+    float out = q * pow2;
+    out = x > 88.0f ? INFINITY : out;
+    out = x < -87.0f ? 0.0f : out;
+    return out;
+}
+
+MULTIVERSION void
+tanh_pade78_f32(int64_t m, int64_t n, const float *x, int64_t ld, float *restrict out)
+{
+    for (int64_t j = 0; j < n; j++)
+        for (int64_t i = 0; i < m; i++)
+            out[i + j * m] = tanh_pade78_one(x[i + j * ld]);
+}
+
+MULTIVERSION void
+minimax_f32(int64_t m, int64_t n, const float *x, int64_t ld, float *restrict out,
+            const float *coeffs, int64_t base, float range_max, float saturation)
+{
+    for (int64_t j = 0; j < n; j++)
+        for (int64_t i = 0; i < m; i++)
+            out[i + j * m] = minimax_one(x[i + j * ld], coeffs, (int32_t)base,
+                                         range_max, saturation);
+}
+
+MULTIVERSION void
+exp_taylor_f32(int64_t m, int64_t n, const float *x, int64_t ld, float *restrict out)
+{
+    for (int64_t j = 0; j < n; j++)
+        for (int64_t i = 0; i < m; i++)
+            out[i + j * m] = exp_taylor_one(x[i + j * ld]);
 }

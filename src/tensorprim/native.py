@@ -1,7 +1,20 @@
 """Build and load the C kernels (``native.c``) on first use: the
-batch-reduce GEMM of ``contraction``, and the reductions and xorshift
-streams of ``ops``.  It alone chooses between a C kernel and its numpy
-reference path, and :func:`backend` reports the choice.
+batch-reduce GEMM of ``contraction``, the reductions and xorshift streams
+of ``ops``, and the three FP32 approximation engines of ``approx``:
+
+* ``tanh_pade78_f32``: t = |x|*|x|, numerator and denominator by Horner in
+  t (the numerator times |x|), their quotient, 1 beyond the clamp, the sign
+  of x copied on;
+* ``minimax_f32``: the interval from the bits of |x|, the cubic by Horner
+  in |x|, the saturation value from ``range_max`` on, the sign copied on;
+* ``exp_taylor_f32``: r = x*log2e, n = rint(r), y = r - n, the cubic by
+  Horner in y, times 2^n built in the exponent field, +inf above and 0
+  below the band.
+
+Each takes a column-major FP32 block (rows, cols, ld) and runs the
+operations of its numpy reference in the same order.  This module alone
+chooses between a C kernel and its numpy reference path, and
+:func:`backend` reports the choice.
 
 The shared library is compiled once per machine with the system C compiler
 and cached in this package's ``__pycache__/``, under a name keyed by a hash
@@ -31,12 +44,17 @@ _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
 _BRGEMM = [_i64] * 4 + [_ptr, _i64, _ptr, _i64, _ptr, _i64]
 # (m, n, x, ld, axis, op, squared, out)
 _REDUCE = [_i64, _i64, _ptr, _i64, _i64, _i64, _i64, _ptr]
+# (m, n, x, ld, out)
+_ENGINE = [_i64, _i64, _ptr, _i64, _ptr]
 # the argument types of every kernel of the library
 ARGTYPES: dict[str, list] = {
     "brgemm_f32": _BRGEMM, "brgemm_f64": _BRGEMM, "brgemm_bf16": _BRGEMM,
     "brgemm_i8": _BRGEMM,
     "reduce_f32": _REDUCE, "reduce_f64": _REDUCE,
     "xorshift_uniform": [_i64, _i64, _ptr, _ptr],   # (streams, rows, state, out)
+    "tanh_pade78_f32": _ENGINE, "exp_taylor_f32": _ENGINE,
+    # (..., out, coeffs, base, range_max, saturation)
+    "minimax_f32": _ENGINE + [_ptr, _i64, ctypes.c_float, ctypes.c_float],
 }
 # the kernels that return a status (nonzero: the call did nothing); the
 # others return nothing

@@ -23,7 +23,6 @@ thread; blocking and threads belong to the caller's loop nest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import enum
 import functools
 from typing import Callable, Optional, Sequence
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import approx, contraction, native
 from .approx import Approx
-from .dtypes import DType, narrow, pack_fp32_bits, split_fp32_bits, widen
+from .dtypes import DType, IdentityEnum, narrow, pack_fp32_bits, split_fp32_bits, widen
 from .tensor import (
     Bcast,
     TensorDesc,
@@ -45,7 +44,7 @@ from .tensor import (
 )
 
 
-class UnaryKind(enum.Enum):
+class UnaryKind(IdentityEnum):
     IDENTITY = "identity"
     ZERO = "zero"
     SQUARE = "square"
@@ -74,7 +73,7 @@ class UnaryKind(enum.Enum):
     DROPOUT_INV = "dropout_inv"
 
 
-class BinaryKind(enum.Enum):
+class BinaryKind(IdentityEnum):
     ADD = "add"
     SUB = "sub"
     MUL = "mul"
@@ -86,14 +85,14 @@ class BinaryKind(enum.Enum):
     COMPARE = "compare"
 
 
-class TernaryKind(enum.Enum):
+class TernaryKind(IdentityEnum):
     GEMM = "gemm"
     MULADD = "muladd"
     NMULADD = "nmuladd"
     BLEND = "blend"
 
 
-class CmpOp(enum.Enum):
+class CmpOp(IdentityEnum):
     EQ = "eq"
     NE = "ne"
     LT = "lt"
@@ -102,13 +101,13 @@ class CmpOp(enum.Enum):
     GE = "ge"
 
 
-class ReduceAxis(enum.Enum):
+class ReduceAxis(IdentityEnum):
     ROWS = "rows"  # output M x 1: each row reduced across its columns
     COLS = "cols"  # output 1 x N: each column reduced across its rows
     ALL = "all"    # output 1 x 1
 
 
-class ReduceOp(enum.Enum):
+class ReduceOp(IdentityEnum):
     SUM = "sum"
     MUL = "mul"
     MIN = "min"
@@ -122,7 +121,7 @@ class ReduceSpec:
     squared: bool = False
 
 
-class TransformKind(enum.Enum):
+class TransformKind(IdentityEnum):
     TRANSPOSE = "transpose"
     VNNI = "vnni"
     VNNI_TO_VNNIT = "vnni_to_vnnit"
@@ -137,7 +136,7 @@ class TransformSpec:
     cols: int = 0
 
 
-class GatherMode(enum.Enum):
+class GatherMode(IdentityEnum):
     GATHER_ROWS = "gather_rows"
     GATHER_COLS = "gather_cols"
     SCATTER_ROWS = "scatter_rows"

@@ -13,13 +13,13 @@ within a column and every column padded up to a byte boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import enum
 from typing import Optional
 
 import numpy as np
 
 from .dtypes import (
     DType,
+    IdentityEnum,
     bf16_to_fp32,
     narrow,
     pack_fp32_bits,
@@ -32,7 +32,7 @@ class TensorError(ValueError):
     """Raised for malformed descriptors, shape mismatches and bad buffers."""
 
 
-class Bcast(enum.Enum):
+class Bcast(IdentityEnum):
     NONE = "none"
     ROW = "row"        # physical 1 x N, replicated M times
     COL = "col"        # physical M x 1, replicated N times
@@ -41,11 +41,23 @@ class Bcast(enum.Enum):
 
 @dataclass(frozen=True)
 class TensorDesc:
+    """The five fields below describe a tensor; the four facts derived from
+    them are computed once, at construction, and take no part in ``==``,
+    ``hash`` or ``repr``.
+
+    ``phys_rows`` x ``phys_cols`` is the physical extent (1 along a
+    broadcast axis), ``min_buffer_len`` the elements a backing buffer needs,
+    and ``nbytes`` the dense logical size in bytes (used for temp sizing)."""
+
     rows: int
     cols: int
     ld: int
     dtype: DType
     bcast: Bcast = Bcast.NONE
+    phys_rows: int = field(init=False, compare=False, repr=False)
+    phys_cols: int = field(init=False, compare=False, repr=False)
+    min_buffer_len: int = field(init=False, compare=False, repr=False)
+    nbytes: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -54,27 +66,18 @@ class TensorDesc:
             raise TensorError(f"ld must be positive, got {self.ld}")
         if self.bcast is Bcast.NONE and self.dtype is not DType.BIT and self.ld < self.rows:
             raise TensorError(f"ld {self.ld} < rows {self.rows}")
-
-    @property
-    def phys_rows(self) -> int:
-        return 1 if self.bcast in (Bcast.ROW, Bcast.SCALAR) else self.rows
-
-    @property
-    def phys_cols(self) -> int:
-        return 1 if self.bcast in (Bcast.COL, Bcast.SCALAR) else self.cols
-
-    @property
-    def min_buffer_len(self) -> int:
+        pr = 1 if self.bcast in (Bcast.ROW, Bcast.SCALAR) else self.rows
+        pc = 1 if self.bcast in (Bcast.COL, Bcast.SCALAR) else self.cols
         if self.dtype is DType.BIT:
-            return bitmask_bytes(self.phys_rows, self.phys_cols)
-        return self.ld * (self.phys_cols - 1) + self.phys_rows
-
-    @property
-    def nbytes(self) -> int:
-        """Dense logical size in bytes (used for temp sizing)."""
-        if self.dtype is DType.BIT:
-            return bitmask_bytes(self.rows, self.cols)
-        return self.rows * self.cols * self.dtype.storage.itemsize
+            need = bitmask_bytes(pr, pc)
+            size = bitmask_bytes(self.rows, self.cols)
+        else:
+            need = self.ld * (pc - 1) + pr
+            size = self.rows * self.cols * self.dtype.storage.itemsize
+        object.__setattr__(self, "phys_rows", pr)
+        object.__setattr__(self, "phys_cols", pc)
+        object.__setattr__(self, "min_buffer_len", need)
+        object.__setattr__(self, "nbytes", size)
 
 
 @dataclass

@@ -863,7 +863,7 @@ def check_plan_validity(seed: int = 0, trees: int = 2000) -> CheckResult:
     bad = 0
     for _ in range(trees):
         t = random_score_tree(rng)
-        plan = eqn.create_execution_plan(eqn.assign_register_score(t))
+        plan = eqn.create_execution_plan(t)
         holder: dict[int, int] = {}
         ok = True
         for s in plan.steps:
@@ -891,7 +891,7 @@ def check_minimality(seed: int = 0, trees: int = 1000, max_nodes: int = 9) -> Ch
     bad = 0
     for _ in range(trees):
         t = random_score_tree(rng, max_internal=max_nodes)
-        plan = eqn.create_execution_plan(eqn.assign_register_score(t))
+        plan = eqn.create_execution_plan(t)
         if plan.temp_count != min_temp_slots(t):
             bad += 1
     return CheckResult("equation-minimality", bad == 0, bad, 0,
@@ -988,7 +988,7 @@ def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
     for i in range(equations):
         dtype = DType.FP64 if i % 2 else DType.FP32
         tree, args = random_equation(rng, dtype)
-        plan = eqn.create_execution_plan(eqn.assign_register_score(tree))
+        plan = eqn.create_execution_plan(tree)
         od = plan.out_desc
         ref = alloc(od)
         eqn.evaluate_naive(tree, args, ref)

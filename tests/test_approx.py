@@ -2,8 +2,9 @@ import json
 import math
 
 import numpy as np
+import pytest
 
-from tensorprim import approx
+from tensorprim import UnaryKind, alloc, apply_unary, approx, from_array, native, to_array
 
 from util import bits_equal
 
@@ -153,3 +154,120 @@ def test_coefficient_tables_serialisable_and_golden():
     assert len(back["minimax"]) == 2
     for tab in back["minimax"]:
         assert len(tab["intervals"]) == 16
+
+
+# ---------------------------------------------------------------------------
+# the C engines against their numpy reference paths
+# ---------------------------------------------------------------------------
+
+def _neighbours(values, ulps: int = 2) -> np.ndarray:
+    """Each FP32 value, both signs, and its ``ulps`` nearest FP32 neighbours
+    on either side."""
+    v = np.asarray(values, np.float32)
+    out = [v]
+    for direction in (np.inf, -np.inf):
+        w = v
+        for _ in range(ulps):
+            w = np.nextafter(w, np.float32(direction))
+            out.append(w)
+    a = np.concatenate(out)
+    return np.concatenate([a, -a])
+
+
+def _rint_ties() -> np.ndarray:
+    """FP32 inputs whose x * log2(e), rounded to FP32, is k + 1/2 exactly:
+    where ``rint`` rounds a tie to even."""
+    log2e = approx.EXP_LOG2E.view(np.float32)
+    k = np.arange(-126, 127)
+    x = _neighbours(((k + 0.5) / float(log2e)).astype(np.float32), ulps=4)
+    r = x * log2e
+    return x[r - np.floor(r) == np.float32(0.5)]
+
+
+def _engine_inputs() -> np.ndarray:
+    specials = np.array([0x0, 0x80000000, 0x7F800000, 0xFF800000,          # +-0, +-Inf
+                         0x7FC00000, 0xFFC00000, 0x7FC12345, 0xFFD54321,   # quiet NaNs
+                         0x7F800001, 0xFF800001, 0x7FA00000, 0xFFBFFFFF,   # signalling NaNs
+                         0x7FFFFFFF, 0xFFFFFFFF,
+                         0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF,   # subnormals
+                         0x00400000, 0x80012345], np.uint32).view(np.float32)
+    bounds = [approx.TANH_PADE78.clamp, approx.EXP_LO_BAND, approx.EXP_HI_BAND]
+    for t in (approx.TANH_MINIMAX, approx.GELU_ERF_MINIMAX):
+        bounds += [b for i in range(16) for b in t.interval_bounds(i)] + [t.range_max]
+    ties = _rint_ties()
+    assert ties.size >= 100
+    rng = np.random.default_rng(2024)
+    random_bits = rng.integers(0, 2 ** 32, 100_000, dtype=np.uint64).astype(np.uint32)
+    return np.concatenate([specials, _neighbours(bounds), ties,
+                           random_bits.view(np.float32)])
+
+
+_ENGINES = {
+    "tanh_pade78": approx.tanh_pade78,
+    "minimax_tanh": lambda x: approx.minimax_eval(approx.TANH_MINIMAX, x),
+    "minimax_gelu_erf": lambda x: approx.minimax_eval(approx.GELU_ERF_MINIMAX, x),
+    "exp_taylor": approx.exp_taylor,
+    "tanh": approx.tanh,
+    "tanh_minimax": lambda x: approx.tanh(x, approx.Approx.MINIMAX16),
+    "sigmoid_via_tanh": approx.sigmoid_via_tanh,
+    "sigmoid_minimax": lambda x: approx.sigmoid_via_tanh(x, approx.Approx.MINIMAX16),
+    "gelu": approx.gelu,
+}
+
+
+def _layouts(values: np.ndarray) -> list[np.ndarray]:
+    """The values as a 1-D array, a dense column-major block, a padded-ld
+    view (17 of every 24 rows), a tiled column slice, a C-ordered array and
+    a broadcast column."""
+    n = values.size - values.size % 17
+    dense = np.asfortranarray(values[:n].reshape(17, -1, order="F"))
+    padded = np.zeros((24, dense.shape[1]), np.float32, order="F")
+    padded[:17] = dense
+    return [values, dense, padded[:17], dense[3:15, 5:40], np.ascontiguousarray(dense),
+            np.broadcast_to(dense[:, :1], (17, 9))]
+
+
+@pytest.mark.parametrize("engine", sorted(_ENGINES))
+def test_engines_match_the_numpy_path_bitwise(engine, native_backend, monkeypatch):
+    """Every FP32 engine gives the numpy path's bits (as uint32, NaN
+    payloads included) on special values, range and band edges and their
+    neighbours, rint ties, 1e5 random bit patterns, and in every layout."""
+    f = _ENGINES[engine]
+    xs = _layouts(_engine_inputs())
+    with np.errstate(all="ignore"):  # the numpy paths meet Inf and NaN
+        got = [np.asarray(f(x)) for x in xs]
+        with monkeypatch.context() as mp:
+            mp.setattr(native, "_USE_NATIVE", False)
+            want = [np.asarray(f(x)) for x in xs]
+    for x, g, w in zip(xs, got, want):
+        assert g.shape == x.shape and g.dtype == np.float32
+        assert np.array_equal(g.view(np.uint32), w.view(np.uint32))
+
+
+def test_elementwise_kernel_calls_reach_the_c_engines(native_backend, monkeypatch):
+    """A 16x16 FP32 TANH, GELU and EXP kernel call runs its engine in C on
+    a native backend: none of them enters a numpy reference path."""
+    x = from_array(np.random.default_rng(5).uniform(-4, 4, (16, 16)).astype(np.float32))
+    kinds = (UnaryKind.TANH, UnaryKind.GELU, UnaryKind.EXP)
+
+    def run():
+        outs = [alloc(x.desc) for _ in kinds]
+        for kind, out in zip(kinds, outs):
+            apply_unary(kind, x, out)
+        return [to_array(o) for o in outs]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(native, "_USE_NATIVE", False)
+        want = run()
+    entered = []
+    for name in ("_tanh_pade78_numpy", "_minimax_numpy", "_exp_taylor_numpy"):
+        numpy_path = getattr(approx, name)
+
+        def counted(*args, _name=name, _f=numpy_path):
+            entered.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(approx, name, counted)
+    got = run()
+    assert all(bits_equal(g, w) for g, w in zip(got, want))
+    assert len(entered) == (3 if native_backend == "numpy" else 0)

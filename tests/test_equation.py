@@ -83,6 +83,11 @@ def test_parse_error_has_position():
     with pytest.raises(ParseError, match=r"unexpected character '\$'") as e:
         parse_equation("T0 + $T1", [D(2, 2)] * 2)
     assert e.value.pos == 5
+    # text that ends where an operand is due names the end, not an empty token
+    for text in ("tanh(", "T0 +", "T0 matmul", ""):
+        with pytest.raises(ParseError, match="unexpected end of equation") as e:
+            parse_equation(text, [D(2, 2)])
+        assert e.value.pos == len(text)
 
 
 def test_unknown_identifier():
@@ -137,6 +142,31 @@ def test_score_crosscheck_against_independent_recursion():
         oracle = verify.score_oracle(t)
         for n in t.nodes():
             assert n.score == oracle[n.node_id]
+
+
+def _need_by_rule(n) -> int:
+    """The documented need: 0 for a leaf, 1 over leaves only, else
+    max_j(need_j + j) over the non-leaf children in decreasing-need order
+    (j from 0)."""
+    if n.is_leaf:
+        return 0
+    needs = sorted((_need_by_rule(c) for c in n.children if not c.is_leaf), reverse=True)
+    return max((v + j for j, v in enumerate(needs)), default=1)
+
+
+def test_tree_builder_scores_every_node_as_it_builds():
+    """Without assign_register_score, every node TreeBuilder returns (and
+    every parsed node) already carries the oracle's score and the
+    documented need."""
+    rng = np.random.default_rng(3)
+    trees = [verify.random_score_tree(rng) for _ in range(300)]
+    trees += [parse_equation(WORKED, [D(4, 4)] * 5),
+              parse_equation("exp(T0 - T1) * gelu(T2) + sigmoid(T0 / T2)", [D(3, 3)] * 3)]
+    for t in trees:
+        oracle = verify.score_oracle(t)
+        for n in t.nodes():
+            assert n.score == oracle[n.node_id]
+            assert n.need == _need_by_rule(n)
 
 
 def test_ternary_score_rules():

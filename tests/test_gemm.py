@@ -1,5 +1,6 @@
 from concurrent.futures import ThreadPoolExecutor
 import shutil
+import subprocess
 import sys
 import threading
 
@@ -707,6 +708,16 @@ def test_buffers_not_readable_in_place_take_the_numpy_path(monkeypatch):
             gemm(spec_mnk(m, n, k), (a_buf, 0), (b_buf, 0), c)
             outs.append(to_array(c))
         assert bits_equal(outs[0], outs[1])
+
+
+@pytest.mark.skipif(shutil.which(native.CC) is None, reason="no C compiler on PATH")
+def test_native_source_compiles_without_warnings():
+    """Every function native.c calls is declared and every warning of -Wall
+    is an error here: a missing <math.h>, say, leaves fabsf, rintf and
+    copysignf implicitly declared, which the build itself only warns about."""
+    r = subprocess.run([native.CC, *native.FLAGS, "-fsyntax-only", "-Wall", "-Werror",
+                        str(native.SOURCE)], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
 
 
 def test_missing_compiler_falls_back_to_numpy(tmp_path, monkeypatch):

@@ -1,9 +1,16 @@
+import enum
+import importlib
+import pickle
+
 import numpy as np
 import pytest
 
 from tensorprim import (
+    Approx,
+    BinaryKind,
     Bcast,
     DType,
+    KernelSpec,
     TensorDesc,
     TensorError,
     TensorView,
@@ -13,9 +20,13 @@ from tensorprim import (
     from_array,
     pack_fp32,
     split_fp32,
+    UnaryKind,
+    dispatch,
     to_array,
 )
-from tensorprim.tensor import bool_to_mask, mask_to_bool, view_at
+from tensorprim.dtypes import IdentityEnum
+from tensorprim.ops import APPROX_SELECTORS, KIND_FLAGS
+from tensorprim.tensor import bitmask_bytes, bool_to_mask, mask_to_bool, view_at
 
 from util import bits_equal
 
@@ -159,3 +170,61 @@ def test_bitmask_layout_column_padded():
     assert m[3] == 0x02            # row 9 -> bit 1 of byte 1 in column 1
     assert m[4] == 0x08            # row 3 of column 2
     assert np.array_equal(mask_to_bool(m, 10, 3), b)
+
+
+# ---------------------------------------------------------------------------
+# descriptor facts computed once; enums that hash by identity
+# ---------------------------------------------------------------------------
+
+def _facts_by_formula(d: TensorDesc) -> tuple[int, int, int, int]:
+    """phys_rows, phys_cols, min_buffer_len and nbytes by the formulas of the
+    properties they replaced."""
+    pr = 1 if d.bcast in (Bcast.ROW, Bcast.SCALAR) else d.rows
+    pc = 1 if d.bcast in (Bcast.COL, Bcast.SCALAR) else d.cols
+    if d.dtype is DType.BIT:
+        return pr, pc, bitmask_bytes(pr, pc), bitmask_bytes(d.rows, d.cols)
+    return pr, pc, d.ld * (pc - 1) + pr, d.rows * d.cols * d.dtype.storage.itemsize
+
+
+@pytest.mark.parametrize("dtype", list(DType))
+@pytest.mark.parametrize("bcast", list(Bcast))
+@pytest.mark.parametrize("ld", [5, 13])
+def test_desc_facts_match_their_formulas(dtype, bcast, ld):
+    d = TensorDesc(5, 3, ld, dtype, bcast)
+    assert (d.phys_rows, d.phys_cols, d.min_buffer_len, d.nbytes) == _facts_by_formula(d)
+    twin = TensorDesc(5, 3, ld, dtype, bcast)
+    assert twin is not d and twin == d and hash(twin) == hash(d)
+    assert d != TensorDesc(5, 3, ld + 1, dtype, bcast)
+    assert repr(d) == (f"TensorDesc(rows=5, cols=3, ld={ld}, dtype={dtype!r}, "
+                       f"bcast={bcast!r})")
+    back = pickle.loads(pickle.dumps(d))
+    assert back == d and back.min_buffer_len == d.min_buffer_len
+
+
+def _library_enums() -> set[type]:
+    mods = [importlib.import_module(f"tensorprim.{name}") for name in (
+        "approx", "bench", "cli", "contraction", "dtypes", "equation", "kernels", "native",
+        "ops", "tensor", "verify")]
+    return {v for m in mods for v in vars(m).values()
+            if isinstance(v, type) and issubclass(v, enum.Enum) and v.__members__}
+
+
+def test_every_library_enum_hashes_by_identity_and_survives_pickle():
+    enums = _library_enums()
+    assert DType in enums and UnaryKind in enums and Approx in enums
+    for cls in enums:
+        assert issubclass(cls, IdentityEnum)
+        for member in cls:
+            back = pickle.loads(pickle.dumps(member))
+            assert back is member and hash(back) == object.__hash__(member)
+
+
+def test_pickled_members_still_key_the_library_tables():
+    def rt(v):
+        return pickle.loads(pickle.dumps(v))
+
+    assert APPROX_SELECTORS[rt(UnaryKind.TANH)] == APPROX_SELECTORS[UnaryKind.TANH]
+    assert KIND_FLAGS[rt(BinaryKind.COMPARE)] == ("cmp",)
+    d = TensorDesc(4, 4, 4, DType.FP32)
+    kern = dispatch(KernelSpec(UnaryKind.TANH, (d,), approx=Approx.MINIMAX16))
+    assert dispatch(KernelSpec(rt(UnaryKind.TANH), (rt(d),), approx=rt(Approx.MINIMAX16))) is kern
