@@ -223,11 +223,12 @@ def minimax_eval(table: MinimaxTable, x: np.ndarray) -> np.ndarray:
 def _minimax_numpy(table: MinimaxTable, x: np.ndarray) -> np.ndarray:
     dt = x.dtype.type
     ax = np.abs(x)
-    bits = ax.astype(np.float32).view(np.uint32)
-    idx = np.clip((bits >> np.uint32(22)).astype(np.int32) - table.base, 0, 15)
-    c0, c1, c2, c3 = (table.coeffs[j][idx].astype(x.dtype) for j in range(4))
-    p = ((c3 * ax + c2) * ax + c1) * ax + c0
-    p = np.where(ax >= dt(table.range_max), dt(table.saturation), p)
+    with np.errstate(all="ignore"):
+        bits = ax.astype(np.float32).view(np.uint32)
+        idx = np.clip((bits >> np.uint32(22)).astype(np.int32) - table.base, 0, 15)
+        c0, c1, c2, c3 = (table.coeffs[j][idx].astype(x.dtype) for j in range(4))
+        p = ((c3 * ax + c2) * ax + c1) * ax + c0
+        p = np.where(ax >= dt(table.range_max), dt(table.saturation), p)
     return np.copysign(p, x)
 
 
@@ -331,7 +332,8 @@ def gelu(x: np.ndarray, flag: Approx | None = None) -> np.ndarray:
         h = _erf_vec(x / dt(math.sqrt(2.0))).astype(x.dtype)
     else:
         h = minimax_eval(GELU_ERF_MINIMAX, x)
-    return dt(0.5) * x * (dt(1.0) + h)
+    with np.errstate(all="ignore"):  # -inf * 0 is a NaN, silently
+        return dt(0.5) * x * (dt(1.0) + h)
 
 
 def gelu_grad(x: np.ndarray, flag: Approx | None = None) -> np.ndarray:

@@ -9,15 +9,19 @@ and lets the three batch addressing variants be compared bitwise.
 
 Two paths compute that sequence and give the same bits.  The C kernels in
 ``native.c`` (built on first use, see ``native``) read every A and B block
-in place through per-entry pointers, PLAIN or VNNI, and widen BF16 and INT8
-themselves; only native VNNI BF16 is first widened here, by the ``dtypes``
-codec, and runs through the FP32 kernel.  The numpy reference path stacks
-the widened blocks into (n, M, K) and (n, K, N) arrays and runs one loop
-over k for all entries at once (numpy neither fuses the multiply-add nor
+in place, PLAIN or VNNI, and widen BF16 and INT8 themselves; only native
+VNNI BF16 is first widened here, by the ``dtypes`` codec, and runs through
+the FP32 kernel.  A side of a batch whose blocks share one buffer reaches C
+as that buffer's address plus the blocks' offsets (or their stride), and is
+bounds-checked once, by its lowest and highest offset; an address side over
+several buffers reaches C as a table of addresses.  The numpy reference path
+stacks the widened blocks into (n, M, K) and (n, K, N) arrays and runs one
+loop over k for all entries at once (numpy neither fuses the multiply-add nor
 reorders it).  It runs when no C compiler or cached build is available, for
 buffers that cannot be read in place, and it recomputes any float result
-that holds a NaN: the compiler may swap the operands of ``*`` and ``+``,
-which only matters for which NaN payload survives where two NaNs meet.
+that holds a NaN, which the C kernel reports: the compiler may swap the
+operands of ``*`` and ``+``, which only matters for which NaN payload
+survives where two NaNs meet.
 
 Like a TPP, a call is a single-core building block: it computes all of C on
 the caller's thread.  Blocking and parallelism belong to the caller's loop
@@ -34,14 +38,14 @@ zero-masking, even halves by a left shift), which is bit-identical.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import native
 from .dtypes import DType, IdentityEnum, bf16_to_fp32, widen
-from .tensor import TensorError, TensorView, vnni_alpha, vnni_pack_a, vnni_unpack_a
+from .tensor import Bcast, TensorError, TensorView, vnni_alpha, vnni_pack_a, vnni_unpack_a
 
 
 def accumulator_dtype(in_dtype: DType) -> DType:
@@ -63,8 +67,21 @@ class ComputePath(IdentityEnum):
     EMULATED_SPLIT = "emulated_split"
 
 
+# the C kernel of each input type, reading its blocks in place
+_KERNEL = {DType.FP32: "brgemm_f32", DType.FP64: "brgemm_f64",
+           DType.BF16: "brgemm_bf16", DType.INT8: "brgemm_i8"}
+
+
 @dataclass(frozen=True)
 class GemmSpec:
+    """The fields below describe a contraction; the facts derived from them
+    are computed once, at construction, and take no part in ``==``, ``hash``
+    or ``repr``: the accumulator type, the C kernel that runs the spec,
+    whether its blocks are ``widened`` to FP32 first (native VNNI BF16, read
+    by ``brgemm_f32``), and the (rows, cols, ld) of an A and a B block as that
+    kernel reads them in place (VNNI A as its (M*alpha) x ceil(K/alpha)
+    column-major form)."""
+
     m: int
     n: int
     k: int
@@ -76,16 +93,22 @@ class GemmSpec:
     beta: float = 0.0
     a_layout: ALayout = ALayout.PLAIN
     compute_path: ComputePath = ComputePath.NATIVE
+    acc_dtype: DType = field(init=False, compare=False, repr=False)
+    kernel: str = field(init=False, compare=False, repr=False)
+    widened: bool = field(init=False, compare=False, repr=False)
+    a_dims: tuple[int, int, int] = field(init=False, compare=False, repr=False)
+    b_dims: tuple[int, int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if min(self.m, self.n, self.k) < 1:
             raise TensorError("GEMM extents must be positive")
-        if self.in_dtype not in (DType.FP64, DType.FP32, DType.BF16, DType.INT8):
+        if self.in_dtype not in _KERNEL:
             raise TensorError(f"unsupported input dtype {self.in_dtype}")
-        want_out = self.acc_dtype
-        if self.out_dtype is not want_out:
-            raise TensorError(f"output dtype must be {want_out} for {self.in_dtype} inputs")
-        if self.a_layout is ALayout.PLAIN and self.lda < self.m:
+        acc = accumulator_dtype(self.in_dtype)
+        if self.out_dtype is not acc:
+            raise TensorError(f"output dtype must be {acc} for {self.in_dtype} inputs")
+        vnni = self.a_layout is ALayout.VNNI
+        if not vnni and self.lda < self.m:
             raise TensorError("lda < M")
         if self.ldb < self.k:
             raise TensorError("ldb < K")
@@ -93,12 +116,18 @@ class GemmSpec:
             raise TensorError("ldc < M")
         if self.compute_path is ComputePath.EMULATED_SPLIT and self.in_dtype is not DType.BF16:
             raise TensorError("EMULATED_SPLIT applies to BF16 inputs")
-        if self.a_layout is ALayout.VNNI:
-            vnni_alpha(self.in_dtype)  # raises for types without a VNNI form
-
-    @property
-    def acc_dtype(self) -> DType:
-        return accumulator_dtype(self.in_dtype)
+        if vnni:
+            al = vnni_alpha(self.in_dtype)  # raises for types without a VNNI form
+            a_dims = (self.m * al, -(-self.k // al), self.m * al)
+        else:
+            a_dims = (self.m, self.k, self.lda)
+        widened = (vnni and self.in_dtype is DType.BF16
+                   and self.compute_path is ComputePath.NATIVE)
+        facts = {"acc_dtype": acc, "widened": widened, "a_dims": a_dims,
+                 "b_dims": (self.k, self.n, self.ldb),
+                 "kernel": "brgemm_f32" if widened else _KERNEL[self.in_dtype]}
+        for name, value in facts.items():
+            object.__setattr__(self, name, value)
 
     @property
     def alpha(self) -> int:
@@ -119,28 +148,69 @@ def _as_ref(x) -> Ref:
     return (buf, int(off))
 
 
-@dataclass(frozen=True, eq=False)
+def _one_buffer(refs: tuple[Ref, ...]):
+    """``refs`` as (buffer, offsets) when they all lie in one buffer."""
+    if not refs or any(buf is not refs[0][0] for buf, _ in refs):
+        return None
+    return (refs[0][0], tuple(off for _, off in refs))
+
+
 class BrgemmBatch:
     """The (A_i, B_i) block sequence in one of three addressing variants.
 
     All variants describe the same abstract sequence; blocks may alias each
-    other (but never the output).
+    other (but never the output).  ``a_refs`` and ``b_refs`` list the blocks
+    as (buffer, element offset) pairs.  A side whose blocks all lie in one
+    buffer (an offset or stride side always, an address side when its refs
+    share a buffer) is kept as ``a_one`` / ``b_one`` alone, a (buffer,
+    offsets) pair whose offsets are a ``range`` for a nonzero stride and a
+    tuple otherwise, and its refs are built only when asked for; ``a_one`` /
+    ``b_one`` is None for an address side over several buffers.  A batch is
+    immutable, and its length ``n`` is that of its sides.
     """
 
-    a_refs: tuple[Ref, ...]
-    b_refs: tuple[Ref, ...]
+    __slots__ = ("n", "a_one", "b_one", "_a_refs", "_b_refs")
+
+    def __init__(self, a_one=None, b_one=None, a_refs=None, b_refs=None):
+        """Each side given once, as (buffer, offsets) or as refs."""
+        a_one, a_refs, n = _side(a_one, a_refs)
+        b_one, b_refs, n_b = _side(b_one, b_refs)
+        if n != n_b:
+            raise TensorError(f"batch length mismatch: {n} A blocks, {n_b} B blocks")
+        for name, value in (("n", n), ("a_one", a_one), ("b_one", b_one),
+                            ("_a_refs", a_refs), ("_b_refs", b_refs)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a BrgemmBatch is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a BrgemmBatch is immutable")
 
     @property
-    def n(self) -> int:
-        return len(self.a_refs)
+    def a_refs(self) -> tuple[Ref, ...]:
+        return self._a_refs if self._a_refs is not None else _refs(self.a_one)
+
+    @property
+    def b_refs(self) -> tuple[Ref, ...]:
+        return self._b_refs if self._b_refs is not None else _refs(self.b_one)
+
+    def _buffers(self) -> list[np.ndarray]:
+        """The distinct block buffers, each once (none for an empty batch)."""
+        if not self.n:
+            return []
+        if self.a_one is not None and self.b_one is not None:
+            a, b = self.a_one[0], self.b_one[0]
+            return [a] if a is b else [a, b]
+        return list({id(buf): buf for buf, _ in (*self.a_refs, *self.b_refs)}.values())
 
     @staticmethod
     def address(a_refs: Sequence, b_refs: Sequence) -> "BrgemmBatch":
         a = tuple(_as_ref(r) for r in a_refs)
         b = tuple(_as_ref(r) for r in b_refs)
-        if len(a) != len(b):
-            raise TensorError(f"batch length mismatch: {len(a)} A blocks, {len(b)} B blocks")
-        return BrgemmBatch(a, b)
+        a_one, b_one = _one_buffer(a), _one_buffer(b)
+        return BrgemmBatch(a_one, b_one, a if a_one is None else None,
+                           b if b_one is None else None)
 
     @staticmethod
     def offset(a_base, b_base, a_offsets: Sequence[int], b_offsets: Sequence[int]) -> "BrgemmBatch":
@@ -148,31 +218,59 @@ class BrgemmBatch:
             raise TensorError("offset batch length mismatch")
         ab, ao = _as_ref(a_base)
         bb, bo = _as_ref(b_base)
-        a = tuple((ab, ao + int(o)) for o in a_offsets)
-        b = tuple((bb, bo + int(o)) for o in b_offsets)
-        return BrgemmBatch(a, b)
+        return BrgemmBatch((ab, tuple(ao + int(o) for o in a_offsets)),
+                           (bb, tuple(bo + int(o) for o in b_offsets)))
 
     @staticmethod
     def stride(a_base, b_base, stride_a: int, stride_b: int, count: int) -> "BrgemmBatch":
         ab, ao = _as_ref(a_base)
         bb, bo = _as_ref(b_base)
-        a = tuple((ab, ao + i * int(stride_a)) for i in range(count))
-        b = tuple((bb, bo + i * int(stride_b)) for i in range(count))
-        return BrgemmBatch(a, b)
+        return BrgemmBatch((ab, _strided(ao, int(stride_a), count)),
+                           (bb, _strided(bo, int(stride_b), count)))
+
+
+def _side(one, refs):
+    """(one, refs, length) of a side given once, copied so that it cannot
+    change after the batch is built."""
+    if (one is None) == (refs is None):
+        raise TensorError("each side of a batch is (buffer, offsets) or refs")
+    if one is None:
+        refs = tuple(refs)
+        return None, refs, len(refs)
+    buf, offsets = one
+    if type(offsets) is not range:
+        offsets = tuple(offsets)
+    return (buf, offsets), None, len(offsets)
+
+
+def _strided(first: int, stride: int, count: int):
+    if stride == 0:
+        return (first,) * count
+    return range(first, first + count * stride, stride)
+
+
+def _refs(one) -> tuple[Ref, ...]:
+    buf, offsets = one
+    return tuple((buf, off) for off in offsets)
 
 
 # ---------------------------------------------------------------------------
 # operand loading
 # ---------------------------------------------------------------------------
 
-def _check_block(buf: np.ndarray, off: int, rows: int, cols: int, ld: int) -> None:
-    need = off + ld * (cols - 1) + rows
-    if off < 0 or need > buf.size:
-        raise TensorError(f"block exceeds buffer: need {need}, have {buf.size}")
+def _check_extent(buf: np.ndarray, lo: int, hi: int, dims: tuple[int, int, int]) -> int:
+    """Bounds-check blocks at offsets lo .. hi of ``buf``; returns the end
+    of the last."""
+    rows, cols, ld = dims
+    need = hi + ld * (cols - 1) + rows
+    if lo < 0 or need > buf.size:
+        raise TensorError(f"block exceeds buffer: offsets {lo}..{hi} need {need} "
+                          f"elements, have {buf.size}")
+    return need
 
 
 def _strided2d(buf: np.ndarray, off: int, rows: int, cols: int, ld: int) -> np.ndarray:
-    _check_block(buf, off, rows, cols, ld)
+    _check_extent(buf, off, off, (rows, cols, ld))
     s = buf.strides[0]
     return np.lib.stride_tricks.as_strided(buf[off:], shape=(rows, cols),
                                            strides=(s, ld * s))
@@ -186,14 +284,10 @@ def _load_a(spec: GemmSpec, ref: Ref) -> np.ndarray:
         if spec.compute_path is ComputePath.EMULATED_SPLIT:
             return _widen_emulated(vnni_pack_a(block, 2), spec.m, spec.k)
         return widen(block, spec.in_dtype)
-    al = spec.alpha
-    size = -(-spec.k // al) * spec.m * al
-    if off < 0 or buf.size - off < size:
-        raise TensorError("VNNI block exceeds buffer")
-    flat = buf[off:off + size]
+    flat = buf[off:_check_extent(buf, off, off, spec.a_dims)]
     if spec.compute_path is ComputePath.EMULATED_SPLIT:
         return _widen_emulated(flat, spec.m, spec.k)
-    return widen(vnni_unpack_a(flat, al, spec.m, spec.k), spec.in_dtype)
+    return widen(vnni_unpack_a(flat, spec.alpha, spec.m, spec.k), spec.in_dtype)
 
 
 def _load_b(spec: GemmSpec, ref: Ref) -> np.ndarray:
@@ -218,45 +312,74 @@ def _widen_emulated(flat: np.ndarray, m: int, k: int) -> np.ndarray:
     return out[:, :k]
 
 
-def _in_place_pointers(refs, rows: int, cols: int, ld: int):
-    """A ctypes table of the addresses of column-major blocks read in place,
-    after each block's bounds check; None when a buffer is not 1-D,
-    contiguous and aligned."""
-    bases: dict[int, int] = {}
-    ptrs = []
-    for buf, off in refs:
-        _check_block(buf, off, rows, cols, ld)
-        base = bases.get(id(buf))
-        if base is None:
-            if buf.ndim != 1 or buf.strides[0] != buf.itemsize or not buf.flags.aligned:
-                return None
-            base = bases[id(buf)] = buf.ctypes.data
-        ptrs.append(base + off * buf.itemsize)
-    return (ctypes.c_void_p * len(ptrs))(*ptrs)
+def _address(buf: np.ndarray) -> int:
+    """The address of the first element of a 1-D contiguous ``buf``
+    (``from_buffer`` reads it in a third of the time ``buf.ctypes.data``
+    takes, but only for a writable buffer)."""
+    if buf.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    return buf.ctypes.data
 
 
-def _widened_spans(refs, rows: int, cols: int, ld: int) -> tuple[Ref, ...]:
-    """``refs`` moved into FP32 copies of their BF16 buffers: one
-    ``bf16_to_fp32`` call per distinct buffer, over the span its blocks
-    touch (after each block's bounds check)."""
-    spans: dict[int, tuple[np.ndarray, int, int]] = {}
+def _native_base(buf: np.ndarray, lo: int, hi: int, dims: tuple[int, int, int],
+                 widened: bool, keep: list):
+    """(address of element 0, element size) of ``buf`` as the C kernel reads
+    it, after the bounds check of blocks at offsets lo .. hi.  Under
+    ``widened`` the span those blocks touch is widened to FP32 first and
+    appended to ``keep``, which must outlive the C call.  None when the
+    buffer the kernel would read is not 1-D, contiguous and aligned."""
+    end = _check_extent(buf, lo, hi, dims)
+    origin = 0
+    if widened:
+        buf, origin = bf16_to_fp32(buf[lo:end]), lo
+        keep.append(buf)
+    size = buf.itemsize
+    if buf.ndim != 1 or buf.strides[0] != size or not buf.flags.aligned:
+        return None
+    return _address(buf) - origin * size, size
+
+
+def _native_side(one, refs, dims: tuple[int, int, int], widened: bool, keep: list):
+    """One side of a batch as the C kernel takes it, (base, offsets, stride)
+    in bytes: entry e at base + offsets[e], or at base + e*stride when the
+    offsets are None.  Each distinct buffer is checked and addressed once
+    (:func:`_native_base`); None when one cannot be read in place."""
+    if one is None:
+        return _native_table(refs, dims, widened, keep)
+    buf, offsets = one
+    strided = type(offsets) is range
+    ends = (offsets[0], offsets[-1]) if strided else offsets
+    got = _native_base(buf, min(ends), max(ends), dims, widened, keep)
+    if got is None:
+        return None
+    base, size = got
+    if strided:
+        return base + offsets[0] * size, None, offsets.step * size
+    return base, (ctypes.c_int64 * len(offsets))(*[off * size for off in offsets]), 0
+
+
+def _native_table(refs, dims: tuple[int, int, int], widened: bool, keep: list):
+    """An address side over several buffers: base 0 and a table of the
+    blocks' addresses."""
+    spans: dict[int, list] = {}
     for buf, off in refs:
-        _check_block(buf, off, rows, cols, ld)
-        end = off + ld * (cols - 1) + rows
-        _, lo, hi = spans.get(id(buf), (buf, off, end))
-        spans[id(buf)] = (buf, min(lo, off), max(hi, end))
-    wide = {key: (bf16_to_fp32(buf[lo:hi]), lo) for key, (buf, lo, hi) in spans.items()}
-    return tuple((wide[id(buf)][0], off - wide[id(buf)][1]) for buf, off in refs)
+        span = spans.setdefault(id(buf), [buf, off, off])
+        span[1], span[2] = min(span[1], off), max(span[2], off)
+    bases = {}
+    for key, (buf, lo, hi) in spans.items():
+        bases[key] = _native_base(buf, lo, hi, dims, widened, keep)
+        if bases[key] is None:
+            return None
+    table = []
+    for buf, off in refs:
+        base, size = bases[id(buf)]
+        table.append(base + off * size)
+    return 0, (ctypes.c_int64 * len(table))(*table), 0
 
 
 # ---------------------------------------------------------------------------
 # the kernel
 # ---------------------------------------------------------------------------
-
-# the C kernel of each input type, reading its blocks in place
-_KERNEL = {DType.FP32: "brgemm_f32", DType.FP64: "brgemm_f64",
-           DType.BF16: "brgemm_bf16", DType.INT8: "brgemm_i8"}
-
 
 def _scaled_c(spec: GemmSpec, cw: np.ndarray) -> np.ndarray:
     """beta*C as a fresh column-major accumulator (beta 0 ignores C, beta 1
@@ -287,51 +410,44 @@ def _brgemm_numpy(spec: GemmSpec, batch: BrgemmBatch, acc: np.ndarray) -> None:
             acc += part[i]
 
 
-def _brgemm_native(spec: GemmSpec, batch: BrgemmBatch, cw: np.ndarray) -> bool:
-    """Run the C kernel of the input type into C (``cw``).  It reads every
-    block in place: PLAIN at its ld, VNNI as its (M*alpha) x ceil(K/alpha)
-    column-major form, and PLAIN EMULATED_SPLIT BF16 as plain BF16 (a plain
-    layout has no pairs to split, and the shift gives the same bits).  Native
-    VNNI BF16 is the one exception: the span of each buffer its blocks touch
-    is widened by ``dtypes.bf16_to_fp32`` first and read by the FP32 kernel,
-    so that BF16 native and emulated stay two implementations to compare.
+def _brgemm_native(spec: GemmSpec, batch: BrgemmBatch, c: TensorView) -> bool:
+    """Run the C kernel of the spec into C.  It reads every block in place:
+    PLAIN at its ld, VNNI as its (M*alpha) x ceil(K/alpha) column-major form,
+    and PLAIN EMULATED_SPLIT BF16 as plain BF16 (a plain layout has no pairs
+    to split, and the shift gives the same bits).  Native VNNI BF16 is the
+    one exception: the span of each buffer its blocks touch is widened by
+    ``dtypes.bf16_to_fp32`` first and read by the FP32 kernel, so that BF16
+    native and emulated stay two implementations to compare.
 
     Every bounds check runs before the first write to C.  Returns False for
     the numpy path to compute C when the library is off, a buffer cannot be
-    read in place, the kernel could not allocate its scratch or a float
-    result holds a NaN; C then holds what it held, or, under beta 0, maybe
-    partial sums that the numpy path overwrites."""
-    vnni = spec.a_layout is ALayout.VNNI
-    widened = vnni and spec.in_dtype is DType.BF16 and spec.compute_path is ComputePath.NATIVE
-    fn = native.kernel("brgemm_f32" if widened else _KERNEL[spec.in_dtype])
+    read in place, the kernel could not allocate its scratch (status 1) or a
+    float result holds a NaN (status 2); C then holds what it held, or, under
+    beta 0, maybe partial sums that the numpy path overwrites."""
+    fn = native.kernel(spec.kernel)
     if fn is None:
         return False
-    if vnni:
-        al = spec.alpha
-        a_dims = (spec.m * al, -(-spec.k // al), spec.m * al)
-    else:
-        a_dims = (spec.m, spec.k, spec.lda)
-    b_dims = (spec.k, spec.n, spec.ldb)
-    a_refs, b_refs = batch.a_refs, batch.b_refs
-    if widened:   # the spans must outlive the C call that reads them
-        a_refs, b_refs = _widened_spans(a_refs, *a_dims), _widened_spans(b_refs, *b_dims)
-    a_ptrs = _in_place_pointers(a_refs, *a_dims)
-    b_ptrs = None if a_ptrs is None else _in_place_pointers(b_refs, *b_dims)
-    if b_ptrs is None:
+    keep: list[np.ndarray] = []
+    a = _native_side(batch.a_one, batch._a_refs, spec.a_dims, spec.widened, keep)
+    b = None if a is None else _native_side(batch.b_one, batch._b_refs, spec.b_dims,
+                                            spec.widened, keep)
+    if b is None:
         return False
+    m, n = spec.m, spec.n
+    buf = c.primary
     # beta 0 into a dense C: accumulate in C itself, no copy
-    direct = spec.beta == 0.0 and cw.dtype == spec.acc_dtype.storage and cw.flags.f_contiguous
-    if direct:
-        acc = cw
+    if spec.beta == 0.0 and (spec.ldc == m or n == 1) and buf.flags.aligned:
+        acc = buf[:m * n]
         acc.fill(0)
+        cw, acc_address = None, _address(acc)
     else:
+        cw = c.as2d()
         acc = _scaled_c(spec, cw)
-    if fn(batch.n, spec.m, spec.n, spec.k, a_ptrs, spec.lda, b_ptrs, spec.ldb,
-          acc.ctypes.data, vnni):
+        acc_address = acc.ctypes.data
+    if fn(batch.n, m, n, spec.k, *a, spec.lda, *b, spec.ldb, acc_address,
+          spec.a_layout is ALayout.VNNI):
         return False
-    if acc.dtype.kind == "f" and np.isnan(acc).any():
-        return False
-    if not direct:
+    if cw is not None:
         cw[:, :] = acc
     return True
 
@@ -350,29 +466,32 @@ def brgemm(spec: GemmSpec, batch: BrgemmBatch, c: TensorView) -> None:
     call is recomputed on the numpy path from beta*C: the compiler may swap
     the operands of ``*`` and ``+``, which decides which payload survives
     where two NaNs meet, and only there (without NaNs, IEEE ``+`` and ``*``
-    commute bitwise, and a NaN never leaves a chain).  A block that exceeds
-    its buffer raises ``TensorError`` before C is written.  The call
-    computes all of C on the caller's thread; blocking C into tiles and
-    running tiles on threads is the caller's loop nest, and gives the same
-    bits.
+    commute bitwise, and a NaN never leaves a chain).  Each side's blocks
+    are bounds-checked per buffer, from the lowest to the highest offset in
+    it, whatever their order; a block that exceeds its buffer raises
+    ``TensorError`` before C is written.  The call computes all of C on the
+    caller's thread; blocking C into tiles and running tiles on threads is
+    the caller's loop nest, and gives the same bits.
     """
-    if (c.desc.rows, c.desc.cols) != (spec.m, spec.n):
+    d = c.desc
+    if d.rows != spec.m or d.cols != spec.n:
         raise TensorError(f"C must be {spec.m}x{spec.n}")
-    if c.desc.dtype is not spec.out_dtype:
-        raise TensorError(f"C dtype {c.desc.dtype} != {spec.out_dtype}")
-    if c.desc.ld != spec.ldc:
+    if d.dtype is not spec.out_dtype:
+        raise TensorError(f"C dtype {d.dtype} != {spec.out_dtype}")
+    if d.ld != spec.ldc:
         raise TensorError("C ld mismatch")
+    if d.bcast is not Bcast.NONE:
+        raise TensorError("C must not be a broadcast view")
     storage = spec.in_dtype.storage
-    buffers = {id(buf): buf for buf, _ in (*batch.a_refs, *batch.b_refs)}
-    for buf in buffers.values():
+    for buf in batch._buffers():
         if buf.dtype != storage:
             raise TensorError(f"{buf.dtype} block buffer under a {spec.in_dtype} spec")
         if np.may_share_memory(c.primary, buf):
             raise TensorError("C must not alias any batch input")
 
-    cw = c.as2d()
-    if batch.n and _brgemm_native(spec, batch, cw):
+    if batch.n and _brgemm_native(spec, batch, c):
         return
+    cw = c.as2d()
     acc = _scaled_c(spec, cw)
     if batch.n:
         _brgemm_numpy(spec, batch, acc)

@@ -15,7 +15,7 @@ once, with the reduction's pinned ascending order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import functools
 from typing import Optional, Sequence
 
@@ -385,13 +385,14 @@ def dilated_conv1d_forward(spec: DilatedConvSpec, inp: TensorView,
     wt = alloc(TensorDesc(k_ch, c_ch * s_taps, k_ch, weights.desc.dtype))
     transform(weights, TransformSpec(TransformKind.TRANSPOSE), wt)
 
+    full = GemmSpec(m=k_ch, n=spec.block_q, k=c_ch, lda=k_ch, ldb=inp.desc.ld,
+                    ldc=out.desc.ld, in_dtype=wt.desc.dtype,
+                    out_dtype=out.desc.dtype, beta=0.0)
+    a_refs = [(wt.primary, s * c_ch * k_ch) for s in range(s_taps)]
     for pos in range(0, spec.out_width, spec.block_q):
         bq = min(spec.block_q, spec.out_width - pos)
-        a_refs = [(wt.primary, s * c_ch * k_ch) for s in range(s_taps)]
+        gspec = full if bq == spec.block_q else replace(full, n=bq)
         b_refs = [(inp.primary, (pos + s * d) * inp.desc.ld) for s in range(s_taps)]
-        gspec = GemmSpec(m=k_ch, n=bq, k=c_ch, lda=k_ch, ldb=inp.desc.ld,
-                         ldc=out.desc.ld, in_dtype=wt.desc.dtype,
-                         out_dtype=out.desc.dtype, beta=0.0)
         brgemm(gspec, BrgemmBatch.address(a_refs, b_refs), out.col_block(pos, bq))
 
 

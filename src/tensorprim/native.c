@@ -12,11 +12,17 @@
  * across independent elements, which leaves each element's sequence of
  * operations untouched.  The brgemm kernels allocate their scratch per call
  * and the others need none, so concurrent calls share nothing.  On x86-64
- * Linux each kernel is also built for AVX2 and picked at load time (5.0 ->
- * 4.2 ms a `dense` benchmark step on a 2-vCPU x86-64 VM); AVX2 brings no
- * fused multiply-add, so both builds give the same bits.  Building with
- * -DMULTIVERSION= leaves only the default build, which the tests use to
- * check its bits on machines that have AVX2.
+ * Linux every kernel is also built for AVX2, and the brgemm kernels for
+ * AVX-512F too; the loader picks the widest build the CPU runs.  Neither
+ * target brings a fused multiply-add under -ffp-contract=off, so every
+ * build gives the same bits.  Building with -DMULTIVERSION= leaves only the
+ * default build; the tests also build it with -mavx2, to check the bits of
+ * the AVX2 code on machines that would pick AVX-512F.
+ *
+ * The brgemm and reduce kernels return a status: 0, or 2 when a float
+ * result is a NaN.  The caller then recomputes the call on its numpy path,
+ * because which payload survives where two NaNs meet depends on the order
+ * of the operands of + and *, which the compiler may swap.
  *
  * BRGEMM.  acc (M x N, column-major, ld M) already holds beta*C.  For each
  * batch entry e in ascending order and each output element (i, j):
@@ -25,21 +31,26 @@
  *     for kk = 0 .. K-1:  part = part + A_e(i, kk) * B_e(kk, j)
  *     acc(i, j) = acc(i, j) + part
  *
- * B_e(kk, j) lives at b[e][kk + j*ldb].  A PLAIN A_e(i, kk) lives at
- * a[e][i + kk*lda]; a VNNI one ([K/alpha][M][alpha], alpha = 2 for 16-bit
+ * Each side (A, B) of the batch comes as a base address plus either a table
+ * of byte offsets, entry e at base + offs[e] (the offset and address forms;
+ * an address side over several buffers passes base 0 and the addresses), or
+ * a byte stride, entry e at base + e*stride (the stride form, no table).
+ * B_e(kk, j) lives at b_e[kk + j*ldb].  A PLAIN A_e(i, kk) lives at
+ * a_e[i + kk*lda]; a VNNI one ([K/alpha][M][alpha], alpha = 2 for 16-bit
  * and 4 for 8-bit elements, the tail group zero-padded) at
- * a[e][(kk/alpha)*M*alpha + i*alpha + kk%alpha].  Either is read in place:
+ * a_e[(kk/alpha)*M*alpha + i*alpha + kk%alpha].  Either is read in place:
  * the kernel copies A_e one block of MB rows at a time into its scratch,
- * widened to the accumulator type and column-major, and runs the k loop of
- * every column from there, the block's partials in a local array.  The
- * scratch (MB x K accumulator elements) is malloc'd per call; when that
- * fails the kernel returns 1 with acc untouched, and the caller takes its
- * numpy path.  One kernel per (input storage, accumulator) pair: BF16 widens
- * by a 16-bit shift, and a VNNI BF16 pair is read as one uint32 lane and
- * split as the emulated path splits it (the low element lane << 16, the high
- * one lane & 0xFFFF0000), which gives the same FP32 values; INT8 is sign
- * extended; integer kernels add in uint32_t, so wrap-around is defined and
- * gives the bits of INT32 two's-complement arithmetic.
+ * widened to the accumulator type and column-major, and runs the k loops of
+ * NB columns at a time from there, their partials in a local array (NB
+ * independent chains per row, each in its own pinned order).  The scratch
+ * (MB x K accumulator elements) is malloc'd per call; when that fails the
+ * kernel returns 1 with acc untouched, and the caller takes its numpy path.
+ * One kernel per (input storage, accumulator) pair: BF16 widens by a 16-bit
+ * shift, and a VNNI BF16 pair is read as one uint32 lane and split as the
+ * emulated path splits it (the low element lane << 16, the high one lane &
+ * 0xFFFF0000), which gives the same FP32 values; INT8 is sign extended;
+ * integer kernels add in uint32_t, so wrap-around is defined and gives the
+ * bits of INT32 two's-complement arithmetic.
  *
  * REDUCE.  x (M x N, column-major, element (i, j) at x[i + j*ld]; ld 0
  * reads one column N times) folds into out (M, N or 1 elements):
@@ -91,9 +102,13 @@
 #ifndef MULTIVERSION
 #if defined(__GNUC__) && defined(__x86_64__) && defined(__linux__)
 #define MULTIVERSION __attribute__((target_clones("avx2", "default")))
+#define MULTIVERSION_BRGEMM __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
 #define MULTIVERSION
 #endif
+#endif
+#ifndef MULTIVERSION_BRGEMM
+#define MULTIVERSION_BRGEMM MULTIVERSION
 #endif
 
 #define INLINE static inline __attribute__((always_inline))
@@ -103,6 +118,7 @@
 /* ------------------------------------------------------------------------ */
 
 #define MB 32
+#define NB 4
 
 static inline float bf16_widen(uint16_t x)
 {
@@ -133,12 +149,24 @@ static inline float bf16_lane(const uint16_t *p, int64_t r)
     return f;
 }
 
+/* Entry e of one side of a batch: base + offs[e] bytes, or base + e*stride
+ * bytes when offs is NULL (a stride batch).  A side over several buffers
+ * passes base 0 and the entries' addresses as offs. */
+INLINE const void *entry_at(intptr_t base, const int64_t *offs, int64_t stride, int64_t e)
+{
+    return (const void *)(base + (offs ? offs[e] : e * stride));
+}
+
+#define IS_NAN(x) ((x) != (x))
+#define NEVER_NAN(x) 0
+
 /* ALPHA is the VNNI group size of TIN, or 1 for a type without a VNNI form,
  * whose VNNI branch the compiler then drops.  The k loop always runs all MB
  * rows of a block, so it compiles once; rows past the block's end are zero
- * in the scratch and their partials are never stored.  K >= 1.  Returns 0,
- * or 1 with acc untouched when the scratch cannot be allocated. */
-#define DEFINE_BRGEMM(NAME, TIN, TACC, LOAD, ALPHA, VLOAD)                     \
+ * in the scratch and their partials are never stored.  K >= 1.  Returns 0;
+ * 1 with acc untouched when the scratch cannot be allocated; 2 when a result
+ * is a NaN (ISNAN is NEVER_NAN for the integer kernel). */
+#define DEFINE_BRGEMM(NAME, TIN, TACC, LOAD, ALPHA, VLOAD, ISNAN)              \
 /* s (MB x k, column-major, ld MB) = rows i0 .. i0+rows-1 of A, widened */     \
 INLINE void                                                                    \
 NAME##_unpack(TACC *restrict s, const TIN *a, int64_t lda, int64_t vnni,       \
@@ -160,9 +188,35 @@ NAME##_unpack(TACC *restrict s, const TIN *a, int64_t lda, int64_t vnni,       \
     }                                                                          \
 }                                                                              \
                                                                                \
-MULTIVERSION int64_t                                                           \
+/* acc columns j .. j+nb-1, rows i0 .. i0+rows-1 += this entry's partials */   \
+INLINE void                                                                    \
+NAME##_cols(const TACC *restrict s, const TIN *be, int64_t ldb, int64_t k,     \
+            int64_t j, int64_t nb, TACC *restrict acc, int64_t m, int64_t i0,  \
+            int64_t rows)                                                      \
+{                                                                              \
+    TACC part[NB][MB];                                                         \
+    for (int64_t jj = 0; jj < nb; jj++)                                        \
+        for (int64_t i = 0; i < MB; i++)                                       \
+            part[jj][i] = 0;                                                   \
+    for (int64_t kk = 0; kk < k; kk++) {                                       \
+        const TACC *sk = s + kk * MB;                                          \
+        for (int64_t jj = 0; jj < nb; jj++) {                                  \
+            const TACC bv = LOAD(be[(j + jj) * ldb + kk]);                     \
+            for (int64_t i = 0; i < MB; i++)                                   \
+                part[jj][i] = part[jj][i] + sk[i] * bv;                        \
+        }                                                                      \
+    }                                                                          \
+    for (int64_t jj = 0; jj < nb; jj++) {                                      \
+        TACC *cj = acc + (j + jj) * m + i0;                                    \
+        for (int64_t i = 0; i < rows; i++)                                     \
+            cj[i] = cj[i] + part[jj][i];                                       \
+    }                                                                          \
+}                                                                              \
+                                                                               \
+MULTIVERSION_BRGEMM int64_t                                                    \
 NAME(int64_t count, int64_t m, int64_t n, int64_t k,                           \
-     const TIN *const *a, int64_t lda, const TIN *const *b, int64_t ldb,       \
+     intptr_t a_base, const int64_t *a_offs, int64_t a_stride, int64_t lda,    \
+     intptr_t b_base, const int64_t *b_offs, int64_t b_stride, int64_t ldb,    \
      TACC *restrict acc, int64_t a_vnni)                                       \
 {                                                                              \
     if (k > PTRDIFF_MAX / (int64_t)(MB * sizeof(TACC)))                        \
@@ -170,34 +224,30 @@ NAME(int64_t count, int64_t m, int64_t n, int64_t k,                           \
     TACC *s = malloc((size_t)k * MB * sizeof(TACC));                           \
     if (s == NULL)                                                             \
         return 1;                                                              \
-    for (int64_t e = 0; e < count; e++)                                        \
+    for (int64_t e = 0; e < count; e++) {                                      \
+        const TIN *ae = entry_at(a_base, a_offs, a_stride, e);                 \
+        const TIN *be = entry_at(b_base, b_offs, b_stride, e);                 \
         for (int64_t i0 = 0; i0 < m; i0 += MB) {                               \
             const int64_t rows = m - i0 < MB ? m - i0 : MB;                    \
-            NAME##_unpack(s, a[e], lda, a_vnni, m, k, i0, rows);               \
-            for (int64_t j = 0; j < n; j++) {                                  \
-                const TIN *bj = b[e] + j * ldb;                                \
-                TACC *cj = acc + j * m + i0;                                   \
-                TACC part[MB];                                                 \
-                for (int64_t i = 0; i < MB; i++)                               \
-                    part[i] = 0;                                               \
-                for (int64_t kk = 0; kk < k; kk++) {                           \
-                    const TACC bv = LOAD(bj[kk]);                              \
-                    const TACC *sk = s + kk * MB;                              \
-                    for (int64_t i = 0; i < MB; i++)                           \
-                        part[i] = part[i] + sk[i] * bv;                        \
-                }                                                              \
-                for (int64_t i = 0; i < rows; i++)                             \
-                    cj[i] = cj[i] + part[i];                                   \
-            }                                                                  \
+            NAME##_unpack(s, ae, lda, a_vnni, m, k, i0, rows);                 \
+            int64_t j = 0;                                                     \
+            for (; j + NB <= n; j += NB)                                       \
+                NAME##_cols(s, be, ldb, k, j, NB, acc, m, i0, rows);           \
+            for (; j < n; j++)                                                 \
+                NAME##_cols(s, be, ldb, k, j, 1, acc, m, i0, rows);            \
         }                                                                      \
+    }                                                                          \
     free(s);                                                                   \
-    return 0;                                                                  \
+    int nan = 0;                                                               \
+    for (int64_t i = 0; i < m * n; i++)                                        \
+        nan |= ISNAN(acc[i]);                                                  \
+    return nan ? 2 : 0;                                                        \
 }
 
-DEFINE_BRGEMM(brgemm_f32, float, float, LOAD_SAME, 2, VLOAD_SAME)
-DEFINE_BRGEMM(brgemm_f64, double, double, LOAD_SAME, 1, VLOAD_SAME)
-DEFINE_BRGEMM(brgemm_bf16, uint16_t, float, LOAD_BF16, 2, VLOAD_BF16)
-DEFINE_BRGEMM(brgemm_i8, int8_t, uint32_t, LOAD_U32, 4, VLOAD_U32)
+DEFINE_BRGEMM(brgemm_f32, float, float, LOAD_SAME, 2, VLOAD_SAME, IS_NAN)
+DEFINE_BRGEMM(brgemm_f64, double, double, LOAD_SAME, 1, VLOAD_SAME, IS_NAN)
+DEFINE_BRGEMM(brgemm_bf16, uint16_t, float, LOAD_BF16, 2, VLOAD_BF16, IS_NAN)
+DEFINE_BRGEMM(brgemm_i8, int8_t, uint32_t, LOAD_U32, 4, VLOAD_U32, NEVER_NAN)
 
 /* ------------------------------------------------------------------------ */
 /* reductions                                                                */
@@ -300,7 +350,8 @@ INLINE void NAME##_run(int64_t m, int64_t n, const T *x, int64_t ld,           \
         out[0] = total;                                                        \
 }                                                                              \
                                                                                \
-MULTIVERSION void                                                              \
+/* Returns 0, or 2 when a result is a NaN, as the brgemm kernels do. */        \
+MULTIVERSION int64_t                                                           \
 NAME(int64_t m, int64_t n, const T *x, int64_t ld, int64_t axis, int64_t op,   \
      int64_t squared, T *restrict out)                                         \
 {                                                                              \
@@ -314,6 +365,11 @@ NAME(int64_t m, int64_t n, const T *x, int64_t ld, int64_t axis, int64_t op,   \
     case 6: NAME##_run(m, n, x, ld, axis, OP_MAX, 0, out); break;              \
     default: NAME##_run(m, n, x, ld, axis, OP_MAX, 1, out); break;             \
     }                                                                          \
+    const int64_t len = axis == AXIS_ROWS ? m : axis == AXIS_COLS ? n : 1;     \
+    int nan = 0;                                                               \
+    for (int64_t i = 0; i < len; i++)                                          \
+        nan |= IS_NAN(out[i]);                                                 \
+    return nan ? 2 : 0;                                                        \
 }
 
 DEFINE_REDUCE(reduce_f32, float)

@@ -39,9 +39,12 @@ SOURCE = Path(__file__).with_name("native.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 _STALE = ("native-*.so", "brgemm-*.so")   # builds of other sources, flags or names
 
-_i64, _ptr = ctypes.c_int64, ctypes.c_void_p
-# (count, m, n, k, a_ptrs, lda, b_ptrs, ldb, acc, a_vnni)
-_BRGEMM = [_i64] * 4 + [_ptr, _i64, _ptr, _i64, _ptr, _i64]
+_i64, _ptr, _addr = ctypes.c_int64, ctypes.c_void_p, ctypes.c_ssize_t
+# (count, m, n, k, a_base, a_offs, a_stride, lda, b_base, b_offs, b_stride,
+# ldb, acc, a_vnni): entry e of a side at base + offs[e] bytes, or at
+# base + e*stride bytes when offs is NULL
+_SIDE = [_addr, _ptr, _i64, _i64]
+_BRGEMM = [_i64] * 4 + _SIDE + _SIDE + [_ptr, _i64]
 # (m, n, x, ld, axis, op, squared, out)
 _REDUCE = [_i64, _i64, _ptr, _i64, _i64, _i64, _i64, _ptr]
 # (m, n, x, ld, out)
@@ -56,9 +59,9 @@ ARGTYPES: dict[str, list] = {
     # (..., out, coeffs, base, range_max, saturation)
     "minimax_f32": _ENGINE + [_ptr, _i64, ctypes.c_float, ctypes.c_float],
 }
-# the kernels that return a status (nonzero: the call did nothing); the
-# others return nothing
-RESTYPES = {name: _i64 for name in ARGTYPES if name.startswith("brgemm_")}
+# the kernels that return a status (0: done; 1: nothing done, no scratch; 2:
+# a float result is a NaN); the others return nothing
+RESTYPES = {name: _i64 for name in ARGTYPES if name.startswith(("brgemm_", "reduce_"))}
 
 # Test-only switch: False makes :func:`library` return None, so every
 # caller of a C kernel takes its numpy path.

@@ -731,29 +731,31 @@ def _reduce(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
 
     BF16 and integer inputs widen here and run as FP32.  The C kernel
     (``native.c``) and the numpy fold give the same bits; a result that
-    holds a NaN is recomputed on the numpy fold, as ``contraction.brgemm``
-    does, because the compiler may swap the operands of ``+`` and ``*``,
-    which decides which payload survives where two NaNs meet."""
+    holds a NaN (the C kernel reports it) is recomputed on the numpy fold, as
+    ``contraction.brgemm`` does, because the compiler may swap the operands
+    of ``+`` and ``*``, which decides which payload survives where two NaNs
+    meet."""
     rs, d = spec.reduce, inp.desc
     acc_dt = np.float64 if d.dtype is DType.FP64 else np.float32
     x = _compute_values(inp).astype(acc_dt, copy=False)
     fn = native.kernel(_REDUCE_KERNEL[x.dtype])
-    if fn is None or np.isnan(r := _reduce_native(fn, rs, x)).any():
-        r = _reduce_numpy(rs, x)
-    _store(out, r)
+    r = None if fn is None else _reduce_native(fn, rs, x)
+    _store(out, _reduce_numpy(rs, x) if r is None else r)
 
 
-def _reduce_native(fn, rs: ReduceSpec, x: np.ndarray) -> np.ndarray:
+def _reduce_native(fn, rs: ReduceSpec, x: np.ndarray) -> np.ndarray | None:
     """The C fold ``fn`` of ``x``, read in place when its rows are contiguous
-    (a padded ``ld`` or a COL broadcast is), else from a column-major copy."""
+    (a padded ``ld`` or a COL broadcast is), else from a column-major copy;
+    None when a result is a NaN."""
     rows, cols = x.shape
     step = x.itemsize
     if (rows > 1 and x.strides[0] != step) or not x.flags.aligned:
         x = np.asfortranarray(x)
     r = np.empty((rows if rs.axis is ReduceAxis.ROWS else 1,
                   cols if rs.axis is ReduceAxis.COLS else 1), x.dtype)
-    fn(rows, cols, x.ctypes.data, x.strides[1] // step, _REDUCE_AXIS_CODE[rs.axis],
-       _REDUCE_OP_CODE[rs.op], rs.squared, r.ctypes.data)
+    if fn(rows, cols, x.ctypes.data, x.strides[1] // step, _REDUCE_AXIS_CODE[rs.axis],
+          _REDUCE_OP_CODE[rs.op], rs.squared, r.ctypes.data):
+        return None
     return r
 
 

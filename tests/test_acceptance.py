@@ -47,31 +47,31 @@ def test_criterion_03_fusion_fidelity():
     _report(3, "buffered / tile-fused / naive agree bitwise (fp32 + fp64)", t0, 60.0, r)
 
 
-def test_criterion_04_brgemm_variant_equivalence(native_backend):
+def test_criterion_04_brgemm_variant_equivalence(gemm_backend):
     t0 = time.time()
     r = verify.check_brgemm_variants(seed=2024, cases=200)
     _report(4, f"ADDRESS == OFFSET == STRIDE == pinned-order oracle bitwise, n=1/beta=1 "
-               f"equals GEMM ({native_backend})", t0, 30.0, r)
+               f"equals GEMM ({gemm_backend})", t0, 30.0, r)
 
 
-def test_criterion_05_tiling_invariance(native_backend):
+def test_criterion_05_tiling_invariance(gemm_backend):
     t0 = time.time()
     r = verify.check_tiling_invariance(seed=2024)
-    _report(5, f"one call == caller-side tiles, 6 blockings x threads {{1,4}} ({native_backend})",
+    _report(5, f"one call == caller-side tiles, 6 blockings x threads {{1,4}} ({gemm_backend})",
             t0, 30.0, r)
 
 
-def test_criterion_06_bf16_emulation(native_backend):
+def test_criterion_06_bf16_emulation(gemm_backend):
     t0 = time.time()
     r = verify.check_bf16_emulation(seed=2024, cases=200)
-    _report(6, f"EMULATED_SPLIT == NATIVE BF16 bitwise incl. subnormal/NaN ({native_backend})",
+    _report(6, f"EMULATED_SPLIT == NATIVE BF16 bitwise incl. subnormal/NaN ({gemm_backend})",
             t0, 30.0, r)
 
 
-def test_criterion_07_vnni(native_backend):
+def test_criterion_07_vnni(gemm_backend):
     t0 = time.time()
     r = verify.check_vnni(seed=2024)
-    _report(7, f"VNNI pack/unpack bijection; VNNI GEMM == plain GEMM bitwise ({native_backend})",
+    _report(7, f"VNNI pack/unpack bijection; VNNI GEMM == plain GEMM bitwise ({gemm_backend})",
             t0, 10.0, r)
 
 

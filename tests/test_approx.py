@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -271,3 +272,17 @@ def test_elementwise_kernel_calls_reach_the_c_engines(native_backend, monkeypatc
     got = run()
     assert all(bits_equal(g, w) for g, w in zip(got, want))
     assert len(entered) == (3 if native_backend == "numpy" else 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("f", [lambda x: approx.minimax_eval(approx.TANH_MINIMAX, x),
+                               lambda x: approx.minimax_eval(approx.GELU_ERF_MINIMAX, x),
+                               approx.gelu], ids=["minimax_tanh", "minimax_gelu_erf", "gelu"])
+def test_minimax_and_gelu_are_silent_on_every_backend(f, dtype, native_backend):
+    """±Inf, NaN and ±3e38 run silently, on the C engine and on the numpy
+    path alike (FP64 always takes the numpy path)."""
+    x = np.array([np.inf, -np.inf, np.nan, -np.nan, 3e38, -3e38, 0.5, -2.0], dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.asarray(f(x))
+    assert got.dtype == dtype and np.array_equal(np.isnan(got[2:4]), [True, True])

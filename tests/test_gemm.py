@@ -9,6 +9,7 @@ import pytest
 
 from tensorprim import (
     ALayout,
+    Bcast,
     BrgemmBatch,
     ComputePath,
     DType,
@@ -438,7 +439,7 @@ EDGE_CASES = {
 
 @pytest.mark.parametrize("kind", ["address", "offset", "stride"])
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
-def test_brgemm_edge_cases_match_scalar_reference(case, kind, native_backend, monkeypatch):
+def test_brgemm_edge_cases_match_scalar_reference(case, kind, gemm_backend, monkeypatch):
     dtype, m, n, k, count, (pa, pb, pc), beta, opts = EDGE_CASES[case]
     rng = np.random.default_rng(sorted(EDGE_CASES).index(case))
     acc = {DType.FP64: DType.FP64, DType.INT8: DType.INT32}.get(dtype, DType.FP32)
@@ -527,7 +528,7 @@ def test_brgemm_edge_cases_match_scalar_reference(case, kind, native_backend, mo
         assert bits_equal(got, want)
     if "neg" in opts:
         assert np.all(got == 0.0)
-    if native_backend != "numpy":
+    if gemm_backend != "numpy":
         monkeypatch.setattr(native, "_USE_NATIVE", False)
         assert bits_equal(got, run())
 
@@ -577,7 +578,7 @@ def _run(spec, batch):
     return to_array(c)
 
 
-def test_dense_vnni_calls_never_take_the_numpy_path(native_backend, monkeypatch):
+def test_dense_vnni_calls_never_take_the_numpy_path(gemm_backend, monkeypatch):
     """The dense step's VNNI calls run in C alone on a native backend: no
     silent fallback to the numpy path."""
     calls = _vnni_calls(64, 64, 64, 8, seed=31)
@@ -594,10 +595,10 @@ def test_dense_vnni_calls_never_take_the_numpy_path(native_backend, monkeypatch)
     monkeypatch.setattr(contraction, "_brgemm_numpy", counted)
     got = [_run(spec, batch) for spec, batch in calls]
     assert all(bits_equal(g, w) for g, w in zip(got, want))
-    assert len(entered) == (3 if native_backend == "numpy" else 0)
+    assert len(entered) == (3 if gemm_backend == "numpy" else 0)
 
 
-def test_vnni_calls_from_four_threads_on_one_buffer_give_the_same_bits(native_backend):
+def test_vnni_calls_from_four_threads_on_one_buffer_give_the_same_bits(gemm_backend):
     """Each call unpacks A into its own scratch: four threads running the
     three VNNI calls at once over shared A buffers get the one-thread bits."""
     calls = _vnni_calls(70, 48, 33, 6, seed=32)
@@ -620,7 +621,7 @@ def test_vnni_calls_from_four_threads_on_one_buffer_give_the_same_bits(native_ba
 
 
 @pytest.mark.parametrize("beta, ldc_pad", [(0.0, 0), (0.0, 2), (1.0, 0)])
-def test_vnni_a_one_element_short_raises_before_writing_c(beta, ldc_pad, native_backend):
+def test_vnni_a_one_element_short_raises_before_writing_c(beta, ldc_pad, gemm_backend):
     """A VNNI A block that ends one element past its buffer raises
     ``TensorError`` and leaves every bit of C (padding included) as it was,
     also where a beta-0 call would accumulate in C itself."""
@@ -648,7 +649,7 @@ def test_vnni_kernel_reports_a_failed_scratch_allocation(name):
     fn = native.kernel(name)
     acc = np.full(4, 7, np.int32)
     for k in (1 << 50, 1 << 62):
-        assert fn(0, 1, 1, k, None, 1, None, 1, acc.ctypes.data, 1) == 1
+        assert fn(0, 1, 1, k, 0, None, 0, 1, 0, None, 0, 1, acc.ctypes.data, 1) == 1
     assert np.all(acc == 7)
 
 
@@ -767,3 +768,280 @@ def test_cold_cache_built_once_from_four_threads_deletes_stale_builds(tmp_path, 
     names = sorted(p.name for p in tmp_path.iterdir())
     assert len(names) == 2 and "other.so" in names
     assert names[0].startswith("native-") and names[0] not in stale
+
+
+# ---------------------------------------------------------------------------
+# one-buffer sides: bounds-checked by their extent, addressed once
+# ---------------------------------------------------------------------------
+
+def _blocks(m, n, k, count, seed):
+    """``count`` FP32 A blocks (m x k) and B blocks (k x n), each side
+    concatenated in one buffer, block i at i * block size."""
+    rng = np.random.default_rng(seed)
+    a = [rng.standard_normal((m, k)).astype(np.float32) for _ in range(count)]
+    b = [rng.standard_normal((k, n)).astype(np.float32) for _ in range(count)]
+    return a, b, np.concatenate([colmajor_flat(x) for x in a]), \
+        np.concatenate([colmajor_flat(x) for x in b])
+
+
+def _brgemm_into_sentinel(spec, batch, beta_c=None):
+    """Run ``batch`` into a C padded by 2 rows of sentinels (and, for beta 1,
+    holding ``beta_c``); returns the whole C buffer."""
+    m, n = spec.m, spec.n
+    cbuf = np.full(spec.ldc * n, -12345.0, np.float32)
+    if beta_c is not None:
+        cbuf.reshape(n, spec.ldc)[:, :m] = beta_c.T
+    brgemm(spec, batch, view_at(cbuf, 0, TensorDesc(m, n, spec.ldc, DType.FP32)))
+    return cbuf
+
+
+def _want(a, b, entries, c0=None):
+    m, n = a[0].shape[0], b[0].shape[1]
+    return _scalar_brgemm([a[i] for i in entries], [b[i] for i in entries],
+                          np.zeros((m, n), np.float32) if c0 is None else c0,
+                          0.0 if c0 is None else 1.0, np.float32)
+
+
+@pytest.mark.parametrize("order", [(2, 0, 3, 1), (3, 1, 0, 2), (1, 3, 2, 0)])
+def test_unsorted_offsets_run_in_their_order(order, gemm_backend):
+    """Offsets in any order: entry i is block order[i], folded in batch
+    order, whichever entry holds the lowest and the highest offset."""
+    m, n, k = 5, 4, 6
+    a, b, abuf, bbuf = _blocks(m, n, k, 4, seed=41)
+    spec = GemmSpec(m, n, k, m, k, m + 2)
+    batch = BrgemmBatch.offset(abuf, bbuf, [i * m * k for i in order],
+                               [i * k * n for i in order])
+    got = _brgemm_into_sentinel(spec, batch).reshape(n, m + 2)
+    assert bits_equal(got[:, :m].T, _want(a, b, order))
+    assert np.all(got[:, m:] == -12345.0)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_an_unsorted_side_is_checked_by_its_highest_offset(side, where, gemm_backend):
+    """One offset of three lies one element past the end of its buffer, at
+    the start, in the middle or at the end of the batch: a check by the
+    first and last entry alone would miss the middle one.  The call raises
+    ``TensorError`` and leaves every bit of C as it was."""
+    m, n, k = 4, 3, 5
+    a, b, abuf, bbuf = _blocks(m, n, k, 3, seed=42)
+    a_offs, b_offs = [m * k, 0, 2 * m * k], [k * n, 0, 2 * k * n]
+    offs, size = (a_offs, abuf.size) if side == "a" else (b_offs, bbuf.size)
+    block = m * k if side == "a" else k * n
+    offs[where] = size - block + 1
+    for beta, ldc in ((0.0, m), (0.0, m + 2), (1.0, m)):
+        spec = GemmSpec(m, n, k, m, k, ldc, beta=beta)
+        cbuf = np.arange(ldc * n, dtype=np.float32)
+        before = cbuf.copy()
+        with pytest.raises(TensorError):
+            brgemm(spec, BrgemmBatch.offset(abuf, bbuf, a_offs, b_offs),
+                   view_at(cbuf, 0, TensorDesc(m, n, ldc, DType.FP32)))
+        assert bits_equal(cbuf, before)
+
+
+def test_stride_zero_repeats_one_block(gemm_backend):
+    """Stride 0 reads the same blocks count times: the bits of an address
+    batch that lists them count times, at the first and at the last place
+    of the buffers."""
+    m, n, k = 4, 5, 3
+    a, b, abuf, bbuf = _blocks(m, n, k, 2, seed=43)
+    spec = GemmSpec(m, n, k, m, k, m)
+    for i in (0, 1):
+        sa, sb = i * m * k, i * k * n
+        got = _brgemm_into_sentinel(spec, BrgemmBatch.stride((abuf, sa), (bbuf, sb), 0, 0, 3))
+        assert bits_equal(got.reshape(n, m).T, _want(a, b, [i] * 3))
+        ref = _brgemm_into_sentinel(spec, BrgemmBatch.address([(abuf, sa)] * 3,
+                                                              [(bbuf, sb)] * 3))
+        assert bits_equal(got, ref)
+
+
+def test_a_negative_stride_walks_down_the_buffer(gemm_backend):
+    m, n, k = 3, 4, 5
+    a, b, abuf, bbuf = _blocks(m, n, k, 3, seed=44)
+    spec = GemmSpec(m, n, k, m, k, m)
+    batch = BrgemmBatch.stride((abuf, 2 * m * k), (bbuf, 2 * k * n), -m * k, -k * n, 3)
+    got = _brgemm_into_sentinel(spec, batch)
+    assert bits_equal(got.reshape(n, m).T, _want(a, b, [2, 1, 0]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda abuf, bbuf, sa, sb: BrgemmBatch.offset(abuf, bbuf, [-1, sa], [0, sb]),
+    lambda abuf, bbuf, sa, sb: BrgemmBatch.offset(abuf, bbuf, [0, sa], [-sb, 0]),
+    lambda abuf, bbuf, sa, sb: BrgemmBatch.stride((abuf, -1), bbuf, sa, sb, 2),
+    lambda abuf, bbuf, sa, sb: BrgemmBatch.stride((abuf, sa), (bbuf, sb), -sa, -sb, 3),
+    lambda abuf, bbuf, sa, sb: BrgemmBatch.address([(abuf, sa), (abuf, -sa)],
+                                                   [(bbuf, 0), (bbuf, sb)]),
+], ids=["offset-a", "offset-b", "stride-first", "stride-down-past-zero", "address-one-buffer"])
+def test_a_negative_offset_raises_before_c_is_written(make, gemm_backend):
+    m, n, k = 3, 4, 5
+    _, _, abuf, bbuf = _blocks(m, n, k, 2, seed=45)
+    cbuf = np.arange(m * n, dtype=np.float32)
+    before = cbuf.copy()
+    with pytest.raises(TensorError):
+        brgemm(GemmSpec(m, n, k, m, k, m), make(abuf, bbuf, m * k, k * n),
+               view_at(cbuf, 0, TensorDesc(m, n, m, DType.FP32)))
+    assert bits_equal(cbuf, before)
+
+
+@pytest.mark.parametrize("kind", ["address", "offset", "stride"])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_a_last_block_one_element_past_the_end_raises_before_c_is_written(kind, beta,
+                                                                          gemm_backend):
+    m, n, k = 4, 3, 5
+    _, _, abuf, bbuf = _blocks(m, n, k, 2, seed=46)
+    sa, sb = m * k, k * n
+    short = bbuf[:-1]
+    batch = {"address": BrgemmBatch.address([(abuf, 0), (abuf, sa)], [(short, 0), (short, sb)]),
+             "offset": BrgemmBatch.offset(abuf, short, [0, sa], [0, sb]),
+             "stride": BrgemmBatch.stride(abuf, short, sa, sb, 2)}[kind]
+    cbuf = np.arange(m * n, dtype=np.float32)
+    before = cbuf.copy()
+    with pytest.raises(TensorError):
+        brgemm(GemmSpec(m, n, k, m, k, m, beta=beta), batch,
+               view_at(cbuf, 0, TensorDesc(m, n, m, DType.FP32)))
+    assert bits_equal(cbuf, before)
+    # the same batch over the whole buffer runs
+    full = BrgemmBatch.stride(abuf, bbuf, sa, sb, 2)
+    _brgemm_into_sentinel(GemmSpec(m, n, k, m, k, m + 2), full)
+
+
+@pytest.mark.parametrize("kind", ["address", "offset", "stride", "address-two-buffers"])
+def test_c_aliasing_an_input_is_rejected(kind, gemm_backend):
+    """C may not share memory with any block buffer, the one buffer of a
+    side or any buffer of an address side over several."""
+    m, n, k = 4, 4, 4
+    _, _, abuf, bbuf = _blocks(m, n, k, 2, seed=47)
+    other = bbuf.copy()
+    batch = {"address": BrgemmBatch.address([(abuf, 0), (abuf, 16)], [(bbuf, 0), (bbuf, 16)]),
+             "offset": BrgemmBatch.offset(abuf, bbuf, [0, 16], [0, 16]),
+             "stride": BrgemmBatch.stride(abuf, bbuf, 16, 16, 2),
+             "address-two-buffers": BrgemmBatch.address([(abuf, 0), (abuf, 16)],
+                                                        [(other, 0), (bbuf, 16)])}[kind]
+    before = bbuf.copy()
+    with pytest.raises(TensorError, match="alias"):
+        brgemm(GemmSpec(m, n, k, m, k, m), batch,
+               view_at(bbuf, 16, TensorDesc(m, n, m, DType.FP32)))
+    assert bits_equal(bbuf, before)
+
+
+def test_refs_are_those_of_each_constructor():
+    """``a_refs`` and ``b_refs`` list (buffer, offset) pairs: the buffer of a
+    view, the base offset added, offsets as Python ints, in batch order."""
+    abuf, bbuf = np.zeros(64, np.float32), np.zeros(64, np.float32)
+    av = from_array(np.zeros((4, 4), np.float32))
+    offs = np.array([8, 0, 4], np.int64)
+
+    def same(got, want):
+        assert len(got) == len(want)
+        for (gb, go), (wb, wo) in zip(got, want):
+            assert gb is wb and go == wo and type(go) is int
+
+    batch = BrgemmBatch.address([av, (abuf, np.int64(3)), abuf], [(bbuf, 1), (av, 2), bbuf])
+    same(batch.a_refs, [(av.primary, 0), (abuf, 3), (abuf, 0)])
+    same(batch.b_refs, [(bbuf, 1), (av.primary, 2), (bbuf, 0)])
+    assert batch.n == 3
+    batch = BrgemmBatch.offset((abuf, 2), av, offs, [1, 2, 3])
+    same(batch.a_refs, [(abuf, 10), (abuf, 2), (abuf, 6)])
+    same(batch.b_refs, [(av.primary, 1), (av.primary, 2), (av.primary, 3)])
+    for stride in (5, 0, -2):
+        batch = BrgemmBatch.stride((abuf, 7), (av, 1), stride, 3, 4)
+        same(batch.a_refs, [(abuf, 7 + i * stride) for i in range(4)])
+        same(batch.b_refs, [(av.primary, 1 + i * 3) for i in range(4)])
+        assert batch.n == 4
+    for count in (0, -1):
+        batch = BrgemmBatch.stride(abuf, bbuf, 4, 4, count)
+        assert batch.n == 0 and batch.a_refs == () and batch.b_refs == ()
+
+
+def test_a_batch_is_immutable_and_its_sides_agree_in_length(gemm_backend):
+    """The C kernel walks ``n`` entries of each side: ``n`` is the length of
+    the sides as given, which must agree, and neither can change after the
+    batch is built, so no count can outrun the offsets that were checked."""
+    m, n, k = 3, 4, 5
+    a, b, abuf, bbuf = _blocks(m, n, k, 3, seed=49)
+    sa, sb = m * k, k * n
+    batch = BrgemmBatch.stride(abuf, bbuf, sa, sb, 2)
+    for name in ("n", "a_one", "b_one", "_a_refs", "_b_refs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(batch, name, 3)
+    with pytest.raises(AttributeError):
+        del batch.n
+    assert batch.n == 2
+    for sides in (dict(a_one=(abuf, (0, sa)), b_one=(bbuf, (0,))),
+                  dict(a_one=(abuf, range(0, 3 * sa, sa)), b_one=(bbuf, range(0, 2 * sb, sb))),
+                  dict(a_refs=[(abuf, 0)], b_one=(bbuf, (0, sb)))):
+        with pytest.raises(TensorError, match="mismatch"):
+            BrgemmBatch(**sides)
+    for sides in (dict(a_one=(abuf, (0,))),
+                  dict(a_one=(abuf, (0,)), a_refs=[(abuf, 0)], b_one=(bbuf, (0,)))):
+        with pytest.raises(TensorError, match="each side"):
+            BrgemmBatch(**sides)
+    # the offsets are copied: growing the caller's list afterwards changes
+    # neither the count nor the blocks the call reads
+    a_offs, b_offs = [2 * sa, 0], [2 * sb, 0]
+    direct = BrgemmBatch((abuf, a_offs), (bbuf, b_offs))
+    a_offs.append(abuf.size)
+    b_offs.append(bbuf.size)
+    assert direct.n == 2
+    spec = GemmSpec(m, n, k, m, k, m + 2)
+    got = _brgemm_into_sentinel(spec, direct).reshape(n, m + 2)
+    assert bits_equal(got[:, :m].T, _want(a, b, [2, 0]))
+    assert np.all(got[:, m:] == -12345.0)
+
+
+def test_a_nan_in_the_last_result_takes_the_numpy_path(gemm_backend, monkeypatch):
+    """The C kernel reports a NaN anywhere in C, the last element included:
+    the call is then computed on the numpy path, with its bits."""
+    m, n, k = 5, 4, 3
+    a, b, abuf, bbuf = _blocks(m, n, k, 2, seed=48)
+    abuf[m * k + m - 1] = np.inf       # entry 1: A(m-1, 0) = inf, B(0, n-1) = 0,
+    bbuf[k * n + (n - 1) * k] = 0.0    # so inf * 0 makes C(m-1, n-1) alone a NaN
+    entered = []
+    numpy_path = contraction._brgemm_numpy
+
+    def counted(*args):
+        entered.append(args[0])
+        return numpy_path(*args)
+
+    monkeypatch.setattr(contraction, "_brgemm_numpy", counted)
+    spec = GemmSpec(m, n, k, m, k, m)
+    got = _brgemm_into_sentinel(spec, BrgemmBatch.stride(abuf, bbuf, m * k, k * n, 2))
+    with monkeypatch.context() as mp:
+        mp.setattr(native, "_USE_NATIVE", False)
+        want = _brgemm_into_sentinel(spec, BrgemmBatch.stride(abuf, bbuf, m * k, k * n, 2))
+    assert bits_equal(got, want) and list(np.flatnonzero(np.isnan(got))) == [m * n - 1]
+    assert len(entered) == 2
+
+
+@pytest.mark.skipif(shutil.which(native.CC) is None, reason="no C compiler on PATH")
+@pytest.mark.parametrize("name, dtype", [("brgemm_f32", np.float32), ("brgemm_f64", np.float64)])
+def test_the_c_kernel_reports_a_nan_result_by_its_status(name, dtype):
+    fn = native.kernel(name)
+    a = np.ones(6, dtype)                 # two 1 x 3 A blocks
+    b = np.ones(6, dtype)                 # two 3 x 1 B blocks
+    acc = np.zeros(1, dtype)
+    size = a.itemsize
+
+    def call():
+        acc[:] = 0
+        return fn(2, 1, 1, 3, a.ctypes.data, None, 3 * size, 1,
+                  b.ctypes.data, None, 3 * size, 3, acc.ctypes.data, 0)
+
+    assert call() == 0 and acc[0] == 6
+    b[5] = np.nan
+    assert call() == 2 and np.isnan(acc[0])
+
+
+@pytest.mark.parametrize("bcast", [Bcast.ROW, Bcast.COL, Bcast.SCALAR])
+def test_a_broadcast_c_is_rejected_before_any_write(bcast, gemm_backend):
+    """A broadcast C has fewer physical elements than M x N: the call
+    raises instead of writing M x N results past its buffer."""
+    m = n = k = 8
+    d = TensorDesc(m, n, m, DType.FP32, bcast)
+    cbuf = np.arange(d.min_buffer_len + 4, dtype=np.float32)
+    before = cbuf.copy()
+    a, b = np.ones(m * k, np.float32), np.ones(k * n, np.float32)
+    for beta in (0.0, 1.0):
+        with pytest.raises(TensorError, match="broadcast"):
+            gemm(GemmSpec(m, n, k, m, k, m, beta=beta), (a, 0), (b, 0), view_at(cbuf, 0, d))
+    assert bits_equal(cbuf, before)

@@ -1,5 +1,5 @@
 """Reductions at their edges, on every backend: the C kernels as loaded,
-their default (non-AVX2) build, and the numpy fold.  Each case is compared
+their default and AVX2-only builds, and the numpy fold.  Each case is compared
 bitwise with the numpy fold and with the scalar-loop ``reduce_oracle``."""
 
 import shutil
@@ -177,6 +177,41 @@ def test_a_nan_result_is_the_numpy_folds(rs, dtype, native_backend, monkeypatch)
     assert np.isnan(got).all()
     if native_backend != "numpy":
         assert len(folds) == 2   # the native call's fallback, and the forced numpy run
+
+
+@pytest.mark.parametrize("axis", list(ReduceAxis), ids=[a.value for a in ReduceAxis])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_nan_in_the_last_result_alone_takes_the_numpy_fold(axis, dtype, native_backend,
+                                                              monkeypatch):
+    """One NaN input, in the last row and column: it reaches the last
+    result only, which the C kernel reports by its status; the call keeps
+    the numpy fold's bits, payload included."""
+    x = np.random.default_rng(8).uniform(0.9, 1.1, (7, 6)).astype(dtype)
+    x[-1, -1] = _NAN[np.dtype(dtype)]
+    folds = []
+    numpy_fold = ops._reduce_numpy
+
+    def counted(*args):
+        folds.append(args)
+        return numpy_fold(*args)
+
+    monkeypatch.setattr(ops, "_reduce_numpy", counted)
+    got = check(padded(x, 1), ReduceSpec(axis, ReduceOp.SUM), monkeypatch).ravel()
+    assert list(np.flatnonzero(np.isnan(got))) == [got.size - 1]
+    assert bits_equal(got[-1:], np.array([_NAN[np.dtype(dtype)]]))
+    assert len(folds) == 2   # the fallback (or numpy backend) run, and the forced numpy run
+
+
+@pytest.mark.skipif(shutil.which(native.CC) is None, reason="no C compiler on PATH")
+@pytest.mark.parametrize("name, dtype", [("reduce_f32", np.float32), ("reduce_f64", np.float64)])
+def test_the_c_fold_reports_a_nan_result_by_its_status(name, dtype):
+    fn = native.kernel(name)
+    x = np.ones((4, 3), dtype, order="F")
+    out = np.zeros(4, dtype)
+    call = lambda: fn(4, 3, x.ctypes.data, 4, 0, 0, 0, out.ctypes.data)   # ROWS SUM
+    assert call() == 0 and np.all(out == 3)
+    x[3, 2] = np.nan
+    assert call() == 2 and np.isnan(out[3]) and np.all(out[:3] == 3)
 
 
 @pytest.mark.skipif(shutil.which(native.CC) is None, reason="no C compiler on PATH")
