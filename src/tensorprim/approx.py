@@ -237,10 +237,11 @@ def minimax_grad(table: MinimaxTable, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     dt = x.dtype.type
     ax = np.abs(x)
-    bits = ax.astype(np.float32).view(np.uint32)
-    idx = np.clip((bits >> np.uint32(22)).astype(np.int32) - table.base, 0, 15)
-    c1, c2, c3 = (table.coeffs[j][idx].astype(x.dtype) for j in (1, 2, 3))
-    g = (dt(3.0) * c3 * ax + dt(2.0) * c2) * ax + c1
+    with np.errstate(all="ignore"):  # huge and infinite |x| are masked to 0 below
+        bits = ax.astype(np.float32).view(np.uint32)
+        idx = np.clip((bits >> np.uint32(22)).astype(np.int32) - table.base, 0, 15)
+        c1, c2, c3 = (table.coeffs[j][idx].astype(x.dtype) for j in (1, 2, 3))
+        g = (dt(3.0) * c3 * ax + dt(2.0) * c2) * ax + c1
     return np.where(ax >= dt(table.range_max), dt(0.0), g)
 
 
@@ -339,13 +340,14 @@ def gelu(x: np.ndarray, flag: Approx | None = None) -> np.ndarray:
 def gelu_grad(x: np.ndarray, flag: Approx | None = None) -> np.ndarray:
     x = np.asarray(x)
     dt = x.dtype.type
-    if flag is Approx.EXACT:
-        h = _erf_vec(x / dt(math.sqrt(2.0))).astype(x.dtype)
-        hp = (np.sqrt(dt(2.0 / math.pi)) * np.exp(dt(-0.5) * x * x)).astype(x.dtype)
-    else:
-        h = minimax_eval(GELU_ERF_MINIMAX, x)
-        hp = minimax_grad(GELU_ERF_MINIMAX, x)
-    return dt(0.5) * (dt(1.0) + h) + dt(0.5) * x * hp
+    with np.errstate(all="ignore"):  # x * x overflows and ±inf * 0 is a NaN, silently
+        if flag is Approx.EXACT:
+            h = _erf_vec(x / dt(math.sqrt(2.0))).astype(x.dtype)
+            hp = (np.sqrt(dt(2.0 / math.pi)) * np.exp(dt(-0.5) * x * x)).astype(x.dtype)
+        else:
+            h = minimax_eval(GELU_ERF_MINIMAX, x)
+            hp = minimax_grad(GELU_ERF_MINIMAX, x)
+        return dt(0.5) * (dt(1.0) + h) + dt(0.5) * x * hp
 
 
 # ---------------------------------------------------------------------------

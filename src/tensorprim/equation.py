@@ -9,13 +9,18 @@ leaves are argument tensors.  Planning happens in two passes:
    take max of the children, plus one when the children tie; ternary nodes
    take 1 when all children are leaves, else max(3, children)), plus the
    exact requirement used for ordering (see ``_score``); ``TreeBuilder``
-   sets both as it builds each node, from its children's;
-2. a recursive walk visits children in decreasing-requirement order (ties
-   left-to-right), stamps each node on completion, and gives it a temporary
-   slot by one rule for every arity: inherit the slot of the first non-leaf
-   child (left, right, middle) and recycle the others, so that the live set
-   never exceeds the minimum over all evaluation orders.  The plan records
-   each slot's byte size.
+   sets both as it builds each node, from its children's, and the parser
+   builds through it, so a parsed tree needs no scoring walk;
+2. a walk over an explicit stack visits children in decreasing-requirement
+   order (ties left-to-right), stamps each node on completion, and gives it
+   a temporary slot by one rule for every arity: inherit the slot of the
+   first non-leaf child (left, right, middle) and recycle the others, so
+   that the live set never exceeds the minimum over all evaluation orders.
+   The plan records each slot's byte size.
+
+No walk over a tree recurses, the parser included (it climbs precedence
+with an explicit stack), so the interpreter's recursion limit bounds no
+equation.
 
 Evaluation replays the plan's decisions.  BUFFERED runs every step into its
 planned slot, over byte buffers of the recorded sizes made fresh for each
@@ -35,6 +40,7 @@ from dataclasses import dataclass, field
 import heapq
 import json
 import re
+import string
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -47,7 +53,6 @@ from .ops import (
     CmpOp,
     InvalidSpecError,
     Kernel,
-    KernelSpec,
     ReduceSpec,
     TernaryKind,
     TransformSpec,
@@ -57,11 +62,11 @@ from .tensor import Bcast, TensorDesc, TensorView, alloc
 
 OpKind = Union[UnaryKind, BinaryKind, TernaryKind]
 
-# Deepest operation nesting an equation may have (a leaf has depth 0).  The
-# tree walks of building, planning, evaluation and export recurse one or two
-# interpreter frames per level and the parser three per parenthesis level,
-# so this keeps them inside Python's default limit of 1000 frames; library
-# and benchmark equations stay below 30 levels.
+# Deepest operation nesting an equation may have (a leaf has depth 0), and
+# deepest parenthesis nesting its text may have.  This is a limit of the
+# product, not a guard of the interpreter stack, which no tree walk uses:
+# it bounds the work and the error of one fused chain, while library and
+# benchmark equations stay below 30 levels.
 MAX_DEPTH = 256
 
 
@@ -100,15 +105,15 @@ class EqTree:
     args: list[TensorDesc]
 
     def nodes(self) -> list[EqNode]:
-        """All nodes, parents after children (post-order)."""
+        """All nodes, parents after children (post-order): the reverse of a
+        walk that takes each node before its children, right to left."""
         out: list[EqNode] = []
-
-        def walk(n: EqNode):
-            for c in n.children:
-                walk(c)
+        stack = [self.root]
+        while stack:
+            n = stack.pop()
             out.append(n)
-
-        walk(self.root)
+            stack.extend(n.children)
+        out.reverse()
         return out
 
     def internal_nodes(self) -> list[EqNode]:
@@ -130,36 +135,34 @@ class TreeBuilder:
 
     def __init__(self, args: Sequence[TensorDesc]):
         self.args = list(args)
-        self._next = 0
-
-    def _nid(self) -> int:
-        self._next += 1
-        return self._next - 1
+        self._next = 0  # the next node id
 
     def leaf(self, slot: int) -> EqNode:
         if not 0 <= slot < len(self.args):
             raise EquationError(f"argument slot {slot} out of range")
-        return EqNode(self._nid(), None, [], arg_slot=slot, out_desc=self.args[slot],
-                      score=0, need=0)
+        self._next += 1
+        return EqNode(self._next - 1, None, [], slot, self.args[slot], None, 0, 0, 0)
 
-    def _op(self, kind: OpKind, children: list[EqNode], **flags) -> EqNode:
-        depth = 1 + max(c.depth for c in children)
+    def _op(self, kind: OpKind, children: list[EqNode], approx: Approx | None = None,
+            reduce: ReduceSpec | None = None, transform: TransformSpec | None = None,
+            cmp: CmpOp | None = None) -> EqNode:
+        depth = 1 + max([c.depth for c in children])
         if depth > MAX_DEPTH:
             raise EquationError(f"equation deeper than MAX_DEPTH = {MAX_DEPTH} operations")
-        spec = KernelSpec(kind, tuple(c.out_desc for c in children), **flags)
         try:
-            kern = ops.dispatch(spec)
+            kern = ops.kernel_for(kind, tuple([c.out_desc for c in children]), approx, reduce,
+                                  transform, cmp)
         except InvalidSpecError as e:
             raise EquationError(f"shape inference failed at {kind.value}: {e}") from None
-        node = EqNode(self._nid(), kind, children, out_desc=kern.out_desc, kernel=kern,
-                      depth=depth)
+        self._next += 1
+        node = EqNode(self._next - 1, kind, children, None, kern.out_desc, kern, depth)
         _score(node)
         return node
 
     def unary(self, kind: UnaryKind, child: EqNode, approx: Approx | None = None,
               reduce: ReduceSpec | None = None,
               transform: TransformSpec | None = None) -> EqNode:
-        return self._op(kind, [child], approx=approx, reduce=reduce, transform=transform)
+        return self._op(kind, [child], approx, reduce, transform)
 
     def binary(self, kind: BinaryKind, left: EqNode, right: EqNode,
                cmp: CmpOp | None = None) -> EqNode:
@@ -173,8 +176,9 @@ class TreeBuilder:
         if root.is_leaf:
             raise EquationError("the root must be an operation, not a bare argument")
         seen: set[int] = set()
-
-        def check(n: EqNode):
+        stack = [root]  # parents before children, left to right
+        while stack:
+            n = stack.pop()
             if n.node_id in seen:
                 raise EquationError("node reused: equations are trees, not DAGs")
             seen.add(n.node_id)
@@ -186,10 +190,7 @@ class TreeBuilder:
                     2 if isinstance(n.kind, BinaryKind) else 3
                 if len(n.children) != want:
                     raise EquationError(f"{n.kind} expects {want} children")
-            for c in n.children:
-                check(c)
-
-        check(root)
+            stack.extend(reversed(n.children))
         return EqTree(root, list(self.args))
 
 
@@ -207,8 +208,14 @@ _UNARY_NAMES = {
     "identity": UnaryKind.IDENTITY,
 }
 
-_TOKEN_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*/()])|(?P<bad>\S)")
+# a name, or any other single non-space character (one outside ``_SYMBOLS``
+# is an error)
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\S")
+_NAME_START = frozenset(string.ascii_letters + "_")
+_SYMBOLS = frozenset("-+*/()")
 _ARG_RE = re.compile(r"T\d+")
+_ADD_OPS = {"+": BinaryKind.ADD, "-": BinaryKind.SUB}
+_MUL_OPS = {"*": BinaryKind.MUL, "/": BinaryKind.DIV, "matmul": BinaryKind.MATMUL}
 
 
 class ParseError(ValueError):
@@ -217,92 +224,105 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class _Parser:
-    def __init__(self, text: str, builder: TreeBuilder):
-        self.text = text
-        self.b = builder
-        self.toks: list[tuple[str, str, int]] = []
-        for m in _TOKEN_RE.finditer(text):
-            if m.lastgroup == "bad":
-                raise ParseError(f"unexpected character {m.group()!r}", m.start())
-            self.toks.append((m.lastgroup, m.group(), m.start()))
-        self.i = 0
-        self.nesting = 0
+def _tokens(text: str) -> list[str]:
+    """The tokens of ``text``, then "" for its end: names and symbols."""
+    vals = _TOKEN_RE.findall(text)
+    bad = {v for v in set(vals) if v[0] not in _NAME_START and v not in _SYMBOLS}
+    if bad:
+        i = next(k for k, v in enumerate(vals) if v in bad)
+        raise ParseError(f"unexpected character {vals[i]!r}", _position(text, i))
+    vals.append("")
+    return vals
 
-    def _peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else ("eof", "", len(self.text))
 
-    def _next(self):
-        t = self._peek()
-        self.i += 1
-        return t
+def _position(text: str, i: int) -> int:
+    """Where token ``i`` of ``text`` starts (its length for the end); found
+    again only for an error message."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    return starts[i] if i < len(starts) else len(text)
 
-    def parse(self) -> EqNode:
-        node = self.expr()
-        kind, val, pos = self._peek()
-        if kind != "eof":
-            raise ParseError(f"trailing input {val!r}", pos)
-        return node
 
-    def expr(self) -> EqNode:
-        node = self.term()
+def _parse(text: str, b: TreeBuilder) -> EqNode:
+    """Precedence climbing over the tokens, with an explicit stack of the
+    open parenthesised groups in place of recursion.
+
+    Each group holds at most one pending ``+``/``-`` and one pending
+    ``*``/``/``/``matmul`` (its left operand waiting for the right).  When
+    an operand completes, the pending multiplicative operator takes it, then
+    the next token is read: another multiplicative operator waits for its
+    operand; otherwise the pending additive operator takes the result, and
+    either an additive operator waits or the group ends.  Nodes are made,
+    and errors raised, at the points of the grammar's left-to-right
+    recursive descent, so node ids, error messages and positions are those
+    of that parser."""
+    vals = _tokens(text)
+    i = 0
+    groups: list[tuple] = []  # per open group: (its unary kind, enclosing add, enclosing mul)
+    add = mul = None          # this group's pending (kind, left operand)
+    while True:
+        # an operand: open groups up to a leaf
+        val = vals[i]
+        if _ARG_RE.fullmatch(val):
+            node = b.leaf(int(val[1:]))
+            i += 1
+        else:
+            unary = _UNARY_NAMES.get(val)
+            if unary is not None:
+                i += 1
+                if vals[i] != "(":
+                    raise ParseError(f"expected '(' after {val}", _position(text, i))
+            elif val == "":
+                raise ParseError("unexpected end of equation", _position(text, i))
+            elif val not in _SYMBOLS:
+                raise ParseError(f"unknown identifier {val!r}", _position(text, i))
+            elif val != "(":
+                raise ParseError(f"unexpected token {val!r}", _position(text, i))
+            if len(groups) >= MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH}",
+                                 _position(text, i))
+            i += 1
+            groups.append((unary, add, mul))
+            add = mul = None
+            continue
+        # the operand is complete: apply pending operators, close groups
         while True:
-            kind, val, _ = self._peek()
-            if kind == "sym" and val in "+-":
-                self._next()
-                rhs = self.term()
-                node = self.b.binary(BinaryKind.ADD if val == "+" else BinaryKind.SUB,
-                                     node, rhs)
-            else:
+            if mul is not None:
+                node = b.binary(mul[0], mul[1], node)
+                mul = None
+            val = vals[i]
+            kind = _MUL_OPS.get(val)
+            if kind is not None:
+                i += 1
+                mul = (kind, node)
+                break
+            if add is not None:
+                node = b.binary(add[0], add[1], node)
+                add = None
+            kind = _ADD_OPS.get(val)
+            if kind is not None:
+                i += 1
+                add = (kind, node)
+                break
+            if not groups:
+                if val:
+                    raise ParseError(f"trailing input {val!r}", _position(text, i))
                 return node
-
-    def term(self) -> EqNode:
-        node = self.factor()
-        while True:
-            kind, val, _ = self._peek()
-            if kind == "sym" and val in "*/":
-                self._next()
-                rhs = self.factor()
-                node = self.b.binary(BinaryKind.MUL if val == "*" else BinaryKind.DIV,
-                                     node, rhs)
-            elif kind == "name" and val == "matmul":
-                self._next()
-                rhs = self.factor()
-                node = self.b.binary(BinaryKind.MATMUL, node, rhs)
-            else:
-                return node
-
-    def factor(self) -> EqNode:
-        kind, val, pos = self._next()
-        if kind == "name" and _ARG_RE.fullmatch(val):
-            return self.b.leaf(int(val[1:]))
-        unary = None
-        if kind == "name" and val in _UNARY_NAMES:
-            unary = _UNARY_NAMES[val]
-            kind, v2, pos = self._next()
-            if v2 != "(":
-                raise ParseError(f"expected '(' after {val}", pos)
-        elif kind == "name":
-            raise ParseError(f"unknown identifier {val!r}", pos)
-        elif kind == "eof":
-            raise ParseError("unexpected end of equation", pos)
-        elif val != "(":
-            raise ParseError(f"unexpected token {val!r}", pos)
-        # a parenthesised group; the parser recurses three frames deep per level
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            raise ParseError(f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH}", pos)
-        node = self.expr()
-        _, v3, p3 = self._next()
-        if v3 != ")":
-            raise ParseError("expected ')'", p3)
-        self.nesting -= 1
-        return node if unary is None else self.b.unary(unary, node)
+            if val != ")":
+                raise ParseError("expected ')'", _position(text, i))
+            i += 1
+            unary, add, mul = groups.pop()
+            if unary is not None:
+                node = b.unary(unary, node)
 
 
 def parse_equation(text: str, args: Sequence[TensorDesc]) -> EqTree:
+    """The tree of ``text`` over arguments ``args``; every node is built
+    with its kernel, score and need, so the tree needs no further walk."""
     b = TreeBuilder(args)
-    return b.tree(_Parser(text, b).parse())
+    root = _parse(text, b)
+    if root.is_leaf:
+        raise EquationError("the root must be an operation, not a bare argument")
+    return EqTree(root, list(b.args))
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +356,13 @@ def _score(n: EqNode) -> None:
     elif len(kids) == 1:
         c = kids[0]
         n.score, n.need = (1, 1) if c.kind is None else (c.score, c.need)
+    elif len(kids) == 2:
+        # with a leaf's need of 0, max_j(need_j + j) takes the score's form
+        l, r = kids
+        n.score = l.score + 1 if l.score == r.score else max(l.score, r.score)
+        n.need = l.need + 1 if l.need == r.need else max(l.need, r.need)
     else:
-        if len(kids) == 2:
-            l, r = kids
-            n.score = l.score + 1 if l.score == r.score else max(l.score, r.score)
-        elif all(c.kind is None for c in kids):
+        if all(c.kind is None for c in kids):
             n.score = 1
         else:
             n.score = max(3, *(c.score for c in kids))
@@ -406,15 +428,22 @@ def create_execution_plan(tree: EqTree) -> ExecPlan:
     steps: list[PlanStep] = []
     slot_bytes: dict[int, int] = {}
     recycled = False
-
-    def plan(n: EqNode) -> None:
-        nonlocal temp_count, recycled
+    # a walk that takes each node before its children, pushing them in visit
+    # order so the last is taken first, is the visit order reversed
+    root = tree.root
+    order: list[EqNode] = []
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        order.append(n)
         kids = n.children
-        for c in sorted(kids, key=lambda c: -c.need) if len(kids) > 1 else kids:
-            if not c.is_leaf:
-                plan(c)
+        if len(kids) > 1:
+            kids = sorted(kids, key=_by_need)  # stable: ties stay left to right
+        stack.extend([c for c in kids if c.kind is not None])
+    for n in reversed(order):
+        kids = n.children
         n.timestamp = len(steps)
-        held = [c.temp_id for c in (n.children[0], *n.children[:0:-1]) if not c.is_leaf]
+        held = [c.temp_id for c in (kids[0], *kids[:0:-1]) if c.kind is not None]
         if held:
             n.temp_id = held[0]
             for slot in held[1:]:
@@ -425,17 +454,20 @@ def create_execution_plan(tree: EqTree) -> ExecPlan:
         else:
             n.temp_id = temp_count
             temp_count += 1
-        is_root = n is tree.root
+        is_root = n is root
         if not is_root:
             slot_bytes[n.temp_id] = max(slot_bytes.get(n.temp_id, 0), n.out_desc.nbytes)
         steps.append(PlanStep(n.timestamp, n,
-                              tuple(("arg", c.arg_slot) if c.is_leaf else ("tmp", c.temp_id)
-                                    for c in n.children),
+                              tuple([("arg", c.arg_slot) if c.kind is None else ("tmp", c.temp_id)
+                                     for c in kids]),
                               ("tmp", n.temp_id), is_root))
 
-    plan(tree.root)
     naive = sum(s.node.out_desc.nbytes for s in steps if not s.is_root)
     return ExecPlan(tree, steps, temp_count, slot_bytes, naive, recycled)
+
+
+def _by_need(n: EqNode) -> int:
+    return -n.need
 
 
 def plan_equation(text: str, args: Sequence[TensorDesc]) -> ExecPlan:
@@ -522,13 +554,19 @@ def _eval_buffered(plan: ExecPlan, args: Sequence[TensorView], out: TensorView,
     # fresh slot buffers per call, so concurrent evaluations of one plan
     # share nothing
     bufs = {slot: np.zeros(n, dtype=np.uint8) for slot, n in plan.slot_bytes.items()}
-    views: dict[int, TensorView] = {}
+    views: dict[int, TensorView] = {}  # slot -> view of its current occupant
+    made: dict[tuple[int, TensorDesc], TensorView] = {}  # one view per slot and descriptor
     for s in plan.steps:
         ins = [args[ref] if kind == "arg" else views[ref] for (kind, ref) in s.inputs]
         if s.is_root:
             dst = out
         else:
-            dst = views[s.output[1]] = _slot_view(bufs[s.output[1]], s.node.out_desc)
+            key = (s.output[1], s.node.out_desc)
+            dst = made.get(key)
+            # a kernel that left a payload on its output keeps that view
+            if dst is None or dst.secondary is not None or dst.tertiary is not None:
+                dst = made[key] = _slot_view(bufs[key[0]], key[1])
+            views[key[0]] = dst
         _run_node(s.node, ins, dst)
         if step_hook is not None:
             step_hook(s, [views[ref] for (kind, ref) in s.inputs
@@ -651,15 +689,15 @@ def evaluate_naive(tree: EqTree, args: Sequence[TensorView], out: TensorView) ->
     """Reference evaluation: one freshly materialised tensor per node, same
     kernels, no plan machinery."""
 
-    def run(n: EqNode) -> TensorView:
+    done: dict[int, TensorView] = {}  # node id -> value not yet consumed
+    for n in tree.nodes():
         if n.is_leaf:
-            return args[n.arg_slot]
-        ins = [run(c) for c in n.children]
+            done[n.node_id] = args[n.arg_slot]
+            continue
+        ins = [done.pop(c.node_id) for c in n.children]
         dst = out if n is tree.root else alloc(n.out_desc)
         _run_node(n, ins, dst)
-        return dst
-
-    run(tree.root)
+        done[n.node_id] = dst
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@ reductions, layout transforms, gather/scatter and deterministic dropout.
 
 A primitive is described once (``KernelSpec``: kind, input descriptors,
 flags) and validated once: ``infer_output_desc`` is the only check of a
-spec, and ``dispatch`` caches the ``Kernel`` built from it, which then runs
-without re-checking.  ``apply_*``, ``reduce``, ``transform`` and
-``replicate_cols`` dispatch the spec of their views and run its kernel, and
-a kernel called from a plan step enters through the one of these that
-builds its spec, so every primitive call takes this one path.  ZERO and
-PRNG, whose extent is the output's, run directly.
+spec, and one cache, keyed by the plain tuple of a spec's fields
+(``kernel_for``), holds the ``Kernel`` built from it, which then runs
+without re-checking.  ``dispatch``, the equation ``TreeBuilder``,
+``apply_*``, ``reduce``, ``transform`` and ``replicate_cols`` all look
+kernels up there; the entry points run the kernel of their views'
+descriptors, and a kernel called from a plan step enters through the one of
+them that runs its kind, so every primitive call takes this one path.  ZERO
+and PRNG, whose extent is the output's, run directly.
 
 Every operator follows the same blueprint: load logical sub-tensors (with
 broadcast and datatype widening applied), run the point operation in the
@@ -467,11 +469,12 @@ class Kernel:
     spec and ``out`` the output extent; ``out``'s dtype is free (the store
     narrows to it) except where the kind writes raw storage: a bitmask
     (COMPARE), BF16 patterns (UNPACK) or a layout copy (TRANSFORM).  The
-    call enters through the public function that builds its spec
-    (``reduce``, ``transform``, ``replicate_cols`` or the ``apply_*`` of its
-    family), which finds the kernel of the operands' descriptors in the
-    dispatch cache, so a plan step and a direct call take the same path and
-    neither re-validates.
+    call enters through the public function of its kind (``reduce``,
+    ``transform``, ``replicate_cols`` or the ``apply_*`` of its family),
+    which finds the kernel of the operands' descriptors and the spec's flags
+    in the one dispatch cache (``kernel_for``: this kernel, unless it was
+    dropped from the cache), so a plan step and a direct call take the same
+    path and neither re-validates.
 
     ``math`` is the kind's bound ndarray function for the fusable kinds
     (compute-dtype arrays in, compute-dtype array out, flags applied), the
@@ -482,7 +485,10 @@ class Kernel:
 
     def __init__(self, spec: KernelSpec):
         self.spec = spec
-        self.out_desc = infer_output_desc(spec)
+        out = infer_output_desc(spec)
+        # an equal input descriptor stands for the output, so that cache keys
+        # and views holding either compare by identity
+        self.out_desc = next((d for d in spec.ins if d == out), out)
         self._ins = tuple((d.rows, d.cols, d.dtype) for d in spec.ins)
         k = spec.kind
         self.math: Optional[Callable[..., np.ndarray]] = None
@@ -530,10 +536,33 @@ DISPATCH_CACHE_SIZE = 1024  # kernels kept; the least recently dispatched is dro
 
 
 @functools.lru_cache(maxsize=DISPATCH_CACHE_SIZE)
+def _cached_kernel(key: tuple) -> Kernel:
+    return Kernel(KernelSpec(*key))
+
+
+def kernel_for(kind: UnaryKind | BinaryKind | TernaryKind, ins: tuple[TensorDesc, ...],
+               approx: Approx | None = None, reduce: ReduceSpec | None = None,
+               transform: TransformSpec | None = None, cmp: CmpOp | None = None,
+               bitmask_output: bool = False, dropout_p: float | None = None,
+               times: int | None = None) -> Kernel:
+    """The kernel of the spec with these fields, from the one dispatch cache.
+
+    The cache is keyed by the plain tuple of the fields in ``KernelSpec``
+    order, built here and nowhere else, so equal specs share one entry
+    however they are named; the ``KernelSpec`` is built, and validated,
+    only on a miss.  A bad spec raises InvalidSpecError and is not cached."""
+    return _cached_kernel((kind, ins, approx, reduce, transform, cmp, bitmask_output,
+                           dropout_p, times))
+
+
 def dispatch(spec: KernelSpec) -> Kernel:
     """Validate a spec and return the (cached) kernel for it; a bad spec
     raises InvalidSpecError and is not cached."""
-    return Kernel(spec)
+    return kernel_for(spec.kind, spec.ins, spec.approx, spec.reduce, spec.transform,
+                      spec.cmp, spec.bitmask_output, spec.dropout_p, spec.times)
+
+
+dispatch.cache_info = _cached_kernel.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +586,8 @@ def apply_unary(kind: UnaryKind, inp: Optional[TensorView], out: TensorView,
     if kind is UnaryKind.PRNG:
         _prng_fill(inp, out)
         return
-    dispatch(KernelSpec(kind, (inp.desc,), approx=approx_flag, bitmask_output=bitmask_output,
-                        dropout_p=dropout_p))._run((inp,), out)
+    kernel_for(kind, (inp.desc,), approx_flag, bitmask_output=bitmask_output,
+               dropout_p=dropout_p)._run((inp,), out)
 
 
 def reduce(inp: TensorView, spec: ReduceSpec, out: TensorView) -> None:
@@ -570,7 +599,7 @@ def reduce(inp: TensorView, spec: ReduceSpec, out: TensorView) -> None:
     library is built (``native.backend()``), the numpy fold otherwise, with
     the same bits.
     """
-    dispatch(KernelSpec(UnaryKind.REDUCE, (inp.desc,), reduce=spec))._run((inp,), out)
+    kernel_for(UnaryKind.REDUCE, (inp.desc,), reduce=spec)._run((inp,), out)
 
 
 def transform(inp: TensorView, spec: TransformSpec, out: TensorView) -> None:
@@ -582,22 +611,22 @@ def transform(inp: TensorView, spec: TransformSpec, out: TensorView) -> None:
     is (M * alpha) x ceil(N / alpha) with a contiguous leading dimension.
     ``out`` holds the input's dtype (a layout copy does not convert).
     """
-    dispatch(KernelSpec(UnaryKind.TRANSFORM, (inp.desc,), transform=spec))._run((inp,), out)
+    kernel_for(UnaryKind.TRANSFORM, (inp.desc,), transform=spec)._run((inp,), out)
 
 
 def replicate_cols(inp: TensorView, times: int, out: TensorView) -> None:
     """Replicate an M x 1 column a fixed number of times."""
-    dispatch(KernelSpec(UnaryKind.REPLICATE_COLS, (inp.desc,), times=times))._run((inp,), out)
+    kernel_for(UnaryKind.REPLICATE_COLS, (inp.desc,), times=times)._run((inp,), out)
 
 
 def apply_binary(kind: BinaryKind, a: TensorView, b: TensorView, out: TensorView,
                  cmp: CmpOp | None = None) -> None:
-    dispatch(KernelSpec(kind, (a.desc, b.desc), cmp=cmp))._run((a, b), out)
+    kernel_for(kind, (a.desc, b.desc), cmp=cmp)._run((a, b), out)
 
 
 def apply_ternary(kind: TernaryKind, a: TensorView, b: TensorView, c: TensorView,
                   out: TensorView) -> None:
-    dispatch(KernelSpec(kind, (a.desc, b.desc, c.desc)))._run((a, b, c), out)
+    kernel_for(kind, (a.desc, b.desc, c.desc))._run((a, b, c), out)
 
 
 # ---------------------------------------------------------------------------

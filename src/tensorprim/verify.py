@@ -696,8 +696,8 @@ def check_approx_bounds(seed: int = 0) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def score_oracle(tree: eqn.EqTree) -> dict[int, int]:
-    """Independent register-score computation: iterative over a post-order
-    worklist instead of the planner's recursion."""
+    """Independent register-score computation: one pass over the post-order
+    node list, from scratch, instead of the builder's node-by-node scoring."""
     scores: dict[int, int] = {}
     for n in tree.nodes():
         if n.is_leaf:

@@ -286,3 +286,36 @@ def test_minimax_and_gelu_are_silent_on_every_backend(f, dtype, native_backend):
         warnings.simplefilter("error")
         got = np.asarray(f(x))
     assert got.dtype == dtype and np.array_equal(np.isnan(got[2:4]), [True, True])
+
+
+_GRADS = {"minimax_grad": lambda x: approx.minimax_grad(approx.GELU_ERF_MINIMAX, x),
+          "gelu_grad": approx.gelu_grad,
+          "gelu_grad_minimax16": lambda x: approx.gelu_grad(x, approx.Approx.MINIMAX16),
+          "gelu_grad_exact": lambda x: approx.gelu_grad(x, approx.Approx.EXACT)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grad", sorted(_GRADS))
+def test_gelu_gradients_are_silent_on_every_backend(grad, dtype, native_backend):
+    """±Inf, NaN and ±3e38 run silently through the gradients too."""
+    x = np.array([np.inf, -np.inf, np.nan, -np.nan, 3e38, -3e38, 0.5, -2.0], dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.asarray(_GRADS[grad](x))
+    assert got.dtype == dtype and np.array_equal(np.isnan(got[2:4]), [True, True])
+
+
+def test_gelu_gradient_bits_are_golden(native_backend):
+    """The gradients' output bits on FP32 and FP64 specials, huge values
+    and ordinary points match a recorded digest on every backend."""
+    import hashlib
+    vals = [0.0, -0.0, 1e-40, -1e-40, 0.3, -0.3, 1.0, -1.0, 2.5, -2.5, 4.0, -4.0, 7.0, -7.0,
+            1e10, -1e10, 3e38, -3e38, np.inf, -np.inf, np.nan]
+    h = hashlib.sha256()
+    for dtype, extra in ((np.float32, []), (np.float64, [1e300, -1e300])):
+        x = np.array(vals + extra, dtype).reshape(1, -1)
+        for grad in ("minimax_grad", "gelu_grad", "gelu_grad_exact", "gelu_grad_minimax16"):
+            r = np.asarray(_GRADS[grad](x))
+            assert r.dtype == dtype
+            h.update(r.tobytes())
+    assert h.hexdigest() == "c7968e2f9e031c58a5bd001c02f6144d03180e6415ce701e11bb5fa456f82379"

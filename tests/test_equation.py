@@ -28,7 +28,7 @@ from tensorprim import (
 from tensorprim.equation import MAX_DEPTH, EquationError, ParseError, plan_to_dict
 from tensorprim import equation, verify
 
-from util import bits_equal
+from util import bits_equal, oracle_nodes, oracle_parse, oracle_plan
 
 
 def D(m, n, dtype=DType.FP32):
@@ -101,6 +101,148 @@ def test_dag_reuse_rejected():
     n = b.unary(UnaryKind.RELU, leaf)
     with pytest.raises(EquationError):
         b.tree(b.binary(BinaryKind.ADD, n, n))
+
+
+# ---------------------------------------------------------------------------
+# the iterative parser and planner against the recursive oracle
+# ---------------------------------------------------------------------------
+
+_UNARY_TEXTS = sorted(equation._UNARY_NAMES)
+_SEPARATORS = ("", " ", "  ", "\t", "\n", " \t ")
+
+
+def _random_equation_text(rng, max_depth=6):
+    """A random equation text and its argument descriptors.  Unary names,
+    ``+ - * /`` (the right operand possibly broadcast), ``matmul`` on
+    compatible shapes, redundant parentheses, argument names with a leading
+    zero and random whitespace all occur; operands are parenthesised where
+    precedence would regroup them."""
+    dtype = DType.FP64 if rng.random() < 0.3 else DType.FP32
+    descs = []
+
+    def arg(r, c):
+        same = [k for k, d in enumerate(descs) if (d.rows, d.cols) == (r, c)]
+        if same and rng.random() < 0.5:
+            k = same[int(rng.integers(len(same)))]
+        else:
+            descs.append(TensorDesc(r, c, r, dtype))
+            k = len(descs) - 1
+        return [f"T{k}" if rng.random() < 0.9 else f"T0{k}"]
+
+    def wrap(toks, level, need):
+        return toks if level >= need else ["(", *toks, ")"]
+
+    def gen(r, c, depth):
+        """(tokens, level) of an r x c expression; level 0 is a sum, 1 a
+        product, 2 an operand."""
+        roll = rng.random()
+        if depth >= max_depth or roll < 0.2:
+            return arg(r, c), 2
+        if roll < 0.45:
+            name = _UNARY_TEXTS[int(rng.integers(len(_UNARY_TEXTS)))]
+            return [name, "(", *gen(r, c, depth + 1)[0], ")"], 2
+        if roll < 0.55:
+            return ["(", *gen(r, c, depth + 1)[0], ")"], 2
+        if roll < 0.7:
+            k = int(rng.integers(1, 5))
+            left, right = gen(r, k, depth + 1), gen(k, c, depth + 1)
+            return [*wrap(*left, 1), "matmul", *wrap(*right, 2)], 1
+        op = "+-*/"[int(rng.integers(4))]
+        level = 0 if op in "+-" else 1
+        r2, c2 = [(r, c), (r, c), (1, 1), (r, 1), (1, c)][int(rng.integers(5))]
+        left, right = gen(r, c, depth + 1), gen(r2, c2, depth + 1)
+        return [*wrap(*left, level), op, *wrap(*right, level + 1)], level
+
+    r, c = (int(v) for v in rng.integers(1, 5, size=2))
+    toks = [rng.choice(_SEPARATORS)]
+    for tok in gen(r, c, 0)[0]:
+        sep = rng.choice(_SEPARATORS)
+        if not sep and (toks[-1][-1:].isalnum() and tok[0].isalnum()):
+            sep = " "  # two names must not run together
+        toks += [sep, tok]
+    return "".join(toks + [rng.choice(_SEPARATORS)]), descs
+
+
+def _corrupt(rng, text):
+    """``text`` truncated, or with one character dropped, or with a token
+    inserted."""
+    i = int(rng.integers(len(text) + 1))
+    roll = rng.random()
+    if roll < 0.35:
+        return text[:i]
+    if roll < 0.6 and text:
+        return text[:max(i - 1, 0)] + text[i:]
+    junk = ["(", ")", "+", "*", "/", "T9", "tanh", "matmul", "$", "3", "frob", " "]
+    return text[:i] + junk[int(rng.integers(len(junk)))] + text[i:]
+
+
+def _outcome(parse, plan, text, descs):
+    """The plan and tree of ``text``, or the error it raises."""
+    try:
+        tree = parse(text, descs)
+    except (ParseError, EquationError) as e:
+        return type(e), str(e), getattr(e, "pos", None)
+    return plan(tree), tree
+
+
+_NODE_FIELDS = ("node_id", "kind", "arg_slot", "out_desc", "depth", "score", "need",
+                "timestamp", "temp_id")
+
+
+def _assert_same_outcome(text, descs):
+    got = _outcome(parse_equation, create_execution_plan, text, descs)
+    want = _outcome(oracle_parse, oracle_plan, text, descs)
+    if len(want) == 3:
+        assert got == want, text
+        return
+    (plan, tree), (oplan, otree) = got, want
+    assert export_plan(plan, "json") == export_plan(oplan, "json"), text
+    assert plan.temp_count == oplan.temp_count and plan.recycled == oplan.recycled
+    nodes, onodes = tree.nodes(), oracle_nodes(otree.root)
+    assert len(nodes) == len(onodes)
+    for n, o in zip(nodes, onodes):
+        assert [getattr(n, f) for f in _NODE_FIELDS] == [getattr(o, f) for f in _NODE_FIELDS]
+        assert n.kernel is o.kernel
+
+
+def test_parser_and_planner_match_the_recursive_oracle():
+    """400 random equations: the iterative parser and planner give the
+    recursive descent's and the recursive planner's plan JSON byte for
+    byte, and every node's score, need, depth, timestamp, slot and kernel."""
+    rng = np.random.default_rng(17)
+    seen_ops, planned = set(), 0
+    while planned < 400:
+        text, descs = _random_equation_text(rng)
+        _assert_same_outcome(text, descs)
+        try:
+            tree = parse_equation(text, descs)
+        except EquationError:  # a bare argument, possibly parenthesised
+            continue
+        planned += 1
+        seen_ops |= {n.kind for n in tree.internal_nodes()}
+    assert {BinaryKind.ADD, BinaryKind.SUB, BinaryKind.MUL, BinaryKind.DIV,
+            BinaryKind.MATMUL} <= seen_ops
+    assert {equation._UNARY_NAMES[name] for name in _UNARY_TEXTS} <= seen_ops
+
+
+def test_parse_errors_match_the_recursive_oracle():
+    """Truncated and corrupted texts raise the oracle's error: the same
+    type, message and position (or both parse, to the same plan)."""
+    rng = np.random.default_rng(18)
+    kinds = ("unexpected character", "unexpected end", "unexpected token",
+             "unknown identifier", "expected '('", "expected ')'", "trailing input",
+             "argument slot", "the root must")
+    met = set()
+    for _ in range(400):
+        text, descs = _random_equation_text(rng, max_depth=4)
+        for _ in range(3):
+            bad = _corrupt(rng, text)
+            _assert_same_outcome(bad, descs)
+            try:
+                parse_equation(bad, descs)
+            except (ParseError, EquationError) as e:
+                met |= {k for k in kinds if str(e).startswith(k)}
+    assert met == set(kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +841,77 @@ def test_deeper_equations_raise_typed_errors():
         node = b.unary(UnaryKind.RELU, node)
     with pytest.raises(EquationError, match="MAX_DEPTH"):
         b.unary(UnaryKind.RELU, node)
+
+
+def test_depth_limit_errors_match_the_recursive_oracle():
+    """At and just past MAX_DEPTH, nested parentheses, unary chains and
+    flat sums plan as the oracle plans them, or raise its error at its
+    position."""
+    for n in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, MAX_DEPTH + 2):
+        for text in ("(" * n + "T0+T0" + ")" * n, "relu(" * n + "T0" + ")" * n,
+                     "exp(" * n + "(T0" + ")" * n, "+".join(["T0"] * n),
+                     "T0 * " + "(T0 - " * n + "T0" + ")" * n):
+            _assert_same_outcome(text, [D(2, 3)])
+
+
+_NO_RECURSION = """
+import contextlib, io, sys
+import numpy as np
+import tensorprim as tp
+from tensorprim import cli, equation
+from tensorprim.equation import MAX_DEPTH, EquationError, ParseError
+
+sys.setrecursionlimit(100)  # far below MAX_DEPTH: a walk that recursed would fail
+d = tp.TensorDesc(3, 4, 3, tp.DType.FP32)
+x = tp.from_array(np.full((3, 4), 0.5, np.float32))
+b = equation.TreeBuilder([d])
+node = b.leaf(0)
+for _ in range(MAX_DEPTH):
+    node = b.unary(tp.UnaryKind.RELU, node)
+trees = [b.tree(node)] + [equation.parse_equation(text, [d]) for text in (
+    "relu(" * MAX_DEPTH + "T0" + ")" * MAX_DEPTH,
+    "(" * MAX_DEPTH + "T0+T0" + ")" * MAX_DEPTH)]
+for tree in trees:
+    assert len(tree.nodes()) in (MAX_DEPTH + 1, 3)
+    plan = equation.create_execution_plan(tree)
+    for run in (lambda o: equation.evaluate(plan, tp.Buffered(), [x], o),
+                lambda o: equation.evaluate(plan, tp.Hybrid(2, 2), [x], o),
+                lambda o: equation.evaluate_naive(tree, [x], o)):
+        out = tp.alloc(d)
+        run(out)
+        assert np.all(tp.to_array(out) == (0.5 if len(tree.nodes()) > 3 else 1.0))
+    assert equation.export_plan(plan, "dot").count("->") == len(tree.nodes()) - 1
+    equation.export_plan(plan, "json")
+deep = 10 ** 4
+for text in ("(" * deep + "T0" + ")" * deep, "relu(" * deep + "T0" + ")" * deep,
+             "+".join(["T0"] * deep)):
+    try:
+        equation.plan_equation(text, [d])
+    except (ParseError, EquationError):
+        pass
+    else:
+        raise AssertionError("a 10^4-deep equation planned")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(["plan", text, "--args", "3x4"]) == 2, err.getvalue()
+print("ok")
+"""
+
+
+def test_no_tree_walk_recurses():
+    """Under a recursion limit far below MAX_DEPTH, parsing, planning,
+    ``nodes``, ``TreeBuilder.tree``, both evaluations and the dot export
+    all handle equations MAX_DEPTH deep, and 10^4-deep texts raise typed
+    errors (exit 2 from ``tensorprim plan``), never RecursionError."""
+    import os
+    from pathlib import Path
+    import subprocess
+    import sys
+    src = str(Path(equation.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", _NO_RECURSION], env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0 and r.stdout.strip() == "ok", r.stderr
 
 
 # ---------------------------------------------------------------------------

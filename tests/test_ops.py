@@ -251,6 +251,78 @@ def test_dispatch_cache_is_bounded_lru():
     assert dispatch.cache_info().misses == misses + 1  # least recently used: dropped
 
 
+def test_one_kernel_cache_serves_every_entry_point(monkeypatch):
+    """For one kind, descriptors and flags, ``dispatch``, ``TreeBuilder``
+    and the entry point that runs the kind all get the identical kernel,
+    and the second and third lookups are hits of ``dispatch.cache_info``."""
+    import tensorprim.ops as ops
+    from tensorprim import PrngState, TreeBuilder
+    x, y = D(13, 7), D(13, 7)
+    col = D(13, 1)
+    mask = TensorDesc(13, 7, 13, DType.BIT)
+    rs = ReduceSpec(ReduceAxis.COLS, ReduceOp.MAX)
+    tr = TransformSpec(TransformKind.TRANSPOSE)
+    cases = [  # (spec, entry point call on views, tree node build or None)
+        (KernelSpec(UnaryKind.TANH, (x,), approx=Approx.MINIMAX16),
+         lambda v, o: apply_unary(UnaryKind.TANH, v[0], o, approx_flag=Approx.MINIMAX16),
+         lambda b: b.unary(UnaryKind.TANH, b.leaf(0), approx=Approx.MINIMAX16)),
+        (KernelSpec(UnaryKind.RELU, (x,)),
+         lambda v, o: apply_unary(UnaryKind.RELU, v[0], o),
+         lambda b: b.unary(UnaryKind.RELU, b.leaf(0))),
+        (KernelSpec(UnaryKind.RELU, (x,), bitmask_output=True),
+         lambda v, o: apply_unary(UnaryKind.RELU, v[0], o, bitmask_output=True), None),
+        (KernelSpec(UnaryKind.DROPOUT, (x,), dropout_p=0.25),
+         lambda v, o: apply_unary(UnaryKind.DROPOUT, v[0], o, dropout_p=0.25), None),
+        (KernelSpec(UnaryKind.REDUCE, (x,), reduce=rs),
+         lambda v, o: reduce(v[0], rs, o),
+         lambda b: b.unary(UnaryKind.REDUCE, b.leaf(0), reduce=rs)),
+        (KernelSpec(UnaryKind.TRANSFORM, (x,), transform=tr),
+         lambda v, o: transform(v[0], tr, o),
+         lambda b: b.unary(UnaryKind.TRANSFORM, b.leaf(0), transform=tr)),
+        (KernelSpec(UnaryKind.REPLICATE_COLS, (col,), times=5),
+         lambda v, o: replicate_cols(v[0], 5, o), None),
+        (KernelSpec(BinaryKind.SUB, (x, y)),
+         lambda v, o: apply_binary(BinaryKind.SUB, v[0], v[1], o),
+         lambda b: b.binary(BinaryKind.SUB, b.leaf(0), b.leaf(1))),
+        (KernelSpec(BinaryKind.COMPARE, (x, y), cmp=CmpOp.GE),
+         lambda v, o: apply_binary(BinaryKind.COMPARE, v[0], v[1], o, cmp=CmpOp.GE),
+         lambda b: b.binary(BinaryKind.COMPARE, b.leaf(0), b.leaf(1), cmp=CmpOp.GE)),
+        (KernelSpec(TernaryKind.MULADD, (x, y, x)),
+         lambda v, o: apply_ternary(TernaryKind.MULADD, v[0], v[1], v[2], o),
+         lambda b: b.ternary(TernaryKind.MULADD, b.leaf(0), b.leaf(1), b.leaf(0))),
+        (KernelSpec(TernaryKind.BLEND, (x, y, mask)),
+         lambda v, o: apply_ternary(TernaryKind.BLEND, v[0], v[1], v[2], o), None),
+    ]
+    ran = []
+    run = ops.Kernel._run
+    monkeypatch.setattr(ops.Kernel, "_run", lambda k, views, out: ran.append(k) or run(k, views, out))
+    rng = np.random.default_rng(40)
+    for spec, call, build in cases:
+        kern = dispatch(spec)
+        views = [alloc(d) for d in spec.ins]
+        for v in views:
+            if v.desc.dtype is not DType.BIT:
+                v.as2d()[:, :] = rng.uniform(-1, 1, (v.desc.phys_rows, v.desc.phys_cols))
+        views[0].tertiary = {"prng": PrngState(3, 7)}
+        before = dispatch.cache_info()
+        ran.clear()
+        call(views, alloc(kern.out_desc))
+        after = dispatch.cache_info()
+        assert ran == [kern] and ran[0] is kern, spec
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses), spec
+        if build is not None:
+            b = TreeBuilder(list(spec.ins[:2]))
+            assert build(b).kernel is kern, spec
+            assert dispatch.cache_info().hits == after.hits + 1, spec
+    # flags passed by position or by name, or left at their defaults, key one entry
+    size = dispatch.cache_info().currsize
+    tanh = dispatch(cases[0][0])
+    assert ops.kernel_for(UnaryKind.TANH, (x,), Approx.MINIMAX16) is tanh
+    assert ops.kernel_for(UnaryKind.TANH, (x,), approx=Approx.MINIMAX16, cmp=None,
+                          bitmask_output=False, times=None) is tanh
+    assert dispatch.cache_info().currsize == size
+
+
 # ---------------------------------------------------------------------------
 # unary elementwise
 # ---------------------------------------------------------------------------

@@ -1,6 +1,20 @@
 """Shared test helpers."""
 
+import heapq
+import re
+
 import numpy as np
+
+from tensorprim import BinaryKind
+from tensorprim.equation import (
+    _ARG_RE,
+    _UNARY_NAMES,
+    MAX_DEPTH,
+    ExecPlan,
+    ParseError,
+    PlanStep,
+    TreeBuilder,
+)
 
 
 def bits_equal(a, b) -> bool:
@@ -12,3 +26,169 @@ def bits_equal(a, b) -> bool:
 def colmajor_flat(x: np.ndarray) -> np.ndarray:
     """Flatten a 2D array into its column-major element order."""
     return np.asarray(x, order="F").reshape(-1, order="F").copy()
+
+
+# ---------------------------------------------------------------------------
+# the recursive equation parser and planner, kept as the oracle of the
+# iterative ones (both follow the grammar and the planning rule literally)
+# ---------------------------------------------------------------------------
+
+def oracle_parse(text, args):
+    """The equation tree of ``text`` by left-to-right recursive descent over
+    ``expr := term (('+'|'-') term)*``, ``term := factor (('*'|'/'|'matmul')
+    factor)*``, ``factor := name '(' expr ')' | 'T<k>' | '(' expr ')'``;
+    every node's score and need are then set again by the documented rule."""
+    b = TreeBuilder(args)
+    tree = b.tree(_OracleParser(text, b).parse())
+    for n in oracle_nodes(tree.root):
+        oracle_score(n)
+    return tree
+
+
+def oracle_nodes(n):
+    """The nodes of the tree under ``n``, children before parents."""
+    return [m for c in n.children for m in oracle_nodes(c)] + [n]
+
+
+_ORACLE_TOKEN_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*/()])|(?P<bad>\S)")
+
+
+class _OracleParser:
+    def __init__(self, text, builder):
+        self.text = text
+        self.b = builder
+        self.toks = []
+        for m in _ORACLE_TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", m.start())
+            self.toks.append((m.lastgroup, m.group(), m.start()))
+        self.i = 0
+        self.nesting = 0
+
+    def _peek(self):
+        return self.toks[self.i] if self.i < len(self.toks) else ("eof", "", len(self.text))
+
+    def _next(self):
+        t = self._peek()
+        self.i += 1
+        return t
+
+    def parse(self):
+        node = self.expr()
+        kind, val, pos = self._peek()
+        if kind != "eof":
+            raise ParseError(f"trailing input {val!r}", pos)
+        return node
+
+    def expr(self):
+        node = self.term()
+        while True:
+            kind, val, _ = self._peek()
+            if kind == "sym" and val in "+-":
+                self._next()
+                rhs = self.term()
+                node = self.b.binary(BinaryKind.ADD if val == "+" else BinaryKind.SUB,
+                                     node, rhs)
+            else:
+                return node
+
+    def term(self):
+        node = self.factor()
+        while True:
+            kind, val, _ = self._peek()
+            if kind == "sym" and val in "*/":
+                self._next()
+                rhs = self.factor()
+                node = self.b.binary(BinaryKind.MUL if val == "*" else BinaryKind.DIV,
+                                     node, rhs)
+            elif kind == "name" and val == "matmul":
+                self._next()
+                rhs = self.factor()
+                node = self.b.binary(BinaryKind.MATMUL, node, rhs)
+            else:
+                return node
+
+    def factor(self):
+        kind, val, pos = self._next()
+        if kind == "name" and _ARG_RE.fullmatch(val):
+            return self.b.leaf(int(val[1:]))
+        unary = None
+        if kind == "name" and val in _UNARY_NAMES:
+            unary = _UNARY_NAMES[val]
+            kind, v2, pos = self._next()
+            if v2 != "(":
+                raise ParseError(f"expected '(' after {val}", pos)
+        elif kind == "name":
+            raise ParseError(f"unknown identifier {val!r}", pos)
+        elif kind == "eof":
+            raise ParseError("unexpected end of equation", pos)
+        elif val != "(":
+            raise ParseError(f"unexpected token {val!r}", pos)
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH}", pos)
+        node = self.expr()
+        _, v3, p3 = self._next()
+        if v3 != ")":
+            raise ParseError("expected ')'", p3)
+        self.nesting -= 1
+        return node if unary is None else self.b.unary(unary, node)
+
+
+def oracle_score(n):
+    """Score and need of ``n`` from its children's, by the documented rule."""
+    kids = n.children
+    if n.kind is None:
+        n.score = n.need = 0
+    elif len(kids) == 1:
+        c = kids[0]
+        n.score, n.need = (1, 1) if c.kind is None else (c.score, c.need)
+    else:
+        if len(kids) == 2:
+            l, r = kids
+            n.score = l.score + 1 if l.score == r.score else max(l.score, r.score)
+        elif all(c.kind is None for c in kids):
+            n.score = 1
+        else:
+            n.score = max(3, *(c.score for c in kids))
+        needs = sorted([c.need for c in kids if c.kind is not None], reverse=True)
+        n.need = max([v + j for j, v in enumerate(needs)], default=1)
+
+
+def oracle_plan(tree):
+    """The execution plan of a scored tree by a recursive walk: children in
+    decreasing-need order (ties left to right), each node stamped when its
+    children are done; it inherits the slot of its first non-leaf child in
+    the order left, right, middle and frees the others, or takes the lowest
+    free slot, or a new one."""
+    free, steps, slot_bytes = [], [], {}
+    state = {"count": 0, "recycled": False}
+
+    def plan(n):
+        kids = n.children
+        for c in sorted(kids, key=lambda c: -c.need) if len(kids) > 1 else kids:
+            if not c.is_leaf:
+                plan(c)
+        n.timestamp = len(steps)
+        held = [c.temp_id for c in (n.children[0], *n.children[:0:-1]) if not c.is_leaf]
+        if held:
+            n.temp_id = held[0]
+            for slot in held[1:]:
+                heapq.heappush(free, slot)
+                state["recycled"] = True
+        elif free:
+            n.temp_id = heapq.heappop(free)
+        else:
+            n.temp_id = state["count"]
+            state["count"] += 1
+        is_root = n is tree.root
+        if not is_root:
+            slot_bytes[n.temp_id] = max(slot_bytes.get(n.temp_id, 0), n.out_desc.nbytes)
+        steps.append(PlanStep(n.timestamp, n,
+                              tuple(("arg", c.arg_slot) if c.is_leaf else ("tmp", c.temp_id)
+                                    for c in n.children),
+                              ("tmp", n.temp_id), is_root))
+
+    plan(tree.root)
+    naive = sum(s.node.out_desc.nbytes for s in steps if not s.is_root)
+    return ExecPlan(tree, steps, state["count"], slot_bytes, naive, state["recycled"])
