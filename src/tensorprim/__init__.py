@@ -30,6 +30,7 @@ from .tensor import (
     split_fp32,
     to_array,
     view_at,
+    vnni_extent,
     vnni_pack_a,
     vnni_unpack_a,
 )
@@ -78,7 +79,6 @@ from .equation import (
     Hybrid,
     TileFused,
     TreeBuilder,
-    assign_register_score,
     create_execution_plan,
     evaluate,
     evaluate_naive,

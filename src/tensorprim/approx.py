@@ -15,8 +15,8 @@ The three engines (``tanh_pade78``, ``minimax_eval``, ``exp_taylor``) run
 an FP32 array with unit-stride columns as one C call (``native.c``), which
 performs the numpy code's operations in the same order and gives its bits.
 The numpy code is the reference path; it runs FP64, every other layout,
-and every call while ``native`` hands out no kernel (no compiler, the
-test-only switch off, a verify fault set).
+and every call while ``native`` hands out no kernel (no library, or a
+verify fault set).
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ def _native_f32(name: str, x: np.ndarray, *extra) -> np.ndarray | None:
     The engine runs where ``x`` is FP32 with unit-stride columns (a 1-D
     array, or a column-major block of any ``ld``: a dense or padded view, a
     tiled slice) and ``native`` hands it out.  Everywhere else (FP64, a 0-d,
-    broadcast or C-ordered array, no compiler, the test-only switch off, a
-    verify fault set) it returns None and the caller runs its numpy
-    reference path, which gives the same bits."""
+    broadcast or C-ordered array, no library, a verify fault set) it returns
+    None and the caller runs its numpy reference path, which gives the same
+    bits."""
     if x.dtype != np.float32 or x.ndim not in (1, 2) or x.strides[0] != 4 \
             or not x.flags.aligned:
         return None
@@ -146,14 +146,15 @@ def _tanh_pade78_numpy(x: np.ndarray) -> np.ndarray:
 # piecewise minimax cubics, 16 half-binade intervals
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MinimaxTable:
     """16 cubics over half-binade intervals of |x| starting at 2^emin.
 
     The interval index is the exponent field plus the mantissa MSB of |x|
     (the 9 bits below the sign), offset by ``base`` and clamped to [0, 15];
     interval 0 extends down to 0 and |x| beyond the covered range returns
-    ``saturation`` (sign reapplied).
+    ``saturation`` (sign reapplied).  The coefficients are copied once, at
+    construction, into the read-only FP32 (4, 16) C-ordered array C reads.
     """
 
     name: str
@@ -161,6 +162,13 @@ class MinimaxTable:
     coeffs: np.ndarray   # (4, 16) float32, monomial c0..c3 per interval
     range_max: float     # first |x| that saturates
     saturation: float
+
+    def __post_init__(self):
+        c = np.array(self.coeffs, dtype=np.float32, order="C")
+        if c.shape != (4, 16):
+            raise ValueError(f"a minimax table has (4, 16) coefficients, got {c.shape}")
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def base(self) -> int:
@@ -191,14 +199,9 @@ def _cheb_nodes_fit(f, a: float, b: float, n: int = 64) -> np.ndarray:
 
 
 def _fit_table(name: str, f, emin: int) -> MinimaxTable:
-    coeffs = np.zeros((4, 16))
-    tab = MinimaxTable(name, emin, coeffs, 0.0, 1.0)
-    for i in range(16):
-        a, b = tab.interval_bounds(i)
-        coeffs[:, i] = _cheb_nodes_fit(f, a, b)
-    tab.coeffs = coeffs.astype(np.float32)
-    tab.range_max = tab.interval_bounds(15)[1]
-    return tab
+    bounds = MinimaxTable(name, emin, np.zeros((4, 16)), 0.0, 1.0).interval_bounds
+    coeffs = np.stack([_cheb_nodes_fit(f, *bounds(i)) for i in range(16)], axis=1)
+    return MinimaxTable(name, emin, coeffs, bounds(15)[1], 1.0)
 
 
 _erf_scaled = np.vectorize(lambda v: math.erf(v / math.sqrt(2.0)), otypes=[np.float64])
@@ -209,14 +212,10 @@ GELU_ERF_MINIMAX = _fit_table("gelu_erf", _erf_scaled, emin=-5)  # covers [0, 8)
 
 def minimax_eval(table: MinimaxTable, x: np.ndarray) -> np.ndarray:
     """Piecewise cubic via exponent/MSB interval lookup, sign reapplied.
-    FP32 blocks run in C (``minimax_f32``) for a table of FP32
-    coefficients, the rest in numpy."""
+    FP32 blocks run in C (``minimax_f32``), the rest in numpy."""
     x = np.asarray(x)
-    c = table.coeffs
-    r = None
-    if c.dtype == np.float32 and c.shape == (4, 16) and c.flags.c_contiguous:
-        r = _native_f32("minimax_f32", x, c.ctypes.data, table.base, table.range_max,
-                        table.saturation)
+    r = _native_f32("minimax_f32", x, table.coeffs.ctypes.data, table.base,
+                    table.range_max, table.saturation)
     return _minimax_numpy(table, x) if r is None else r
 
 

@@ -45,7 +45,8 @@ import numpy as np
 
 from . import native
 from .dtypes import DType, IdentityEnum, bf16_to_fp32, widen
-from .tensor import Bcast, TensorError, TensorView, vnni_alpha, vnni_pack_a, vnni_unpack_a
+from .tensor import (Bcast, TensorError, TensorView, vnni_alpha, vnni_extent, vnni_pack_a,
+                     vnni_unpack_a)
 
 
 def accumulator_dtype(in_dtype: DType) -> DType:
@@ -116,9 +117,9 @@ class GemmSpec:
             raise TensorError("ldc < M")
         if self.compute_path is ComputePath.EMULATED_SPLIT and self.in_dtype is not DType.BF16:
             raise TensorError("EMULATED_SPLIT applies to BF16 inputs")
-        if vnni:
-            al = vnni_alpha(self.in_dtype)  # raises for types without a VNNI form
-            a_dims = (self.m * al, -(-self.k // al), self.m * al)
+        if vnni:  # vnni_alpha raises for types without a VNNI form
+            rows, cols = vnni_extent(self.m, self.k, vnni_alpha(self.in_dtype))
+            a_dims = (rows, cols, rows)
         else:
             a_dims = (self.m, self.k, self.lda)
         widened = (vnni and self.in_dtype is DType.BF16
@@ -301,7 +302,7 @@ def _widen_emulated(flat: np.ndarray, m: int, k: int) -> np.ndarray:
     mask/shift arithmetic: the even (low-half) element by an unmasked load
     plus a 32-bit left shift, the odd (high-half) element by zero-masking the
     low 16 bits."""
-    groups = -(-k // 2)
+    groups = vnni_extent(m, k, 2)[1]
     lanes = flat.copy()              # fresh buffer: aligned for the u32 view
     u32 = lanes.view(np.uint32)      # one lane per pair
     even = (u32 << np.uint32(16)).view(np.float32).reshape(groups, m)

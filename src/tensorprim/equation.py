@@ -8,9 +8,9 @@ leaves are argument tensors.  Planning happens in two passes:
    needs (leaves 0; unary nodes inherit, or take 1 over a leaf; binary nodes
    take max of the children, plus one when the children tie; ternary nodes
    take 1 when all children are leaves, else max(3, children)), plus the
-   exact requirement used for ordering (see ``_score``); ``TreeBuilder``
-   sets both as it builds each node, from its children's, and the parser
-   builds through it, so a parsed tree needs no scoring walk;
+   exact requirement used for ordering (see ``_score``); ``TreeBuilder``,
+   which the parser builds through, is the one place both are set, as it
+   builds each node, from its children's;
 2. a walk over an explicit stack visits children in decreasing-requirement
    order (ties left-to-right), stamps each node on completion, and gives it
    a temporary slot by one rule for every arity: inherit the slot of the
@@ -70,8 +70,11 @@ OpKind = Union[UnaryKind, BinaryKind, TernaryKind]
 MAX_DEPTH = 256
 
 
-@dataclass
+@dataclass(eq=False)
 class EqNode:
+    """An equation tree node.  It compares by identity and its ``repr``
+    names its children by id, so neither walks the tree."""
+
     node_id: int
     kind: Optional[OpKind]                 # None marks a leaf
     children: list["EqNode"] = field(default_factory=list)
@@ -97,6 +100,10 @@ class EqNode:
         if self.is_leaf:
             return f"T{self.arg_slot}"
         return self.kind.value
+
+    def __repr__(self) -> str:
+        kids = [c.node_id for c in self.children]
+        return f"EqNode({self.node_id}, {self.label()}, children={kids})"
 
 
 @dataclass
@@ -329,15 +336,6 @@ def parse_equation(text: str, args: Sequence[TensorDesc]) -> EqTree:
 # register scores
 # ---------------------------------------------------------------------------
 
-def assign_register_score(tree: EqTree) -> EqTree:
-    """Annotate every node with the number of temporaries its subtree needs
-    (and its need), children first, in one walk.  ``TreeBuilder`` already
-    did so for the trees it builds."""
-    for n in tree.nodes():
-        _score(n)
-    return tree
-
-
 def _score(n: EqNode) -> None:
     """Set the register score and the need of ``n`` from its children's.
 
@@ -418,10 +416,11 @@ def create_execution_plan(tree: EqTree) -> ExecPlan:
     register score, for ternary nodes the score's floor of 3 would misorder
     some trees).  A node inherits the slot of its first non-leaf child in the
     order left, right, middle and recycles the slots of the others; a node
-    over leaves only takes the lowest free slot, or a new one.
+    over leaves only takes the lowest free slot, or a new one.  A tree not
+    scored by ``TreeBuilder`` (its root has no score) is an EquationError.
     """
     if tree.root.score < 0 or tree.root.need < 0:
-        assign_register_score(tree)
+        raise EquationError("the tree carries no register scores: build it with TreeBuilder")
 
     free: list[int] = []
     temp_count = 0

@@ -3,9 +3,8 @@
  * the operator set, a block of the xorshift128 dropout streams, and the
  * three FP32 approximation engines (rational tanh, piecewise cubic, exp).
  * Every kernel gives, bit for bit, what its numpy reference path gives.
- * Which of the two runs is decided in native.py alone: without a build,
- * under the test-only switch or while a verify fault is set, every caller
- * takes its numpy path.
+ * Which of the two runs is decided in native.py alone: without a build or
+ * while a verify fault is set, every caller takes its numpy path.
  *
  * Every float operation is rounded to its own type, because the build
  * passes -ffp-contract=off and no fast-math flag, and the vectoriser works

@@ -63,10 +63,6 @@ ARGTYPES: dict[str, list] = {
 # a float result is a NaN); the others return nothing
 RESTYPES = {name: _i64 for name in ARGTYPES if name.startswith(("brgemm_", "reduce_"))}
 
-# Test-only switch: False makes :func:`library` return None, so every
-# caller of a C kernel takes its numpy path.
-_USE_NATIVE = True
-
 # Negative controls for ``verify`` (``fault``: None or one name), each
 # reversing one pinned order of a numpy path: the reduction fold of ``ops``,
 # the k loop and the batch fold of ``contraction.brgemm``.  While one is
@@ -79,10 +75,10 @@ _lib: ctypes.CDLL | None | bool = None   # None: not tried yet; False: unavailab
 
 
 def library() -> ctypes.CDLL | None:
-    """The loaded kernel library, building it on the first call; None if it
-    cannot be built here, the test-only switch is off or a fault is set."""
+    """The loaded kernel library, building it on the first call; None if a
+    fault is set or it is unavailable (``_lib`` False, which turns C off)."""
     global _lib
-    if not _USE_NATIVE or fault is not None:
+    if fault is not None:
         return None
     if _lib is None:
         with _lock:

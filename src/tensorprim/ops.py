@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import functools
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .tensor import (
     bool_to_mask,
     mask_to_bool,
     vnni_alpha,
+    vnni_extent,
     vnni_pack_a,
     vnni_unpack_a,
 )
@@ -150,8 +151,8 @@ class GatherMode(IdentityEnum):
 _TANH_SELECTORS = (Approx.PADE78, Approx.MINIMAX16, Approx.EXACT)
 _GELU_SELECTORS = (Approx.MINIMAX16, Approx.EXACT)
 
-# The approximation selectors each kind implements, its default first; a
-# spec naming any other selector is rejected at dispatch.
+# The approximation selectors each kind implements, its default (the one
+# ``approx`` runs for None) first; dispatch rejects any other selector.
 APPROX_SELECTORS: dict[UnaryKind, tuple[Approx, ...]] = {
     UnaryKind.TANH: _TANH_SELECTORS,
     UnaryKind.TANH_INV: _TANH_SELECTORS,
@@ -295,15 +296,6 @@ def _require_logical_shape(v: TensorView, rows: int, cols: int, what: str) -> No
         raise TensorError(f"{what}: expected {rows}x{cols}, got {v.desc.rows}x{v.desc.cols}")
 
 
-def _join_shapes(shapes: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    rows = max(s[0] for s in shapes)
-    cols = max(s[1] for s in shapes)
-    for r, c in shapes:
-        if r not in (1, rows) or c not in (1, cols):
-            raise InvalidSpecError("shape", f"cannot broadcast-join {shapes}")
-    return rows, cols
-
-
 def _mask_from(view: TensorView, what: str) -> np.ndarray:
     if view.secondary is None:
         raise TensorError(f"{what} requires a recorded bitmask in secondary")
@@ -393,17 +385,9 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
             if (a.rows, a.cols) != (b.rows, b.cols):
                 raise InvalidSpecError("shape", "PACK hi/lo shape mismatch")
             return TensorDesc(a.rows, a.cols, a.rows, DType.FP32)
-        rows, cols = _join_shapes([(a.rows, a.cols), (b.rows, b.cols)])
-        if k is BinaryKind.COMPARE:
-            if spec.cmp is None:
-                raise InvalidSpecError("flag", "COMPARE needs a predicate")
-            return TensorDesc(rows, cols, rows, DType.BIT)
-        if a.dtype.is_float != b.dtype.is_float:
-            raise InvalidSpecError("dtype", "mixed int/float elementwise inputs")
-        out_dt = DType.FP64 if DType.FP64 in (a.dtype, b.dtype) else (
-            a.dtype if a.dtype == b.dtype else
-            (DType.FP32 if a.dtype.is_float else DType.INT32))
-        return TensorDesc(rows, cols, rows, out_dt)
+        if k is BinaryKind.COMPARE and spec.cmp is None:
+            raise InvalidSpecError("flag", "COMPARE needs a predicate")
+        return _join(k, ins)
     if isinstance(k, TernaryKind):
         if len(ins) != 3:
             raise InvalidSpecError("shape", "ternary spec takes three input descs")
@@ -416,17 +400,34 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
                 raise InvalidSpecError("dtype", f"GEMM takes B of {a.dtype} and C of {acc}, "
                                                 f"got {b.dtype} and {c.dtype}")
             return TensorDesc(c.rows, c.cols, c.rows, c.dtype)
-        rows, cols = _join_shapes([(a.rows, a.cols), (b.rows, b.cols), (c.rows, c.cols)])
-        if k is TernaryKind.BLEND:
-            if c.dtype is not DType.BIT:
-                raise InvalidSpecError("dtype", "BLEND selector must be a bitmask")
-            return TensorDesc(rows, cols, rows,
-                              DType.FP64 if DType.FP64 in (a.dtype, b.dtype) else DType.FP32
-                              if a.dtype.is_float else DType.INT32)
-        out_dt = DType.FP64 if DType.FP64 in (a.dtype, b.dtype, c.dtype) else (
-            DType.FP32 if a.dtype.is_float else DType.INT32)
-        return TensorDesc(rows, cols, rows, out_dt)
+        return _join(k, ins)
     raise InvalidSpecError("flag", f"unknown kind {k}")
+
+
+def _join(k: BinaryKind | TernaryKind, ins: tuple[TensorDesc, ...]) -> TensorDesc:
+    """The output of an elementwise binary or ternary kind.  Its shape joins
+    every input's by broadcast (a BLEND selector's too).  Its dtype is BIT
+    for COMPARE; otherwise it promotes the value operands (all but the BLEND
+    selector, which must be a bitmask): FP64 if any is, else FP32 for floats
+    and INT32 for integers, but a binary kind keeps a dtype both share.
+    Integer and float value operands together are InvalidSpecError('dtype')."""
+    rows, cols = max([d.rows for d in ins]), max([d.cols for d in ins])
+    if any(d.rows not in (1, rows) or d.cols not in (1, cols) for d in ins):
+        raise InvalidSpecError("shape", f"cannot broadcast-join {[(d.rows, d.cols) for d in ins]}")
+    if k is BinaryKind.COMPARE:
+        return TensorDesc(rows, cols, rows, DType.BIT)
+    if k is TernaryKind.BLEND and ins[2].dtype is not DType.BIT:
+        raise InvalidSpecError("dtype", "BLEND selector must be a bitmask")
+    dtypes = {d.dtype for d in (ins[:2] if k is TernaryKind.BLEND else ins)}
+    if len({dt.is_float for dt in dtypes}) > 1:
+        raise InvalidSpecError("dtype", f"mixed int/float elementwise inputs to {k.name}")
+    if DType.FP64 in dtypes:
+        out = DType.FP64
+    elif len(dtypes) == 1 and isinstance(k, BinaryKind):
+        out = ins[0].dtype
+    else:
+        out = DType.FP32 if ins[0].dtype.is_float else DType.INT32
+    return TensorDesc(rows, cols, rows, out)
 
 
 def _transform_desc(t: TransformSpec | None, d: TensorDesc) -> TensorDesc:
@@ -438,15 +439,15 @@ def _transform_desc(t: TransformSpec | None, d: TensorDesc) -> TensorDesc:
         return TensorDesc(d.cols, d.rows, d.cols, d.dtype)
     if t.kind is TransformKind.VNNI:
         _check_alpha(d.dtype, t.alpha)
-        rows, groups = d.rows * t.alpha, -(-d.cols // t.alpha)
+        rows, groups = vnni_extent(d.rows, d.cols, t.alpha)
     elif t.kind is TransformKind.VNNI_TO_VNNIT:
         _check_alpha(d.dtype, t.alpha)
         _check_alpha(d.dtype, t.alpha_out)
         if t.rows <= 0 or t.cols <= 0:
             raise InvalidSpecError("shape", "VNNI_TO_VNNIT needs the logical extent")
-        if (d.rows, d.cols) != (t.rows * t.alpha, -(-t.cols // t.alpha)):
+        if (d.rows, d.cols) != vnni_extent(t.rows, t.cols, t.alpha):
             raise InvalidSpecError("shape", "VNNI_TO_VNNIT input does not match the extent")
-        rows, groups = t.cols * t.alpha_out, -(-t.rows // t.alpha_out)
+        rows, groups = vnni_extent(t.cols, t.rows, t.alpha_out)
     else:
         raise InvalidSpecError("flag", f"unknown transform {t.kind}")
     return TensorDesc(rows, groups, rows, d.dtype)
@@ -493,7 +494,7 @@ class Kernel:
         k = spec.kind
         self.math: Optional[Callable[..., np.ndarray]] = None
         if k in UNARY_MATH and not (k is UnaryKind.RELU and spec.bitmask_output):
-            fn, sel = UNARY_MATH[k], spec.approx or APPROX_SELECTORS.get(k, (None,))[0]
+            fn, sel = UNARY_MATH[k], spec.approx
             self.math = lambda x: fn(x, sel)
         elif k in BINARY_MATH:
             self.math = BINARY_MATH[k]
@@ -667,9 +668,8 @@ def _activation_grad(spec: KernelSpec, inp: TensorView, out: TensorView) -> None
     if inp.secondary is None:
         raise TensorError("backward kind requires the forward input in secondary")
     x = _compute_values(TensorView(inp.desc, np.asarray(inp.secondary)))
-    sel = spec.approx or APPROX_SELECTORS[spec.kind][0]
     with np.errstate(all="ignore"):
-        r = _compute_values(inp) * _ACTIVATION_GRAD[spec.kind](x, sel)
+        r = _compute_values(inp) * _ACTIVATION_GRAD[spec.kind](x, spec.approx)
     _store(out, r)
 
 

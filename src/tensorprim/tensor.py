@@ -245,6 +245,11 @@ def vnni_alpha(dtype: DType) -> int:
     raise TensorError(f"no VNNI group size for {dtype}")
 
 
+def vnni_extent(rows: int, cols: int, alpha: int) -> tuple[int, int]:
+    """(rows * alpha, ceil(cols / alpha)): the extent of a tensor's VNNI view."""
+    return rows * alpha, -(-cols // alpha)
+
+
 def vnni_pack_a(a_patterns: np.ndarray, alpha: int) -> np.ndarray:
     """Plain (M, K) A into the [K/alpha][M][alpha] flat layout, zero-padded
     tail group; element (m, k) lands at group k//alpha, row m, slot k%alpha.
@@ -254,7 +259,7 @@ def vnni_pack_a(a_patterns: np.ndarray, alpha: int) -> np.ndarray:
     if alpha not in (2, 4):
         raise TensorError("alpha must be 2 (16-bit) or 4 (8-bit)")
     m, k = a_patterns.shape
-    groups = -(-k // alpha)
+    groups = vnni_extent(m, k, alpha)[1]
     padded = np.zeros((m, groups * alpha), dtype=a_patterns.dtype)
     padded[:, :k] = a_patterns
     return np.ascontiguousarray(padded.reshape(m, groups, alpha).transpose(1, 0, 2)).reshape(-1)
@@ -262,8 +267,8 @@ def vnni_pack_a(a_patterns: np.ndarray, alpha: int) -> np.ndarray:
 
 def vnni_unpack_a(flat: np.ndarray, alpha: int, m: int, k: int) -> np.ndarray:
     """Inverse of :func:`vnni_pack_a` (drops tail padding)."""
-    groups = -(-k // alpha)
-    grid = flat[:groups * m * alpha].reshape(groups, m, alpha)
+    rows, groups = vnni_extent(m, k, alpha)
+    grid = flat[:groups * rows].reshape(groups, m, alpha)
     return grid.transpose(1, 0, 2).reshape(m, groups * alpha)[:, :k]
 
 

@@ -766,47 +766,6 @@ def min_temp_slots(tree: eqn.EqTree) -> int:
     return best[full]
 
 
-def enumerate_min_slots(tree: eqn.EqTree) -> int:
-    """Literal exhaustive enumeration of every topological order with greedy
-    free-then-allocate slot simulation (cross-checks the lattice search)."""
-    internal = tree.internal_nodes()
-    n = len(internal)
-    idx = {node.node_id: i for i, node in enumerate(internal)}
-    kids = [[idx[c.node_id] for c in node.children if not c.is_leaf] for node in internal]
-    parent = [None] * n
-    for i, node in enumerate(internal):
-        for c in node.children:
-            if not c.is_leaf:
-                parent[idx[c.node_id]] = i
-    best = [1 << 30]
-
-    def rec(done: set, slot_of: dict, free: list, used: int, peak: int):
-        if len(done) == n:
-            best[0] = min(best[0], peak)
-            return
-        if peak >= best[0]:
-            return
-        for i in range(n):
-            if i in done or any(c not in done for c in kids[i]):
-                continue
-            freed = [slot_of[c] for c in kids[i]]
-            f2 = sorted(free + freed)
-            if f2:
-                slot, rest = f2[0], f2[1:]
-                u2, p2 = used, peak
-            else:
-                slot, rest = used, []
-                u2, p2 = used + 1, max(peak, used + 1)
-            slot_of[i] = slot
-            done.add(i)
-            rec(done, slot_of, rest, u2, p2)
-            done.remove(i)
-            del slot_of[i]
-
-    rec(set(), {}, [], 0, 0)
-    return best[0]
-
-
 def random_score_tree(rng, max_internal: int = 9) -> eqn.EqTree:
     """Random tree of elementwise ops for planner checks (shape-uniform)."""
     d = TensorDesc(4, 4, 4, DType.FP32)
@@ -846,7 +805,6 @@ def check_score_crosscheck(seed: int = 0, trees: int = 10_000) -> CheckResult:
     bad = 0
     for _ in range(trees):
         t = random_score_tree(rng)
-        eqn.assign_register_score(t)
         oracle = score_oracle(t)
         for node in t.nodes():
             if node.score != oracle[node.node_id]:

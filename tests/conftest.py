@@ -43,7 +43,7 @@ def avx2_build(tmp_path_factory):
 
 def _select_backend(request, monkeypatch) -> str:
     if request.param == "numpy":
-        monkeypatch.setattr(native, "_USE_NATIVE", False)
+        monkeypatch.setattr(native, "_lib", False)
     elif shutil.which(native.CC) is None:
         pytest.skip(f"no C compiler {native.CC!r} on PATH")
     elif request.param == "native-default":
@@ -61,7 +61,7 @@ def _select_backend(request, monkeypatch) -> str:
 def native_backend(request, monkeypatch):
     """Run the test on the C kernels as loaded on this machine, on their
     default (no target clone) build, and on the numpy reference paths
-    (forced by the test-only switch ``native._USE_NATIVE``); every caller of
+    (forced by setting ``native._lib`` to False); every caller of
     a C kernel, the contraction and the reductions alike, takes that
     backend."""
     return _select_backend(request, monkeypatch)

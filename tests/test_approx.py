@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -67,6 +68,25 @@ def test_minimax_interval_indexing_covers_range():
     # contiguous tiling
     for i in range(15):
         assert t.interval_bounds(i)[1] == t.interval_bounds(i + 1)[0] or i == 0
+
+
+def test_minimax_tables_hold_read_only_fp32_coefficients():
+    """A table's coefficients are checked once, at construction: a copy in
+    the FP32 (4, 16) C-ordered layout the C engine reads, read-only, in a
+    table whose fields cannot be rebound."""
+    for t in (approx.TANH_MINIMAX, approx.GELU_ERF_MINIMAX):
+        c = t.coeffs
+        assert c.dtype == np.float32 and c.shape == (4, 16) and c.flags.c_contiguous
+        with pytest.raises(ValueError):
+            c[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.range_max = 1.0
+    src = np.asfortranarray(np.arange(64.0).reshape(4, 16))
+    t = approx.MinimaxTable("t", -6, src, 4.0, 1.0)
+    assert t.coeffs.dtype == np.float32 and t.coeffs.flags.c_contiguous
+    assert np.array_equal(t.coeffs, src) and not np.shares_memory(t.coeffs, src)
+    with pytest.raises(ValueError):
+        approx.MinimaxTable("t", -6, src.T, 4.0, 1.0)
 
 
 def test_gelu_examples():
@@ -238,7 +258,7 @@ def test_engines_match_the_numpy_path_bitwise(engine, native_backend, monkeypatc
     with np.errstate(all="ignore"):  # the numpy paths meet Inf and NaN
         got = [np.asarray(f(x)) for x in xs]
         with monkeypatch.context() as mp:
-            mp.setattr(native, "_USE_NATIVE", False)
+            mp.setattr(native, "_lib", False)
             want = [np.asarray(f(x)) for x in xs]
     for x, g, w in zip(xs, got, want):
         assert g.shape == x.shape and g.dtype == np.float32
@@ -258,7 +278,7 @@ def test_elementwise_kernel_calls_reach_the_c_engines(native_backend, monkeypatc
         return [to_array(o) for o in outs]
 
     with monkeypatch.context() as mp:
-        mp.setattr(native, "_USE_NATIVE", False)
+        mp.setattr(native, "_lib", False)
         want = run()
     entered = []
     for name in ("_tanh_pade78_numpy", "_minimax_numpy", "_exp_taylor_numpy"):

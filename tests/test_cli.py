@@ -256,7 +256,7 @@ def test_bench_deterministic_checksums(capsys):
 
 def test_bench_rows_name_the_contraction_backend(monkeypatch, capsys):
     """Contraction rows name the backend of ``brgemm``, softmax rows that of
-    the reductions; the test-only switch moves both onto numpy."""
+    the reductions; with ``native._lib`` False both run on numpy."""
     args = ["bench", "--op", "all", "--m", "8", "--n", "8", "--k", "8", "--count", "2",
             "--repeats", "1", "--format", "json"]
 
@@ -266,7 +266,7 @@ def test_bench_rows_name_the_contraction_backend(monkeypatch, capsys):
 
     want = "native" if shutil.which(native.CC) else "numpy"
     assert backends() == {"brgemm": want, "fc": want, "softmax": want}
-    monkeypatch.setattr(native, "_USE_NATIVE", False)
+    monkeypatch.setattr(native, "_lib", False)
     assert backends() == {"brgemm": "numpy", "fc": "numpy", "softmax": "numpy"}
 
 

@@ -14,7 +14,6 @@ from tensorprim import (
     TreeBuilder,
     UnaryKind,
     alloc,
-    assign_register_score,
     create_execution_plan,
     evaluate,
     evaluate_naive,
@@ -28,7 +27,7 @@ from tensorprim import (
 from tensorprim.equation import MAX_DEPTH, EquationError, ParseError, plan_to_dict
 from tensorprim import equation, verify
 
-from util import bits_equal, oracle_nodes, oracle_parse, oracle_plan
+from util import bits_equal, enumerate_min_slots, oracle_nodes, oracle_parse, oracle_plan
 
 
 def D(m, n, dtype=DType.FP32):
@@ -250,7 +249,7 @@ def test_parse_errors_match_the_recursive_oracle():
 # ---------------------------------------------------------------------------
 
 def test_worked_example_root_score_two():
-    tree = assign_register_score(parse_equation(WORKED, [D(4, 4)] * 5))
+    tree = parse_equation(WORKED, [D(4, 4)] * 5)
     assert tree.root.score == 2
 
 
@@ -259,7 +258,7 @@ def test_unary_chain_scores_all_one():
     node = b.leaf(0)
     for _ in range(7):
         node = b.unary(UnaryKind.TANH, node)
-    tree = assign_register_score(b.tree(node))
+    tree = b.tree(node)
     assert all(n.score == 1 for n in tree.internal_nodes())
 
 
@@ -272,18 +271,8 @@ def test_balanced_binary_tree_score_is_depth():
                 return b.leaf(0)
             return b.binary(BinaryKind.ADD, build(d - 1), build(d - 1))
 
-        tree = assign_register_score(b.tree(build(depth)))
+        tree = b.tree(build(depth))
         assert tree.root.score == depth
-
-
-def test_score_crosscheck_against_independent_recursion():
-    rng = np.random.default_rng(0)
-    for _ in range(500):
-        t = verify.random_score_tree(rng)
-        assign_register_score(t)
-        oracle = verify.score_oracle(t)
-        for n in t.nodes():
-            assert n.score == oracle[n.node_id]
 
 
 def _need_by_rule(n) -> int:
@@ -297,11 +286,12 @@ def _need_by_rule(n) -> int:
 
 
 def test_tree_builder_scores_every_node_as_it_builds():
-    """Without assign_register_score, every node TreeBuilder returns (and
-    every parsed node) already carries the oracle's score and the
-    documented need."""
-    rng = np.random.default_rng(3)
-    trees = [verify.random_score_tree(rng) for _ in range(300)]
+    """Every node TreeBuilder returns (and every parsed node) carries the
+    score of the independent oracle and the documented need; no later walk
+    sets them, and the planner refuses a tree without them."""
+    rng0, rng3 = np.random.default_rng(0), np.random.default_rng(3)
+    trees = [verify.random_score_tree(rng0) for _ in range(500)]
+    trees += [verify.random_score_tree(rng3) for _ in range(300)]
     trees += [parse_equation(WORKED, [D(4, 4)] * 5),
               parse_equation("exp(T0 - T1) * gelu(T2) + sigmoid(T0 / T2)", [D(3, 3)] * 3)]
     for t in trees:
@@ -309,17 +299,20 @@ def test_tree_builder_scores_every_node_as_it_builds():
         for n in t.nodes():
             assert n.score == oracle[n.node_id]
             assert n.need == _need_by_rule(n)
+    d = D(4, 4)
+    leaf = equation.EqNode(0, None, [], 0, d)
+    unscored = equation.EqTree(equation.EqNode(1, UnaryKind.RELU, [leaf], out_desc=d), [d])
+    with pytest.raises(EquationError, match="register scores"):
+        create_execution_plan(unscored)
 
 
 def test_ternary_score_rules():
     b = TreeBuilder([D(2, 2)])
     all_leaves = b.ternary(TernaryKind.MULADD, b.leaf(0), b.leaf(0), b.leaf(0))
-    assign_register_score(b.tree(all_leaves))
     assert all_leaves.score == 1
     b2 = TreeBuilder([D(2, 2)])
     deep = b2.ternary(TernaryKind.MULADD, b2.unary(UnaryKind.RELU, b2.leaf(0)),
                       b2.leaf(0), b2.leaf(0))
-    assign_register_score(b2.tree(deep))
     assert deep.score == 3  # max(3, 1, 0, 0) per the scoring rule
 
 
@@ -361,7 +354,7 @@ def test_plan_timestamps_topological():
     rng = np.random.default_rng(1)
     for _ in range(200):
         t = verify.random_score_tree(rng)
-        plan = create_execution_plan(assign_register_score(t))
+        plan = create_execution_plan(t)
         for s in plan.steps:
             for c in s.node.children:
                 if not c.is_leaf:
@@ -372,7 +365,7 @@ def test_minimality_vs_subset_dp():
     rng = np.random.default_rng(2)
     for _ in range(300):
         t = verify.random_score_tree(rng)
-        plan = create_execution_plan(assign_register_score(t))
+        plan = create_execution_plan(t)
         assert plan.temp_count == verify.min_temp_slots(t)
 
 
@@ -381,7 +374,7 @@ def test_subset_dp_agrees_with_literal_enumeration():
     rng = np.random.default_rng(3)
     for _ in range(150):
         t = verify.random_score_tree(rng, max_internal=6)
-        assert verify.min_temp_slots(t) == verify.enumerate_min_slots(t)
+        assert verify.min_temp_slots(t) == enumerate_min_slots(t)
 
 
 def test_root_score_equals_temp_count_for_unary_binary_trees():
@@ -391,7 +384,7 @@ def test_root_score_equals_temp_count_for_unary_binary_trees():
         t = verify.random_score_tree(rng)
         if any(isinstance(n.kind, TernaryKind) for n in t.internal_nodes()):
             continue
-        plan = create_execution_plan(assign_register_score(t))
+        plan = create_execution_plan(t)
         assert plan.temp_count == t.root.score
         count += 1
     assert count > 50
@@ -437,7 +430,7 @@ def test_tile_fused_handles_broadcast_arguments():
     b = TreeBuilder([x, colv, colv, rowv, scav])
     inner = b.ternary(TernaryKind.MULADD, b.leaf(0), b.leaf(1), b.leaf(2))
     root = b.ternary(TernaryKind.MULADD, inner, b.leaf(3), b.leaf(4))
-    plan = create_execution_plan(assign_register_score(b.tree(root)))
+    plan = create_execution_plan(b.tree(root))
     args = [
         from_array(rng.standard_normal((rows, cols)).astype(np.float32)),
         broadcast(from_array(rng.standard_normal((rows, 1)).astype(np.float32)),
@@ -518,7 +511,7 @@ def test_fusion_fidelity_random_sample():
     for i in range(60):
         dtype = DType.FP64 if i % 2 else DType.FP32
         tree, args = verify.random_equation(rng, dtype)
-        plan = create_execution_plan(assign_register_score(tree))
+        plan = create_execution_plan(tree)
         ref = alloc(plan.out_desc)
         evaluate_naive(tree, args, ref)
         for strat in (Buffered(), Hybrid(2, 2)):
@@ -543,7 +536,7 @@ def test_ternary_gemm_node_all_strategies():
     g = b.ternary(TernaryKind.GEMM, b.unary(UnaryKind.RELU, b.leaf(0)), b.leaf(1),
                   b.binary(BinaryKind.MUL, b.leaf(2), b.leaf(3)))
     tree = b.tree(b.binary(BinaryKind.ADD, g, b.leaf(4)))
-    plan = create_execution_plan(assign_register_score(tree))
+    plan = create_execution_plan(tree)
     args = [from_array(v) for v in vals]
     ref = alloc(plan.out_desc)
     evaluate_naive(tree, args, ref)
@@ -664,7 +657,7 @@ def test_broadcast_and_single_row_or_column_arguments():
                      b.unary(UnaryKind.INC, b.leaf(5)))  # 1 x N against M x 1
     fma = b.ternary(TernaryKind.MULADD, scaled, b.leaf(3), outer)
     root = b.binary(BinaryKind.MIN, fma, b.unary(UnaryKind.SQUARE, b.leaf(4)))
-    plan = create_execution_plan(assign_register_score(b.tree(root)))
+    plan = create_execution_plan(b.tree(root))
 
     def vals(r, c):
         return rng.standard_normal((r, c)).astype(np.float32)
@@ -871,6 +864,11 @@ for _ in range(MAX_DEPTH):
 trees = [b.tree(node)] + [equation.parse_equation(text, [d]) for text in (
     "relu(" * MAX_DEPTH + "T0" + ")" * MAX_DEPTH,
     "(" * MAX_DEPTH + "T0+T0" + ")" * MAX_DEPTH)]
+chain = trees[1]
+again = equation.parse_equation("relu(" * MAX_DEPTH + "T0" + ")" * MAX_DEPTH, [d])
+assert chain.root == chain.root and chain.root != again.root and chain != again
+assert repr(chain.root) == f"EqNode({MAX_DEPTH}, relu, children=[{MAX_DEPTH - 1}])"
+assert repr(chain).startswith("EqTree(root=EqNode(")
 for tree in trees:
     assert len(tree.nodes()) in (MAX_DEPTH + 1, 3)
     plan = equation.create_execution_plan(tree)
@@ -899,9 +897,10 @@ print("ok")
 
 def test_no_tree_walk_recurses():
     """Under a recursion limit far below MAX_DEPTH, parsing, planning,
-    ``nodes``, ``TreeBuilder.tree``, both evaluations and the dot export
-    all handle equations MAX_DEPTH deep, and 10^4-deep texts raise typed
-    errors (exit 2 from ``tensorprim plan``), never RecursionError."""
+    ``nodes``, ``TreeBuilder.tree``, both evaluations, the dot export and
+    ``repr`` and ``==`` of nodes and trees all handle equations MAX_DEPTH
+    deep, and 10^4-deep texts raise typed errors (exit 2 from ``tensorprim
+    plan``), never RecursionError."""
     import os
     from pathlib import Path
     import subprocess
@@ -922,7 +921,7 @@ def test_temp_bytes_never_exceeds_naive_and_strict_under_recycling():
     rng = np.random.default_rng(9)
     for _ in range(300):
         t = verify.random_score_tree(rng)
-        plan = create_execution_plan(assign_register_score(t))
+        plan = create_execution_plan(t)
         assert plan.temp_bytes <= plan.naive_bytes
         if plan.recycled:
             assert plan.temp_bytes < plan.naive_bytes

@@ -25,6 +25,7 @@ from tensorprim import (
     matmul,
     to_array,
     transform,
+    vnni_extent,
     vnni_pack_a,
     vnni_unpack_a,
     view_at,
@@ -239,7 +240,7 @@ def test_vnni_transform_output_is_a_vnni_operand():
                 b = fp32_to_bf16_rne(rng.standard_normal((k, n)).astype(np.float32))
             av = alloc(D(m, k, dtype))
             av.as2d()[:, :] = a
-            packed = alloc(D(m * alpha, -(-k // alpha), dtype))
+            packed = alloc(D(*vnni_extent(m, k, alpha), dtype))
             transform(av, TransformSpec(TransformKind.VNNI, alpha=alpha), packed)
             cp = alloc(D(m, n, acc))
             gemm(spec_mnk(m, n, k, dtype), av, (colmajor_flat(b), 0), cp)
@@ -259,6 +260,10 @@ def test_vnni_layout_needs_a_narrow_type(dtype):
         spec_mnk(4, 4, 4, dtype, a_layout=ALayout.VNNI)
     assert spec_mnk(4, 4, 4, DType.BF16, a_layout=ALayout.VNNI).alpha == 2
     assert spec_mnk(4, 4, 4, DType.INT8, a_layout=ALayout.VNNI).alpha == 4
+    # an A block is read in place as its VNNI view, tail group included
+    for dt, alpha in ((DType.BF16, 2), (DType.INT8, 4)):
+        rows, cols = vnni_extent(5, 7, alpha)
+        assert spec_mnk(5, 4, 7, dt, a_layout=ALayout.VNNI).a_dims == (rows, cols, rows)
 
 
 def test_bf16_emulated_single_product():
@@ -529,7 +534,7 @@ def test_brgemm_edge_cases_match_scalar_reference(case, kind, gemm_backend, monk
     if "neg" in opts:
         assert np.all(got == 0.0)
     if gemm_backend != "numpy":
-        monkeypatch.setattr(native, "_USE_NATIVE", False)
+        monkeypatch.setattr(native, "_lib", False)
         assert bits_equal(got, run())
 
 
@@ -583,7 +588,7 @@ def test_dense_vnni_calls_never_take_the_numpy_path(gemm_backend, monkeypatch):
     silent fallback to the numpy path."""
     calls = _vnni_calls(64, 64, 64, 8, seed=31)
     with monkeypatch.context() as mp:
-        mp.setattr(native, "_USE_NATIVE", False)
+        mp.setattr(native, "_lib", False)
         want = [_run(spec, batch) for spec, batch in calls]
     entered = []
     numpy_path = contraction._brgemm_numpy
@@ -659,7 +664,7 @@ def test_failed_scratch_allocation_takes_the_numpy_path(monkeypatch):
     is computed on the numpy path, with its bits."""
     calls = _vnni_calls(33, 5, 6, 2, seed=34)
     with monkeypatch.context() as mp:
-        mp.setattr(native, "_USE_NATIVE", False)
+        mp.setattr(native, "_lib", False)
         want = [_run(spec, batch) for spec, batch in calls]
     monkeypatch.setattr(native, "kernel", lambda name: lambda *args: 1)
     assert all(bits_equal(_run(spec, batch), w) for (spec, batch), w in zip(calls, want))
@@ -683,7 +688,7 @@ def _fp32_call(monkeypatch):
         return to_array(c)
 
     with monkeypatch.context() as mp:
-        mp.setattr(native, "_USE_NATIVE", False)
+        mp.setattr(native, "_lib", False)
         want = run()
     return run, want
 
@@ -703,11 +708,12 @@ def test_buffers_not_readable_in_place_take_the_numpy_path(monkeypatch):
     assert not misaligned.flags.aligned
     for a_buf, b_buf in ((strided, b), (a, misaligned)):
         outs = []
-        for use_native in (True, False):
-            monkeypatch.setattr(native, "_USE_NATIVE", use_native)
-            c = alloc(D(m, n))
-            gemm(spec_mnk(m, n, k), (a_buf, 0), (b_buf, 0), c)
-            outs.append(to_array(c))
+        with monkeypatch.context() as mp:
+            for _ in range(2):  # as loaded, then with C off
+                c = alloc(D(m, n))
+                gemm(spec_mnk(m, n, k), (a_buf, 0), (b_buf, 0), c)
+                outs.append(to_array(c))
+                mp.setattr(native, "_lib", False)
         assert bits_equal(outs[0], outs[1])
 
 
@@ -1007,7 +1013,7 @@ def test_a_nan_in_the_last_result_takes_the_numpy_path(gemm_backend, monkeypatch
     spec = GemmSpec(m, n, k, m, k, m)
     got = _brgemm_into_sentinel(spec, BrgemmBatch.stride(abuf, bbuf, m * k, k * n, 2))
     with monkeypatch.context() as mp:
-        mp.setattr(native, "_USE_NATIVE", False)
+        mp.setattr(native, "_lib", False)
         want = _brgemm_into_sentinel(spec, BrgemmBatch.stride(abuf, bbuf, m * k, k * n, 2))
     assert bits_equal(got, want) and list(np.flatnonzero(np.isnan(got))) == [m * n - 1]
     assert len(entered) == 2

@@ -22,6 +22,7 @@ from tensorprim import (
     TernaryKind,
     TransformKind,
     TransformSpec,
+    TreeBuilder,
     UnaryKind,
     alloc,
     apply_binary,
@@ -38,9 +39,12 @@ from tensorprim import (
     strided_store,
     to_array,
     transform,
+    vnni_extent,
     vnni_pack_a,
     vnni_unpack_a,
 )
+from tensorprim.equation import EquationError
+from tensorprim.ops import APPROX_SELECTORS
 from tensorprim.tensor import bool_to_mask, mask_to_bool
 from tensorprim.verify import reduce_oracle
 
@@ -81,6 +85,23 @@ def test_dispatch_distinct_approx_flags():
     mmx(x, out=o2)
     assert not bits_equal(to_array(o1), to_array(o2))  # different approximations
     assert np.allclose(to_array(o1), to_array(o2), atol=3e-3)
+
+
+@pytest.mark.parametrize("dtype, tiny", [(DType.FP32, 1e-40), (DType.FP64, 1e-310)])
+@pytest.mark.parametrize("kind", list(APPROX_SELECTORS))
+def test_no_selector_runs_the_listed_default(kind, dtype, tiny, native_backend):
+    """A kernel passes ``approx=None`` through to ``approx``, which picks the
+    default that ``APPROX_SELECTORS`` lists first: both give the same bits,
+    on signed zeros, infinities, a NaN and subnormals too."""
+    x = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 0.75, -2.5]])
+    outs = []
+    for sel in (None, APPROX_SELECTORS[kind][0]):
+        inp = from_array(x, dtype)
+        inp.secondary = inp.primary.copy()  # the forward input of a backward kind
+        out = alloc(D(1, x.shape[1], dtype))
+        apply_unary(kind, inp, out, approx_flag=sel)
+        outs.append(to_array(out))
+    assert bits_equal(*outs)
 
 
 @pytest.mark.parametrize("spec", [
@@ -544,8 +565,13 @@ def test_vnni_tail_padding():
     pats = np.arange(6, dtype=np.uint16).reshape(2, 3)  # 3 cols, alpha 2
     flat = vnni_pack_a(pats, 2)
     assert flat.shape == (8,)  # 2 groups x 2 rows x 2
+    assert vnni_extent(2, 3, 2) == (4, 2)  # the (rows * alpha) x groups view of it
     assert np.array_equal(vnni_unpack_a(flat, 2, 2, 3), pats)
     assert flat[5] == 0  # padded slot of the tail group
+    for rows, cols, alpha, want in ((1, 1, 2, (2, 1)), (3, 4, 4, (12, 1)), (3, 5, 4, (12, 2)),
+                                    (2, 9, 4, (8, 3)), (5, 8, 2, (10, 4))):
+        assert vnni_extent(rows, cols, alpha) == want
+        assert vnni_pack_a(np.ones((rows, cols), np.uint16), alpha).size == want[0] * want[1]
 
 
 def test_vnni_transform_op_and_alpha_guard():
@@ -560,19 +586,26 @@ def test_vnni_transform_op_and_alpha_guard():
 
 
 def test_vnni_to_vnnit_composition():
+    """Also with tail groups on both sides; both transforms' outputs have the
+    ``vnni_extent`` of their logical tensors."""
     rng = np.random.default_rng(4)
-    m, n = 6, 4
-    pats = rng.integers(0, 1 << 16, size=(m, n), dtype=np.uint16)
-    v = from_array(np.zeros((m, n), np.float32), DType.BF16)
-    v.as2d()[:, :] = pats
-    vn = alloc(TensorDesc(m * 2, n // 2, m * 2, DType.BF16))
-    transform(v, TransformSpec(TransformKind.VNNI, alpha=2), vn)
-    # composed op on the VNNI tensor
-    out = alloc(TensorDesc(n * 2, m // 2, n * 2, DType.BF16))
-    transform(vn, TransformSpec(TransformKind.VNNI_TO_VNNIT, alpha=2, alpha_out=2,
-                                rows=m, cols=n), out)
-    # oracle: de-format, transpose, re-format
-    assert bits_equal(out.primary, vnni_pack_a(pats.T, 2))
+    for m, n in ((6, 4), (5, 3)):
+        pats = rng.integers(0, 1 << 16, size=(m, n), dtype=np.uint16)
+        v = from_array(np.zeros((m, n), np.float32), DType.BF16)
+        v.as2d()[:, :] = pats
+        vnni = TransformSpec(TransformKind.VNNI, alpha=2)
+        vnnit = TransformSpec(TransformKind.VNNI_TO_VNNIT, alpha=2, alpha_out=2, rows=m, cols=n)
+        vn = alloc(D(*vnni_extent(m, n, 2), DType.BF16))
+        assert dispatch(KernelSpec(UnaryKind.TRANSFORM, (v.desc,), transform=vnni)).out_desc \
+            == vn.desc
+        transform(v, vnni, vn)
+        # composed op on the VNNI tensor
+        out = alloc(D(*vnni_extent(n, m, 2), DType.BF16))
+        assert dispatch(KernelSpec(UnaryKind.TRANSFORM, (vn.desc,), transform=vnnit)).out_desc \
+            == out.desc
+        transform(vn, vnnit, out)
+        # oracle: de-format, transpose, re-format
+        assert bits_equal(out.primary, vnni_pack_a(pats.T, 2))
 
 
 @pytest.mark.parametrize("out_dtype", [DType.FP32, DType.FP64])
@@ -923,12 +956,31 @@ def test_blend_with_bitmask():
 
 
 def test_mixed_int_float_elementwise_call_is_rejected():
-    """A direct call validates as tree building does: no silent promotion."""
-    a = from_array(np.ones((2, 2), dtype=np.int32))
-    b = from_array(np.ones((2, 2), dtype=np.float32))
+    """A direct call, a dispatch and a tree build reject an integer and a
+    float value operand alike, whichever position holds the odd one (a
+    BLEND selector is not a value operand): no silent promotion."""
+    i32 = from_array(np.ones((2, 2), dtype=np.int32))
+    f32 = from_array(np.ones((2, 2), dtype=np.float32))
     with pytest.raises(InvalidSpecError) as e:
-        apply_binary(BinaryKind.ADD, a, b, alloc(D(2, 2)))
+        apply_binary(BinaryKind.ADD, i32, f32, alloc(D(2, 2)))
     assert e.value.code == "dtype"
+    mask = TensorView(TensorDesc(2, 2, 2, DType.BIT), bool_to_mask(np.eye(2)))
+    cases = [(kind, [odd if j == pos else even for j in range(3)])
+             for kind in (TernaryKind.MULADD, TernaryKind.NMULADD)
+             for pos in range(3) for even, odd in ((f32, i32), (i32, f32))]
+    cases += [(TernaryKind.BLEND, [odd if j == pos else even for j in range(2)] + [mask])
+              for pos in range(2) for even, odd in ((f32, i32), (i32, f32))]
+    for kind, views in cases:
+        descs = tuple(v.desc for v in views)
+        with pytest.raises(InvalidSpecError) as e:
+            apply_ternary(kind, *views, alloc(D(2, 2)))
+        assert e.value.code == "dtype"
+        with pytest.raises(InvalidSpecError) as e:
+            dispatch(KernelSpec(kind, descs))
+        assert e.value.code == "dtype"
+        b = TreeBuilder(descs)
+        with pytest.raises(EquationError, match=r"\[dtype\]"):
+            b.ternary(kind, b.leaf(0), b.leaf(1), b.leaf(2))
 
 
 def test_binary_shapes_that_cannot_join_are_a_shape_error():

@@ -72,7 +72,7 @@ def check(view, rs: ReduceSpec, monkeypatch) -> np.ndarray:
 
     got = run()
     with monkeypatch.context() as mp:
-        mp.setattr(native, "_USE_NATIVE", False)
+        mp.setattr(native, "_lib", False)
         assert bits_equal(got, run()), rs
     want = oracle(view, rs)
     nan = np.isnan(want)

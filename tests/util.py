@@ -192,3 +192,40 @@ def oracle_plan(tree):
     plan(tree.root)
     naive = sum(s.node.out_desc.nbytes for s in steps if not s.is_root)
     return ExecPlan(tree, steps, state["count"], slot_bytes, naive, state["recycled"])
+
+
+def enumerate_min_slots(tree) -> int:
+    """Literal exhaustive enumeration of every topological order with greedy
+    free-then-allocate slot simulation (cross-checks the lattice search of
+    ``verify.min_temp_slots``)."""
+    internal = tree.internal_nodes()
+    n = len(internal)
+    idx = {node.node_id: i for i, node in enumerate(internal)}
+    kids = [[idx[c.node_id] for c in node.children if not c.is_leaf] for node in internal]
+    best = [1 << 30]
+
+    def rec(done: set, slot_of: dict, free: list, used: int, peak: int):
+        if len(done) == n:
+            best[0] = min(best[0], peak)
+            return
+        if peak >= best[0]:
+            return
+        for i in range(n):
+            if i in done or any(c not in done for c in kids[i]):
+                continue
+            freed = [slot_of[c] for c in kids[i]]
+            f2 = sorted(free + freed)
+            if f2:
+                slot, rest = f2[0], f2[1:]
+                u2, p2 = used, peak
+            else:
+                slot, rest = used, []
+                u2, p2 = used + 1, max(peak, used + 1)
+            slot_of[i] = slot
+            done.add(i)
+            rec(done, slot_of, rest, u2, p2)
+            done.remove(i)
+            del slot_of[i]
+
+    rec(set(), {}, [], 0, 0)
+    return best[0]
