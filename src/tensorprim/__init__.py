@@ -24,10 +24,7 @@ from .tensor import (
     TensorView,
     alloc,
     broadcast,
-    convert,
     from_array,
-    pack_fp32,
-    split_fp32,
     to_array,
     view_at,
     vnni_extent,
@@ -99,7 +96,9 @@ from .kernels import (
     fc_forward,
     layernorm,
     norm_scaling,
+    pack_fp32,
     softmax,
+    split_fp32,
     split_sgd_step,
 )
 

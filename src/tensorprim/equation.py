@@ -12,11 +12,13 @@ leaves are argument tensors.  Planning happens in two passes:
    which the parser builds through, is the one place both are set, as it
    builds each node, from its children's;
 2. a walk over an explicit stack visits children in decreasing-requirement
-   order (ties left-to-right), stamps each node on completion, and gives it
-   a temporary slot by one rule for every arity: inherit the slot of the
-   first non-leaf child (left, right, middle) and recycle the others, so
-   that the live set never exceeds the minimum over all evaluation orders.
-   The plan records each slot's byte size.
+   order (ties left-to-right), and gives each node, on completion, a plan
+   step with its timestamp and a temporary slot by one rule for every
+   arity: inherit the slot of the first non-leaf child (left, right,
+   middle) and recycle the others, so that the live set never exceeds the
+   minimum over all evaluation orders.  The plan records each slot's byte
+   size; planning writes nothing onto the nodes, so trees that share a
+   node plan independently.
 
 No walk over a tree recurses, the parser included (it climbs precedence
 with an explicit stack), so the interpreter's recursion limit bounds no
@@ -84,8 +86,6 @@ class EqNode:
     depth: int = 0                         # longest path down to a leaf
     score: int = -1
     need: int = -1       # true minimal temps for this subtree (drives visit order)
-    timestamp: int = -1
-    temp_id: Optional[int] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -439,27 +439,28 @@ def create_execution_plan(tree: EqTree) -> ExecPlan:
         if len(kids) > 1:
             kids = sorted(kids, key=_by_need)  # stable: ties stay left to right
         stack.extend([c for c in kids if c.kind is not None])
+    slot_of: dict[EqNode, int] = {}  # the plan's slots live here, not on the nodes
     for n in reversed(order):
         kids = n.children
-        n.timestamp = len(steps)
-        held = [c.temp_id for c in (kids[0], *kids[:0:-1]) if c.kind is not None]
+        held = [slot_of[c] for c in (kids[0], *kids[:0:-1]) if c.kind is not None]
         if held:
-            n.temp_id = held[0]
-            for slot in held[1:]:
-                heapq.heappush(free, slot)
+            slot = held[0]
+            for other in held[1:]:
+                heapq.heappush(free, other)
                 recycled = True
         elif free:
-            n.temp_id = heapq.heappop(free)
+            slot = heapq.heappop(free)
         else:
-            n.temp_id = temp_count
+            slot = temp_count
             temp_count += 1
+        slot_of[n] = slot
         is_root = n is root
         if not is_root:
-            slot_bytes[n.temp_id] = max(slot_bytes.get(n.temp_id, 0), n.out_desc.nbytes)
-        steps.append(PlanStep(n.timestamp, n,
-                              tuple([("arg", c.arg_slot) if c.kind is None else ("tmp", c.temp_id)
+            slot_bytes[slot] = max(slot_bytes.get(slot, 0), n.out_desc.nbytes)
+        steps.append(PlanStep(len(steps), n,
+                              tuple([("arg", c.arg_slot) if c.kind is None else ("tmp", slot_of[c])
                                      for c in kids]),
-                              ("tmp", n.temp_id), is_root))
+                              ("tmp", slot), is_root))
 
     naive = sum(s.node.out_desc.nbytes for s in steps if not s.is_root)
     return ExecPlan(tree, steps, temp_count, slot_bytes, naive, recycled)
@@ -748,14 +749,16 @@ def import_plan(text: str) -> dict:
 
 
 def _export_dot(plan: ExecPlan) -> str:
+    step_of = {s.node: s for s in plan.steps}
     lines = ["digraph equation {", "  rankdir=BT;"]
     for n in plan.tree.nodes():
         if n.is_leaf:
             lines.append(f'  n{n.node_id} [shape=box,label="T{n.arg_slot}"];')
         else:
-            tmp = "out" if n is plan.tree.root else f"tmp{n.temp_id}"
+            s = step_of[n]
+            tmp = "out" if s.is_root else f"tmp{s.output[1]}"
             lines.append(
-                f'  n{n.node_id} [label="{n.label()}\\nv={n.score} t={n.timestamp} {tmp}"];')
+                f'  n{n.node_id} [label="{n.label()}\\nv={n.score} t={s.timestamp} {tmp}"];')
     for n in plan.tree.nodes():
         for c in n.children:
             lines.append(f"  n{c.node_id} -> n{n.node_id};")

@@ -232,22 +232,49 @@ def norm_scaling(x: TensorView, m_prime: TensorView | None, v_prime: TensorView 
 # split SGD
 # ---------------------------------------------------------------------------
 
+def split_fp32(src: TensorView) -> SplitTensor:
+    """Split an FP32 view into fresh dense hi/lo 16-bit halves (one UNPACK)."""
+    rows, cols = src.desc.rows, src.desc.cols
+    split = SplitTensor(alloc(TensorDesc(rows, cols, rows, DType.BF16)),
+                        alloc(TensorDesc(rows, cols, rows, DType.INT16)))
+    _unpack_into(src, split)
+    return split
+
+
+def pack_fp32(split: SplitTensor, out: TensorView | None = None) -> TensorView:
+    """Bitwise inverse of :func:`split_fp32` (one PACK), into ``out`` or a
+    fresh dense FP32 view."""
+    if out is None:
+        out = alloc(TensorDesc(split.rows, split.cols, split.rows, DType.FP32))
+    elif out.desc.dtype is not DType.FP32:
+        raise TensorError(f"pack_fp32 writes FP32, the output is {out.desc.dtype}")
+    apply_binary(BinaryKind.PACK, split.hi, split.lo, out)
+    return out
+
+
+def _unpack_into(w: TensorView, split: SplitTensor) -> None:
+    """UNPACK ``w`` into the halves of ``split`` in place: lo goes through
+    hi's companion slot, which holds its previous payload again afterwards,
+    whether or not the UNPACK raised."""
+    hi = split.hi
+    saved, hi.secondary = hi.secondary, split.lo.primary
+    try:
+        apply_unary(UnaryKind.UNPACK, w, hi)
+    finally:
+        hi.secondary = saved
+
+
 def split_sgd_step(weights: SplitTensor, grad: TensorView, lr: float) -> None:
     """One SGD step on hi/lo split FP32 weights: pack, W -= lr * grad,
     unpack.  Bitwise identical to plain FP32 SGD on the packed values."""
     rows, cols = weights.rows, weights.cols
     if (grad.desc.rows, grad.desc.cols) != (rows, cols):
         raise TensorError("gradient shape mismatch")
-    w = alloc(TensorDesc(rows, cols, rows, DType.FP32))
-    apply_binary(BinaryKind.PACK, weights.hi, weights.lo, w)
-
+    w = pack_fp32(weights)
     lr_view = alloc(TensorDesc(1, 1, 1, DType.FP32), fill=lr)
     apply_ternary(TernaryKind.NMULADD, grad,
                   broadcast(lr_view, Bcast.SCALAR, rows, cols), w, w)
-
-    weights.hi.secondary = weights.lo.primary  # unpack fills lo in place
-    apply_unary(UnaryKind.UNPACK, w, weights.hi)
-    weights.hi.secondary = None
+    _unpack_into(w, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +377,9 @@ def fc_forward(spec: FcSpec, a_buf, b_buf, c: TensorView) -> None:
 # 1D dilated convolution
 # ---------------------------------------------------------------------------
 
+_CONV_BLOCK_Q = 8  # output positions per batch contraction
+
+
 @dataclass(frozen=True)
 class DilatedConvSpec:
     in_channels: int     # C
@@ -358,7 +388,6 @@ class DilatedConvSpec:
     out_width: int       # Q (output positions)
     taps: int            # S (filter size)
     dilation: int        # d
-    block_q: int = 8     # output-position block
 
     def __post_init__(self):
         if self.out_width + (self.taps - 1) * self.dilation > self.width:
@@ -385,13 +414,13 @@ def dilated_conv1d_forward(spec: DilatedConvSpec, inp: TensorView,
     wt = alloc(TensorDesc(k_ch, c_ch * s_taps, k_ch, weights.desc.dtype))
     transform(weights, TransformSpec(TransformKind.TRANSPOSE), wt)
 
-    full = GemmSpec(m=k_ch, n=spec.block_q, k=c_ch, lda=k_ch, ldb=inp.desc.ld,
+    full = GemmSpec(m=k_ch, n=_CONV_BLOCK_Q, k=c_ch, lda=k_ch, ldb=inp.desc.ld,
                     ldc=out.desc.ld, in_dtype=wt.desc.dtype,
                     out_dtype=out.desc.dtype, beta=0.0)
     a_refs = [(wt.primary, s * c_ch * k_ch) for s in range(s_taps)]
-    for pos in range(0, spec.out_width, spec.block_q):
-        bq = min(spec.block_q, spec.out_width - pos)
-        gspec = full if bq == spec.block_q else replace(full, n=bq)
+    for pos in range(0, spec.out_width, _CONV_BLOCK_Q):
+        bq = min(_CONV_BLOCK_Q, spec.out_width - pos)
+        gspec = full if bq == _CONV_BLOCK_Q else replace(full, n=bq)
         b_refs = [(inp.primary, (pos + s * d) * inp.desc.ld) for s in range(s_taps)]
         brgemm(gspec, BrgemmBatch.address(a_refs, b_refs), out.col_block(pos, bq))
 

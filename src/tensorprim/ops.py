@@ -325,7 +325,8 @@ class KernelSpec:
 def infer_output_desc(spec: KernelSpec) -> TensorDesc:
     """The output descriptor of ``spec``, or InvalidSpecError ('shape',
     'dtype' or 'flag') if no call could run it.  Every check of a spec's
-    kind, flags, input shapes and input dtypes lives here."""
+    kind, flags, input shapes and input dtypes lives here; a BIT operand is
+    'dtype' for every kind but as the selector of BLEND."""
     k, ins = spec.kind, spec.ins
     if spec.approx is not None and spec.approx not in APPROX_SELECTORS.get(k, ()):
         raise InvalidSpecError("flag", f"{k.name} does not implement {spec.approx}")
@@ -333,6 +334,8 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
         value = getattr(spec, flag)
         if value is not None and value is not False and flag not in KIND_FLAGS.get(k, ()):
             raise InvalidSpecError("flag", f"{k.name} does not read {flag}")
+    if any(d.dtype is DType.BIT for d in (ins[:2] if k is TernaryKind.BLEND else ins)):
+        raise InvalidSpecError("dtype", f"{k.name} takes no BIT operand (only a BLEND selector)")
     if isinstance(k, UnaryKind):
         if len(ins) != 1:
             raise InvalidSpecError("shape", "unary spec takes one input desc")
@@ -675,14 +678,20 @@ def _activation_grad(spec: KernelSpec, inp: TensorView, out: TensorView) -> None
 
 def _unpack(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
     """FP32 -> two 16-bit halves: hi into out.primary (BF16 patterns), lo into
-    out.secondary."""
-    if out.desc.dtype is not DType.BF16:
+    out.secondary (INT16 patterns) at the output's layout, ``ld`` included;
+    a None companion gets a fresh zeroed buffer.  A companion that is not a
+    flat uint16 buffer of at least ``out.desc.min_buffer_len`` elements
+    raises TensorError before anything is written."""
+    d = out.desc
+    if d.dtype is not DType.BF16:
         raise InvalidSpecError("dtype", "UNPACK output holds BF16 (hi) patterns")
-    hi, lo = split_fp32_bits(inp.as2d())
-    out.as2d()[:, :] = hi
-    if out.secondary is None or out.secondary.size < lo.size:
-        out.secondary = np.empty(inp.desc.rows * inp.desc.cols, dtype=np.uint16)
-    out.secondary.reshape(inp.desc.cols, inp.desc.rows).T[:, :] = lo
+    lo_desc = TensorDesc(d.rows, d.cols, d.ld, DType.INT16)
+    if out.secondary is None:
+        out.secondary = np.zeros(lo_desc.min_buffer_len, dtype=np.uint16)
+    lo = TensorView(lo_desc, out.secondary)
+    hi_bits, lo_bits = split_fp32_bits(inp.as2d())
+    out.as2d()[:, :] = hi_bits
+    lo.as2d()[:, :] = lo_bits
 
 
 def _prng_state(view: TensorView, cols: int) -> PrngState:

@@ -17,15 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dtypes import (
-    DType,
-    IdentityEnum,
-    bf16_to_fp32,
-    narrow,
-    pack_fp32_bits,
-    split_fp32_bits,
-    widen,
-)
+from .dtypes import DType, IdentityEnum, bf16_to_fp32, narrow
 
 
 class TensorError(ValueError):
@@ -155,10 +147,12 @@ class TensorView:
 
 
 def alloc(d: TensorDesc, fill=None) -> TensorView:
+    """A zeroed view of ``d``; ``fill``, if given, is stored in every element
+    as any value is (``narrow``: BF16 rounds, integers wrap)."""
     buf = np.zeros(d.min_buffer_len, dtype=d.dtype.storage)
     v = TensorView(d, buf)
     if fill is not None and d.dtype is not DType.BIT:
-        v.as2d()[:, :] = fill
+        v.as2d()[:, :] = narrow(np.asarray(fill), d.dtype)
     return v
 
 
@@ -280,15 +274,19 @@ class SplitTensor:
 
     ``hi`` holds the 16 MSBs of every element (a valid BF16 tensor); ``lo``
     the 16 LSBs.  ``(hi << 16) | lo`` recovers the FP32 bit pattern exactly.
+    The halves share one extent and one ``ld``: UNPACK writes lo at hi's.
     """
 
     hi: TensorView
     lo: TensorView
 
     def __post_init__(self):
-        if (self.hi.desc.rows, self.hi.desc.cols) != (self.lo.desc.rows, self.lo.desc.cols):
+        h, l = self.hi.desc, self.lo.desc
+        if (h.rows, h.cols) != (l.rows, l.cols):
             raise TensorError("hi/lo shape mismatch")
-        if self.hi.desc.dtype is not DType.BF16 or self.lo.desc.dtype is not DType.INT16:
+        if h.ld != l.ld:
+            raise TensorError(f"hi/lo ld mismatch: {h.ld} != {l.ld}")
+        if h.dtype is not DType.BF16 or l.dtype is not DType.INT16:
             raise TensorError("hi must be BF16 patterns, lo INT16 patterns")
 
     @property
@@ -298,63 +296,3 @@ class SplitTensor:
     @property
     def cols(self) -> int:
         return self.hi.desc.cols
-
-
-def split_fp32(src: TensorView) -> SplitTensor:
-    """Split an FP32 view into hi/lo 16-bit halves (pure bit split)."""
-    if src.desc.dtype is not DType.FP32:
-        raise TensorError("split_fp32 requires an FP32 source")
-    if src.desc.bcast is not Bcast.NONE:
-        raise TensorError("split_fp32 on broadcast view")
-    hi_bits, lo_bits = split_fp32_bits(src.as2d())
-    rows, cols = src.desc.rows, src.desc.cols
-    hi = alloc(TensorDesc(rows, cols, rows, DType.BF16))
-    lo = alloc(TensorDesc(rows, cols, rows, DType.INT16))
-    hi.as2d()[:, :] = hi_bits
-    lo.as2d()[:, :] = lo_bits
-    return SplitTensor(hi, lo)
-
-
-def pack_fp32(split: SplitTensor, out: TensorView | None = None) -> TensorView:
-    """Bitwise inverse of :func:`split_fp32`."""
-    rows, cols = split.rows, split.cols
-    if out is None:
-        out = alloc(TensorDesc(rows, cols, rows, DType.FP32))
-    elif (out.desc.rows, out.desc.cols) != (rows, cols) or out.desc.dtype is not DType.FP32:
-        raise TensorError("pack_fp32 output mismatch")
-    out.as2d()[:, :] = pack_fp32_bits(split.hi.as2d(), split.lo.as2d())
-    return out
-
-
-# -- conversions ----------------------------------------------------------------
-
-_CONVERT_PAIRS = {
-    (DType.FP32, DType.BF16),
-    (DType.BF16, DType.FP32),
-    (DType.FP32, DType.FP64),
-    (DType.FP64, DType.FP32),
-}
-
-
-def convert(src: TensorView, dst_dtype: DType, out: TensorView | None = None) -> TensorView:
-    """Element-wise datatype conversion.
-
-    FP32 -> BF16 rounds to nearest even; BF16 -> FP32 is exact.  INT8 is only
-    reachable through the quantize/dequantize kernels, not here.
-    """
-    sd = src.desc.dtype
-    if src.desc.bcast is not Bcast.NONE:
-        raise TensorError("convert requires a non-broadcast source")
-    if sd == dst_dtype:
-        pair_ok = True
-    else:
-        pair_ok = (sd, dst_dtype) in _CONVERT_PAIRS
-    if not pair_ok:
-        raise TensorError(f"unsupported conversion {sd} -> {dst_dtype}")
-    rows, cols = src.desc.rows, src.desc.cols
-    if out is None:
-        out = alloc(TensorDesc(rows, cols, rows, dst_dtype))
-    elif (out.desc.rows, out.desc.cols) != (rows, cols) or out.desc.dtype != dst_dtype:
-        raise TensorError("convert output mismatch")
-    out.as2d()[:, :] = narrow(widen(src.as2d(), sd), dst_dtype)
-    return out

@@ -822,6 +822,7 @@ def check_plan_validity(seed: int = 0, trees: int = 2000) -> CheckResult:
     for _ in range(trees):
         t = random_score_tree(rng)
         plan = eqn.create_execution_plan(t)
+        step_of = {s.node: s for s in plan.steps}
         holder: dict[int, int] = {}
         ok = True
         for s in plan.steps:
@@ -829,13 +830,13 @@ def check_plan_validity(seed: int = 0, trees: int = 2000) -> CheckResult:
                 if kind == "tmp" and holder.get(ref) != c.node_id:
                     ok = False
             for c in s.node.children:
-                if not c.is_leaf and holder.get(c.temp_id) == c.node_id:
-                    del holder[c.temp_id]
+                if not c.is_leaf and holder.get(step_of[c].output[1]) == c.node_id:
+                    del holder[step_of[c].output[1]]
             holder[s.output[1]] = s.node.node_id
         # timestamps must order children before parents
         for s in plan.steps:
             for c in s.node.children:
-                if not c.is_leaf and c.timestamp >= s.timestamp:
+                if not c.is_leaf and step_of[c].timestamp >= s.timestamp:
                     ok = False
         if not ok:
             bad += 1
@@ -1269,7 +1270,7 @@ def check_binary_reduce(seed: int = 0, instances: int = 100) -> CheckResult:
 def check_split_sgd(seed: int = 0, steps: int = 100) -> CheckResult:
     rng = np.random.default_rng(seed)
     w0 = rng.standard_normal((8, 8)).astype(np.float32)
-    split = tz.split_fp32(from_array(w0))
+    split = kernels.split_fp32(from_array(w0))
     ref = w0.copy()
     lr = 0.02
     lr32 = np.float32(lr)
@@ -1278,7 +1279,7 @@ def check_split_sgd(seed: int = 0, steps: int = 100) -> CheckResult:
         g = rng.standard_normal((8, 8)).astype(np.float32)
         kernels.split_sgd_step(split, from_array(g), lr)
         ref = ref - g * lr32
-        if not _bits_equal(to_array(tz.pack_fp32(split)), ref):
+        if not _bits_equal(pack_fp32_bits(split.hi.as2d(), split.lo.as2d()), ref):
             ok = False
             break
     return CheckResult("kernels-split-sgd", ok, int(not ok), 0,

@@ -184,8 +184,7 @@ def _outcome(parse, plan, text, descs):
     return plan(tree), tree
 
 
-_NODE_FIELDS = ("node_id", "kind", "arg_slot", "out_desc", "depth", "score", "need",
-                "timestamp", "temp_id")
+_NODE_FIELDS = ("node_id", "kind", "arg_slot", "out_desc", "depth", "score", "need")
 
 
 def _assert_same_outcome(text, descs):
@@ -202,12 +201,17 @@ def _assert_same_outcome(text, descs):
     for n, o in zip(nodes, onodes):
         assert [getattr(n, f) for f in _NODE_FIELDS] == [getattr(o, f) for f in _NODE_FIELDS]
         assert n.kernel is o.kernel
+    assert len(plan.steps) == len(oplan.steps)
+    for s, o in zip(plan.steps, oplan.steps):
+        assert (s.timestamp, s.node.node_id, s.inputs, s.output, s.is_root) == \
+            (o.timestamp, o.node.node_id, o.inputs, o.output, o.is_root)
 
 
 def test_parser_and_planner_match_the_recursive_oracle():
     """400 random equations: the iterative parser and planner give the
     recursive descent's and the recursive planner's plan JSON byte for
-    byte, and every node's score, need, depth, timestamp, slot and kernel."""
+    byte, every node's score, need, depth and kernel, and every step's
+    timestamp and slots."""
     rng = np.random.default_rng(17)
     seen_ops, planned = set(), 0
     while planned < 400:
@@ -355,10 +359,11 @@ def test_plan_timestamps_topological():
     for _ in range(200):
         t = verify.random_score_tree(rng)
         plan = create_execution_plan(t)
+        stamp = {s.node: s.timestamp for s in plan.steps}
         for s in plan.steps:
             for c in s.node.children:
                 if not c.is_leaf:
-                    assert c.timestamp < s.timestamp
+                    assert stamp[c] < s.timestamp
 
 
 def test_minimality_vs_subset_dp():
@@ -949,6 +954,20 @@ def test_dot_contains_all_nodes():
     assert dot.count("shape=box") == 5  # leaves
     assert sum(op in dot for op in ("tanh", "matmul", "sub", "div", "add")) == 5
     assert "v=2" in dot and "tmp0" in dot and "tmp1" in dot
+
+
+def test_planning_one_tree_leaves_another_that_shares_a_node_alone():
+    b = TreeBuilder([D(4, 4)] * 3)
+    x = b.binary(BinaryKind.ADD, b.leaf(0), b.leaf(1))
+    first = create_execution_plan(b.tree(b.unary(UnaryKind.TANH, x)))
+    dot, doc = export_plan(first, "dot"), export_plan(first, "json")
+    assert f'n{x.node_id} [label="add\\nv=1 t=0 tmp0"]' in dot
+    second = create_execution_plan(
+        b.tree(b.binary(BinaryKind.MUL,
+                        b.binary(BinaryKind.SUB, b.leaf(1), b.leaf(2)), x)))
+    assert [(s.node, s.timestamp, s.output) for s in second.steps if s.node is x] == \
+        [(x, 1, ("tmp", 1))]
+    assert export_plan(first, "dot") == dot and export_plan(first, "json") == doc
 
 
 def test_export_rejects_unknown_format():

@@ -17,6 +17,7 @@ from tensorprim import (
     ReduceOp,
     ReduceSpec,
     SoftmaxSpec,
+    SplitTensor,
     TensorDesc,
     TensorError,
     TensorView,
@@ -301,6 +302,45 @@ def test_split_sgd_tracks_fp32_reference_bitwise():
         split_sgd_step(split, from_array(grad), 0.01)
         ref = ref - grad * lr32
     assert bits_equal(to_array(pack_fp32(split)), ref)
+
+
+def _split_at(w: np.ndarray, ld: int) -> SplitTensor:
+    """``w`` split into halves with leading dimension ``ld``, padding zero."""
+    rows, cols = w.shape
+    bits = w.view(np.uint32)
+    hi = alloc(TensorDesc(rows, cols, ld, DType.BF16))
+    lo = alloc(TensorDesc(rows, cols, ld, DType.INT16))
+    hi.as2d()[:, :] = (bits >> 16).astype(np.uint16)
+    lo.as2d()[:, :] = (bits & 0xFFFF).astype(np.uint16)
+    return SplitTensor(hi, lo)
+
+
+def test_split_sgd_on_padded_ld_halves_steps_like_fp32_sgd():
+    rng = np.random.default_rng(8)
+    w0 = rng.standard_normal((3, 4)).astype(np.float32)
+    padded, dense = _split_at(w0, 5), split_fp32(from_array(w0))
+    ref, lr32 = w0.copy(), np.float32(0.01)
+    for _ in range(20):
+        g = rng.standard_normal((3, 4)).astype(np.float32)
+        split_sgd_step(padded, from_array(g), 0.01)
+        split_sgd_step(dense, from_array(g), 0.01)
+        ref = ref - g * lr32
+    assert bits_equal(to_array(pack_fp32(padded)), ref)
+    assert bits_equal(to_array(pack_fp32(dense)), ref)
+    for half in (padded.hi, padded.lo):  # rows 3 and 4 between columns are padding
+        assert np.all(half.primary[[3, 4, 8, 9, 13, 14]] == 0)
+    assert padded.hi.secondary is None and dense.hi.secondary is None
+
+
+def test_a_raising_unpack_restores_the_hi_companion():
+    split = split_fp32(from_array(np.ones((2, 2), dtype=np.float32)))
+    marker = np.zeros(4, dtype=np.uint16)
+    split.hi.secondary = marker
+    split.lo.primary = split.lo.primary.view(np.int16)  # PACK reads it, UNPACK refuses it
+    hi0 = split.hi.primary.copy()
+    with pytest.raises(TensorError):
+        split_sgd_step(split, from_array(np.ones((2, 2), dtype=np.float32)), 0.5)
+    assert split.hi.secondary is marker and bits_equal(split.hi.primary, hi0)
 
 
 def test_split_sgd_accepts_bf16_gradients():

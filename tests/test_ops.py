@@ -377,6 +377,20 @@ def test_identity_converts_dtype():
     apply_unary(UnaryKind.IDENTITY, x, out)
     assert to_array(out).dtype == np.float64
     assert to_array(out).tolist() == [[1.25, -3.0]]
+    # FP32 -> BF16 -> FP32 is exact on values BF16 holds
+    vals = np.array([[1.0, -2.5, 0.15625]], dtype=np.float32)
+    b, back = alloc(D(1, 3, DType.BF16)), alloc(D(1, 3))
+    apply_unary(UnaryKind.IDENTITY, from_array(vals), b)
+    apply_unary(UnaryKind.IDENTITY, b, back)
+    assert b.primary.tolist() == [0x3F80, 0xC020, 0x3E20]
+    assert bits_equal(to_array(back), vals)
+    # BF16 and FP32 widen to FP64 exactly
+    wide = alloc(D(1, 3, DType.FP64))
+    apply_unary(UnaryKind.IDENTITY, b, wide)
+    assert bits_equal(to_array(wide), vals.astype(np.float64))
+    apply_unary(UnaryKind.IDENTITY, from_array(np.array([[1.5]], dtype=np.float32)),
+                wide.col_block(0, 1))
+    assert to_array(wide)[0, 0] == 1.5
 
 
 def test_zero_ignores_input():
@@ -1128,3 +1142,86 @@ def test_unpack_rejects_non_fp32():
     x = from_array(np.ones((2, 2)))
     with pytest.raises(InvalidSpecError):
         apply_unary(UnaryKind.UNPACK, x, alloc(D(2, 2, DType.BF16)))
+
+
+def _unpack_patterns(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2**32, size=(rows, cols), dtype=np.uint64).astype(np.uint32)
+
+
+@pytest.mark.parametrize("ld", [3, 5])
+def test_unpack_writes_lo_at_the_output_ld(ld):
+    bits = _unpack_patterns(3, 4, ld)
+    hi = alloc(TensorDesc(3, 4, ld, DType.BF16))
+    lo = alloc(TensorDesc(3, 4, ld, DType.INT16))
+    hi.secondary = lo.primary
+    apply_unary(UnaryKind.UNPACK, from_array(bits.view(np.float32)), hi)
+    assert hi.secondary is lo.primary
+    assert np.array_equal(hi.as2d(), bits >> 16)
+    assert np.array_equal(lo.as2d(), bits & 0xFFFF)
+
+
+def test_unpack_without_companion_allocates_one_at_the_output_layout():
+    bits = _unpack_patterns(3, 4, 1)
+    hi = alloc(TensorDesc(3, 4, 5, DType.BF16))
+    apply_unary(UnaryKind.UNPACK, from_array(bits.view(np.float32)), hi)
+    assert hi.secondary.dtype == np.uint16 and hi.secondary.size == hi.desc.min_buffer_len
+    lo = TensorView(TensorDesc(3, 4, 5, DType.INT16), hi.secondary)
+    assert np.array_equal(lo.as2d(), bits & 0xFFFF)
+
+
+def test_unpack_fills_a_larger_companion_in_place():
+    bits = _unpack_patterns(3, 4, 2)
+    comp = np.full(30, 0xABCD, dtype=np.uint16)
+    hi = alloc(D(3, 4, DType.BF16))
+    hi.secondary = comp
+    apply_unary(UnaryKind.UNPACK, from_array(bits.view(np.float32)), hi)
+    assert hi.secondary is comp
+    assert np.array_equal(comp[:12].reshape(4, 3).T, bits & 0xFFFF)
+    assert np.all(comp[12:] == 0xABCD)
+
+
+@pytest.mark.parametrize("companion", [
+    np.zeros(11, dtype=np.uint16),         # smaller than 3 x 4
+    np.zeros(12, dtype=np.int32),          # not 16-bit patterns
+    np.zeros(12, dtype=np.float32),
+    np.zeros((4, 3), dtype=np.uint16),     # not flat
+], ids=["small", "int32", "fp32", "2d"])
+def test_unpack_rejects_a_bad_companion_before_any_write(companion):
+    hi = alloc(D(3, 4, DType.BF16), fill=0.5)
+    hi.secondary = companion
+    before, comp_before = hi.primary.copy(), companion.copy()
+    with pytest.raises(TensorError):
+        apply_unary(UnaryKind.UNPACK, from_array(np.ones((3, 4), dtype=np.float32)), hi)
+    assert bits_equal(hi.primary, before) and bits_equal(companion, comp_before)
+    assert hi.secondary is companion
+
+
+_BIT = D(2, 2, DType.BIT)
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec(BinaryKind.ADD, (_BIT, _BIT)),
+    KernelSpec(BinaryKind.ADD, (D(2, 2), _BIT)),
+    KernelSpec(UnaryKind.TANH, (_BIT,)),
+    KernelSpec(UnaryKind.IDENTITY, (_BIT,)),
+    KernelSpec(UnaryKind.REDUCE, (_BIT,), reduce=ReduceSpec(ReduceAxis.ALL, ReduceOp.SUM)),
+    KernelSpec(BinaryKind.MATMUL, (_BIT, _BIT)),
+    KernelSpec(BinaryKind.COMPARE, (_BIT, _BIT), cmp=CmpOp.EQ),
+    KernelSpec(TernaryKind.MULADD, (_BIT, D(2, 2), D(2, 2))),
+    KernelSpec(TernaryKind.BLEND, (_BIT, D(2, 2), _BIT)),
+], ids=["add", "add-right", "tanh", "identity", "reduce", "matmul", "compare", "muladd",
+        "blend-value"])
+def test_bit_operands_are_rejected_at_dispatch(spec):
+    with pytest.raises(InvalidSpecError) as e:
+        dispatch(spec)
+    assert e.value.code == "dtype"
+    b = TreeBuilder(list(spec.ins))
+    leaves = [b.leaf(i) for i in range(len(spec.ins))]
+    with pytest.raises(EquationError, match="dtype"):
+        if len(leaves) == 1:
+            b.unary(spec.kind, *leaves, reduce=spec.reduce)
+        elif len(leaves) == 2:
+            b.binary(spec.kind, *leaves, cmp=spec.cmp)
+        else:
+            b.ternary(spec.kind, *leaves)

@@ -11,12 +11,12 @@ from tensorprim import (
     Bcast,
     DType,
     KernelSpec,
+    SplitTensor,
     TensorDesc,
     TensorError,
     TensorView,
     alloc,
     broadcast,
-    convert,
     from_array,
     pack_fp32,
     split_fp32,
@@ -134,30 +134,45 @@ def test_view_at_offsets():
     assert to_array(v)[0, 0] == 4.0 and to_array(v)[1, 2] == 13.0
 
 
-def test_convert_bf16_round_trip_exact_values():
-    x = from_array(np.array([[1.0, -2.5, 0.15625]], dtype=np.float32))
-    b = convert(x, DType.BF16)
-    back = convert(b, DType.FP32)
-    assert bits_equal(to_array(back), np.array([[1.0, -2.5, 0.15625]], dtype=np.float32))
-
-
-def test_convert_fp64_paths_and_rejections():
-    x = from_array(np.array([[1.5]], dtype=np.float32))
-    d = convert(x, DType.FP64)
-    assert d.desc.dtype is DType.FP64 and to_array(d)[0, 0] == 1.5
-    with pytest.raises(TensorError):
-        convert(x, DType.INT8)  # int8 only via the quantize path
-    b = convert(x, DType.BF16)
-    with pytest.raises(TensorError):
-        convert(b, DType.FP64)  # unsupported pair
-
-
 def test_split_pack_views():
     x = from_array(np.array([[1.0, 3.141592653589793]], dtype=np.float32))
     s = split_fp32(x)
     assert int(s.hi.as2d()[0, 0]) == 0x3F80 and int(s.lo.as2d()[0, 0]) == 0x0000
     y = pack_fp32(s)
     assert bits_equal(to_array(y), to_array(x))
+    # a padded source splits into dense halves, which pack into a padded view
+    w = np.array([[1.0, -0.1, np.inf], [np.nan, 3e-40, -0.0]], dtype=np.float32)
+    src = alloc(TensorDesc(2, 3, 4, DType.FP32))
+    src.as2d()[:, :] = w
+    s = split_fp32(src)
+    assert s.hi.desc.ld == s.lo.desc.ld == 2
+    back = alloc(TensorDesc(2, 3, 3, DType.FP32))
+    assert pack_fp32(s, back) is back and bits_equal(to_array(back), w)
+    with pytest.raises(TensorError):
+        pack_fp32(s, alloc(TensorDesc(2, 3, 2, DType.FP64)))
+
+
+def test_split_halves_must_share_one_ld():
+    hi = alloc(TensorDesc(3, 4, 5, DType.BF16))
+    with pytest.raises(TensorError, match="ld"):
+        SplitTensor(hi, alloc(TensorDesc(3, 4, 3, DType.INT16)))
+    assert SplitTensor(hi, alloc(TensorDesc(3, 4, 5, DType.INT16))).rows == 3
+
+
+def test_alloc_fill_stores_through_narrow():
+    b = alloc(TensorDesc(2, 2, 2, DType.BF16), fill=1.5)
+    assert np.all(b.primary == 0x3FC0) and np.all(to_array(b) == 1.5)
+    r = alloc(TensorDesc(1, 1, 1, DType.BF16), fill=1.00390625)  # a tie: rounds to even
+    assert int(r.primary[0]) == 0x3F80
+    assert np.all(alloc(TensorDesc(2, 2, 2, DType.INT8), fill=300).primary == 44)
+    assert np.all(alloc(TensorDesc(2, 2, 2, DType.INT8), fill=-129).primary == 127)
+    assert np.all(alloc(TensorDesc(1, 2, 1, DType.INT32), fill=-7).primary == -7)
+    # the kernels' FP32 and FP64 constants keep their bits
+    for dt, np_dt in ((DType.FP32, np.float32), (DType.FP64, np.float64)):
+        for c in (0.02, 1e-5, -1.0, 0.1):
+            v = alloc(TensorDesc(2, 3, 4, dt), fill=c)
+            assert bits_equal(to_array(v), np.full((2, 3), c, dtype=np_dt))
+            assert np.all(v.primary[2:4] == 0)  # the ld padding stays zero
 
 
 def test_bitmask_layout_column_padded():

@@ -161,7 +161,7 @@ def oracle_plan(tree):
     children are done; it inherits the slot of its first non-leaf child in
     the order left, right, middle and frees the others, or takes the lowest
     free slot, or a new one."""
-    free, steps, slot_bytes = [], [], {}
+    free, steps, slot_bytes, slot_of = [], [], {}, {}
     state = {"count": 0, "recycled": False}
 
     def plan(n):
@@ -169,25 +169,24 @@ def oracle_plan(tree):
         for c in sorted(kids, key=lambda c: -c.need) if len(kids) > 1 else kids:
             if not c.is_leaf:
                 plan(c)
-        n.timestamp = len(steps)
-        held = [c.temp_id for c in (n.children[0], *n.children[:0:-1]) if not c.is_leaf]
+        held = [slot_of[c] for c in (n.children[0], *n.children[:0:-1]) if not c.is_leaf]
         if held:
-            n.temp_id = held[0]
+            slot_of[n] = held[0]
             for slot in held[1:]:
                 heapq.heappush(free, slot)
                 state["recycled"] = True
         elif free:
-            n.temp_id = heapq.heappop(free)
+            slot_of[n] = heapq.heappop(free)
         else:
-            n.temp_id = state["count"]
+            slot_of[n] = state["count"]
             state["count"] += 1
         is_root = n is tree.root
         if not is_root:
-            slot_bytes[n.temp_id] = max(slot_bytes.get(n.temp_id, 0), n.out_desc.nbytes)
-        steps.append(PlanStep(n.timestamp, n,
-                              tuple(("arg", c.arg_slot) if c.is_leaf else ("tmp", c.temp_id)
+            slot_bytes[slot_of[n]] = max(slot_bytes.get(slot_of[n], 0), n.out_desc.nbytes)
+        steps.append(PlanStep(len(steps), n,
+                              tuple(("arg", c.arg_slot) if c.is_leaf else ("tmp", slot_of[c])
                                     for c in n.children),
-                              ("tmp", n.temp_id), is_root))
+                              ("tmp", slot_of[n]), is_root))
 
     plan(tree.root)
     naive = sum(s.node.out_desc.nbytes for s in steps if not s.is_root)
