@@ -504,14 +504,11 @@ def gemm(spec: GemmSpec, a, b, c: TensorView) -> None:
     brgemm(spec, BrgemmBatch.address([_as_ref(a)], [_as_ref(b)]), c)
 
 
-def spec_for_views(a: TensorView, b: TensorView, c: TensorView, beta: float = 0.0,
-                   a_layout: ALayout = ALayout.PLAIN,
-                   compute_path: ComputePath = ComputePath.NATIVE) -> GemmSpec:
+def spec_for_views(a: TensorView, b: TensorView, c: TensorView, beta: float = 0.0) -> GemmSpec:
     """Build a GemmSpec from plain (non-VNNI) operand views."""
     return GemmSpec(m=a.desc.rows, n=b.desc.cols, k=a.desc.cols,
                     lda=a.desc.ld, ldb=b.desc.ld, ldc=c.desc.ld,
-                    in_dtype=a.desc.dtype, out_dtype=c.desc.dtype, beta=beta,
-                    a_layout=a_layout, compute_path=compute_path)
+                    in_dtype=a.desc.dtype, out_dtype=c.desc.dtype, beta=beta)
 
 
 def matmul(a: TensorView, b: TensorView, out: TensorView) -> None:

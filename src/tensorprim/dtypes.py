@@ -130,14 +130,21 @@ def _to_fp32_round_to_odd(values: np.ndarray) -> np.ndarray:
 
 def narrow(values: np.ndarray, dtype: DType) -> np.ndarray:
     """Compute values in the storage representation of ``dtype``: BF16
-    rounds to nearest even (once, from any input precision), every other
-    type casts (integers wrap)."""
+    rounds to nearest even (once, from any input precision); a float value
+    stored into an integer type rounds toward zero and saturates to the
+    storage type's range, and NaN stores 0; every other store casts
+    (integers wrap)."""
+    v = np.asarray(values)
     if dtype is DType.BF16:
-        v = np.asarray(values)
         if v.dtype != np.float32:
             v = _to_fp32_round_to_odd(v)
         return fp32_to_bf16_rne(v)
-    return np.asarray(values).astype(dtype.storage, copy=False)
+    st = dtype.storage
+    if st.kind != "f" and v.dtype.kind == "f":
+        # clipped in FP64: in FP32, INT32's top, 2^31 - 1, rounds up to 2^31
+        info = np.iinfo(st)
+        v = np.where(np.isnan(v), 0.0, np.clip(v.astype(np.float64), info.min, info.max))
+    return v.astype(st, copy=False)
 
 
 def split_fp32_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -291,6 +291,18 @@ def _store(out: TensorView, values: np.ndarray) -> None:
     out.as2d()[:, :] = narrow(values, out.desc.dtype)
 
 
+def _check_out(out: TensorView, what: object, dtype: DType | None = None) -> None:
+    """The output rule of every primitive: ``out`` is not a broadcast view
+    (TensorError), and a primitive that writes storage as it is (a bitmask,
+    BF16 patterns, FP32 uniforms, a layout copy) passes the ``dtype`` that
+    storage has, which ``out`` must hold: InvalidSpecError('dtype')."""
+    if out.desc.bcast is not Bcast.NONE:
+        raise TensorError(f"{what} output must not be a broadcast view")
+    if dtype is not None and out.desc.dtype is not dtype:
+        raise InvalidSpecError("dtype", f"{what} writes {dtype} storage, "
+                                        f"the output is {out.desc.dtype}")
+
+
 def _require_logical_shape(v: TensorView, rows: int, cols: int, what: str) -> None:
     if (v.desc.rows, v.desc.cols) != (rows, cols):
         raise TensorError(f"{what}: expected {rows}x{cols}, got {v.desc.rows}x{v.desc.cols}")
@@ -470,9 +482,10 @@ class Kernel:
     and its kind's implementation bound when it was built.
 
     A call checks only that each operand has the extent and dtype of the
-    spec and ``out`` the output extent; ``out``'s dtype is free (the store
-    narrows to it) except where the kind writes raw storage: a bitmask
-    (COMPARE), BF16 patterns (UNPACK) or a layout copy (TRANSFORM).  The
+    spec, that ``out`` has the output extent and that it follows the output
+    rule (``_check_out``): its dtype is free (the store narrows to it)
+    except where the kind writes storage as it is: a bitmask (COMPARE), BF16
+    patterns (UNPACK) or a layout copy (TRANSFORM).  The
     call enters through the public function of its kind (``reduce``,
     ``transform``, ``replicate_cols`` or the ``apply_*`` of its family),
     which finds the kernel of the operands' descriptors and the spec's flags
@@ -485,7 +498,7 @@ class Kernel:
     same math the call runs; the tiled equation strategies run it on numpy
     slices of each tile.  It is None for every other kind."""
 
-    __slots__ = ("spec", "out_desc", "math", "_ins", "_impl")
+    __slots__ = ("spec", "out_desc", "math", "_ins", "_impl", "_raw_dtype")
 
     def __init__(self, spec: KernelSpec):
         self.spec = spec
@@ -495,6 +508,9 @@ class Kernel:
         self.out_desc = next((d for d in spec.ins if d == out), out)
         self._ins = tuple((d.rows, d.cols, d.dtype) for d in spec.ins)
         k = spec.kind
+        # the dtype of the kinds that write their output's storage as it is
+        self._raw_dtype = out.dtype if k in (UnaryKind.TRANSFORM, UnaryKind.UNPACK,
+                                             BinaryKind.COMPARE) else None
         self.math: Optional[Callable[..., np.ndarray]] = None
         if k in UNARY_MATH and not (k is UnaryKind.RELU and spec.bitmask_output):
             fn, sel = UNARY_MATH[k], spec.approx
@@ -531,8 +547,7 @@ class Kernel:
         if (out.desc.rows, out.desc.cols) != (od.rows, od.cols):
             raise TensorError(f"{self.spec.kind} output: expected {od.rows}x{od.cols}, "
                               f"got {out.desc.rows}x{out.desc.cols}")
-        if out.desc.bcast is not Bcast.NONE:
-            raise TensorError(f"{self.spec.kind} output must not be a broadcast view")
+        _check_out(out, self.spec.kind, self._raw_dtype)
         self._impl(*views, out)
 
 
@@ -583,12 +598,14 @@ def apply_unary(kind: UnaryKind, inp: Optional[TensorView], out: TensorView,
     REDUCE, TRANSFORM and REPLICATE_COLS enter through :func:`reduce`,
     :func:`transform` and :func:`replicate_cols`."""
     if kind is UnaryKind.ZERO:
+        _check_out(out, kind)
         out.as2d()[:, :] = 0
         return
     if inp is None:
         raise TensorError(f"{kind} requires an input view")
     if kind is UnaryKind.PRNG:
-        _prng_fill(inp, out)
+        _check_out(out, kind, DType.FP32)
+        out.as2d()[:, :] = _prng_state(inp, out.desc.cols).uniform_block(out.desc.rows)
         return
     kernel_for(kind, (inp.desc,), approx_flag, bitmask_output=bitmask_output,
                dropout_p=dropout_p)._run((inp,), out)
@@ -683,8 +700,6 @@ def _unpack(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
     flat uint16 buffer of at least ``out.desc.min_buffer_len`` elements
     raises TensorError before anything is written."""
     d = out.desc
-    if d.dtype is not DType.BF16:
-        raise InvalidSpecError("dtype", "UNPACK output holds BF16 (hi) patterns")
     lo_desc = TensorDesc(d.rows, d.cols, d.ld, DType.INT16)
     if out.secondary is None:
         out.secondary = np.zeros(lo_desc.min_buffer_len, dtype=np.uint16)
@@ -704,12 +719,6 @@ def _prng_state(view: TensorView, cols: int) -> PrngState:
     if state.x.size != cols:
         state = view.tertiary["prng"] = PrngState(state.seed, cols)
     return state
-
-
-def _prng_fill(inp: TensorView, out: TensorView) -> None:
-    if out.desc.dtype is not DType.FP32:
-        raise InvalidSpecError("dtype", "PRNG output must be FP32")
-    out.as2d()[:, :] = _prng_state(inp, out.desc.cols).uniform_block(out.desc.rows)
 
 
 def _dropout(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
@@ -839,9 +848,6 @@ def _reduce_numpy(rs: ReduceSpec, x: np.ndarray) -> np.ndarray:
 
 
 def _transform(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
-    if out.desc.dtype is not inp.desc.dtype:
-        raise InvalidSpecError("dtype", f"a transform copies {inp.desc.dtype} storage, "
-                                        f"the output is {out.desc.dtype}")
     t = spec.transform
     if t.kind is TransformKind.TRANSPOSE:
         out.as2d()[:, :] = inp.logical2d().T
@@ -866,8 +872,6 @@ def _pack(spec: KernelSpec, hi: TensorView, lo: TensorView, out: TensorView) -> 
 
 
 def _compare(spec: KernelSpec, a: TensorView, b: TensorView, out: TensorView) -> None:
-    if out.desc.dtype is not DType.BIT:
-        raise InvalidSpecError("dtype", "COMPARE output is a bitmask")
     bits = _CMP_PREDICATE[spec.cmp](_compute_values(a), _compute_values(b))
     out.primary[:] = bool_to_mask(bits)
 
@@ -881,7 +885,8 @@ def _gemm(spec: KernelSpec, a: TensorView, b: TensorView, c: TensorView,
 
 def _blend(spec: KernelSpec, a: TensorView, b: TensorView, c: TensorView,
            out: TensorView) -> None:
-    mask = mask_to_bool(c.primary, c.desc.rows, c.desc.cols)
+    d = c.desc
+    mask = np.broadcast_to(mask_to_bool(c.primary, d.phys_rows, d.phys_cols), (d.rows, d.cols))
     _store(out, np.where(mask, _compute_values(a), _compute_values(b)))
 
 
@@ -917,7 +922,8 @@ def shuffle_network_transpose(inp: TensorView, out: TensorView) -> None:
 
     Each register holds one column.  Per stage the interleave width doubles
     and register pairs sit at doubling distances; after log2(n) stages
-    register j holds row j of the input.
+    register j holds row j of the input, read through its logical
+    (broadcast) window.  ``out`` holds the input's dtype (a layout copy).
     """
     d = inp.desc
     n = d.rows
@@ -926,8 +932,10 @@ def shuffle_network_transpose(inp: TensorView, out: TensorView) -> None:
     if d.dtype.bits != 32:
         raise InvalidSpecError("dtype", "shuffle transpose is specified for 32-bit elements")
     _require_logical_shape(out, n, n, "shuffle transpose output")
+    _check_out(out, "shuffle transpose", d.dtype)
 
-    regs = [inp.as2d()[:, j].copy() for j in range(n)]
+    x = inp.logical2d()
+    regs = [x[:, j].copy() for j in range(n)]
     stages = n.bit_length() - 1
     for s in range(stages):
         w = 1 << s
@@ -963,16 +971,20 @@ def gather_scatter(inp: TensorView, indices, mode: GatherMode, out: TensorView) 
     """Gather/scatter rows, columns or (row, col) elements.
 
     Index bounds are validated before any write.  Gathers are pure copies,
-    one fancy-index assignment each.  Scatters apply in ascending source
-    order, so duplicate targets are deterministic last-writer-wins; they stay
-    loops because numpy leaves unspecified which write wins when one
-    fancy-index assignment repeats a target.  ``inp`` is read through its
-    logical (broadcast) window; a broadcast ``out`` raises TensorError.
+    one fancy-index assignment each.  Scatters are last-writer-wins in
+    ascending source order: SCATTER_ROWS and SCATTER_COLS loop, and
+    SCATTER2D assigns only each target's last writer (numpy leaves the
+    winner of a target repeated in one assignment unspecified).  ``inp`` is
+    read through its logical (broadcast) window; ``out`` follows the output
+    rule with the input's dtype, as a gather or scatter copies storage.
+
+    GATHER2D and SCATTER2D take k (row, col) offset pairs, and their other
+    side (``out`` of a gather, ``inp`` of a scatter) is any view of k
+    elements, the t-th pair matching its t-th element in column-major order.
     """
     if indices is None:
         raise InvalidSpecError("flag", f"{mode} requires an index companion")
-    if out.desc.bcast is not Bcast.NONE:
-        raise TensorError(f"{mode} cannot write a broadcast output")
+    _check_out(out, mode, inp.desc.dtype)
     idx = np.asarray(indices)
     src = inp.logical2d()
     dst = out.as2d()
@@ -981,17 +993,18 @@ def gather_scatter(inp: TensorView, indices, mode: GatherMode, out: TensorView) 
         if idx.ndim != 2 or idx.shape[1] != 2:
             raise InvalidSpecError("shape", "2D modes need (k, 2) offset pairs")
         ref = src if mode is GatherMode.GATHER2D else dst
-        if np.any(idx[:, 0] < 0) or np.any(idx[:, 0] >= ref.shape[0]) \
-                or np.any(idx[:, 1] < 0) or np.any(idx[:, 1] >= ref.shape[1]):
+        if np.any(idx < 0) or np.any(idx >= ref.shape):  # each pair against (rows, cols)
             raise IndexError("2D offset out of bounds")
         k = idx.shape[0]
+        side = (out if mode is GatherMode.GATHER2D else inp).desc
+        if side.rows * side.cols != k:
+            raise TensorError(f"{mode} side is {side.rows}x{side.cols}, not {k} elements")
         if mode is GatherMode.GATHER2D:
-            _require_logical_shape(out, k, 1, "GATHER2D output")
-            dst[:, 0] = src[idx[:, 0], idx[:, 1]]
+            dst[:, :] = src[idx[:, 0], idx[:, 1]].reshape(side.cols, side.rows).T
         else:
-            _require_logical_shape(inp, k, 1, "SCATTER2D input")
-            for t in range(k):
-                dst[idx[t, 0], idx[t, 1]] = src[t, 0]
+            last = k - 1 - np.unique(np.ravel_multi_index(idx.T, dst.shape)[::-1],
+                                     return_index=True)[1]
+            dst[idx[last, 0], idx[last, 1]] = src.T.reshape(-1)[last]
         return
 
     if idx.ndim != 1:
@@ -1030,37 +1043,25 @@ def affine_offsets(rows: int, cols: int, row_stride: int, col_stride: int,
     return np.stack([r, c], axis=1)
 
 
-def _check_offsets(offs: np.ndarray, shape: tuple[int, int], what: str) -> None:
-    """Every offset pair inside ``shape``; a negative offset would wrap."""
-    if np.any(offs < 0) or np.any(offs[:, 0] >= shape[0]) or np.any(offs[:, 1] >= shape[1]):
-        raise IndexError(f"strided {what} out of bounds")
-
-
 def strided_load(inp: TensorView, out: TensorView, row_stride: int, col_stride: int,
                  base_row: int = 0, base_col: int = 0) -> None:
-    """Strided 2D load: out[i, j] = in[base_row + i*row_stride, base_col + j*col_stride].
-    A stride of 0 reads one element many times (a broadcast read)."""
-    offs = affine_offsets(out.desc.rows, out.desc.cols, row_stride, col_stride,
-                          base_row, base_col)
-    src = inp.as2d()
-    _check_offsets(offs, src.shape, "load")
-    dst = out.as2d()
-    dst[:, :] = src[offs[:, 0], offs[:, 1]].reshape(out.desc.cols, out.desc.rows).T
+    """Strided 2D load: out[i, j] = in[base_row + i*row_stride, base_col + j*col_stride],
+    the GATHER2D of :func:`affine_offsets`.  A stride of 0 reads one element
+    many times (a broadcast read)."""
+    gather_scatter(inp, affine_offsets(out.desc.rows, out.desc.cols, row_stride, col_stride,
+                                       base_row, base_col), GatherMode.GATHER2D, out)
 
 
 def strided_store(inp: TensorView, out: TensorView, row_stride: int, col_stride: int,
                   base_row: int = 0, base_col: int = 0) -> None:
-    """Strided 2D store: out[base_row + i*row_stride, base_col + j*col_stride] = in[i, j].
+    """Strided 2D store: out[base_row + i*row_stride, base_col + j*col_stride] = in[i, j],
+    the SCATTER2D of :func:`affine_offsets`.
 
     A stride of 0 along an extent above 1 would send several elements to one
-    location, where numpy leaves the winner unspecified: TensorError."""
+    location: TensorError."""
     if (row_stride == 0 and inp.desc.rows > 1) or (col_stride == 0 and inp.desc.cols > 1):
         raise TensorError("strided store with stride 0 writes several elements to one place")
-    offs = affine_offsets(inp.desc.rows, inp.desc.cols, row_stride, col_stride,
-                          base_row, base_col)
-    dst = out.as2d()
-    _check_offsets(offs, dst.shape, "store")
-    src = inp.as2d()
-    dst[offs[:, 0], offs[:, 1]] = src.T.reshape(-1)
+    gather_scatter(inp, affine_offsets(inp.desc.rows, inp.desc.cols, row_stride, col_stride,
+                                       base_row, base_col), GatherMode.SCATTER2D, out)
 
 

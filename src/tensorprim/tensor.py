@@ -77,9 +77,8 @@ class TensorView:
     """A descriptor plus runtime payloads.
 
     ``primary`` is the flat element buffer.  ``secondary`` optionally holds a
-    companion buffer: a packed bitmask, an index array, or the lo-halves of a
-    split FP32 tensor (and, for backward activation kernels, the forward
-    input).  ``tertiary`` carries auxiliary scalars such as a quantization
+    companion buffer: a packed bitmask or the lo-halves of a split FP32
+    tensor (and, for backward activation kernels, the forward input).  ``tertiary`` carries auxiliary scalars such as a quantization
     scale or a PRNG seed.
     """
 

@@ -862,12 +862,6 @@ def random_equation(rng, dtype: DType, rows: int = 4, cols: int = 4):
     matching random argument arrays."""
     descs: list[TensorDesc] = []
 
-    class Ctx:
-        def __init__(self):
-            self.b = None
-
-    ctx = Ctx()
-
     def new_leaf(r, c):
         descs.append(TensorDesc(r, c, r, dtype))
         return len(descs) - 1

@@ -393,6 +393,25 @@ def test_identity_converts_dtype():
     assert to_array(wide)[0, 0] == 1.5
 
 
+@pytest.mark.parametrize("dtype, want", [
+    (DType.INT8, [127, -128, 127, 0, 2, -2, 127]),
+    (DType.INT32, [300, -300, 2 ** 31 - 1, 0, 2, -2, 2 ** 31 - 1]),
+], ids=["int8", "int32"])
+def test_float_into_integer_rounds_toward_zero_and_saturates(dtype, want):
+    """A direct call and a plan under Buffered and Hybrid store alike, with
+    no RuntimeWarning: NaN stores 0, and INT32's top bound holds although
+    FP32 rounds 2^31 - 1 up to 2^31."""
+    from tensorprim import Buffered, Hybrid, evaluate, plan_equation
+    x = from_array(np.array([[300, -300, 1e10, np.nan, 2.9, -2.9, 2.0 ** 31]], np.float32))
+    plan = plan_equation("identity(T0)", [x.desc])
+    for run in (lambda o: apply_unary(UnaryKind.IDENTITY, x, o),
+                lambda o: evaluate(plan, Buffered(), [x], o),
+                lambda o: evaluate(plan, Hybrid(1, 3), [x], o)):
+        out = alloc(D(1, 7, dtype))
+        run(out)
+        assert to_array(out).tolist() == [want]
+
+
 def test_zero_ignores_input():
     out = alloc(D(2, 2), fill=7.0)
     apply_unary(UnaryKind.ZERO, None, out)
@@ -819,6 +838,53 @@ def test_direct_call_into_a_broadcast_output_rejected(call):
     assert np.all(dst.primary == 5.0)
 
 
+def _tile_4x4():
+    return from_array(np.arange(16, dtype=np.float32).reshape(4, 4))
+
+
+def _prng_source():
+    src = alloc(D(1, 1))
+    src.tertiary = {"prng": PrngState(3, 4)}
+    return src
+
+
+@pytest.mark.parametrize("call", [
+    lambda dst: apply_unary(UnaryKind.ZERO, None, dst),
+    lambda dst: apply_unary(UnaryKind.PRNG, _prng_source(), dst),
+    lambda dst: strided_load(_tile_4x4(), dst, 1, 1),
+    lambda dst: strided_store(from_array(np.full((1, 2), 7.0, np.float32)), dst, 0, 2,
+                              base_col=1),
+    lambda dst: shuffle_network_transpose(_tile_4x4(), dst),
+], ids=["zero", "prng", "strided_load", "strided_store", "shuffle"])
+def test_write_into_a_row_broadcast_output_rejected(call):
+    """No primitive writes through the one physical row a ROW broadcast
+    shares (ZERO stored [0, 0, 0, 0] there, a strided store [5, 7, 5, 7])."""
+    base = alloc(D(1, 4), fill=5.0)
+    with pytest.raises(TensorError):
+        call(broadcast(base, Bcast.ROW, 4, 4))
+    assert base.primary.tolist() == [5.0] * 4
+
+
+@pytest.mark.parametrize("call, out_desc", [
+    (lambda o: gather_scatter(from_array(np.array([[2.0, -1.0]], np.float32), DType.BF16),
+                              np.array([0, 1]), GatherMode.GATHER_COLS, o), D(1, 2)),
+    (lambda o: gather_scatter(from_array(np.array([[300.5, 1e10]], np.float32)),
+                              np.array([0, 1]), GatherMode.GATHER_COLS, o), D(1, 2, DType.INT8)),
+    (lambda o: strided_load(from_array(np.array([[2.0, -1.0]], np.float32), DType.BF16),
+                            o, 1, 1), D(1, 2)),
+    (lambda o: shuffle_network_transpose(_tile_4x4(), o), D(4, 4, DType.INT32)),
+], ids=["gather-bf16-fp32", "gather-fp32-int8", "strided_load-bf16-fp32", "shuffle-fp32-int32"])
+def test_layout_copy_into_another_dtype_rejected(call, out_desc):
+    """A gather, a strided load and the shuffle transpose copy storage as it
+    is: into another dtype they stored BF16 2.0 as 16384.0 and truncated
+    FP32 values into integers, so they raise before any write."""
+    out = alloc(out_desc)
+    with pytest.raises(InvalidSpecError) as e:
+        call(out)
+    assert e.value.code == "dtype"
+    assert not np.any(to_array(out))
+
+
 def test_out_of_bounds_rejected_before_write():
     x = from_array(np.ones((2, 2), dtype=np.float32))
     out = alloc(D(2, 2), fill=5.0)
@@ -851,6 +917,43 @@ def test_strided_load_rejects_negative_offsets():
         strided_load(x, alloc(D(2, 2)), row_stride=1, col_stride=1, base_row=-1)
     with pytest.raises(IndexError):
         strided_load(x, alloc(D(2, 2)), row_stride=1, col_stride=-1, base_col=0)
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda x, o: strided_load(x, o, row_stride=1, col_stride=2, base_row=1, base_col=1),
+     lambda x: x[1:3, 1::2]),
+    (shuffle_network_transpose, lambda x: x.T),
+], ids=["strided_load", "shuffle"])
+def test_layout_copy_reads_the_logical_broadcast_view(call, want):
+    x = broadcast(from_array(np.array([[1.0, 2.0, 3.0, 4.0]], np.float32)), Bcast.ROW, 4, 4)
+    want = want(to_array(x))
+    out = alloc(D(*want.shape))
+    call(x, out)
+    assert bits_equal(to_array(out), want)
+
+
+@pytest.mark.parametrize("mode", [GatherMode.GATHER2D, GatherMode.SCATTER2D])
+def test_2d_modes_take_a_rows_by_cols_side_in_column_major_order(mode):
+    """The t-th offset pair matches the t-th element of a 3 x 2 side with a
+    padded ``ld``, column-major, as an element loop does (a repeated target
+    keeps its last writer); the padding stays untouched."""
+    rng = np.random.default_rng(10)
+    idx = np.array([[1, 2], [0, 4], [3, 3], [2, 0], [1, 2], [3, 4]])
+    side = TensorView(TensorDesc(3, 2, 5, DType.FP32), np.full(5 + 3, -7.0, np.float32))
+    big = from_array(rng.standard_normal((4, 5)).astype(np.float32))
+    if mode is GatherMode.GATHER2D:
+        gather_scatter(big, idx, mode, side)
+        x = to_array(big)
+        want = [[x[tuple(idx[t + 3 * j])] for j in range(2)] for t in range(3)]
+        assert bits_equal(to_array(side), np.array(want, np.float32))
+        assert side.primary[3:5].tolist() == [-7.0, -7.0]
+    else:
+        side.as2d()[:, :] = rng.standard_normal((3, 2)).astype(np.float32)
+        want = to_array(big)
+        for t, (i, j) in enumerate(idx):
+            want[i, j] = to_array(side)[t % 3, t // 3]
+        gather_scatter(side, idx, mode, big)
+        assert bits_equal(to_array(big), want)
 
 
 def test_strided_load_with_stride_zero_is_a_broadcast_read():
@@ -967,6 +1070,19 @@ def test_blend_with_bitmask():
     assert to_array(out).tolist() == [[1.0, 9.0]]
     with pytest.raises(InvalidSpecError):
         apply_ternary(TernaryKind.BLEND, a, b, b, out)
+
+
+@pytest.mark.parametrize("bcast, phys", [(Bcast.ROW, (1, 4)), (Bcast.COL, (3, 1)),
+                                         (Bcast.SCALAR, (1, 1))], ids=["row", "col", "scalar"])
+def test_blend_reads_a_broadcast_selector_through_its_logical_window(bcast, phys):
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal((2, 3, 4)).astype(np.float32)
+    sel = np.array([1, 0, 1, 0][:phys[0] * phys[1]], bool).reshape(phys)
+    mask = TensorView(TensorDesc(*phys, phys[0], DType.BIT), bool_to_mask(sel))
+    out = alloc(D(3, 4))
+    apply_ternary(TernaryKind.BLEND, from_array(a), from_array(b),
+                  broadcast(mask, bcast, 3, 4), out)
+    assert bits_equal(to_array(out), np.where(sel, a, b))
 
 
 def test_mixed_int_float_elementwise_call_is_rejected():
