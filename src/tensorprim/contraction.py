@@ -313,15 +313,6 @@ def _widen_emulated(flat: np.ndarray, m: int, k: int) -> np.ndarray:
     return out[:, :k]
 
 
-def _address(buf: np.ndarray) -> int:
-    """The address of the first element of a 1-D contiguous ``buf``
-    (``from_buffer`` reads it in a third of the time ``buf.ctypes.data``
-    takes, but only for a writable buffer)."""
-    if buf.flags.writeable:
-        return ctypes.addressof(ctypes.c_char.from_buffer(buf))
-    return buf.ctypes.data
-
-
 def _native_base(buf: np.ndarray, lo: int, hi: int, dims: tuple[int, int, int],
                  widened: bool, keep: list):
     """(address of element 0, element size) of ``buf`` as the C kernel reads
@@ -337,7 +328,7 @@ def _native_base(buf: np.ndarray, lo: int, hi: int, dims: tuple[int, int, int],
     size = buf.itemsize
     if buf.ndim != 1 or buf.strides[0] != size or not buf.flags.aligned:
         return None
-    return _address(buf) - origin * size, size
+    return native.address(buf) - origin * size, size
 
 
 def _native_side(one, refs, dims: tuple[int, int, int], widened: bool, keep: list):
@@ -440,7 +431,7 @@ def _brgemm_native(spec: GemmSpec, batch: BrgemmBatch, c: TensorView) -> bool:
     if spec.beta == 0.0 and (spec.ldc == m or n == 1) and buf.flags.aligned:
         acc = buf[:m * n]
         acc.fill(0)
-        cw, acc_address = None, _address(acc)
+        cw, acc_address = None, native.address(acc)
     else:
         cw = c.as2d()
         acc = _scaled_c(spec, cw)

@@ -111,7 +111,10 @@ def widen(stored: np.ndarray, dtype: DType) -> np.ndarray:
     widened exactly, narrow integers sign-extended)."""
     a = bf16_to_fp32(stored) if dtype is DType.BF16 else stored
     cd = COMPUTE_DTYPE[dtype]
-    return a if a.dtype == cd else a.astype(cd)
+    if a.dtype == cd:
+        return a
+    # INT16 values are int16, stored as their uint16 bits
+    return (a.view(np.int16) if dtype is DType.INT16 else a).astype(cd)
 
 
 def _to_fp32_round_to_odd(values: np.ndarray) -> np.ndarray:
@@ -132,19 +135,23 @@ def narrow(values: np.ndarray, dtype: DType) -> np.ndarray:
     """Compute values in the storage representation of ``dtype``: BF16
     rounds to nearest even (once, from any input precision); a float value
     stored into an integer type rounds toward zero and saturates to the
-    storage type's range, and NaN stores 0; every other store casts
-    (integers wrap)."""
+    type's range (INT16: [-32768, 32767], stored as the uint16 bits), and
+    NaN stores 0; every other store casts (integers wrap)."""
     v = np.asarray(values)
     if dtype is DType.BF16:
         if v.dtype != np.float32:
             v = _to_fp32_round_to_odd(v)
         return fp32_to_bf16_rne(v)
     st = dtype.storage
-    if st.kind != "f" and v.dtype.kind == "f":
+    if st.kind == "f":
+        return v.astype(st, copy=False)
+    vt = np.dtype(np.int16) if dtype is DType.INT16 else st   # the values' dtype
+    if v.dtype.kind == "f":
         # clipped in FP64: in FP32, INT32's top, 2^31 - 1, rounds up to 2^31
-        info = np.iinfo(st)
+        info = np.iinfo(vt)
         v = np.where(np.isnan(v), 0.0, np.clip(v.astype(np.float64), info.min, info.max))
-    return v.astype(st, copy=False)
+    v = v.astype(vt, copy=False)
+    return v if vt is st else v.view(st)
 
 
 def split_fp32_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

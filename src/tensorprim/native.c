@@ -1,7 +1,8 @@
 /* The native kernels of tensorprim, each in its pinned order: the
  * batch-reduce GEMM of the contraction, the ROWS / COLS / ALL reductions of
- * the operator set, a block of the xorshift128 dropout streams, and the
- * three FP32 approximation engines (rational tanh, piecewise cubic, exp).
+ * the operator set, a block of the xorshift128 dropout streams, the three
+ * FP32 approximation engines (rational tanh, piecewise cubic, exp), and
+ * PACK, UNPACK and FP32 MULADD / NMULADD.
  * Every kernel gives, bit for bit, what its numpy reference path gives.
  * Which of the two runs is decided in native.py alone: without a build or
  * while a verify fault is set, every caller takes its numpy path.
@@ -83,6 +84,13 @@
  *     exp_taylor_f32   r = x*log2e, n = rint(r), y = r - n; q = ((c3 y + c2)
  *                      y + c1) y + 1; q * 2^clamp(n, -126, 127); +inf where
  *                      x > 88, 0 where x < -87
+ *
+ * SPLIT FP32 AND MULTIPLY-ADD.  Every operand is a column-major block at
+ * its own ld.  pack_f32 makes each FP32 element's bits hi << 16 | lo, and
+ * unpack_f32 splits them into the top and bottom 16 bits, both pure bit
+ * moves; muladd_f32 computes c + a*b or c - a*b, the product rounded to
+ * FP32 before the sum, where a SCALAR operand is its element 0 everywhere.
+ * muladd_f32 returns 2, writing nothing, when an operand holds a NaN.
  */
 
 #include <float.h>
@@ -500,4 +508,109 @@ exp_taylor_f32(int64_t m, int64_t n, const float *x, int64_t ld, float *restrict
     for (int64_t j = 0; j < n; j++)
         for (int64_t i = 0; i < m; i++)
             out[i + j * m] = exp_taylor_one(x[i + j * ld]);
+}
+
+/* ------------------------------------------------------------------------ */
+/* PACK, UNPACK and FP32 MULADD / NMULADD                                    */
+/* ------------------------------------------------------------------------ */
+
+/* The caller passes buffers that do not overlap, but for an input of
+ * MULADD / NMULADD that is exactly the output (same address and ld), which
+ * each element reads before it writes.  A block whose operands all have
+ * ld == m runs as one column of m*n elements, one loop instead of n short
+ * ones. */
+
+MULTIVERSION void
+pack_f32(int64_t m, int64_t n, const uint16_t *restrict hi, int64_t ldh,
+         const uint16_t *restrict lo, int64_t ldl, uint32_t *restrict out, int64_t ldo)
+{
+    if (ldh == m && ldl == m && ldo == m) {
+        m *= n;
+        n = 1;
+    }
+    for (int64_t j = 0; j < n; j++)
+        for (int64_t i = 0; i < m; i++)
+            out[i + j * ldo] = (uint32_t)hi[i + j * ldh] << 16 | lo[i + j * ldl];
+}
+
+MULTIVERSION void
+unpack_f32(int64_t m, int64_t n, const uint32_t *restrict x, int64_t ldx,
+           uint16_t *restrict hi, uint16_t *restrict lo, int64_t ld)
+{
+    if (ldx == m && ld == m) {
+        m *= n;
+        n = 1;
+    }
+    for (int64_t j = 0; j < n; j++)
+        for (int64_t i = 0; i < m; i++) {
+            const uint32_t u = x[i + j * ldx];
+            hi[i + j * ld] = (uint16_t)(u >> 16);
+            lo[i + j * ld] = (uint16_t)u;
+        }
+}
+
+/* 1 when an element of x (m x n, ld; a SCALAR operand passes 1 x 1) is a
+ * NaN */
+INLINE int any_nan_f32(int64_t m, int64_t n, const float *x, int64_t ld)
+{
+    int nan = 0;
+    for (int64_t j = 0; j < n; j++)
+        for (int64_t i = 0; i < m; i++)
+            nan |= IS_NAN(x[i + j * ld]);
+    return nan;
+}
+
+/* sa, sb, sc: that operand is a SCALAR (its element 0 everywhere); neg:
+ * NMULADD.  Each is a constant from the switch in muladd_f32. */
+INLINE void muladd_run(int64_t m, int64_t n, const float *a, int64_t lda,
+                       const float *b, int64_t ldb, const float *c, int64_t ldc,
+                       float *out, int64_t ldo, int sa, int sb, int sc, int neg)
+{
+    for (int64_t j = 0; j < n; j++) {
+        const float *aj = sa ? a : a + j * lda;
+        const float *bj = sb ? b : b + j * ldb;
+        const float *cj = sc ? c : c + j * ldc;
+        float *oj = out + j * ldo;
+        for (int64_t i = 0; i < m; i++) {
+            const float p = aj[sa ? 0 : i] * bj[sb ? 0 : i];
+            const float cv = cj[sc ? 0 : i];
+            oj[i] = neg ? cv - p : cv + p;
+        }
+    }
+}
+
+/* out = c + a*b (MULADD) or c - a*b (NMULADD), the product rounded to FP32
+ * before the sum, as numpy computes it.  `scalars` has bit 0, 1 or 2 set
+ * for a SCALAR a, b or c.  Returns 2 with out untouched when an operand
+ * holds a NaN, since which payload survives where two NaNs meet depends on
+ * the operand order of *, which the compiler may swap; the caller then
+ * runs its numpy path on operands this call left as they were.  Operands
+ * without a NaN can only make the default NaN, the same on both paths. */
+MULTIVERSION int64_t
+muladd_f32(int64_t m, int64_t n, const float *a, int64_t lda, const float *b,
+           int64_t ldb, const float *c, int64_t ldc, float *out, int64_t ldo,
+           int64_t scalars, int64_t neg)
+{
+    const int sa = scalars & 1, sb = scalars >> 1 & 1, sc = scalars >> 2 & 1;
+    if ((sa || lda == m) && (sb || ldb == m) && (sc || ldc == m) && ldo == m) {
+        m *= n;
+        n = 1;
+    }
+    if (any_nan_f32(sa ? 1 : m, sa ? 1 : n, a, lda)
+            || any_nan_f32(sb ? 1 : m, sb ? 1 : n, b, ldb)
+            || any_nan_f32(sc ? 1 : m, sc ? 1 : n, c, ldc))
+        return 2;
+#define MULADD_CASE(k)                                                         \
+    case k:                                                                    \
+        muladd_run(m, n, a, lda, b, ldb, c, ldc, out, ldo,                     \
+                   (k) & 1, (k) >> 1 & 1, (k) >> 2 & 1, (k) >> 3);             \
+        break;
+    switch ((scalars & 7) | (neg != 0) << 3) {
+    MULADD_CASE(0) MULADD_CASE(1) MULADD_CASE(2) MULADD_CASE(3)
+    MULADD_CASE(4) MULADD_CASE(5) MULADD_CASE(6) MULADD_CASE(7)
+    MULADD_CASE(8) MULADD_CASE(9) MULADD_CASE(10) MULADD_CASE(11)
+    MULADD_CASE(12) MULADD_CASE(13) MULADD_CASE(14) MULADD_CASE(15)
+    }
+#undef MULADD_CASE
+    return 0;
 }

@@ -1,6 +1,7 @@
 """Build and load the C kernels (``native.c``) on first use: the
-batch-reduce GEMM of ``contraction``, the reductions and xorshift streams
-of ``ops``, and the three FP32 approximation engines of ``approx``:
+batch-reduce GEMM of ``contraction``, the reductions, xorshift streams and
+split-FP32 and multiply-add engines of ``ops``, and the three FP32
+approximation engines of ``approx``:
 
 * ``tanh_pade78_f32``: t = |x|*|x|, numerator and denominator by Horner in
   t (the numerator times |x|), their quotient, 1 beyond the clamp, the sign
@@ -12,7 +13,18 @@ of ``ops``, and the three FP32 approximation engines of ``approx``:
   below the band.
 
 Each takes a column-major FP32 block (rows, cols, ld) and runs the
-operations of its numpy reference in the same order.  This module alone
+operations of its numpy reference in the same order.  The engines of
+``ops`` take every operand as a column-major block at its own ``ld``:
+
+* ``pack_f32`` (rows, cols, hi, ldh, lo, ldl, out, ldo): PACK, each FP32
+  element's bits ``hi << 16 | lo``;
+* ``unpack_f32`` (rows, cols, x, ldx, hi, lo, ld): UNPACK, the top and
+  bottom 16 bits of each FP32 element, hi and lo at one ``ld``;
+* ``muladd_f32`` (rows, cols, a, lda, b, ldb, c, ldc, out, ldo, scalars,
+  neg): MULADD ``c + a*b``, or NMULADD ``c - a*b`` when ``neg`` is set, the
+  product rounded before the sum; bit 0, 1 or 2 of ``scalars`` marks a
+  SCALAR a, b or c.  It returns 2, writing nothing, when an operand holds
+  a NaN.  This module alone
 chooses between a C kernel and its numpy reference path, and
 :func:`backend` reports the choice.
 
@@ -33,6 +45,8 @@ import platform
 import sys
 import threading
 
+import numpy as np
+
 CC = "gcc"
 FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fPIC", "-shared")
 SOURCE = Path(__file__).with_name("native.c")
@@ -49,6 +63,7 @@ _BRGEMM = [_i64] * 4 + _SIDE + _SIDE + [_ptr, _i64]
 _REDUCE = [_i64, _i64, _ptr, _i64, _i64, _i64, _i64, _ptr]
 # (m, n, x, ld, out)
 _ENGINE = [_i64, _i64, _ptr, _i64, _ptr]
+_BLOCK = [_ptr, _i64]   # a column-major block: (address, ld)
 # the argument types of every kernel of the library
 ARGTYPES: dict[str, list] = {
     "brgemm_f32": _BRGEMM, "brgemm_f64": _BRGEMM, "brgemm_bf16": _BRGEMM,
@@ -58,16 +73,21 @@ ARGTYPES: dict[str, list] = {
     "tanh_pade78_f32": _ENGINE, "exp_taylor_f32": _ENGINE,
     # (..., out, coeffs, base, range_max, saturation)
     "minimax_f32": _ENGINE + [_ptr, _i64, ctypes.c_float, ctypes.c_float],
+    "pack_f32": [_i64, _i64] + _BLOCK * 3,
+    "unpack_f32": [_i64, _i64] + _BLOCK + [_ptr, _ptr, _i64],
+    "muladd_f32": [_i64, _i64] + _BLOCK * 4 + [_i64, _i64],
 }
 # the kernels that return a status (0: done; 1: nothing done, no scratch; 2:
-# a float result is a NaN); the others return nothing
-RESTYPES = {name: _i64 for name in ARGTYPES if name.startswith(("brgemm_", "reduce_"))}
+# a float result or operand is a NaN); the others return nothing
+RESTYPES = {name: _i64 for name in ARGTYPES
+            if name.startswith(("brgemm_", "reduce_", "muladd_"))}
 
 # Negative controls for ``verify`` (``fault``: None or one name), each
-# reversing one pinned order of a numpy path: the reduction fold of ``ops``,
-# the k loop and the batch fold of ``contraction.brgemm``.  While one is
-# set, every C kernel is off, so the faulted path is the one that runs.
-FAULTS = ("reduce-order", "k-order", "batch-fold")
+# breaking one pinned rule of a numpy path: reversing the reduction fold of
+# ``ops``, the k loop or the batch fold of ``contraction.brgemm``, or
+# swapping the halves that UNPACK writes.  While one is set, every C kernel
+# is off, so the faulted path is the one that runs.
+FAULTS = ("reduce-order", "k-order", "batch-fold", "unpack-swap")
 fault: str | None = None
 
 _lock = threading.Lock()
@@ -104,6 +124,15 @@ def kernel(name: str):
         fn.restype = RESTYPES.get(name)   # set first: argtypes marks fn as ready
         fn.argtypes = ARGTYPES[name]
     return fn
+
+
+def address(buf: np.ndarray) -> int:
+    """The address of the first element of a 1-D contiguous ``buf``
+    (``from_buffer`` reads it in a third of the time ``buf.ctypes.data``
+    takes, but only for a writable buffer)."""
+    if buf.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    return buf.ctypes.data
 
 
 def _load() -> ctypes.CDLL | None:

@@ -16,10 +16,11 @@ Every operator follows the same blueprint: load logical sub-tensors (with
 broadcast and datatype widening applied), run the point operation in the
 compute precision, store once (narrowing to the output's dtype).
 Reductions use a fixed, ascending accumulation order so results are
-bit-reproducible.  The reductions and the xorshift streams run C kernels
-(``native.c``) when ``native`` hands them out; their numpy code is the
-reference path and gives the same bits.  Every call runs on the caller's
-thread; blocking and threads belong to the caller's loop nest.
+bit-reproducible.  The reductions, the xorshift streams, PACK, UNPACK and
+FP32 MULADD / NMULADD run C kernels (``native.c``) when ``native`` hands
+them out; their numpy code is the reference path and gives the same bits.
+Every call runs on the caller's thread; blocking and threads belong to the
+caller's loop nest.
 """
 
 from __future__ import annotations
@@ -496,7 +497,10 @@ class Kernel:
     ``math`` is the kind's bound ndarray function for the fusable kinds
     (compute-dtype arrays in, compute-dtype array out, flags applied), the
     same math the call runs; the tiled equation strategies run it on numpy
-    slices of each tile.  It is None for every other kind."""
+    slices of each tile.  It is None for every other kind.  A MULADD or
+    NMULADD whose operands are all FP32, each full or SCALAR, binds
+    ``_muladd_f32``, which runs the C engine where it can and ``math``
+    otherwise."""
 
     __slots__ = ("spec", "out_desc", "math", "_ins", "_impl", "_raw_dtype")
 
@@ -519,8 +523,16 @@ class Kernel:
             self.math = BINARY_MATH[k]
         elif k in TERNARY_MATH:
             self.math = TERNARY_MATH[k]
-        self._impl = (functools.partial(_elementwise, self.math) if self.math is not None
-                      else functools.partial(_IMPL[k], spec))
+        if k in TERNARY_MATH and all([d.dtype is DType.FP32
+                                      and d.bcast in (Bcast.NONE, Bcast.SCALAR)
+                                      for d in spec.ins]):
+            scalars = sum([1 << t for t, d in enumerate(spec.ins) if d.bcast is Bcast.SCALAR])
+            self._impl = functools.partial(_muladd_f32, self.math, scalars,
+                                           k is TernaryKind.NMULADD)
+        elif self.math is not None:
+            self._impl = functools.partial(_elementwise, self.math)
+        else:
+            self._impl = functools.partial(_IMPL[k], spec)
 
     def __call__(self, *views: TensorView, out: TensorView) -> None:
         got = tuple([(v.desc.rows, v.desc.cols, v.desc.dtype) for v in views])
@@ -664,6 +676,61 @@ def _elementwise(math: Callable[..., np.ndarray], *operands: TensorView) -> None
     _store(out, r)
 
 
+def _native_call(name: str, ins: tuple[TensorView, ...], outs: tuple[TensorView, ...]):
+    """(the C kernel ``name``, the addresses of ``ins`` then ``outs``) to run
+    it on these views in place; None sends the call to its numpy path: no
+    library; a buffer that is no longer what ``TensorView`` checked at
+    construction (flat, contiguous, of the storage dtype and long enough),
+    or is not aligned; an output buffer that is read-only (numpy raises for
+    each of these); or an output that overlaps another operand other than
+    exactly (an input at its address with its descriptor, which each
+    element reads before it writes)."""
+    fn = native.kernel(name)
+    if fn is None:
+        return None
+    views = (*ins, *outs)
+    addrs, ends = [], []
+    for k, v in enumerate(views):
+        buf, d = v.primary, v.desc
+        flags = buf.flags
+        if not (flags.aligned and flags.c_contiguous and buf.ndim == 1
+                and buf.dtype == d.dtype.storage and buf.size >= d.min_buffer_len
+                and (flags.writeable or k < len(ins))):
+            return None
+        start = native.address(buf)
+        end = start + d.min_buffer_len * buf.itemsize
+        if k >= len(ins):
+            for t in range(k):
+                if addrs[t] < end and start < ends[t] and not (
+                        t < len(ins) and addrs[t] == start and views[t].desc == d):
+                    return None
+        addrs.append(start)
+        ends.append(end)
+    return fn, addrs
+
+
+def _muladd_f32(math: Callable[..., np.ndarray], scalars: int, neg: bool, a: TensorView,
+                b: TensorView, c: TensorView, out: TensorView) -> None:
+    """MULADD (``c + a*b``) or NMULADD (``c - a*b``, ``neg``) of FP32
+    operands, each full or SCALAR (bit t of ``scalars`` for operand t).  The
+    C kernel runs when ``out`` is FP32 and overlaps no operand but exactly,
+    as ``out`` is ``c`` in split SGD (``_native_call``).  It scans the
+    operands before it writes and leaves a call with a NaN operand to the
+    numpy ``math``, since which payload survives where two NaNs meet depends
+    on the operand order of ``*``, which the compiler may swap; NaN-free
+    operands can only make the default NaN, the same on both paths.  Any
+    other dtype or broadcast runs ``math`` alone.  Both give the same bits."""
+    call = _native_call("muladd_f32", (a, b, c), (out,)) if out.desc.dtype is DType.FP32 \
+        else None
+    if call is not None:
+        fn, (pa, pb, pc, po) = call
+        d = out.desc
+        if fn(d.rows, d.cols, pa, a.desc.ld, pb, b.desc.ld, pc, c.desc.ld, po, d.ld,
+              scalars, neg) == 0:
+            return
+    _elementwise(math, a, b, c, out)
+
+
 def _relu_with_mask(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
     x = _compute_values(inp)
     with np.errstate(all="ignore"):
@@ -698,13 +765,26 @@ def _unpack(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
     out.secondary (INT16 patterns) at the output's layout, ``ld`` included;
     a None companion gets a fresh zeroed buffer.  A companion that is not a
     flat uint16 buffer of at least ``out.desc.min_buffer_len`` elements
-    raises TensorError before anything is written."""
+    raises TensorError before anything is written.
+
+    A pure bit move, so the C kernel runs on every value (NaN, Inf and
+    subnormals too) unless the input is a broadcast view or the input, hi
+    and lo overlap (``_native_call``); the numpy path gives the same bits,
+    with the halves swapped under the ``unpack-swap`` fault of ``native``."""
     d = out.desc
     lo_desc = TensorDesc(d.rows, d.cols, d.ld, DType.INT16)
     if out.secondary is None:
         out.secondary = np.zeros(lo_desc.min_buffer_len, dtype=np.uint16)
     lo = TensorView(lo_desc, out.secondary)
+    call = _native_call("unpack_f32", (inp,), (out, lo)) if inp.desc.bcast is Bcast.NONE \
+        else None
+    if call is not None:
+        fn, (px, phi, plo) = call
+        fn(d.rows, d.cols, px, inp.desc.ld, phi, plo, d.ld)
+        return
     hi_bits, lo_bits = split_fp32_bits(inp.as2d())
+    if native.fault == "unpack-swap":
+        hi_bits, lo_bits = lo_bits, hi_bits
     out.as2d()[:, :] = hi_bits
     lo.as2d()[:, :] = lo_bits
 
@@ -868,12 +948,26 @@ def _replicate_cols(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
 
 
 def _pack(spec: KernelSpec, hi: TensorView, lo: TensorView, out: TensorView) -> None:
+    """The FP32 of bits ``hi << 16 | lo``, stored into ``out`` as any value
+    is.  A pure bit move, so the C kernel runs on every value (NaN, Inf and
+    subnormals too) into an FP32 ``out`` from halves that are not broadcast
+    views and that ``out`` does not overlap (``_native_call``); the numpy
+    path gives the same bits, and narrows to any other output dtype."""
+    if out.desc.dtype is DType.FP32 and hi.desc.bcast is Bcast.NONE \
+            and lo.desc.bcast is Bcast.NONE:
+        call = _native_call("pack_f32", (hi, lo), (out,))
+        if call is not None:
+            fn, (phi, plo, po) = call
+            d = out.desc
+            fn(d.rows, d.cols, phi, hi.desc.ld, plo, lo.desc.ld, po, d.ld)
+            return
     _store(out, pack_fp32_bits(hi.as2d(), lo.as2d()))
 
 
 def _compare(spec: KernelSpec, a: TensorView, b: TensorView, out: TensorView) -> None:
     bits = _CMP_PREDICATE[spec.cmp](_compute_values(a), _compute_values(b))
-    out.primary[:] = bool_to_mask(bits)
+    mask = bool_to_mask(bits)
+    out.primary[:mask.size] = mask   # a longer buffer keeps its tail
 
 
 def _gemm(spec: KernelSpec, a: TensorView, b: TensorView, c: TensorView,

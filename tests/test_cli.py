@@ -158,6 +158,20 @@ def test_contraction_faults_fail_the_gemm_and_conv_checks(fault, capsys):
     assert code2 == 0
 
 
+def test_unpack_swap_fault_fails_the_split_sgd_check(capsys):
+    """Swapped UNPACK halves break the split SGD trajectory; the planner
+    checks and the pack/split identity of the codecs do not go through
+    UNPACK and pass."""
+    checks = "equation-minimality,equation-plan-validity,core-split-pack-identity,kernels-split-sgd"
+    code, out, _ = run_cli(["verify", "--inject-fault", "unpack-swap", "--only", checks], capsys)
+    assert code == 1
+    assert "[FAIL] kernels-split-sgd" in out
+    for name in ("equation-minimality", "equation-plan-validity", "core-split-pack-identity"):
+        assert f"[PASS] {name}" in out
+    code2, _, _ = run_cli(["verify", "--only", checks], capsys)
+    assert code2 == 0
+
+
 def test_inject_fault_is_cleared_when_the_block_raises():
     """A fault turns every C kernel off inside the block; leaving it, also
     by an exception, restores the fault-free results and backend."""

@@ -10,6 +10,7 @@ from tensorprim.dtypes import (
     narrow,
     pack_fp32_bits,
     split_fp32_bits,
+    widen,
 )
 
 from util import bits_equal
@@ -141,3 +142,25 @@ def test_bf16_narrowing_keeps_nan_and_fp32_bits():
     assert bits_equal(nan >> 15, np.array([0, 1], dtype=np.uint16))
     x = np.random.default_rng(24).standard_normal(1000).astype(np.float32)
     assert bits_equal(narrow(x, DType.BF16), fp32_to_bf16_rne(x))
+
+
+def test_int16_widens_sign_extended():
+    """INT16 is stored as uint16 bits; its values are int16."""
+    stored = np.array([[0xFFFF, 0x8000, 0x7FFF, 0x0001]], dtype=np.uint16)
+    got = widen(stored, DType.INT16)
+    assert got.dtype == np.int32 and got.tolist() == [[-1, -32768, 32767, 1]]
+    cols = np.lib.stride_tricks.as_strided(stored, (2, 2), (2, 4))   # a strided window
+    assert widen(cols, DType.INT16).tolist() == [[-1, 0x7FFF], [-32768, 1]]
+
+
+def test_int16_narrowing_saturates_floats_to_the_int16_range():
+    values = np.array([-1e9, -32768.5, -1.7, -0.5, np.nan, 2.9, 32767.9, 1e9, np.inf, -np.inf])
+    got = narrow(values, DType.INT16)
+    assert got.dtype == np.uint16
+    assert got.view(np.int16).tolist() == [-32768, -32768, -1, 0, 0, 2, 32767, 32767, 32767,
+                                           -32768]
+    assert narrow(values.astype(np.float32), DType.INT16).tolist() == got.tolist()
+    # integers wrap, as every integer store does
+    ints = np.array([-1, 65535, 70000, -32769], dtype=np.int32)
+    assert narrow(ints, DType.INT16).view(np.int16).tolist() == [-1, -1, 4464, 32767]
+    assert widen(narrow(ints, DType.INT16), DType.INT16).tolist() == [-1, -1, 4464, 32767]

@@ -1,0 +1,466 @@
+"""PACK, UNPACK and FP32 MULADD / NMULADD at their edges, on every backend:
+the C engines as loaded, their default build, and the numpy path.  Each
+case runs once on the backend under test and once, on fresh operands, on
+the numpy reference path, and the whole buffers (padding included) must be
+bitwise equal; values are also checked against plain numpy bit arithmetic."""
+
+import numpy as np
+import pytest
+
+from tensorprim import (
+    Bcast,
+    BinaryKind,
+    DType,
+    SplitTensor,
+    TensorDesc,
+    TernaryKind,
+    UnaryKind,
+    alloc,
+    apply_binary,
+    apply_ternary,
+    apply_unary,
+    broadcast,
+    native,
+    ops,
+    split_sgd_step,
+    view_at,
+)
+from tensorprim.dtypes import pack_fp32_bits, split_fp32_bits
+
+from util import bits_equal
+
+_SENTINEL = {np.dtype(np.uint16): 0xA5A5, np.dtype(np.float32): np.float32(-7.25),
+             np.dtype(np.float64): -7.25}
+# NaNs of both signs and several payloads (quiet and signalling), +-Inf, +-0,
+# subnormals and the extremes of the normal range, as FP32 bit patterns
+_SPECIALS = np.array([0x7FC00000, 0xFFC00000, 0x7FC0BEEF, 0xFFD00123, 0x7F800001, 0xFFBFFFFF,
+                      0x7F800000, 0xFF800000, 0x00000000, 0x80000000, 0x00000001, 0x807FFFFF,
+                      0x00400000, 0x00800000, 0x7F7FFFFF, 0xFF7FFFFF], dtype=np.uint32)
+
+
+def patterns(rows, cols, seed) -> np.ndarray:
+    """rows x cols random 32-bit patterns with every special one mixed in."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**32, size=rows * cols, dtype=np.uint64).astype(np.uint32)
+    k = min(bits.size, _SPECIALS.size)
+    bits[rng.permutation(bits.size)[:k]] = _SPECIALS[rng.permutation(_SPECIALS.size)[:k]]
+    return bits.reshape(rows, cols)
+
+
+def padded(values: np.ndarray, dtype: DType, pad: int = 0, j0: int = 0, extra: int = 0):
+    """``values`` (storage dtype) in a view whose columns are ``pad``
+    elements apart beyond its rows, as the column block at ``j0`` of a
+    buffer ``extra`` columns wider; every element outside it is a
+    sentinel."""
+    rows, cols = values.shape
+    ld = rows + pad
+    st = dtype.storage
+    buf = np.full(ld * (cols + extra), _SENTINEL[st], dtype=st)
+    buf.reshape(cols + extra, ld)[j0:j0 + cols, :rows] = values.T
+    whole = view_at(buf, 0, TensorDesc(rows, cols + extra, ld, dtype))
+    return whole.col_block(j0, cols) if extra else whole
+
+
+def outside_untouched(view) -> bool:
+    """Every element of the buffer ``padded`` made outside ``view``'s window
+    holds the sentinel."""
+    d, whole = view.desc, view.primary.base
+    mask = np.ones(whole.size, bool)
+    start = (view.primary.__array_interface__["data"][0]
+             - whole.__array_interface__["data"][0]) // whole.itemsize
+    for j in range(d.cols):
+        mask[start + j * d.ld:start + j * d.ld + d.rows] = False
+    return bool(np.all(whole[mask] == _SENTINEL[whole.dtype]))
+
+
+def on_both(make, call, monkeypatch):
+    """Run ``call`` on the views ``make()`` returns, on the backend under
+    test and then on fresh views on the numpy path; assert every buffer is
+    bitwise equal between the two, and return the first run's views."""
+    views = make()
+    call(*views)
+    with monkeypatch.context() as mp:
+        mp.setattr(native, "_lib", False)
+        ref = make()
+        call(*ref)
+    for v, r in zip(views, ref):
+        assert bits_equal(v.primary, r.primary)
+        if r.secondary is not None:
+            assert bits_equal(v.secondary, r.secondary)
+    return views
+
+
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """Counts the calls of the numpy paths of PACK, UNPACK and MULADD."""
+    calls = {"pack": 0, "unpack": 0, "muladd": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ops, "pack_fp32_bits", counting("pack", ops.pack_fp32_bits))
+    monkeypatch.setattr(ops, "split_fp32_bits", counting("unpack", ops.split_fp32_bits))
+    monkeypatch.setattr(ops, "_elementwise", counting("muladd", ops._elementwise))
+    return calls
+
+
+def numpy_runs(native_backend) -> int:
+    """The numpy calls of a case that C runs on a native backend."""
+    return 0 if native_backend != "numpy" else 1
+
+
+SHAPES = [(1, 1), (1, 13), (13, 1), (37, 19)]
+
+
+# ---------------------------------------------------------------------------
+# PACK and UNPACK
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("pads", [(0, 0, 0), (3, 1, 5)], ids=["dense", "padded"])
+def test_pack_and_unpack_move_every_bit_pattern(shape, pads, native_backend, numpy_calls,
+                                                monkeypatch):
+    rows, cols = shape
+    bits = patterns(rows, cols, rows * 100 + cols)
+    pin, phi, plo = pads
+
+    def make():
+        x = padded(bits.view(np.float32), DType.FP32, pin)
+        hi = padded(np.zeros(shape, np.uint16), DType.BF16, phi)
+        hi.secondary = padded(np.zeros(shape, np.uint16), DType.INT16, phi).primary
+        return x, hi
+
+    x, hi = on_both(make, lambda x, hi: apply_unary(UnaryKind.UNPACK, x, hi), monkeypatch)
+    assert numpy_calls["unpack"] == numpy_runs(native_backend) + 1
+    lo = view_at(hi.secondary, 0, TensorDesc(rows, cols, hi.desc.ld, DType.INT16))
+    want_hi, want_lo = split_fp32_bits(bits.view(np.float32))
+    assert bits_equal(hi.as2d(), want_hi) and bits_equal(lo.as2d(), want_lo)
+    assert outside_untouched(hi) and outside_untouched(lo)
+
+    def make_pack():
+        h = padded(want_hi, DType.BF16, phi)
+        lo_half = padded(want_lo, DType.INT16, plo)
+        return h, lo_half, padded(np.zeros(shape, np.float32), DType.FP32, pin)
+
+    *_, out = on_both(make_pack, lambda h, l, o: apply_binary(BinaryKind.PACK, h, l, o),
+                      monkeypatch)
+    assert numpy_calls["pack"] == numpy_runs(native_backend) + 1
+    assert bits_equal(out.as2d().view(np.uint32), bits)
+    assert bits_equal(pack_fp32_bits(want_hi, want_lo).view(np.uint32), bits)
+    assert outside_untouched(out)
+
+
+def test_pack_and_unpack_into_column_blocks_of_larger_buffers(native_backend, numpy_calls,
+                                                              monkeypatch):
+    """Column blocks of larger buffers, read from and written to, each with
+    an ld that is not the other's; and dense inputs into a column block."""
+    bits = patterns(6, 5, 9)
+
+    for x_place in (dict(pad=2, j0=3, extra=4), dict(pad=0)):
+        def make():
+            x = padded(bits.view(np.float32), DType.FP32, **x_place)
+            hi = padded(np.zeros((6, 5), np.uint16), DType.BF16, 1, j0=2, extra=3)
+            return x, hi
+
+        _, hi = on_both(make, lambda x, hi: apply_unary(UnaryKind.UNPACK, x, hi), monkeypatch)
+        lo = view_at(hi.secondary, 0, TensorDesc(6, 5, hi.desc.ld, DType.INT16))
+        want_hi, want_lo = split_fp32_bits(bits.view(np.float32))
+        assert bits_equal(hi.as2d(), want_hi) and bits_equal(lo.as2d(), want_lo)
+        assert outside_untouched(hi)
+
+    for pads in ((1, 4), (0, 0)):
+        def make_pack():
+            return (padded(want_hi, DType.BF16, pads[0], j0=pads[0], extra=2 * pads[0]),
+                    padded(want_lo, DType.INT16, pads[1], j0=pads[1], extra=2 * pads[1]),
+                    padded(np.zeros((6, 5), np.float32), DType.FP32, 3, j0=4, extra=4))
+
+        *_, out = on_both(make_pack, lambda h, l, o: apply_binary(BinaryKind.PACK, h, l, o),
+                          monkeypatch)
+        assert bits_equal(out.as2d().view(np.uint32), bits)
+        assert outside_untouched(out)
+    assert numpy_calls["unpack"] == 2 * (numpy_runs(native_backend) + 1)
+    assert numpy_calls["pack"] == 2 * (numpy_runs(native_backend) + 1)
+
+
+def test_pack_into_another_dtype_narrows_on_the_numpy_path(native_backend, numpy_calls,
+                                                          monkeypatch):
+    bits = np.array([[0x40300000, 0xBEC00000]], np.uint32)   # 2.75, -0.375
+    hi, lo = split_fp32_bits(bits.view(np.float32))
+
+    def make():
+        return (padded(hi, DType.BF16), padded(lo, DType.INT16),
+                alloc(TensorDesc(1, 2, 1, DType.FP64)))
+
+    *_, out = on_both(make, lambda h, l, o: apply_binary(BinaryKind.PACK, h, l, o), monkeypatch)
+    assert out.as2d().tolist() == [[2.75, -0.375]]
+    assert numpy_calls["pack"] == 2
+
+
+def test_unpack_and_pack_where_buffers_overlap_take_the_numpy_path(native_backend, numpy_calls,
+                                                                   monkeypatch):
+    """An UNPACK whose lo companion is the input's own memory, and a PACK
+    whose output is the memory of its hi half, give the numpy path's bits."""
+    bits = patterns(4, 3, 11)
+
+    def make_unpack():
+        x = padded(bits.view(np.float32), DType.FP32)
+        hi = alloc(TensorDesc(4, 3, 4, DType.BF16))
+        hi.secondary = x.primary.view(np.uint16)[5:5 + 12]   # inside x, not at its start
+        return x, hi
+
+    x, _ = on_both(make_unpack, lambda x, hi: apply_unary(UnaryKind.UNPACK, x, hi), monkeypatch)
+    assert numpy_calls["unpack"] == 2
+
+    def make_pack():
+        out = padded(np.zeros((4, 3), np.float32), DType.FP32)
+        h = view_at(out.primary.view(np.uint16), 2, TensorDesc(4, 3, 4, DType.BF16))
+        h.as2d()[:, :] = split_fp32_bits(bits.view(np.float32))[0]
+        return h, padded(bits.astype(np.uint16), DType.INT16), out
+
+    on_both(make_pack, lambda h, l, o: apply_binary(BinaryKind.PACK, h, l, o), monkeypatch)
+    assert numpy_calls["pack"] == 2
+
+
+# ---------------------------------------------------------------------------
+# FP32 MULADD and NMULADD
+# ---------------------------------------------------------------------------
+
+def finite(rows, cols, seed) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal((rows, cols)).astype(np.float32)
+
+
+def operand(values: np.ndarray, scalar: bool, pad: int):
+    """A full view of ``values`` at a padded ``ld``, or its element (0, 0)
+    as a SCALAR of that extent (in a padded 1 x 1 buffer)."""
+    rows, cols = values.shape
+    if not scalar:
+        return padded(values, DType.FP32, pad)
+    one = padded(values[:1, :1], DType.FP32, pad)
+    return broadcast(one, Bcast.SCALAR, rows, cols)
+
+
+def logical(v) -> np.ndarray:
+    return np.broadcast_to(v.as2d(), (v.desc.rows, v.desc.cols))
+
+
+MASKS = list(range(8))   # bit t: operand t (a, b, c) is a SCALAR
+
+
+@pytest.mark.parametrize("kind", [TernaryKind.MULADD, TernaryKind.NMULADD])
+@pytest.mark.parametrize("scalars", MASKS, ids=[f"s{m:03b}" for m in MASKS])
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("dense", [False, True], ids=["padded", "dense"])
+def test_muladd_with_full_and_scalar_operands(kind, scalars, shape, dense, native_backend,
+                                              numpy_calls, monkeypatch):
+    """Every operand and ``out`` at a padded ``ld`` of its own, or all dense."""
+    rows, cols = shape
+    vals = [finite(rows, cols, 10 * t + rows) for t in range(3)]
+
+    def make():
+        a, b, c = (operand(vals[t], scalars >> t & 1, pad=0 if dense else t + 1)
+                   for t in range(3))
+        return a, b, c, padded(np.zeros(shape, np.float32), DType.FP32, 0 if dense else 2)
+
+    a, b, c, out = on_both(make, lambda a, b, c, o: apply_ternary(kind, a, b, c, o), monkeypatch)
+    assert numpy_calls["muladd"] == numpy_runs(native_backend) + 1
+    av, bv, cv = logical(a), logical(b), logical(c)
+    want = cv + av * bv if kind is TernaryKind.MULADD else cv - av * bv
+    assert bits_equal(out.as2d(), want)
+    assert outside_untouched(out)
+
+
+@pytest.mark.parametrize("kind", [TernaryKind.MULADD, TernaryKind.NMULADD])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_muladd_in_place_into_c(kind, shape, native_backend, numpy_calls, monkeypatch):
+    """``out`` is ``c`` (same buffer, ld and dtype), as in split SGD, with
+    ``c`` dense, at a padded ld and in a column block of a larger buffer."""
+    rows, cols = shape
+    a_vals, c_vals = finite(rows, cols, 1), finite(rows, cols, 2)
+
+    for place in (dict(pad=0), dict(pad=3), dict(pad=1, j0=2, extra=3)):
+        def make():
+            c = padded(c_vals, DType.FP32, **place)
+            lr = operand(np.full((rows, cols), 0.01, np.float32), True, 0)
+            return operand(a_vals, False, place["pad"]), lr, c
+
+        a, lr, c = on_both(make, lambda a, lr, c: apply_ternary(kind, a, lr, c, c), monkeypatch)
+        p = a_vals * np.float32(0.01)
+        want = c_vals + p if kind is TernaryKind.MULADD else c_vals - p
+        assert bits_equal(c.as2d(), want)
+        assert outside_untouched(c)
+    assert numpy_calls["muladd"] == 3 * (numpy_runs(native_backend) + 1)
+
+
+def test_muladd_into_a_column_block_of_a_larger_buffer(native_backend, numpy_calls, monkeypatch):
+    """Dense inputs, and an output whose ld is not theirs."""
+    vals = [finite(5, 4, t) for t in range(3)]
+
+    def make():
+        a, b, c = (padded(v, DType.FP32) for v in vals)
+        return a, b, c, padded(np.zeros((5, 4), np.float32), DType.FP32, 2, j0=3, extra=5)
+
+    *_, out = on_both(make, lambda a, b, c, o: apply_ternary(TernaryKind.MULADD, a, b, c, o),
+                      monkeypatch)
+    assert bits_equal(out.as2d(), vals[2] + vals[0] * vals[1])
+    assert outside_untouched(out)
+    assert numpy_calls["muladd"] == numpy_runs(native_backend) + 1
+
+
+@pytest.mark.parametrize("kind", [TernaryKind.MULADD, TernaryKind.NMULADD])
+@pytest.mark.parametrize("where", ["a", "b", "c", "scalar"])
+def test_a_nan_operand_gives_the_numpy_bits_in_place(kind, where, native_backend, numpy_calls,
+                                                     monkeypatch):
+    """NaNs of different payloads meet in a*b and in c +- p; ``out`` is
+    ``c``, so the C kernel must decide before it writes: the numpy path
+    then runs on the operands as they were."""
+    rows, cols = 7, 6
+    bits = [finite(rows, cols, t).view(np.uint32).copy() for t in range(3)]
+    nan_at = {"a": [0], "b": [1], "c": [2], "scalar": [0, 1, 2]}[where]
+    for t in nan_at:
+        bits[t][::2, ::3] = _SPECIALS[[0, 3, 4][t]]
+        bits[t][1, 1] = _SPECIALS[[1, 2, 5][t]]
+
+    def make():
+        a = padded(bits[0].view(np.float32), DType.FP32, 2)
+        b = operand(bits[1].view(np.float32), where == "scalar", 1)
+        c = padded(bits[2].view(np.float32), DType.FP32, 3)
+        return a, b, c
+
+    a, b, c = on_both(make, lambda a, b, c: apply_ternary(kind, a, b, c, c), monkeypatch)
+    assert np.isnan(c.as2d()).any()
+    # the C kernel, where it ran, declined before it wrote: numpy ran once
+    assert numpy_calls["muladd"] == 2
+
+
+def test_muladd_outputs_overlapping_an_input_take_the_numpy_path(native_backend, numpy_calls,
+                                                                 monkeypatch):
+    """``out`` one column into ``c``'s buffer, and ``out`` at the address of
+    ``a`` with another ld: the numpy path reads every input before it
+    stores, and the C kernel would not."""
+    vals = [finite(4, 6, t) for t in range(3)]
+
+    def shifted():
+        buf = np.zeros(4 * 8, np.float32)
+        c = view_at(buf, 0, TensorDesc(4, 6, 4, DType.FP32))
+        c.as2d()[:, :] = vals[2]
+        out = view_at(buf, 4, TensorDesc(4, 6, 4, DType.FP32))
+        return padded(vals[0], DType.FP32), padded(vals[1], DType.FP32), c, out
+
+    def other_ld():
+        buf = np.zeros(5 * 6, np.float32)
+        a = view_at(buf, 0, TensorDesc(4, 6, 4, DType.FP32))
+        a.as2d()[:, :] = vals[0]
+        out = view_at(buf, 0, TensorDesc(4, 6, 5, DType.FP32))
+        return a, padded(vals[1], DType.FP32), padded(vals[2], DType.FP32), out
+
+    def scalar_in_out():
+        out = padded(vals[2], DType.FP32)
+        b = broadcast(view_at(out.primary, 5, TensorDesc(1, 1, 1, DType.FP32)),
+                      Bcast.SCALAR, 4, 6)
+        return padded(vals[0], DType.FP32), b, padded(vals[2], DType.FP32), out
+
+    for make in (shifted, other_ld, scalar_in_out):
+        on_both(make, lambda a, b, c, o: apply_ternary(TernaryKind.NMULADD, a, b, c, o),
+                monkeypatch)
+    assert numpy_calls["muladd"] == 6
+
+
+def test_read_only_outputs_raise_as_on_the_numpy_path(native_backend):
+    """A C kernel never writes a buffer numpy holds read-only: each call
+    raises numpy's ValueError and leaves the buffer as it was."""
+    bits = patterns(3, 4, 12)
+    x = padded(bits.view(np.float32), DType.FP32)
+    hi, lo = split_fp32_bits(bits.view(np.float32))
+
+    def read_only(dtype):
+        v = padded(np.zeros((3, 4), dtype.storage), dtype)
+        v.primary.flags.writeable = False
+        return v
+
+    out, ro_hi, ro_lo = read_only(DType.FP32), read_only(DType.BF16), read_only(DType.INT16)
+    w = padded(np.zeros((3, 4), np.uint16), DType.BF16)
+    w.secondary = ro_lo.primary
+    calls = [lambda: apply_ternary(TernaryKind.MULADD, x, x, x, out),
+             lambda: apply_binary(BinaryKind.PACK, padded(hi, DType.BF16),
+                                  padded(lo, DType.INT16), out),
+             lambda: apply_unary(UnaryKind.UNPACK, x, ro_hi),
+             lambda: apply_unary(UnaryKind.UNPACK, x, w)]
+    for call in calls:
+        with pytest.raises(ValueError, match="read-only"):
+            call()
+    for v in (out, ro_hi, ro_lo):
+        assert not v.primary.any()
+
+
+def test_a_buffer_swapped_for_a_short_one_raises_as_on_the_numpy_path(native_backend):
+    """``TensorView`` checks its buffer when it is built; one assigned
+    later that is too short never reaches a C kernel."""
+    x = padded(finite(3, 4, 1), DType.FP32)
+    out = padded(np.zeros((3, 4), np.float32), DType.FP32)
+    short = padded(finite(3, 4, 2), DType.FP32)
+    short.primary = short.primary[:5]
+    hi = padded(np.zeros((3, 4), np.uint16), DType.BF16)
+    hi.primary = hi.primary[:11]
+    for call in (lambda: apply_ternary(TernaryKind.MULADD, x, short, x, out),
+                 lambda: apply_ternary(TernaryKind.MULADD, x, x, x, short),
+                 lambda: apply_unary(UnaryKind.UNPACK, x, hi),
+                 lambda: apply_binary(BinaryKind.PACK, hi, padded(np.zeros((3, 4), np.uint16),
+                                                                 DType.INT16), out)):
+        with pytest.raises((TypeError, ValueError), match="too small|incompatible"):
+            call()
+    assert not out.primary.any()
+
+
+@pytest.mark.parametrize("dtypes", [(DType.FP64, DType.FP32), (DType.BF16, DType.FP32),
+                                    (DType.FP32, DType.BF16)],
+                         ids=["fp64-in", "bf16-in", "bf16-out"])
+def test_muladd_of_other_dtypes_runs_numpy(dtypes, native_backend, monkeypatch):
+    in_dt, out_dt = dtypes
+    vals = [finite(3, 5, t) for t in range(3)]
+
+    def make():
+        ins = [padded(np.asarray(v, in_dt.storage) if in_dt is not DType.BF16
+                      else split_fp32_bits(v)[0], in_dt, 1) for v in vals]
+        return (*ins, alloc(TensorDesc(3, 5, 3, out_dt)))
+
+    on_both(make, lambda a, b, c, o: apply_ternary(TernaryKind.MULADD, a, b, c, o), monkeypatch)
+
+
+def test_muladd_with_a_row_or_col_broadcast_runs_numpy(native_backend, monkeypatch):
+    row, col, full = finite(1, 6, 1), finite(4, 1, 2), finite(4, 6, 3)
+
+    def make():
+        return (broadcast(padded(row, DType.FP32), Bcast.ROW, 4, 6),
+                broadcast(padded(col, DType.FP32), Bcast.COL, 4, 6),
+                padded(full, DType.FP32), padded(np.zeros((4, 6), np.float32), DType.FP32))
+
+    *_, out = on_both(make, lambda a, b, c, o: apply_ternary(TernaryKind.MULADD, a, b, c, o),
+                      monkeypatch)
+    assert bits_equal(out.as2d(), full + row * col)
+
+
+# ---------------------------------------------------------------------------
+# split SGD end to end
+# ---------------------------------------------------------------------------
+
+def test_split_sgd_step_matches_fp32_sgd_on_special_weights(native_backend, monkeypatch):
+    """Weights holding every special pattern, at a padded ld: one step is
+    plain FP32 SGD on the packed values, bit for bit, and both backends agree."""
+    bits = patterns(9, 7, 3)
+    grad = finite(9, 7, 4)
+
+    def make():
+        hi, lo = split_fp32_bits(bits.view(np.float32))
+        return (padded(hi, DType.BF16, 2), padded(lo, DType.INT16, 2), padded(grad, DType.FP32, 1))
+
+    hi, lo, _ = on_both(make, lambda h, l, g: split_sgd_step(SplitTensor(h, l), g, 0.125),
+                        monkeypatch)
+    with np.errstate(all="ignore"):
+        want = bits.view(np.float32) - grad * np.float32(0.125)
+    got = pack_fp32_bits(hi.as2d(), lo.as2d())
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert bits_equal(got[~nan], want[~nan])

@@ -1015,6 +1015,19 @@ def test_compare_gt_bitmask():
     assert mask_to_bool(out.primary, 1, 2).tolist() == [[False, True]]
 
 
+def test_compare_into_a_longer_bit_buffer_keeps_its_tail():
+    """A valid BIT view may sit on a buffer longer than its bitmask: the
+    compare writes the bitmask's bytes and leaves the rest as they were."""
+    a = from_array(np.array([[1.0, 4.0, 0.0], [3.0, -1.0, 2.0]], dtype=np.float32))
+    b = from_array(np.zeros((2, 3), dtype=np.float32))
+    buf = np.full(8, 0xAB, dtype=np.uint8)
+    out = TensorView(TensorDesc(2, 3, 2, DType.BIT), buf)
+    apply_binary(BinaryKind.COMPARE, a, b, out, cmp=CmpOp.GT)
+    assert out.primary is buf
+    assert mask_to_bool(buf[:3], 2, 3).tolist() == [[True, True, False], [True, False, True]]
+    assert buf[3:].tolist() == [0xAB] * 5
+
+
 def test_mul_scalar_broadcast():
     x = from_array(np.array([[1, 2], [3, 4]], dtype=np.float32))
     two = broadcast(from_array(np.array([[2.0]], dtype=np.float32)), Bcast.SCALAR, 2, 2)
@@ -1142,6 +1155,20 @@ def test_pack_shape_mismatch_and_blend_selector_shape_are_spec_errors():
     with pytest.raises(InvalidSpecError) as e:
         apply_ternary(TernaryKind.BLEND, a, a, mask, alloc(D(2, 2)))
     assert e.value.code == "shape"
+
+
+def test_identity_between_int16_and_wider_types_keeps_the_sign():
+    x = alloc(D(1, 3, DType.INT16))
+    x.primary[:] = [0xFFFF, 0x8000, 0x7FFF]
+    wide = alloc(D(1, 3, DType.INT32))
+    apply_unary(UnaryKind.IDENTITY, x, wide)
+    assert wide.primary.tolist() == [-1, -32768, 32767]
+    f = alloc(D(1, 3))
+    apply_unary(UnaryKind.IDENTITY, x, f)
+    assert to_array(f).tolist() == [[-1.0, -32768.0, 32767.0]]
+    back = alloc(D(1, 3, DType.INT16))
+    apply_unary(UnaryKind.IDENTITY, from_array(np.float32([[-40000.0, -2.5, 1e6]])), back)
+    assert back.primary.view(np.int16).tolist() == [-32768, -2, 32767]
 
 
 def test_pack_and_dequantize_store_into_any_output_dtype():
@@ -1300,10 +1327,11 @@ def test_unpack_fills_a_larger_companion_in_place():
 @pytest.mark.parametrize("companion", [
     np.zeros(11, dtype=np.uint16),         # smaller than 3 x 4
     np.zeros(12, dtype=np.int32),          # not 16-bit patterns
+    np.zeros(12, dtype=np.int16),          # not uint16 patterns
     np.zeros(12, dtype=np.float32),
     np.zeros((4, 3), dtype=np.uint16),     # not flat
-], ids=["small", "int32", "fp32", "2d"])
-def test_unpack_rejects_a_bad_companion_before_any_write(companion):
+], ids=["small", "int32", "int16", "fp32", "2d"])
+def test_unpack_rejects_a_bad_companion_before_any_write(companion, native_backend):
     hi = alloc(D(3, 4, DType.BF16), fill=0.5)
     hi.secondary = companion
     before, comp_before = hi.primary.copy(), companion.copy()
