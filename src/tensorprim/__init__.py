@@ -80,7 +80,6 @@ from .equation import (
     evaluate,
     evaluate_naive,
     export_plan,
-    import_plan,
     parse_equation,
     plan_equation,
 )

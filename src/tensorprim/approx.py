@@ -12,16 +12,16 @@ Error budgets are module constants so a regression in any fit or in the
 interval indexing is immediately visible to the verification suite.
 
 The three engines (``tanh_pade78``, ``minimax_eval``, ``exp_taylor``) run
-an FP32 array with unit-stride columns as one C call (``native.c``), which
-performs the numpy code's operations in the same order and gives its bits.
-The numpy code is the reference path; it runs FP64, every other layout,
-and every call while ``native`` hands out no kernel (no library, or a
-verify fault set).
+an FP32 array as one C call (``native.c``) wherever ``native.run`` can read
+it in place, and that call performs the numpy code's operations in the
+same order and gives its bits.  The numpy code is the reference path; it
+runs FP64 and every call ``native.run`` declines (another layout, no
+library, or a verify fault set).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -86,30 +86,15 @@ def exp_decomposition() -> ExpDecomposition:
                             EXP_LO_BAND, EXP_HI_BAND)
 
 
-def _native_f32(name: str, x: np.ndarray, *extra) -> np.ndarray | None:
-    """``x`` mapped by the C engine ``name`` of ``native.c``, or None.
-
-    The engine runs where ``x`` is FP32 with unit-stride columns (a 1-D
-    array, or a column-major block of any ``ld``: a dense or padded view, a
-    tiled slice) and ``native`` hands it out.  Everywhere else (FP64, a 0-d,
-    broadcast or C-ordered array, no library, a verify fault set) it returns
-    None and the caller runs its numpy reference path, which gives the same
-    bits."""
-    if x.dtype != np.float32 or x.ndim not in (1, 2) or x.strides[0] != 4 \
-            or not x.flags.aligned:
-        return None
-    rows, cols = x.shape if x.ndim == 2 else (x.shape[0], 1)
-    ld = rows
-    if cols > 1:
-        ld, rem = divmod(x.strides[1], 4)
-        if rem or ld < rows:
-            return None
-    fn = native.kernel(name)
-    if fn is None:
+def _native_f32(name: str, x: np.ndarray, *scalars) -> np.ndarray | None:
+    """``x`` mapped by the C engine ``name`` of ``native.c``, or None for the
+    numpy reference path, which gives the same bits: ``x`` is not FP32, or
+    ``native.run`` declines it (a 1-D ``x`` is one column)."""
+    if x.dtype != np.float32:
         return None
     out = np.empty(x.shape, np.float32, order="F")
-    fn(rows, cols, x.ctypes.data, ld, out.ctypes.data, *extra)
-    return out
+    rows, cols = x.shape if x.ndim == 2 else (x.size, 1)
+    return out if native.run(name, rows, cols, (x,), (out,), *scalars) else None
 
 
 def tanh_pade78(x: np.ndarray) -> np.ndarray:
@@ -154,7 +139,8 @@ class MinimaxTable:
     (the 9 bits below the sign), offset by ``base`` and clamped to [0, 15];
     interval 0 extends down to 0 and |x| beyond the covered range returns
     ``saturation`` (sign reapplied).  The coefficients are copied once, at
-    construction, into the read-only FP32 (4, 16) C-ordered array C reads.
+    construction, into the read-only FP32 (4, 16) C-ordered array C reads,
+    whose address is read then too (``coeffs_address``).
     """
 
     name: str
@@ -162,6 +148,7 @@ class MinimaxTable:
     coeffs: np.ndarray   # (4, 16) float32, monomial c0..c3 per interval
     range_max: float     # first |x| that saturates
     saturation: float
+    coeffs_address: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=np.float32, order="C")
@@ -169,6 +156,7 @@ class MinimaxTable:
             raise ValueError(f"a minimax table has (4, 16) coefficients, got {c.shape}")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs_address", native.address(c.reshape(-1)))
 
     @property
     def base(self) -> int:
@@ -214,8 +202,8 @@ def minimax_eval(table: MinimaxTable, x: np.ndarray) -> np.ndarray:
     """Piecewise cubic via exponent/MSB interval lookup, sign reapplied.
     FP32 blocks run in C (``minimax_f32``), the rest in numpy."""
     x = np.asarray(x)
-    r = _native_f32("minimax_f32", x, table.coeffs.ctypes.data, table.base,
-                    table.range_max, table.saturation)
+    r = _native_f32("minimax_f32", x, table.coeffs_address, table.base, table.range_max,
+                    table.saturation)
     return _minimax_numpy(table, x) if r is None else r
 
 

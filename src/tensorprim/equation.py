@@ -739,15 +739,6 @@ def plan_to_dict(plan: ExecPlan) -> dict:
     }
 
 
-def import_plan(text: str) -> dict:
-    """Parse an exported plan back into its canonical dict form."""
-    doc = json.loads(text)
-    for key in ("args", "steps", "temp_count", "temp_bytes"):
-        if key not in doc:
-            raise EquationError(f"plan document missing {key!r}")
-    return doc
-
-
 def _export_dot(plan: ExecPlan) -> str:
     step_of = {s.node: s for s in plan.steps}
     lines = ["digraph equation {", "  rankdir=BT;"]

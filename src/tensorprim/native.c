@@ -19,10 +19,18 @@
  * default build; the tests also build it with -mavx2, to check the bits of
  * the AVX2 code on machines that would pick AVX-512F.
  *
- * The brgemm and reduce kernels return a status: 0, or 2 when a float
- * result is a NaN.  The caller then recomputes the call on its numpy path,
- * because which payload survives where two NaNs meet depends on the order
- * of the operands of + and *, which the compiler may swap.
+ * Every kernel but brgemm takes one ABI: (m, n), then each operand as a
+ * column-major block (address, ld), element (i, j) at p[i + j*ld], inputs
+ * first, then the kernel's own scalars.  native.run alone calls them.  An
+ * input may have ld 0 (one column read n times).  An output overlaps no
+ * other operand, but muladd's may be an input at its address and ld (c in
+ * place), whose element it reads before it writes that element.
+ *
+ * The brgemm, reduce and muladd kernels return a status: 0, or 2 when a
+ * float result (muladd: an operand) is a NaN.  The caller then recomputes
+ * the call on its numpy path, because which payload survives where two
+ * NaNs meet depends on the order of the operands of + and *, which the
+ * compiler may swap.
  *
  * BRGEMM.  acc (M x N, column-major, ld M) already holds beta*C.  For each
  * batch entry e in ascending order and each output element (i, j):
@@ -52,8 +60,7 @@
  * integer kernels add in uint32_t, so wrap-around is defined and gives the
  * bits of INT32 two's-complement arithmetic.
  *
- * REDUCE.  x (M x N, column-major, element (i, j) at x[i + j*ld]; ld 0
- * reads one column N times) folds into out (M, N or 1 elements):
+ * REDUCE.  x (M x N) folds into out (M x 1, 1 x N or 1 x 1):
  *
  *     ROWS  each row in ascending column order
  *     COLS  each column in ascending row order
@@ -71,8 +78,8 @@
  * XORSHIFT.  Marsaglia's xorshift128 ("Xorshift RNGs", J. Stat. Softw.
  * 8(14), 2003), one stream per column, in uint32_t arithmetic only.
  *
- * APPROXIMATIONS.  x (M x N, column-major, ld) maps into out (M x N, ld M),
- * each element on its own, by the operations of approx.py in its order:
+ * APPROXIMATIONS.  x (M x N) maps into out (M x N), each element on its
+ * own, by the operations of approx.py in its order:
  *
  *     tanh_pade78_f32  ax = |x|, t = ax*ax; num = ((36 t + 6930) t +
  *                      270270) t + 2027025, times ax; den = (((1 t + 630) t
@@ -85,12 +92,11 @@
  *                      y + c1) y + 1; q * 2^clamp(n, -126, 127); +inf where
  *                      x > 88, 0 where x < -87
  *
- * SPLIT FP32 AND MULTIPLY-ADD.  Every operand is a column-major block at
- * its own ld.  pack_f32 makes each FP32 element's bits hi << 16 | lo, and
- * unpack_f32 splits them into the top and bottom 16 bits, both pure bit
- * moves; muladd_f32 computes c + a*b or c - a*b, the product rounded to
- * FP32 before the sum, where a SCALAR operand is its element 0 everywhere.
- * muladd_f32 returns 2, writing nothing, when an operand holds a NaN.
+ * SPLIT FP32 AND MULTIPLY-ADD.  pack_f32 makes each FP32 element's bits
+ * hi << 16 | lo, and unpack_f32 splits them into the top and bottom 16
+ * bits, both pure bit moves; muladd_f32 computes c + a*b or c - a*b, the
+ * product rounded to FP32 before the sum, where a SCALAR operand is its
+ * element 0 everywhere.
  */
 
 #include <float.h>
@@ -332,7 +338,8 @@ INLINE void NAME##_cols(int64_t m, int64_t cb, const T *x, int64_t ld,         \
 }                                                                              \
                                                                                \
 INLINE void NAME##_run(int64_t m, int64_t n, const T *x, int64_t ld,           \
-                       int64_t axis, int op, int sq, T *restrict out)          \
+                       int64_t ldo, int64_t axis, int op, int sq,              \
+                       T *restrict out)                                        \
 {                                                                              \
     if (axis == AXIS_ROWS) {                                                   \
         NAME##_rows(m, n, x, ld, op, sq, out);                                 \
@@ -342,14 +349,15 @@ INLINE void NAME##_run(int64_t m, int64_t n, const T *x, int64_t ld,           \
     T total = op == OP_MUL ? 1 : 0;                                            \
     for (int64_t j0 = 0; j0 < n; j0 += CB) {                                   \
         const int64_t cb = n - j0 < CB ? n - j0 : CB;                          \
-        T *acc = axis == AXIS_COLS ? out + j0 : part;                          \
         if (cb == CB)                                                          \
-            NAME##_cols(m, CB, x + j0 * ld, ld, op, sq, acc);                  \
+            NAME##_cols(m, CB, x + j0 * ld, ld, op, sq, part);                 \
         else    /* the last n % CB columns one at a time (less code) */        \
             for (int64_t c = 0; c < cb; c++)                                   \
-                NAME##_cols(m, 1, x + (j0 + c) * ld, ld, op, sq, acc + c);     \
-        if (axis == AXIS_ALL)   /* MIN and MAX start from the first partial */ \
-            for (int64_t c = 0; c < cb; c++)                                   \
+                NAME##_cols(m, 1, x + (j0 + c) * ld, ld, op, sq, part + c);    \
+        for (int64_t c = 0; c < cb; c++)                                       \
+            if (axis == AXIS_COLS)                                             \
+                out[(j0 + c) * ldo] = part[c];                                 \
+            else    /* ALL: MIN and MAX start from the first partial */        \
                 total = j0 + c == 0 && (op == OP_MIN || op == OP_MAX)          \
                     ? part[0] : NAME##_comb(total, part[c], op);               \
     }                                                                          \
@@ -357,25 +365,27 @@ INLINE void NAME##_run(int64_t m, int64_t n, const T *x, int64_t ld,           \
         out[0] = total;                                                        \
 }                                                                              \
                                                                                \
-/* Returns 0, or 2 when a result is a NaN, as the brgemm kernels do. */        \
+/* out is M x 1 (ROWS), 1 x N (COLS) or 1 x 1 (ALL).  Returns 0, or 2 when a   \
+ * result is a NaN, as the brgemm kernels do. */                               \
 MULTIVERSION int64_t                                                           \
-NAME(int64_t m, int64_t n, const T *x, int64_t ld, int64_t axis, int64_t op,   \
-     int64_t squared, T *restrict out)                                         \
+NAME(int64_t m, int64_t n, const T *x, int64_t ld, T *restrict out,            \
+     int64_t ldo, int64_t axis, int64_t op, int64_t squared)                   \
 {                                                                              \
     switch (op * 2 + (squared != 0)) {                                         \
-    case 0: NAME##_run(m, n, x, ld, axis, OP_SUM, 0, out); break;              \
-    case 1: NAME##_run(m, n, x, ld, axis, OP_SUM, 1, out); break;              \
-    case 2: NAME##_run(m, n, x, ld, axis, OP_MUL, 0, out); break;              \
-    case 3: NAME##_run(m, n, x, ld, axis, OP_MUL, 1, out); break;              \
-    case 4: NAME##_run(m, n, x, ld, axis, OP_MIN, 0, out); break;              \
-    case 5: NAME##_run(m, n, x, ld, axis, OP_MIN, 1, out); break;              \
-    case 6: NAME##_run(m, n, x, ld, axis, OP_MAX, 0, out); break;              \
-    default: NAME##_run(m, n, x, ld, axis, OP_MAX, 1, out); break;             \
+    case 0: NAME##_run(m, n, x, ld, ldo, axis, OP_SUM, 0, out); break;         \
+    case 1: NAME##_run(m, n, x, ld, ldo, axis, OP_SUM, 1, out); break;         \
+    case 2: NAME##_run(m, n, x, ld, ldo, axis, OP_MUL, 0, out); break;         \
+    case 3: NAME##_run(m, n, x, ld, ldo, axis, OP_MUL, 1, out); break;         \
+    case 4: NAME##_run(m, n, x, ld, ldo, axis, OP_MIN, 0, out); break;         \
+    case 5: NAME##_run(m, n, x, ld, ldo, axis, OP_MIN, 1, out); break;         \
+    case 6: NAME##_run(m, n, x, ld, ldo, axis, OP_MAX, 0, out); break;         \
+    default: NAME##_run(m, n, x, ld, ldo, axis, OP_MAX, 1, out); break;        \
     }                                                                          \
     const int64_t len = axis == AXIS_ROWS ? m : axis == AXIS_COLS ? n : 1;     \
+    const int64_t step = axis == AXIS_COLS ? ldo : 1;                          \
     int nan = 0;                                                               \
     for (int64_t i = 0; i < len; i++)                                          \
-        nan |= IS_NAN(out[i]);                                                 \
+        nan |= IS_NAN(out[i * step]);                                          \
     return nan ? 2 : 0;                                                        \
 }
 
@@ -386,20 +396,20 @@ DEFINE_REDUCE(reduce_f64, double)
 /* xorshift128 streams                                                       */
 /* ------------------------------------------------------------------------ */
 
-/* Advance each of the `streams` streams `rows` times.  state holds the
- * words x, y, z, w of every stream as four consecutive rows of `streams`
- * words and is left as the steps leave it; out (rows x streams, row-major)
- * gets (w >> 8) * 2^-24 of the i-th step in row i, exact in FP32. */
+/* Advance each of the `streams` streams `rows` times.  state (streams x 4)
+ * holds the words x, y, z, w of stream c in row c and is left as the steps
+ * leave it; out (streams x rows) gets (w >> 8) * 2^-24 of the i-th step in
+ * column i, exact in FP32. */
 MULTIVERSION void
-xorshift_uniform(int64_t streams, int64_t rows, uint32_t *restrict state,
-                 float *restrict out)
+xorshift_uniform(int64_t streams, int64_t rows, uint32_t *restrict state, int64_t lds,
+                 float *restrict out, int64_t ldo)
 {
     uint32_t *restrict x = state;
-    uint32_t *restrict y = state + streams;
-    uint32_t *restrict z = state + 2 * streams;
-    uint32_t *restrict w = state + 3 * streams;
+    uint32_t *restrict y = state + lds;
+    uint32_t *restrict z = state + 2 * lds;
+    uint32_t *restrict w = state + 3 * lds;
     for (int64_t i = 0; i < rows; i++) {
-        float *o = out + i * streams;
+        float *o = out + i * ldo;
         for (int64_t c = 0; c < streams; c++) {
             const uint32_t t = x[c] ^ (x[c] << 11);
             const uint32_t wn = (w[c] ^ (w[c] >> 19)) ^ (t ^ (t >> 8));
@@ -485,40 +495,39 @@ INLINE float exp_taylor_one(float x)
 }
 
 MULTIVERSION void
-tanh_pade78_f32(int64_t m, int64_t n, const float *x, int64_t ld, float *restrict out)
+tanh_pade78_f32(int64_t m, int64_t n, const float *x, int64_t ldx, float *restrict out,
+                int64_t ldo)
 {
     for (int64_t j = 0; j < n; j++)
         for (int64_t i = 0; i < m; i++)
-            out[i + j * m] = tanh_pade78_one(x[i + j * ld]);
+            out[i + j * ldo] = tanh_pade78_one(x[i + j * ldx]);
 }
 
 MULTIVERSION void
-minimax_f32(int64_t m, int64_t n, const float *x, int64_t ld, float *restrict out,
-            const float *coeffs, int64_t base, float range_max, float saturation)
+minimax_f32(int64_t m, int64_t n, const float *x, int64_t ldx, float *restrict out,
+            int64_t ldo, const float *coeffs, int64_t base, float range_max, float saturation)
 {
     for (int64_t j = 0; j < n; j++)
         for (int64_t i = 0; i < m; i++)
-            out[i + j * m] = minimax_one(x[i + j * ld], coeffs, (int32_t)base,
-                                         range_max, saturation);
+            out[i + j * ldo] = minimax_one(x[i + j * ldx], coeffs, (int32_t)base,
+                                           range_max, saturation);
 }
 
 MULTIVERSION void
-exp_taylor_f32(int64_t m, int64_t n, const float *x, int64_t ld, float *restrict out)
+exp_taylor_f32(int64_t m, int64_t n, const float *x, int64_t ldx, float *restrict out,
+               int64_t ldo)
 {
     for (int64_t j = 0; j < n; j++)
         for (int64_t i = 0; i < m; i++)
-            out[i + j * m] = exp_taylor_one(x[i + j * ld]);
+            out[i + j * ldo] = exp_taylor_one(x[i + j * ldx]);
 }
 
 /* ------------------------------------------------------------------------ */
 /* PACK, UNPACK and FP32 MULADD / NMULADD                                    */
 /* ------------------------------------------------------------------------ */
 
-/* The caller passes buffers that do not overlap, but for an input of
- * MULADD / NMULADD that is exactly the output (same address and ld), which
- * each element reads before it writes.  A block whose operands all have
- * ld == m runs as one column of m*n elements, one loop instead of n short
- * ones. */
+/* A block whose operands all have ld == m runs as one column of m*n
+ * elements, one loop instead of n short ones. */
 
 MULTIVERSION void
 pack_f32(int64_t m, int64_t n, const uint16_t *restrict hi, int64_t ldh,
@@ -535,17 +544,17 @@ pack_f32(int64_t m, int64_t n, const uint16_t *restrict hi, int64_t ldh,
 
 MULTIVERSION void
 unpack_f32(int64_t m, int64_t n, const uint32_t *restrict x, int64_t ldx,
-           uint16_t *restrict hi, uint16_t *restrict lo, int64_t ld)
+           uint16_t *restrict hi, int64_t ldh, uint16_t *restrict lo, int64_t ldl)
 {
-    if (ldx == m && ld == m) {
+    if (ldx == m && ldh == m && ldl == m) {
         m *= n;
         n = 1;
     }
     for (int64_t j = 0; j < n; j++)
         for (int64_t i = 0; i < m; i++) {
             const uint32_t u = x[i + j * ldx];
-            hi[i + j * ld] = (uint16_t)(u >> 16);
-            lo[i + j * ld] = (uint16_t)u;
+            hi[i + j * ldh] = (uint16_t)(u >> 16);
+            lo[i + j * ldl] = (uint16_t)u;
         }
 }
 

@@ -1,30 +1,16 @@
 """Build and load the C kernels (``native.c``) on first use: the
 batch-reduce GEMM of ``contraction``, the reductions, xorshift streams and
 split-FP32 and multiply-add engines of ``ops``, and the three FP32
-approximation engines of ``approx``:
+approximation engines of ``approx``.
 
-* ``tanh_pade78_f32``: t = |x|*|x|, numerator and denominator by Horner in
-  t (the numerator times |x|), their quotient, 1 beyond the clamp, the sign
-  of x copied on;
-* ``minimax_f32``: the interval from the bits of |x|, the cubic by Horner
-  in |x|, the saturation value from ``range_max`` on, the sign copied on;
-* ``exp_taylor_f32``: r = x*log2e, n = rint(r), y = r - n, the cubic by
-  Horner in y, times 2^n built in the exponent field, +inf above and 0
-  below the band.
-
-Each takes a column-major FP32 block (rows, cols, ld) and runs the
-operations of its numpy reference in the same order.  The engines of
-``ops`` take every operand as a column-major block at its own ``ld``:
-
-* ``pack_f32`` (rows, cols, hi, ldh, lo, ldl, out, ldo): PACK, each FP32
-  element's bits ``hi << 16 | lo``;
-* ``unpack_f32`` (rows, cols, x, ldx, hi, lo, ld): UNPACK, the top and
-  bottom 16 bits of each FP32 element, hi and lo at one ``ld``;
-* ``muladd_f32`` (rows, cols, a, lda, b, ldb, c, ldc, out, ldo, scalars,
-  neg): MULADD ``c + a*b``, or NMULADD ``c - a*b`` when ``neg`` is set, the
-  product rounded before the sum; bit 0, 1 or 2 of ``scalars`` marks a
-  SCALAR a, b or c.  It returns 2, writing nothing, when an operand holds
-  a NaN.  This module alone
+Every kernel but brgemm takes one ABI, as the paper defines a primitive on
+2-D blocks: ``(m, n)``, then each operand as a column-major block
+``(address, ld)``, inputs first, then the kernel's own scalars
+(:data:`ENGINES` lists how many blocks and which scalars).  They are
+called through :func:`run` alone, which decides whether the operands can
+be read in place and returns False whenever the caller must take its numpy
+reference path instead; brgemm keeps its batch ABI (a base plus offsets or
+a stride per side) and is called by ``contraction``.  This module alone
 chooses between a C kernel and its numpy reference path, and
 :func:`backend` reports the choice.
 
@@ -47,6 +33,8 @@ import threading
 
 import numpy as np
 
+from .tensor import Bcast
+
 CC = "gcc"
 FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fPIC", "-shared")
 SOURCE = Path(__file__).with_name("native.c")
@@ -59,23 +47,29 @@ _i64, _ptr, _addr = ctypes.c_int64, ctypes.c_void_p, ctypes.c_ssize_t
 # base + e*stride bytes when offs is NULL
 _SIDE = [_addr, _ptr, _i64, _i64]
 _BRGEMM = [_i64] * 4 + _SIDE + _SIDE + [_ptr, _i64]
-# (m, n, x, ld, axis, op, squared, out)
-_REDUCE = [_i64, _i64, _ptr, _i64, _i64, _i64, _i64, _ptr]
-# (m, n, x, ld, out)
-_ENGINE = [_i64, _i64, _ptr, _i64, _ptr]
-_BLOCK = [_ptr, _i64]   # a column-major block: (address, ld)
+# (blocks, scalars) of every kernel but brgemm, whose arguments are (m, n),
+# an (address, ld) per block and then the scalars
+_REDUCE = (2, [_i64] * 3)   # x, out; axis, op, squared
+_MAP = (2, [])              # x, out
+ENGINES: dict[str, tuple[int, list]] = {
+    "reduce_f32": _REDUCE, "reduce_f64": _REDUCE,
+    "xorshift_uniform": _MAP,   # state, out
+    "tanh_pade78_f32": _MAP, "exp_taylor_f32": _MAP,
+    # coeffs, base, range_max, saturation
+    "minimax_f32": (2, [_ptr, _i64, ctypes.c_float, ctypes.c_float]),
+    "pack_f32": (3, []),        # hi, lo, out
+    "unpack_f32": (3, []),      # x, hi, lo
+    "muladd_f32": (4, [_i64, _i64]),   # a, b, c, out; scalars, neg
+}
+# the kernels whose output may be exactly an input: each reads an element
+# before it writes it, and returns its status before it writes anything
+IN_PLACE = ("muladd_f32",)
 # the argument types of every kernel of the library
 ARGTYPES: dict[str, list] = {
     "brgemm_f32": _BRGEMM, "brgemm_f64": _BRGEMM, "brgemm_bf16": _BRGEMM,
     "brgemm_i8": _BRGEMM,
-    "reduce_f32": _REDUCE, "reduce_f64": _REDUCE,
-    "xorshift_uniform": [_i64, _i64, _ptr, _ptr],   # (streams, rows, state, out)
-    "tanh_pade78_f32": _ENGINE, "exp_taylor_f32": _ENGINE,
-    # (..., out, coeffs, base, range_max, saturation)
-    "minimax_f32": _ENGINE + [_ptr, _i64, ctypes.c_float, ctypes.c_float],
-    "pack_f32": [_i64, _i64] + _BLOCK * 3,
-    "unpack_f32": [_i64, _i64] + _BLOCK + [_ptr, _ptr, _i64],
-    "muladd_f32": [_i64, _i64] + _BLOCK * 4 + [_i64, _i64],
+    **{name: [_i64, _i64] + [_ptr, _i64] * blocks + scalars
+       for name, (blocks, scalars) in ENGINES.items()},
 }
 # the kernels that return a status (0: done; 1: nothing done, no scratch; 2:
 # a float result or operand is a NaN); the others return nothing
@@ -131,8 +125,84 @@ def address(buf: np.ndarray) -> int:
     (``from_buffer`` reads it in a third of the time ``buf.ctypes.data``
     takes, but only for a writable buffer)."""
     if buf.flags.writeable:
-        return ctypes.addressof(ctypes.c_char.from_buffer(buf))
+        return _addressof(_from_buffer(buf))
     return buf.ctypes.data
+
+
+_addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
+_BLOCKS = (Bcast.NONE, Bcast.SCALAR)   # the views C reads as a block or one element
+
+
+def run(name: str, m: int, n: int, ins: tuple, outs: tuple, *scalars) -> bool:
+    """Run the kernel ``name`` (one of :data:`ENGINES`) on the m x n problem
+    of the blocks ``ins`` and ``outs``; False when nothing ran (or, for a
+    kernel that reports a NaN, when nothing was kept) and the caller must
+    take its numpy path: no library, a fault set, an operand refused below,
+    or a nonzero status.
+
+    An operand is a ``TensorView`` or an ndarray holding the extent its
+    kernel reads; it is refused unless C can read it in place:
+
+    * a view's flat buffer is still what ``TensorView`` checked (1-D,
+      contiguous, of the storage dtype, long enough) and is aligned; it is
+      the block (``native.address``, ``desc.ld``), and a SCALAR view the
+      element there (the kernel's scalars say so), never a ROW or COL one;
+    * an array (1-D: one column) is aligned and has unit-stride columns at
+      an ld of at least its rows, or, as an input, of 0 (one column read
+      for every column, as of a COL broadcast);
+    * an output is writable, and it overlaps no other operand unless the
+      kernel is one of :data:`IN_PLACE` and the output is exactly an input
+      (the same address, ld and end, as ``w, w`` in split SGD).  numpy
+      raises for a read-only output, and reads every input before it
+      stores."""
+    fn = kernel(name)
+    if fn is None:
+        return False
+    args, spans, nin = [m, n], [], len(ins)
+    for k, op in enumerate(ins + outs):
+        out = k >= nin
+        if isinstance(op, np.ndarray):
+            flags, size = op.flags, op.itemsize
+            if op.ndim == 2:
+                rows, cols = op.shape
+            elif op.ndim == 1:
+                rows, cols = op.shape[0], 1
+            else:
+                return False
+            if flags.f_contiguous:
+                ld = rows
+            elif op.ndim == 2:   # unit-stride columns at any ld
+                rs, cs = op.strides
+                ld = cs // size
+                if (rs != size and rows > 1) or ld * size != cs or (ld < rows and (ld or out)):
+                    return False
+            else:
+                return False
+            if not (rows and cols and flags.aligned):
+                return False
+            buf, span = op[:, 0] if op.ndim == 2 else op, (cols - 1) * ld + rows
+        else:
+            buf, d = op.primary, op.desc
+            flags = buf.flags
+            if not (flags.aligned and flags.c_contiguous and buf.ndim == 1
+                    and buf.dtype == d.dtype.storage and buf.size >= d.min_buffer_len
+                    and d.bcast in _BLOCKS):
+                return False
+            ld, span = d.ld, d.min_buffer_len
+        if out and not flags.writeable:
+            return False
+        start = address(buf)   # buf is contiguous and starts at the block
+        end = start + span * buf.itemsize
+        if out:
+            for t, (s, e, l) in enumerate(spans):
+                if s < end and start < e and not (t < nin and name in IN_PLACE
+                                                  and (s, e, l) == (start, end, ld)):
+                    return False
+        spans.append((start, end, ld))
+        args.append(start)
+        args.append(ld)
+    args.extend(scalars)
+    return not fn(*args)
 
 
 def _load() -> ctypes.CDLL | None:

@@ -17,8 +17,9 @@ broadcast and datatype widening applied), run the point operation in the
 compute precision, store once (narrowing to the output's dtype).
 Reductions use a fixed, ascending accumulation order so results are
 bit-reproducible.  The reductions, the xorshift streams, PACK, UNPACK and
-FP32 MULADD / NMULADD run C kernels (``native.c``) when ``native`` hands
-them out; their numpy code is the reference path and gives the same bits.
+FP32 MULADD / NMULADD run C kernels (``native.c``) wherever ``native.run``
+accepts their operands; their numpy code is the reference path and gives
+the same bits.
 Every call runs on the caller's thread; blocking and threads belong to the
 caller's loop nest.
 """
@@ -235,7 +236,9 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 
 class PrngState:
-    """Marsaglia xorshift128 state: four 32-bit words per stream.
+    """Marsaglia xorshift128 state: four 32-bit words per stream, the rows
+    x, y, z, w of ``words`` (4 x streams, C-ordered, so that its transpose
+    is the streams x 4 block, at ld streams, that the C kernel advances).
 
     Streams are seeded as ``seed XOR column-index`` expanded through
     splitmix64, so evaluation parallelised over columns stays deterministic.
@@ -247,31 +250,26 @@ class PrngState:
         base = np.arange(ncols, dtype=np.uint64) ^ _U64(self.seed)
         a = _splitmix64(base)
         b = _splitmix64(a)
-        self.x = (a & _U64(0xFFFFFFFF)).astype(np.uint32)
-        self.y = (a >> _U64(32)).astype(np.uint32)
-        self.z = (b & _U64(0xFFFFFFFF)).astype(np.uint32)
-        self.w = (b >> _U64(32)).astype(np.uint32)
-        dead = (self.x | self.y | self.z | self.w) == 0
-        if np.any(dead):
-            self.w = np.where(dead, np.uint32(1), self.w)
+        low = _U64(0xFFFFFFFF)
+        self.words = np.stack([a & low, a >> _U64(32), b & low, b >> _U64(32)]).astype(np.uint32)
+        self.words[3, ~self.words.any(axis=0)] = 1
+        self.x, self.y, self.z, self.w = self.words   # views, updated in place
 
     def step(self) -> np.ndarray:
         """Advance every stream once; returns one 32-bit word per stream."""
         t = self.x ^ (self.x << np.uint32(11))
-        self.x, self.y, self.z = self.y, self.z, self.w
-        self.w = (self.w ^ (self.w >> np.uint32(19))) ^ (t ^ (t >> np.uint32(8)))
-        return self.w
+        new_w = (self.w ^ (self.w >> np.uint32(19))) ^ (t ^ (t >> np.uint32(8)))
+        self.words[:3] = self.words[1:]
+        self.words[3] = new_w
+        return new_w
 
     def uniform_block(self, rows: int) -> np.ndarray:
         """rows x ncols FP32 uniforms in [0, 1), row i from the i-th step:
         one call of the C kernel, or, without it, a loop of :meth:`step`;
         both leave the same state."""
-        out = np.empty((rows, self.x.size), dtype=np.float32)
-        fn = native.kernel("xorshift_uniform")
-        if fn is not None:
-            state = np.stack([self.x, self.y, self.z, self.w])  # a fresh uint32 array
-            fn(self.x.size, rows, state.ctypes.data, out.ctypes.data)
-            self.x, self.y, self.z, self.w = state
+        out = np.empty((rows, self.words.shape[1]), dtype=np.float32)
+        # C sees both transposed: streams x 4 and streams x rows, at ld streams
+        if native.run("xorshift_uniform", out.shape[1], rows, (), (self.words.T, out.T)):
             return out
         for i in range(rows):
             w = self.step()
@@ -676,58 +674,21 @@ def _elementwise(math: Callable[..., np.ndarray], *operands: TensorView) -> None
     _store(out, r)
 
 
-def _native_call(name: str, ins: tuple[TensorView, ...], outs: tuple[TensorView, ...]):
-    """(the C kernel ``name``, the addresses of ``ins`` then ``outs``) to run
-    it on these views in place; None sends the call to its numpy path: no
-    library; a buffer that is no longer what ``TensorView`` checked at
-    construction (flat, contiguous, of the storage dtype and long enough),
-    or is not aligned; an output buffer that is read-only (numpy raises for
-    each of these); or an output that overlaps another operand other than
-    exactly (an input at its address with its descriptor, which each
-    element reads before it writes)."""
-    fn = native.kernel(name)
-    if fn is None:
-        return None
-    views = (*ins, *outs)
-    addrs, ends = [], []
-    for k, v in enumerate(views):
-        buf, d = v.primary, v.desc
-        flags = buf.flags
-        if not (flags.aligned and flags.c_contiguous and buf.ndim == 1
-                and buf.dtype == d.dtype.storage and buf.size >= d.min_buffer_len
-                and (flags.writeable or k < len(ins))):
-            return None
-        start = native.address(buf)
-        end = start + d.min_buffer_len * buf.itemsize
-        if k >= len(ins):
-            for t in range(k):
-                if addrs[t] < end and start < ends[t] and not (
-                        t < len(ins) and addrs[t] == start and views[t].desc == d):
-                    return None
-        addrs.append(start)
-        ends.append(end)
-    return fn, addrs
-
-
 def _muladd_f32(math: Callable[..., np.ndarray], scalars: int, neg: bool, a: TensorView,
                 b: TensorView, c: TensorView, out: TensorView) -> None:
     """MULADD (``c + a*b``) or NMULADD (``c - a*b``, ``neg``) of FP32
     operands, each full or SCALAR (bit t of ``scalars`` for operand t).  The
-    C kernel runs when ``out`` is FP32 and overlaps no operand but exactly,
-    as ``out`` is ``c`` in split SGD (``_native_call``).  It scans the
-    operands before it writes and leaves a call with a NaN operand to the
-    numpy ``math``, since which payload survives where two NaNs meet depends
-    on the operand order of ``*``, which the compiler may swap; NaN-free
-    operands can only make the default NaN, the same on both paths.  Any
-    other dtype or broadcast runs ``math`` alone.  Both give the same bits."""
-    call = _native_call("muladd_f32", (a, b, c), (out,)) if out.desc.dtype is DType.FP32 \
-        else None
-    if call is not None:
-        fn, (pa, pb, pc, po) = call
-        d = out.desc
-        if fn(d.rows, d.cols, pa, a.desc.ld, pb, b.desc.ld, pc, c.desc.ld, po, d.ld,
-              scalars, neg) == 0:
-            return
+    C kernel runs into an FP32 ``out`` that ``native.run`` accepts, which
+    may be ``c`` itself, as in split SGD.  It scans the operands before it
+    writes and leaves a call with a NaN operand to the numpy ``math``, since
+    which payload survives where two NaNs meet depends on the operand order
+    of ``*``, which the compiler may swap; NaN-free operands can only make
+    the default NaN, the same on both paths.  Any other dtype or broadcast
+    runs ``math`` alone.  Both give the same bits."""
+    d = out.desc
+    if d.dtype is DType.FP32 and native.run("muladd_f32", d.rows, d.cols, (a, b, c), (out,),
+                                            scalars, neg):
+        return
     _elementwise(math, a, b, c, out)
 
 
@@ -768,19 +729,17 @@ def _unpack(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
     raises TensorError before anything is written.
 
     A pure bit move, so the C kernel runs on every value (NaN, Inf and
-    subnormals too) unless the input is a broadcast view or the input, hi
-    and lo overlap (``_native_call``); the numpy path gives the same bits,
-    with the halves swapped under the ``unpack-swap`` fault of ``native``."""
+    subnormals too) unless the input is a broadcast view or ``native.run``
+    refuses an operand (the input, hi and lo overlapping, say); the numpy
+    path gives the same bits, with the halves swapped under the
+    ``unpack-swap`` fault of ``native``."""
     d = out.desc
     lo_desc = TensorDesc(d.rows, d.cols, d.ld, DType.INT16)
     if out.secondary is None:
         out.secondary = np.zeros(lo_desc.min_buffer_len, dtype=np.uint16)
     lo = TensorView(lo_desc, out.secondary)
-    call = _native_call("unpack_f32", (inp,), (out, lo)) if inp.desc.bcast is Bcast.NONE \
-        else None
-    if call is not None:
-        fn, (px, phi, plo) = call
-        fn(d.rows, d.cols, px, inp.desc.ld, phi, plo, d.ld)
+    if inp.desc.bcast is Bcast.NONE and native.run("unpack_f32", d.rows, d.cols, (inp,),
+                                                   (out, lo)):
         return
     hi_bits, lo_bits = split_fp32_bits(inp.as2d())
     if native.fault == "unpack-swap":
@@ -850,40 +809,29 @@ _REDUCE_COMBINE = {
 # the codes ``native.c`` gives each axis and op
 _REDUCE_AXIS_CODE = {ReduceAxis.ROWS: 0, ReduceAxis.COLS: 1, ReduceAxis.ALL: 2}
 _REDUCE_OP_CODE = {ReduceOp.SUM: 0, ReduceOp.MUL: 1, ReduceOp.MIN: 2, ReduceOp.MAX: 3}
-_REDUCE_KERNEL = {np.dtype(np.float32): "reduce_f32", np.dtype(np.float64): "reduce_f64"}
+_REDUCE_KERNEL = {DType.FP32: "reduce_f32", DType.FP64: "reduce_f64"}
 
 
 def _reduce(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
     """Fold in FP32 (FP64 for FP64 inputs) in the pinned order.
 
     BF16 and integer inputs widen here and run as FP32.  The C kernel
-    (``native.c``) and the numpy fold give the same bits; a result that
-    holds a NaN (the C kernel reports it) is recomputed on the numpy fold, as
-    ``contraction.brgemm`` does, because the compiler may swap the operands
-    of ``+`` and ``*``, which decides which payload survives where two NaNs
-    meet."""
+    (``native.c``) reads the values in place (a padded ``ld`` and a COL
+    broadcast, at ld 0, too), writes an ``out`` of the accumulator's dtype in
+    place and any other through ``_store``, and gives the numpy fold's bits;
+    a result that holds a NaN (the C kernel reports it) is recomputed on the
+    numpy fold, as ``contraction.brgemm`` does, because the compiler may swap
+    the operands of ``+`` and ``*``, which decides which payload survives
+    where two NaNs meet."""
     rs, d = spec.reduce, inp.desc
-    acc_dt = np.float64 if d.dtype is DType.FP64 else np.float32
-    x = _compute_values(inp).astype(acc_dt, copy=False)
-    fn = native.kernel(_REDUCE_KERNEL[x.dtype])
-    r = None if fn is None else _reduce_native(fn, rs, x)
-    _store(out, _reduce_numpy(rs, x) if r is None else r)
-
-
-def _reduce_native(fn, rs: ReduceSpec, x: np.ndarray) -> np.ndarray | None:
-    """The C fold ``fn`` of ``x``, read in place when its rows are contiguous
-    (a padded ``ld`` or a COL broadcast is), else from a column-major copy;
-    None when a result is a NaN."""
-    rows, cols = x.shape
-    step = x.itemsize
-    if (rows > 1 and x.strides[0] != step) or not x.flags.aligned:
-        x = np.asfortranarray(x)
-    r = np.empty((rows if rs.axis is ReduceAxis.ROWS else 1,
-                  cols if rs.axis is ReduceAxis.COLS else 1), x.dtype)
-    if fn(rows, cols, x.ctypes.data, x.strides[1] // step, _REDUCE_AXIS_CODE[rs.axis],
-          _REDUCE_OP_CODE[rs.op], rs.squared, r.ctypes.data):
-        return None
-    return r
+    acc = DType.FP64 if d.dtype is DType.FP64 else DType.FP32
+    x = _compute_values(inp).astype(acc.storage, copy=False)
+    r = out if out.desc.dtype is acc else np.empty((out.desc.rows, out.desc.cols), x.dtype)
+    if not native.run(_REDUCE_KERNEL[acc], d.rows, d.cols, (x,), (r,),
+                      _REDUCE_AXIS_CODE[rs.axis], _REDUCE_OP_CODE[rs.op], rs.squared):
+        r = _reduce_numpy(rs, x)
+    if r is not out:
+        _store(out, r)
 
 
 def _reduce_numpy(rs: ReduceSpec, x: np.ndarray) -> np.ndarray:
@@ -951,16 +899,13 @@ def _pack(spec: KernelSpec, hi: TensorView, lo: TensorView, out: TensorView) -> 
     """The FP32 of bits ``hi << 16 | lo``, stored into ``out`` as any value
     is.  A pure bit move, so the C kernel runs on every value (NaN, Inf and
     subnormals too) into an FP32 ``out`` from halves that are not broadcast
-    views and that ``out`` does not overlap (``_native_call``); the numpy
-    path gives the same bits, and narrows to any other output dtype."""
-    if out.desc.dtype is DType.FP32 and hi.desc.bcast is Bcast.NONE \
-            and lo.desc.bcast is Bcast.NONE:
-        call = _native_call("pack_f32", (hi, lo), (out,))
-        if call is not None:
-            fn, (phi, plo, po) = call
-            d = out.desc
-            fn(d.rows, d.cols, phi, hi.desc.ld, plo, lo.desc.ld, po, d.ld)
-            return
+    views, where ``native.run`` accepts the operands (``out`` overlapping
+    neither half, say); the numpy path gives the same bits, and narrows to
+    any other output dtype."""
+    d = out.desc
+    if d.dtype is DType.FP32 and hi.desc.bcast is Bcast.NONE and lo.desc.bcast is Bcast.NONE \
+            and native.run("pack_f32", d.rows, d.cols, (hi, lo), (out,)):
+        return
     _store(out, pack_fp32_bits(hi.as2d(), lo.as2d()))
 
 

@@ -195,10 +195,13 @@ def broadcast(v: TensorView, bcast: Bcast, rows: int, cols: int) -> TensorView:
 
 
 def to_array(v: TensorView) -> np.ndarray:
-    """Dense logical copy as a numpy array (BF16 widened to FP32)."""
+    """Dense logical copy as a numpy array of its values: BF16 widened to
+    FP32, and INT16 as int16 (its storage holds the uint16 bits)."""
     a = np.array(v.logical2d())
     if v.desc.dtype is DType.BF16:
         return bf16_to_fp32(a)
+    if v.desc.dtype is DType.INT16:
+        return a.view(np.int16)
     return a
 
 

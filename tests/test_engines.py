@@ -1,7 +1,8 @@
-"""PACK, UNPACK and FP32 MULADD / NMULADD at their edges, on every backend:
-the C engines as loaded, their default build, and the numpy path.  Each
-case runs once on the backend under test and once, on fresh operands, on
-the numpy reference path, and the whole buffers (padding included) must be
+"""PACK, UNPACK and FP32 MULADD / NMULADD at their edges, and the one
+operand rule of ``native.run`` for every engine, on every backend: the C
+engines as loaded, their default build, and the numpy path.  Each case
+runs once on the backend under test and once, on fresh operands, on the
+numpy reference path, and the whole buffers (padding included) must be
 bitwise equal; values are also checked against plain numpy bit arithmetic."""
 
 import numpy as np
@@ -11,6 +12,9 @@ from tensorprim import (
     Bcast,
     BinaryKind,
     DType,
+    ReduceAxis,
+    ReduceOp,
+    ReduceSpec,
     SplitTensor,
     TensorDesc,
     TernaryKind,
@@ -19,9 +23,11 @@ from tensorprim import (
     apply_binary,
     apply_ternary,
     apply_unary,
+    approx,
     broadcast,
     native,
     ops,
+    reduce,
     split_sgd_step,
     view_at,
 )
@@ -464,3 +470,211 @@ def test_split_sgd_step_matches_fp32_sgd_on_special_weights(native_backend, monk
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert bits_equal(got[~nan], want[~nan])
+
+
+# ---------------------------------------------------------------------------
+# the one operand rule of native.run, for every engine
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def runs(monkeypatch):
+    """(engine, whether C ran) for every ``native.run`` call."""
+    seen = []
+    real = native.run
+
+    def spy(name, *args):
+        ran = real(name, *args)
+        seen.append((name, ran))
+        return ran
+
+    monkeypatch.setattr(native, "run", spy)
+    return seen
+
+
+@pytest.fixture
+def c_args(monkeypatch):
+    """(engine, its C arguments) for every C engine call."""
+    seen = []
+    real = native.kernel
+
+    def kernel(name):
+        fn = real(name)
+        if fn is None:
+            return None
+
+        def recorded(*args):
+            seen.append((name, args))
+            return fn(*args)
+        return recorded
+
+    monkeypatch.setattr(native, "kernel", kernel)
+    return seen
+
+
+def unaligned(shape, dtype) -> np.ndarray:
+    """A zeroed column-major array of ``dtype`` one byte off its alignment."""
+    rows, cols = shape
+    size = np.dtype(dtype).itemsize
+    a = np.zeros(rows * cols * size + 1, np.uint8)[1:].view(dtype).reshape(cols, rows).T
+    assert not a.flags.aligned
+    return a
+
+
+def engine_operands(name):
+    """(ins, outs, scalars) of a valid m x n = 3 x 5 call of engine
+    ``name``, each operand a column-major array."""
+    rng = np.random.default_rng(7)
+    f32 = lambda: np.asfortranarray(rng.standard_normal((3, 5)), np.float32)
+    u16 = lambda: np.asfortranarray(rng.integers(0, 2**16, (3, 5)), np.uint16)
+    empty = lambda dt, shape=(3, 5): np.zeros(shape, dt, order="F")
+    table = approx.TANH_MINIMAX
+    return {
+        "reduce_f32": ((f32(),), (empty(np.float32, (3, 1)),), (0, 0, 0)),
+        "reduce_f64": ((np.asfortranarray(f32(), np.float64),), (empty(np.float64, (3, 1)),),
+                       (0, 0, 0)),
+        "xorshift_uniform": ((), (np.asfortranarray(rng.integers(1, 2**32, (3, 4)), np.uint32),
+                                  empty(np.float32)), ()),
+        "tanh_pade78_f32": ((f32(),), (empty(np.float32),), ()),
+        "exp_taylor_f32": ((f32(),), (empty(np.float32),), ()),
+        "minimax_f32": ((f32(),), (empty(np.float32),),
+                        (table.coeffs_address, table.base, table.range_max, table.saturation)),
+        "pack_f32": ((u16(), u16()), (empty(np.float32),), ()),
+        "unpack_f32": ((f32(),), (empty(np.uint16), empty(np.uint16)), ()),
+        "muladd_f32": ((f32(), f32(), f32()), (empty(np.float32),), (0, 0)),
+    }[name]
+
+
+@pytest.mark.parametrize("name", sorted(native.ENGINES))
+def test_run_refuses_an_unaligned_operand_of_every_engine(name, native_backend):
+    """Each operand in turn one byte off its alignment: ``run`` returns
+    False and writes nothing; aligned, C runs (on a native backend)."""
+    ins, outs, scalars = engine_operands(name)
+    n = len(ins) + len(outs)
+    assert n == native.ENGINES[name][0]
+    for k in range(n):
+        ops_ = [a.copy(order="F") for a in (*ins, *outs)]
+        bad = unaligned(ops_[k].shape, ops_[k].dtype)
+        bad[...] = ops_[k]
+        ops_[k] = bad
+        before = [a.copy() for a in ops_]
+        assert not native.run(name, 3, 5, tuple(ops_[:len(ins)]), tuple(ops_[len(ins):]),
+                              *scalars)
+        assert all(bits_equal(a, b) for a, b in zip(ops_, before))
+    assert native.run(name, 3, 5, ins, outs, *scalars) == (native_backend != "numpy")
+
+
+def unaligned_view(values: np.ndarray, dtype: DType):
+    """A dense view of ``values`` (storage dtype) over a buffer one byte off
+    its alignment."""
+    v = view_at(unaligned((values.size, 1), dtype.storage)[:, 0], 0,
+                TensorDesc(*values.shape, values.shape[0], dtype))
+    v.as2d()[:, :] = values
+    return v
+
+
+UNALIGNED_CALLS = {
+    "reduce_f32": lambda: (unaligned_view(finite(6, 5, 1), DType.FP32),
+                           alloc(TensorDesc(6, 1, 6, DType.FP32))),
+    "reduce_f64": lambda: (unaligned_view(finite(6, 5, 1).astype(np.float64), DType.FP64),
+                           alloc(TensorDesc(6, 1, 6, DType.FP64))),
+    "tanh_pade78_f32": lambda: (unaligned_view(finite(6, 5, 2), DType.FP32),
+                                alloc(TensorDesc(6, 5, 6, DType.FP32))),
+    "exp_taylor_f32": lambda: (unaligned_view(finite(6, 5, 3), DType.FP32),
+                               alloc(TensorDesc(6, 5, 6, DType.FP32))),
+    "minimax_f32": lambda: (unaligned_view(finite(6, 5, 4), DType.FP32),
+                            alloc(TensorDesc(6, 5, 6, DType.FP32))),
+    "pack_f32": lambda: (unaligned_view(patterns(6, 5, 5).astype(np.uint16), DType.BF16),
+                         padded(patterns(6, 5, 6).astype(np.uint16), DType.INT16),
+                         alloc(TensorDesc(6, 5, 6, DType.FP32))),
+    "unpack_f32": lambda: (unaligned_view(patterns(6, 5, 7).view(np.float32), DType.FP32),
+                           alloc(TensorDesc(6, 5, 6, DType.BF16))),
+    "muladd_f32": lambda: (unaligned_view(finite(6, 5, 8), DType.FP32),
+                           padded(finite(6, 5, 9), DType.FP32), padded(finite(6, 5, 10), DType.FP32),
+                           alloc(TensorDesc(6, 5, 6, DType.FP32))),
+}
+ROWS_SUM = ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM)
+# the public call that reaches each engine, on views
+PUBLIC_CALLS = {
+    "reduce_f32": lambda x, o: reduce(x, ROWS_SUM, o),
+    "reduce_f64": lambda x, o: reduce(x, ROWS_SUM, o),
+    "tanh_pade78_f32": lambda x, o: apply_unary(UnaryKind.TANH, x, o),
+    "exp_taylor_f32": lambda x, o: apply_unary(UnaryKind.EXP, x, o),
+    "minimax_f32": lambda x, o: apply_unary(UnaryKind.GELU, x, o),
+    "pack_f32": lambda h, l, o: apply_binary(BinaryKind.PACK, h, l, o),
+    "unpack_f32": lambda x, o: apply_unary(UnaryKind.UNPACK, x, o),
+    "muladd_f32": lambda a, b, c, o: apply_ternary(TernaryKind.MULADD, a, b, c, o),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNALIGNED_CALLS))
+def test_an_unaligned_view_takes_the_numpy_path_with_its_bits(name, native_backend, runs,
+                                                              monkeypatch):
+    """Every engine a caller can hand a view to: its public call on an
+    unaligned operand declines C and gives the numpy path's bits."""
+    on_both(UNALIGNED_CALLS[name], PUBLIC_CALLS[name], monkeypatch)
+    assert (name, False) in runs and (name, True) not in runs
+
+
+def test_a_col_broadcast_reduce_input_reaches_c_at_ld_0(native_backend, runs, c_args,
+                                                        monkeypatch):
+    col = finite(7, 1, 11)
+    for axis in ReduceAxis:
+        out_rows, out_cols = {ReduceAxis.ROWS: (7, 1), ReduceAxis.COLS: (1, 9),
+                              ReduceAxis.ALL: (1, 1)}[axis]
+
+        def make():
+            return (broadcast(padded(col, DType.FP32), Bcast.COL, 7, 9),
+                    alloc(TensorDesc(out_rows, out_cols, out_rows, DType.FP32)))
+
+        on_both(make, lambda x, o: reduce(x, ReduceSpec(axis, ReduceOp.SUM), o), monkeypatch)
+    native_run = native_backend != "numpy"
+    assert runs[::2] == [("reduce_f32", native_run)] * 3   # runs[1::2]: the numpy reruns
+    assert [args[3] for _, args in c_args] == ([0] * 3 if native_run else [])   # x's ld
+
+
+def test_every_engine_is_reached_from_its_public_entry(native_backend, runs):
+    """On a native backend every engine runs in C from its public entry:
+    ``apply_*``, ``reduce``, dropout and the ``approx`` functions."""
+    x = padded(finite(16, 16, 12), DType.FP32, 3)
+    f32 = lambda: alloc(TensorDesc(16, 16, 16, DType.FP32))
+    for name, call in PUBLIC_CALLS.items():
+        if name == "reduce_f64":
+            call(padded(finite(16, 16, 13).astype(np.float64), DType.FP64),
+                 alloc(TensorDesc(16, 1, 16, DType.FP64)))
+        elif name.startswith("reduce"):
+            call(x, alloc(TensorDesc(16, 1, 16, DType.FP32)))
+        elif name == "pack_f32":
+            hi, lo = split_fp32_bits(x.as2d())
+            call(padded(hi, DType.BF16), padded(lo, DType.INT16), f32())
+        elif name == "unpack_f32":
+            call(x, alloc(TensorDesc(16, 16, 16, DType.BF16)))
+        elif name == "muladd_f32":
+            call(x, x, x, f32())
+        else:
+            call(x, f32())
+    x.tertiary = {"prng": ops.PrngState(5, 16)}
+    apply_unary(UnaryKind.DROPOUT, x, f32(), dropout_p=0.5)
+    values = x.as2d()
+    approx.tanh_pade78(values)
+    approx.exp_taylor(values)
+    approx.minimax_eval(approx.TANH_MINIMAX, values)
+    want = {"tanh_pade78_f32": 2, "exp_taylor_f32": 2, "minimax_f32": 2}
+    assert {name for name, _ in runs} == set(native.ENGINES)
+    for name in native.ENGINES:
+        assert runs.count((name, native_backend != "numpy")) == want.get(name, 1), name
+
+
+def test_a_reduce_into_its_own_input_gives_the_numpy_bits(native_backend, monkeypatch):
+    """An M x 1 input reduced (ROWS, squared) into itself, with a NaN: only
+    MULADD may write over an input, so C declines and the numpy fold reads
+    the input as it was."""
+    col = finite(9, 1, 14)
+    col[4, 0] = np.nan
+
+    def make():
+        return (padded(col, DType.FP32),)
+
+    (v,) = on_both(make, lambda v: reduce(v, ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, True), v),
+                   monkeypatch)
+    want = col * col
+    assert bits_equal(v.as2d()[[0, 1, 2, 3, 5, 6, 7, 8]], want[[0, 1, 2, 3, 5, 6, 7, 8]])

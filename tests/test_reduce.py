@@ -208,7 +208,7 @@ def test_the_c_fold_reports_a_nan_result_by_its_status(name, dtype):
     fn = native.kernel(name)
     x = np.ones((4, 3), dtype, order="F")
     out = np.zeros(4, dtype)
-    call = lambda: fn(4, 3, x.ctypes.data, 4, 0, 0, 0, out.ctypes.data)   # ROWS SUM
+    call = lambda: fn(4, 3, x.ctypes.data, 4, out.ctypes.data, 4, 0, 0, 0)   # ROWS SUM
     assert call() == 0 and np.all(out == 3)
     x[3, 2] = np.nan
     assert call() == 2 and np.isnan(out[3]) and np.all(out[:3] == 3)

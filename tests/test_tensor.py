@@ -16,6 +16,7 @@ from tensorprim import (
     TensorError,
     TensorView,
     alloc,
+    apply_unary,
     broadcast,
     from_array,
     pack_fp32,
@@ -173,6 +174,18 @@ def test_alloc_fill_stores_through_narrow():
             v = alloc(TensorDesc(2, 3, 4, dt), fill=c)
             assert bits_equal(to_array(v), np.full((2, 3), c, dtype=np_dt))
             assert np.all(v.primary[2:4] == 0)  # the ld padding stays zero
+
+
+def test_to_array_reads_int16_values_as_widening_does():
+    """INT16 storage holds uint16 bits; ``to_array`` returns the int16
+    values, the ones IDENTITY into INT32 stores."""
+    v = view_at(np.array([0xFFFF, 5, 0x8000, 0x7FFF], np.uint16), 0,
+                TensorDesc(1, 4, 1, DType.INT16))
+    got = to_array(v)
+    assert got.dtype == np.int16 and got.tolist() == [[-1, 5, -32768, 32767]]
+    wide = alloc(TensorDesc(1, 4, 1, DType.INT32))
+    apply_unary(UnaryKind.IDENTITY, v, wide)
+    assert to_array(wide).tolist() == got.tolist()
 
 
 def test_bitmask_layout_column_padded():
