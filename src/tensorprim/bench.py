@@ -114,7 +114,7 @@ def bench_softmax(s1: int = 64, s2: int = 8, s3: int = 64, repeats: int = 5,
     x = from_array(rng.random((s1, s2 * s3), dtype=np.float32))
     results = []
     outs = {}
-    p1, p2 = kernels._softmax_trees(s1, s3, DType.FP32)
+    p1, p2 = kernels._softmax_plans(s1, s2 * s3, DType.FP32)
     fused_bytes = p1.temp_bytes + p2.temp_bytes
     naive_bytes = p1.naive_bytes + p2.naive_bytes
     for name, strategy in (("buffered", eqn.Buffered()),

@@ -8,9 +8,13 @@ reinterpreted only through ``view_at``.  A source audit check enforces that
 no array library is imported and that no element buffer is indexed or used
 in arithmetic.
 
-The sparse kernels make a fixed number of primitive calls per bag, never one
-per index: a bag's columns are gathered into a scratch block once and reduced
-once, with the reduction's pinned ascending order.
+Softmax makes a fixed number of calls, never one per slice: two per-slice
+folds, each two COLS reduces whose bits are those of an ALL reduce of every
+slice, and two elementwise plans over the whole input, each slice's value
+broadcast over its columns.  The sparse kernels make a fixed number of
+primitive calls per bag, never one per index: a bag's columns are gathered
+into a scratch block once and reduced once, with the reduction's pinned
+ascending order.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .ops import (
     apply_ternary,
     apply_unary,
     gather_scatter,
+    kernel_for,
     reduce,
     transform,
 )
@@ -64,41 +69,61 @@ class SoftmaxSpec:
     s2: int
     s3: int
 
+    def __post_init__(self):
+        if min(self.s1, self.s2, self.s3) < 1:
+            raise TensorError(f"softmax extents must be positive, got "
+                              f"s1={self.s1} s2={self.s2} s3={self.s3}")
+
 
 @functools.lru_cache(maxsize=DISPATCH_CACHE_SIZE)
-def _softmax_trees(s1: int, s3: int, dtype: DType):
-    d = TensorDesc(s1, s3, s1, dtype)
-    # numerator tree: exp(X - max(X)), the max broadcast over the slice
-    b = eqn.TreeBuilder([d])
-    mx = b.unary(UnaryKind.REDUCE, b.leaf(0),
-                 reduce=ReduceSpec(ReduceAxis.ALL, ReduceOp.MAX))
-    shifted = b.binary(BinaryKind.SUB, b.leaf(0), mx)
-    t1 = b.tree(b.unary(UnaryKind.EXP, shifted))
-    # normalisation tree: X' * reciprocal(sum(X'))
-    b2 = eqn.TreeBuilder([t1.root.out_desc])
-    sm = b2.unary(UnaryKind.REDUCE, b2.leaf(0),
-                  reduce=ReduceSpec(ReduceAxis.ALL, ReduceOp.SUM))
-    t2 = b2.tree(b2.binary(BinaryKind.MUL, b2.leaf(0),
-                           b2.unary(UnaryKind.RECIPROCAL, sm)))
-    return eqn.create_execution_plan(t1), eqn.create_execution_plan(t2)
+def _softmax_plans(rows: int, cols: int, dtype: DType) -> tuple[eqn.ExecPlan, eqn.ExecPlan]:
+    """The two elementwise plans of a softmax over a rows x cols input:
+    E = exp(X - R) and Y = E * R, each R a 1 x cols row broadcast over the
+    rows.  R and E take the dtype of the input's reduce accumulator."""
+    acc = kernel_for(UnaryKind.REDUCE, (TensorDesc(1, 1, 1, dtype),),
+                     reduce=ReduceSpec(ReduceAxis.ALL, ReduceOp.SUM)).out_desc.dtype
+    row = TensorDesc(rows, cols, 1, acc, Bcast.ROW)
+    b = eqn.TreeBuilder([TensorDesc(rows, cols, rows, dtype), row])
+    num = b.tree(b.unary(UnaryKind.EXP, b.binary(BinaryKind.SUB, b.leaf(0), b.leaf(1))))
+    b = eqn.TreeBuilder([num.root.out_desc, row])
+    scale = b.tree(b.binary(BinaryKind.MUL, b.leaf(0), b.leaf(1)))
+    return eqn.create_execution_plan(num), eqn.create_execution_plan(scale)
 
 
 def softmax(spec: SoftmaxSpec, x: TensorView, y: TensorView,
             strategy: eqn.EvalStrategy | None = None) -> None:
     """Slice-wise softmax: each of the s2 instances is normalised over its
-    whole s1 x s3 slice (max subtraction, exp, reciprocal-sum scaling)."""
-    if (x.desc.rows, x.desc.cols) != (spec.s1, spec.s2 * spec.s3):
+    whole s1 x s3 slice (max subtraction, exp, reciprocal-sum scaling).
+
+    All slices run together, at the caller's ``ld``.  A slice's MAX (SUM)
+    is two COLS reduces, of the input and then of its s3 column partials,
+    which gives the bits of an ALL reduce of the slice: ALL is exactly that
+    two-stage fold.  An IDENTITY (a RECIPROCAL, for the sum) spreads each
+    slice's value over its s3 columns of a 1 x (s2*s3) row, which the two
+    elementwise plans of :func:`_softmax_plans` read as a ROW broadcast."""
+    s1, s2, s3 = spec.s1, spec.s2, spec.s3
+    if (x.desc.rows, x.desc.cols) != (s1, s2 * s3):
         raise TensorError("softmax input must be s1 x (s2*s3)")
     if (y.desc.rows, y.desc.cols) != (x.desc.rows, x.desc.cols):
         raise TensorError("softmax output shape mismatch")
-    p1, p2 = _softmax_trees(spec.s1, spec.s3, x.desc.dtype)
+    num, scale = _softmax_plans(s1, s2 * s3, x.desc.dtype)
     strategy = strategy or eqn.Buffered()
-    scratch = alloc(p1.out_desc)
-    for j in range(spec.s2):
-        xs = x.col_block(j * spec.s3, spec.s3)
-        ys = y.col_block(j * spec.s3, spec.s3)
-        eqn.evaluate(p1, strategy, [xs], scratch)
-        eqn.evaluate(p2, strategy, [scratch], ys)
+    e = alloc(num.out_desc)
+    acc = e.desc.dtype
+    part, row = (alloc(TensorDesc(1, s2 * s3, 1, acc)) for _ in range(2))
+    value = alloc(TensorDesc(1, s2, 1, acc))
+
+    def grid(v: TensorView) -> TensorView:
+        # a 1 x (s2*s3) row as s3 x s2: one column per slice
+        return view_at(v.primary, 0, TensorDesc(s3, s2, s3, acc))
+
+    wide = broadcast(row, Bcast.ROW, s1, s2 * s3)
+    for src, op, spread, plan, dst in ((x, ReduceOp.MAX, UnaryKind.IDENTITY, num, e),
+                                       (e, ReduceOp.SUM, UnaryKind.RECIPROCAL, scale, y)):
+        reduce(src, ReduceSpec(ReduceAxis.COLS, op), part)
+        reduce(grid(part), ReduceSpec(ReduceAxis.COLS, op), value)
+        apply_unary(spread, broadcast(value, Bcast.ROW, s3, s2), grid(row))
+        eqn.evaluate(plan, strategy, [src, wide], dst)
 
 
 # ---------------------------------------------------------------------------

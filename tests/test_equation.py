@@ -709,7 +709,7 @@ def test_nan_inf_and_subnormal_inputs(dtype):
 
 def test_tiled_views_do_not_grow_with_the_tile_count(monkeypatch):
     """Tiles slice numpy arrays: softmax under Hybrid(1, 1) builds exactly as
-    many TensorViews as under one tile per slice."""
+    many TensorViews as under one tile over the whole input."""
     from tensorprim import SoftmaxSpec, TensorView, softmax
     spec = SoftmaxSpec(8, 2, 8)
     x = from_array(np.random.default_rng(27).standard_normal((8, 16)).astype(np.float32))
@@ -765,9 +765,10 @@ def test_a_region_runs_in_blocks_of_whole_tiles_ragged_edges_included(monkeypatc
         assert 37 % 3 in {r for r, _ in blocks} and 23 % 5 in {c for _, c in blocks}
 
 
-def test_softmax_hybrid_runs_exp_once_per_slice(monkeypatch):
-    """Softmax 64 x (8 x 64) under Hybrid(16, 16) fits each slice's fused
-    region in one block: one ``exp_taylor`` call per slice, not per tile."""
+def test_softmax_hybrid_runs_exp_once_per_block_of_whole_tiles(monkeypatch):
+    """Softmax 64 x (8 x 64) under Hybrid(16, 16) runs its exp plan once
+    over the whole input, in blocks of whole tiles: one ``exp_taylor`` call
+    per block (two at the current budget), not one per slice or per tile."""
     from tensorprim import SoftmaxSpec, approx, softmax
     spec = SoftmaxSpec(64, 8, 64)
     x = from_array(np.random.default_rng(29).standard_normal((64, 512)).astype(np.float32))
@@ -782,7 +783,11 @@ def test_softmax_hybrid_runs_exp_once_per_slice(monkeypatch):
 
     monkeypatch.setattr(approx, "exp_taylor", counted)
     softmax(spec, x, y, strategy=Hybrid(16, 16))
-    assert calls[0] == 8
+    # a block holds the two inputs and the SUB and EXP values, 16 B per element
+    block_m, block_n = equation._block_extent(64, 512, 16, 16, 16)
+    blocks = len(range(0, 64, block_m)) * len(range(0, 512, block_n))
+    assert calls[0] == blocks == 2
+    assert calls[0] < (64 // 16) * (512 // 16)
 
 
 def test_no_block_array_exceeds_the_budget(monkeypatch):

@@ -43,9 +43,10 @@ from tensorprim import (
     view_at,
 )
 from tensorprim import verify
+from tensorprim.equation import Buffered, EquationError, Hybrid, TileFused
 from tensorprim.verify import norm_oracle
 
-from util import bits_equal
+from util import bits_equal, oracle_softmax
 
 
 def D(m, n, dtype=DType.FP32):
@@ -84,6 +85,89 @@ def test_softmax_shape_guard():
     with pytest.raises(TensorError):
         softmax(SoftmaxSpec(4, 2, 8), from_array(np.zeros((4, 15), np.float32)),
                 alloc(D(4, 15)))
+
+
+@pytest.mark.parametrize("extents", [(4, -2, -8), (0, 1, 1), (1, 0, 1), (1, 1, 0)])
+def test_softmax_spec_rejects_a_non_positive_extent(extents):
+    """(4, -2, -8) would match a 4 x 16 input: the spec itself refuses it."""
+    with pytest.raises(TensorError):
+        SoftmaxSpec(*extents)
+
+
+def _padded_softmax_view(values, dtype, pad):
+    """``values`` in a ``dtype`` view whose columns are ``pad`` elements
+    apart beyond its rows, the padding a NaN (BF16: its pattern 0x7FC1)."""
+    rows, cols = values.shape
+    ld = rows + pad
+    if dtype is DType.BF16:
+        buf = np.full(ld * cols, 0x7FC1, np.uint16)
+    else:
+        buf = np.full(ld * cols, np.nan, dtype.storage)
+    v = view_at(buf, 0, TensorDesc(rows, cols, ld, dtype))
+    apply_unary(UnaryKind.IDENTITY, from_array(values), v)
+    return v
+
+
+def _softmax_values(s1, s2, s3, rng, odd):
+    """Random slices; with ``odd``, slice j % 5 holds a NaN (0), a +Inf (1),
+    a -Inf (2), only -0 (3) or subnormals (4).  The NaNs share one payload:
+    where NaNs of two payloads meet, which one survives is not pinned
+    (README, NaN sign and payload)."""
+    x = 4.0 * rng.standard_normal((s1, s2 * s3))
+    if odd:
+        for j in range(s2):
+            sl = x[:, j * s3:(j + 1) * s3]
+            i, k = rng.integers(0, s1), rng.integers(0, s3)
+            if j % 5 == 0:
+                sl[i, k] = np.nan
+            elif j % 5 == 1:
+                sl[i, k] = np.inf
+            elif j % 5 == 2:
+                sl[i, k] = -np.inf
+            elif j % 5 == 3:
+                sl[:, :] = -0.0
+            else:
+                sl[:, :] *= 1e-40
+    return x.astype(np.float32)
+
+
+_SOFTMAX_STRATEGIES = [Buffered(), Hybrid(16, 16), Hybrid(3, 5), TileFused(16, 16)]
+
+
+@pytest.mark.parametrize("in_dt, out_dt", [(DType.FP32, DType.FP32), (DType.BF16, DType.BF16),
+                                           (DType.BF16, DType.FP32), (DType.FP64, DType.FP64),
+                                           (DType.FP32, DType.BF16)],
+                         ids=lambda d: d.name)
+@pytest.mark.parametrize("extents", [(1, 1, 1), (1, 5, 7), (9, 1, 13), (11, 6, 1),
+                                     (17, 8, 23), (64, 8, 64)])
+@pytest.mark.parametrize("odd", [False, True], ids=["finite", "nan-inf-zero"])
+@pytest.mark.parametrize("pad", [0, 3])
+def test_batched_softmax_equals_the_per_slice_oracle(in_dt, out_dt, extents, odd, pad,
+                                                     native_backend):
+    """All slices at once give the bits of two plans per slice with ALL
+    reduces, under every strategy (TileFused too: both plans are
+    elementwise), at a padded ``ld`` that is never written, and in place."""
+    spec = SoftmaxSpec(*extents)
+    values = _softmax_values(*extents, np.random.default_rng(sum(extents) + pad), odd)
+    x = _padded_softmax_view(values, in_dt, pad)
+    want = _padded_softmax_view(np.zeros_like(values), out_dt, pad)
+    oracle_softmax(spec, x, want)
+    for strategy in _SOFTMAX_STRATEGIES:
+        got = _padded_softmax_view(np.zeros_like(values), out_dt, pad)
+        softmax(spec, x, got, strategy)
+        assert bits_equal(got.primary, want.primary), strategy
+    if in_dt is out_dt:
+        softmax(spec, x, x)
+        assert bits_equal(x.primary, want.primary)
+
+
+@pytest.mark.parametrize("dtype", [DType.INT32, DType.INT8])
+def test_softmax_of_an_integer_input_raises_before_any_write(dtype):
+    x = from_array(np.ones((4, 6), dtype.storage), dtype)
+    y = alloc(D(4, 6), fill=7.0)
+    with pytest.raises(EquationError):
+        softmax(SoftmaxSpec(4, 2, 3), x, y)
+    assert np.all(to_array(y) == 7.0)
 
 
 # ---------------------------------------------------------------------------
@@ -887,6 +971,6 @@ def test_kernels_audit_flags_indexed_buffers(monkeypatch, line, flagged):
 
 def test_kernel_plan_caches_are_bounded_like_dispatch():
     from tensorprim import kernels, ops
-    for cached in (kernels._softmax_trees, kernels._scaling_plan):
+    for cached in (kernels._softmax_plans, kernels._scaling_plan):
         assert cached.cache_info().maxsize == ops.DISPATCH_CACHE_SIZE
     assert kernels._scaling_plan(4, 6, DType.FP32) is kernels._scaling_plan(4, 6, DType.FP32)

@@ -238,3 +238,38 @@ def test_random_inputs_match_the_numpy_fold_and_the_oracle(data, rows, cols, fp6
     x = np.array(values, np.float64 if fp64 else np.float32).reshape(rows, cols)
     with pytest.MonkeyPatch.context() as mp:
         check(padded(x, pad), rs, mp)
+
+
+@pytest.mark.parametrize("squared", [False, True])
+@pytest.mark.parametrize("op", list(ReduceOp), ids=[o.value for o in ReduceOp])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 11), (33, 20)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_all_is_a_cols_fold_of_the_column_partials(dtype, shape, op, squared, native_backend):
+    """An ALL reduce gives the bits of a COLS reduce (``squared`` applies to
+    it alone) followed by a COLS reduce of its 1 x n partials reinterpreted
+    as n x 1: ``softmax`` folds all its slices at once on this fact.  Dense
+    and padded inputs, finite values and ones with NaNs of two payloads,
+    infinities, -0 and subnormals."""
+    rows, cols = shape
+    rng = np.random.default_rng(rows * 100 + cols)
+    if op is ReduceOp.MUL:  # stay clear of overflow and underflow
+        x = rng.uniform(0.95, 1.05, shape).astype(dtype)
+    else:
+        x = rng.standard_normal(shape).astype(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([_NAN[np.dtype(dtype)], -_NAN[np.dtype(dtype)], np.inf, -np.inf,
+                         -0.0, 3 * tiny, -tiny], dtype)
+    odd = x.copy()
+    hit = rng.random(shape) < 0.25
+    odd[hit] = rng.choice(specials, int(hit.sum()))
+    acc = DType.FP64 if dtype is np.float64 else DType.FP32
+    for values in (x, odd):
+        for pad in (0, 3):
+            view = padded(values, pad)
+            whole, staged = (alloc(TensorDesc(1, 1, 1, acc)) for _ in range(2))
+            part = alloc(TensorDesc(1, cols, 1, acc))
+            reduce(view, ReduceSpec(ReduceAxis.ALL, op, squared), whole)
+            reduce(view, ReduceSpec(ReduceAxis.COLS, op, squared), part)
+            reduce(view_at(part.primary, 0, TensorDesc(cols, 1, cols, acc)),
+                   ReduceSpec(ReduceAxis.COLS, op), staged)
+            assert bits_equal(whole.primary, staged.primary), (pad, values is odd)

@@ -5,7 +5,18 @@ import re
 
 import numpy as np
 
-from tensorprim import BinaryKind
+from tensorprim import (
+    BinaryKind,
+    Buffered,
+    ReduceAxis,
+    ReduceOp,
+    ReduceSpec,
+    TensorDesc,
+    UnaryKind,
+    alloc,
+    create_execution_plan,
+    evaluate,
+)
 from tensorprim.equation import (
     _ARG_RE,
     _UNARY_NAMES,
@@ -228,3 +239,25 @@ def enumerate_min_slots(tree) -> int:
 
     rec(set(), {}, [], 0, 0)
     return best[0]
+
+
+# ---------------------------------------------------------------------------
+# the per-slice softmax, kept as the oracle of the batched one: two plans of
+# three steps on every s1 x s3 slice, each slice's MAX and SUM an ALL reduce
+# ---------------------------------------------------------------------------
+
+def oracle_softmax(spec, x, y):
+    """Softmax of ``x`` into ``y`` one slice at a time, under Buffered: the
+    plans exp(X - max(X)) and X' * reciprocal(sum(X')) over each s1 x s3
+    slice, through one slice-sized scratch."""
+    b = TreeBuilder([TensorDesc(spec.s1, spec.s3, spec.s1, x.desc.dtype)])
+    mx = b.unary(UnaryKind.REDUCE, b.leaf(0), reduce=ReduceSpec(ReduceAxis.ALL, ReduceOp.MAX))
+    t1 = b.tree(b.unary(UnaryKind.EXP, b.binary(BinaryKind.SUB, b.leaf(0), mx)))
+    b = TreeBuilder([t1.root.out_desc])
+    sm = b.unary(UnaryKind.REDUCE, b.leaf(0), reduce=ReduceSpec(ReduceAxis.ALL, ReduceOp.SUM))
+    t2 = b.tree(b.binary(BinaryKind.MUL, b.leaf(0), b.unary(UnaryKind.RECIPROCAL, sm)))
+    p1, p2 = create_execution_plan(t1), create_execution_plan(t2)
+    scratch = alloc(p1.out_desc)
+    for j in range(spec.s2):
+        evaluate(p1, Buffered(), [x.col_block(j * spec.s3, spec.s3)], scratch)
+        evaluate(p2, Buffered(), [scratch], y.col_block(j * spec.s3, spec.s3))
