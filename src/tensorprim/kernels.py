@@ -12,9 +12,10 @@ Softmax makes a fixed number of calls, never one per slice: two per-slice
 folds, each two COLS reduces whose bits are those of an ALL reduce of every
 slice, and two elementwise plans over the whole input, each slice's value
 broadcast over its columns.  The sparse kernels make a fixed number of
-primitive calls per bag, never one per index: a bag's columns are gathered
-into a scratch block once and reduced once, with the reduction's pinned
-ascending order.
+primitive calls per bag, never one per index: an embedding bag is one
+indexed reduce of the table's columns, and binary-reduce gathers each
+table's columns into a scratch block once and reduces once, with the
+reduction's pinned ascending order.
 """
 
 from __future__ import annotations
@@ -333,10 +334,13 @@ def embedding_gather_reduce(spec: EmbeddingSpec, table: TensorView,
                             indices: Sequence[int], out: TensorView) -> None:
     """Multi-hot lookup: out = sum of the indexed table entries.
 
-    One GATHER_COLS copies the bag's entries into a length x k scratch block
-    and one ROWS SUM reduce folds its columns into ``out`` in index order,
-    starting from +0; an empty bag gives zeros.  The table stores one entry
-    per column (feature dimension contiguous).
+    One indexed ROWS SUM ``reduce`` folds the table columns the bag names
+    into ``out`` in index order, starting from +0, reading them in place (a
+    BF16 table widens only those columns): the bits of a GATHER_COLS into a
+    scratch block followed by a ROWS reduce, without the block.  An empty
+    bag gives zeros; an out-of-range index raises IndexError and a broadcast
+    table TensorError, before any write.  The table stores one entry per
+    column (feature dimension contiguous).
 
     Accepted dtypes, (table, out): (FP32, FP32), (BF16, FP32), (FP64, FP64).
     The reduce accumulates in FP32 (FP64 for an FP64 table), which equals one
@@ -355,8 +359,9 @@ def embedding_gather_reduce(spec: EmbeddingSpec, table: TensorView,
     if len(indices) == 0:
         apply_unary(UnaryKind.ZERO, None, out)
         return
-    bag = _gather_bag(table, indices)
-    reduce(bag, ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM), out)
+    if table.desc.bcast is not Bcast.NONE:
+        raise TensorError("cannot gather the columns of a broadcast table")
+    reduce(table, ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM), out, indices)
 
 
 # ---------------------------------------------------------------------------

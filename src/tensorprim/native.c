@@ -1,8 +1,8 @@
 /* The native kernels of tensorprim, each in its pinned order: the
  * batch-reduce GEMM of the contraction, the ROWS / COLS / ALL reductions of
- * the operator set, a block of the xorshift128 dropout streams, the three
- * FP32 approximation engines (rational tanh, piecewise cubic, exp), and
- * PACK, UNPACK and FP32 MULADD / NMULADD.
+ * the operator set, a block of the xorshift128 PRNG streams, FP32 DROPOUT,
+ * the three FP32 approximation engines (rational tanh, piecewise cubic,
+ * exp), and PACK, UNPACK and FP32 MULADD / NMULADD.
  * Every kernel gives, bit for bit, what its numpy reference path gives.
  * Which of the two runs is decided in native.py alone: without a build or
  * while a verify fault is set, every caller takes its numpy path.
@@ -24,7 +24,8 @@
  * first, then the kernel's own scalars.  native.run alone calls them.  An
  * input may have ld 0 (one column read n times).  An output overlaps no
  * other operand, but muladd's may be an input at its address and ld (c in
- * place), whose element it reads before it writes that element.
+ * place), whose element it reads before it writes that element.  A stream
+ * state that a kernel advances is an output block.
  *
  * The brgemm, reduce and muladd kernels return a status: 0, or 2 when a
  * float result (muladd: an operand) is a NaN.  The caller then recomputes
@@ -67,6 +68,11 @@
  *     ALL   each column in ascending row order, then those partials in
  *           ascending column order
  *
+ * ROWS may also fold a column table: given cols (N int64 indices, in range,
+ * possibly repeated and out of order), row i folds x(i, cols[0]),
+ * x(i, cols[1]), ... in list order: the fold of the block a gather of those
+ * columns would make, without making it.
+ *
  * SUM folds from +0 and MUL from 1, MIN and MAX from the first element,
  * by acc = op(acc, v) with acc = (acc > v || acc != acc) ? acc : v for MAX
  * (MIN the mirror image): a NaN is kept and a tie returns the second
@@ -76,7 +82,18 @@
  * one chain at a time was slower than numpy on 8 x 4096.
  *
  * XORSHIFT.  Marsaglia's xorshift128 ("Xorshift RNGs", J. Stat. Softw.
- * 8(14), 2003), one stream per column, in uint32_t arithmetic only.
+ * 8(14), 2003), one stream per column, in uint32_t arithmetic only.  A
+ * step's uniform is u = (w >> 8) * 2^-24, exact in FP32.
+ *
+ * DROPOUT.  dropout_f32 runs the whole primitive in one pass: stream c
+ * steps once per row i of column c, x(i, c) is kept when u >= p, and out
+ * gets x(i, c) * scale where kept and +0 where dropped, selected by an AND
+ * with an all-ones or all-zeros word (no branch: a branch on the random
+ * keep bit mispredicts often).  The bitmask gets bit i % 8 of byte i / 8
+ * of its column set where kept, LSB first, its padding bits 0, and the
+ * state is left where the steps leave it, as the PRNG block leaves it.  No
+ * status: a kept NaN is x * scale with x the only NaN operand, so it
+ * carries x's payload whichever operand order the compiler picks.
  *
  * APPROXIMATIONS.  x (M x N) maps into out (M x N), each element on its
  * own, by the operations of approx.py in its order:
@@ -292,9 +309,10 @@ INLINE T NAME##_load(const T *p, int sq)                                       \
     return sq ? v * v : v;                                                     \
 }                                                                              \
                                                                                \
-/* out[i] = the fold of row i; blocks of RB rows, columns in order */          \
+/* out[i] = the fold of row i over the columns cols[0], cols[1], ... (0, 1,    \
+ * ... when cols is NULL); blocks of RB rows, columns in list order */         \
 INLINE void NAME##_rows(int64_t m, int64_t n, const T *x, int64_t ld,          \
-                        int op, int sq, T *restrict out)                       \
+                        const int64_t *cols, int op, int sq, T *restrict out)  \
 {                                                                              \
     for (int64_t i0 = 0; i0 < m; i0 += RB) {                                   \
         const int64_t rows = m - i0 < RB ? m - i0 : RB;                        \
@@ -305,12 +323,13 @@ INLINE void NAME##_rows(int64_t m, int64_t n, const T *x, int64_t ld,          \
             for (int64_t i = 0; i < rows; i++)                                 \
                 acc[i] = op == OP_SUM ? 0 : 1;                                 \
         } else {                                                               \
+            const T *x0 = xb + (cols ? cols[0] : 0) * ld;                      \
             for (int64_t i = 0; i < rows; i++)                                 \
-                acc[i] = NAME##_load(xb + i, sq);                              \
+                acc[i] = NAME##_load(x0 + i, sq);                              \
             j = 1;                                                             \
         }                                                                      \
         for (; j < n; j++) {                                                   \
-            const T *xj = xb + j * ld;                                         \
+            const T *xj = xb + (cols ? cols[j] : j) * ld;                      \
             for (int64_t i = 0; i < rows; i++)                                 \
                 acc[i] = NAME##_comb(acc[i], NAME##_load(xj + i, sq), op);     \
         }                                                                      \
@@ -342,7 +361,7 @@ INLINE void NAME##_run(int64_t m, int64_t n, const T *x, int64_t ld,           \
                        T *restrict out)                                        \
 {                                                                              \
     if (axis == AXIS_ROWS) {                                                   \
-        NAME##_rows(m, n, x, ld, op, sq, out);                                 \
+        NAME##_rows(m, n, x, ld, NULL, op, sq, out);                           \
         return;                                                                \
     }                                                                          \
     T part[CB];                                                                \
@@ -365,13 +384,37 @@ INLINE void NAME##_run(int64_t m, int64_t n, const T *x, int64_t ld,           \
         out[0] = total;                                                        \
 }                                                                              \
                                                                                \
-/* out is M x 1 (ROWS), 1 x N (COLS) or 1 x 1 (ALL).  Returns 0, or 2 when a   \
- * result is a NaN, as the brgemm kernels do. */                               \
-MULTIVERSION int64_t                                                           \
-NAME(int64_t m, int64_t n, const T *x, int64_t ld, T *restrict out,            \
-     int64_t ldo, int64_t axis, int64_t op, int64_t squared)                   \
+/* ROWS over the column table cols, in a function of its own: inlined beside   \
+ * the others, its loop changed how the compiler vectorised the COLS loops,    \
+ * which then ran 1.5x slower. */                                              \
+static __attribute__((noinline)) MULTIVERSION void                             \
+NAME##_rows_at(int64_t m, int64_t n, const T *x, int64_t ld,                   \
+               const int64_t *cols, int64_t op, int64_t squared,               \
+               T *restrict out)                                                \
 {                                                                              \
     switch (op * 2 + (squared != 0)) {                                         \
+    case 0: NAME##_rows(m, n, x, ld, cols, OP_SUM, 0, out); break;             \
+    case 1: NAME##_rows(m, n, x, ld, cols, OP_SUM, 1, out); break;             \
+    case 2: NAME##_rows(m, n, x, ld, cols, OP_MUL, 0, out); break;             \
+    case 3: NAME##_rows(m, n, x, ld, cols, OP_MUL, 1, out); break;             \
+    case 4: NAME##_rows(m, n, x, ld, cols, OP_MIN, 0, out); break;             \
+    case 5: NAME##_rows(m, n, x, ld, cols, OP_MIN, 1, out); break;             \
+    case 6: NAME##_rows(m, n, x, ld, cols, OP_MAX, 0, out); break;             \
+    default: NAME##_rows(m, n, x, ld, cols, OP_MAX, 1, out); break;            \
+    }                                                                          \
+}                                                                              \
+                                                                               \
+/* out is M x 1 (ROWS), 1 x N (COLS) or 1 x 1 (ALL).  cols, for ROWS alone,    \
+ * is NULL or the N column indices to fold, each in [0, columns of x).         \
+ * Returns 0, or 2 when a result is a NaN, as the brgemm kernels do. */        \
+MULTIVERSION int64_t                                                           \
+NAME(int64_t m, int64_t n, const T *x, int64_t ld, T *restrict out,            \
+     int64_t ldo, int64_t axis, int64_t op, int64_t squared,                   \
+     const int64_t *cols)                                                      \
+{                                                                              \
+    if (axis == AXIS_ROWS && cols)                                             \
+        NAME##_rows_at(m, n, x, ld, cols, op, squared, out);                   \
+    else switch (op * 2 + (squared != 0)) {                                    \
     case 0: NAME##_run(m, n, x, ld, ldo, axis, OP_SUM, 0, out); break;         \
     case 1: NAME##_run(m, n, x, ld, ldo, axis, OP_SUM, 1, out); break;         \
     case 2: NAME##_run(m, n, x, ld, ldo, axis, OP_MUL, 0, out); break;         \
@@ -396,10 +439,28 @@ DEFINE_REDUCE(reduce_f64, double)
 /* xorshift128 streams                                                       */
 /* ------------------------------------------------------------------------ */
 
+/* One step of the stream whose words are *x, *y, *z, *w: returns the new w. */
+INLINE uint32_t xorshift_step(uint32_t *x, uint32_t *y, uint32_t *z, uint32_t *w)
+{
+    const uint32_t t = *x ^ (*x << 11);
+    const uint32_t wn = (*w ^ (*w >> 19)) ^ (t ^ (t >> 8));
+    *x = *y;
+    *y = *z;
+    *z = *w;
+    *w = wn;
+    return wn;
+}
+
+/* A step's uniform in [0, 1): (w >> 8) * 2^-24, exact in FP32 */
+INLINE float xorshift_u(uint32_t w)
+{
+    return (float)(w >> 8) * 0x1p-24f;
+}
+
 /* Advance each of the `streams` streams `rows` times.  state (streams x 4)
  * holds the words x, y, z, w of stream c in row c and is left as the steps
- * leave it; out (streams x rows) gets (w >> 8) * 2^-24 of the i-th step in
- * column i, exact in FP32. */
+ * leave it; out (streams x rows) gets the uniform of the i-th step in
+ * column i. */
 MULTIVERSION void
 xorshift_uniform(int64_t streams, int64_t rows, uint32_t *restrict state, int64_t lds,
                  float *restrict out, int64_t ldo)
@@ -410,16 +471,69 @@ xorshift_uniform(int64_t streams, int64_t rows, uint32_t *restrict state, int64_
     uint32_t *restrict w = state + 3 * lds;
     for (int64_t i = 0; i < rows; i++) {
         float *o = out + i * ldo;
-        for (int64_t c = 0; c < streams; c++) {
-            const uint32_t t = x[c] ^ (x[c] << 11);
-            const uint32_t wn = (w[c] ^ (w[c] >> 19)) ^ (t ^ (t >> 8));
-            x[c] = y[c];
-            y[c] = z[c];
-            z[c] = w[c];
-            w[c] = wn;
-            o[c] = (float)(wn >> 8) * 0x1p-24f;
-        }
+        for (int64_t c = 0; c < streams; c++)
+            o[c] = xorshift_u(xorshift_step(x + c, y + c, z + c, w + c));
     }
+}
+
+#define DB 16   /* streams dropout_f32 advances together */
+
+/* Columns c0 .. c0+cb-1 of dropout_f32 (cb <= DB): the streams' words live
+ * in local arrays while every row steps them, and each kept value is
+ * selected by an AND with an all-ones or all-zeros word, with no branch. */
+INLINE void dropout_block(int64_t m, int64_t cb, const float *x, int64_t ldx,
+                          uint32_t *state, int64_t lds, float *out, int64_t ldo,
+                          uint8_t *mask, int64_t ldm, float p, float scale)
+{
+    uint32_t sx[DB], sy[DB], sz[DB], sw[DB], bits[DB];
+    for (int64_t c = 0; c < cb; c++) {
+        sx[c] = state[c];
+        sy[c] = state[c + lds];
+        sz[c] = state[c + 2 * lds];
+        sw[c] = state[c + 3 * lds];
+        bits[c] = 0;
+    }
+    for (int64_t i = 0; i < m; i++) {
+        for (int64_t c = 0; c < cb; c++) {
+            const uint32_t keep = xorshift_u(xorshift_step(sx + c, sy + c, sz + c, sw + c)) >= p;
+            const float v = x[i + c * ldx] * scale;
+            uint32_t u;
+            memcpy(&u, &v, sizeof u);
+            u &= -keep;
+            memcpy(out + i + c * ldo, &u, sizeof u);
+            bits[c] |= keep << (i & 7);
+        }
+        if ((i & 7) == 7 || i == m - 1)
+            for (int64_t c = 0; c < cb; c++) {
+                mask[(i >> 3) + c * ldm] = (uint8_t)bits[c];
+                bits[c] = 0;
+            }
+    }
+    for (int64_t c = 0; c < cb; c++) {
+        state[c] = sx[c];
+        state[c + lds] = sy[c];
+        state[c + 2 * lds] = sz[c];
+        state[c + 3 * lds] = sw[c];
+    }
+}
+
+/* DROPOUT of x (m x n, FP32), stream c for column c: row i takes the i-th
+ * step's uniform u and keeps x(i, c) when u >= p.  out(i, c) = x(i, c) *
+ * scale where kept, +0 where dropped; mask ((m+7)/8 bytes x n) gets bit
+ * i % 8 of byte i / 8 of column c set where kept, padding bits 0; state
+ * (n x 4, as xorshift_uniform's) is left as uniform_block leaves it. */
+MULTIVERSION void
+dropout_f32(int64_t m, int64_t n, const float *x, int64_t ldx, uint32_t *restrict state,
+            int64_t lds, float *restrict out, int64_t ldo, uint8_t *restrict mask,
+            int64_t ldm, float p, float scale)
+{
+    int64_t c0 = 0;
+    for (; c0 + DB <= n; c0 += DB)
+        dropout_block(m, DB, x + c0 * ldx, ldx, state + c0, lds, out + c0 * ldo, ldo,
+                      mask + c0 * ldm, ldm, p, scale);
+    if (c0 < n)
+        dropout_block(m, n - c0, x + c0 * ldx, ldx, state + c0, lds, out + c0 * ldo, ldo,
+                      mask + c0 * ldm, ldm, p, scale);
 }
 
 /* ------------------------------------------------------------------------ */

@@ -1,7 +1,7 @@
 """Build and load the C kernels (``native.c``) on first use: the
-batch-reduce GEMM of ``contraction``, the reductions, xorshift streams and
-split-FP32 and multiply-add engines of ``ops``, and the three FP32
-approximation engines of ``approx``.
+batch-reduce GEMM of ``contraction``, the reductions, xorshift streams,
+dropout and split-FP32 and multiply-add engines of ``ops``, and the three
+FP32 approximation engines of ``approx``.
 
 Every kernel but brgemm takes one ABI, as the paper defines a primitive on
 2-D blocks: ``(m, n)``, then each operand as a column-major block
@@ -49,14 +49,16 @@ _SIDE = [_addr, _ptr, _i64, _i64]
 _BRGEMM = [_i64] * 4 + _SIDE + _SIDE + [_ptr, _i64]
 # (blocks, scalars) of every kernel but brgemm, whose arguments are (m, n),
 # an (address, ld) per block and then the scalars
-_REDUCE = (2, [_i64] * 3)   # x, out; axis, op, squared
+_REDUCE = (2, [_i64] * 3 + [_ptr])   # x, out; axis, op, squared, cols (int64 or NULL)
 _MAP = (2, [])              # x, out
+_f32 = ctypes.c_float
 ENGINES: dict[str, tuple[int, list]] = {
     "reduce_f32": _REDUCE, "reduce_f64": _REDUCE,
     "xorshift_uniform": _MAP,   # state, out
+    "dropout_f32": (4, [_f32, _f32]),   # x, state, out, mask; p, scale
     "tanh_pade78_f32": _MAP, "exp_taylor_f32": _MAP,
     # coeffs, base, range_max, saturation
-    "minimax_f32": (2, [_ptr, _i64, ctypes.c_float, ctypes.c_float]),
+    "minimax_f32": (2, [_ptr, _i64, _f32, _f32]),
     "pack_f32": (3, []),        # hi, lo, out
     "unpack_f32": (3, []),      # x, hi, lo
     "muladd_f32": (4, [_i64, _i64]),   # a, b, c, out; scalars, neg
@@ -78,10 +80,11 @@ RESTYPES = {name: _i64 for name in ARGTYPES
 
 # Negative controls for ``verify`` (``fault``: None or one name), each
 # breaking one pinned rule of a numpy path: reversing the reduction fold of
-# ``ops``, the k loop or the batch fold of ``contraction.brgemm``, or
-# swapping the halves that UNPACK writes.  While one is set, every C kernel
-# is off, so the faulted path is the one that runs.
-FAULTS = ("reduce-order", "k-order", "batch-fold", "unpack-swap")
+# ``ops``, the k loop or the batch fold of ``contraction.brgemm``, swapping
+# the halves that UNPACK writes, or drawing every column's uniforms from
+# stream 0.  While one is set, every C kernel is off, so the faulted path is
+# the one that runs.
+FAULTS = ("reduce-order", "k-order", "batch-fold", "unpack-swap", "prng-shared")
 fault: str | None = None
 
 _lock = threading.Lock()

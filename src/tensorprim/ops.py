@@ -16,10 +16,10 @@ Every operator follows the same blueprint: load logical sub-tensors (with
 broadcast and datatype widening applied), run the point operation in the
 compute precision, store once (narrowing to the output's dtype).
 Reductions use a fixed, ascending accumulation order so results are
-bit-reproducible.  The reductions, the xorshift streams, PACK, UNPACK and
-FP32 MULADD / NMULADD run C kernels (``native.c``) wherever ``native.run``
-accepts their operands; their numpy code is the reference path and gives
-the same bits.
+bit-reproducible.  The reductions (an indexed ROWS reduce too), the
+xorshift streams, FP32 DROPOUT, PACK, UNPACK and FP32 MULADD / NMULADD run C
+kernels (``native.c``) wherever ``native.run`` accepts their operands; their
+numpy code is the reference path and gives the same bits.
 Every call runs on the caller's thread; blocking and threads belong to the
 caller's loop nest.
 """
@@ -271,8 +271,11 @@ class PrngState:
         # C sees both transposed: streams x 4 and streams x rows, at ld streams
         if native.run("xorshift_uniform", out.shape[1], rows, (), (self.words.T, out.T)):
             return out
+        shared = native.fault == "prng-shared"
         for i in range(rows):
             w = self.step()
+            if shared:
+                w = w[:1]   # every column draws stream 0's word
             out[i, :] = (w >> np.uint32(8)).astype(np.float32) * np.float32(2.0 ** -24)
         return out
 
@@ -552,13 +555,15 @@ class Kernel:
         else:
             apply_ternary(k, views[0], views[1], views[2], out)
 
-    def _run(self, views: tuple[TensorView, ...], out: TensorView) -> None:
+    def _run(self, views: tuple[TensorView, ...], out: TensorView, *extra) -> None:
+        """Check ``out`` and run; ``extra`` goes to the implementation after
+        ``out`` (the column indices of an indexed reduce)."""
         od = self.out_desc
         if (out.desc.rows, out.desc.cols) != (od.rows, od.cols):
             raise TensorError(f"{self.spec.kind} output: expected {od.rows}x{od.cols}, "
                               f"got {out.desc.rows}x{out.desc.cols}")
         _check_out(out, self.spec.kind, self._raw_dtype)
-        self._impl(*views, out)
+        self._impl(*views, out, *extra)
 
 
 DISPATCH_CACHE_SIZE = 1024  # kernels kept; the least recently dispatched is dropped first
@@ -621,7 +626,7 @@ def apply_unary(kind: UnaryKind, inp: Optional[TensorView], out: TensorView,
                dropout_p=dropout_p)._run((inp,), out)
 
 
-def reduce(inp: TensorView, spec: ReduceSpec, out: TensorView) -> None:
+def reduce(inp: TensorView, spec: ReduceSpec, out: TensorView, indices=None) -> None:
     """Reduce rows / columns / everything with a fixed ascending index order.
 
     Accumulation happens in FP32 (FP64 for FP64 inputs) regardless of the
@@ -629,8 +634,36 @@ def reduce(inp: TensorView, spec: ReduceSpec, out: TensorView) -> None:
     first element along the order.  A C kernel runs the fold when the
     library is built (``native.backend()``), the numpy fold otherwise, with
     the same bits.
+
+    ``indices`` (a flat, non-empty list of column indices) makes a ROWS
+    reduce fold the columns ``indices[0], indices[1], ...`` of ``inp`` in
+    list order, repeats included: by definition the bits of a GATHER_COLS
+    of those columns followed by a ROWS reduce, without the gathered block.
+    Any other axis raises InvalidSpecError ('flag'), an empty or not flat
+    list InvalidSpecError ('shape'), and an index outside the columns (or
+    not an integer) IndexError, all before any write.
     """
-    kernel_for(UnaryKind.REDUCE, (inp.desc,), reduce=spec)._run((inp,), out)
+    kernel = kernel_for(UnaryKind.REDUCE, (inp.desc,), reduce=spec)
+    if indices is None:
+        kernel._run((inp,), out)
+    else:
+        kernel._run((inp,), out, _column_indices(spec, inp.desc.cols, indices))
+
+
+def _column_indices(spec: ReduceSpec, cols: int, indices) -> np.ndarray:
+    """``indices`` of an indexed reduce over ``cols`` columns, checked, as a
+    contiguous int64 array."""
+    if spec.axis is not ReduceAxis.ROWS:
+        raise InvalidSpecError("flag", f"indices select columns of a ROWS reduce, not {spec.axis}")
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.size == 0:
+        raise InvalidSpecError("shape", "reduce indices must be a flat, non-empty list")
+    if idx.dtype.kind not in "iu":
+        raise IndexError(f"reduce indices must be integers, not {idx.dtype}")
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    if idx.view(np.uint64).max() >= cols:   # a negative index reads as a huge one
+        raise IndexError(f"reduce index out of bounds for {cols} columns")
+    return idx
 
 
 def transform(inp: TensorView, spec: TransformSpec, out: TensorView) -> None:
@@ -761,8 +794,27 @@ def _prng_state(view: TensorView, cols: int) -> PrngState:
 
 
 def _dropout(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
-    p = spec.dropout_p
-    keep = _prng_state(inp, inp.desc.cols).uniform_block(inp.desc.rows) >= np.float32(p)
+    """Keep x(i, j) where the i-th uniform of stream j is >= p, as
+    ``x * (1/(1-p))`` in the compute dtype, and write +0 elsewhere; the
+    bitmask of the kept elements goes to ``out.secondary``.
+
+    An FP32 input that is not broadcast, into an FP32 ``out``, runs the
+    ``dropout_f32`` engine where ``native.run`` accepts the operands (not
+    in place, say): one pass that steps the streams, writes ``out`` and the
+    bitmask, and leaves the state as :meth:`PrngState.uniform_block` does.
+    A NaN x keeps its own payload on both paths, since ``x * scale`` has no
+    other NaN operand.  The numpy path is the reference."""
+    p, d = spec.dropout_p, inp.desc
+    state = _prng_state(inp, d.cols)
+    if d.dtype is DType.FP32 and out.desc.dtype is DType.FP32 and d.bcast is Bcast.NONE:
+        bpc = (d.rows + 7) // 8
+        mask = np.empty(bpc * d.cols, np.uint8)
+        if native.run("dropout_f32", d.rows, d.cols, (inp,),
+                      (state.words.T, out, mask.reshape(d.cols, bpc).T),
+                      float(np.float32(p)), float(np.float32(1.0 / (1.0 - p)))):
+            out.secondary = mask
+            return
+    keep = state.uniform_block(d.rows) >= np.float32(p)
     out.secondary = bool_to_mask(keep)
     x = _compute_values(inp)
     with np.errstate(all="ignore"):
@@ -812,24 +864,32 @@ _REDUCE_OP_CODE = {ReduceOp.SUM: 0, ReduceOp.MUL: 1, ReduceOp.MIN: 2, ReduceOp.M
 _REDUCE_KERNEL = {DType.FP32: "reduce_f32", DType.FP64: "reduce_f64"}
 
 
-def _reduce(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
-    """Fold in FP32 (FP64 for FP64 inputs) in the pinned order.
+def _reduce(spec: KernelSpec, inp: TensorView, out: TensorView,
+            indices: np.ndarray | None = None) -> None:
+    """Fold in FP32 (FP64 for FP64 inputs) in the pinned order, over the
+    columns ``indices`` (checked by ``reduce``) when given.
 
-    BF16 and integer inputs widen here and run as FP32.  The C kernel
-    (``native.c``) reads the values in place (a padded ``ld`` and a COL
-    broadcast, at ld 0, too), writes an ``out`` of the accumulator's dtype in
+    BF16 and integer inputs widen here and run as FP32; with ``indices``,
+    only the indexed columns widen.  The C kernel (``native.c``) reads the
+    values in place (a padded ``ld``, a COL broadcast at ld 0 and the
+    indexed columns too), writes an ``out`` of the accumulator's dtype in
     place and any other through ``_store``, and gives the numpy fold's bits;
     a result that holds a NaN (the C kernel reports it) is recomputed on the
     numpy fold, as ``contraction.brgemm`` does, because the compiler may swap
     the operands of ``+`` and ``*``, which decides which payload survives
-    where two NaNs meet."""
+    where two NaNs meet.  The numpy fold of an indexed reduce folds the
+    gathered columns ``x[:, indices]``."""
     rs, d = spec.reduce, inp.desc
     acc = DType.FP64 if d.dtype is DType.FP64 else DType.FP32
-    x = _compute_values(inp).astype(acc.storage, copy=False)
+    src = inp.logical2d()
+    if indices is not None and d.dtype is not acc:
+        src, indices = src[:, indices], None
+    x = widen(src, d.dtype).astype(acc.storage, copy=False)
     r = out if out.desc.dtype is acc else np.empty((out.desc.rows, out.desc.cols), x.dtype)
-    if not native.run(_REDUCE_KERNEL[acc], d.rows, d.cols, (x,), (r,),
-                      _REDUCE_AXIS_CODE[rs.axis], _REDUCE_OP_CODE[rs.op], rs.squared):
-        r = _reduce_numpy(rs, x)
+    cols, n = (None, x.shape[1]) if indices is None else (native.address(indices), indices.size)
+    if not native.run(_REDUCE_KERNEL[acc], d.rows, n, (x,), (r,), _REDUCE_AXIS_CODE[rs.axis],
+                      _REDUCE_OP_CODE[rs.op], rs.squared, cols):
+        r = _reduce_numpy(rs, x if indices is None else x[:, indices])
     if r is not out:
         _store(out, r)
 

@@ -9,9 +9,11 @@ value against a fixed budget.
 The faults of ``native`` are negative controls.  ``reduce-order`` flips the
 accumulation direction of the reduction primitive; ``k-order`` and
 ``batch-fold`` reverse the contraction's k loop or its fold of the batch
-entries.  Running the suite with a fault injected demonstrates that the
-bitwise-equivalence checks actually detect ordering bugs while the planner
-checks (which do not depend on arithmetic order) stay green.
+entries; ``unpack-swap`` swaps the halves UNPACK writes, and
+``prng-shared`` draws every column's uniforms from stream 0.  Running the
+suite with a fault injected demonstrates that the bitwise-equivalence checks
+actually detect ordering bugs while the planner checks (which do not depend
+on arithmetic order) stay green.
 """
 
 from __future__ import annotations
@@ -256,12 +258,83 @@ def check_backward_finite_diff(seed: int = 0) -> CheckResult:
     return CheckResult("ops-backward-finite-diff", worst <= 1e-3, worst, 1e-3)
 
 
+_M32, _M64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+
+
+def _splitmix64(v: int) -> int:
+    z = (v + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def xorshift_steps(x: int, y: int, z: int, w: int, steps: int) -> tuple[list[int], tuple]:
+    """Marsaglia's xorshift128 in scalar 32-bit integer arithmetic: the
+    words ``w`` of ``steps`` steps from the state (x, y, z, w), and the state
+    they leave."""
+    words = []
+    for _ in range(steps):
+        t = (x ^ (x << 11)) & _M32
+        x, y, z = y, z, w
+        w = (w ^ (w >> 19)) ^ (t ^ (t >> 8))
+        words.append(w)
+    return words, (x, y, z, w)
+
+
+def xorshift_seed(seed: int, col: int) -> tuple[int, int, int, int]:
+    """The documented state of stream ``col`` of ``PrngState(seed)``: a =
+    splitmix64(seed XOR col), b = splitmix64(a), words (a low, a high, b low,
+    b high), w = 1 if all four are zero."""
+    a = _splitmix64((seed ^ col) & _M64)
+    b = _splitmix64(a)
+    x, y, z, w = a & _M32, a >> 32, b & _M32, b >> 32
+    return x, y, z, w if x | y | z | w else 1
+
+
+def _dropout_definition_mismatches(seed: int) -> int:
+    """Two DROPOUT calls on one state, random x at a padded ld into a padded
+    output, 37 rows (not a multiple of 8) and 21 streams (not a multiple of
+    the C engine's block of 16), against the definition: stream c draws
+    u = (w >> 8) * 2^-24 per row from its scalar recurrence, keeps x where
+    u >= p as x * (1/(1-p)) in FP32, writes +0 elsewhere and sets bit i % 8
+    of byte i / 8 of column c where kept; the state ends where the steps
+    leave it.  Returns the number of mismatching calls and states."""
+    rng = np.random.default_rng(seed)
+    rows, cols, p = 37, 21, 0.3
+    x = rng.standard_normal((rows, cols)).astype(np.float32)
+    buf = np.zeros((rows + 3) * cols, np.float32)
+    buf.reshape(cols, rows + 3)[:, :rows] = x.T
+    v = tz.view_at(buf, 0, TensorDesc(rows, cols, rows + 3, DType.FP32))
+    v.tertiary = {"prng": ops.PrngState(seed, cols)}
+    starts = [xorshift_seed(seed, c) for c in range(cols)]
+    scale = np.float32(1.0 / (1.0 - p))
+    bad = 0
+    for _ in range(2):
+        out = alloc(TensorDesc(rows, cols, rows + 2, DType.FP32))
+        ops.apply_unary(UnaryKind.DROPOUT, v, out, dropout_p=p)
+        want = np.zeros((rows, cols), np.float32)
+        mask = bytearray((rows + 7) // 8 * cols)
+        for c in range(cols):
+            words, starts[c] = xorshift_steps(*starts[c], rows)
+            for i, w in enumerate(words):
+                if np.float32((w >> 8) * 2.0 ** -24) >= np.float32(p):
+                    want[i, c] = x[i, c] * scale
+                    mask[c * ((rows + 7) // 8) + i // 8] |= 1 << (i % 8)
+        bad += not (_bits_equal(to_array(out), want)
+                    and bytes(out.secondary) == bytes(mask))
+    state = v.tertiary["prng"].words
+    bad += sum(tuple(int(word) for word in state[:, c]) != starts[c] for c in range(cols))
+    return bad
+
+
 def check_dropout(seed: int = 7) -> CheckResult:
     """Keep rate within 3 sigma of 1-p over 10^6 draws; same seed gives the
-    same mask and values."""
+    same mask and values; and the masks, values and states of two calls
+    equal the definition, computed from the scalar recurrence."""
     m = n = 1000
     worst = 0.0
-    ok = True
+    off = _dropout_definition_mismatches(seed)
+    ok = off == 0
     x = np.ones((m, n), dtype=np.float32)
     for p in (0.1, 0.5, 0.9):
         masks = []
@@ -280,7 +353,8 @@ def check_dropout(seed: int = 7) -> CheckResult:
         ok &= bool(np.all(vals[~keep] == 0))
         ok &= _bits_equal(vals[keep], np.full(int(keep.sum()), np.float32(1 / (1 - p))))
     return CheckResult("ops-dropout-stats", ok and worst <= 1.0, worst, 1.0,
-                       "worst |rate-(1-p)| in units of 3 sigma")
+                       f"worst |rate-(1-p)| in units of 3 sigma; {off} calls or states "
+                       "off the definition")
 
 
 def check_gather_scatter_permutation(seed: int = 0) -> CheckResult:
@@ -326,15 +400,9 @@ def check_prng_recurrence(seed: int = 5) -> CheckResult:
     once, matches a scalar reference recurrence: each step's word, each
     block row's (w >> 8) * 2^-24, and the state the steps leave."""
     st, blk = ops.PrngState(seed, 3), ops.PrngState(seed, 3)
-    x, y, z, w = (int(st.x[1]), int(st.y[1]), int(st.z[1]), int(st.w[1]))
     got = [int(st.step()[1]) for _ in range(64)]
     uniforms = blk.uniform_block(64)[:, 1]
-    want = []
-    for _ in range(64):
-        t = (x ^ (x << 11)) & 0xFFFFFFFF
-        x, y, z = y, z, w
-        w = (w ^ (w >> 19)) ^ (t ^ (t >> 8))
-        want.append(w)
+    want, (x, y, z, w) = xorshift_steps(*xorshift_seed(seed, 1), 64)
     bad = sum(a != b for a, b in zip(got, want))
     bad += sum(float(u) != (v >> 8) * 2.0 ** -24 for u, v in zip(uniforms, want))
     bad += sum(int(getattr(p, word)[1]) != v for p in (st, blk)
@@ -967,9 +1035,12 @@ def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
 
 
 def check_temp_bytes_metric(seed: int = 0) -> CheckResult:
-    """Softmax/layernorm plans: temp_bytes <= naive materialisation, strictly
-    less whenever the plan recycled a slot."""
-    d = TensorDesc(16, 64, 16, DType.FP32)
+    """Softmax/layernorm plans, the worked example and the first seeded
+    random equation whose plan recycles a slot and whose intermediates all
+    have one size: temp_bytes <= naive materialisation, strictly less
+    whenever the plan recycled a slot.  (With one size, a slot that holds
+    two intermediates makes temp_bytes smaller than naive; with several, a
+    slot is charged at the largest, and either may be larger.)"""
     ok = True
     details = []
     plans = []
@@ -979,6 +1050,15 @@ def check_temp_bytes_metric(seed: int = 0) -> CheckResult:
     sq = TensorDesc(16, 16, 16, DType.FP32)
     wk = eqn.plan_equation("tanh(T0) + (T1 matmul T2) / (T3 - T4)", [sq] * 5)
     plans.append(("worked-example", wk))
+    rng = np.random.default_rng(seed)
+    for draw in range(1000):
+        p = eqn.create_execution_plan(random_equation(rng, DType.FP32, 16, 16)[0])
+        if p.recycled and len({s.node.out_desc.nbytes for s in p.steps if not s.is_root}) == 1:
+            plans.append((f"random-{draw}", p))
+            break
+    else:
+        ok = False
+        details.append("no random plan of one intermediate size recycled a slot")
     for name, p in plans:
         ok &= p.temp_bytes <= p.naive_bytes
         if p.recycled:

@@ -172,6 +172,19 @@ def test_unpack_swap_fault_fails_the_split_sgd_check(capsys):
     assert code2 == 0
 
 
+def test_prng_shared_fault_fails_the_dropout_and_prng_checks(capsys):
+    """Every column drawing stream 0's words breaks DROPOUT against its
+    definition and the PRNG against its scalar recurrence; the reductions
+    and the split SGD do not draw and pass."""
+    checks = "ops-dropout-stats,ops-prng-recurrence,ops-reduce-determinism,kernels-split-sgd"
+    code, out, _ = run_cli(["verify", "--inject-fault", "prng-shared", "--only", checks], capsys)
+    assert code == 1
+    assert "[FAIL] ops-dropout-stats" in out and "[FAIL] ops-prng-recurrence" in out
+    assert "[PASS] ops-reduce-determinism" in out and "[PASS] kernels-split-sgd" in out
+    code2, _, _ = run_cli(["verify", "--only", checks], capsys)
+    assert code2 == 0
+
+
 def test_inject_fault_is_cleared_when_the_block_raises():
     """A fault turns every C kernel off inside the block; leaving it, also
     by an exception, restores the fault-free results and backend."""

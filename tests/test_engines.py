@@ -1,4 +1,4 @@
-"""PACK, UNPACK and FP32 MULADD / NMULADD at their edges, and the one
+"""PACK, UNPACK, FP32 MULADD / NMULADD and DROPOUT at their edges, and the one
 operand rule of ``native.run`` for every engine, on every backend: the C
 engines as loaded, their default build, and the numpy path.  Each case
 runs once on the backend under test and once, on fresh operands, on the
@@ -32,6 +32,7 @@ from tensorprim import (
     view_at,
 )
 from tensorprim.dtypes import pack_fp32_bits, split_fp32_bits
+from tensorprim.tensor import mask_to_bool
 
 from util import bits_equal
 
@@ -449,6 +450,84 @@ def test_muladd_with_a_row_or_col_broadcast_runs_numpy(native_backend, monkeypat
 
 
 # ---------------------------------------------------------------------------
+# DROPOUT
+# ---------------------------------------------------------------------------
+
+DROP_ROWS = [1, 7, 8, 9, 64]   # whole and partial mask bytes
+DROP_COLS = [5, 16, 21]        # below, at and above the engine's block of 16 streams
+
+
+def dropout_twice(x_bits: np.ndarray, p: float, pads) -> list:
+    """Two DROPOUT calls on one stream state, x at ld rows + pads[0] and
+    each output at ld rows + pads[1]: per call, the whole output buffer,
+    the bitmask and the state words after it."""
+    rows, cols = x_bits.shape
+    x = padded(x_bits.view(np.float32), DType.FP32, pads[0])
+    state = ops.PrngState(11, cols)
+    x.tertiary = {"prng": state}
+    got = []
+    for _ in range(2):
+        out = padded(np.zeros((rows, cols), np.float32), DType.FP32, pads[1])
+        apply_unary(UnaryKind.DROPOUT, x, out, dropout_p=p)
+        assert outside_untouched(out)
+        got.append((out.primary.base.copy(), out.secondary.copy(), state.words.copy()))
+    return got
+
+
+@pytest.mark.parametrize("rows", DROP_ROWS)
+@pytest.mark.parametrize("cols", DROP_COLS)
+@pytest.mark.parametrize("pads", [(0, 0), (3, 2)], ids=["dense", "padded"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.999])
+def test_dropout_engine_gives_the_numpy_bits(rows, cols, pads, p, native_backend, runs,
+                                             monkeypatch):
+    """Every special pattern in x (NaNs of several payloads, +-Inf, -0,
+    subnormals): the outputs, the bitmasks and the states the two calls
+    leave equal the numpy path's bitwise, and C ran on a native backend."""
+    x_bits = patterns(rows, cols, rows * 100 + cols)
+    got = dropout_twice(x_bits, p, pads)
+    with monkeypatch.context() as mp:
+        mp.setattr(native, "_lib", False)
+        want = dropout_twice(x_bits, p, pads)
+    for g, w in zip(got, want):
+        assert all(bits_equal(a, b) for a, b in zip(g, w))
+    ran = [r for r in runs if r[0] == "dropout_f32"]
+    assert ran == [("dropout_f32", native_backend != "numpy")] * 2 + [("dropout_f32", False)] * 2
+
+
+def test_a_kept_nan_keeps_its_own_payload(native_backend):
+    """x * scale has one NaN operand, so a kept NaN is x's, quieted, on
+    every backend: no numpy rerun is needed."""
+    nans = np.array([0x7FC00000, 0xFFC00000, 0x7FC0BEEF, 0xFFD00123, 0x7F800001, 0xFFBFFFFF],
+                    np.uint32)
+    x_bits = np.resize(nans, (9, 20))
+    (out, mask, _), _ = dropout_twice(x_bits, 0.5, (0, 0))
+    keep = mask_to_bool(mask, 9, 20)
+    assert 0 < keep.sum() < keep.size
+    got = out.view(np.uint32).reshape(20, 9).T
+    assert bits_equal(got[keep], x_bits[keep] | 0x00400000)
+    assert np.all(got[~keep] == 0)
+
+
+def test_dropout_in_place_takes_the_numpy_path(native_backend, runs, monkeypatch):
+    """``out`` is x: ``native.run`` refuses the overlap, and the numpy path
+    gives the values an out-of-place call gives."""
+    x_bits = patterns(9, 21, 5)
+
+    def make():
+        x = padded(x_bits.view(np.float32), DType.FP32, 2)
+        x.tertiary = {"prng": ops.PrngState(3, 21)}
+        return (x,)
+
+    (x,) = on_both(make, lambda v: apply_unary(UnaryKind.DROPOUT, v, v, dropout_p=0.25),
+                   monkeypatch)
+    assert ("dropout_f32", True) not in runs
+    (src,) = make()
+    out = alloc(TensorDesc(9, 21, 9, DType.FP32))
+    apply_unary(UnaryKind.DROPOUT, src, out, dropout_p=0.25)
+    assert bits_equal(x.as2d(), out.as2d()) and bits_equal(x.secondary, out.secondary)
+
+
+# ---------------------------------------------------------------------------
 # split SGD end to end
 # ---------------------------------------------------------------------------
 
@@ -529,11 +608,14 @@ def engine_operands(name):
     empty = lambda dt, shape=(3, 5): np.zeros(shape, dt, order="F")
     table = approx.TANH_MINIMAX
     return {
-        "reduce_f32": ((f32(),), (empty(np.float32, (3, 1)),), (0, 0, 0)),
+        "reduce_f32": ((f32(),), (empty(np.float32, (3, 1)),), (0, 0, 0, None)),
         "reduce_f64": ((np.asfortranarray(f32(), np.float64),), (empty(np.float64, (3, 1)),),
-                       (0, 0, 0)),
+                       (0, 0, 0, None)),
         "xorshift_uniform": ((), (np.asfortranarray(rng.integers(1, 2**32, (3, 4)), np.uint32),
                                   empty(np.float32)), ()),
+        # x; state (n x 4), out, mask ((m + 7) // 8 bytes x n); p, scale
+        "dropout_f32": ((f32(),), (np.asfortranarray(rng.integers(1, 2**32, (5, 4)), np.uint32),
+                                   empty(np.float32), empty(np.uint8, (1, 5))), (0.5, 2.0)),
         "tanh_pade78_f32": ((f32(),), (empty(np.float32),), ()),
         "exp_taylor_f32": ((f32(),), (empty(np.float32),), ()),
         "minimax_f32": ((f32(),), (empty(np.float32),),
@@ -547,12 +629,15 @@ def engine_operands(name):
 @pytest.mark.parametrize("name", sorted(native.ENGINES))
 def test_run_refuses_an_unaligned_operand_of_every_engine(name, native_backend):
     """Each operand in turn one byte off its alignment: ``run`` returns
-    False and writes nothing; aligned, C runs (on a native backend)."""
+    False and writes nothing; aligned, C runs (on a native backend).  A
+    byte operand (the dropout bitmask) is aligned at every address."""
     ins, outs, scalars = engine_operands(name)
     n = len(ins) + len(outs)
     assert n == native.ENGINES[name][0]
     for k in range(n):
         ops_ = [a.copy(order="F") for a in (*ins, *outs)]
+        if ops_[k].itemsize == 1:
+            continue
         bad = unaligned(ops_[k].shape, ops_[k].dtype)
         bad[...] = ops_[k]
         ops_[k] = bad
@@ -634,7 +719,7 @@ def test_a_col_broadcast_reduce_input_reaches_c_at_ld_0(native_backend, runs, c_
 
 def test_every_engine_is_reached_from_its_public_entry(native_backend, runs):
     """On a native backend every engine runs in C from its public entry:
-    ``apply_*``, ``reduce``, dropout and the ``approx`` functions."""
+    ``apply_*``, ``reduce``, PRNG, DROPOUT and the ``approx`` functions."""
     x = padded(finite(16, 16, 12), DType.FP32, 3)
     f32 = lambda: alloc(TensorDesc(16, 16, 16, DType.FP32))
     for name, call in PUBLIC_CALLS.items():
@@ -653,12 +738,15 @@ def test_every_engine_is_reached_from_its_public_entry(native_backend, runs):
         else:
             call(x, f32())
     x.tertiary = {"prng": ops.PrngState(5, 16)}
+    apply_unary(UnaryKind.PRNG, x, f32())
     apply_unary(UnaryKind.DROPOUT, x, f32(), dropout_p=0.5)
     values = x.as2d()
     approx.tanh_pade78(values)
     approx.exp_taylor(values)
     approx.minimax_eval(approx.TANH_MINIMAX, values)
-    want = {"tanh_pade78_f32": 2, "exp_taylor_f32": 2, "minimax_f32": 2}
+    want = {"tanh_pade78_f32": 2, "exp_taylor_f32": 2, "minimax_f32": 2,
+            # on the numpy path DROPOUT draws its uniforms through the PRNG's
+            "xorshift_uniform": 1 if native_backend != "numpy" else 2}
     assert {name for name, _ in runs} == set(native.ENGINES)
     for name in native.ENGINES:
         assert runs.count((name, native_backend != "numpy")) == want.get(name, 1), name

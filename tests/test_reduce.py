@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from tensorprim import (
     Bcast,
     DType,
+    GatherMode,
+    InvalidSpecError,
     ReduceAxis,
     ReduceOp,
     ReduceSpec,
@@ -18,6 +20,7 @@ from tensorprim import (
     alloc,
     broadcast,
     from_array,
+    gather_scatter,
     native,
     ops,
     reduce,
@@ -205,13 +208,22 @@ def test_a_nan_in_the_last_result_alone_takes_the_numpy_fold(axis, dtype, native
 @pytest.mark.skipif(shutil.which(native.CC) is None, reason="no C compiler on PATH")
 @pytest.mark.parametrize("name, dtype", [("reduce_f32", np.float32), ("reduce_f64", np.float64)])
 def test_the_c_fold_reports_a_nan_result_by_its_status(name, dtype):
+    """ROWS SUM over every column (cols NULL) and over the listed columns."""
     fn = native.kernel(name)
     x = np.ones((4, 3), dtype, order="F")
     out = np.zeros(4, dtype)
-    call = lambda: fn(4, 3, x.ctypes.data, 4, out.ctypes.data, 4, 0, 0, 0)   # ROWS SUM
+    listed = np.array([2, 0, 2], np.int64)
+
+    def call(cols=None):
+        n, address = (3, None) if cols is None else (cols.size, cols.ctypes.data)
+        return fn(4, n, x.ctypes.data, 4, out.ctypes.data, 4, 0, 0, 0, address)
+
     assert call() == 0 and np.all(out == 3)
+    assert call(listed[:2]) == 0 and np.all(out == 2)
     x[3, 2] = np.nan
     assert call() == 2 and np.isnan(out[3]) and np.all(out[:3] == 3)
+    assert call(listed) == 2 and np.isnan(out[3]) and np.all(out[:3] == 3)
+    assert call(listed[1:2]) == 0 and np.all(out == 1)   # column 0 holds no NaN
 
 
 @pytest.mark.skipif(shutil.which(native.CC) is None, reason="no C compiler on PATH")
@@ -273,3 +285,100 @@ def test_all_is_a_cols_fold_of_the_column_partials(dtype, shape, op, squared, na
             reduce(view_at(part.primary, 0, TensorDesc(cols, 1, cols, acc)),
                    ReduceSpec(ReduceAxis.COLS, op), staged)
             assert bits_equal(whole.primary, staged.primary), (pad, values is odd)
+
+
+# ---------------------------------------------------------------------------
+# indexed ROWS reduce
+# ---------------------------------------------------------------------------
+
+ROWS_SPECS = [ReduceSpec(ReduceAxis.ROWS, op, sq) for op in ReduceOp for sq in (False, True)]
+ROWS_IDS = [f"{s.op.value}{'-sq' if s.squared else ''}" for s in ROWS_SPECS]
+# repeated, out of order, one index, every column reversed
+INDEX_LISTS = {"repeated": [3, 3, 0, 3, 5], "unordered": [6, 1, 4, 0], "one": [2],
+               "reversed": [6, 5, 4, 3, 2, 1, 0]}
+
+
+def gathered_then_reduced(view, rs: ReduceSpec, idx) -> np.ndarray:
+    """The definition: GATHER_COLS of ``idx`` into a dense block, then a
+    ROWS reduce of it."""
+    d = view.desc
+    bag = alloc(TensorDesc(d.rows, len(idx), d.rows, d.dtype))
+    gather_scatter(view, idx, GatherMode.GATHER_COLS, bag)
+    out = alloc(TensorDesc(d.rows, 1, d.rows, DType.FP64 if d.dtype is DType.FP64 else DType.FP32))
+    reduce(bag, rs, out)
+    return out.primary
+
+
+@pytest.mark.parametrize("rs", ROWS_SPECS, ids=ROWS_IDS)
+@pytest.mark.parametrize("idx", list(INDEX_LISTS.values()), ids=list(INDEX_LISTS))
+@pytest.mark.parametrize("dtype", [DType.FP32, DType.BF16, DType.FP64], ids=lambda d: d.name)
+@pytest.mark.parametrize("nans", [False, True], ids=["finite", "nans"])
+def test_an_indexed_reduce_is_gather_then_reduce(rs, idx, dtype, nans, native_backend,
+                                                 monkeypatch):
+    """Every op and ``squared``, FP32, BF16 (into FP32) and FP64 tables,
+    dense and at a padded ld: the bits of a gather followed by a reduce, on
+    the backend under test and on the numpy path.  NaN entries of two
+    payloads take the numpy fold once, through the C kernel's status."""
+    rng = np.random.default_rng(len(idx) * 10 + int(rs.squared))
+    values = rng.uniform(0.9, 1.1, (9, 7)) if rs.op is ReduceOp.MUL else \
+        rng.standard_normal((9, 7))
+    acc = np.float64 if dtype is DType.FP64 else np.float32
+    if nans:
+        values = values.astype(acc)
+        values[2, idx[-1]] = _NAN[np.dtype(acc)]
+        values[5, idx[0]] = -_NAN[np.dtype(acc)]
+    folds = []
+    numpy_fold = ops._reduce_numpy
+
+    def counted(*args):
+        folds.append(args)
+        return numpy_fold(*args)
+
+    for pad in (0, 3):
+        table = from_array(values.astype(acc), dtype) if pad == 0 else \
+            view_at(from_array(np.vstack([values, np.full((pad, 7), np.nan)]).astype(acc),
+                               dtype).primary, 0, TensorDesc(9, 7, 9 + pad, dtype))
+        want = gathered_then_reduced(table, rs, idx)
+        out = alloc(TensorDesc(9, 1, 9, DType.FP64 if dtype is DType.FP64 else DType.FP32))
+        monkeypatch.setattr(ops, "_reduce_numpy", counted)
+        folds.clear()
+        reduce(table, rs, out, idx)
+        monkeypatch.setattr(ops, "_reduce_numpy", numpy_fold)
+        assert bits_equal(out.primary, want), pad
+        assert len(folds) == (1 if nans or native_backend == "numpy" else 0)
+        assert np.isnan(out.primary).any() == nans
+        with monkeypatch.context() as mp:
+            mp.setattr(native, "_lib", False)
+            ref = alloc(out.desc)
+            reduce(table, rs, ref, np.array(idx))
+        assert bits_equal(out.primary, ref.primary), pad
+
+
+def test_an_indexed_reduce_of_a_col_broadcast_reads_its_one_column(native_backend,
+                                                                   monkeypatch):
+    col = from_array(np.random.default_rng(3).standard_normal((6, 1)).astype(np.float32))
+    table = broadcast(col, Bcast.COL, 6, 5)
+    out = alloc(TensorDesc(6, 1, 6, DType.FP32))
+    reduce(table, ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM), out, [4, 0, 4])
+    assert bits_equal(out.primary, gathered_then_reduced(table, ROWS_SPECS[0], [4, 0, 4]))
+
+
+@pytest.mark.parametrize("idx, error", [
+    ([0, 7], IndexError), ([-1], IndexError), (np.array([3, -8]), IndexError),
+    (np.array([2**63], np.uint64), IndexError), ([1.0], IndexError), ([True], IndexError),
+    ([], InvalidSpecError), ([[0, 1]], InvalidSpecError)])
+def test_bad_indices_raise_before_any_write(idx, error, native_backend):
+    table = from_array(np.ones((4, 7), np.float32))
+    out = alloc(TensorDesc(4, 1, 4, DType.FP32), fill=9.0)
+    with pytest.raises(error):
+        reduce(table, ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM), out, idx)
+    assert np.all(out.primary == 9.0)
+
+
+@pytest.mark.parametrize("axis", [ReduceAxis.COLS, ReduceAxis.ALL])
+def test_indices_on_another_axis_raise(axis, native_backend):
+    table = from_array(np.ones((4, 7), np.float32))
+    out = alloc(TensorDesc(1, 7 if axis is ReduceAxis.COLS else 1, 1, DType.FP32), fill=9.0)
+    with pytest.raises(InvalidSpecError):
+        reduce(table, ReduceSpec(axis, ReduceOp.SUM), out, [0, 1])
+    assert np.all(out.primary == 9.0)
