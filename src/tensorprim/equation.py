@@ -26,8 +26,12 @@ equation.
 
 Evaluation replays the plan's decisions.  BUFFERED runs every step into its
 planned slot, over byte buffers of the recorded sizes made fresh for each
-call.  HYBRID runs the non-elementwise nodes the same way, into private
-buffers, and each maximal region of pure elementwise maps (TILE_FUSED: the
+call; each run of plain FP32 ADD/SUB/MUL/SQUARE/RELU steps is lowered once
+per plan into a C program (``_lower``) that runs the run in one native
+call, every other step is one kernel call, and a program that meets a NaN
+or an operand C cannot take leaves the plan to its per-step path.  HYBRID
+runs the non-elementwise nodes the same way, into private buffers, and
+each maximal region of pure elementwise maps (TILE_FUSED: the
 whole tree, which must be one such region) in blocks of whole tiles: each
 node's bound ndarray math (``Kernel.math``) runs on numpy slices, one block
 within a fixed byte budget at a time, and every result is rounded to the
@@ -43,12 +47,12 @@ import heapq
 import json
 import re
 import string
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from . import ops
-from .dtypes import COMPUTE_DTYPE, narrow, widen
+from . import native, ops
+from .dtypes import COMPUTE_DTYPE, DType, narrow, widen
 from .ops import (
     Approx,
     BinaryKind,
@@ -392,6 +396,8 @@ class ExecPlan:
     slot_bytes: dict[int, int]   # slot -> bytes of its largest non-root occupant
     naive_bytes: int             # sum of non-root intermediate sizes
     recycled: bool               # whether any slot was ever freed and reused
+    # the plan lowered for BUFFERED (``_lower``), on its first evaluation
+    program: Optional["Program"] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rep_bytes(self) -> int:
@@ -400,8 +406,10 @@ class ExecPlan:
 
     @property
     def temp_bytes(self) -> int:
-        """Scratch footprint: materialised slots x representative size."""
-        return len(self.slot_bytes) * self.rep_bytes
+        """Scratch footprint: the bytes of every slot, as BUFFERED allocates
+        them.  Each slot is charged at its largest occupant, so this never
+        exceeds naive materialisation."""
+        return sum(self.slot_bytes.values())
 
     @property
     def out_desc(self) -> TensorDesc:
@@ -521,7 +529,8 @@ def evaluate(plan: ExecPlan, strategy: EvalStrategy, args: Sequence[TensorView],
              out: TensorView, step_hook: Callable | None = None) -> None:
     """Execute a plan.  ``step_hook(step, dead_views)`` runs after every
     buffered step with the views of the slots that step recycled (test
-    instrumentation: poisoning them must not change the result)."""
+    instrumentation: poisoning them must not change the result); with a
+    hook, BUFFERED runs every step on its own, lowering none."""
     _check_args(plan, args, out)
     if isinstance(strategy, Buffered):
         _eval_buffered(plan, args, out, step_hook)
@@ -551,26 +560,171 @@ def _check_args(plan: ExecPlan, args: Sequence[TensorView], out: TensorView) -> 
 
 def _eval_buffered(plan: ExecPlan, args: Sequence[TensorView], out: TensorView,
                    step_hook: Callable | None) -> None:
+    """Run the plan's lowered program (``_lower``) where C takes its
+    operands, else every step on its own.  A run that makes a NaN reruns
+    the whole plan step by step from fresh scratch: the arguments were
+    never written and ``out`` overlaps none of them, so the rerun gives the
+    per-step bits."""
     # fresh slot buffers per call, so concurrent evaluations of one plan
     # share nothing
     bufs = {slot: np.zeros(n, dtype=np.uint8) for slot, n in plan.slot_bytes.items()}
+    if step_hook is None:
+        prog = plan.program
+        if prog is None:
+            prog = plan.program = _lower(plan)
+        if prog.code.size:
+            run = native.program(args, prog.reads, bufs, plan.temp_count, out, prog.writes_out)
+            if run is not None:
+                if _run_schedule(prog.schedule, args, out, bufs, None, run):
+                    return
+                bufs = {slot: np.zeros(n, dtype=np.uint8) for slot, n in plan.slot_bytes.items()}
+    _run_schedule(plan.steps, args, out, bufs, step_hook, None)
+
+
+def _run_schedule(schedule: Sequence, args: Sequence[TensorView], out: TensorView,
+                  bufs: dict[int, np.ndarray], step_hook: Callable | None,
+                  run: Callable | None) -> bool:
+    """Run plan steps and lowered runs in order over the slot buffers
+    ``bufs``, each run by one call of ``run`` (``native.program``); False as
+    soon as a run reports a NaN."""
     views: dict[int, TensorView] = {}  # slot -> view of its current occupant
     made: dict[tuple[int, TensorDesc], TensorView] = {}  # one view per slot and descriptor
-    for s in plan.steps:
+    for s in schedule:
+        if type(s) is Run:
+            if not run(s.m, s.n, s.address, s.steps):
+                return False
+            for slot, desc in s.live:
+                views[slot] = _slot_dst(made, bufs, slot, desc)
+            continue
         ins = [args[ref] if kind == "arg" else views[ref] for (kind, ref) in s.inputs]
         if s.is_root:
             dst = out
         else:
-            key = (s.output[1], s.node.out_desc)
-            dst = made.get(key)
-            # a kernel that left a payload on its output keeps that view
-            if dst is None or dst.secondary is not None or dst.tertiary is not None:
-                dst = made[key] = _slot_view(bufs[key[0]], key[1])
-            views[key[0]] = dst
+            dst = views[s.output[1]] = _slot_dst(made, bufs, s.output[1], s.node.out_desc)
         _run_node(s.node, ins, dst)
         if step_hook is not None:
             step_hook(s, [views[ref] for (kind, ref) in s.inputs
                           if kind == "tmp" and ref != s.output[1]])
+    return True
+
+
+def _slot_dst(made: dict[tuple[int, TensorDesc], TensorView], bufs: dict[int, np.ndarray],
+              slot: int, desc: TensorDesc) -> TensorView:
+    """The view of ``desc`` over ``slot``, made once per evaluation; a
+    kernel that left a payload on its output keeps that view."""
+    key = (slot, desc)
+    dst = made.get(key)
+    if dst is None or dst.secondary is not None or dst.tertiary is not None:
+        dst = made[key] = _slot_view(bufs[slot], desc)
+    return dst
+
+
+# ---------------------------------------------------------------------------
+# lowering: BUFFERED's plain FP32 steps as C programs
+# ---------------------------------------------------------------------------
+
+# the kinds a program runs, by their opcode in native.c's program_f32
+_OPCODES = {BinaryKind.ADD: 0, BinaryKind.SUB: 1, BinaryKind.MUL: 2, UnaryKind.SQUARE: 3,
+            UnaryKind.RELU: 4}
+
+
+def _opcode(kernel: Kernel) -> int | None:
+    """The opcode that runs ``kernel`` in a program, or None: its kind is in
+    ``_OPCODES`` with bound math (RELU without a bitmask), and its output
+    and every operand are plain (not broadcast) FP32 of one extent.  A
+    node's operands are its children's descriptors, a leaf's as declared."""
+    op = _OPCODES.get(kernel.spec.kind)
+    od = kernel.out_desc
+    if op is None or kernel.math is None or od.dtype is not DType.FP32:
+        return None
+    for d in kernel.spec.ins:
+        if (d.dtype is not DType.FP32 or d.bcast is not Bcast.NONE
+                or d.rows != od.rows or d.cols != od.cols):
+            return None
+    return op
+
+
+class Run(NamedTuple):
+    """Consecutive lowered steps over one ``m`` x ``n`` extent, run by one C
+    call: its ``steps`` (op, a, b, d) int32 quadruples at ``address`` name
+    operands of the program's table (the arguments, then the slots, then
+    ``out``; a unary step reads a twice); ``live`` holds the (slot,
+    descriptor) of each value it makes that a step outside the program
+    reads."""
+
+    m: int
+    n: int
+    steps: int
+    address: int
+    live: tuple[tuple[int, TensorDesc], ...]
+
+
+class Program(NamedTuple):
+    """A plan lowered for BUFFERED: ``schedule`` is the plan's steps in
+    order, each maximal run of lowered steps of one extent replaced by its
+    ``Run``; ``code`` holds all their steps (int32), ``reads`` lists the
+    arguments they read, and ``writes_out`` says whether one writes the
+    root."""
+
+    schedule: tuple
+    code: np.ndarray
+    reads: tuple[int, ...]
+    writes_out: bool
+
+
+def _lower(plan: ExecPlan) -> Program:
+    """Lower ``plan`` (once: ``ExecPlan.program`` caches it): a step whose
+    kernel has an opcode (``_opcode``) joins the run of the step before it
+    when that one is lowered too and has its extent, or opens a run.  Every
+    other step stays a kernel call."""
+    nargs = len(plan.tree.args)
+    out_ref = nargs + plan.temp_count
+    schedule: list = []
+    code: list[int] = []
+    reads: set[int] = set()
+    run = None      # the open run: [extent descriptor, steps, live]
+    writer = {}     # slot -> (live list of the run that wrote it, descriptor)
+    writes_out = False
+    for s in plan.steps:
+        op = _opcode(s.node.kernel)
+        if op is None:
+            run = None
+            for kind, ref in s.inputs:
+                if ref in writer and kind == "tmp":
+                    live, desc = writer.pop(ref)
+                    live.append((ref, desc))
+            writer.pop(s.output[1], None)
+            schedule.append(s)
+            continue
+        d = s.node.out_desc
+        if run is None or (run[0] is not d and (run[0].rows, run[0].cols) != (d.rows, d.cols)):
+            run = [d, 0, []]
+            schedule.append(run)
+        run[1] += 1
+        (ka, a), (kb, b) = s.inputs[0], s.inputs[-1]
+        if ka == "arg":
+            reads.add(a)
+        else:
+            a += nargs
+        if kb == "arg":
+            reads.add(b)
+        else:
+            b += nargs
+        if s.is_root:
+            code += (op, a, b, out_ref)
+            writes_out = True
+        else:
+            slot = s.output[1]
+            code += (op, a, b, nargs + slot)
+            writer[slot] = (run[2], d)
+    program = np.array(code, dtype=np.int32)
+    at = native.address(program) if code else 0
+    for i, item in enumerate(schedule):
+        if type(item) is list:
+            d, steps, live = item
+            schedule[i] = Run(d.rows, d.cols, steps, at, tuple(live))
+            at += 16 * steps
+    return Program(tuple(schedule), program, tuple(sorted(reads)), writes_out)
 
 
 # Bytes a tiled region's live values may take per block (see ``_eval_tiled``).

@@ -2,7 +2,8 @@
  * batch-reduce GEMM of the contraction, the ROWS / COLS / ALL reductions of
  * the operator set, a block of the xorshift128 PRNG streams, FP32 DROPOUT,
  * the three FP32 approximation engines (rational tanh, piecewise cubic,
- * exp), and PACK, UNPACK and FP32 MULADD / NMULADD.
+ * exp), PACK, UNPACK and FP32 MULADD / NMULADD, and the plan program that
+ * runs an equation's plain FP32 steps.
  * Every kernel gives, bit for bit, what its numpy reference path gives.
  * Which of the two runs is decided in native.py alone: without a build or
  * while a verify fault is set, every caller takes its numpy path.
@@ -19,19 +20,19 @@
  * default build; the tests also build it with -mavx2, to check the bits of
  * the AVX2 code on machines that would pick AVX-512F.
  *
- * Every kernel but brgemm takes one ABI: (m, n), then each operand as a
- * column-major block (address, ld), element (i, j) at p[i + j*ld], inputs
- * first, then the kernel's own scalars.  native.run alone calls them.  An
- * input may have ld 0 (one column read n times).  An output overlaps no
- * other operand, but muladd's may be an input at its address and ld (c in
- * place), whose element it reads before it writes that element.  A stream
- * state that a kernel advances is an output block.
+ * Every kernel but brgemm and program_f32 takes one ABI: (m, n), then each
+ * operand as a column-major block (address, ld), element (i, j) at
+ * p[i + j*ld], inputs first, then the kernel's own scalars.  native.run
+ * alone calls them.  An input may have ld 0 (one column read n times).  An
+ * output overlaps no other operand, but muladd's may be an input at its
+ * address and ld (c in place), whose element it reads before it writes that
+ * element.  A stream state that a kernel advances is an output block.
  *
- * The brgemm, reduce and muladd kernels return a status: 0, or 2 when a
- * float result (muladd: an operand) is a NaN.  The caller then recomputes
- * the call on its numpy path, because which payload survives where two
- * NaNs meet depends on the order of the operands of + and *, which the
- * compiler may swap.
+ * The brgemm, reduce, muladd and program kernels return a status: 0, or 2
+ * when a float result (muladd: an operand) is a NaN.  The caller then
+ * recomputes the call on its numpy path (a program: the whole plan),
+ * because which payload survives where two NaNs meet depends on the order
+ * of the operands of + and *, which the compiler may swap.
  *
  * BRGEMM.  acc (M x N, column-major, ld M) already holds beta*C.  For each
  * batch entry e in ascending order and each output element (i, j):
@@ -114,6 +115,16 @@
  * bits, both pure bit moves; muladd_f32 computes c + a*b or c - a*b, the
  * product rounded to FP32 before the sum, where a SCALAR operand is its
  * element 0 everywhere.
+ *
+ * PROGRAM.  program_f32 runs a run of an equation plan's lowered steps, all
+ * over one m x n extent, in plan order: each step is int32 (op, a, b, d),
+ * operand numbers into one table of int64 (address, ld) pairs (the plan's
+ * arguments, its slots, and out; equation.py lowers the plan, native.program
+ * checks the table once per evaluation).  The opcodes are ADD a + b, SUB
+ * a - b, MUL a * b, SQUARE a * a and RELU (a > 0 ? a : +0, so -0 gives +0
+ * as numpy's maximum(a, +0) does).  A slot's ld is 0 in the table: its
+ * occupant is dense, ld m.  A step's d is one of its operands, exactly, or
+ * overlaps none.  The transcendental kinds stay kernel calls.
  */
 
 #include <float.h>
@@ -735,5 +746,89 @@ muladd_f32(int64_t m, int64_t n, const float *a, int64_t lda, const float *b,
     MULADD_CASE(12) MULADD_CASE(13) MULADD_CASE(14) MULADD_CASE(15)
     }
 #undef MULADD_CASE
+    return 0;
+}
+
+/* ------------------------------------------------------------------------ */
+/* plan programs                                                             */
+/* ------------------------------------------------------------------------ */
+
+/* the opcodes of equation._OPCODES, as the lowering writes them */
+enum { PROG_ADD, PROG_SUB, PROG_MUL, PROG_SQUARE, PROG_RELU };
+
+/* One column of one step: d = a op b (a alone for SQUARE and RELU).
+ * Returns 1 when a result is a NaN; RELU tests its input, because its
+ * select would turn a NaN into 0. */
+INLINE int program_col(int op, int64_t m, const float *a, const float *b, float *d)
+{
+    int nan = 0;
+    switch (op) {
+    case PROG_ADD:
+        for (int64_t i = 0; i < m; i++) {
+            const float r = a[i] + b[i];
+            d[i] = r;
+            nan |= IS_NAN(r);
+        }
+        break;
+    case PROG_SUB:
+        for (int64_t i = 0; i < m; i++) {
+            const float r = a[i] - b[i];
+            d[i] = r;
+            nan |= IS_NAN(r);
+        }
+        break;
+    case PROG_MUL:
+        for (int64_t i = 0; i < m; i++) {
+            const float r = a[i] * b[i];
+            d[i] = r;
+            nan |= IS_NAN(r);
+        }
+        break;
+    case PROG_SQUARE:
+        for (int64_t i = 0; i < m; i++) {
+            const float r = a[i] * a[i];
+            d[i] = r;
+            nan |= IS_NAN(r);
+        }
+        break;
+    default:
+        for (int64_t i = 0; i < m; i++) {
+            const float x = a[i];
+            d[i] = x > 0.0f ? x : 0.0f;
+            nan |= IS_NAN(x);
+        }
+        break;
+    }
+    return nan;
+}
+
+/* Run `steps` FP32 steps over one m x n extent, in order.  Step s is
+ * code[4s .. 4s+3] = (op, a, b, d): operand numbers into table, whose
+ * entries 2k and 2k+1 are the address and ld of operand k, and ld 0 marks a
+ * plan slot, whose occupant is dense (ld m).  d is a or b, or overlaps
+ * neither, so each element is read before it is written.  Returns 0, or 2
+ * at the first step with a NaN result, with the steps before it done: the
+ * caller then reruns the whole plan on its numpy path, since which payload
+ * survives where two NaNs meet depends on the operand order of + and *. */
+MULTIVERSION int64_t
+program_f32(int64_t m, int64_t n, const int32_t *code, int64_t steps, const int64_t *table)
+{
+    for (int64_t s = 0; s < steps; s++) {
+        const int32_t *c = code + 4 * s;
+        const float *a = (const float *)(intptr_t)table[2 * c[1]];
+        const float *b = (const float *)(intptr_t)table[2 * c[2]];
+        float *d = (float *)(intptr_t)table[2 * c[3]];
+        const int64_t lda = table[2 * c[1] + 1] ? table[2 * c[1] + 1] : m;
+        const int64_t ldb = table[2 * c[2] + 1] ? table[2 * c[2] + 1] : m;
+        const int64_t ldd = table[2 * c[3] + 1] ? table[2 * c[3] + 1] : m;
+        int nan = 0;
+        if (lda == m && ldb == m && ldd == m)
+            nan = program_col(c[0], m * n, a, b, d);
+        else
+            for (int64_t j = 0; j < n; j++)
+                nan |= program_col(c[0], m, a + j * lda, b + j * ldb, d + j * ldd);
+        if (nan)
+            return 2;
+    }
     return 0;
 }

@@ -1,18 +1,21 @@
 """Build and load the C kernels (``native.c``) on first use: the
 batch-reduce GEMM of ``contraction``, the reductions, xorshift streams,
-dropout and split-FP32 and multiply-add engines of ``ops``, and the three
-FP32 approximation engines of ``approx``.
+dropout and split-FP32 and multiply-add engines of ``ops``, the three
+FP32 approximation engines of ``approx``, and the plan programs of
+``equation``.
 
-Every kernel but brgemm takes one ABI, as the paper defines a primitive on
-2-D blocks: ``(m, n)``, then each operand as a column-major block
-``(address, ld)``, inputs first, then the kernel's own scalars
-(:data:`ENGINES` lists how many blocks and which scalars).  They are
-called through :func:`run` alone, which decides whether the operands can
-be read in place and returns False whenever the caller must take its numpy
-reference path instead; brgemm keeps its batch ABI (a base plus offsets or
-a stride per side) and is called by ``contraction``.  This module alone
-chooses between a C kernel and its numpy reference path, and
-:func:`backend` reports the choice.
+Every kernel but brgemm and the plan program takes one ABI, as the paper
+defines a primitive on 2-D blocks: ``(m, n)``, then each operand as a
+column-major block ``(address, ld)``, inputs first, then the kernel's own
+scalars (:data:`ENGINES` lists how many blocks and which scalars).  They
+are called through :func:`run` alone, which decides whether the operands
+can be read in place and returns False whenever the caller must take its
+numpy reference path instead; brgemm keeps its batch ABI (a base plus
+offsets or a stride per side) and is called by ``contraction``.  A plan
+program reads its blocks from one operand table, which :func:`program`
+checks once per evaluation before it hands out the runner of its runs.
+This module alone chooses between a C kernel and its numpy reference path,
+and :func:`backend` reports the choice.
 
 The shared library is compiled once per machine with the system C compiler
 and cached in this package's ``__pycache__/``, under a name keyed by a hash
@@ -30,9 +33,11 @@ from pathlib import Path
 import platform
 import sys
 import threading
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .dtypes import DType
 from .tensor import Bcast
 
 CC = "gcc"
@@ -70,13 +75,14 @@ IN_PLACE = ("muladd_f32",)
 ARGTYPES: dict[str, list] = {
     "brgemm_f32": _BRGEMM, "brgemm_f64": _BRGEMM, "brgemm_bf16": _BRGEMM,
     "brgemm_i8": _BRGEMM,
+    "program_f32": [_i64, _i64, _ptr, _i64, _ptr],   # m, n, code, steps, table: see program
     **{name: [_i64, _i64] + [_ptr, _i64] * blocks + scalars
        for name, (blocks, scalars) in ENGINES.items()},
 }
 # the kernels that return a status (0: done; 1: nothing done, no scratch; 2:
 # a float result or operand is a NaN); the others return nothing
 RESTYPES = {name: _i64 for name in ARGTYPES
-            if name.startswith(("brgemm_", "reduce_", "muladd_"))}
+            if name.startswith(("brgemm_", "reduce_", "muladd_", "program_"))}
 
 # Negative controls for ``verify`` (``fault``: None or one name), each
 # breaking one pinned rule of a numpy path: reversing the reduction fold of
@@ -136,6 +142,22 @@ _addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
 _BLOCKS = (Bcast.NONE, Bcast.SCALAR)   # the views C reads as a block or one element
 
 
+def _block(view, out: bool) -> tuple[int, int, int] | None:
+    """The block ``(start, end, ld)`` of a ``TensorView`` C can read in
+    place, ``end`` one byte past the last element it spans, or None: its
+    flat buffer must still be what ``TensorView`` checked (1-D, contiguous,
+    of the storage dtype, long enough) and aligned, it must be no ROW or COL
+    view, and an ``out``put must be writable."""
+    buf, d = view.primary, view.desc
+    flags = buf.flags
+    if not (flags.aligned and flags.c_contiguous and buf.ndim == 1
+            and buf.dtype == d.dtype.storage and buf.size >= d.min_buffer_len
+            and d.bcast in _BLOCKS and (flags.writeable or not out)):
+        return None
+    start = address(buf)   # buf is contiguous and starts at the block
+    return start, start + d.min_buffer_len * buf.itemsize, d.ld
+
+
 def run(name: str, m: int, n: int, ins: tuple, outs: tuple, *scalars) -> bool:
     """Run the kernel ``name`` (one of :data:`ENGINES`) on the m x n problem
     of the blocks ``ins`` and ``outs``; False when nothing ran (or, for a
@@ -181,21 +203,15 @@ def run(name: str, m: int, n: int, ins: tuple, outs: tuple, *scalars) -> bool:
                     return False
             else:
                 return False
-            if not (rows and cols and flags.aligned):
+            if not (rows and cols and flags.aligned) or (out and not flags.writeable):
                 return False
-            buf, span = op[:, 0] if op.ndim == 2 else op, (cols - 1) * ld + rows
+            start = address(op[:, 0] if op.ndim == 2 else op)
+            end = start + ((cols - 1) * ld + rows) * size
         else:
-            buf, d = op.primary, op.desc
-            flags = buf.flags
-            if not (flags.aligned and flags.c_contiguous and buf.ndim == 1
-                    and buf.dtype == d.dtype.storage and buf.size >= d.min_buffer_len
-                    and d.bcast in _BLOCKS):
+            block = _block(op, out)
+            if block is None:
                 return False
-            ld, span = d.ld, d.min_buffer_len
-        if out and not flags.writeable:
-            return False
-        start = address(buf)   # buf is contiguous and starts at the block
-        end = start + span * buf.itemsize
+            start, end, ld = block
         if out:
             for t, (s, e, l) in enumerate(spans):
                 if s < end and start < e and not (t < nin and name in IN_PLACE
@@ -206,6 +222,70 @@ def run(name: str, m: int, n: int, ins: tuple, outs: tuple, *scalars) -> bool:
         args.append(ld)
     args.extend(scalars)
     return not fn(*args)
+
+
+def program(args: Sequence, reads: Sequence[int], slots: dict[int, np.ndarray], nslots: int,
+            out, writes_out: bool) -> Callable[[int, int, int, int], bool] | None:
+    """The runner of a plan program, its operands checked once for all of
+    its runs: ``run(m, n, code, steps)`` calls ``program_f32`` on the int32
+    code at address ``code`` and returns False when the run reports a NaN.
+    None when C cannot run the program and the plan takes its per-step path:
+    no library, a fault set, or an operand refused below.
+
+    The operand table holds an (address, ld) pair of int64 for each
+    argument, then each of the ``nslots`` slots, then ``out``.  The program
+    reads the arguments ``reads``, writes the ``slots`` (byte buffers by
+    slot number) and, when ``writes_out``, ``out``; every other entry stays
+    (0, 0).  An argument or ``out`` is refused unless it is a plain (not
+    broadcast) FP32 view that :func:`_block` takes; ``out`` must also
+    overlap no argument at all, read by the program or not, so that a rerun
+    of the plan reads every argument as it was.  A slot passes ld 0 (its
+    occupant is dense at the run's m) and is refused only if it is not
+    aligned for FP32."""
+    fn = kernel("program_f32")
+    if fn is None:
+        return None
+    table = [0] * (2 * (len(args) + nslots + 1))
+    for i in reads:
+        block = _fp32_block(args[i], False)
+        if block is None:
+            return None
+        table[2 * i], _, table[2 * i + 1] = block
+    base = 2 * len(args)
+    for slot, buf in slots.items():
+        start = address(buf)
+        if start & 3:
+            return None
+        table[base + 2 * slot] = start
+    if writes_out:
+        block = _fp32_block(out, True)
+        if block is None:
+            return None
+        start, end, ld = block
+        for v in args:
+            buf = v.primary
+            if not buf.flags.c_contiguous:
+                return None
+            s = address(buf)
+            if s < end and start < s + buf.nbytes:
+                return None
+        table[-2], table[-1] = start, ld
+    table = np.array(table, dtype=np.int64)
+    at = address(table)
+
+    def run(m: int, n: int, code: int, steps: int) -> bool:
+        return not fn(m, n, code, steps, at)
+
+    run.table = table   # the table C reads lives as long as its runner
+    return run
+
+
+def _fp32_block(view, out: bool) -> tuple[int, int, int] | None:
+    """:func:`_block` of a plain (not broadcast) FP32 ``view``, else None."""
+    d = view.desc
+    if d.dtype is not DType.FP32 or d.bcast is not Bcast.NONE:
+        return None
+    return _block(view, out)
 
 
 def _load() -> ctypes.CDLL | None:

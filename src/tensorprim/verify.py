@@ -1001,11 +1001,16 @@ def random_equation(rng, dtype: DType, rows: int = 4, cols: int = 4):
 
 
 def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
-    """BUFFERED, TILE_FUSED (where legal), HYBRID and naive per-node
-    evaluation agree bitwise over FP32 and FP64 inputs."""
+    """BUFFERED (its lowered C program where C runs), BUFFERED step by step
+    (a ``step_hook`` selects that path), TILE_FUSED (where legal), HYBRID
+    and naive per-node evaluation agree bitwise over FP32 and FP64 inputs.
+    The detail counts the FP32 steps lowered into programs, so a program
+    path that ran nothing would show."""
     rng = np.random.default_rng(seed)
     bad = 0
     fused_seen = 0
+    lowered = 0
+    per_step = lambda step, dead: None
     for i in range(equations):
         dtype = DType.FP64 if i % 2 else DType.FP32
         tree, args = random_equation(rng, dtype)
@@ -1016,7 +1021,10 @@ def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
         refa = to_array(ref)
         got = alloc(od)
         eqn.evaluate(plan, eqn.Buffered(), args, got)
-        if not _bits_equal(to_array(got), refa):
+        lowered += sum([r.steps for r in plan.program.schedule if type(r) is eqn.Run])
+        got_s = alloc(od)
+        eqn.evaluate(plan, eqn.Buffered(), args, got_s, step_hook=per_step)
+        if not (_bits_equal(to_array(got), refa) and _bits_equal(to_array(got_s), refa)):
             bad += 1
             continue
         got_h = alloc(od)
@@ -1031,16 +1039,17 @@ def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
             if not _bits_equal(to_array(got_t), refa):
                 bad += 1
     return CheckResult("equation-fusion-fidelity", bad == 0, bad, 0,
-                       f"{equations} equations, {fused_seen} tile-fusable")
+                       f"{equations} equations, {fused_seen} tile-fusable, {lowered} steps "
+                       f"lowered, program on {native.backend()}")
 
 
 def check_temp_bytes_metric(seed: int = 0) -> CheckResult:
-    """Softmax/layernorm plans, the worked example and the first seeded
-    random equation whose plan recycles a slot and whose intermediates all
-    have one size: temp_bytes <= naive materialisation, strictly less
-    whenever the plan recycled a slot.  (With one size, a slot that holds
-    two intermediates makes temp_bytes smaller than naive; with several, a
-    slot is charged at the largest, and either may be larger.)"""
+    """Softmax/layernorm plans, the worked example and the first two seeded
+    random equations whose plans recycle a slot, one whose intermediates
+    all have one size and one whose slots differ in size: temp_bytes <=
+    naive materialisation, strictly less whenever the plan recycled a slot.
+    Over all 1000 random plans, temp_bytes (each slot charged at its
+    largest occupant) never exceeds naive."""
     ok = True
     details = []
     plans = []
@@ -1051,41 +1060,57 @@ def check_temp_bytes_metric(seed: int = 0) -> CheckResult:
     wk = eqn.plan_equation("tanh(T0) + (T1 matmul T2) / (T3 - T4)", [sq] * 5)
     plans.append(("worked-example", wk))
     rng = np.random.default_rng(seed)
+    one = mixed = None
+    over = 0
     for draw in range(1000):
         p = eqn.create_execution_plan(random_equation(rng, DType.FP32, 16, 16)[0])
-        if p.recycled and len({s.node.out_desc.nbytes for s in p.steps if not s.is_root}) == 1:
-            plans.append((f"random-{draw}", p))
-            break
-    else:
-        ok = False
-        details.append("no random plan of one intermediate size recycled a slot")
+        over += p.temp_bytes > p.naive_bytes
+        if not p.recycled:
+            continue
+        if one is None and len({s.node.out_desc.nbytes for s in p.steps if not s.is_root}) == 1:
+            one = (f"random-{draw}", p)
+        if mixed is None and len(set(p.slot_bytes.values())) > 1:
+            mixed = (f"random-mixed-{draw}", p)
+    for name, found in (("one intermediate size", one), ("slots of several sizes", mixed)):
+        if found is None:
+            ok = False
+            details.append(f"no random plan of {name} recycled a slot")
+        else:
+            plans.append(found)
     for name, p in plans:
         ok &= p.temp_bytes <= p.naive_bytes
         if p.recycled:
             ok &= p.temp_bytes < p.naive_bytes
         details.append(f"{name}: fused={p.temp_bytes} naive={p.naive_bytes}")
+    ok &= over == 0
+    details.append(f"{over} of 1000 random plans above naive")
     return CheckResult("equation-temp-bytes", bool(ok), "; ".join(details),
                        "fused <= naive (strict when recycling)")
 
 
 def check_poison_liveness(seed: int = 0) -> CheckResult:
     """NaN-poisoning every dead (recycled, unwritten) slot between steps
-    leaves the result unchanged."""
-    d = TensorDesc(4, 4, 4, DType.FP64)
-    plan = eqn.plan_equation("tanh(T0) + (T1 matmul T2) / (T3 - T4)", [d] * 5)
+    leaves the result unchanged: the poisoned evaluation (step by step, as
+    a ``step_hook`` selects) equals the clean one, which in FP32 runs the
+    plan's C program where C runs."""
     rng = np.random.default_rng(seed)
-    args = [from_array(rng.uniform(0.2, 1.5, size=(4, 4))) for _ in range(5)]
-    clean = alloc(d)
-    eqn.evaluate(plan, eqn.Buffered(), args, clean)
-    poisoned = alloc(d)
+    bad = 0
+    for dtype in (DType.FP64, DType.FP32):
+        d = TensorDesc(4, 4, 4, dtype)
+        plan = eqn.plan_equation("tanh(T0) + (T1 matmul T2) / (T3 - T4)", [d] * 5)
+        args = [from_array(rng.uniform(0.2, 1.5, size=(4, 4)).astype(dtype.storage))
+                for _ in range(5)]
+        clean = alloc(d)
+        eqn.evaluate(plan, eqn.Buffered(), args, clean)
+        poisoned = alloc(d)
 
-    def hook(step, dead_views):
-        for v in dead_views:
-            v.as2d()[:, :] = np.nan
+        def hook(step, dead_views):
+            for v in dead_views:
+                v.as2d()[:, :] = np.nan
 
-    eqn.evaluate(plan, eqn.Buffered(), args, poisoned, step_hook=hook)
-    ok = _bits_equal(to_array(clean), to_array(poisoned))
-    return CheckResult("equation-poison-liveness", ok, int(not ok), 0)
+        eqn.evaluate(plan, eqn.Buffered(), args, poisoned, step_hook=hook)
+        bad += not _bits_equal(to_array(clean), to_array(poisoned))
+    return CheckResult("equation-poison-liveness", bad == 0, bad, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -937,6 +937,21 @@ def test_temp_bytes_never_exceeds_naive_and_strict_under_recycling():
             assert plan.temp_bytes < plan.naive_bytes
 
 
+def test_temp_bytes_sums_the_slots_of_a_plan_of_several_sizes():
+    """Each slot is charged at its own largest occupant, as BUFFERED
+    allocates it: the first recycling random plan of seed 2024 has slots of
+    different sizes, and charging every slot at the largest (3072 B) would
+    exceed naive materialisation."""
+    rng = np.random.default_rng(2024)
+    while True:
+        plan = create_execution_plan(verify.random_equation(rng, DType.FP32, 16, 16)[0])
+        if plan.recycled:
+            break
+    assert plan.temp_bytes == sum(plan.slot_bytes.values()) == 1156
+    assert plan.naive_bytes == 1416
+    assert len(plan.slot_bytes) * plan.rep_bytes == 3072
+
+
 def test_worked_example_temp_bytes():
     plan = plan_equation(WORKED, [D(4, 4)] * 5)
     assert plan.rep_bytes == 4 * 4 * 4

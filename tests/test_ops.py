@@ -220,28 +220,39 @@ def test_kernel_call_checks_only_extents_and_input_dtypes():
     assert np.all(to_array(wide) == 2.0)
 
 
-def test_validation_runs_once_per_spec(monkeypatch):
+def test_validation_runs_once_per_spec(monkeypatch, native_backend):
     """Building a plan dispatches its nodes; evaluating it, or repeating a
-    direct call on the same descriptors, validates nothing again; a kernel
-    call enters through the ``apply_*`` of its family."""
+    direct call on the same descriptors, validates nothing again.  On the
+    per-step path (a ``step_hook`` selects it) a kernel call enters through
+    the ``apply_*`` of its family; without a hook, a step lowered into the
+    plan's C program enters none, where C runs."""
     import tensorprim.ops as ops
     from tensorprim import Buffered, plan_equation, evaluate
     calls = []
     infer = ops.infer_output_desc
     monkeypatch.setattr(ops, "infer_output_desc", lambda spec: calls.append(spec) or infer(spec))
+    ops._cached_kernel.cache_clear()   # each backend's run dispatches afresh
     plan = plan_equation("relu(T0 + T1) * T0 - exp(T1)", [D(3, 5), D(3, 5)])
     assert calls
     x = from_array(np.linspace(-1, 1, 15, dtype=np.float32).reshape(3, 5))
-    out1, out2 = alloc(D(3, 5)), alloc(D(3, 5))
+    out1, out2, out3 = alloc(D(3, 5)), alloc(D(3, 5)), alloc(D(3, 5))
     calls.clear()
     entered = []
     for name in ("apply_unary", "apply_binary", "apply_ternary"):
         monkeypatch.setattr(ops, name, lambda *a, _fn=getattr(ops, name), _name=name, **kw:
                             entered.append(_name) or _fn(*a, **kw))
-    evaluate(plan, Buffered(), [x, x], out1)
-    evaluate(plan, Buffered(), [x, x], out2)
+    per_step = lambda step, dead: None
+    evaluate(plan, Buffered(), [x, x], out1, step_hook=per_step)
+    evaluate(plan, Buffered(), [x, x], out2, step_hook=per_step)
     assert calls == [] and bits_equal(to_array(out1), to_array(out2))
     assert sorted(entered) == ["apply_binary"] * 6 + ["apply_unary"] * 4
+    entered.clear()
+    evaluate(plan, Buffered(), [x, x], out3)
+    assert calls == [] and bits_equal(to_array(out3), to_array(out1))
+    # ADD, RELU, MUL and SUB are lowered; EXP stays a kernel call
+    lowered = native_backend != "numpy"
+    assert sorted(entered) == (["apply_unary"] if lowered
+                               else ["apply_binary"] * 3 + ["apply_unary"] * 2)
     monkeypatch.undo()
     monkeypatch.setattr(ops, "infer_output_desc", lambda spec: calls.append(spec) or infer(spec))
     y = from_array(np.ones((7, 3), dtype=np.float32))
