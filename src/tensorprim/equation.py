@@ -26,10 +26,12 @@ equation.
 
 Evaluation replays the plan's decisions.  BUFFERED runs every step into its
 planned slot, over byte buffers of the recorded sizes made fresh for each
-call; each run of plain FP32 ADD/SUB/MUL/SQUARE/RELU steps is lowered once
-per plan into a C program (``_lower``) that runs the run in one native
-call, every other step is one kernel call, and a program that meets a NaN
-or an operand C cannot take leaves the plan to its per-step path.  HYBRID
+call; each run of FP32 (or FP64) elementwise steps of the kinds of
+``_OPCODES`` is lowered once per plan into a C program (``_lower``) that
+runs the run in one native call, reading each argument as the view passed
+lays it out (plain, ROW, COL or SCALAR), every other step is one kernel
+call, and a program that meets a NaN or an operand C cannot take leaves the
+plan to its per-step path.  HYBRID
 runs the non-elementwise nodes the same way, into private buffers, and
 each maximal region of pure elementwise maps (TILE_FUSED: the
 whole tree, which must be one such region) in blocks of whole tiles: each
@@ -573,7 +575,7 @@ def _eval_buffered(plan: ExecPlan, args: Sequence[TensorView], out: TensorView,
         if prog is None:
             prog = plan.program = _lower(plan)
         if prog.code.size:
-            run = native.program(args, prog.reads, bufs, plan.temp_count, out, prog.writes_out)
+            run = native.program(args, prog.reads, bufs, plan.temp_count, out, prog.out_dtype)
             if run is not None:
                 if _run_schedule(prog.schedule, args, out, bufs, None, run):
                     return
@@ -591,7 +593,7 @@ def _run_schedule(schedule: Sequence, args: Sequence[TensorView], out: TensorVie
     made: dict[tuple[int, TensorDesc], TensorView] = {}  # one view per slot and descriptor
     for s in schedule:
         if type(s) is Run:
-            if not run(s.m, s.n, s.address, s.steps):
+            if not run(s.m, s.n, s.address, s.steps, s.dtype is DType.FP64):
                 return False
             for slot, desc in s.live:
                 views[slot] = _slot_dst(made, bufs, slot, desc)
@@ -620,40 +622,45 @@ def _slot_dst(made: dict[tuple[int, TensorDesc], TensorView], bufs: dict[int, np
 
 
 # ---------------------------------------------------------------------------
-# lowering: BUFFERED's plain FP32 steps as C programs
+# lowering: BUFFERED's FP32 and FP64 elementwise steps as C programs
 # ---------------------------------------------------------------------------
 
-# the kinds a program runs, by their opcode in native.c's program_f32
+# the kinds a program runs, by their opcode in native.c's program kernels
 _OPCODES = {BinaryKind.ADD: 0, BinaryKind.SUB: 1, BinaryKind.MUL: 2, UnaryKind.SQUARE: 3,
-            UnaryKind.RELU: 4}
+            UnaryKind.RELU: 4, BinaryKind.DIV: 5, BinaryKind.MAX: 6, UnaryKind.RSQRT: 7,
+            TernaryKind.MULADD: 8, TernaryKind.NMULADD: 9}
 
 
 def _opcode(kernel: Kernel) -> int | None:
     """The opcode that runs ``kernel`` in a program, or None: its kind is in
     ``_OPCODES`` with bound math (RELU without a bitmask), and its output
-    and every operand are plain (not broadcast) FP32 of one extent.  A
-    node's operands are its children's descriptors, a leaf's as declared."""
+    and every operand are FP32, or all FP64, of one extent.  A node's
+    operands are its children's descriptors, a leaf's as declared; a leaf
+    may be declared a broadcast of any kind, since the program reads each
+    argument as the view passed to ``evaluate`` lays it out."""
     op = _OPCODES.get(kernel.spec.kind)
     od = kernel.out_desc
-    if op is None or kernel.math is None or od.dtype is not DType.FP32:
+    dtype = od.dtype
+    if op is None or kernel.math is None or dtype not in native.PROGRAM_DTYPES:
         return None
     for d in kernel.spec.ins:
-        if (d.dtype is not DType.FP32 or d.bcast is not Bcast.NONE
-                or d.rows != od.rows or d.cols != od.cols):
+        if d.dtype is not dtype or d.rows != od.rows or d.cols != od.cols:
             return None
     return op
 
 
 class Run(NamedTuple):
-    """Consecutive lowered steps over one ``m`` x ``n`` extent, run by one C
-    call: its ``steps`` (op, a, b, d) int32 quadruples at ``address`` name
-    operands of the program's table (the arguments, then the slots, then
-    ``out``; a unary step reads a twice); ``live`` holds the (slot,
+    """Consecutive lowered steps over one ``m`` x ``n`` extent and one
+    ``dtype``, run by one C call: its ``steps`` (op, a, b, c, d) int32
+    quintuples at ``address`` name operands of the program's table (the
+    arguments, then the slots, then ``out``; a unary step reads a three
+    times, a binary one reads a as its unused c); ``live`` holds the (slot,
     descriptor) of each value it makes that a step outside the program
     reads."""
 
     m: int
     n: int
+    dtype: DType
     steps: int
     address: int
     live: tuple[tuple[int, TensorDesc], ...]
@@ -661,22 +668,23 @@ class Run(NamedTuple):
 
 class Program(NamedTuple):
     """A plan lowered for BUFFERED: ``schedule`` is the plan's steps in
-    order, each maximal run of lowered steps of one extent replaced by its
-    ``Run``; ``code`` holds all their steps (int32), ``reads`` lists the
-    arguments they read, and ``writes_out`` says whether one writes the
-    root."""
+    order, each maximal run of lowered steps of one extent and dtype
+    replaced by its ``Run``; ``code`` holds all their steps (int32),
+    ``reads`` lists the arguments they read, and ``out_dtype`` is the
+    dtype in which one writes the root, None when the root stays a kernel
+    call."""
 
     schedule: tuple
     code: np.ndarray
     reads: tuple[int, ...]
-    writes_out: bool
+    out_dtype: DType | None
 
 
 def _lower(plan: ExecPlan) -> Program:
     """Lower ``plan`` (once: ``ExecPlan.program`` caches it): a step whose
     kernel has an opcode (``_opcode``) joins the run of the step before it
-    when that one is lowered too and has its extent, or opens a run.  Every
-    other step stays a kernel call."""
+    when that one is lowered too and has its extent and dtype, or opens a
+    run.  Every other step stays a kernel call."""
     nargs = len(plan.tree.args)
     out_ref = nargs + plan.temp_count
     schedule: list = []
@@ -684,7 +692,7 @@ def _lower(plan: ExecPlan) -> Program:
     reads: set[int] = set()
     run = None      # the open run: [extent descriptor, steps, live]
     writer = {}     # slot -> (live list of the run that wrote it, descriptor)
-    writes_out = False
+    out_dtype = None
     for s in plan.steps:
         op = _opcode(s.node.kernel)
         if op is None:
@@ -697,34 +705,34 @@ def _lower(plan: ExecPlan) -> Program:
             schedule.append(s)
             continue
         d = s.node.out_desc
-        if run is None or (run[0] is not d and (run[0].rows, run[0].cols) != (d.rows, d.cols)):
+        if run is None or (run[0] is not d and (run[0].rows, run[0].cols, run[0].dtype)
+                           != (d.rows, d.cols, d.dtype)):
             run = [d, 0, []]
             schedule.append(run)
         run[1] += 1
-        (ka, a), (kb, b) = s.inputs[0], s.inputs[-1]
-        if ka == "arg":
-            reads.add(a)
-        else:
-            a += nargs
-        if kb == "arg":
-            reads.add(b)
-        else:
-            b += nargs
+        refs = []
+        for kind, ref in s.inputs:
+            if kind == "arg":
+                reads.add(ref)
+            else:
+                ref += nargs
+            refs.append(ref)
+        a, b, c = (refs + refs[:1] * 2)[:3]   # a unary step reads a as b and c, a binary one as c
         if s.is_root:
-            code += (op, a, b, out_ref)
-            writes_out = True
+            code += (op, a, b, c, out_ref)
+            out_dtype = d.dtype
         else:
             slot = s.output[1]
-            code += (op, a, b, nargs + slot)
+            code += (op, a, b, c, nargs + slot)
             writer[slot] = (run[2], d)
     program = np.array(code, dtype=np.int32)
     at = native.address(program) if code else 0
     for i, item in enumerate(schedule):
         if type(item) is list:
             d, steps, live = item
-            schedule[i] = Run(d.rows, d.cols, steps, at, tuple(live))
-            at += 16 * steps
-    return Program(tuple(schedule), program, tuple(sorted(reads)), writes_out)
+            schedule[i] = Run(d.rows, d.cols, d.dtype, steps, at, tuple(live))
+            at += 20 * steps
+    return Program(tuple(schedule), program, tuple(sorted(reads)), out_dtype)
 
 
 # Bytes a tiled region's live values may take per block (see ``_eval_tiled``).

@@ -3,7 +3,7 @@ operators, the contraction engine and equation plans.
 
 Nothing in this module touches tensor elements directly: all math goes
 through primitive calls or planned equations, the normalisation statistics
-included (FP64 primitive calls on per-row sums), and buffers are
+included (two cached FP64 plans on per-group sums), and buffers are
 reinterpreted only through ``view_at``.  A source audit check enforces that
 no array library is imported and that no element buffer is indexed or used
 in arithmetic.
@@ -151,6 +151,29 @@ def _as_col_bcast(v: TensorView, rows: int, cols: int) -> TensorView:
     return broadcast(v, Bcast.COL, rows, cols)
 
 
+@functools.lru_cache(maxsize=DISPATCH_CACHE_SIZE)
+def _stats_plans(groups: int, n: int, eps: float) -> tuple[eqn.ExecPlan, eqn.ExecPlan,
+                                                             tuple[TensorView, ...]]:
+    """The two FP64 plans of the statistics of ``groups`` groups of ``n``
+    elements each, over their 1 x groups sums S and squared sums SS, and
+    their constants N = n, 0, eps and -1 as SCALAR views, built once:
+    rstd = rsqrt(max(SS/N - (S/N)*(S/N), 0) + eps) and shift = ((S/N) * -1)
+    * rstd, each node one correctly rounded FP64 operation."""
+    vec = TensorDesc(1, groups, 1, DType.FP64)
+    one = TensorDesc(1, groups, 1, DType.FP64, Bcast.SCALAR)
+    consts = tuple(broadcast(alloc(TensorDesc(1, 1, 1, DType.FP64), fill=c),
+                             Bcast.SCALAR, 1, groups) for c in (n, 0.0, eps, -1.0))
+    b = eqn.TreeBuilder([vec, vec, one, one, one])   # S, SS, N, 0, eps
+    mu = [b.binary(BinaryKind.DIV, b.leaf(0), b.leaf(2)) for _ in range(2)]  # no shared node
+    var = b.ternary(TernaryKind.NMULADD, *mu, b.binary(BinaryKind.DIV, b.leaf(1), b.leaf(2)))
+    var = b.binary(BinaryKind.MAX, var, b.leaf(3))
+    rstd = b.tree(b.unary(UnaryKind.RSQRT, b.binary(BinaryKind.ADD, var, b.leaf(4))))
+    b = eqn.TreeBuilder([vec, one, one, vec])        # S, N, -1, rstd
+    neg = b.binary(BinaryKind.MUL, b.binary(BinaryKind.DIV, b.leaf(0), b.leaf(1)), b.leaf(2))
+    shift = b.tree(b.binary(BinaryKind.MUL, neg, b.leaf(3)))
+    return eqn.create_execution_plan(rstd), eqn.create_execution_plan(shift), consts
+
+
 def _norm_stats(x: TensorView, groups: int, eps: float,
                 mean_out: TensorView | None = None,
                 var_out: TensorView | None = None) -> tuple[TensorView, TensorView]:
@@ -159,37 +182,40 @@ def _norm_stats(x: TensorView, groups: int, eps: float,
 
     FP32 row sums and squared sums are widened to FP64 and summed per group in
     row order; mu = s/n and var = max(ss/n - mu*mu, 0) (cancellation can go
-    below 0), each step one correctly rounded FP64 primitive call, each
-    statistic narrowed once into its M x 1 vector.
+    below 0), each step one correctly rounded FP64 operation of the plans of
+    :func:`_stats_plans` (mu and var, when asked for, by the same
+    primitives), each statistic narrowed once into its M x 1 vector.
     """
     rows, cols = x.desc.rows, x.desc.cols
     per_group = rows // groups
+    rstd_plan, shift_plan, (n, zero, eps_, minus1) = _stats_plans(groups, per_group * cols, eps)
+
+    grid32 = TensorDesc(per_group, groups, per_group, DType.FP32)
 
     def grid(v: TensorView) -> TensorView:
         # an M x 1 vector as per_group x groups: one column per group
-        return view_at(v.primary, 0, TensorDesc(per_group, groups, per_group, v.desc.dtype))
+        d = v.desc.dtype
+        return view_at(v.primary, 0, grid32 if d is DType.FP32 else replace(grid32, dtype=d))
 
-    def const(c: float) -> TensorView:
-        return broadcast(alloc(TensorDesc(1, 1, 1, DType.FP64), fill=c),
-                         Bcast.SCALAR, 1, groups)
-
-    wide = alloc(TensorDesc(per_group, groups, per_group, DType.FP64))
-    s, ss, mu, var, rstd, neg = (alloc(TensorDesc(1, groups, 1, DType.FP64)) for _ in range(6))
+    wide = alloc(replace(grid32, dtype=DType.FP64))
+    vec = rstd_plan.tree.args[0]   # 1 x groups FP64
+    s, ss, rstd, neg = (alloc(vec) for _ in range(4))
     scale, shift = _col_vec(rows), _col_vec(rows)
     for squared, total in ((False, s), (True, ss)):  # scale holds the row sums
         reduce(x, ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, squared=squared), scale)
         apply_unary(UnaryKind.IDENTITY, grid(scale), wide)
         reduce(wide, ReduceSpec(ReduceAxis.COLS, ReduceOp.SUM), total)
-    n = const(per_group * cols)
-    apply_binary(BinaryKind.DIV, s, n, mu)
-    apply_binary(BinaryKind.DIV, ss, n, var)
-    apply_ternary(TernaryKind.NMULADD, mu, mu, var, var)
-    apply_binary(BinaryKind.MAX, var, const(0.0), var)
-    apply_binary(BinaryKind.ADD, var, const(eps), rstd)
-    apply_unary(UnaryKind.RSQRT, rstd, rstd)
-    apply_binary(BinaryKind.MUL, mu, const(-1.0), neg)
-    apply_binary(BinaryKind.MUL, neg, rstd, neg)
-    for stat, dst in ((rstd, scale), (neg, shift), (mu, mean_out), (var, var_out)):
+    eqn.evaluate(rstd_plan, eqn.Buffered(), [s, ss, n, zero, eps_], rstd)
+    eqn.evaluate(shift_plan, eqn.Buffered(), [s, n, minus1, rstd], neg)
+    stats = [(rstd, scale), (neg, shift)]
+    if mean_out is not None or var_out is not None:
+        mu, var = alloc(vec), alloc(vec)
+        apply_binary(BinaryKind.DIV, s, n, mu)
+        apply_binary(BinaryKind.DIV, ss, n, var)
+        apply_ternary(TernaryKind.NMULADD, mu, mu, var, var)
+        apply_binary(BinaryKind.MAX, var, zero, var)
+        stats += [(mu, mean_out), (var, var_out)]
+    for stat, dst in stats:
         if dst is not None:
             apply_unary(UnaryKind.IDENTITY, broadcast(stat, Bcast.ROW, per_group, groups),
                         grid(dst))

@@ -2,8 +2,8 @@
  * batch-reduce GEMM of the contraction, the ROWS / COLS / ALL reductions of
  * the operator set, a block of the xorshift128 PRNG streams, FP32 DROPOUT,
  * the three FP32 approximation engines (rational tanh, piecewise cubic,
- * exp), PACK, UNPACK and FP32 MULADD / NMULADD, and the plan program that
- * runs an equation's plain FP32 steps.
+ * exp), PACK, UNPACK and FP32 MULADD / NMULADD, and the plan programs that
+ * run an equation's FP32 and FP64 elementwise steps.
  * Every kernel gives, bit for bit, what its numpy reference path gives.
  * Which of the two runs is decided in native.py alone: without a build or
  * while a verify fault is set, every caller takes its numpy path.
@@ -20,7 +20,7 @@
  * default build; the tests also build it with -mavx2, to check the bits of
  * the AVX2 code on machines that would pick AVX-512F.
  *
- * Every kernel but brgemm and program_f32 takes one ABI: (m, n), then each
+ * Every kernel but brgemm and the programs takes one ABI: (m, n), then each
  * operand as a column-major block (address, ld), element (i, j) at
  * p[i + j*ld], inputs first, then the kernel's own scalars.  native.run
  * alone calls them.  An input may have ld 0 (one column read n times).  An
@@ -116,15 +116,26 @@
  * product rounded to FP32 before the sum, where a SCALAR operand is its
  * element 0 everywhere.
  *
- * PROGRAM.  program_f32 runs a run of an equation plan's lowered steps, all
- * over one m x n extent, in plan order: each step is int32 (op, a, b, d),
- * operand numbers into one table of int64 (address, ld) pairs (the plan's
- * arguments, its slots, and out; equation.py lowers the plan, native.program
- * checks the table once per evaluation).  The opcodes are ADD a + b, SUB
- * a - b, MUL a * b, SQUARE a * a and RELU (a > 0 ? a : +0, so -0 gives +0
- * as numpy's maximum(a, +0) does).  A slot's ld is 0 in the table: its
- * occupant is dense, ld m.  A step's d is one of its operands, exactly, or
- * overlaps none.  The transcendental kinds stay kernel calls.
+ * PROGRAM.  program_f32 and program_f64, one body (DEFINE_PROGRAM) for
+ * each element type, run a run of an equation plan's lowered steps, all
+ * over one m x n extent and of that type, in plan order: each step is int32
+ * (op, a, b, c, d), operand numbers into one table of int64 (address, ld,
+ * kind) triples (the plan's arguments, its slots, and out; equation.py
+ * lowers the plan, native.program checks the table once per evaluation).
+ * The opcodes are ADD a + b, SUB a - b, MUL a * b, DIV a / b, SQUARE a * a,
+ * RELU (a > 0 ? a : +0, so -0 gives +0 as numpy's maximum(a, +0) does), MAX
+ * (a > b || a != a ? a : b: a NaN is kept and a tie of zeros returns b, as
+ * np.maximum and the MAX reduce do), RSQRT 1 / sqrt(a), MULADD c + a*b and
+ * NMULADD c - a*b, each operation rounded on its own, as ops computes them.
+ * A unary step names a as b and c, a binary one a as c.  An operand's kind
+ * is how the view passed lays it out: PLAIN (element (i, j) at p[i +
+ * j*ld]), ROW (p[j*ld], one element per column), COL (p[i], one column read
+ * for every column) or SCALAR (p[0]): a column stride of ld or 0 and a row
+ * step of 1 or 0.  A step with a ROW or SCALAR operand runs each column PB
+ * rows at a time, that operand's element copied into a block of PB.  A
+ * slot's ld is 0 in the table: its occupant is dense, ld m.  A step's d is
+ * one of its operands, exactly, or overlaps none.  The transcendental kinds
+ * stay kernel calls.
  */
 
 #include <float.h>
@@ -754,81 +765,116 @@ muladd_f32(int64_t m, int64_t n, const float *a, int64_t lda, const float *b,
 /* ------------------------------------------------------------------------ */
 
 /* the opcodes of equation._OPCODES, as the lowering writes them */
-enum { PROG_ADD, PROG_SUB, PROG_MUL, PROG_SQUARE, PROG_RELU };
+enum { PROG_ADD, PROG_SUB, PROG_MUL, PROG_SQUARE, PROG_RELU, PROG_DIV, PROG_MAX,
+       PROG_RSQRT, PROG_MULADD, PROG_NMULADD };
+/* the kinds of a table operand, in the order of tensor.Bcast */
+enum { KIND_PLAIN, KIND_ROW, KIND_COL, KIND_SCALAR };
 
-/* One column of one step: d = a op b (a alone for SQUARE and RELU).
- * Returns 1 when a result is a NaN; RELU tests its input, because its
- * select would turn a NaN into 0. */
-INLINE int program_col(int op, int64_t m, const float *a, const float *b, float *d)
-{
-    int nan = 0;
-    switch (op) {
-    case PROG_ADD:
-        for (int64_t i = 0; i < m; i++) {
-            const float r = a[i] + b[i];
-            d[i] = r;
-            nan |= IS_NAN(r);
-        }
-        break;
-    case PROG_SUB:
-        for (int64_t i = 0; i < m; i++) {
-            const float r = a[i] - b[i];
-            d[i] = r;
-            nan |= IS_NAN(r);
-        }
-        break;
-    case PROG_MUL:
-        for (int64_t i = 0; i < m; i++) {
-            const float r = a[i] * b[i];
-            d[i] = r;
-            nan |= IS_NAN(r);
-        }
-        break;
-    case PROG_SQUARE:
-        for (int64_t i = 0; i < m; i++) {
-            const float r = a[i] * a[i];
-            d[i] = r;
-            nan |= IS_NAN(r);
-        }
-        break;
-    default:
-        for (int64_t i = 0; i < m; i++) {
-            const float x = a[i];
-            d[i] = x > 0.0f ? x : 0.0f;
-            nan |= IS_NAN(x);
-        }
-        break;
+#define PB 64   /* rows a step runs at a time when an operand is one per column */
+
+/* one step's loop: d[i] = EXPR, a NaN result noted */
+#define PROGRAM_LOOP(T, EXPR)                                                  \
+    for (int64_t i = 0; i < len; i++) {                                        \
+        const T r = (EXPR);                                                    \
+        d[i] = r;                                                              \
+        nan |= IS_NAN(r);                                                      \
     }
-    return nan;
+
+/* NAME##_span runs one step over len elements, d = op(a, b, c), each
+ * operand at unit stride (b and c unread by a unary kind, c by a binary
+ * one), and returns 1 when a result is a NaN; RELU tests its input, because
+ * its select would turn a NaN into 0.
+ *
+ * NAME runs `steps` steps over one m x n extent, in order.  Step s is
+ * code[5s .. 5s+4] = (op, a, b, c, d), operand numbers into table, whose
+ * entries 3k .. 3k+2 are the address, ld and kind of operand k.  A step
+ * whose operands and d are all flat (dense at ld m, or SCALAR) runs as one
+ * column of m*n.  Returns 0, or 2 at the first step with a NaN result, with
+ * the steps before it done: the caller then reruns the whole plan on its
+ * numpy path, since which payload survives where two NaNs meet depends on
+ * the operand order of + and *, which the compiler may swap. */
+#define DEFINE_PROGRAM(NAME, T, SQRT)                                          \
+INLINE int NAME##_span(int op, int64_t len, const T *a, const T *b,            \
+                       const T *c, T *d)                                       \
+{                                                                              \
+    int nan = 0;                                                               \
+    switch (op) {                                                              \
+    case PROG_ADD: PROGRAM_LOOP(T, a[i] + b[i]); break;                        \
+    case PROG_SUB: PROGRAM_LOOP(T, a[i] - b[i]); break;                        \
+    case PROG_MUL: PROGRAM_LOOP(T, a[i] * b[i]); break;                        \
+    case PROG_SQUARE: PROGRAM_LOOP(T, a[i] * a[i]); break;                     \
+    case PROG_DIV: PROGRAM_LOOP(T, a[i] / b[i]); break;                        \
+    case PROG_MAX: PROGRAM_LOOP(T, a[i] > b[i] || a[i] != a[i] ? a[i] : b[i]); \
+        break;                                                                 \
+    case PROG_RSQRT: PROGRAM_LOOP(T, (T)1 / SQRT(a[i])); break;                \
+    case PROG_MULADD: PROGRAM_LOOP(T, c[i] + a[i] * b[i]); break;              \
+    case PROG_NMULADD: PROGRAM_LOOP(T, c[i] - a[i] * b[i]); break;             \
+    default:                                                                   \
+        for (int64_t i = 0; i < len; i++) {                                    \
+            const T x = a[i];                                                  \
+            d[i] = x > 0 ? x : (T)0;                                           \
+            nan |= IS_NAN(x);                                                  \
+        }                                                                      \
+        break;                                                                 \
+    }                                                                          \
+    return nan;                                                                \
+}                                                                              \
+                                                                               \
+MULTIVERSION int64_t                                                           \
+NAME(int64_t m, int64_t n, const int32_t *code, int64_t steps,                 \
+     const int64_t *table)                                                     \
+{                                                                              \
+    T fill[3][PB];                                                             \
+    for (int64_t s = 0; s < steps; s++) {                                      \
+        const int32_t *c = code + 5 * s;                                       \
+        const T *p[3];                                                         \
+        int64_t cs[3];                                                         \
+        int rs[3];                                                             \
+        for (int k = 0; k < 3; k++) {                                          \
+            const int64_t *e = table + 3 * c[1 + k];                           \
+            p[k] = (const T *)(intptr_t)e[0];                                  \
+            cs[k] = e[2] == KIND_COL || e[2] == KIND_SCALAR ? 0                \
+                    : e[1] ? e[1] : m;                                         \
+            rs[k] = e[2] == KIND_ROW || e[2] == KIND_SCALAR ? 0 : 1;           \
+            if (m == 1)     /* one row: what a column reads is one element */  \
+                rs[k] = cs[k] != 0;                                            \
+        }                                                                      \
+        const int64_t *e = table + 3 * c[4];                                   \
+        T *d = (T *)(intptr_t)e[0];                                            \
+        const int64_t ldd = e[1] ? e[1] : m;                                   \
+        int64_t rows = m, cols = n;                                            \
+        if (ldd == m && cs[0] == m * rs[0] && cs[1] == m * rs[1]               \
+                && cs[2] == m * rs[2]) {                                       \
+            rows = m * n;   /* every operand flat: one column */               \
+            cols = 1;                                                          \
+        }                                                                      \
+        /* an operand of one element per column reads it from a block of PB    \
+         * copies, and each column then runs PB rows at a time */              \
+        const int64_t chunk = !rs[0] || !rs[1] || !rs[2] ? PB : rows;          \
+        int nan = 0;                                                           \
+        for (int64_t j = 0; j < cols; j++) {                                   \
+            const T *q[3];                                                     \
+            for (int k = 0; k < 3; k++) {                                      \
+                q[k] = p[k] + j * cs[k];                                       \
+                if (!rs[k]) {                                                  \
+                    const T v = *q[k];                                         \
+                    for (int64_t i = 0; i < PB && i < rows; i++)               \
+                        fill[k][i] = v;                                        \
+                    q[k] = fill[k];                                            \
+                }                                                              \
+            }                                                                  \
+            T *dj = d + j * ldd;                                               \
+            for (int64_t i0 = 0; i0 < rows; i0 += chunk)                       \
+                nan |= NAME##_span(c[0], rows - i0 < chunk ? rows - i0 : chunk, \
+                                   rs[0] ? q[0] + i0 : q[0],                   \
+                                   rs[1] ? q[1] + i0 : q[1],                   \
+                                   rs[2] ? q[2] + i0 : q[2], dj + i0);         \
+        }                                                                      \
+        if (nan)                                                               \
+            return 2;                                                          \
+    }                                                                          \
+    return 0;                                                                  \
 }
 
-/* Run `steps` FP32 steps over one m x n extent, in order.  Step s is
- * code[4s .. 4s+3] = (op, a, b, d): operand numbers into table, whose
- * entries 2k and 2k+1 are the address and ld of operand k, and ld 0 marks a
- * plan slot, whose occupant is dense (ld m).  d is a or b, or overlaps
- * neither, so each element is read before it is written.  Returns 0, or 2
- * at the first step with a NaN result, with the steps before it done: the
- * caller then reruns the whole plan on its numpy path, since which payload
- * survives where two NaNs meet depends on the operand order of + and *. */
-MULTIVERSION int64_t
-program_f32(int64_t m, int64_t n, const int32_t *code, int64_t steps, const int64_t *table)
-{
-    for (int64_t s = 0; s < steps; s++) {
-        const int32_t *c = code + 4 * s;
-        const float *a = (const float *)(intptr_t)table[2 * c[1]];
-        const float *b = (const float *)(intptr_t)table[2 * c[2]];
-        float *d = (float *)(intptr_t)table[2 * c[3]];
-        const int64_t lda = table[2 * c[1] + 1] ? table[2 * c[1] + 1] : m;
-        const int64_t ldb = table[2 * c[2] + 1] ? table[2 * c[2] + 1] : m;
-        const int64_t ldd = table[2 * c[3] + 1] ? table[2 * c[3] + 1] : m;
-        int nan = 0;
-        if (lda == m && ldb == m && ldd == m)
-            nan = program_col(c[0], m * n, a, b, d);
-        else
-            for (int64_t j = 0; j < n; j++)
-                nan |= program_col(c[0], m, a + j * lda, b + j * ldb, d + j * ldd);
-        if (nan)
-            return 2;
-    }
-    return 0;
-}
+DEFINE_PROGRAM(program_f32, float, sqrtf)
+DEFINE_PROGRAM(program_f64, double, sqrt)

@@ -71,11 +71,14 @@ ENGINES: dict[str, tuple[int, list]] = {
 # the kernels whose output may be exactly an input: each reads an element
 # before it writes it, and returns its status before it writes anything
 IN_PLACE = ("muladd_f32",)
+# the element types of the plan programs, program_f32 and program_f64
+PROGRAM_DTYPES = (DType.FP32, DType.FP64)
 # the argument types of every kernel of the library
 ARGTYPES: dict[str, list] = {
     "brgemm_f32": _BRGEMM, "brgemm_f64": _BRGEMM, "brgemm_bf16": _BRGEMM,
     "brgemm_i8": _BRGEMM,
-    "program_f32": [_i64, _i64, _ptr, _i64, _ptr],   # m, n, code, steps, table: see program
+    # m, n, code, steps, table: see program
+    **{name: [_i64, _i64, _ptr, _i64, _ptr] for name in ("program_f32", "program_f64")},
     **{name: [_i64, _i64] + [_ptr, _i64] * blocks + scalars
        for name, (blocks, scalars) in ENGINES.items()},
 }
@@ -140,19 +143,21 @@ def address(buf: np.ndarray) -> int:
 
 _addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
 _BLOCKS = (Bcast.NONE, Bcast.SCALAR)   # the views C reads as a block or one element
+_KINDS = (Bcast.NONE, Bcast.ROW, Bcast.COL, Bcast.SCALAR)   # a program's operand kinds
 
 
-def _block(view, out: bool) -> tuple[int, int, int] | None:
+def _block(view, out: bool, kinds: tuple = _BLOCKS) -> tuple[int, int, int] | None:
     """The block ``(start, end, ld)`` of a ``TensorView`` C can read in
     place, ``end`` one byte past the last element it spans, or None: its
     flat buffer must still be what ``TensorView`` checked (1-D, contiguous,
-    of the storage dtype, long enough) and aligned, it must be no ROW or COL
-    view, and an ``out``put must be writable."""
+    of the storage dtype, long enough) and aligned, its broadcast must be
+    one of ``kinds`` (by default no ROW or COL view), and an ``out``put
+    must be writable."""
     buf, d = view.primary, view.desc
     flags = buf.flags
     if not (flags.aligned and flags.c_contiguous and buf.ndim == 1
             and buf.dtype == d.dtype.storage and buf.size >= d.min_buffer_len
-            and d.bcast in _BLOCKS and (flags.writeable or not out)):
+            and d.bcast in kinds and (flags.writeable or not out)):
         return None
     start = address(buf)   # buf is contiguous and starts at the block
     return start, start + d.min_buffer_len * buf.itemsize, d.ld
@@ -225,40 +230,46 @@ def run(name: str, m: int, n: int, ins: tuple, outs: tuple, *scalars) -> bool:
 
 
 def program(args: Sequence, reads: Sequence[int], slots: dict[int, np.ndarray], nslots: int,
-            out, writes_out: bool) -> Callable[[int, int, int, int], bool] | None:
+            out, out_dtype: DType | None) -> Callable[[int, int, int, int, bool], bool] | None:
     """The runner of a plan program, its operands checked once for all of
-    its runs: ``run(m, n, code, steps)`` calls ``program_f32`` on the int32
-    code at address ``code`` and returns False when the run reports a NaN.
-    None when C cannot run the program and the plan takes its per-step path:
-    no library, a fault set, or an operand refused below.
+    its runs: ``run(m, n, code, steps, fp64)`` calls ``program_f64`` (or
+    ``program_f32``) on the int32 code at address ``code`` and returns False
+    when the run reports a NaN.  None when C cannot run the program and the
+    plan takes its per-step path: no library, a fault set, or an operand
+    refused below.
 
-    The operand table holds an (address, ld) pair of int64 for each
-    argument, then each of the ``nslots`` slots, then ``out``.  The program
+    The operand table holds an (address, ld, kind) triple of int64 for each
+    argument, then each of the ``nslots`` slots, then ``out``; the kind is
+    the position of the view's ``Bcast`` (NONE, ROW, COL, SCALAR), read
+    from the view passed, not from what the plan declared.  The program
     reads the arguments ``reads``, writes the ``slots`` (byte buffers by
-    slot number) and, when ``writes_out``, ``out``; every other entry stays
-    (0, 0).  An argument or ``out`` is refused unless it is a plain (not
-    broadcast) FP32 view that :func:`_block` takes; ``out`` must also
-    overlap no argument at all, read by the program or not, so that a rerun
-    of the plan reads every argument as it was.  A slot passes ld 0 (its
-    occupant is dense at the run's m) and is refused only if it is not
-    aligned for FP32."""
-    fn = kernel("program_f32")
-    if fn is None:
+    slot number) and, unless ``out_dtype`` is None, ``out`` in that dtype;
+    every other entry stays (0, 0, 0).  An argument is refused unless it is
+    an FP32 or FP64 view that :func:`_block` takes, broadcast or not, and
+    ``out`` unless it is a plain view of ``out_dtype`` that :func:`_block`
+    takes and overlaps no argument at all, read by the program or not, so
+    that a rerun of the plan reads every argument as it was.  A slot passes
+    ld 0 (its occupant is dense at the run's m) and is refused only if it is
+    not aligned for FP64."""
+    f32, f64 = kernel("program_f32"), kernel("program_f64")
+    if f32 is None:
         return None
-    table = [0] * (2 * (len(args) + nslots + 1))
+    table = [0] * (3 * (len(args) + nslots + 1))
     for i in reads:
-        block = _fp32_block(args[i], False)
+        v = args[i]
+        block = _block(v, False, _KINDS) if v.desc.dtype in PROGRAM_DTYPES else None
         if block is None:
             return None
-        table[2 * i], _, table[2 * i + 1] = block
-    base = 2 * len(args)
+        table[3 * i], _, table[3 * i + 1] = block
+        table[3 * i + 2] = _KINDS.index(v.desc.bcast)
+    base = 3 * len(args)
     for slot, buf in slots.items():
         start = address(buf)
-        if start & 3:
+        if start & 7:
             return None
-        table[base + 2 * slot] = start
-    if writes_out:
-        block = _fp32_block(out, True)
+        table[base + 3 * slot] = start
+    if out_dtype is not None:
+        block = _block(out, True) if out.desc.dtype is out_dtype else None
         if block is None:
             return None
         start, end, ld = block
@@ -269,23 +280,15 @@ def program(args: Sequence, reads: Sequence[int], slots: dict[int, np.ndarray], 
             s = address(buf)
             if s < end and start < s + buf.nbytes:
                 return None
-        table[-2], table[-1] = start, ld
+        table[-3], table[-2] = start, ld
     table = np.array(table, dtype=np.int64)
     at = address(table)
 
-    def run(m: int, n: int, code: int, steps: int) -> bool:
-        return not fn(m, n, code, steps, at)
+    def run(m: int, n: int, code: int, steps: int, fp64: bool) -> bool:
+        return not (f64 if fp64 else f32)(m, n, code, steps, at)
 
     run.table = table   # the table C reads lives as long as its runner
     return run
-
-
-def _fp32_block(view, out: bool) -> tuple[int, int, int] | None:
-    """:func:`_block` of a plain (not broadcast) FP32 ``view``, else None."""
-    d = view.desc
-    if d.dtype is not DType.FP32 or d.bcast is not Bcast.NONE:
-        return None
-    return _block(view, out)
 
 
 def _load() -> ctypes.CDLL | None:

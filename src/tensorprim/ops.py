@@ -391,6 +391,7 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
             raise InvalidSpecError("shape", "binary spec takes two input descs")
         a, b = ins
         if k is BinaryKind.MATMUL:
+            _plain_operands(k, ins)
             if a.cols != b.rows:
                 raise InvalidSpecError("shape", f"matmul inner dims {a.cols} != {b.rows}")
             if b.dtype is not a.dtype:
@@ -410,6 +411,7 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
             raise InvalidSpecError("shape", "ternary spec takes three input descs")
         a, b, c = ins
         if k is TernaryKind.GEMM:
+            _plain_operands(k, ins)
             if a.cols != b.rows or (c.rows, c.cols) != (a.rows, b.cols):
                 raise InvalidSpecError("shape", "GEMM operand shapes inconsistent")
             acc = contraction.accumulator_dtype(a.dtype)
@@ -419,6 +421,13 @@ def infer_output_desc(spec: KernelSpec) -> TensorDesc:
             return TensorDesc(c.rows, c.cols, c.rows, c.dtype)
         return _join(k, ins)
     raise InvalidSpecError("flag", f"unknown kind {k}")
+
+
+def _plain_operands(k: BinaryKind | TernaryKind, ins: tuple[TensorDesc, ...]) -> None:
+    """A contraction reads each operand as a dense block: a broadcast view
+    is InvalidSpecError('shape')."""
+    if any(d.bcast is not Bcast.NONE for d in ins):
+        raise InvalidSpecError("shape", f"{k.name} takes no broadcast operand")
 
 
 def _join(k: BinaryKind | TernaryKind, ins: tuple[TensorDesc, ...]) -> TensorDesc:

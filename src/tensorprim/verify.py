@@ -1227,6 +1227,39 @@ def check_layernorm(seed: int = 0, instances: int = 100) -> CheckResult:
                        "mismatches=0 mean<=1e-6 var<=1e-4 ref<=1e-5")
 
 
+def check_groupnorm(seed: int = 0, instances: int = 100) -> CheckResult:
+    """GROUPNORM scaling equals :func:`norm_oracle` bitwise: out = B +
+    (shift + x*scale) * G in FP32, G and B per channel, with groups of one
+    channel, of several and of all channels, at a padded ``ld`` in two
+    instances out of three (x and out, NaN padding that stays unwritten),
+    and the 256 x 256 case of 8 groups."""
+    rng = np.random.default_rng(seed)
+    bad = 0
+    cases = [(8, 32, 256, 0)]
+    for _ in range(instances):
+        per, groups = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        shape = int(rng.integers(0, 3))   # one channel a group, all channels in one, or not
+        per, groups = (1, groups) if shape == 0 else (per, 1) if shape == 1 else (per, groups)
+        cases.append((groups, per * groups, int(rng.integers(1, 41)), int(rng.integers(0, 3))))
+    for groups, rows, cols, pad in cases:
+        ld = rows + pad
+        x = rng.standard_normal((rows, cols)).astype(np.float32)
+        g = (1.0 + 0.25 * rng.standard_normal((rows, 1))).astype(np.float32)
+        b = (0.25 * rng.standard_normal((rows, 1))).astype(np.float32)
+        xb = np.full((cols, ld), np.nan, np.float32)  # column-major, NaN padding
+        xb[:, :rows] = x.T
+        yb = np.full_like(xb, np.nan)
+        desc = TensorDesc(rows, cols, ld, DType.FP32)
+        kernels.norm_scaling(tz.view_at(xb.reshape(-1), 0, desc), None, None,
+                             from_array(g), from_array(b), kernels.NormMode.GROUPNORM,
+                             tz.view_at(yb.reshape(-1), 0, desc), groups=groups, eps=1e-5)
+        scale, shift, _, _ = norm_oracle(x, groups, 1e-5)
+        bad += not (np.isnan(yb[:, rows:]).all()
+                    and _bits_equal(yb[:, :rows].T, b + (shift + x * scale) * g))
+    return CheckResult("kernels-groupnorm", bad == 0, bad, 0,
+                       f"{len(cases)} instances, 256x256 in 8 groups among them")
+
+
 def check_embedding_fused(seed: int = 0, instances: int = 100) -> CheckResult:
     """The embedding bag equals materialise-then-reduce and a numpy loop of
     one FP32 add per index, in index order, bitwise; FP64 path equals the
@@ -1464,6 +1497,7 @@ ALL_CHECKS: dict[str, Callable[..., CheckResult]] = {
     "equation-poison-liveness": check_poison_liveness,
     "kernels-softmax": check_softmax,
     "kernels-layernorm": check_layernorm,
+    "kernels-groupnorm": check_groupnorm,
     "kernels-embedding-fused": check_embedding_fused,
     "kernels-fc-fused": check_fc_fused,
     "kernels-dilated-conv": check_dilated_conv,

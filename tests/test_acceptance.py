@@ -101,11 +101,12 @@ def test_criterion_11_kernel_oracles():
     t0 = time.time()
     rs = [verify.check_softmax(seed=2024, instances=100),
           verify.check_layernorm(seed=2024, instances=100),
+          verify.check_groupnorm(seed=2024, instances=100),
           verify.check_embedding_fused(seed=2024, instances=100),
           verify.check_binary_reduce(seed=2024, instances=100),
           verify.check_fc_fused(seed=2024, instances=100),
           verify.check_dilated_conv(seed=2024, instances=100)]
-    _report(11, "softmax/layernorm tolerances; fused == unfused bitwise x100", t0, 60.0, rs)
+    _report(11, "softmax/layernorm tolerances, groupnorm bits; fused == unfused bitwise x100", t0, 60.0, rs)
 
 
 def test_criterion_12_fusion_benefit_metric():

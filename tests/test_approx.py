@@ -177,6 +177,22 @@ def test_coefficient_tables_serialisable_and_golden():
         assert len(tab["intervals"]) == 16
 
 
+@pytest.mark.parametrize("name, range_max, digest", [
+    ("TANH_MINIMAX", 4.0, "ea9ac2f96e45268a3693cb471210541305a2ab6bbc668200315f0b2898c478d8"),
+    ("GELU_ERF_MINIMAX", 8.0, "e7d5877a53f2868c047d5f268f6bda093d3520a18aef48818e827fa79f9b9584"),
+])
+def test_minimax_table_bits_are_golden(name, range_max, digest):
+    """The FP32 bits of each minimax table, fitted at import from numpy's
+    sums and Chebyshev conversion, match a recorded digest: a fit that moves
+    fails here by name, not through the outputs that read the table."""
+    import hashlib
+    t = getattr(approx, name)
+    assert t.coeffs.shape == (4, 16)
+    bits = np.ascontiguousarray(t.coeffs, "<f4").tobytes()
+    assert hashlib.sha256(bits).hexdigest() == digest
+    assert (t.range_max, t.saturation) == (range_max, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # the C engines against their numpy reference paths
 # ---------------------------------------------------------------------------

@@ -123,13 +123,14 @@ def test_verify_fault_injection_negative_control(capsys):
     code, out, _ = run_cli(["verify", "--inject-fault", "reduce-order", "--only",
                             "equation-minimality,gemm-variant-equivalence,"
                             "kernels-embedding-fused,kernels-layernorm,"
-                            "kernels-softmax,ops-reduce-determinism"],
+                            "kernels-groupnorm,kernels-softmax,ops-reduce-determinism"],
                            capsys)
     assert code == 1
     assert "[PASS] equation-minimality" in out
     assert "[PASS] gemm-variant-equivalence" in out
     assert "[FAIL] kernels-embedding-fused" in out
     assert "[FAIL] kernels-layernorm" in out
+    assert "[FAIL] kernels-groupnorm" in out
     assert "[FAIL] kernels-softmax" in out
     assert "[FAIL] ops-reduce-determinism" in out
     # and the fault does not leak into subsequent runs

@@ -153,14 +153,21 @@ _KIND_DTYPES = {
 def test_every_kernel_output_is_dense(layout):
     """Whatever the inputs' leading dimension or broadcast, a kernel's
     ``out_desc`` has ``ld == rows`` and no broadcast, so a plan or a caller
-    allocates it as it is."""
+    allocates it as it is.  A contraction takes no broadcast operand: its
+    spec is InvalidSpecError('shape')."""
     kinds = [k for family in (UnaryKind, BinaryKind, TernaryKind) for k in family
              if k not in (UnaryKind.ZERO, UnaryKind.PRNG)]  # these run without dispatch
     for k in kinds:
         arity = 1 if isinstance(k, UnaryKind) else 2 if isinstance(k, BinaryKind) else 3
         dtypes = _KIND_DTYPES.get(k, (DType.FP32,) * arity)
         ins = tuple(TensorDesc(4, 4, dtype=dt, **layout) for dt in dtypes)
-        od = dispatch(KernelSpec(k, ins, **_KIND_FLAGS.get(k, {}))).out_desc
+        spec = KernelSpec(k, ins, **_KIND_FLAGS.get(k, {}))
+        if k in (BinaryKind.MATMUL, TernaryKind.GEMM) and "bcast" in layout:
+            with pytest.raises(InvalidSpecError) as e:
+                dispatch(spec)
+            assert e.value.code == "shape"
+            continue
+        od = dispatch(spec).out_desc
         assert od.ld == od.rows and od.bcast is Bcast.NONE, (k, od)
 
 

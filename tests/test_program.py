@@ -1,8 +1,10 @@
 """A plan's lowered C program against its per-step path, on every backend:
 the C kernels as loaded, their default build, and the numpy reference paths
 (where nothing is run in C).  BUFFERED without a ``step_hook`` runs each run
-of lowered ADD/SUB/MUL/SQUARE/RELU steps as one C call; with a hook it runs
-every step on its own; both must give the bits of ``evaluate_naive``."""
+of lowered ADD/SUB/MUL/DIV/MAX/SQUARE/RELU/RSQRT/MULADD/NMULADD steps, all
+FP32 or all FP64, as one C call, each argument read as the view passed lays
+it out (plain, ROW, COL or SCALAR); with a hook it runs every step on its
+own; both must give the bits of ``evaluate_naive``."""
 
 import threading
 
@@ -19,6 +21,7 @@ from tensorprim import (
     ReduceOp,
     ReduceSpec,
     TensorDesc,
+    TernaryKind,
     TreeBuilder,
     UnaryKind,
     alloc,
@@ -27,6 +30,7 @@ from tensorprim import (
     evaluate,
     evaluate_naive,
     from_array,
+    kernels,
     native,
     ops,
     plan_equation,
@@ -50,13 +54,15 @@ def D(m, n, dtype=DType.FP32, ld=None, bcast=Bcast.NONE):
 
 
 def padded_view(values: np.ndarray, pad: int) -> "ops.TensorView":
-    """FP32 ``values`` in a view whose columns are ``pad`` elements apart
-    beyond its rows, the padding finite and never to be read."""
+    """FP32 (or FP64) ``values`` in a view whose columns are ``pad``
+    elements apart beyond its rows, the padding finite and never to be
+    read."""
     rows, cols = values.shape
     ld = rows + pad
-    buf = np.full(ld * cols, _PAD, dtype=np.float32)
+    dtype = DType.FP64 if values.dtype == np.float64 else DType.FP32
+    buf = np.full(ld * cols, _PAD, dtype=values.dtype)
     buf.reshape(cols, ld)[:, :rows] = values.T
-    return view_at(buf, 0, D(rows, cols, ld=ld))
+    return view_at(buf, 0, D(rows, cols, dtype, ld=ld))
 
 
 class Runs:
@@ -111,16 +117,21 @@ def three_ways(plan, make_args, out_desc, out_pad=0, out_is_arg=None):
 # ---------------------------------------------------------------------------
 
 _EXTENTS = st.sampled_from([1, 2, 3, 5, 8, 16, 17])
+_UNARY = ("square", "relu", "rsqrt", "tanh", "exp")
+_BINARY = ("add", "sub", "mul", "div", "max")
+_TERNARY = ("muladd", "nmuladd")
 
 
 class RandomEquation:
-    """A random FP32 equation drawn from ``data``: mostly lowered kinds, with
-    TANH and EXP (per-step kinds), and, with ``mix``, MATMUL, a ROWS REDUCE
-    joined back by ADD, and arguments declared as broadcasts.  Leaves take
-    new argument slots or reuse one of the same descriptor."""
+    """A random FP32 or FP64 equation drawn from ``data``: mostly lowered
+    kinds, with TANH and EXP (per-step kinds), and, with ``mix``, MATMUL, a
+    ROWS REDUCE joined back by ADD, and arguments declared as ROW, COL or
+    SCALAR broadcasts.  Leaves take new argument slots or reuse one of the
+    same descriptor.  A broadcast operand of a MATMUL is an error at build
+    (asserted), and the MATMUL then reads the RELU of that leaf."""
 
-    def __init__(self, data, m, n, mix, depth=4):
-        self.data, self.mix = data, mix
+    def __init__(self, data, m, n, mix, dtype=DType.FP32, depth=4):
+        self.data, self.mix, self.dtype = data, mix, dtype
         self.descs: list[TensorDesc] = []
         self.builder = TreeBuilder([])
         spec = self._gen(m, n, depth)
@@ -133,33 +144,35 @@ class RandomEquation:
     def _draw(self, strategy):
         return self.data.draw(strategy)
 
-    def _leaf(self, m, n, plain=False):
+    def _leaf(self, m, n):
         bcast = Bcast.NONE
-        if self.mix and not plain and self._draw(st.integers(0, 5)) == 0:
+        if self.mix and self._draw(st.integers(0, 5)) == 0:
             bcast = self._draw(st.sampled_from([Bcast.ROW, Bcast.COL, Bcast.SCALAR]))
         same = [i for i, d in enumerate(self.descs) if (d.rows, d.cols, d.bcast) == (m, n, bcast)]
         if same and self._draw(st.booleans()):
             return ("leaf", self._draw(st.sampled_from(same)))
-        self.descs.append(D(m, n, ld=1 if bcast is not Bcast.NONE else None, bcast=bcast))
+        ld = 1 if bcast is not Bcast.NONE else None
+        self.descs.append(D(m, n, self.dtype, ld=ld, bcast=bcast))
         return ("leaf", len(self.descs) - 1)
 
-    def _gen(self, m, n, depth, plain=False):
-        """The spec of an m x n subtree; ``plain``: a leaf right here is no
-        broadcast (a contraction takes no broadcast operand)."""
-        kinds = ["leaf", "add", "sub", "mul", "square", "relu", "tanh", "exp"]
+    def _gen(self, m, n, depth):
+        """The spec of an m x n subtree."""
+        kinds = ["leaf", *_UNARY, *_BINARY, *_TERNARY]
         if self.mix:
             kinds += ["matmul", "reduce"]
         kind = "leaf" if depth == 0 else self._draw(st.sampled_from(kinds))
         if kind == "leaf":
-            return self._leaf(m, n, plain)
-        if kind in ("square", "relu", "tanh", "exp"):
+            return self._leaf(m, n)
+        if kind in _UNARY:
             return (kind, self._gen(m, n, depth - 1))
         if kind == "matmul":
             k = self._draw(_EXTENTS)
-            return (kind, self._gen(m, k, depth - 1, True), self._gen(k, n, depth - 1, True))
+            return (kind, self._gen(m, k, depth - 1), self._gen(k, n, depth - 1))
         if kind == "reduce":   # (m x k) -> m x 1, added to an m x n operand
             k = self._draw(_EXTENTS)
             return ("reduce", self._gen(m, k, depth - 1), self._gen(m, n, depth - 1))
+        if kind in _TERNARY:
+            return (kind, *[self._gen(m, n, depth - 1) for _ in range(3)])
         return (kind, self._gen(m, n, depth - 1), self._gen(m, n, depth - 1))
 
     def _build(self, t):
@@ -167,14 +180,23 @@ class RandomEquation:
         tag = t[0]
         if tag == "leaf":
             return b.leaf(t[1])
-        if tag in ("square", "relu", "tanh", "exp"):
+        if tag in _UNARY:
             return b.unary(UnaryKind[tag.upper()], self._build(t[1]))
         if tag == "matmul":
-            return b.binary(BinaryKind.MATMUL, self._build(t[1]), self._build(t[2]))
+            operands = [self._build(t[1]), self._build(t[2])]
+            wide = [v.is_leaf and self.descs[v.arg_slot].bcast is not Bcast.NONE
+                    for v in operands]
+            if any(wide):
+                with pytest.raises(equation.EquationError, match="no broadcast operand"):
+                    b.binary(BinaryKind.MATMUL, *operands)
+                operands = [b.unary(UnaryKind.RELU, v) if w else v for v, w in zip(operands, wide)]
+            return b.binary(BinaryKind.MATMUL, *operands)
         if tag == "reduce":
             red = b.unary(UnaryKind.REDUCE, self._build(t[1]),
                           reduce=ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM))
             return b.binary(BinaryKind.ADD, self._build(t[2]), red)
+        if tag in _TERNARY:
+            return b.ternary(TernaryKind[tag.upper()], *[self._build(c) for c in t[1:]])
         return b.binary(BinaryKind[tag.upper()], self._build(t[1]), self._build(t[2]))
 
     def values(self, special):
@@ -183,12 +205,13 @@ class RandomEquation:
         what hypothesis draws for one example) from ``_FINITE``, about one
         in eight from ``_SPECIAL`` with ``special``."""
         rng = np.random.default_rng(self._draw(st.integers(0, 2**32 - 1)))
+        dtype = self.dtype.storage
         out = []
         for d in self.descs:
-            x = rng.choice(np.array(_FINITE, np.float32), (d.phys_rows, d.phys_cols))
+            x = rng.choice(np.array(_FINITE, dtype), (d.phys_rows, d.phys_cols))
             if special:
                 hit = rng.random(x.shape) < 0.125
-                x[hit] = rng.choice(np.array(_SPECIAL, np.float32), int(hit.sum()))
+                x[hit] = rng.choice(np.array(_SPECIAL, dtype), int(hit.sum()))
             out.append(x)
         return out
 
@@ -208,13 +231,16 @@ _PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=
                                             HealthCheck.too_slow])
 
 
+_DTYPES = st.sampled_from([DType.FP32, DType.FP64])
+
+
 def _check_random(data, m, n, mix, special, native_backend, out_pad, out_choice):
-    eq = RandomEquation(data, m, n, mix)
+    eq = RandomEquation(data, m, n, mix, data.draw(_DTYPES))
     plan = create_execution_plan(eq.tree)
     values = eq.values(special)
     pads = [data.draw(st.integers(0, 3)) for _ in eq.descs]
     od = plan.out_desc
-    # out: a padded FP32 view, a BF16 one, or exactly an argument of its shape
+    # out: a padded view, a BF16 one, or exactly an argument of its shape
     out_is_arg = None
     plain = [i for i, d in enumerate(eq.descs)
              if (d.rows, d.cols, d.bcast) == (od.rows, od.cols, Bcast.NONE)]
@@ -228,7 +254,8 @@ def _check_random(data, m, n, mix, special, native_backend, out_pad, out_choice)
     assert bits_equal(per_step, naive)
     assert bits_equal(program, naive)
     lowered = sum([r.steps for r in plan.program.schedule if type(r) is equation.Run])
-    refused = plan.program.writes_out and (out_is_arg is not None or out_choice == "bf16")
+    refused = plan.program.out_dtype is not None and (out_is_arg is not None
+                                                      or out_choice == "bf16")
     if native_backend == "numpy" or not lowered:
         assert runs.done == []
     elif refused:
@@ -244,8 +271,9 @@ def _check_random(data, m, n, mix, special, native_backend, out_pad, out_choice)
        out_choice=st.sampled_from(["fp32", "fp32", "arg", "bf16"]))
 def test_random_finite_equations_equal_the_per_step_path(data, m, n, out_pad, out_choice,
                                                          native_backend):
-    """Lowered kinds with TANH and EXP, at padded ld, extents of 1, ``out``
-    padded, BF16, or an argument itself; finite arguments."""
+    """Lowered kinds with TANH and EXP, FP32 or FP64, at padded ld, extents
+    of 1, ``out`` padded, BF16, or an argument itself; finite arguments
+    (RSQRT of a negative, or a division 0/0, still makes a NaN)."""
     _check_random(data, m, n, False, False, native_backend, out_pad, out_choice)
 
 
@@ -265,8 +293,8 @@ def test_random_special_values_equal_the_per_step_path(data, m, n, out_pad, out_
        special=st.booleans())
 def test_random_mixed_plans_equal_the_per_step_path(data, m, n, out_pad, special,
                                                     native_backend):
-    """Lowered steps between MATMUL, ROWS REDUCE and broadcast arguments,
-    runs of several extents."""
+    """Lowered steps between MATMUL, ROWS REDUCE and ROW, COL and SCALAR
+    arguments (read in C), runs of several extents."""
     _check_random(data, m, n, True, special, native_backend, out_pad, "fp32")
 
 
@@ -286,25 +314,50 @@ def lowered_kinds(plan):
     return kinds
 
 
-def test_only_plain_fp32_add_sub_mul_square_relu_steps_are_lowered():
-    plan = plan_equation("relu(T0 + T1) * T0 - square(T1)", [D(3, 5)] * 2)
-    assert lowered_kinds(plan) == [BinaryKind.ADD, UnaryKind.RELU, BinaryKind.MUL,
-                                   UnaryKind.SQUARE, BinaryKind.SUB]
+def test_float_elementwise_steps_of_one_dtype_and_extent_are_lowered():
+    plan = plan_equation("relu(T0 + T1) * T0 - square(T1) / rsqrt(T0)", [D(3, 5)] * 2)
+    assert sorted([k.value for k in lowered_kinds(plan)]) == [
+        "add", "div", "mul", "relu", "rsqrt", "square", "sub"]
     prog = equation._lower(plan)
     assert sum(type(r) is equation.Run for r in prog.schedule) == 1
-    assert prog.writes_out and prog.reads == (0, 1) and prog.code.size == 4 * 5
-    # other kinds, FP64 or BF16 steps, broadcast arguments (declared, or
-    # joined from a smaller extent) and a BF16 child stay kernel calls
-    for text, descs in [("tanh(T0) / exp(T1)", [D(3, 5)] * 2),
-                        ("T0 + T1", [D(3, 5, DType.FP64)] * 2),
+    assert prog.out_dtype is DType.FP32 and prog.reads == (0, 1) and prog.code.size == 5 * 7
+    # MAX, MULADD and NMULADD, all FP64, over arguments declared ROW, COL
+    # and SCALAR: one FP64 run
+    b = TreeBuilder([D(3, 5, DType.FP64), D(3, 5, DType.FP64, ld=1, bcast=Bcast.ROW),
+                     D(3, 5, DType.FP64, bcast=Bcast.COL),
+                     D(3, 5, DType.FP64, ld=1, bcast=Bcast.SCALAR)])
+    inner = b.ternary(TernaryKind.MULADD, b.leaf(0), b.leaf(1), b.leaf(2))
+    outer = b.ternary(TernaryKind.NMULADD, inner, b.leaf(3), b.leaf(0))
+    plan = create_execution_plan(b.tree(b.binary(BinaryKind.MAX, outer, b.leaf(3))))
+    assert lowered_kinds(plan) == [TernaryKind.MULADD, TernaryKind.NMULADD, BinaryKind.MAX]
+    prog = equation._lower(plan)
+    assert [(r.dtype, r.steps) for r in prog.schedule] == [(DType.FP64, 3)]
+    assert prog.out_dtype is DType.FP64 and prog.reads == (0, 1, 2, 3)
+    # the transcendental and other kinds, BF16 steps, a join from a smaller
+    # extent, a BF16 child and steps of mixed FP32 and FP64 stay kernel calls
+    unary = ["tanh", "sigmoid", "gelu", "exp", "sqrt", "reciprocal", "inc", "identity"]
+    for text, descs in [*[(f"{name}(T0)", [D(3, 5)]) for name in unary],
                         ("T0 + T1", [D(3, 5, DType.BF16)] * 2),
-                        ("T0 + T1", [D(3, 5), D(3, 5, ld=1, bcast=Bcast.ROW)]),
                         ("T0 * T1", [D(3, 5), D(1, 5)]),
-                        ("inc(T0) + T1", [D(3, 5, DType.BF16), D(3, 5)])]:
+                        ("T0 * T1", [D(3, 5, DType.FP64), D(1, 1, DType.FP64)]),
+                        ("inc(T0) + T1", [D(3, 5, DType.BF16), D(3, 5)]),
+                        ("T0 + T1", [D(3, 5, DType.FP64), D(3, 5)]),
+                        ("T0 - T1", [D(3, 5), D(3, 5, DType.FP64, ld=1, bcast=Bcast.ROW)])]:
         assert lowered_kinds(plan_equation(text, descs)) == [], text
     # a MATMUL and the steps around it
     mixed = plan_equation("T0 matmul T1 + square(T2)", [D(3, 4), D(4, 5), D(3, 5)])
     assert lowered_kinds(mixed) == [UnaryKind.SQUARE, BinaryKind.ADD]
+
+
+def test_a_contraction_with_a_broadcast_operand_is_an_error_at_build():
+    """A MATMUL or GEMM reads dense blocks: a broadcast operand fails the
+    spec (InvalidSpecError 'shape') and so the build (EquationError), not
+    every evaluation."""
+    with pytest.raises(equation.EquationError, match="no broadcast operand"):
+        plan_equation("T0 matmul T1", [D(2, 3, ld=1, bcast=Bcast.ROW), D(3, 2)])
+    with pytest.raises(ops.InvalidSpecError) as e:
+        ops.kernel_for(TernaryKind.GEMM, (D(2, 3), D(3, 2, bcast=Bcast.COL), D(2, 2)))
+    assert e.value.code == "shape"
 
 
 def test_runs_split_at_kernel_calls_and_extent_changes():
@@ -312,11 +365,19 @@ def test_runs_split_at_kernel_calls_and_extent_changes():
                          [D(4, 4), D(4, 4), D(4, 2), D(2, 4)])
     prog = equation._lower(plan)
     runs = [(r.m, r.n, r.steps) for r in prog.schedule if type(r) is equation.Run]
-    assert sum(s for _, _, s in runs) == 4 and prog.code.size == 4 * 4
+    assert sum(s for _, _, s in runs) == 4 and prog.code.size == 5 * 4
     assert all((m, n) == (4, 4) for m, n, _ in runs)
     # the value of T0 + T1 is read by the TANH kernel call: its run publishes it
     first = next(r for r in prog.schedule if type(r) is equation.Run)
     assert [d.rows for _, d in first.live] == [4]
+    # an FP64 step after FP32 ones opens a run of its own
+    b = TreeBuilder([D(4, 4), D(4, 4, DType.FP64)])
+    wide = b.binary(BinaryKind.ADD, b.unary(UnaryKind.SQUARE, b.leaf(0)), b.leaf(1))
+    plan = create_execution_plan(b.tree(b.binary(BinaryKind.MUL, b.leaf(1), wide)))
+    assert lowered_kinds(plan) == [UnaryKind.SQUARE, BinaryKind.MUL]
+    prog = equation._lower(plan)
+    assert [r.dtype for r in prog.schedule if type(r) is equation.Run] == [DType.FP32,
+                                                                           DType.FP64]
 
 
 def test_the_program_is_lowered_once_and_cached_on_the_plan(monkeypatch):
@@ -382,9 +443,9 @@ def test_a_run_that_makes_a_nan_reruns_the_plan_per_step(native_backend):
 
 
 def test_operands_c_cannot_take_select_the_per_step_path(native_backend):
-    """``out`` overlapping an argument, a broadcast view for an argument
-    declared plain, an unaligned argument, or a BF16 ``out``: the program is
-    refused before any run, and the bits are the per-step ones."""
+    """``out`` overlapping an argument, an unaligned argument, a BF16 or
+    FP64 ``out`` of an FP32 plan: the program is refused before any run,
+    and the bits are the per-step ones."""
     plan = plan_equation("(T0 + T1) * T1", [D(4, 4)] * 2)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 4)).astype(np.float32)
@@ -401,13 +462,13 @@ def test_operands_c_cannot_take_select_the_per_step_path(native_backend):
         v.as2d()[:, :] = x
         return [v, from_array(y)], alloc(D(4, 4))
 
-    def broadcast_arg():
-        return [from_array(x), broadcast(from_array(y[:1]), Bcast.ROW, 4, 4)], alloc(D(4, 4))
-
     def bf16_out():
         return [from_array(x), from_array(y)], alloc(D(4, 4, DType.BF16))
 
-    for case in (shifted_out, unaligned_arg, broadcast_arg, bf16_out):
+    def fp64_out():
+        return [from_array(x), from_array(y)], alloc(D(4, 4, DType.FP64))
+
+    for case in (shifted_out, unaligned_arg, bf16_out, fp64_out):
         outs = []
         for hook in (None, _PER_STEP):
             args, out = case()
@@ -418,6 +479,58 @@ def test_operands_c_cannot_take_select_the_per_step_path(native_backend):
             assert runs.done == [], case.__name__
             assert runs.refused == (hook is None), case.__name__
         assert bits_equal(outs[0], outs[1]), case.__name__
+
+
+def _kind_view(values: np.ndarray, bcast: Bcast, pad: int) -> "ops.TensorView":
+    """An m x n view of ``bcast`` kind over ``values``: the whole block
+    (NONE, padded), its first row (ROW, its elements ``pad + 1`` apart), its
+    first column (COL) or its first element (SCALAR)."""
+    m, n = values.shape
+    if bcast is Bcast.NONE:
+        return padded_view(values, pad)
+    if bcast is Bcast.ROW:
+        src = padded_view(values[:1], pad)   # 1 x n, ld pad + 1
+    elif bcast is Bcast.COL:
+        src = padded_view(values[:, :1], pad)
+    else:
+        src = padded_view(values[:1, :1], pad)
+    return broadcast(src, bcast, m, n)
+
+
+@pytest.mark.parametrize("dtype", [DType.FP32, DType.FP64])
+@pytest.mark.parametrize("declared, passed", [
+    (Bcast.COL, Bcast.ROW), (Bcast.COL, Bcast.COL), (Bcast.ROW, Bcast.COL),
+    (Bcast.NONE, Bcast.SCALAR), (Bcast.NONE, Bcast.COL), (Bcast.NONE, Bcast.ROW),
+    (Bcast.SCALAR, Bcast.NONE)])
+@pytest.mark.parametrize("m, n", [(5, 7), (1, 6), (6, 1), (70, 3)])
+def test_operand_kinds_come_from_the_views_passed(declared, passed, dtype, m, n,
+                                                  native_backend):
+    """One plan, its G and B declared ``declared``, evaluated with views of
+    kind ``passed``: the program reads each as passed and gives the
+    per-step bits, as the norm scaling plan is evaluated with ROW G and B
+    by layernorm and COL ones by groupnorm.  70 rows run a one-per-column
+    operand in blocks of 64 and a tail."""
+    x_desc = D(m, n, dtype)
+    g_desc = D(m, n, dtype, ld=1 if declared is not Bcast.NONE else None, bcast=declared)
+    b = TreeBuilder([x_desc, g_desc, g_desc])
+    inner = b.ternary(TernaryKind.MULADD, b.leaf(0), b.leaf(1), b.leaf(2))
+    root = b.binary(BinaryKind.MAX, b.ternary(TernaryKind.NMULADD, inner, b.leaf(1), b.leaf(0)),
+                    b.leaf(2))
+    plan = create_execution_plan(b.tree(root))
+    rng = np.random.default_rng(m * 100 + n)
+    vals = [rng.standard_normal((m, n)).astype(dtype.storage) for _ in range(3)]
+    vals[2][0, 0] = -0.0   # a MAX tie between -0 and +0 where x is +0
+    vals[0][0, 0] = 0.0
+
+    def make():
+        return [_kind_view(vals[0], Bcast.NONE, 1), _kind_view(vals[1], passed, 2),
+                _kind_view(vals[2], passed, 0)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        runs = Runs(mp)
+        naive, per_step, program = three_ways(plan, make, plan.out_desc, out_pad=1)
+    assert bits_equal(per_step, naive) and bits_equal(program, naive)
+    assert runs.done == ([] if native_backend == "numpy" else [True])
 
 
 def test_threads_share_one_plan(native_backend):
@@ -443,17 +556,186 @@ def test_threads_share_one_plan(native_backend):
     assert all(bits_equal(o.primary, want.primary) for o in outs)
 
 
+@pytest.mark.parametrize("dtype", [DType.FP32, DType.FP64])
 @pytest.mark.parametrize("text", ["relu(T0) * T1", "T0 + T1", "T0 - T1", "T0 * T1",
-                                  "square(T0) * T1", "relu(T0 - T1)"])
-def test_signed_zeros_and_subnormals_in_c(text, native_backend):
-    """RELU gives +0 for -0 (numpy's maximum(-0, +0)), the signs of zero
-    sums, differences and products are numpy's, and subnormals are neither
-    flushed nor read as zero: each opcode's bits, seen through a plan that
-    keeps them (a product by 1 keeps the sign of a zero)."""
-    plan = plan_equation(text, [D(1, 8)] * 2)
-    x = np.array([[-0.0, 0.0, -0.0, 1e-40, -1e-40, 1e-20, -2.0, 3.0]], np.float32)
-    y = np.array([[1.0, -0.0, 0.0, 1.0, 1e-40, 1e-20, 1.0, -1.0]], np.float32)
-    got, want = alloc(D(1, 8)), alloc(D(1, 8))
-    evaluate(plan, Buffered(), [from_array(x), from_array(y)], got)
+                                  "square(T0) * T1", "relu(T0 - T1)", "T0 / T1",
+                                  "rsqrt(T1) * T0", "max", "muladd", "nmuladd"])
+def test_signed_zeros_and_subnormals_in_c(text, dtype, native_backend):
+    """RELU gives +0 for -0 (numpy's maximum(-0, +0)), MAX returns its
+    second operand on a tie of zeros, the signs of zero sums, differences,
+    products and quotients are numpy's, and subnormals are neither flushed
+    nor read as zero: each opcode's bits, seen through a plan that keeps
+    them (a product by 1 keeps the sign of a zero)."""
+    if text in ("max", "muladd", "nmuladd"):
+        b = TreeBuilder([D(1, 8, dtype)] * 2)
+        if text == "max":
+            root = b.binary(BinaryKind.MAX, b.leaf(0), b.leaf(1))
+        else:
+            root = b.ternary(TernaryKind[text.upper()], b.leaf(0), b.leaf(1), b.leaf(0))
+        plan = create_execution_plan(b.tree(root))
+    else:
+        plan = plan_equation(text, [D(1, 8, dtype)] * 2)
+    sub = 1e-310 if dtype is DType.FP64 else 1e-40
+    x = np.array([[-0.0, 0.0, -0.0, sub, -sub, 1e-20, -2.0, 3.0]], dtype.storage)
+    y = np.array([[1.0, -0.0, 0.0, 1.0, sub, 1e-20, 1.0, -1.0]], dtype.storage)
+    if text == "T0 / T1":   # signed infinities for zeros: -0 / inf, not 0 / 0
+        y = np.where(y == 0, np.copysign(np.inf, y), y).astype(dtype.storage)
+    got, want = alloc(D(1, 8, dtype)), alloc(D(1, 8, dtype))
+    with pytest.MonkeyPatch.context() as mp:
+        runs = Runs(mp)
+        evaluate(plan, Buffered(), [from_array(x), from_array(y)], got)
     evaluate_naive(plan.tree, [from_array(x), from_array(y)], want)
     assert bits_equal(got.primary, want.primary)
+    # RSQRT of -1 is a NaN, and its run reruns the plan per step
+    nan = text.startswith("rsqrt")
+    assert runs.done == ([] if native_backend == "numpy" else [not nan])
+
+
+@pytest.mark.parametrize("dtype", [DType.FP32, DType.FP64])
+def test_rsqrt_is_two_roundings_and_max_keeps_the_nan(dtype, native_backend):
+    """RSQRT is 1 / sqrt(x) with each operation rounded, as ``ops``
+    computes it, over many random magnitudes (a rounding fused into one
+    differs on some of them); MAX of a NaN is the NaN, whose run reruns the
+    plan per step."""
+    rng = np.random.default_rng(11)
+    x = np.exp(rng.uniform(-80, 80, (64, 64))).astype(dtype.storage)
+    plan = plan_equation("rsqrt(T0)", [D(64, 64, dtype)])
+    got, want = alloc(D(64, 64, dtype)), alloc(D(64, 64, dtype))
+    with pytest.MonkeyPatch.context() as mp:
+        runs = Runs(mp)
+        evaluate(plan, Buffered(), [from_array(x)], got)
+    evaluate_naive(plan.tree, [from_array(x)], want)
+    assert bits_equal(got.primary, want.primary)
+    assert runs.done == ([] if native_backend == "numpy" else [True])
+    b = TreeBuilder([D(1, 4, dtype)] * 2)
+    plan = create_execution_plan(b.tree(b.binary(BinaryKind.MAX, b.leaf(0), b.leaf(1))))
+    x = np.array([[np.nan, 1.0, -np.inf, 0.0]], dtype.storage)
+    y = np.array([[1.0, np.nan, np.nan, -0.0]], dtype.storage)
+    got, want = alloc(D(1, 4, dtype)), alloc(D(1, 4, dtype))
+    with pytest.MonkeyPatch.context() as mp:
+        runs = Runs(mp)
+        evaluate(plan, Buffered(), [from_array(x), from_array(y)], got)
+    evaluate_naive(plan.tree, [from_array(x), from_array(y)], want)
+    assert bits_equal(got.primary, want.primary)
+    assert runs.done == ([] if native_backend == "numpy" else [False])
+
+
+# ---------------------------------------------------------------------------
+# the normalisation statistics: two FP64 plans of the norm kernels
+# ---------------------------------------------------------------------------
+
+def _per_step_only(mp):
+    """Refuse every program, so each plan runs its per-step path."""
+    mp.setattr(native, "program", lambda *a, **k: None)
+
+
+# eps down to FP32's smallest normal: 1/sqrt(eps) of a variance of 0 still
+# narrows to a finite FP32 statistic
+_EPS = st.sampled_from([1e-5, 1.0, 1.1754943508222875e-38])
+
+
+@_PROPERTY
+@given(data=st.data(), per=st.sampled_from([1, 2, 3, 7]), groups=st.sampled_from([1, 2, 5, 8]),
+       cols=st.sampled_from([1, 2, 3, 9]), eps=_EPS,
+       fill=st.sampled_from(["normal", "offset", "constant", "special"]))
+def test_norm_statistics_plans_equal_the_per_step_path(data, per, groups, cols, eps, fill,
+                                                       native_backend):
+    """GROUPNORM of groups of one row, of several and of all rows (and
+    layernorm where each group is one row), its statistics by the FP64
+    plans against their per-step path: ordinary values, a large offset
+    whose variance cancels below 0, constant rows (variance 0), NaN and
+    Inf rows, and eps from 1 down to the smallest FP32 normal."""
+    rows = per * groups
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((rows, cols)).astype(np.float32)
+    if fill == "offset":
+        x = (np.float32(3000.0) + np.float32(1e-3) * x).astype(np.float32)
+    elif fill == "constant":
+        x[:] = np.float32(rng.standard_normal())
+    elif fill == "special":
+        r = int(rng.integers(rows))
+        x[r, int(rng.integers(cols))] = rng.choice(np.array([np.nan, np.inf, -np.inf],
+                                                            np.float32))
+    g = rng.standard_normal((rows, 1)).astype(np.float32)
+    bias = rng.standard_normal((rows, 1)).astype(np.float32)
+    row_g, row_b = (broadcast(from_array(rng.standard_normal((1, cols)).astype(np.float32)),
+                              Bcast.ROW, rows, cols) for _ in range(2))
+    outs = []
+    for per_step in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if per_step:
+                _per_step_only(mp)
+            got = alloc(D(rows, cols))
+            kernels.norm_scaling(from_array(x), None, None, from_array(g), from_array(bias),
+                                 kernels.NormMode.GROUPNORM, got, groups=groups, eps=eps)
+            outs.append(got.primary.copy())
+            if cols >= 2:
+                ln, mean, var = alloc(D(rows, cols)), alloc(D(rows, 1)), alloc(D(rows, 1))
+                kernels.layernorm(from_array(x), row_g, row_b, eps, ln, mean, var)
+                outs += [ln.primary.copy(), mean.primary.copy(), var.primary.copy()]
+    half = len(outs) // 2
+    for a, b in zip(outs[:half], outs[half:]):
+        assert bits_equal(a, b)
+
+
+@_PROPERTY
+@given(data=st.data(), groups=st.sampled_from([1, 2, 8, 63, 64, 65, 130]),
+       n=st.sampled_from([1, 2, 3, 256, 65536]),
+       eps=st.sampled_from([1e-5, 2.2250738585072014e-308, 2.3e-308, 4.9e-324]),
+       fill=st.sampled_from(["normal", "cancel", "zero", "special"]))
+def test_statistics_plans_equal_their_per_step_path(data, groups, n, eps, fill,
+                                                    native_backend):
+    """rstd and shift of the two FP64 plans from sums S and squared sums SS
+    against their per-step path: ordinary sums, sums whose variance
+    cancels below 0 (SS/n < (S/n)^2), all zero (a MAX tie of zeros),
+    NaN, Inf and huge values, and eps near the smallest FP64 normal or the
+    smallest subnormal; more than 64 groups run the SCALAR constants in
+    blocks of 64 and a tail."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    s = rng.standard_normal((1, groups)) * n
+    ss = np.abs(rng.standard_normal((1, groups))) * n + s * s / n
+    if fill == "cancel":
+        ss = s * s / n * (1.0 - 1e-15 * rng.random((1, groups)))
+    elif fill == "zero":
+        s[:], ss[:] = 0.0, rng.choice([0.0, -0.0], (1, groups))
+    elif fill == "special":
+        hit = rng.random((1, groups)) < 0.3
+        ss[hit] = rng.choice([np.nan, np.inf, -np.inf, 1e300, -1e-300], int(hit.sum()))
+    rstd_plan, shift_plan, (nv, zero, ev, minus1) = kernels._stats_plans(groups, n, eps)
+    got = []
+    for per_step in (False, True):
+        sv, ssv = from_array(s), from_array(ss)
+        rstd, shift = alloc(D(1, groups, DType.FP64)), alloc(D(1, groups, DType.FP64))
+        with pytest.MonkeyPatch.context() as mp:
+            runs = Runs(mp)
+            if per_step:
+                _per_step_only(mp)
+            evaluate(rstd_plan, Buffered(), [sv, ssv, nv, zero, ev], rstd)
+            evaluate(shift_plan, Buffered(), [sv, nv, minus1, rstd], shift)
+        got.append(np.concatenate([rstd.primary, shift.primary]))
+        if not per_step and native_backend != "numpy":
+            assert len(runs.done) == 2 and (fill == "special" or all(runs.done))
+    assert bits_equal(got[0], got[1])
+
+
+@pytest.mark.parametrize("s, ss", [(0.0, -0.0), (-0.0, -0.0), (3.0, 1.0), (2.0, 4.0)])
+def test_statistics_plan_clamps_the_variance_at_plus_zero(s, ss, native_backend):
+    """The rstd plan of one group of one element with eps -0: var = SS - S*S
+    is -0, below 0 or +0, and MAX(var, +0) gives +0 (a tie returns the
+    second operand), so rstd = 1/sqrt(+0 + -0) is +inf, where a
+    first-operand tie rule would give -inf; inf is no NaN, so where C runs
+    the program keeps its result, equal to the per-step one."""
+    rstd_plan, _, (n, zero, eps, _) = kernels._stats_plans.__wrapped__(1, 1, -0.0)
+    got = []
+    for per_step in (False, True):
+        args = [from_array(np.array([[v]])) for v in (s, ss)] + [n, zero, eps]
+        out = alloc(D(1, 1, DType.FP64))
+        with pytest.MonkeyPatch.context() as mp:
+            runs = Runs(mp)
+            if per_step:
+                _per_step_only(mp)
+            evaluate(rstd_plan, Buffered(), args, out)
+        got.append(out.primary[0])
+        if not per_step:
+            assert runs.done == ([] if native_backend == "numpy" else [True])
+    assert got[0] == np.inf and got[1] == np.inf
