@@ -136,7 +136,9 @@ def narrow(values: np.ndarray, dtype: DType) -> np.ndarray:
     rounds to nearest even (once, from any input precision); a float value
     stored into an integer type rounds toward zero and saturates to the
     type's range (INT16: [-32768, 32767], stored as the uint16 bits), and
-    NaN stores 0; every other store casts (integers wrap)."""
+    NaN stores 0; every other store casts (integers wrap), and a float
+    beyond a narrower float type's range stores as +-inf, without a
+    warning."""
     v = np.asarray(values)
     if dtype is DType.BF16:
         if v.dtype != np.float32:
@@ -144,7 +146,10 @@ def narrow(values: np.ndarray, dtype: DType) -> np.ndarray:
         return fp32_to_bf16_rne(v)
     st = dtype.storage
     if st.kind == "f":
-        return v.astype(st, copy=False)
+        if v.dtype.itemsize <= st.itemsize:   # nothing to overflow
+            return v.astype(st, copy=False)
+        with np.errstate(over="ignore"):   # beyond the range: +-inf, silently
+            return v.astype(st)
     vt = np.dtype(np.int16) if dtype is DType.INT16 else st   # the values' dtype
     if v.dtype.kind == "f":
         # clipped in FP64: in FP32, INT32's top, 2^31 - 1, rounds up to 2^31

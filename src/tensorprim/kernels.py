@@ -15,7 +15,10 @@ broadcast over its columns.  The sparse kernels make a fixed number of
 primitive calls per bag, never one per index: an embedding bag is one
 indexed reduce of the table's columns, and binary-reduce gathers each
 table's columns into a scratch block once and reduces once, with the
-reduction's pinned ascending order.
+reduction's pinned ascending order.  A split SGD step is one primitive call
+(``split_sgd``), which updates the hi/lo halves in place in C with no FP32
+scratch; the PACK, NMULADD and UNPACK composition is its reference path
+and runs on the columns C leaves, from the first that holds a NaN.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .ops import (
     gather_scatter,
     kernel_for,
     reduce,
+    split_sgd,
     transform,
 )
 from .tensor import (
@@ -317,11 +321,26 @@ def _unpack_into(w: TensorView, split: SplitTensor) -> None:
 
 
 def split_sgd_step(weights: SplitTensor, grad: TensorView, lr: float) -> None:
-    """One SGD step on hi/lo split FP32 weights: pack, W -= lr * grad,
-    unpack.  Bitwise identical to plain FP32 SGD on the packed values."""
+    """One SGD step on hi/lo split FP32 weights, W -= lr * grad, bitwise
+    identical to plain FP32 SGD on the packed values.  ``ops.split_sgd``
+    updates the halves in place in one C pass; the columns it leaves (all
+    of them without C, for a BF16 or broadcast gradient or a NaN ``lr``;
+    from the first column holding a NaN otherwise) take the reference
+    path, :func:`_split_sgd_reference`, which gives the same bits."""
+    done = split_sgd(weights, grad, lr)
+    rest = weights.cols - done
+    if rest == 0:
+        return
+    if done:
+        weights = SplitTensor(weights.hi.col_block(done, rest), weights.lo.col_block(done, rest))
+        grad = grad.col_block(done, rest)
+    _split_sgd_reference(weights, grad, lr)
+
+
+def _split_sgd_reference(weights: SplitTensor, grad: TensorView, lr: float) -> None:
+    """The split SGD step as three primitive calls: PACK into an FP32
+    scratch, W -= lr * grad there (NMULADD, ``lr`` a SCALAR view), UNPACK."""
     rows, cols = weights.rows, weights.cols
-    if (grad.desc.rows, grad.desc.cols) != (rows, cols):
-        raise TensorError("gradient shape mismatch")
     w = pack_fp32(weights)
     lr_view = alloc(TensorDesc(1, 1, 1, DType.FP32), fill=lr)
     apply_ternary(TernaryKind.NMULADD, grad,

@@ -2,8 +2,8 @@
  * batch-reduce GEMM of the contraction, the ROWS / COLS / ALL reductions of
  * the operator set, a block of the xorshift128 PRNG streams, FP32 DROPOUT,
  * the three FP32 approximation engines (rational tanh, piecewise cubic,
- * exp), PACK, UNPACK and FP32 MULADD / NMULADD, and the plan programs that
- * run an equation's FP32 and FP64 elementwise steps.
+ * exp), PACK, UNPACK, FP32 MULADD / NMULADD and the split SGD step, and the
+ * plan programs that run an equation's FP32 and FP64 elementwise steps.
  * Every kernel gives, bit for bit, what its numpy reference path gives.
  * Which of the two runs is decided in native.py alone: without a build or
  * while a verify fault is set, every caller takes its numpy path.
@@ -26,13 +26,15 @@
  * alone calls them.  An input may have ld 0 (one column read n times).  An
  * output overlaps no other operand, but muladd's may be an input at its
  * address and ld (c in place), whose element it reads before it writes that
- * element.  A stream state that a kernel advances is an output block.
+ * element.  A stream state that a kernel advances, and the halves that
+ * split SGD updates, are output blocks.
  *
- * The brgemm, reduce, muladd and program kernels return a status: 0, or 2
- * when a float result (muladd: an operand) is a NaN.  The caller then
- * recomputes the call on its numpy path (a program: the whole plan),
- * because which payload survives where two NaNs meet depends on the order
- * of the operands of + and *, which the compiler may swap.
+ * The brgemm, reduce, muladd, split SGD and program kernels return a
+ * status: 0, or 2 when a float result (muladd, split SGD: an operand) is a
+ * NaN.  The caller then recomputes the call on its numpy path (a program:
+ * the whole plan; split SGD: the columns it did not write), because which
+ * payload survives where two NaNs meet depends on the order of the
+ * operands of + and *, which the compiler may swap.
  *
  * BRGEMM.  acc (M x N, column-major, ld M) already holds beta*C.  For each
  * batch entry e in ascending order and each output element (i, j):
@@ -114,7 +116,12 @@
  * hi << 16 | lo, and unpack_f32 splits them into the top and bottom 16
  * bits, both pure bit moves; muladd_f32 computes c + a*b or c - a*b, the
  * product rounded to FP32 before the sum, where a SCALAR operand is its
- * element 0 everywhere.
+ * element 0 everywhere.  split_sgd_f32 is one SGD step on split FP32
+ * weights, w = hi << 16 | lo becoming w - g*lr in the halves in place, in
+ * one pass with no FP32 scratch: the bits that PACK, NMULADD and UNPACK
+ * give, which stay its reference path.  It runs column by column, each
+ * checked for a NaN w or g before anything of it is written, and stops at
+ * the first such column, so the caller's composition resumes there.
  *
  * PROGRAM.  program_f32 and program_f64, one body (DEFINE_PROGRAM) for
  * each element type, run a run of an equation plan's lowered steps, all
@@ -757,6 +764,53 @@ muladd_f32(int64_t m, int64_t n, const float *a, int64_t lda, const float *b,
     MULADD_CASE(12) MULADD_CASE(13) MULADD_CASE(14) MULADD_CASE(15)
     }
 #undef MULADD_CASE
+    return 0;
+}
+
+/* One split SGD step in place: each element's w = hi << 16 | lo becomes
+ * w - g*lr, the product rounded to FP32 before the difference, as
+ * NMULADD computes it, and its bits go back into the halves.  Column by
+ * column in ascending order, each checked before it is written: at the
+ * first column where a w or g is a NaN the kernel stops, that column and
+ * all after it untouched, stores in done[0] how many columns it wrote and
+ * returns 2, so the caller runs its numpy path on the rest alone.
+ * Operands without a NaN (lr is none: the caller checks it) can only make
+ * the default NaN, the same on both paths.  Otherwise done[0] = n and it
+ * returns 0. */
+INLINE float split_f32(const uint16_t *hi, const uint16_t *lo, int64_t i)
+{
+    const uint32_t u = (uint32_t)hi[i] << 16 | lo[i];
+    float w;
+    memcpy(&w, &u, sizeof w);
+    return w;
+}
+
+MULTIVERSION int64_t
+split_sgd_f32(int64_t m, int64_t n, const float *restrict g, int64_t ldg,
+              uint16_t *restrict hi, int64_t ldh, uint16_t *restrict lo, int64_t ldl,
+              int64_t *restrict done, int64_t ldd, float lr)
+{
+    (void)ldd;
+    for (int64_t j = 0; j < n; j++) {
+        const float *gj = g + j * ldg;
+        uint16_t *hj = hi + j * ldh, *lj = lo + j * ldl;
+        int nan = 0;
+        for (int64_t i = 0; i < m; i++)   /* one unordered compare for both */
+            nan |= isunordered(split_f32(hj, lj, i), gj[i]);
+        if (nan) {
+            done[0] = j;
+            return 2;
+        }
+        for (int64_t i = 0; i < m; i++) {
+            const float p = gj[i] * lr;
+            const float r = split_f32(hj, lj, i) - p;
+            uint32_t v;
+            memcpy(&v, &r, sizeof v);
+            hj[i] = (uint16_t)(v >> 16);
+            lj[i] = (uint16_t)v;
+        }
+    }
+    done[0] = n;
     return 0;
 }
 

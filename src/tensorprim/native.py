@@ -1,8 +1,10 @@
 """Build and load the C kernels (``native.c``) on first use: the
 batch-reduce GEMM of ``contraction``, the reductions, xorshift streams,
-dropout and split-FP32 and multiply-add engines of ``ops``, the three
-FP32 approximation engines of ``approx``, and the plan programs of
-``equation``.
+dropout, split-FP32 and multiply-add engines of ``ops`` (the split SGD step
+among them, which updates the hi/lo halves in place in one pass, while
+``kernels``' PACK, NMULADD and UNPACK composition is its reference path
+and resumes at a column holding a NaN), the three FP32 approximation
+engines of ``approx``, and the plan programs of ``equation``.
 
 Every kernel but brgemm and the plan program takes one ABI, as the paper
 defines a primitive on 2-D blocks: ``(m, n)``, then each operand as a
@@ -67,6 +69,8 @@ ENGINES: dict[str, tuple[int, list]] = {
     "pack_f32": (3, []),        # hi, lo, out
     "unpack_f32": (3, []),      # x, hi, lo
     "muladd_f32": (4, [_i64, _i64]),   # a, b, c, out; scalars, neg
+    # g, hi, lo (both read and written), done (int64: the columns written); lr
+    "split_sgd_f32": (4, [_f32]),
 }
 # the kernels whose output may be exactly an input: each reads an element
 # before it writes it, and returns its status before it writes anything
@@ -83,9 +87,10 @@ ARGTYPES: dict[str, list] = {
        for name, (blocks, scalars) in ENGINES.items()},
 }
 # the kernels that return a status (0: done; 1: nothing done, no scratch; 2:
-# a float result or operand is a NaN); the others return nothing
+# a float result or operand is a NaN, and split_sgd_f32 stopped at its
+# column); the others return nothing
 RESTYPES = {name: _i64 for name in ARGTYPES
-            if name.startswith(("brgemm_", "reduce_", "muladd_", "program_"))}
+            if name.startswith(("brgemm_", "reduce_", "muladd_", "program_", "split_sgd_"))}
 
 # Negative controls for ``verify`` (``fault``: None or one name), each
 # breaking one pinned rule of a numpy path: reversing the reduction fold of
@@ -166,9 +171,10 @@ def _block(view, out: bool, kinds: tuple = _BLOCKS) -> tuple[int, int, int] | No
 def run(name: str, m: int, n: int, ins: tuple, outs: tuple, *scalars) -> bool:
     """Run the kernel ``name`` (one of :data:`ENGINES`) on the m x n problem
     of the blocks ``ins`` and ``outs``; False when nothing ran (or, for a
-    kernel that reports a NaN, when nothing was kept) and the caller must
-    take its numpy path: no library, a fault set, an operand refused below,
-    or a nonzero status.
+    kernel that reports a NaN, when nothing was kept; ``split_sgd_f32``
+    keeps the columns before the NaN and counts them in its ``done``
+    block) and the caller must take its numpy path: no library, a fault
+    set, an operand refused below, or a nonzero status.
 
     An operand is a ``TensorView`` or an ndarray holding the extent its
     kernel reads; it is refused unless C can read it in place:

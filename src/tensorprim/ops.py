@@ -17,9 +17,11 @@ broadcast and datatype widening applied), run the point operation in the
 compute precision, store once (narrowing to the output's dtype).
 Reductions use a fixed, ascending accumulation order so results are
 bit-reproducible.  The reductions (an indexed ROWS reduce too), the
-xorshift streams, FP32 DROPOUT, PACK, UNPACK and FP32 MULADD / NMULADD run C
-kernels (``native.c``) wherever ``native.run`` accepts their operands; their
-numpy code is the reference path and gives the same bits.
+xorshift streams, FP32 DROPOUT, PACK, UNPACK, FP32 MULADD / NMULADD and the
+in-place split SGD step (``split_sgd``) run C kernels (``native.c``)
+wherever ``native.run`` accepts their operands; their numpy code (for
+``split_sgd``, the caller's PACK, NMULADD and UNPACK) is the reference path
+and gives the same bits.
 Every call runs on the caller's thread; blocking and threads belong to the
 caller's loop nest.
 """
@@ -37,6 +39,7 @@ from .approx import Approx
 from .dtypes import DType, IdentityEnum, narrow, pack_fp32_bits, split_fp32_bits, widen
 from .tensor import (
     Bcast,
+    SplitTensor,
     TensorDesc,
     TensorError,
     TensorView,
@@ -1173,3 +1176,37 @@ def strided_store(inp: TensorView, out: TensorView, row_stride: int, col_stride:
                                        base_row, base_col), GatherMode.SCATTER2D, out)
 
 
+# ---------------------------------------------------------------------------
+# split SGD
+# ---------------------------------------------------------------------------
+
+def split_sgd(weights: SplitTensor, grad: TensorView, lr: float) -> int:
+    """One SGD step, ``w - grad*lr``, on the leading columns of the split
+    FP32 ``weights`` (w = hi << 16 | lo), in place in one C pass with no
+    FP32 scratch; returns how many columns it updated, and the caller runs
+    its reference path (PACK, NMULADD, UNPACK) on the rest.  ``lr`` is
+    narrowed to FP32 as a stored value is, and the product is rounded to
+    FP32 before the difference, as NMULADD computes it.
+
+    C stops before the first column holding a NaN w or gradient and leaves
+    it and every later column untouched, since which payload survives
+    where two NaNs meet depends on the operand order of ``*``, which the
+    compiler may swap.  It updates no column (0) without a library or with
+    a fault set, for a NaN ``lr``, a gradient that is not a plain FP32 view,
+    halves that are broadcast views, or an operand ``native.run`` refuses
+    (overlapping halves, say)."""
+    rows, cols = weights.rows, weights.cols
+    gd = grad.desc
+    if (gd.rows, gd.cols) != (rows, cols):
+        raise TensorError(f"gradient shape mismatch: {gd.rows}x{gd.cols}, the weights "
+                          f"{rows}x{cols}")
+    hi, lo = weights.hi, weights.lo
+    if (gd.dtype is not DType.FP32 or gd.bcast is not Bcast.NONE
+            or hi.desc.bcast is not Bcast.NONE or lo.desc.bcast is not Bcast.NONE):
+        return 0
+    lr32 = narrow(np.asarray(lr), DType.FP32)
+    if lr32 != lr32:
+        return 0
+    done = np.zeros(1, np.int64)
+    native.run("split_sgd_f32", rows, cols, (grad,), (hi, lo, done), float(lr32))
+    return int(done[0])

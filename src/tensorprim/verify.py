@@ -1407,23 +1407,67 @@ def check_binary_reduce(seed: int = 0, instances: int = 100) -> CheckResult:
     return CheckResult("kernels-binary-reduce", bad == 0, bad, 0)
 
 
+# NaN padding: hi << 16 | lo of the halves' padding and the gradient's
+# padding are NaNs, so a read of either would show
+_SGD_PAD = {DType.BF16: np.uint16(0x7FC1), DType.INT16: np.uint16(0x0BAD),
+            DType.FP32: np.uint32(0x7F80DEAD).view(np.float32)}
+
+
+def _sgd_view(values: np.ndarray, dtype: DType, pad: int) -> tz.TensorView:
+    """``values`` (storage dtype) in a view at ld rows + ``pad``, its
+    padding ``_SGD_PAD``."""
+    rows, cols = values.shape
+    buf = np.full((cols, rows + pad), _SGD_PAD[dtype], dtype.storage)
+    buf[:, :rows] = values.T
+    return tz.TensorView(TensorDesc(rows, cols, rows + pad, dtype), buf.reshape(-1))
+
+
+def _sgd_padding_kept(v: tz.TensorView) -> bool:
+    d = v.desc
+    pad = v.primary.reshape(d.cols, d.ld)[:, d.rows:]
+    return _bits_equal(pad, np.full(pad.shape, _SGD_PAD[d.dtype], pad.dtype))
+
+
 def check_split_sgd(seed: int = 0, steps: int = 100) -> CheckResult:
+    """``steps`` split SGD steps, ten on each random shape, the halves and
+    the gradient at random padded lds with NaN padding that must stay
+    untouched, against plain FP32 SGD on the packed bits.  On half of the
+    shapes a NaN enters the gradient in a random column at a random step;
+    from then on the C pass stops at that column and the reference path
+    resumes there.  Every fifth step takes a BF16 gradient, which runs the
+    reference path alone."""
     rng = np.random.default_rng(seed)
-    w0 = rng.standard_normal((8, 8)).astype(np.float32)
-    split = kernels.split_fp32(from_array(w0))
-    ref = w0.copy()
     lr = 0.02
     lr32 = np.float32(lr)
-    ok = True
-    for _ in range(steps):
-        g = rng.standard_normal((8, 8)).astype(np.float32)
-        kernels.split_sgd_step(split, from_array(g), lr)
-        ref = ref - g * lr32
-        if not _bits_equal(pack_fp32_bits(split.hi.as2d(), split.lo.as2d()), ref):
-            ok = False
-            break
+    ok, done, nan_steps = True, 0, 0
+    while ok and done < steps:
+        rows, cols = (int(x) for x in rng.integers(1, 40, 2))
+        pad_w, pad_g = (int(x) for x in rng.integers(0, 4, 2))
+        ref = rng.standard_normal((rows, cols)).astype(np.float32)
+        bits = ref.view(np.uint32)
+        split = tz.SplitTensor(_sgd_view((bits >> 16).astype(np.uint16), DType.BF16, pad_w),
+                               _sgd_view((bits & 0xFFFF).astype(np.uint16), DType.INT16, pad_w))
+        nan_step = int(rng.integers(0, 10)) if rng.random() < 0.5 else -1
+        for k in range(min(10, steps - done)):
+            g = rng.standard_normal((rows, cols)).astype(np.float32)
+            if k == nan_step:
+                g[rng.integers(rows), rng.integers(cols)] = np.nan
+            if done % 5 == 4:
+                gv = _sgd_view(fp32_to_bf16_rne(g), DType.BF16, pad_g)
+            else:
+                gv = _sgd_view(g, DType.FP32, pad_g)
+            nan_steps += bool(np.isnan(ref).any())
+            kernels.split_sgd_step(split, gv, lr)
+            with np.errstate(invalid="ignore"):
+                ref = ref - to_array(gv) * lr32
+            done += 1
+            if not (_bits_equal(pack_fp32_bits(split.hi.as2d(), split.lo.as2d()), ref)
+                    and _sgd_padding_kept(split.hi) and _sgd_padding_kept(split.lo)):
+                ok = False
+                break
     return CheckResult("kernels-split-sgd", ok, int(not ok), 0,
-                       f"{steps}-step trajectory bitwise")
+                       f"{steps} steps on random padded shapes bitwise, "
+                       f"{nan_steps} after a NaN entered")
 
 
 def check_kernels_source_audit(seed: int = 0) -> CheckResult:

@@ -164,3 +164,17 @@ def test_int16_narrowing_saturates_floats_to_the_int16_range():
     ints = np.array([-1, 65535, 70000, -32769], dtype=np.int32)
     assert narrow(ints, DType.INT16).view(np.int16).tolist() == [-1, -1, 4464, 32767]
     assert widen(narrow(ints, DType.INT16), DType.INT16).tolist() == [-1, -1, 4464, 32767]
+
+
+def test_fp64_beyond_fp32_range_narrows_to_inf_silently():
+    """An FP64 value beyond FP32's range stores as +-inf, a scalar and an
+    array alike, with no overflow warning (warnings are errors here)."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = narrow(np.array([1e300, -1e300, 3.5e38, -np.inf, 2.0]), DType.FP32)
+        scalar = narrow(np.asarray(-1e300), DType.FP32)
+    assert got.dtype == np.float32
+    assert got.tolist() == [np.inf, -np.inf, np.inf, -np.inf, 2.0]
+    assert scalar.dtype == np.float32 and scalar == -np.inf

@@ -1,12 +1,14 @@
-"""PACK, UNPACK, FP32 MULADD / NMULADD and DROPOUT at their edges, and the one
-operand rule of ``native.run`` for every engine, on every backend: the C
-engines as loaded, their default build, and the numpy path.  Each case
-runs once on the backend under test and once, on fresh operands, on the
-numpy reference path, and the whole buffers (padding included) must be
-bitwise equal; values are also checked against plain numpy bit arithmetic."""
+"""PACK, UNPACK, FP32 MULADD / NMULADD, DROPOUT and the split SGD step at
+their edges, and the one operand rule of ``native.run`` for every engine,
+on every backend: the C engines as loaded, their default build, and the
+numpy path.  Each case runs once on the backend under test and once, on
+fresh operands, on the numpy reference path, and the whole buffers
+(padding included) must be bitwise equal; values are also checked against
+plain numpy bit arithmetic."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tensorprim import (
     Bcast,
@@ -25,13 +27,15 @@ from tensorprim import (
     apply_unary,
     approx,
     broadcast,
+    kernels,
     native,
     ops,
     reduce,
     split_sgd_step,
+    to_array,
     view_at,
 )
-from tensorprim.dtypes import pack_fp32_bits, split_fp32_bits
+from tensorprim.dtypes import fp32_to_bf16_rne, pack_fp32_bits, split_fp32_bits
 from tensorprim.tensor import mask_to_bool
 
 from util import bits_equal
@@ -54,30 +58,32 @@ def patterns(rows, cols, seed) -> np.ndarray:
     return bits.reshape(rows, cols)
 
 
-def padded(values: np.ndarray, dtype: DType, pad: int = 0, j0: int = 0, extra: int = 0):
+def padded(values: np.ndarray, dtype: DType, pad: int = 0, j0: int = 0, extra: int = 0,
+           fill=None):
     """``values`` (storage dtype) in a view whose columns are ``pad``
     elements apart beyond its rows, as the column block at ``j0`` of a
     buffer ``extra`` columns wider; every element outside it is a
-    sentinel."""
+    sentinel (``fill``, a storage-dtype scalar, if given)."""
     rows, cols = values.shape
     ld = rows + pad
     st = dtype.storage
-    buf = np.full(ld * (cols + extra), _SENTINEL[st], dtype=st)
+    buf = np.full(ld * (cols + extra), _SENTINEL[st] if fill is None else fill, dtype=st)
     buf.reshape(cols + extra, ld)[j0:j0 + cols, :rows] = values.T
     whole = view_at(buf, 0, TensorDesc(rows, cols + extra, ld, dtype))
     return whole.col_block(j0, cols) if extra else whole
 
 
-def outside_untouched(view) -> bool:
+def outside_untouched(view, fill=None) -> bool:
     """Every element of the buffer ``padded`` made outside ``view``'s window
-    holds the sentinel."""
+    holds the sentinel (``fill``, if given), bit for bit."""
     d, whole = view.desc, view.primary.base
     mask = np.ones(whole.size, bool)
     start = (view.primary.__array_interface__["data"][0]
              - whole.__array_interface__["data"][0]) // whole.itemsize
     for j in range(d.cols):
         mask[start + j * d.ld:start + j * d.ld + d.rows] = False
-    return bool(np.all(whole[mask] == _SENTINEL[whole.dtype]))
+    want = np.array(_SENTINEL[whole.dtype] if fill is None else fill, whole.dtype)
+    return bits_equal(whole[mask], np.full(int(mask.sum()), want))
 
 
 def on_both(make, call, monkeypatch):
@@ -551,6 +557,164 @@ def test_split_sgd_step_matches_fp32_sgd_on_special_weights(native_backend, monk
     assert bits_equal(got[~nan], want[~nan])
 
 
+# -0, subnormals, +-Inf, the extremes of the normal range and 1, no NaN
+_SGD_SPECIALS = np.array([0x00000000, 0x80000000, 0x00000001, 0x807FFFFF, 0x00400000,
+                          0x7F800000, 0xFF800000, 0x7F7FFFFF, 0xFF7FFFFF, 0x3F800000],
+                         dtype=np.uint32)
+_NANS = _SPECIALS[:6]   # quiet and signalling NaNs of both signs, several payloads
+# NaN padding: hi << 16 | lo of the halves' padding is a NaN, and so is the
+# gradient's, so a C read of either would stop a column that holds no NaN
+_NAN_FILL = {DType.BF16: np.uint16(0x7FC1), DType.INT16: np.uint16(0x0BAD),
+             DType.FP32: np.uint32(0x7F80DEAD).view(np.float32)}
+_SGD_PROPERTY = settings(derandomize=True, max_examples=120, deadline=None, database=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                                HealthCheck.too_slow])
+
+
+def sgd_values(rng, rows, cols) -> np.ndarray:
+    """rows x cols FP32 normals with up to ten of ``_SGD_SPECIALS`` mixed in."""
+    x = rng.standard_normal((rows, cols)).astype(np.float32)
+    k = min(x.size, _SGD_SPECIALS.size, int(rng.integers(0, x.size + 1)))
+    x.reshape(-1).view(np.uint32)[rng.permutation(x.size)[:k]] = rng.choice(_SGD_SPECIALS, k)
+    return x
+
+
+def whole(view) -> np.ndarray:
+    """The whole buffer behind ``view``, padding and other columns included."""
+    return view.primary if view.primary.base is None else view.primary.base
+
+
+@pytest.fixture
+def reference_cols(monkeypatch):
+    """The column count of every call of the split SGD reference path."""
+    seen = []
+    real = kernels._split_sgd_reference
+
+    def spy(weights, grad, lr):
+        seen.append(weights.cols)
+        return real(weights, grad, lr)
+
+    monkeypatch.setattr(kernels, "_split_sgd_reference", spy)
+    return seen
+
+
+@_SGD_PROPERTY
+@given(data=st.data(), rows=st.sampled_from([1, 2, 7, 64, 67]),
+       cols=st.sampled_from([1, 2, 5, 33]),
+       pads=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       place=st.sampled_from([(0, 0), (1, 2), (2, 3)]),
+       nan_at=st.sampled_from([None, "first", "middle", "last"]),
+       nan_in=st.sampled_from(["w", "g", "both"]),
+       lr=st.sampled_from([0.01, 0.0, -0.375, np.nan, 1e300, 2.0 ** -130]),
+       grad_kind=st.sampled_from(["fp32", "fp32", "bf16", "scalar"]))
+def test_split_sgd_step_is_fp32_sgd_and_the_reference_bits(data, rows, cols, pads, place,
+                                                           nan_at, nan_in, lr, grad_kind,
+                                                           native_backend, runs,
+                                                           reference_cols):
+    """One step on halves and a gradient at different padded lds (NaN
+    padding), each view a column block of a wider buffer: the whole buffers
+    equal those of the reference composition run alone, the window holds
+    plain FP32 SGD on the packed bits (w - g*float32(lr)), and C runs
+    exactly where it may: a full pass without a NaN, stopping at the first
+    column with a NaN w or g (first, middle or last; any payload) and the
+    reference resuming there, and not at all for a BF16 or SCALAR gradient
+    or a NaN lr."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w = sgd_values(rng, rows, cols)
+    g = sgd_values(rng, rows, cols)
+    j = {None: None, "first": 0, "middle": cols // 2, "last": cols - 1}[nan_at]
+    if j is not None:
+        i = int(rng.integers(rows))
+        if nan_in in ("w", "both"):
+            w.view(np.uint32)[i, j] = rng.choice(_NANS)
+        if nan_in in ("g", "both"):
+            g.view(np.uint32)[i, j] = rng.choice(_NANS)
+    pad_w, pad_g = pads
+    j0, extra = place
+    w_bits = w.view(np.uint32)
+
+    def make():
+        hi = padded((w_bits >> 16).astype(np.uint16), DType.BF16, pad_w, j0, extra,
+                    _NAN_FILL[DType.BF16])
+        lo = padded((w_bits & 0xFFFF).astype(np.uint16), DType.INT16, pad_w, extra - j0, extra,
+                    _NAN_FILL[DType.INT16])
+        if grad_kind == "bf16":
+            gv = padded(fp32_to_bf16_rne(g), DType.BF16, pad_g, j0, extra, _NAN_FILL[DType.BF16])
+        elif grad_kind == "scalar":
+            one = padded(g[:1, :1], DType.FP32, pad_g, 0, 0, _NAN_FILL[DType.FP32])
+            gv = broadcast(one, Bcast.SCALAR, rows, cols)
+        else:
+            gv = padded(g, DType.FP32, pad_g, j0, extra, _NAN_FILL[DType.FP32])
+        return SplitTensor(hi, lo), gv
+
+    split, gv = make()
+    runs.clear()   # the fixtures live across the examples
+    reference_cols.clear()
+    split_sgd_step(split, gv, lr)
+    calls = ([r for r in runs if r[0] == "split_sgd_f32"], list(reference_cols))
+    ref_split, ref_g = make()
+    kernels._split_sgd_reference(ref_split, ref_g, lr)
+    for got, want in ((split.hi, ref_split.hi), (split.lo, ref_split.lo), (gv, ref_g)):
+        assert bits_equal(whole(got), whole(want))
+    assert outside_untouched(split.hi, _NAN_FILL[DType.BF16])
+    assert outside_untouched(split.lo, _NAN_FILL[DType.INT16])
+
+    with np.errstate(all="ignore"):
+        lr32 = np.float32(lr)
+        g32 = to_array(gv)
+        want = w - g32 * lr32
+    got = pack_fp32_bits(split.hi.as2d(), split.lo.as2d())
+    # where two NaNs meet in the product, the payload kept depends on the
+    # operand order numpy's loop picks; everywhere else the bits are pinned
+    free = np.isnan(g32) & np.isnan(lr32)
+    assert bits_equal(got[~free], want[~free])
+    assert np.isnan(got[free]).all()
+
+    in_c = grad_kind == "fp32" and not np.isnan(lr32)
+    nan_cols = np.flatnonzero(np.isnan(w).any(axis=0) | np.isnan(g).any(axis=0))
+    written = int(nan_cols[0]) if nan_cols.size else cols
+    if not in_c:
+        assert calls == ([], [cols])
+    elif native_backend == "numpy":
+        assert calls == ([("split_sgd_f32", False)], [cols])
+    elif written == cols:
+        assert calls == ([("split_sgd_f32", True)], [])
+    else:
+        assert calls == ([("split_sgd_f32", False)], [cols - written])
+
+
+def test_split_sgd_engine_reads_distinct_lds(native_backend):
+    """The engine alone, on arrays whose columns lie at three different lds
+    (hi, lo and the gradient): the halves hold w - g*lr of the packed bits
+    and the count of columns written; a NaN in column 3 stops it there with
+    columns 3 and later untouched."""
+    rows, cols = 5, 6
+    rng = np.random.default_rng(17)
+    w, g = sgd_values(rng, rows, cols), sgd_values(rng, rows, cols)
+    lr = np.float32(0.25)
+    for nan_col in (None, 3):
+        if nan_col is not None:
+            g[1, nan_col] = np.nan
+        bits = w.view(np.uint32)
+        hi = np.full((rows + 1, cols), 0x7FC1, np.uint16, order="F")
+        lo = np.full((rows + 3, cols), 0x0BAD, np.uint16, order="F")
+        gg = np.full((rows + 2, cols), np.nan, np.float32, order="F")
+        hi[:rows], lo[:rows], gg[:rows] = bits >> 16, bits & 0xFFFF, g
+        done = np.zeros((1, 1), np.int64)
+        ran = native.run("split_sgd_f32", rows, cols, (gg[:rows],), (hi[:rows], lo[:rows], done),
+                         float(lr))
+        if native_backend == "numpy":
+            assert not ran and done[0, 0] == 0
+            continue
+        k = cols if nan_col is None else nan_col
+        assert ran == (nan_col is None) and done[0, 0] == k
+        with np.errstate(all="ignore"):
+            want = (w - g * lr).view(np.uint32)
+        want[:, k:] = bits[:, k:]
+        assert bits_equal(pack_fp32_bits(hi[:rows], lo[:rows]), want.view(np.float32))
+        assert (hi[rows:] == 0x7FC1).all() and (lo[rows:] == 0x0BAD).all()
+
+
 # ---------------------------------------------------------------------------
 # the one operand rule of native.run, for every engine
 # ---------------------------------------------------------------------------
@@ -623,6 +787,9 @@ def engine_operands(name):
         "pack_f32": ((u16(), u16()), (empty(np.float32),), ()),
         "unpack_f32": ((f32(),), (empty(np.uint16), empty(np.uint16)), ()),
         "muladd_f32": ((f32(), f32(), f32()), (empty(np.float32),), (0, 0)),
+        # g; hi and lo (the halves of finite weights), done; lr
+        "split_sgd_f32": ((f32(),), (*(np.asfortranarray(h) for h in split_fp32_bits(f32())),
+                                     empty(np.int64, (1, 1))), (0.5,)),
     }[name]
 
 
@@ -676,6 +843,9 @@ UNALIGNED_CALLS = {
     "muladd_f32": lambda: (unaligned_view(finite(6, 5, 8), DType.FP32),
                            padded(finite(6, 5, 9), DType.FP32), padded(finite(6, 5, 10), DType.FP32),
                            alloc(TensorDesc(6, 5, 6, DType.FP32))),
+    "split_sgd_f32": lambda: (unaligned_view(finite(6, 5, 11), DType.FP32),
+                              *(padded(h, dt) for h, dt in zip(split_fp32_bits(finite(6, 5, 12)),
+                                                               (DType.BF16, DType.INT16)))),
 }
 ROWS_SUM = ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM)
 # the public call that reaches each engine, on views
@@ -688,6 +858,7 @@ PUBLIC_CALLS = {
     "pack_f32": lambda h, l, o: apply_binary(BinaryKind.PACK, h, l, o),
     "unpack_f32": lambda x, o: apply_unary(UnaryKind.UNPACK, x, o),
     "muladd_f32": lambda a, b, c, o: apply_ternary(TernaryKind.MULADD, a, b, c, o),
+    "split_sgd_f32": lambda g, hi, lo: split_sgd_step(SplitTensor(hi, lo), g, 0.5),
 }
 
 
@@ -719,7 +890,8 @@ def test_a_col_broadcast_reduce_input_reaches_c_at_ld_0(native_backend, runs, c_
 
 def test_every_engine_is_reached_from_its_public_entry(native_backend, runs):
     """On a native backend every engine runs in C from its public entry:
-    ``apply_*``, ``reduce``, PRNG, DROPOUT and the ``approx`` functions."""
+    ``apply_*``, ``reduce``, PRNG, DROPOUT, ``split_sgd_step`` and the
+    ``approx`` functions."""
     x = padded(finite(16, 16, 12), DType.FP32, 3)
     f32 = lambda: alloc(TensorDesc(16, 16, 16, DType.FP32))
     for name, call in PUBLIC_CALLS.items():
@@ -735,6 +907,9 @@ def test_every_engine_is_reached_from_its_public_entry(native_backend, runs):
             call(x, alloc(TensorDesc(16, 16, 16, DType.BF16)))
         elif name == "muladd_f32":
             call(x, x, x, f32())
+        elif name == "split_sgd_f32":
+            hi, lo = split_fp32_bits(finite(16, 16, 14))
+            call(x, padded(hi, DType.BF16), padded(lo, DType.INT16))
         else:
             call(x, f32())
     x.tertiary = {"prng": ops.PrngState(5, 16)}
@@ -747,6 +922,8 @@ def test_every_engine_is_reached_from_its_public_entry(native_backend, runs):
     want = {"tanh_pade78_f32": 2, "exp_taylor_f32": 2, "minimax_f32": 2,
             # on the numpy path DROPOUT draws its uniforms through the PRNG's
             "xorshift_uniform": 1 if native_backend != "numpy" else 2}
+    if native_backend == "numpy":   # and split SGD takes its PACK, NMULADD, UNPACK path
+        want.update(pack_f32=2, muladd_f32=2, unpack_f32=2)
     assert {name for name, _ in runs} == set(native.ENGINES)
     for name in native.ENGINES:
         assert runs.count((name, native_backend != "numpy")) == want.get(name, 1), name

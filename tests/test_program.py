@@ -629,9 +629,10 @@ def _per_step_only(mp):
     mp.setattr(native, "program", lambda *a, **k: None)
 
 
-# eps down to FP32's smallest normal: 1/sqrt(eps) of a variance of 0 still
-# narrows to a finite FP32 statistic
-_EPS = st.sampled_from([1e-5, 1.0, 1.1754943508222875e-38])
+# eps down to FP32's smallest normal, where 1/sqrt(eps) of a variance of 0
+# still narrows to a finite FP32 statistic, and FP64's, where it narrows to
+# inf
+_EPS = st.sampled_from([1e-5, 1.0, 1.1754943508222875e-38, 2.2250738585072014e-308])
 
 
 @_PROPERTY
