@@ -326,7 +326,8 @@ def split_sgd_step(weights: SplitTensor, grad: TensorView, lr: float) -> None:
     updates the halves in place in one C pass; the columns it leaves (all
     of them without C, for a BF16 or broadcast gradient or a NaN ``lr``;
     from the first column holding a NaN otherwise) take the reference
-    path, :func:`_split_sgd_reference`, which gives the same bits."""
+    path, :func:`_split_sgd_reference`, which gives the same bits: PACK
+    and UNPACK in C where they can, NMULADD in numpy."""
     done = split_sgd(weights, grad, lr)
     rest = weights.cols - done
     if rest == 0:
@@ -339,7 +340,8 @@ def split_sgd_step(weights: SplitTensor, grad: TensorView, lr: float) -> None:
 
 def _split_sgd_reference(weights: SplitTensor, grad: TensorView, lr: float) -> None:
     """The split SGD step as three primitive calls: PACK into an FP32
-    scratch, W -= lr * grad there (NMULADD, ``lr`` a SCALAR view), UNPACK."""
+    scratch, W -= lr * grad there in place (NMULADD, ``lr`` a SCALAR view:
+    numpy, which reads every operand before it stores), UNPACK."""
     rows, cols = weights.rows, weights.cols
     w = pack_fp32(weights)
     lr_view = alloc(TensorDesc(1, 1, 1, DType.FP32), fill=lr)

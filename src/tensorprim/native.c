@@ -2,8 +2,9 @@
  * batch-reduce GEMM of the contraction, the ROWS / COLS / ALL reductions of
  * the operator set, a block of the xorshift128 PRNG streams, FP32 DROPOUT,
  * the three FP32 approximation engines (rational tanh, piecewise cubic,
- * exp), PACK, UNPACK, FP32 MULADD / NMULADD and the split SGD step, and the
- * plan programs that run an equation's FP32 and FP64 elementwise steps.
+ * exp), PACK, UNPACK and the split SGD step, and the plan programs that run
+ * an equation's FP32 and FP64 elementwise steps (MULADD and NMULADD among
+ * them: a direct call of either runs numpy, in ops).
  * Every kernel gives, bit for bit, what its numpy reference path gives.
  * Which of the two runs is decided in native.py alone: without a build or
  * while a verify fault is set, every caller takes its numpy path.
@@ -24,17 +25,16 @@
  * operand as a column-major block (address, ld), element (i, j) at
  * p[i + j*ld], inputs first, then the kernel's own scalars.  native.run
  * alone calls them.  An input may have ld 0 (one column read n times).  An
- * output overlaps no other operand, but muladd's may be an input at its
- * address and ld (c in place), whose element it reads before it writes that
- * element.  A stream state that a kernel advances, and the halves that
- * split SGD updates, are output blocks.
+ * output overlaps no other operand, not even as exactly an input.  A stream
+ * state that a kernel advances, and the halves that split SGD updates, are
+ * output blocks.
  *
- * The brgemm, reduce, muladd, split SGD and program kernels return a
- * status: 0, or 2 when a float result (muladd, split SGD: an operand) is a
- * NaN.  The caller then recomputes the call on its numpy path (a program:
- * the whole plan; split SGD: the columns it did not write), because which
- * payload survives where two NaNs meet depends on the order of the
- * operands of + and *, which the compiler may swap.
+ * The brgemm, reduce, split SGD and program kernels return a status: 0, or
+ * 2 when a float result (split SGD: an operand) is a NaN.  The caller then
+ * recomputes the call on its numpy path (a program: the whole plan; split
+ * SGD: the columns it did not write), because which payload survives where
+ * two NaNs meet depends on the order of the operands of + and *, which the
+ * compiler may swap.
  *
  * BRGEMM.  acc (M x N, column-major, ld M) already holds beta*C.  For each
  * batch entry e in ascending order and each output element (i, j):
@@ -112,16 +112,14 @@
  *                      y + c1) y + 1; q * 2^clamp(n, -126, 127); +inf where
  *                      x > 88, 0 where x < -87
  *
- * SPLIT FP32 AND MULTIPLY-ADD.  pack_f32 makes each FP32 element's bits
- * hi << 16 | lo, and unpack_f32 splits them into the top and bottom 16
- * bits, both pure bit moves; muladd_f32 computes c + a*b or c - a*b, the
- * product rounded to FP32 before the sum, where a SCALAR operand is its
- * element 0 everywhere.  split_sgd_f32 is one SGD step on split FP32
- * weights, w = hi << 16 | lo becoming w - g*lr in the halves in place, in
- * one pass with no FP32 scratch: the bits that PACK, NMULADD and UNPACK
- * give, which stay its reference path.  It runs column by column, each
- * checked for a NaN w or g before anything of it is written, and stops at
- * the first such column, so the caller's composition resumes there.
+ * SPLIT FP32.  pack_f32 makes each FP32 element's bits hi << 16 | lo, and
+ * unpack_f32 splits them into the top and bottom 16 bits, both pure bit
+ * moves.  split_sgd_f32 is one SGD step on split FP32 weights, w = hi <<
+ * 16 | lo becoming w - g*lr in the halves in place, in one pass with no
+ * FP32 scratch: the bits that PACK, NMULADD and UNPACK give, which stay its
+ * reference path.  It runs column by column, each checked for a NaN w or g
+ * before anything of it is written, and stops at the first such column, so
+ * the caller's composition resumes there.
  *
  * PROGRAM.  program_f32 and program_f64, one body (DEFINE_PROGRAM) for
  * each element type, run a run of an equation plan's lowered steps, all
@@ -666,7 +664,7 @@ exp_taylor_f32(int64_t m, int64_t n, const float *x, int64_t ldx, float *restric
 }
 
 /* ------------------------------------------------------------------------ */
-/* PACK, UNPACK and FP32 MULADD / NMULADD                                    */
+/* PACK, UNPACK and the split SGD step                                       */
 /* ------------------------------------------------------------------------ */
 
 /* A block whose operands all have ld == m runs as one column of m*n
@@ -699,72 +697,6 @@ unpack_f32(int64_t m, int64_t n, const uint32_t *restrict x, int64_t ldx,
             hi[i + j * ldh] = (uint16_t)(u >> 16);
             lo[i + j * ldl] = (uint16_t)u;
         }
-}
-
-/* 1 when an element of x (m x n, ld; a SCALAR operand passes 1 x 1) is a
- * NaN */
-INLINE int any_nan_f32(int64_t m, int64_t n, const float *x, int64_t ld)
-{
-    int nan = 0;
-    for (int64_t j = 0; j < n; j++)
-        for (int64_t i = 0; i < m; i++)
-            nan |= IS_NAN(x[i + j * ld]);
-    return nan;
-}
-
-/* sa, sb, sc: that operand is a SCALAR (its element 0 everywhere); neg:
- * NMULADD.  Each is a constant from the switch in muladd_f32. */
-INLINE void muladd_run(int64_t m, int64_t n, const float *a, int64_t lda,
-                       const float *b, int64_t ldb, const float *c, int64_t ldc,
-                       float *out, int64_t ldo, int sa, int sb, int sc, int neg)
-{
-    for (int64_t j = 0; j < n; j++) {
-        const float *aj = sa ? a : a + j * lda;
-        const float *bj = sb ? b : b + j * ldb;
-        const float *cj = sc ? c : c + j * ldc;
-        float *oj = out + j * ldo;
-        for (int64_t i = 0; i < m; i++) {
-            const float p = aj[sa ? 0 : i] * bj[sb ? 0 : i];
-            const float cv = cj[sc ? 0 : i];
-            oj[i] = neg ? cv - p : cv + p;
-        }
-    }
-}
-
-/* out = c + a*b (MULADD) or c - a*b (NMULADD), the product rounded to FP32
- * before the sum, as numpy computes it.  `scalars` has bit 0, 1 or 2 set
- * for a SCALAR a, b or c.  Returns 2 with out untouched when an operand
- * holds a NaN, since which payload survives where two NaNs meet depends on
- * the operand order of *, which the compiler may swap; the caller then
- * runs its numpy path on operands this call left as they were.  Operands
- * without a NaN can only make the default NaN, the same on both paths. */
-MULTIVERSION int64_t
-muladd_f32(int64_t m, int64_t n, const float *a, int64_t lda, const float *b,
-           int64_t ldb, const float *c, int64_t ldc, float *out, int64_t ldo,
-           int64_t scalars, int64_t neg)
-{
-    const int sa = scalars & 1, sb = scalars >> 1 & 1, sc = scalars >> 2 & 1;
-    if ((sa || lda == m) && (sb || ldb == m) && (sc || ldc == m) && ldo == m) {
-        m *= n;
-        n = 1;
-    }
-    if (any_nan_f32(sa ? 1 : m, sa ? 1 : n, a, lda)
-            || any_nan_f32(sb ? 1 : m, sb ? 1 : n, b, ldb)
-            || any_nan_f32(sc ? 1 : m, sc ? 1 : n, c, ldc))
-        return 2;
-#define MULADD_CASE(k)                                                         \
-    case k:                                                                    \
-        muladd_run(m, n, a, lda, b, ldb, c, ldc, out, ldo,                     \
-                   (k) & 1, (k) >> 1 & 1, (k) >> 2 & 1, (k) >> 3);             \
-        break;
-    switch ((scalars & 7) | (neg != 0) << 3) {
-    MULADD_CASE(0) MULADD_CASE(1) MULADD_CASE(2) MULADD_CASE(3)
-    MULADD_CASE(4) MULADD_CASE(5) MULADD_CASE(6) MULADD_CASE(7)
-    MULADD_CASE(8) MULADD_CASE(9) MULADD_CASE(10) MULADD_CASE(11)
-    MULADD_CASE(12) MULADD_CASE(13) MULADD_CASE(14) MULADD_CASE(15)
-    }
-#undef MULADD_CASE
-    return 0;
 }
 
 /* One split SGD step in place: each element's w = hi << 16 | lo becomes

@@ -1,10 +1,11 @@
 """Build and load the C kernels (``native.c``) on first use: the
 batch-reduce GEMM of ``contraction``, the reductions, xorshift streams,
-dropout, split-FP32 and multiply-add engines of ``ops`` (the split SGD step
-among them, which updates the hi/lo halves in place in one pass, while
-``kernels``' PACK, NMULADD and UNPACK composition is its reference path
-and resumes at a column holding a NaN), the three FP32 approximation
-engines of ``approx``, and the plan programs of ``equation``.
+dropout and split-FP32 engines of ``ops`` (the split SGD step among them,
+which updates the hi/lo halves in place in one pass, while ``kernels``'
+PACK, NMULADD and UNPACK composition is its reference path and resumes at
+a column holding a NaN), the three FP32 approximation engines of
+``approx``, and the plan programs of ``equation`` (the one C MULADD and
+NMULADD: a direct call of either runs numpy).
 
 Every kernel but brgemm and the plan program takes one ABI, as the paper
 defines a primitive on 2-D blocks: ``(m, n)``, then each operand as a
@@ -68,13 +69,9 @@ ENGINES: dict[str, tuple[int, list]] = {
     "minimax_f32": (2, [_ptr, _i64, _f32, _f32]),
     "pack_f32": (3, []),        # hi, lo, out
     "unpack_f32": (3, []),      # x, hi, lo
-    "muladd_f32": (4, [_i64, _i64]),   # a, b, c, out; scalars, neg
     # g, hi, lo (both read and written), done (int64: the columns written); lr
     "split_sgd_f32": (4, [_f32]),
 }
-# the kernels whose output may be exactly an input: each reads an element
-# before it writes it, and returns its status before it writes anything
-IN_PLACE = ("muladd_f32",)
 # the element types of the plan programs, program_f32 and program_f64
 PROGRAM_DTYPES = (DType.FP32, DType.FP64)
 # the argument types of every kernel of the library
@@ -90,7 +87,7 @@ ARGTYPES: dict[str, list] = {
 # a float result or operand is a NaN, and split_sgd_f32 stopped at its
 # column); the others return nothing
 RESTYPES = {name: _i64 for name in ARGTYPES
-            if name.startswith(("brgemm_", "reduce_", "muladd_", "program_", "split_sgd_"))}
+            if name.startswith(("brgemm_", "reduce_", "program_", "split_sgd_"))}
 
 # Negative controls for ``verify`` (``fault``: None or one name), each
 # breaking one pinned rule of a numpy path: reversing the reduction fold of
@@ -186,11 +183,10 @@ def run(name: str, m: int, n: int, ins: tuple, outs: tuple, *scalars) -> bool:
     * an array (1-D: one column) is aligned and has unit-stride columns at
       an ld of at least its rows, or, as an input, of 0 (one column read
       for every column, as of a COL broadcast);
-    * an output is writable, and it overlaps no other operand unless the
-      kernel is one of :data:`IN_PLACE` and the output is exactly an input
-      (the same address, ld and end, as ``w, w`` in split SGD).  numpy
-      raises for a read-only output, and reads every input before it
-      stores."""
+    * an output is writable and overlaps no other operand, not even as
+      exactly an input (the same address, ld and end): numpy raises for a
+      read-only output, and reads every input before it stores, which a
+      kernel writing as it reads would not."""
     fn = kernel(name)
     if fn is None:
         return False
@@ -224,11 +220,10 @@ def run(name: str, m: int, n: int, ins: tuple, outs: tuple, *scalars) -> bool:
                 return False
             start, end, ld = block
         if out:
-            for t, (s, e, l) in enumerate(spans):
-                if s < end and start < e and not (t < nin and name in IN_PLACE
-                                                  and (s, e, l) == (start, end, ld)):
+            for s, e in spans:
+                if s < end and start < e:
                     return False
-        spans.append((start, end, ld))
+        spans.append((start, end))
         args.append(start)
         args.append(ld)
     args.extend(scalars)

@@ -17,11 +17,12 @@ broadcast and datatype widening applied), run the point operation in the
 compute precision, store once (narrowing to the output's dtype).
 Reductions use a fixed, ascending accumulation order so results are
 bit-reproducible.  The reductions (an indexed ROWS reduce too), the
-xorshift streams, FP32 DROPOUT, PACK, UNPACK, FP32 MULADD / NMULADD and the
-in-place split SGD step (``split_sgd``) run C kernels (``native.c``)
-wherever ``native.run`` accepts their operands; their numpy code (for
-``split_sgd``, the caller's PACK, NMULADD and UNPACK) is the reference path
-and gives the same bits.
+xorshift streams, FP32 DROPOUT, PACK, UNPACK and the in-place split SGD
+step (``split_sgd``) run C kernels (``native.c``) wherever ``native.run``
+accepts their operands; their numpy code (for ``split_sgd``, the caller's
+PACK, NMULADD and UNPACK) is the reference path and gives the same bits.
+A direct MULADD or NMULADD runs numpy, as ADD and MUL do; C runs them
+only as steps of an equation's plan program (``native.program``).
 Every call runs on the caller's thread; blocking and threads belong to the
 caller's loop nest.
 """
@@ -510,10 +511,8 @@ class Kernel:
     ``math`` is the kind's bound ndarray function for the fusable kinds
     (compute-dtype arrays in, compute-dtype array out, flags applied), the
     same math the call runs; the tiled equation strategies run it on numpy
-    slices of each tile.  It is None for every other kind.  A MULADD or
-    NMULADD whose operands are all FP32, each full or SCALAR, binds
-    ``_muladd_f32``, which runs the C engine where it can and ``math``
-    otherwise."""
+    slices of each tile, and a direct call runs it through ``_elementwise``.
+    It is None for every other kind."""
 
     __slots__ = ("spec", "out_desc", "math", "_ins", "_impl", "_raw_dtype")
 
@@ -536,13 +535,7 @@ class Kernel:
             self.math = BINARY_MATH[k]
         elif k in TERNARY_MATH:
             self.math = TERNARY_MATH[k]
-        if k in TERNARY_MATH and all([d.dtype is DType.FP32
-                                      and d.bcast in (Bcast.NONE, Bcast.SCALAR)
-                                      for d in spec.ins]):
-            scalars = sum([1 << t for t, d in enumerate(spec.ins) if d.bcast is Bcast.SCALAR])
-            self._impl = functools.partial(_muladd_f32, self.math, scalars,
-                                           k is TernaryKind.NMULADD)
-        elif self.math is not None:
+        if self.math is not None:
             self._impl = functools.partial(_elementwise, self.math)
         else:
             self._impl = functools.partial(_IMPL[k], spec)
@@ -717,24 +710,6 @@ def _elementwise(math: Callable[..., np.ndarray], *operands: TensorView) -> None
     with np.errstate(all="ignore"):
         r = math(*[_compute_values(v) for v in views])
     _store(out, r)
-
-
-def _muladd_f32(math: Callable[..., np.ndarray], scalars: int, neg: bool, a: TensorView,
-                b: TensorView, c: TensorView, out: TensorView) -> None:
-    """MULADD (``c + a*b``) or NMULADD (``c - a*b``, ``neg``) of FP32
-    operands, each full or SCALAR (bit t of ``scalars`` for operand t).  The
-    C kernel runs into an FP32 ``out`` that ``native.run`` accepts, which
-    may be ``c`` itself, as in split SGD.  It scans the operands before it
-    writes and leaves a call with a NaN operand to the numpy ``math``, since
-    which payload survives where two NaNs meet depends on the operand order
-    of ``*``, which the compiler may swap; NaN-free operands can only make
-    the default NaN, the same on both paths.  Any other dtype or broadcast
-    runs ``math`` alone.  Both give the same bits."""
-    d = out.desc
-    if d.dtype is DType.FP32 and native.run("muladd_f32", d.rows, d.cols, (a, b, c), (out,),
-                                            scalars, neg):
-        return
-    _elementwise(math, a, b, c, out)
 
 
 def _relu_with_mask(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:

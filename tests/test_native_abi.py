@@ -91,3 +91,13 @@ def test_each_kernel_is_called_with_its_c_signature(name, c_source):
     assert len(argtypes) == len(params)
     for param, argtype in zip(params, argtypes):
         assert argtype is _ctype(param), (name, param, argtype)
+
+
+@pytest.mark.parametrize("name", sorted(native.ENGINES))
+def test_every_engine_has_a_caller_in_the_library(name):
+    """An engine that only tests reach is dead code: some module of the
+    package other than ``native`` names it as a string literal."""
+    quoted = re.compile(rf"[\"']{name}[\"']")
+    callers = [p.name for p in native.SOURCE.parent.glob("*.py")
+               if p.name != "native.py" and quoted.search(p.read_text())]
+    assert callers, f"{name}: no caller outside native.py"
