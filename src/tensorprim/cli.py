@@ -124,10 +124,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
         with open(args.dot, "w") as f:
             f.write(eqn.export_plan(plan, "dot") + "\n")
     doc = eqn.plan_to_dict(plan)
+    runs = [r for r in plan.program.schedule if type(r) is eqn.Run]
+    lowered = sum([r.steps for r in runs])
     lines = [f"equation: {args.equation}",
              f"root register score: {plan.tree.root.score}",
              f"temp slots: {plan.temp_count}   temp bytes: {plan.temp_bytes}"
-             f"   naive bytes: {plan.naive_bytes}"]
+             f"   naive bytes: {plan.naive_bytes}",
+             f"C program: {lowered} of {len(plan.steps)} steps in {len(runs)} runs"]
     for s in doc["steps"]:
         lines.append(f"  t={s['t']} {s['op']:<10} v={s['score']} "
                      f"in={s['inputs']} out={s['output']} shape={s['shape']}")

@@ -16,9 +16,11 @@ leaves are argument tensors.  Planning happens in two passes:
    step with its timestamp and a temporary slot by one rule for every
    arity: inherit the slot of the first non-leaf child (left, right,
    middle) and recycle the others, so that the live set never exceeds the
-   minimum over all evaluation orders.  The plan records each slot's byte
-   size; planning writes nothing onto the nodes, so trees that share a
-   node plan independently.
+   minimum over all evaluation orders.  The same walk lowers the steps C
+   runs into the plan's program (``Program``).  The plan records each
+   slot's byte size; planning writes nothing onto the nodes, so trees that
+   share a node plan independently, and nothing onto the plan once it is
+   built.
 
 No walk over a tree recurses, the parser included (it climbs precedence
 with an explicit stack), so the interpreter's recursion limit bounds no
@@ -27,17 +29,17 @@ equation.
 Evaluation replays the plan's decisions.  BUFFERED runs every step into its
 planned slot, over byte buffers of the recorded sizes made fresh for each
 call; each run of FP32 (or FP64) elementwise steps of the kinds of
-``_OPCODES`` is lowered once per plan into a C program (``_lower``) that
-runs the run in one native call, reading each argument as the view passed
-lays it out (plain, ROW, COL or SCALAR), every other step is one kernel
-call, and a program that meets a NaN or an operand C cannot take leaves the
-plan to its per-step path.  HYBRID
-runs the non-elementwise nodes the same way, into private buffers, and
-each maximal region of pure elementwise maps (TILE_FUSED: the
-whole tree, which must be one such region) in blocks of whole tiles: each
-node's bound ndarray math (``Kernel.math``) runs on numpy slices, one block
-within a fixed byte budget at a time, and every result is rounded to the
-node's dtype, as storing a temporary does.  All three produce
+``_OPCODES``, lowered as the plan was built into its C program
+(``ExecPlan.program``), runs in one native call, reading each argument as
+the view passed lays it out (plain, ROW, COL or SCALAR), every other step
+is one kernel call, and a program that meets a NaN or an operand C cannot
+take leaves the plan to its per-step path.  HYBRID runs the
+non-elementwise nodes the same way, into private buffers, and each maximal
+region of pure elementwise maps (TILE_FUSED: the whole tree, which must be
+one such region) in blocks of whole tiles: each node's bound ndarray math
+(``Kernel.math``) runs on numpy slices, one block within a fixed byte
+budget at a time, and every result is rounded to the node's dtype, as
+storing a temporary does.  All three produce
 bitwise-identical results to naive per-node evaluation because each node
 runs the same math on the same values in the same order.
 """
@@ -398,8 +400,8 @@ class ExecPlan:
     slot_bytes: dict[int, int]   # slot -> bytes of its largest non-root occupant
     naive_bytes: int             # sum of non-root intermediate sizes
     recycled: bool               # whether any slot was ever freed and reused
-    # the plan lowered for BUFFERED (``_lower``), on its first evaluation
-    program: Optional["Program"] = field(default=None, init=False, repr=False, compare=False)
+    # the steps lowered for BUFFERED, as the planner's walk emits them
+    program: Program = field(repr=False, compare=False)
 
     @property
     def rep_bytes(self) -> int:
@@ -426,8 +428,9 @@ def create_execution_plan(tree: EqTree) -> ExecPlan:
     register score, for ternary nodes the score's floor of 3 would misorder
     some trees).  A node inherits the slot of its first non-leaf child in the
     order left, right, middle and recycles the slots of the others; a node
-    over leaves only takes the lowest free slot, or a new one.  A tree not
-    scored by ``TreeBuilder`` (its root has no score) is an EquationError.
+    over leaves only takes the lowest free slot, or a new one.  The same
+    walk lowers the plan's ``program``.  A tree not scored by
+    ``TreeBuilder`` (its root has no score) is an EquationError.
     """
     if tree.root.score < 0 or tree.root.need < 0:
         raise EquationError("the tree carries no register scores: build it with TreeBuilder")
@@ -450,6 +453,17 @@ def create_execution_plan(tree: EqTree) -> ExecPlan:
             kids = sorted(kids, key=_by_need)  # stable: ties stay left to right
         stack.extend([c for c in kids if c.kind is not None])
     slot_of: dict[EqNode, int] = {}  # the plan's slots live here, not on the nodes
+    # the program, lowered in the same walk: a step whose kernel has an
+    # opcode (``_opcode``) joins the open run when the step before it is
+    # lowered too and has its extent and dtype, or opens a run; every other
+    # step stays a kernel call and publishes its lowered children's slots
+    nargs = len(tree.args)
+    schedule: list = []   # the steps, each run as [extent descriptor, steps, live]
+    code: list[int] = []
+    reads: set[int] = set()
+    run = None            # the open run
+    run_of: dict[EqNode, list] = {}  # lowered node -> its run
+    out_dtype = None
     for n in reversed(order):
         kids = n.children
         held = [slot_of[c] for c in (kids[0], *kids[:0:-1]) if c.kind is not None]
@@ -467,13 +481,48 @@ def create_execution_plan(tree: EqTree) -> ExecPlan:
         is_root = n is root
         if not is_root:
             slot_bytes[slot] = max(slot_bytes.get(slot, 0), n.out_desc.nbytes)
-        steps.append(PlanStep(len(steps), n,
-                              tuple([("arg", c.arg_slot) if c.kind is None else ("tmp", slot_of[c])
-                                     for c in kids]),
-                              ("tmp", slot), is_root))
+        inputs = tuple([("arg", c.arg_slot) if c.kind is None else ("tmp", slot_of[c])
+                        for c in kids])
+        step = PlanStep(len(steps), n, inputs, ("tmp", slot), is_root)
+        steps.append(step)
+        op = _opcode(n.kernel)
+        if op is None:
+            run = None
+            for c in kids:
+                if c in run_of:
+                    run_of[c][2].append((slot_of[c], c.out_desc))
+            schedule.append(step)
+            continue
+        d = n.out_desc
+        if run is None or (run[0] is not d and (run[0].rows, run[0].cols, run[0].dtype)
+                           != (d.rows, d.cols, d.dtype)):
+            run = [d, 0, []]
+            schedule.append(run)
+        run[1] += 1
+        run_of[n] = run
+        refs = []
+        for kind, ref in inputs:
+            if kind == "arg":
+                reads.add(ref)
+            else:
+                ref += nargs
+            refs.append(ref)
+        a, b, c = (refs + refs[:1] * 2)[:3]   # a unary step reads a as b and c, a binary one as c
+        # the root is the last step, so temp_count is final when it writes out
+        code += (op, a, b, c, nargs + (temp_count if is_root else slot))
+        if is_root:
+            out_dtype = d.dtype
 
+    program = np.array(code, dtype=np.int32)
+    at = native.address(program) if code else 0
+    for i, item in enumerate(schedule):
+        if type(item) is list:
+            d, count, live = item
+            schedule[i] = Run(d.rows, d.cols, d.dtype, count, at, tuple(live))
+            at += 20 * count
     naive = sum(s.node.out_desc.nbytes for s in steps if not s.is_root)
-    return ExecPlan(tree, steps, temp_count, slot_bytes, naive, recycled)
+    return ExecPlan(tree, steps, temp_count, slot_bytes, naive, recycled,
+                    Program(tuple(schedule), program, tuple(sorted(reads)), out_dtype))
 
 
 def _by_need(n: EqNode) -> int:
@@ -532,7 +581,7 @@ def evaluate(plan: ExecPlan, strategy: EvalStrategy, args: Sequence[TensorView],
     """Execute a plan.  ``step_hook(step, dead_views)`` runs after every
     buffered step with the views of the slots that step recycled (test
     instrumentation: poisoning them must not change the result); with a
-    hook, BUFFERED runs every step on its own, lowering none."""
+    hook, BUFFERED runs every step on its own, running no program."""
     _check_args(plan, args, out)
     if isinstance(strategy, Buffered):
         _eval_buffered(plan, args, out, step_hook)
@@ -562,7 +611,7 @@ def _check_args(plan: ExecPlan, args: Sequence[TensorView], out: TensorView) -> 
 
 def _eval_buffered(plan: ExecPlan, args: Sequence[TensorView], out: TensorView,
                    step_hook: Callable | None) -> None:
-    """Run the plan's lowered program (``_lower``) where C takes its
+    """Run the plan's program (``ExecPlan.program``) where C takes its
     operands, else every step on its own.  A run that makes a NaN reruns
     the whole plan step by step from fresh scratch: the arguments were
     never written and ``out`` overlaps none of them, so the rerun gives the
@@ -570,16 +619,13 @@ def _eval_buffered(plan: ExecPlan, args: Sequence[TensorView], out: TensorView,
     # fresh slot buffers per call, so concurrent evaluations of one plan
     # share nothing
     bufs = {slot: np.zeros(n, dtype=np.uint8) for slot, n in plan.slot_bytes.items()}
-    if step_hook is None:
-        prog = plan.program
-        if prog is None:
-            prog = plan.program = _lower(plan)
-        if prog.code.size:
-            run = native.program(args, prog.reads, bufs, plan.temp_count, out, prog.out_dtype)
-            if run is not None:
-                if _run_schedule(prog.schedule, args, out, bufs, None, run):
-                    return
-                bufs = {slot: np.zeros(n, dtype=np.uint8) for slot, n in plan.slot_bytes.items()}
+    prog = plan.program
+    if step_hook is None and prog.code.size:
+        run = native.program(args, prog.reads, bufs, plan.temp_count, out, prog.out_dtype)
+        if run is not None:
+            if _run_schedule(prog.schedule, args, out, bufs, None, run):
+                return
+            bufs = {slot: np.zeros(n, dtype=np.uint8) for slot, n in plan.slot_bytes.items()}
     _run_schedule(plan.steps, args, out, bufs, step_hook, None)
 
 
@@ -678,61 +724,6 @@ class Program(NamedTuple):
     code: np.ndarray
     reads: tuple[int, ...]
     out_dtype: DType | None
-
-
-def _lower(plan: ExecPlan) -> Program:
-    """Lower ``plan`` (once: ``ExecPlan.program`` caches it): a step whose
-    kernel has an opcode (``_opcode``) joins the run of the step before it
-    when that one is lowered too and has its extent and dtype, or opens a
-    run.  Every other step stays a kernel call."""
-    nargs = len(plan.tree.args)
-    out_ref = nargs + plan.temp_count
-    schedule: list = []
-    code: list[int] = []
-    reads: set[int] = set()
-    run = None      # the open run: [extent descriptor, steps, live]
-    writer = {}     # slot -> (live list of the run that wrote it, descriptor)
-    out_dtype = None
-    for s in plan.steps:
-        op = _opcode(s.node.kernel)
-        if op is None:
-            run = None
-            for kind, ref in s.inputs:
-                if ref in writer and kind == "tmp":
-                    live, desc = writer.pop(ref)
-                    live.append((ref, desc))
-            writer.pop(s.output[1], None)
-            schedule.append(s)
-            continue
-        d = s.node.out_desc
-        if run is None or (run[0] is not d and (run[0].rows, run[0].cols, run[0].dtype)
-                           != (d.rows, d.cols, d.dtype)):
-            run = [d, 0, []]
-            schedule.append(run)
-        run[1] += 1
-        refs = []
-        for kind, ref in s.inputs:
-            if kind == "arg":
-                reads.add(ref)
-            else:
-                ref += nargs
-            refs.append(ref)
-        a, b, c = (refs + refs[:1] * 2)[:3]   # a unary step reads a as b and c, a binary one as c
-        if s.is_root:
-            code += (op, a, b, c, out_ref)
-            out_dtype = d.dtype
-        else:
-            slot = s.output[1]
-            code += (op, a, b, c, nargs + slot)
-            writer[slot] = (run[2], d)
-    program = np.array(code, dtype=np.int32)
-    at = native.address(program) if code else 0
-    for i, item in enumerate(schedule):
-        if type(item) is list:
-            d, steps, live = item
-            schedule[i] = Run(d.rows, d.cols, d.dtype, steps, at, tuple(live))
-            at += 20 * steps
-    return Program(tuple(schedule), program, tuple(sorted(reads)), out_dtype)
 
 
 # Bytes a tiled region's live values may take per block (see ``_eval_tiled``).

@@ -126,7 +126,8 @@
  * over one m x n extent and of that type, in plan order: each step is int32
  * (op, a, b, c, d), operand numbers into one table of int64 (address, ld,
  * kind) triples (the plan's arguments, its slots, and out; equation.py
- * lowers the plan, native.program checks the table once per evaluation).
+ * lowers the steps as it builds the plan, native.program checks the table
+ * once per evaluation).
  * The opcodes are ADD a + b, SUB a - b, MUL a * b, DIV a / b, SQUARE a * a,
  * RELU (a > 0 ? a : +0, so -0 gives +0 as numpy's maximum(a, +0) does), MAX
  * (a > b || a != a ? a : b: a NaN is kept and a tie of zeros returns b, as
@@ -750,7 +751,7 @@ split_sgd_f32(int64_t m, int64_t n, const float *restrict g, int64_t ldg,
 /* plan programs                                                             */
 /* ------------------------------------------------------------------------ */
 
-/* the opcodes of equation._OPCODES, as the lowering writes them */
+/* the opcodes of equation._OPCODES, as the planner writes them */
 enum { PROG_ADD, PROG_SUB, PROG_MUL, PROG_SQUARE, PROG_RELU, PROG_DIV, PROG_MAX,
        PROG_RSQRT, PROG_MULADD, PROG_NMULADD };
 /* the kinds of a table operand, in the order of tensor.Bcast */

@@ -1004,8 +1004,8 @@ def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
     """BUFFERED (its lowered C program where C runs), BUFFERED step by step
     (a ``step_hook`` selects that path), TILE_FUSED (where legal), HYBRID
     and naive per-node evaluation agree bitwise over FP32 and FP64 inputs.
-    The detail counts the FP32 steps lowered into programs, so a program
-    path that ran nothing would show."""
+    The detail counts the FP32 and FP64 steps lowered into programs, so a
+    program path that ran nothing would show."""
     rng = np.random.default_rng(seed)
     bad = 0
     fused_seen = 0

@@ -38,6 +38,15 @@ def test_plan_balanced_tree(capsys):
     assert "temp slots: 3" in out
 
 
+@pytest.mark.parametrize("text, line", [
+    ("relu(T0 + T1) * T0", "C program: 3 of 3 steps in 1 runs"),
+    ("tanh(T0)", "C program: 0 of 1 steps in 0 runs")])
+def test_plan_shows_its_c_program(text, line, capsys):
+    code, out, _ = run_cli(["plan", text], capsys)
+    assert code == 0
+    assert line in out.splitlines()
+
+
 def test_plan_parse_error_exit_code(capsys):
     code, _, err = run_cli(["plan", "tanh(T0"], capsys)
     assert code == 2

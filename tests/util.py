@@ -201,7 +201,7 @@ def oracle_plan(tree):
 
     plan(tree.root)
     naive = sum(s.node.out_desc.nbytes for s in steps if not s.is_root)
-    return ExecPlan(tree, steps, state["count"], slot_bytes, naive, state["recycled"])
+    return ExecPlan(tree, steps, state["count"], slot_bytes, naive, state["recycled"], None)
 
 
 def enumerate_min_slots(tree) -> int:
