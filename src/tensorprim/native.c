@@ -12,10 +12,13 @@
  * Every float operation is rounded to its own type, because the build
  * passes -ffp-contract=off and no fast-math flag, and the vectoriser works
  * across independent elements, which leaves each element's sequence of
- * operations untouched.  The brgemm kernels allocate their scratch per call
- * and the others need none, so concurrent calls share nothing.  On x86-64
- * Linux every kernel is also built for AVX2, and the brgemm kernels for
- * AVX-512F too; the loader picks the widest build the CPU runs.  Neither
+ * operations untouched.  A select inside an engine loop is a mask, never
+ * a branch: under the default -ftrapping-math GCC will not if-convert
+ * `c ? a : b` when an arm is a float operation, and a loop with a branch
+ * in it does not vectorise.  The brgemm kernels allocate their scratch per
+ * call and the others need none, so concurrent calls share nothing.  On
+ * x86-64 Linux every kernel is also built for AVX2, and the brgemm kernels
+ * for AVX-512F too; the loader picks the widest build the CPU runs.  Neither
  * target brings a fused multiply-add under -ffp-contract=off, so every
  * build gives the same bits.  Building with -DMULTIVERSION= leaves only the
  * default build; the tests also build it with -mavx2, to check the bits of
@@ -111,6 +114,15 @@
  *     exp_taylor_f32   r = x*log2e, n = rint(r), y = r - n; q = ((c3 y + c2)
  *                      y + c1) y + 1; q * 2^clamp(n, -126, 127); +inf where
  *                      x > 88, 0 where x < -87
+ *
+ * Every "where" and float clamp computes both values and selects one
+ * through an all-ones or all-zeros mask (select_f32), so each engine's loop
+ * runs as packed SIMD arithmetic in every build; the integer clamp of the
+ * interval i needs no mask.  rint(r) is (r + 1.5*2^23) - 1.5*2^23, which
+ * rounds to even as rintf does for |r| < 2^22; a larger |r| belongs to an
+ * x beyond 88 or -87, whose result the last two selects replace.  (The
+ * default build expands rintf inline with a branch, which keeps that loop
+ * scalar.)
  *
  * SPLIT FP32.  pack_f32 makes each FP32 element's bits hi << 16 | lo, and
  * unpack_f32 splits them into the top and bottom 16 bits, both pure bit
@@ -572,6 +584,22 @@ dropout_f32(int64_t m, int64_t n, const float *x, int64_t ldx, uint32_t *restric
  * operand order the compiler picks cannot change a bit, and no result needs
  * the numpy recompute that brgemm and the reductions make. */
 
+/* c ? a : b, selected by an AND with an all-ones or all-zeros word, as
+ * dropout_block selects.  Both values are computed before it, so the
+ * vectoriser can if-convert it, as it cannot a `c ? a : b` with a float
+ * operation on an arm (see the header). */
+INLINE float select_f32(int c, float a, float b)
+{
+    const uint32_t mask = -(uint32_t)c;
+    uint32_t ua, ub;
+    memcpy(&ua, &a, sizeof ua);
+    memcpy(&ub, &b, sizeof ub);
+    const uint32_t u = (ua & mask) | (ub & ~mask);
+    float r;
+    memcpy(&r, &u, sizeof r);
+    return r;
+}
+
 /* approx.TANH_PADE78: Horner in t = |x|*|x|, saturating beyond the clamp */
 INLINE float tanh_pade78_one(float x)
 {
@@ -588,7 +616,7 @@ INLINE float tanh_pade78_one(float x)
     den = den * t + 945945.0f;
     den = den * t + 2027025.0f;
     float r = num / den;
-    r = ax > 5.0f ? 1.0f : r;
+    r = select_f32(ax > 5.0f, 1.0f, r);
     return copysignf(r, x);
 }
 
@@ -604,7 +632,7 @@ INLINE float minimax_one(float x, const float *c, int32_t base, float range_max,
     int32_t idx = (int32_t)(bits >> 22) - base;
     idx = idx < 0 ? 0 : idx > 15 ? 15 : idx;
     float p = ((c[48 + idx] * ax + c[32 + idx]) * ax + c[16 + idx]) * ax + c[idx];
-    p = ax >= range_max ? saturation : p;
+    p = select_f32(ax >= range_max, saturation, p);
     return copysignf(p, x);
 }
 
@@ -621,18 +649,18 @@ INLINE float minimax_one(float x, const float *c, int32_t base, float range_max,
 INLINE float exp_taylor_one(float x)
 {
     const float r = x * EXP_LOG2E;
-    const float n = rintf(r);
+    const float n = (r + 0x1.8p23f) - 0x1.8p23f;
     const float y = r - n;
     const float q = ((EXP_C3 * y + EXP_C2) * y + EXP_C1) * y + 1.0f;
-    float nc = n < -126.0f ? -126.0f : n;
-    nc = nc > 127.0f ? 127.0f : nc;
-    nc = nc == nc ? nc : 0.0f;
+    float nc = select_f32(n < -126.0f, -126.0f, n);
+    nc = select_f32(nc > 127.0f, 127.0f, nc);
+    nc = select_f32(nc == nc, nc, 0.0f);
     const uint32_t e = (uint32_t)((int32_t)nc + 127) << 23;
     float pow2;
     memcpy(&pow2, &e, sizeof pow2);
     float out = q * pow2;
-    out = x > 88.0f ? INFINITY : out;
-    out = x < -87.0f ? 0.0f : out;
+    out = select_f32(x > 88.0f, INFINITY, out);
+    out = select_f32(x < -87.0f, 0.0f, out);
     return out;
 }
 

@@ -1000,12 +1000,27 @@ def random_equation(rng, dtype: DType, rows: int = 4, cols: int = 4):
     return tree, args
 
 
+def _evaluate_tiled(plan, strategy, args, budget: int) -> np.ndarray:
+    """``plan`` evaluated under ``strategy`` with ``equation._TILE_BLOCK_BYTES``
+    set to ``budget`` (restored on leaving, also when evaluation raises)."""
+    got = alloc(plan.out_desc)
+    saved, eqn._TILE_BLOCK_BYTES = eqn._TILE_BLOCK_BYTES, budget
+    try:
+        eqn.evaluate(plan, strategy, args, got)
+    finally:
+        eqn._TILE_BLOCK_BYTES = saved
+    return to_array(got)
+
+
 def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
     """BUFFERED (its lowered C program where C runs), BUFFERED step by step
     (a ``step_hook`` selects that path), TILE_FUSED (where legal), HYBRID
     and naive per-node evaluation agree bitwise over FP32 and FP64 inputs.
-    The detail counts the FP32 and FP64 steps lowered into programs, so a
-    program path that ran nothing would show."""
+    The tiled strategies run at the default block budget, where a small
+    equation's region is one block, and at one tile per block (budget 1),
+    where the 2 x 2 tiles cut every region.  The detail counts the FP32 and
+    FP64 steps lowered into programs, so a program path that ran nothing
+    would show."""
     rng = np.random.default_rng(seed)
     bad = 0
     fused_seen = 0
@@ -1027,17 +1042,13 @@ def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
         if not (_bits_equal(to_array(got), refa) and _bits_equal(to_array(got_s), refa)):
             bad += 1
             continue
-        got_h = alloc(od)
-        eqn.evaluate(plan, eqn.Hybrid(2, 2), args, got_h)
-        if not _bits_equal(to_array(got_h), refa):
-            bad += 1
-            continue
+        tiled = [eqn.Hybrid(2, 2)]
         if all(s.node.fusable() for s in plan.steps):
             fused_seen += 1
-            got_t = alloc(od)
-            eqn.evaluate(plan, eqn.TileFused(2, 2), args, got_t)
-            if not _bits_equal(to_array(got_t), refa):
-                bad += 1
+            tiled.append(eqn.TileFused(2, 2))
+        if not all(_bits_equal(_evaluate_tiled(plan, strategy, args, budget), refa)
+                   for budget in (eqn._TILE_BLOCK_BYTES, 1) for strategy in tiled):
+            bad += 1
     return CheckResult("equation-fusion-fidelity", bad == 0, bad, 0,
                        f"{equations} equations, {fused_seen} tile-fusable, {lowered} steps "
                        f"lowered, program on {native.backend()}")

@@ -233,9 +233,13 @@ def _engine_inputs() -> np.ndarray:
         bounds += [b for i in range(16) for b in t.interval_bounds(i)] + [t.range_max]
     ties = _rint_ties()
     assert ties.size >= 100
+    # |x * log2(e)| at 2^22, 2^23 and 2^24: the edges of exp's rint, which
+    # adds and subtracts 1.5 * 2^23
+    log2e = float(approx.EXP_LOG2E.view(np.float32))
+    rint_edges = _neighbours([2.0 ** k / log2e for k in (22, 23, 24)])
     rng = np.random.default_rng(2024)
     random_bits = rng.integers(0, 2 ** 32, 100_000, dtype=np.uint64).astype(np.uint32)
-    return np.concatenate([specials, _neighbours(bounds), ties,
+    return np.concatenate([specials, _neighbours(bounds), ties, rint_edges,
                            random_bits.view(np.float32)])
 
 
@@ -252,23 +256,33 @@ _ENGINES = {
 }
 
 
+def _columns(values: np.ndarray, rows: int) -> np.ndarray:
+    """The values as a dense column-major block of ``rows`` rows, the last
+    ``values.size % rows`` dropped."""
+    n = values.size - values.size % rows
+    return np.asfortranarray(values[:n].reshape(rows, -1, order="F"))
+
+
 def _layouts(values: np.ndarray) -> list[np.ndarray]:
     """The values as a 1-D array, a dense column-major block, a padded-ld
-    view (17 of every 24 rows), a tiled column slice, a C-ordered array and
-    a broadcast column."""
-    n = values.size - values.size % 17
-    dense = np.asfortranarray(values[:n].reshape(17, -1, order="F"))
+    view (17 of every 24 rows), a tiled column slice, a C-ordered array, a
+    broadcast column, and dense blocks with columns of 1 to 9, 16, 31 and
+    33 elements, so that each C loop runs both its vector body and its
+    scalar tail."""
+    dense = _columns(values, 17)
     padded = np.zeros((24, dense.shape[1]), np.float32, order="F")
     padded[:17] = dense
     return [values, dense, padded[:17], dense[3:15, 5:40], np.ascontiguousarray(dense),
-            np.broadcast_to(dense[:, :1], (17, 9))]
+            np.broadcast_to(dense[:, :1], (17, 9)),
+            *(_columns(values, rows) for rows in (*range(1, 10), 16, 31, 33))]
 
 
 @pytest.mark.parametrize("engine", sorted(_ENGINES))
 def test_engines_match_the_numpy_path_bitwise(engine, native_backend, monkeypatch):
     """Every FP32 engine gives the numpy path's bits (as uint32, NaN
     payloads included) on special values, range and band edges and their
-    neighbours, rint ties, 1e5 random bit patterns, and in every layout."""
+    neighbours, rint ties and edges, 1e5 random bit patterns, and in every
+    layout."""
     f = _ENGINES[engine]
     xs = _layouts(_engine_inputs())
     with np.errstate(all="ignore"):  # the numpy paths meet Inf and NaN

@@ -4,9 +4,14 @@ the return type of ``RESTYPES`` (a status or nothing) and the parameters of
 ``ARGTYPES``, read from the preprocessed ``native.c`` (``gcc -E``).  A
 kernel that returns a status but is called as ``void`` would have its
 status ignored, and one called with too few arguments would read garbage;
-neither shows in a call that happens to work."""
+neither shows in a call that happens to work.  The FP32 approximation
+engines of the loaded library must also hold packed float arithmetic in
+each target clone (``objdump -d``): a select written so that the
+vectoriser cannot if-convert it leaves an engine a scalar loop, with the
+same bits at a fraction of the speed."""
 
 import ctypes
+import platform
 import re
 import shutil
 import subprocess
@@ -101,3 +106,34 @@ def test_every_engine_has_a_caller_in_the_library(name):
     callers = [p.name for p in native.SOURCE.parent.glob("*.py")
                if p.name != "native.py" and quoted.search(p.read_text())]
     assert callers, f"{name}: no caller outside native.py"
+
+
+_PACKED = re.compile(r"\sv?(?:mul|add|div)ps\s")
+
+
+def test_the_fp32_approximation_engines_vectorise():
+    """Each FP32 approximation engine, in its ``.avx2`` and its ``.default``
+    clone, runs packed float arithmetic (``mulps``, ``addps`` or ``divps``,
+    VEX-encoded or not): its loop is vectorised, not a scalar loop with a
+    branch per element."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("the target clones are built on x86-64 only")
+    if shutil.which("objdump") is None:
+        pytest.skip("no 'objdump' on PATH")
+    lib = native.library()
+    if lib is None:
+        pytest.skip("the C library is unavailable")
+    listing = subprocess.run(["objdump", "-d", "--no-show-raw-insn", lib._name], check=True,
+                             capture_output=True, text=True).stdout
+    bodies = {}
+    for block in listing.split("\n\n"):
+        head = re.search(r"^[0-9a-f]+ <([^>]+)>:$", block, re.M)
+        if head:
+            bodies[head.group(1)] = block
+    packed = {}
+    for engine in ("exp_taylor_f32", "tanh_pade78_f32", "minimax_f32"):
+        for clone in ("avx2", "default"):
+            name = f"{engine}.{clone}"
+            assert name in bodies, f"{name}: no such function in {lib._name}"
+            packed[name] = len(_PACKED.findall(bodies[name]))
+    assert all(packed.values()), packed
