@@ -16,8 +16,9 @@ leaves are argument tensors.  Planning happens in two passes:
    step with its timestamp and a temporary slot by one rule for every
    arity: inherit the slot of the first non-leaf child (left, right,
    middle) and recycle the others, so that the live set never exceeds the
-   minimum over all evaluation orders.  The same walk lowers the steps C
-   runs into the plan's program (``Program``).  The plan records each
+   minimum over all evaluation orders (a REDUCE, or an IDENTITY that
+   converts, takes a slot of its own: ``_fresh``).  The same walk lowers
+   the steps C runs into the plan's program (``Program``).  The plan records each
    slot's byte size; planning writes nothing onto the nodes, so trees that
    share a node plan independently, and nothing onto the plan once it is
    built.
@@ -28,20 +29,22 @@ equation.
 
 Evaluation replays the plan's decisions.  BUFFERED runs every step into its
 planned slot, over byte buffers of the recorded sizes made fresh for each
-call; each run of FP32 (or FP64) elementwise steps of the kinds of
-``_OPCODES``, lowered as the plan was built into its C program
-(``ExecPlan.program``), runs in one native call, reading each argument as
-the view passed lays it out (plain, ROW, COL or SCALAR), every other step
-is one kernel call, and a program that meets a NaN or an operand C cannot
-take leaves the plan to its per-step path.  HYBRID runs the
-non-elementwise nodes the same way, into private buffers, and each maximal
-region of pure elementwise maps (TILE_FUSED: the whole tree, which must be
-one such region) in blocks of whole tiles: each node's bound ndarray math
-(``Kernel.math``) runs on numpy slices, one block within a fixed byte
-budget at a time, and every result is rounded to the node's dtype, as
-storing a temporary does.  All three produce
-bitwise-identical results to naive per-node evaluation because each node
-runs the same math on the same values in the same order.
+call; each run of consecutive FP32 and FP64 steps that a program runs
+(``_step_record``: the elementwise kinds of ``_OPCODES``, conversions,
+REDUCE SUM folds, and RESHAPEs, which emit no code), lowered as the plan
+was built into its C program (``ExecPlan.program``), runs in one native
+call, each step over its own extent, reading each argument as the view
+passed lays it out (plain, ROW, COL or SCALAR) and each smaller operand by
+broadcast; every other step is one kernel call, and a program that meets
+a NaN or an operand C cannot take leaves the plan to its per-step path.
+HYBRID runs the non-elementwise nodes the same way, into private buffers,
+and each maximal region of pure elementwise maps (TILE_FUSED: the whole
+tree, which must be one such region) in blocks of whole tiles: each node's
+bound ndarray math (``Kernel.math``) runs on numpy slices, one block within
+a fixed byte budget at a time, and every result is rounded to the node's
+dtype, as storing a temporary does.  All three produce bitwise-identical
+results to naive per-node evaluation because each node runs the same math
+on the same values in the same order.
 """
 
 from __future__ import annotations
@@ -63,8 +66,11 @@ from .ops import (
     CmpOp,
     InvalidSpecError,
     Kernel,
+    ReduceAxis,
+    ReduceOp,
     ReduceSpec,
     TernaryKind,
+    TransformKind,
     TransformSpec,
     UnaryKind,
 )
@@ -160,7 +166,7 @@ class TreeBuilder:
 
     def _op(self, kind: OpKind, children: list[EqNode], approx: Approx | None = None,
             reduce: ReduceSpec | None = None, transform: TransformSpec | None = None,
-            cmp: CmpOp | None = None) -> EqNode:
+            cmp: CmpOp | None = None, dtype: DType | None = None) -> EqNode:
         depth = 1 + max([c.depth for c in children])
         if depth > MAX_DEPTH:
             raise EquationError(f"equation deeper than MAX_DEPTH = {MAX_DEPTH} operations")
@@ -169,15 +175,35 @@ class TreeBuilder:
                                   transform, cmp)
         except InvalidSpecError as e:
             raise EquationError(f"shape inference failed at {kind.value}: {e}") from None
+        od = kern.out_desc
+        if dtype is not None and dtype is not od.dtype:
+            if kind is not UnaryKind.IDENTITY or dtype not in native.PROGRAM_DTYPES \
+                    or not od.dtype.is_float:
+                raise EquationError(f"only an IDENTITY of a float value converts, to FP32 or "
+                                    f"FP64: {kind.value} of {od.dtype.name} to {dtype.name}")
+            od = TensorDesc(od.rows, od.cols, od.rows, dtype)
         self._next += 1
-        node = EqNode(self._next - 1, kind, children, None, kern.out_desc, kern, depth)
+        node = EqNode(self._next - 1, kind, children, None, od, kern, depth)
         _score(node)
         return node
 
     def unary(self, kind: UnaryKind, child: EqNode, approx: Approx | None = None,
-              reduce: ReduceSpec | None = None,
-              transform: TransformSpec | None = None) -> EqNode:
-        return self._op(kind, [child], approx, reduce, transform)
+              reduce: ReduceSpec | None = None, transform: TransformSpec | None = None,
+              dtype: DType | None = None) -> EqNode:
+        """A unary node; ``dtype`` (an IDENTITY's alone) names the float type
+        its value takes: FP64 holds any float exactly, and FP32 takes FP64
+        rounded to nearest (+-inf beyond its range), as ``narrow`` stores."""
+        return self._op(kind, [child], approx, reduce, transform, dtype=dtype)
+
+    def reshape(self, child: EqNode, rows: int, cols: int) -> EqNode:
+        """The child's values at ``rows`` x ``cols`` in the same column-major
+        order: the bytes of a dense value read at a new extent, as
+        ``view_at`` reads them (a TRANSFORM of kind RESHAPE).  Over a
+        non-leaf child, and not as the root, it emits no program code: the
+        node keeps its child's slot, and the steps that read it read those
+        bytes."""
+        return self._op(UnaryKind.TRANSFORM, [child], transform=TransformSpec(
+            TransformKind.RESHAPE, rows=rows, cols=cols))
 
     def binary(self, kind: BinaryKind, left: EqNode, right: EqNode,
                cmp: CmpOp | None = None) -> EqNode:
@@ -351,7 +377,9 @@ def _score(n: EqNode) -> None:
     subtree at ``n``.  Evaluating non-leaf children in decreasing-need order,
     the j-th child runs while j-1 earlier outputs are held, so the subtree
     needs max_j(need_j + j - 1); with only leaf children one slot is taken
-    for the node itself; a leaf needs 0.  For unary/binary trees this
+    for the node itself; a leaf needs 0.  A node that takes a slot of its
+    own (``_fresh``) holds its child's while it writes it, so over a non-leaf
+    child it needs at least 2.  For unary/binary trees of other nodes this
     coincides with the register score; the ternary score's floor of 3 can
     over- or under-state the true requirement, so planning order and slot
     counts use this value.
@@ -362,6 +390,8 @@ def _score(n: EqNode) -> None:
     elif len(kids) == 1:
         c = kids[0]
         n.score, n.need = (1, 1) if c.kind is None else (c.score, c.need)
+        if c.kind is not None and n.need < 2 and _fresh(n):
+            n.need = 2
     elif len(kids) == 2:
         # with a leaf's need of 0, max_j(need_j + j) takes the score's form
         l, r = kids
@@ -426,11 +456,13 @@ def create_execution_plan(tree: EqTree) -> ExecPlan:
     Children are visited in decreasing order of their true temp requirement
     (ties left-to-right; for unary/binary trees this requirement equals the
     register score, for ternary nodes the score's floor of 3 would misorder
-    some trees).  A node inherits the slot of its first non-leaf child in the
-    order left, right, middle and recycles the slots of the others; a node
-    over leaves only takes the lowest free slot, or a new one.  The same
-    walk lowers the plan's ``program``.  A tree not scored by
-    ``TreeBuilder`` (its root has no score) is an EquationError.
+    some trees).  A node inherits the slot of its first non-leaf child in
+    the order left, right, middle and recycles the slots of the others; a
+    node over leaves only takes the lowest free slot, or a new one, and so
+    does a node that needs a slot of its own (``_fresh``), before it
+    recycles its children's.  The same walk lowers the plan's ``program``.
+    A tree not scored by ``TreeBuilder`` (its root has no score) is an
+    EquationError.
     """
     if tree.root.score < 0 or tree.root.need < 0:
         raise EquationError("the tree carries no register scores: build it with TreeBuilder")
@@ -451,78 +483,97 @@ def create_execution_plan(tree: EqTree) -> ExecPlan:
         kids = n.children
         if len(kids) > 1:
             kids = sorted(kids, key=_by_need)  # stable: ties stay left to right
-        stack.extend([c for c in kids if c.kind is not None])
+        for c in kids:
+            if c.kind is not None:
+                stack.append(c)
     slot_of: dict[EqNode, int] = {}  # the plan's slots live here, not on the nodes
-    # the program, lowered in the same walk: a step whose kernel has an
-    # opcode (``_opcode``) joins the open run when the step before it is
-    # lowered too and has its extent and dtype, or opens a run; every other
-    # step stays a kernel call and publishes its lowered children's slots
+    # the program, lowered in the same walk: a step whose node has a step
+    # record (``_step_record``) joins the open run, or opens one; every
+    # other step stays a kernel call and publishes its lowered children's
+    # slots
     nargs = len(tree.args)
-    schedule: list = []   # the steps, each run as [extent descriptor, steps, live]
+    schedule: list = []   # the steps, each run as [steps, live]
     code: list[int] = []
     reads: set[int] = set()
+    folds: set[int] = set()
     run = None            # the open run
     run_of: dict[EqNode, list] = {}  # lowered node -> its run
     out_dtype = None
     for n in reversed(order):
         kids = n.children
-        held = [slot_of[c] for c in (kids[0], *kids[:0:-1]) if c.kind is not None]
-        if held:
-            slot = held[0]
-            for other in held[1:]:
-                heapq.heappush(free, other)
-                recycled = True
+        inputs = []
+        refs = []   # the operand numbers of the inputs in the program's table
+        held = []   # the slots of the non-leaf children, the one to inherit first
+        for c in kids:
+            if c.kind is None:
+                inputs.append(("arg", c.arg_slot))
+                refs.append(c.arg_slot)
+            else:
+                c_slot = slot_of[c]
+                inputs.append(("tmp", c_slot))
+                refs.append(nargs + c_slot)
+                held.append(c_slot)
+        if len(held) == 2 and len(kids) == 3 and kids[0].kind is None:
+            held.reverse()   # the right child before the middle one
+        is_root = n is root
+        # the root writes out, so it may keep a child's slot as its own
+        if held and (is_root or len(kids) > 1 or not _fresh(n)):
+            slot = held.pop(0)
         elif free:
             slot = heapq.heappop(free)
         else:
             slot = temp_count
             temp_count += 1
+        for other in held:
+            heapq.heappush(free, other)
+            recycled = True
         slot_of[n] = slot
-        is_root = n is root
         if not is_root:
             slot_bytes[slot] = max(slot_bytes.get(slot, 0), n.out_desc.nbytes)
-        inputs = tuple([("arg", c.arg_slot) if c.kind is None else ("tmp", slot_of[c])
-                        for c in kids])
-        step = PlanStep(len(steps), n, inputs, ("tmp", slot), is_root)
+        step = PlanStep(len(steps), n, tuple(inputs), ("tmp", slot), is_root)
         steps.append(step)
-        op = _opcode(n.kernel)
-        if op is None:
+        record = _step_record(n)
+        if record is None or (is_root and not record):
             run = None
             for c in kids:
                 if c in run_of:
-                    run_of[c][2].append((slot_of[c], c.out_desc))
+                    run_of[c][1].append((slot_of[c], c.out_desc))
             schedule.append(step)
             continue
-        d = n.out_desc
-        if run is None or (run[0] is not d and (run[0].rows, run[0].cols, run[0].dtype)
-                           != (d.rows, d.cols, d.dtype)):
-            run = [d, 0, []]
+        if run is None:
+            run = [0, []]
             schedule.append(run)
-        run[1] += 1
         run_of[n] = run
-        refs = []
-        for kind, ref in inputs:
-            if kind == "arg":
+        if not record:   # a RESHAPE: its child's bytes in its child's slot
+            continue
+        run[0] += 1
+        for ref in refs:
+            if ref < nargs:
                 reads.add(ref)
-            else:
-                ref += nargs
-            refs.append(ref)
-        a, b, c = (refs + refs[:1] * 2)[:3]   # a unary step reads a as b and c, a binary one as c
+        if record[0] >= _FOLD and refs[0] < nargs:
+            folds.add(refs[0])
+        if len(refs) == 1:   # a unary step reads a as b and c, a binary one as c
+            refs *= 3
+        elif len(refs) == 2:
+            refs.append(refs[0])
+        code += record
+        code += refs
         # the root is the last step, so temp_count is final when it writes out
-        code += (op, a, b, c, nargs + (temp_count if is_root else slot))
+        code.append(nargs + (temp_count if is_root else slot))
         if is_root:
-            out_dtype = d.dtype
+            out_dtype = n.out_desc.dtype
 
-    program = np.array(code, dtype=np.int32)
+    program = np.array(code, dtype=np.int64)
     at = native.address(program) if code else 0
     for i, item in enumerate(schedule):
         if type(item) is list:
-            d, count, live = item
-            schedule[i] = Run(d.rows, d.cols, d.dtype, count, at, tuple(live))
-            at += 20 * count
+            count, live = item
+            schedule[i] = Run(count, at, tuple(live))
+            at += 8 * _STEP_LEN * count
     naive = sum(s.node.out_desc.nbytes for s in steps if not s.is_root)
     return ExecPlan(tree, steps, temp_count, slot_bytes, naive, recycled,
-                    Program(tuple(schedule), program, tuple(sorted(reads)), out_dtype))
+                    Program(tuple(schedule), program, tuple(sorted(reads)),
+                            tuple(sorted(folds)), out_dtype))
 
 
 def _by_need(n: EqNode) -> int:
@@ -621,7 +672,8 @@ def _eval_buffered(plan: ExecPlan, args: Sequence[TensorView], out: TensorView,
     bufs = {slot: np.zeros(n, dtype=np.uint8) for slot, n in plan.slot_bytes.items()}
     prog = plan.program
     if step_hook is None and prog.code.size:
-        run = native.program(args, prog.reads, bufs, plan.temp_count, out, prog.out_dtype)
+        run = native.program(args, prog.reads, prog.folds, bufs, plan.temp_count, out,
+                             prog.out_dtype)
         if run is not None:
             if _run_schedule(prog.schedule, args, out, bufs, None, run):
                 return
@@ -639,7 +691,7 @@ def _run_schedule(schedule: Sequence, args: Sequence[TensorView], out: TensorVie
     made: dict[tuple[int, TensorDesc], TensorView] = {}  # one view per slot and descriptor
     for s in schedule:
         if type(s) is Run:
-            if not run(s.m, s.n, s.address, s.steps, s.dtype is DType.FP64):
+            if not run(s.address, s.steps):
                 return False
             for slot, desc in s.live:
                 views[slot] = _slot_dst(made, bufs, slot, desc)
@@ -668,45 +720,97 @@ def _slot_dst(made: dict[tuple[int, TensorDesc], TensorView], bufs: dict[int, np
 
 
 # ---------------------------------------------------------------------------
-# lowering: BUFFERED's FP32 and FP64 elementwise steps as C programs
+# lowering: BUFFERED's FP32 and FP64 steps as one C program
 # ---------------------------------------------------------------------------
 
-# the kinds a program runs, by their opcode in native.c's program kernels
+# the elementwise kinds a program runs, by their opcode in native.c's program
 _OPCODES = {BinaryKind.ADD: 0, BinaryKind.SUB: 1, BinaryKind.MUL: 2, UnaryKind.SQUARE: 3,
             UnaryKind.RELU: 4, BinaryKind.DIV: 5, BinaryKind.MAX: 6, UnaryKind.RSQRT: 7,
             TernaryKind.MULADD: 8, TernaryKind.NMULADD: 9}
+_CONVERT = 10   # an IDENTITY from FP32 to FP64 or back
+# the REDUCE specs a program folds, by opcode; every opcode from _FOLD up is a fold
+_FOLD = 11
+_FOLDS = {ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM): _FOLD,
+          ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, squared=True): _FOLD + 1,
+          ReduceSpec(ReduceAxis.COLS, ReduceOp.SUM): _FOLD + 2}
+_STEP_LEN = 11   # int64 fields of a step record: the 7 of ``_step_record``, a, b, c, d
 
 
-def _opcode(kernel: Kernel) -> int | None:
-    """The opcode that runs ``kernel`` in a program, or None: its kind is in
-    ``_OPCODES`` with bound math (RELU without a bitmask), and its output
-    and every operand are FP32, or all FP64, of one extent.  A node's
-    operands are its children's descriptors, a leaf's as declared; a leaf
-    may be declared a broadcast of any kind, since the program reads each
-    argument as the view passed to ``evaluate`` lays it out."""
-    op = _OPCODES.get(kernel.spec.kind)
-    od = kernel.out_desc
+def _step_record(node: EqNode) -> tuple | None:
+    """The fixed fields of the program step that runs ``node``: (op, type,
+    m, n, ka, kb, kc), type 1 for FP64 and 0 for FP32, m x n the extent
+    the step runs over, and each k how it reads its operand a, b or c (a
+    Bcast code: a 1 x n value as ROW, m x 1 as COL, 1 x 1 as SCALAR, as
+    ``ops._join`` broadcasts them).  () for a RESHAPE of a non-leaf child, which emits
+    no code; None when the node stays a kernel call.
+
+    A program runs the elementwise kinds of ``_OPCODES`` (RELU without a
+    bitmask) whose value and operands are all FP32, or all FP64; an IDENTITY
+    that converts FP32 to FP64 or back (CONVERT, over its value's extent);
+    and the REDUCE SUM folds of ``_FOLDS`` of an FP32 or FP64 operand (over
+    the operand's extent).  A leaf may be declared a broadcast of any kind,
+    since the program reads each argument as the view passed to
+    ``evaluate`` lays it out."""
+    od = node.out_desc
     dtype = od.dtype
-    if op is None or kernel.math is None or dtype not in native.PROGRAM_DTYPES:
+    if dtype is not DType.FP32 and dtype is not DType.FP64:
         return None
-    for d in kernel.spec.ins:
-        if d.dtype is not dtype or d.rows != od.rows or d.cols != od.cols:
-            return None
-    return op
+    kind, kernel, children = node.kind, node.kernel, node.children
+    fp64 = int(dtype is DType.FP64)
+    a = children[0].out_desc
+    op = _OPCODES.get(kind)
+    if op is None:
+        if kind is UnaryKind.REDUCE:
+            op = _FOLDS.get(kernel.spec.reduce)
+            return None if op is None or a.dtype is not dtype else \
+                (op, fp64, a.rows, a.cols, 0, 0, 0)
+        if kind is UnaryKind.IDENTITY:
+            return None if a.dtype is dtype or a.dtype not in native.PROGRAM_DTYPES else \
+                (_CONVERT, fp64, od.rows, od.cols, 0, 0, 0)
+        if kind is UnaryKind.TRANSFORM:
+            return () if kernel.spec.transform.kind is TransformKind.RESHAPE \
+                and children[0].kind is not None else None
+        return None
+    if kernel.math is None or a.dtype is not dtype:
+        return None
+    m, n = od.rows, od.cols
+    ka = (a.rows != m) | (a.cols != n) << 1
+    if len(children) == 1:
+        return (op, fp64, m, n, ka, ka, ka)
+    b = children[1].out_desc
+    if b.dtype is not dtype:
+        return None
+    kb = (b.rows != m) | (b.cols != n) << 1
+    if len(children) == 2:
+        return (op, fp64, m, n, ka, kb, ka)
+    c = children[2].out_desc
+    if c.dtype is not dtype:
+        return None
+    return (op, fp64, m, n, ka, kb, (c.rows != m) | (c.cols != n) << 1)
+
+
+def _fresh(n: EqNode) -> bool:
+    """Whether ``n`` takes a slot none of its children holds: a REDUCE, or
+    an IDENTITY that converts, writes a value of another extent or element
+    size than the one it reads, which a program step writing in place would
+    overwrite before reading it.  Every other step writes in place safely:
+    an elementwise one reads each element before it writes it (a broadcast
+    operand too, see native.c), a RESHAPE writes nothing, and a kernel call
+    reads its operands whole first (``_run_node`` stages the layouts and
+    contractions)."""
+    return n.kind is UnaryKind.REDUCE or (n.kind is UnaryKind.IDENTITY and
+                                          n.out_desc.dtype is not n.children[0].out_desc.dtype)
 
 
 class Run(NamedTuple):
-    """Consecutive lowered steps over one ``m`` x ``n`` extent and one
-    ``dtype``, run by one C call: its ``steps`` (op, a, b, c, d) int32
-    quintuples at ``address`` name operands of the program's table (the
-    arguments, then the slots, then ``out``; a unary step reads a three
-    times, a binary one reads a as its unused c); ``live`` holds the (slot,
-    descriptor) of each value it makes that a step outside the program
-    reads."""
+    """Consecutive lowered steps, run by one C call: its ``steps`` step
+    records of ``_STEP_LEN`` int64 at ``address`` (op, type, m, n, ka, kb,
+    kc, a, b, c, d), each with its own extent and type, name operands of
+    the program's table (the arguments, then the slots, then ``out``; a
+    unary step reads a three times, a binary one reads a as its unused c);
+    ``live`` holds the (slot, descriptor) of each value it makes that a step
+    outside the program reads."""
 
-    m: int
-    n: int
-    dtype: DType
     steps: int
     address: int
     live: tuple[tuple[int, TensorDesc], ...]
@@ -714,15 +818,16 @@ class Run(NamedTuple):
 
 class Program(NamedTuple):
     """A plan lowered for BUFFERED: ``schedule`` is the plan's steps in
-    order, each maximal run of lowered steps of one extent and dtype
-    replaced by its ``Run``; ``code`` holds all their steps (int32),
-    ``reads`` lists the arguments they read, and ``out_dtype`` is the
-    dtype in which one writes the root, None when the root stays a kernel
-    call."""
+    order, each maximal run of lowered steps replaced by its ``Run``;
+    ``code`` holds all their step records (int64), ``reads`` lists the
+    arguments they read and ``folds`` those a REDUCE step reads, and
+    ``out_dtype`` is the dtype in which one writes the root, None when the
+    root stays a kernel call."""
 
     schedule: tuple
     code: np.ndarray
     reads: tuple[int, ...]
+    folds: tuple[int, ...]
     out_dtype: DType | None
 
 

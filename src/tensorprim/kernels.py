@@ -2,11 +2,12 @@
 operators, the contraction engine and equation plans.
 
 Nothing in this module touches tensor elements directly: all math goes
-through primitive calls or planned equations, the normalisation statistics
-included (two cached FP64 plans on per-group sums), and buffers are
-reinterpreted only through ``view_at``.  A source audit check enforces that
-no array library is imported and that no element buffer is indexed or used
-in arithmetic.
+through primitive calls or planned equations, and buffers are reinterpreted
+only through ``view_at``.  A source audit check enforces that no array
+library is imported and that no element buffer is indexed or used in
+arithmetic.  A layernorm or GROUPNORM call is one evaluation of one cached
+equation tree, its statistics included (row folds, FP64 group sums and
+statistics, the scaling), which runs as one C program where C runs.
 
 Softmax makes a fixed number of calls, never one per slice: two per-slice
 folds, each two COLS reduces whose bits are those of an ALL reduce of every
@@ -147,83 +148,75 @@ def _scaling_plan(rows: int, cols: int, dtype: DType) -> eqn.ExecPlan:
     return eqn.create_execution_plan(b.tree(root))
 
 
-def _col_vec(rows: int) -> TensorView:
-    return alloc(TensorDesc(rows, 1, rows, DType.FP32))
-
-
-def _as_col_bcast(v: TensorView, rows: int, cols: int) -> TensorView:
-    return broadcast(v, Bcast.COL, rows, cols)
-
-
 @functools.lru_cache(maxsize=DISPATCH_CACHE_SIZE)
-def _stats_plans(groups: int, n: int, eps: float) -> tuple[eqn.ExecPlan, eqn.ExecPlan,
-                                                             tuple[TensorView, ...]]:
-    """The two FP64 plans of the statistics of ``groups`` groups of ``n``
-    elements each, over their 1 x groups sums S and squared sums SS, and
-    their constants N = n, 0, eps and -1 as SCALAR views, built once:
-    rstd = rsqrt(max(SS/N - (S/N)*(S/N), 0) + eps) and shift = ((S/N) * -1)
-    * rstd, each node one correctly rounded FP64 operation."""
-    vec = TensorDesc(1, groups, 1, DType.FP64)
-    one = TensorDesc(1, groups, 1, DType.FP64, Bcast.SCALAR)
-    consts = tuple(broadcast(alloc(TensorDesc(1, 1, 1, DType.FP64), fill=c),
-                             Bcast.SCALAR, 1, groups) for c in (n, 0.0, eps, -1.0))
-    b = eqn.TreeBuilder([vec, vec, one, one, one])   # S, SS, N, 0, eps
-    mu = [b.binary(BinaryKind.DIV, b.leaf(0), b.leaf(2)) for _ in range(2)]  # no shared node
-    var = b.ternary(TernaryKind.NMULADD, *mu, b.binary(BinaryKind.DIV, b.leaf(1), b.leaf(2)))
-    var = b.binary(BinaryKind.MAX, var, b.leaf(3))
-    rstd = b.tree(b.unary(UnaryKind.RSQRT, b.binary(BinaryKind.ADD, var, b.leaf(4))))
-    b = eqn.TreeBuilder([vec, one, one, vec])        # S, N, -1, rstd
-    neg = b.binary(BinaryKind.MUL, b.binary(BinaryKind.DIV, b.leaf(0), b.leaf(1)), b.leaf(2))
-    shift = b.tree(b.binary(BinaryKind.MUL, neg, b.leaf(3)))
-    return eqn.create_execution_plan(rstd), eqn.create_execution_plan(shift), consts
+def _norm_plan(rows: int, cols: int, groups: int, eps: float, dtype: DType,
+               stat: str = "out") -> tuple[eqn.ExecPlan, tuple[TensorView, ...]]:
+    """The plan of a normalisation of a rows x cols input of ``dtype`` over
+    ``groups`` groups of consecutive rows, with its constant arguments N (a
+    group's element count), 0, eps and -1, FP64 (eps a SCALAR over each
+    group's rows), built once.  The plan's arguments are x, the constants,
+    then G and B; its root is
+
+    * ``stat`` "out": Y = (x * scale + shift) * G + B, two cascading
+      multiply-adds over the rows' FP32 scale and shift;
+    * "mean" or "var" (one group per row): the rows x 1 FP32 mu or var.
+
+    A group's sum S (squared sum SS) folds its rows' FP32 row sums, widened
+    to FP64, in row order: a ROWS reduce, a widening IDENTITY, a RESHAPE of
+    the rows x 1 sums to one column per group and a COLS reduce.  Then mu
+    = S/N, var = max(SS/N - mu*mu, 0) (cancellation can go below 0), rstd =
+    1/sqrt(var + eps), whose ADD spreads each group's value over its rows,
+    and shift = (mu * -1) * rstd, each one correctly rounded FP64
+    operation, each statistic narrowed once to FP32 and reshaped to one per
+    row.  The tree shares no node, so it folds x five times: the sums of
+    scale, and those of shift's mu and rstd.  Every step runs in the plan's
+    one C program where C runs (a BF16 x's row sums stay kernel calls)."""
+    per = rows // groups
+    fp64, fp32 = DType.FP64, DType.FP32
+    one = TensorDesc(1, 1, 1, fp64)
+    spread = TensorDesc(per, groups, 1, fp64, Bcast.SCALAR)
+    consts = (alloc(one, fill=per * cols), alloc(one, fill=0.0),
+              broadcast(alloc(one, fill=eps), Bcast.SCALAR, per, groups), alloc(one, fill=-1.0))
+    colv = TensorDesc(rows, cols, rows, fp32, Bcast.COL)
+    b = eqn.TreeBuilder([TensorDesc(rows, cols, rows, dtype), one, one, spread, one, colv, colv])
+    x, n, zero, eps_, minus1, g, bias = range(7)
+
+    def total(squared: bool) -> eqn.EqNode:   # 1 x groups
+        sums = b.unary(UnaryKind.REDUCE, b.leaf(x),
+                       reduce=ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, squared=squared))
+        wide = b.reshape(b.unary(UnaryKind.IDENTITY, sums, dtype=fp64), per, groups)
+        return b.unary(UnaryKind.REDUCE, wide, reduce=ReduceSpec(ReduceAxis.COLS, ReduceOp.SUM))
+
+    def mean() -> eqn.EqNode:
+        return b.binary(BinaryKind.DIV, total(False), b.leaf(n))
+
+    def var() -> eqn.EqNode:
+        ms = b.binary(BinaryKind.DIV, total(True), b.leaf(n))
+        v = b.binary(BinaryKind.SUB, ms, b.unary(UnaryKind.SQUARE, mean()))
+        return b.binary(BinaryKind.MAX, v, b.leaf(zero))
+
+    def rstd() -> eqn.EqNode:   # per x groups
+        return b.unary(UnaryKind.RSQRT, b.binary(BinaryKind.ADD, var(), b.leaf(eps_)))
+
+    def per_row(v: eqn.EqNode) -> eqn.EqNode:   # per x groups FP64 -> rows x 1 FP32
+        return b.unary(UnaryKind.IDENTITY, b.reshape(v, rows, 1), dtype=fp32)
+
+    if stat == "out":
+        shift = b.binary(BinaryKind.MUL, b.binary(BinaryKind.MUL, mean(), b.leaf(minus1)), rstd())
+        inner = b.ternary(TernaryKind.MULADD, b.leaf(x), per_row(rstd()), per_row(shift))
+        root = b.ternary(TernaryKind.MULADD, inner, b.leaf(g), b.leaf(bias))
+    else:
+        root = per_row(mean() if stat == "mean" else var())
+    return eqn.create_execution_plan(b.tree(root)), consts
 
 
-def _norm_stats(x: TensorView, groups: int, eps: float,
-                mean_out: TensorView | None = None,
-                var_out: TensorView | None = None) -> tuple[TensorView, TensorView]:
-    """Per-row FP32 scale = 1/sqrt(var + eps) and shift = (mu * -1) * scale,
-    broadcast along the columns, for ``groups`` equal groups of consecutive rows.
-
-    FP32 row sums and squared sums are widened to FP64 and summed per group in
-    row order; mu = s/n and var = max(ss/n - mu*mu, 0) (cancellation can go
-    below 0), each step one correctly rounded FP64 operation of the plans of
-    :func:`_stats_plans` (mu and var, when asked for, by the same
-    primitives), each statistic narrowed once into its M x 1 vector.
-    """
-    rows, cols = x.desc.rows, x.desc.cols
-    per_group = rows // groups
-    rstd_plan, shift_plan, (n, zero, eps_, minus1) = _stats_plans(groups, per_group * cols, eps)
-
-    grid32 = TensorDesc(per_group, groups, per_group, DType.FP32)
-
-    def grid(v: TensorView) -> TensorView:
-        # an M x 1 vector as per_group x groups: one column per group
-        d = v.desc.dtype
-        return view_at(v.primary, 0, grid32 if d is DType.FP32 else replace(grid32, dtype=d))
-
-    wide = alloc(replace(grid32, dtype=DType.FP64))
-    vec = rstd_plan.tree.args[0]   # 1 x groups FP64
-    s, ss, rstd, neg = (alloc(vec) for _ in range(4))
-    scale, shift = _col_vec(rows), _col_vec(rows)
-    for squared, total in ((False, s), (True, ss)):  # scale holds the row sums
-        reduce(x, ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, squared=squared), scale)
-        apply_unary(UnaryKind.IDENTITY, grid(scale), wide)
-        reduce(wide, ReduceSpec(ReduceAxis.COLS, ReduceOp.SUM), total)
-    eqn.evaluate(rstd_plan, eqn.Buffered(), [s, ss, n, zero, eps_], rstd)
-    eqn.evaluate(shift_plan, eqn.Buffered(), [s, n, minus1, rstd], neg)
-    stats = [(rstd, scale), (neg, shift)]
-    if mean_out is not None or var_out is not None:
-        mu, var = alloc(vec), alloc(vec)
-        apply_binary(BinaryKind.DIV, s, n, mu)
-        apply_binary(BinaryKind.DIV, ss, n, var)
-        apply_ternary(TernaryKind.NMULADD, mu, mu, var, var)
-        apply_binary(BinaryKind.MAX, var, zero, var)
-        stats += [(mu, mean_out), (var, var_out)]
-    for stat, dst in stats:
-        if dst is not None:
-            apply_unary(UnaryKind.IDENTITY, broadcast(stat, Bcast.ROW, per_group, groups),
-                        grid(dst))
-    return _as_col_bcast(scale, rows, cols), _as_col_bcast(shift, rows, cols)
+def _normalise(x: TensorView, groups: int, eps: float, g: TensorView, b: TensorView,
+               out: TensorView, stat: str = "out") -> None:
+    """One evaluation of the plan of :func:`_norm_plan` whose root is
+    ``stat``, into ``out``."""
+    d = x.desc
+    plan, consts = _norm_plan(d.rows, d.cols, groups, eps, d.dtype, stat)
+    eqn.evaluate(plan, eqn.Buffered(), [x, *consts, g, b], out)
 
 
 def layernorm(x: TensorView, g: TensorView, b: TensorView, eps: float,
@@ -231,9 +224,11 @@ def layernorm(x: TensorView, g: TensorView, b: TensorView, eps: float,
               var_out: TensorView | None = None) -> None:
     """Per-row layer normalisation with optional affine scaling.
 
-    The row statistics are those of :func:`_norm_stats` with one group per
-    row (``mean_out``/``var_out``, rows x 1, receive mu and var); the scaling
-    is one equation of two cascading multiply-adds: (X - mu) * rstd * G + B.
+    One evaluation of the plan of :func:`_norm_plan` with one group per
+    row: the row statistics and the scaling, (X - mu) * rstd * G + B as two
+    cascading multiply-adds.  ``mean_out``/``var_out`` (rows x 1), when
+    given, receive mu and var, each by a plan of its own over the same
+    statistics tree.
     """
     rows, cols = x.desc.rows, x.desc.cols
     if cols < 2:
@@ -247,9 +242,9 @@ def layernorm(x: TensorView, g: TensorView, b: TensorView, eps: float,
         if v is not None and (v.desc.rows, v.desc.cols, v.desc.bcast) != (rows, 1, Bcast.NONE):
             raise TensorError("mean and variance outputs must be rows x 1")
 
-    scale, shift = _norm_stats(x, rows, eps, mean_out, var_out)
-    eqn.evaluate(_scaling_plan(rows, cols, x.desc.dtype), eqn.Buffered(),
-                 [x, scale, shift, g, b], out)
+    for stat, dst in (("out", out), ("mean", mean_out), ("var", var_out)):
+        if dst is not None:
+            _normalise(x, rows, eps, g, b, dst, stat)
 
 
 class NormMode:
@@ -267,21 +262,21 @@ def norm_scaling(x: TensorView, m_prime: TensorView | None, v_prime: TensorView 
     from group statistics of x (g must divide the channel count).
     """
     rows, cols = x.desc.rows, x.desc.cols
+    gg = g if (g.desc.rows, g.desc.cols) == (rows, cols) else broadcast(g, Bcast.COL, rows, cols)
+    bb = b if (b.desc.rows, b.desc.cols) == (rows, cols) else broadcast(b, Bcast.COL, rows, cols)
     if mode == NormMode.GROUPNORM:
         if groups < 1 or rows % groups != 0:
             raise TensorError(f"groups {groups} does not divide channels {rows}")
-        m_prime, v_prime = _norm_stats(x, groups, eps)
-    elif mode != NormMode.BATCHNORM:
+        _normalise(x, groups, eps, gg, bb, out)
+        return
+    if mode != NormMode.BATCHNORM:
         raise TensorError(f"unknown norm mode {mode!r}")
     if m_prime is None or v_prime is None:
         raise TensorError("batchnorm needs m' and v' vectors")
-
-    plan = _scaling_plan(rows, cols, x.desc.dtype)
-    mp = m_prime if m_prime.desc.bcast is Bcast.COL else _as_col_bcast(m_prime, rows, cols)
-    vp = v_prime if v_prime.desc.bcast is Bcast.COL else _as_col_bcast(v_prime, rows, cols)
-    gg = g if (g.desc.rows, g.desc.cols) == (rows, cols) else _as_col_bcast(g, rows, cols)
-    bb = b if (b.desc.rows, b.desc.cols) == (rows, cols) else _as_col_bcast(b, rows, cols)
-    eqn.evaluate(plan, eqn.Buffered(), [x, mp, vp, gg, bb], out)
+    mp, vp = (v if v.desc.bcast is Bcast.COL else broadcast(v, Bcast.COL, rows, cols)
+              for v in (m_prime, v_prime))
+    eqn.evaluate(_scaling_plan(rows, cols, x.desc.dtype), eqn.Buffered(),
+                 [x, mp, vp, gg, bb], out)
 
 
 # ---------------------------------------------------------------------------

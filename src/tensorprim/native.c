@@ -2,9 +2,10 @@
  * batch-reduce GEMM of the contraction, the ROWS / COLS / ALL reductions of
  * the operator set, a block of the xorshift128 PRNG streams, FP32 DROPOUT,
  * the three FP32 approximation engines (rational tanh, piecewise cubic,
- * exp), PACK, UNPACK and the split SGD step, and the plan programs that run
- * an equation's FP32 and FP64 elementwise steps (MULADD and NMULADD among
- * them: a direct call of either runs numpy, in ops).
+ * exp), PACK, UNPACK and the split SGD step, and the plan program that runs
+ * an equation's FP32 and FP64 elementwise, conversion and REDUCE SUM steps
+ * (MULADD and NMULADD among them: a direct call of either runs numpy, in
+ * ops).
  * Every kernel gives, bit for bit, what its numpy reference path gives.
  * Which of the two runs is decided in native.py alone: without a build or
  * while a verify fault is set, every caller takes its numpy path.
@@ -24,7 +25,7 @@
  * default build; the tests also build it with -mavx2, to check the bits of
  * the AVX2 code on machines that would pick AVX-512F.
  *
- * Every kernel but brgemm and the programs takes one ABI: (m, n), then each
+ * Every kernel but brgemm and the program takes one ABI: (m, n), then each
  * operand as a column-major block (address, ld), element (i, j) at
  * p[i + j*ld], inputs first, then the kernel's own scalars.  native.run
  * alone calls them.  An input may have ld 0 (one column read n times).  An
@@ -33,11 +34,11 @@
  * output blocks.
  *
  * The brgemm, reduce, split SGD and program kernels return a status: 0, or
- * 2 when a float result (split SGD: an operand) is a NaN.  The caller then
- * recomputes the call on its numpy path (a program: the whole plan; split
- * SGD: the columns it did not write), because which payload survives where
- * two NaNs meet depends on the order of the operands of + and *, which the
- * compiler may swap.
+ * 2 when a float result (split SGD, and a program's CONVERT: an operand) is
+ * a NaN.  The caller then recomputes the call on its numpy path (a program:
+ * the whole plan; split SGD: the columns it did not write), because which
+ * payload survives where two NaNs meet depends on the order of the operands
+ * of + and *, which the compiler may swap.
  *
  * BRGEMM.  acc (M x N, column-major, ld M) already holds beta*C.  For each
  * batch entry e in ascending order and each output element (i, j):
@@ -133,27 +134,34 @@
  * before anything of it is written, and stops at the first such column, so
  * the caller's composition resumes there.
  *
- * PROGRAM.  program_f32 and program_f64, one body (DEFINE_PROGRAM) for
- * each element type, run a run of an equation plan's lowered steps, all
- * over one m x n extent and of that type, in plan order: each step is int32
- * (op, a, b, c, d), operand numbers into one table of int64 (address, ld,
- * kind) triples (the plan's arguments, its slots, and out; equation.py
- * lowers the steps as it builds the plan, native.program checks the table
- * once per evaluation).
- * The opcodes are ADD a + b, SUB a - b, MUL a * b, DIV a / b, SQUARE a * a,
- * RELU (a > 0 ? a : +0, so -0 gives +0 as numpy's maximum(a, +0) does), MAX
- * (a > b || a != a ? a : b: a NaN is kept and a tie of zeros returns b, as
- * np.maximum and the MAX reduce do), RSQRT 1 / sqrt(a), MULADD c + a*b and
- * NMULADD c - a*b, each operation rounded on its own, as ops computes them.
- * A unary step names a as b and c, a binary one a as c.  An operand's kind
- * is how the view passed lays it out: PLAIN (element (i, j) at p[i +
- * j*ld]), ROW (p[j*ld], one element per column), COL (p[i], one column read
- * for every column) or SCALAR (p[0]): a column stride of ld or 0 and a row
- * step of 1 or 0.  A step with a ROW or SCALAR operand runs each column PB
- * rows at a time, that operand's element copied into a block of PB.  A
- * slot's ld is 0 in the table: its occupant is dense, ld m.  A step's d is
- * one of its operands, exactly, or overlaps none.  The transcendental kinds
- * stay kernel calls.
+ * PROGRAM.  program runs a run of an equation plan's lowered steps in plan
+ * order, each step a record of STEP_LEN int64 (op, type, m, n, ka, kb, kc,
+ * a, b, c, d) that carries its own m x n extent and its type (FP32 or
+ * FP64); a, b, c and d are operand numbers into one table of int64
+ * (address, ld, kind) triples (the plan's arguments, its slots, and out;
+ * equation.py lowers the steps as it builds the plan, native.program checks
+ * the table once per evaluation).
+ * The elementwise opcodes are ADD a + b, SUB a - b, MUL a * b, DIV a / b,
+ * SQUARE a * a, RELU (a > 0 ? a : +0, so -0 gives +0 as numpy's maximum(a,
+ * +0) does), MAX (a > b || a != a ? a : b: a NaN is kept and a tie of zeros
+ * returns b, as np.maximum and the MAX reduce do), RSQRT 1 / sqrt(a),
+ * MULADD c + a*b and NMULADD c - a*b, each operation rounded on its own, as
+ * ops computes them.  CONVERT writes a into d's type, the other one (FP32
+ * to FP64 exactly, FP64 to FP32 rounded to nearest).  ROWS_SUM,
+ * ROWS_SUMSQ and COLS_SUM fold a (m x n) into d (m x 1 or 1 x n) by the
+ * REDUCE helpers above, in their order.  A unary step names a as b and c,
+ * a binary one a as c.
+ * An operand's table kind is how the view passed lays it out: PLAIN
+ * (element (i, j) at p[i + j*ld]), ROW (p[j*ld], one element per column),
+ * COL (p[i], one column read for every column) or SCALAR (p[0]): a column
+ * stride of ld or 0 and a row step of 1 or 0.  A step's read kind (ka, kb,
+ * kc) says how its extent broadcasts a smaller value, as ops' elementwise
+ * join does: a 1 x n value as ROW, m x 1 as COL, 1 x 1 as SCALAR.  A slot's
+ * ld is 0 in the table: its occupant is dense.  A step's d is out, a slot
+ * that one of its operands occupies (of the step's extent, or smaller and
+ * read by broadcast: see DEFINE_PROGRAM), or a slot it alone touches (a
+ * CONVERT or REDUCE step, whose value is of another element size or
+ * extent).  The transcendental kinds stay kernel calls.
  */
 
 #include <float.h>
@@ -781,11 +789,35 @@ split_sgd_f32(int64_t m, int64_t n, const float *restrict g, int64_t ldg,
 
 /* the opcodes of equation._OPCODES, as the planner writes them */
 enum { PROG_ADD, PROG_SUB, PROG_MUL, PROG_SQUARE, PROG_RELU, PROG_DIV, PROG_MAX,
-       PROG_RSQRT, PROG_MULADD, PROG_NMULADD };
-/* the kinds of a table operand, in the order of tensor.Bcast */
+       PROG_RSQRT, PROG_MULADD, PROG_NMULADD, PROG_CONVERT, PROG_ROWS_SUM,
+       PROG_ROWS_SUMSQ, PROG_COLS_SUM };
+/* the fields of a step record, as equation.py lowers them */
+enum { STEP_OP, STEP_TYPE, STEP_M, STEP_N, STEP_KA, STEP_KB, STEP_KC,
+       STEP_A, STEP_B, STEP_C, STEP_D, STEP_LEN };
+/* the kinds of a table operand and of a step's read, in the order of
+ * tensor.Bcast: bit 0 is set for one row (ROW, SCALAR), bit 1 for one
+ * column (COL, SCALAR) */
 enum { KIND_PLAIN, KIND_ROW, KIND_COL, KIND_SCALAR };
 
 #define PB 64   /* rows a step runs at a time when an operand is one per column */
+
+/* The address of operand k (0, 1, 2: a, b, c) of step s, its element (i, j)
+ * at p[i*rs + j*cs].  Its table kind and the step's read kind combine by
+ * OR: row stride 0 where either is one row, column stride 0 where either is
+ * one column.  A slot's ld is 0 in the table: its occupant is dense, ld m,
+ * or 1 when the step reads it as one row. */
+INLINE intptr_t operand_at(const int64_t *s, const int64_t *table, int k,
+                           int64_t *rs, int64_t *cs)
+{
+    const int64_t *e = table + 3 * s[STEP_A + k];
+    const int64_t kind = e[2] | s[STEP_KA + k];
+    const int64_t m = s[STEP_M];
+    *rs = kind & 1 ? 0 : 1;
+    *cs = kind & 2 ? 0 : e[1] ? e[1] : kind & 1 ? 1 : m;
+    if (m == 1)     /* one row: what a column reads is one element */
+        *rs = *cs != 0;
+    return (intptr_t)e[0];
+}
 
 /* one step's loop: d[i] = EXPR, a NaN result noted */
 #define PROGRAM_LOOP(T, EXPR)                                                  \
@@ -795,21 +827,28 @@ enum { KIND_PLAIN, KIND_ROW, KIND_COL, KIND_SCALAR };
         nan |= IS_NAN(r);                                                      \
     }
 
-/* NAME##_span runs one step over len elements, d = op(a, b, c), each
- * operand at unit stride (b and c unread by a unary kind, c by a binary
- * one), and returns 1 when a result is a NaN; RELU tests its input, because
- * its select would turn a NaN into 0.
+/* NAME##_span runs an elementwise step over len elements, d = op(a, b, c),
+ * each operand at unit stride (b and c unread by a unary kind, c by a
+ * binary one), and returns 1 when a result is a NaN; RELU tests its input,
+ * because its select would turn a NaN into 0.
  *
- * NAME runs `steps` steps over one m x n extent, in order.  Step s is
- * code[5s .. 5s+4] = (op, a, b, c, d), operand numbers into table, whose
- * entries 3k .. 3k+2 are the address, ld and kind of operand k.  A step
- * whose operands and d are all flat (dense at ld m, or SCALAR) runs as one
- * column of m*n.  Returns 0, or 2 at the first step with a NaN result, with
- * the steps before it done: the caller then reruns the whole plan on its
- * numpy path, since which payload survives where two NaNs meet depends on
- * the operand order of + and *, which the compiler may swap. */
-#define DEFINE_PROGRAM(NAME, T, SQRT)                                          \
-INLINE int NAME##_span(int op, int64_t len, const T *a, const T *b,            \
+ * NAME##_map runs an elementwise step over its m x n extent.  A step whose
+ * operands and d are all flat (dense at ld m, or SCALAR) runs as one column
+ * of m*n; otherwise an operand of one element per column is copied into a
+ * block of PB, and each column runs PB rows at a time.  The columns run in
+ * descending order, which makes a write into the slot of a value the step
+ * reads by broadcast safe: a ROW value (1 x n at ld 1) has element j at
+ * p[j], below the first element, (j+1)*m, of every column after j; a COL
+ * (m x 1) or SCALAR value lies within column 0, which runs last, element
+ * by element in place (a SCALAR one from its copy).
+ *
+ * NAME##_fold runs a REDUCE SUM step by REDUCE's own fold helpers, so in
+ * their pinned order: ROWS (plain or squared) folds the m x n operand a into
+ * m x 1, COLS into 1 x n.  a is read at its column stride (0 for a COL view;
+ * native.program refuses a ROW or SCALAR one), and d, a slot of its own or
+ * out, overlaps it nowhere. */
+#define DEFINE_PROGRAM(NAME, T, SQRT, REDUCE)                                  \
+INLINE int NAME##_span(int64_t op, int64_t len, const T *a, const T *b,        \
                        const T *c, T *d)                                       \
 {                                                                              \
     int nan = 0;                                                               \
@@ -835,61 +874,119 @@ INLINE int NAME##_span(int op, int64_t len, const T *a, const T *b,            \
     return nan;                                                                \
 }                                                                              \
                                                                                \
-MULTIVERSION int64_t                                                           \
-NAME(int64_t m, int64_t n, const int32_t *code, int64_t steps,                 \
-     const int64_t *table)                                                     \
+INLINE int NAME##_map(const int64_t *s, const int64_t *table)                  \
 {                                                                              \
+    const int64_t m = s[STEP_M];                                               \
     T fill[3][PB];                                                             \
-    for (int64_t s = 0; s < steps; s++) {                                      \
-        const int32_t *c = code + 5 * s;                                       \
-        const T *p[3];                                                         \
-        int64_t cs[3];                                                         \
-        int rs[3];                                                             \
-        for (int k = 0; k < 3; k++) {                                          \
-            const int64_t *e = table + 3 * c[1 + k];                           \
-            p[k] = (const T *)(intptr_t)e[0];                                  \
-            cs[k] = e[2] == KIND_COL || e[2] == KIND_SCALAR ? 0                \
-                    : e[1] ? e[1] : m;                                         \
-            rs[k] = e[2] == KIND_ROW || e[2] == KIND_SCALAR ? 0 : 1;           \
-            if (m == 1)     /* one row: what a column reads is one element */  \
-                rs[k] = cs[k] != 0;                                            \
-        }                                                                      \
-        const int64_t *e = table + 3 * c[4];                                   \
-        T *d = (T *)(intptr_t)e[0];                                            \
-        const int64_t ldd = e[1] ? e[1] : m;                                   \
-        int64_t rows = m, cols = n;                                            \
-        if (ldd == m && cs[0] == m * rs[0] && cs[1] == m * rs[1]               \
-                && cs[2] == m * rs[2]) {                                       \
-            rows = m * n;   /* every operand flat: one column */               \
-            cols = 1;                                                          \
-        }                                                                      \
-        /* an operand of one element per column reads it from a block of PB    \
-         * copies, and each column then runs PB rows at a time */              \
-        const int64_t chunk = !rs[0] || !rs[1] || !rs[2] ? PB : rows;          \
-        int nan = 0;                                                           \
-        for (int64_t j = 0; j < cols; j++) {                                   \
-            const T *q[3];                                                     \
-            for (int k = 0; k < 3; k++) {                                      \
-                q[k] = p[k] + j * cs[k];                                       \
-                if (!rs[k]) {                                                  \
-                    const T v = *q[k];                                         \
-                    for (int64_t i = 0; i < PB && i < rows; i++)               \
-                        fill[k][i] = v;                                        \
-                    q[k] = fill[k];                                            \
-                }                                                              \
-            }                                                                  \
-            T *dj = d + j * ldd;                                               \
-            for (int64_t i0 = 0; i0 < rows; i0 += chunk)                       \
-                nan |= NAME##_span(c[0], rows - i0 < chunk ? rows - i0 : chunk, \
-                                   rs[0] ? q[0] + i0 : q[0],                   \
-                                   rs[1] ? q[1] + i0 : q[1],                   \
-                                   rs[2] ? q[2] + i0 : q[2], dj + i0);         \
-        }                                                                      \
-        if (nan)                                                               \
-            return 2;                                                          \
+    const T *p[3];                                                             \
+    int64_t rs[3], cs[3];                                                      \
+    for (int k = 0; k < 3; k++)                                                \
+        p[k] = (const T *)operand_at(s, table, k, rs + k, cs + k);             \
+    const int64_t *e = table + 3 * s[STEP_D];                                  \
+    T *d = (T *)(intptr_t)e[0];                                                \
+    const int64_t ldd = e[1] ? e[1] : m;                                       \
+    int64_t rows = m, cols = s[STEP_N];                                        \
+    if (ldd == m && cs[0] == m * rs[0] && cs[1] == m * rs[1]                   \
+            && cs[2] == m * rs[2]) {                                           \
+        rows = m * cols;    /* every operand flat: one column */               \
+        cols = 1;                                                              \
     }                                                                          \
-    return 0;                                                                  \
+    const int64_t chunk = !rs[0] || !rs[1] || !rs[2] ? PB : rows;              \
+    int nan = 0;                                                               \
+    for (int64_t j = cols - 1; j >= 0; j--) {                                  \
+        const T *q[3];                                                         \
+        for (int k = 0; k < 3; k++) {                                          \
+            q[k] = p[k] + j * cs[k];                                           \
+            if (!rs[k]) {                                                      \
+                const T v = *q[k];                                             \
+                for (int64_t i = 0; i < PB && i < rows; i++)                   \
+                    fill[k][i] = v;                                            \
+                q[k] = fill[k];                                                \
+            }                                                                  \
+        }                                                                      \
+        T *dj = d + j * ldd;                                                   \
+        for (int64_t i0 = 0; i0 < rows; i0 += chunk)                           \
+            nan |= NAME##_span(s[STEP_OP], rows - i0 < chunk ? rows - i0 : chunk, \
+                               rs[0] ? q[0] + i0 : q[0],                       \
+                               rs[1] ? q[1] + i0 : q[1],                       \
+                               rs[2] ? q[2] + i0 : q[2], dj + i0);             \
+    }                                                                          \
+    return nan;                                                                \
+}                                                                              \
+                                                                               \
+INLINE int NAME##_fold(const int64_t *s, const int64_t *table)                 \
+{                                                                              \
+    const int64_t m = s[STEP_M], n = s[STEP_N];                                \
+    const int64_t *a = table + 3 * s[STEP_A], *e = table + 3 * s[STEP_D];      \
+    const T *x = (const T *)(intptr_t)a[0];                                    \
+    const int64_t ld = a[2] & 2 ? 0 : a[1] ? a[1] : m;                         \
+    T *out = (T *)(intptr_t)e[0];                                              \
+    int64_t len = m, step = 1;                                                 \
+    if (s[STEP_OP] == PROG_ROWS_SUM) {                                         \
+        REDUCE##_rows(m, n, x, ld, NULL, OP_SUM, 0, out);                      \
+    } else if (s[STEP_OP] == PROG_ROWS_SUMSQ) {                                \
+        REDUCE##_rows(m, n, x, ld, NULL, OP_SUM, 1, out);                      \
+    } else {                                                                   \
+        len = n;                                                               \
+        step = e[1] ? e[1] : 1;                                                \
+        REDUCE##_run(m, n, x, ld, step, AXIS_COLS, OP_SUM, 0, out);            \
+    }                                                                          \
+    int nan = 0;                                                               \
+    for (int64_t i = 0; i < len; i++)                                          \
+        nan |= IS_NAN(out[i * step]);                                          \
+    return nan;                                                                \
 }
 
-DEFINE_PROGRAM(program_f32, float, sqrtf)
-DEFINE_PROGRAM(program_f64, double, sqrt)
+DEFINE_PROGRAM(prog_f32, float, sqrtf, reduce_f32)
+DEFINE_PROGRAM(prog_f64, double, sqrt, reduce_f64)
+
+/* A CONVERT step: d (m x n, of the step's type) = a, of the other type:
+ * FP32 to FP64 exactly, FP64 to FP32 rounded to nearest (+-inf beyond
+ * FP32's range), as numpy stores it.  d is a slot of its own or out. */
+#define DEFINE_CONVERT(NAME, TIN, TOUT)                                        \
+INLINE int NAME(const int64_t *s, const int64_t *table)                        \
+{                                                                              \
+    const int64_t m = s[STEP_M], n = s[STEP_N];                                \
+    int64_t rs, cs;                                                            \
+    const TIN *a = (const TIN *)operand_at(s, table, 0, &rs, &cs);             \
+    const int64_t *e = table + 3 * s[STEP_D];                                  \
+    TOUT *d = (TOUT *)(intptr_t)e[0];                                          \
+    const int64_t ldd = e[1] ? e[1] : m;                                       \
+    int nan = 0;                                                               \
+    for (int64_t j = 0; j < n; j++)                                            \
+        for (int64_t i = 0; i < m; i++) {                                      \
+            const TIN v = a[i * rs + j * cs];                                  \
+            d[i + j * ldd] = (TOUT)v;                                          \
+            nan |= IS_NAN(v);                                                  \
+        }                                                                      \
+    return nan;                                                                \
+}
+
+DEFINE_CONVERT(convert_f32_f64, float, double)
+DEFINE_CONVERT(convert_f64_f32, double, float)
+
+/* Run `steps` step records of STEP_LEN int64 each, in order, over the
+ * operand table: the type field picks FP32 (0) or FP64 (1) operands (for
+ * CONVERT, d's type).  Returns 0, or 2 at the first step with a NaN result
+ * (CONVERT: operand), the steps before it done: the caller then reruns the
+ * whole plan on its numpy path, since which payload survives where two NaNs
+ * meet depends on the operand order of + and *, which the compiler may
+ * swap. */
+MULTIVERSION int64_t
+program(int64_t steps, const int64_t *code, const int64_t *table)
+{
+    for (int64_t k = 0; k < steps; k++) {
+        const int64_t *s = code + k * STEP_LEN;
+        const int64_t op = s[STEP_OP], fp64 = s[STEP_TYPE];
+        int nan;
+        if (op == PROG_CONVERT)
+            nan = fp64 ? convert_f32_f64(s, table) : convert_f64_f32(s, table);
+        else if (op >= PROG_ROWS_SUM)
+            nan = fp64 ? prog_f64_fold(s, table) : prog_f32_fold(s, table);
+        else
+            nan = fp64 ? prog_f64_map(s, table) : prog_f32_map(s, table);
+        if (nan)
+            return 2;
+    }
+    return 0;
+}

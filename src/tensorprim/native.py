@@ -4,8 +4,10 @@ dropout and split-FP32 engines of ``ops`` (the split SGD step among them,
 which updates the hi/lo halves in place in one pass, while ``kernels``'
 PACK, NMULADD and UNPACK composition is its reference path and resumes at
 a column holding a NaN), the three FP32 approximation engines of
-``approx``, and the plan programs of ``equation`` (the one C MULADD and
-NMULADD: a direct call of either runs numpy).
+``approx``, and the plan program of ``equation`` (the one C MULADD and
+NMULADD: a direct call of either runs numpy), one entry whose steps each
+carry their extent and element type: elementwise, FP32/FP64 conversion
+and REDUCE SUM steps, so a layernorm or GROUPNORM is one call.
 
 Every kernel but brgemm and the plan program takes one ABI, as the paper
 defines a primitive on 2-D blocks: ``(m, n)``, then each operand as a
@@ -15,8 +17,9 @@ are called through :func:`run` alone, which decides whether the operands
 can be read in place and returns False whenever the caller must take its
 numpy reference path instead; brgemm keeps its batch ABI (a base plus
 offsets or a stride per side) and is called by ``contraction``.  A plan
-program reads its blocks from one operand table, which :func:`program`
-checks once per evaluation before it hands out the runner of its runs.
+program reads its blocks from one operand table of int64 (address, ld,
+kind) triples, which :func:`program` writes and checks once per evaluation
+before it hands out the runner of its runs.
 This module alone chooses between a C kernel and its numpy reference path,
 and :func:`backend` reports the choice.
 
@@ -72,14 +75,13 @@ ENGINES: dict[str, tuple[int, list]] = {
     # g, hi, lo (both read and written), done (int64: the columns written); lr
     "split_sgd_f32": (4, [_f32]),
 }
-# the element types of the plan programs, program_f32 and program_f64
+# the element types of the plan program's steps, by their type field (0, 1)
 PROGRAM_DTYPES = (DType.FP32, DType.FP64)
 # the argument types of every kernel of the library
 ARGTYPES: dict[str, list] = {
     "brgemm_f32": _BRGEMM, "brgemm_f64": _BRGEMM, "brgemm_bf16": _BRGEMM,
     "brgemm_i8": _BRGEMM,
-    # m, n, code, steps, table: see program
-    **{name: [_i64, _i64, _ptr, _i64, _ptr] for name in ("program_f32", "program_f64")},
+    "program": [_i64, _ptr, _ptr],   # steps, code, table: see program
     **{name: [_i64, _i64] + [_ptr, _i64] * blocks + scalars
        for name, (blocks, scalars) in ENGINES.items()},
 }
@@ -87,7 +89,7 @@ ARGTYPES: dict[str, list] = {
 # a float result or operand is a NaN, and split_sgd_f32 stopped at its
 # column); the others return nothing
 RESTYPES = {name: _i64 for name in ARGTYPES
-            if name.startswith(("brgemm_", "reduce_", "program_", "split_sgd_"))}
+            if name.startswith(("brgemm_", "reduce_", "program", "split_sgd_"))}
 
 # Negative controls for ``verify`` (``fault``: None or one name), each
 # breaking one pinned rule of a numpy path: reversing the reduction fold of
@@ -145,7 +147,8 @@ def address(buf: np.ndarray) -> int:
 
 _addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
 _BLOCKS = (Bcast.NONE, Bcast.SCALAR)   # the views C reads as a block or one element
-_KINDS = (Bcast.NONE, Bcast.ROW, Bcast.COL, Bcast.SCALAR)   # a program's operand kinds
+# a program's operand kinds by their code: bit 0 set for one row, bit 1 for one column
+_KINDS = {Bcast.NONE: 0, Bcast.ROW: 1, Bcast.COL: 2, Bcast.SCALAR: 3}
 
 
 def _block(view, out: bool, kinds: tuple = _BLOCKS) -> tuple[int, int, int] | None:
@@ -230,63 +233,71 @@ def run(name: str, m: int, n: int, ins: tuple, outs: tuple, *scalars) -> bool:
     return not fn(*args)
 
 
-def program(args: Sequence, reads: Sequence[int], slots: dict[int, np.ndarray], nslots: int,
-            out, out_dtype: DType | None) -> Callable[[int, int, int, int, bool], bool] | None:
+def program(args: Sequence, reads: Sequence[int], folds: Sequence[int],
+            slots: dict[int, np.ndarray], nslots: int, out,
+            out_dtype: DType | None) -> Callable[[int, int], bool] | None:
     """The runner of a plan program, its operands checked once for all of
-    its runs: ``run(m, n, code, steps, fp64)`` calls ``program_f64`` (or
-    ``program_f32``) on the int32 code at address ``code`` and returns False
-    when the run reports a NaN.  None when C cannot run the program and the
-    plan takes its per-step path: no library, a fault set, or an operand
-    refused below.
+    its runs: ``run(code, steps)`` calls ``program`` on the ``steps`` step
+    records at address ``code`` and returns False when the run reports a
+    NaN.  None when C cannot run the program and the plan takes its
+    per-step path: no library, a fault set, or an operand refused below.
 
     The operand table holds an (address, ld, kind) triple of int64 for each
-    argument, then each of the ``nslots`` slots, then ``out``; the kind is
-    the position of the view's ``Bcast`` (NONE, ROW, COL, SCALAR), read
-    from the view passed, not from what the plan declared.  The program
-    reads the arguments ``reads``, writes the ``slots`` (byte buffers by
-    slot number) and, unless ``out_dtype`` is None, ``out`` in that dtype;
-    every other entry stays (0, 0, 0).  An argument is refused unless it is
-    an FP32 or FP64 view that :func:`_block` takes, broadcast or not, and
-    ``out`` unless it is a plain view of ``out_dtype`` that :func:`_block`
-    takes and overlaps no argument at all, read by the program or not, so
-    that a rerun of the plan reads every argument as it was.  A slot passes
-    ld 0 (its occupant is dense at the run's m) and is refused only if it is
-    not aligned for FP64."""
-    f32, f64 = kernel("program_f32"), kernel("program_f64")
-    if f32 is None:
+    argument, then each of the ``nslots`` slots, then ``out``, each written
+    once; the kind is the code of the view's ``Bcast`` (NONE, ROW, COL,
+    SCALAR), read from the view passed, not from what the plan declared.
+    The program reads the arguments ``reads``, writes the ``slots`` (byte
+    buffers by slot number) and, unless ``out_dtype`` is None, ``out`` in
+    that dtype; every other entry stays (0, 0, 0).  An argument is refused
+    unless it is an FP32 or FP64 view that :func:`_block` takes, broadcast
+    or not, but never a ROW or SCALAR one where a REDUCE step reads it (it
+    is in ``folds``: a fold reads rows at unit stride); ``out`` is refused
+    unless it is a plain view of ``out_dtype`` that :func:`_block` takes and
+    overlaps no argument at all, read by the program or not, so that a
+    rerun of the plan reads every argument as it was.  A slot passes ld 0
+    (its occupant is dense) and is refused only if it is not aligned for
+    FP64."""
+    fn = kernel("program")
+    if fn is None:
         return None
-    table = [0] * (3 * (len(args) + nslots + 1))
+    base = len(args)
+    table = (_i64 * (3 * (base + nslots + 1)))()
+    starts = {}   # argument -> the address of its flat buffer
     for i in reads:
         v = args[i]
-        block = _block(v, False, _KINDS) if v.desc.dtype in PROGRAM_DTYPES else None
+        d = v.desc
+        block = _block(v, False, _KINDS) if d.dtype in PROGRAM_DTYPES else None
         if block is None:
             return None
-        table[3 * i], _, table[3 * i + 1] = block
-        table[3 * i + 2] = _KINDS.index(v.desc.bcast)
-    base = 3 * len(args)
+        kind = _KINDS[d.bcast]
+        if kind & 1 and i in folds:
+            return None
+        starts[i] = block[0]
+        table[3 * i:3 * i + 3] = (block[0], block[2], kind)
     for slot, buf in slots.items():
         start = address(buf)
         if start & 7:
             return None
-        table[base + 3 * slot] = start
+        table[3 * (base + slot)] = start
     if out_dtype is not None:
         block = _block(out, True) if out.desc.dtype is out_dtype else None
         if block is None:
             return None
         start, end, ld = block
-        for v in args:
+        for i, v in enumerate(args):
             buf = v.primary
-            if not buf.flags.c_contiguous:
-                return None
-            s = address(buf)
+            s = starts.get(i)
+            if s is None:
+                if not buf.flags.c_contiguous:
+                    return None
+                s = address(buf)
             if s < end and start < s + buf.nbytes:
                 return None
-        table[-3], table[-2] = start, ld
-    table = np.array(table, dtype=np.int64)
-    at = address(table)
+        table[-3:-1] = (start, ld)
+    at = _addressof(table)
 
-    def run(m: int, n: int, code: int, steps: int, fp64: bool) -> bool:
-        return not (f64 if fp64 else f32)(m, n, code, steps, at)
+    def run(code: int, steps: int) -> bool:
+        return not fn(steps, code, at)
 
     run.table = table   # the table C reads lives as long as its runner
     return run

@@ -134,6 +134,7 @@ class TransformKind(IdentityEnum):
     TRANSPOSE = "transpose"
     VNNI = "vnni"
     VNNI_TO_VNNIT = "vnni_to_vnnit"
+    RESHAPE = "reshape"     # the column-major order of the values at rows x cols
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,8 @@ class TransformSpec:
     kind: TransformKind
     alpha: int = 0          # VNNI inner group size (2 for 16-bit, 4 for 8-bit)
     alpha_out: int = 0      # output group size for VNNI_TO_VNNIT
-    rows: int = 0           # logical pre-VNNI extent, needed by VNNI_TO_VNNIT
-    cols: int = 0
+    rows: int = 0           # logical pre-VNNI extent, needed by VNNI_TO_VNNIT;
+    cols: int = 0           # the output extent of RESHAPE
 
 
 class GatherMode(IdentityEnum):
@@ -467,6 +468,11 @@ def _transform_desc(t: TransformSpec | None, d: TensorDesc) -> TensorDesc:
         raise InvalidSpecError("flag", "TRANSFORM needs a TransformSpec")
     if t.kind is TransformKind.TRANSPOSE:
         return TensorDesc(d.cols, d.rows, d.cols, d.dtype)
+    if t.kind is TransformKind.RESHAPE:
+        if min(t.rows, t.cols) < 1 or t.rows * t.cols != d.rows * d.cols:
+            raise InvalidSpecError("shape", f"cannot reshape {d.rows}x{d.cols} "
+                                            f"to {t.rows}x{t.cols}")
+        return TensorDesc(t.rows, t.cols, t.rows, d.dtype)
     if t.kind is TransformKind.VNNI:
         _check_alpha(d.dtype, t.alpha)
         rows, groups = vnni_extent(d.rows, d.cols, t.alpha)
@@ -672,11 +678,13 @@ def _column_indices(spec: ReduceSpec, cols: int, indices) -> np.ndarray:
 
 
 def transform(inp: TensorView, spec: TransformSpec, out: TensorView) -> None:
-    """Transpose, VNNI formatting, or VNNI to VNNI-transpose.
+    """Transpose, VNNI formatting, VNNI to VNNI-transpose, or reshape.
 
-    VNNI re-lays a logical M x N tensor (linear layout ``[N][M]``) as
-    ``[N/alpha][M][alpha]``: groups of ``alpha`` consecutive columns become
-    the innermost dimension, the tail group zero-padded.  The resulting view
+    RESHAPE lays the values out at ``spec.rows`` x ``spec.cols`` in the
+    same column-major order, as ``view_at`` reads a dense buffer at another
+    extent.  VNNI re-lays a logical M x N tensor (linear layout
+    ``[N][M]``) as ``[N/alpha][M][alpha]``: groups of ``alpha`` consecutive
+    columns become the innermost dimension, the tail group zero-padded.  The resulting view
     is (M * alpha) x ceil(N / alpha) with a contiguous leading dimension.
     ``out`` holds the input's dtype (a layout copy does not convert).
     """
@@ -928,6 +936,9 @@ def _transform(spec: KernelSpec, inp: TensorView, out: TensorView) -> None:
         out.as2d()[:, :] = inp.logical2d().T
         return
     a = inp.logical2d()
+    if t.kind is TransformKind.RESHAPE:
+        out.as2d()[:, :] = a.reshape(t.rows, t.cols, order="F")
+        return
     if t.kind is TransformKind.VNNI_TO_VNNIT:
         flat = a.T.reshape(-1)  # column-major order of the VNNI view
         a = vnni_unpack_a(flat, t.alpha, t.rows, t.cols).T

@@ -1000,6 +1000,20 @@ def random_equation(rng, dtype: DType, rows: int = 4, cols: int = 4):
     return tree, args
 
 
+def norm_trees(rng) -> list[tuple[str, eqn.ExecPlan, list]]:
+    """The trees of layernorm (16 x 64, one group per row) and GROUPNORM
+    (16 x 64 in 4 groups), each with arguments: random x, its constants,
+    and G and B broadcast per channel."""
+    trees = []
+    for name, groups in (("layernorm-tree", 16), ("groupnorm-tree", 4)):
+        plan, consts = kernels._norm_plan(16, 64, groups, 1e-5, DType.FP32)
+        gb = [broadcast(from_array(rng.standard_normal((16, 1)).astype(np.float32)),
+                        Bcast.COL, 16, 64) for _ in range(2)]
+        x = from_array(rng.standard_normal((16, 64)).astype(np.float32))
+        trees.append((name, plan, [x, *consts, *gb]))
+    return trees
+
+
 def _evaluate_tiled(plan, strategy, args, budget: int) -> np.ndarray:
     """``plan`` evaluated under ``strategy`` with ``equation._TILE_BLOCK_BYTES``
     set to ``budget`` (restored on leaving, also when evaluation raises)."""
@@ -1015,7 +1029,8 @@ def _evaluate_tiled(plan, strategy, args, budget: int) -> np.ndarray:
 def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
     """BUFFERED (its lowered C program where C runs), BUFFERED step by step
     (a ``step_hook`` selects that path), TILE_FUSED (where legal), HYBRID
-    and naive per-node evaluation agree bitwise over FP32 and FP64 inputs.
+    and naive per-node evaluation agree bitwise over FP32 and FP64 inputs,
+    for random equations and the trees of the norm kernels (``norm_trees``).
     The tiled strategies run at the default block budget, where a small
     equation's region is one block, and at one tile per block (budget 1),
     where the 2 x 2 tiles cut every region.  The detail counts the FP32 and
@@ -1026,10 +1041,13 @@ def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
     fused_seen = 0
     lowered = 0
     per_step = lambda step, dead: None
+    cases = [(plan, args) for _, plan, args in norm_trees(np.random.default_rng([seed, 1]))]
     for i in range(equations):
         dtype = DType.FP64 if i % 2 else DType.FP32
         tree, args = random_equation(rng, dtype)
-        plan = eqn.create_execution_plan(tree)
+        cases.append((eqn.create_execution_plan(tree), args))
+    for plan, args in cases:
+        tree = plan.tree
         od = plan.out_desc
         ref = alloc(od)
         eqn.evaluate_naive(tree, args, ref)
@@ -1050,12 +1068,14 @@ def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
                    for budget in (eqn._TILE_BLOCK_BYTES, 1) for strategy in tiled):
             bad += 1
     return CheckResult("equation-fusion-fidelity", bad == 0, bad, 0,
-                       f"{equations} equations, {fused_seen} tile-fusable, {lowered} steps "
-                       f"lowered, program on {native.backend()}")
+                       f"{equations} equations and the layernorm and groupnorm trees, "
+                       f"{fused_seen} tile-fusable, {lowered} steps lowered, program on "
+                       f"{native.backend()}")
 
 
 def check_temp_bytes_metric(seed: int = 0) -> CheckResult:
-    """Softmax/layernorm plans, the worked example and the first two seeded
+    """Softmax, batchnorm scaling, layernorm and groupnorm plans, the worked
+    example and the first two seeded
     random equations whose plans recycle a slot, one whose intermediates
     all have one size and one whose slots differ in size: temp_bytes <=
     naive materialisation, strictly less whenever the plan recycled a slot.
@@ -1066,7 +1086,8 @@ def check_temp_bytes_metric(seed: int = 0) -> CheckResult:
     plans = []
     p1, p2 = kernels._softmax_plans(16, 64, DType.FP32)
     plans += [("softmax-num", p1), ("softmax-den", p2)]
-    plans.append(("layernorm-scale", kernels._scaling_plan(16, 64, DType.FP32)))
+    plans.append(("batchnorm-scale", kernels._scaling_plan(16, 64, DType.FP32)))
+    plans += [(name, plan) for name, plan, _ in norm_trees(np.random.default_rng(seed))]
     sq = TensorDesc(16, 16, 16, DType.FP32)
     wk = eqn.plan_equation("tanh(T0) + (T1 matmul T2) / (T3 - T4)", [sq] * 5)
     plans.append(("worked-example", wk))
@@ -1102,26 +1123,30 @@ def check_temp_bytes_metric(seed: int = 0) -> CheckResult:
 def check_poison_liveness(seed: int = 0) -> CheckResult:
     """NaN-poisoning every dead (recycled, unwritten) slot between steps
     leaves the result unchanged: the poisoned evaluation (step by step, as
-    a ``step_hook`` selects) equals the clean one, which in FP32 runs the
-    plan's C program where C runs."""
+    a ``step_hook`` selects) equals the clean one, which runs the plan's C
+    program where C runs, for the worked example in FP64 and FP32 and the
+    trees of the norm kernels (``norm_trees``)."""
     rng = np.random.default_rng(seed)
-    bad = 0
+    cases = []
     for dtype in (DType.FP64, DType.FP32):
         d = TensorDesc(4, 4, 4, dtype)
         plan = eqn.plan_equation("tanh(T0) + (T1 matmul T2) / (T3 - T4)", [d] * 5)
-        args = [from_array(rng.uniform(0.2, 1.5, size=(4, 4)).astype(dtype.storage))
-                for _ in range(5)]
-        clean = alloc(d)
+        cases.append((plan, [from_array(rng.uniform(0.2, 1.5, size=(4, 4)).astype(dtype.storage))
+                             for _ in range(5)]))
+    cases += [(plan, args) for _, plan, args in norm_trees(rng)]
+
+    def hook(step, dead_views):
+        for v in dead_views:
+            v.as2d()[:, :] = np.nan
+
+    bad = 0
+    for plan, args in cases:
+        clean, poisoned = alloc(plan.out_desc), alloc(plan.out_desc)
         eqn.evaluate(plan, eqn.Buffered(), args, clean)
-        poisoned = alloc(d)
-
-        def hook(step, dead_views):
-            for v in dead_views:
-                v.as2d()[:, :] = np.nan
-
         eqn.evaluate(plan, eqn.Buffered(), args, poisoned, step_hook=hook)
         bad += not _bits_equal(to_array(clean), to_array(poisoned))
-    return CheckResult("equation-poison-liveness", bad == 0, bad, 0)
+    return CheckResult("equation-poison-liveness", bad == 0, bad, 0,
+                       "the worked example and the layernorm and groupnorm trees")
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,63 @@ def test_groupnorm_bits_match_the_documented_order(groups, pad):
     assert bits_equal(to_array(out), b + (shift + x * scale) * g)
 
 
+def test_each_norm_call_is_one_evaluation_of_one_program(native_backend):
+    """An FP32 layernorm and a GROUPNORM norm_scaling each evaluate one plan
+    once, which runs as one C program call where C runs, and call no
+    primitive (every node is a program step); on the numpy backend the
+    same one evaluation runs per step.  With ``mean_out`` and ``var_out``
+    layernorm evaluates one plan more for each, and both equal
+    :func:`norm_oracle` bitwise."""
+    from tensorprim import equation, kernels, native, ops
+
+    rng = np.random.default_rng(23)
+    rows, cols = 8, 40
+    x = rng.standard_normal((rows, cols)).astype(np.float32)
+    g = rng.standard_normal((rows, 1)).astype(np.float32)
+    b = rng.standard_normal((rows, 1)).astype(np.float32)
+    calls = {"evaluate": 0, "program": 0, "primitive": 0}
+
+    def counted(name, fn):
+        def call(*a, **k):
+            calls[name] += 1
+            return fn(*a, **k)
+        return call
+
+    def program(*a, **k):
+        run = make(*a, **k)
+        return None if run is None else counted("program", run)
+
+    def norm_calls(fn):
+        for key in calls:
+            calls[key] = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(equation, "evaluate", counted("evaluate", equation.evaluate))
+            mp.setattr(native, "program", program)
+            for module in (ops, kernels):
+                for name in ("reduce", "apply_unary", "apply_binary", "apply_ternary"):
+                    mp.setattr(module, name, counted("primitive", getattr(module, name)))
+            fn()
+        return dict(calls)
+
+    make = native.program
+    c = native_backend != "numpy"
+
+    def want(evaluations):
+        return evaluations, evaluations * c, not c
+
+    gb = _gb(rows, cols)
+    mo, vo = alloc(D(rows, 1)), alloc(D(rows, 1))
+    for fn, evaluations in [
+            (lambda: norm_scaling(from_array(x), None, None, from_array(g), from_array(b),
+                                  NormMode.GROUPNORM, alloc(D(rows, cols)), groups=2, eps=1e-5), 1),
+            (lambda: layernorm(from_array(x), *gb, 1e-5, alloc(D(rows, cols))), 1),
+            (lambda: layernorm(from_array(x), *gb, 1e-5, alloc(D(rows, cols)), mo, vo), 3)]:
+        got = norm_calls(fn)
+        assert (got["evaluate"], got["program"], got["primitive"] > 0) == want(evaluations)
+    _, _, mean, var = norm_oracle(x, rows, 1e-5)
+    assert bits_equal(to_array(mo), mean) and bits_equal(to_array(vo), var)
+
+
 def test_norm_variance_lost_to_cancellation_is_clamped_at_zero():
     """ss/n - mu*mu of a constant row of 1000.1 cancels below -eps; the
     variance is clamped at 0 instead of reaching a negative square root."""

@@ -45,7 +45,7 @@ from tensorprim import (
 )
 from tensorprim.equation import EquationError
 from tensorprim.ops import APPROX_SELECTORS
-from tensorprim.tensor import bool_to_mask, mask_to_bool
+from tensorprim.tensor import bool_to_mask, mask_to_bool, view_at
 from tensorprim.verify import reduce_oracle
 
 from util import bits_equal
@@ -588,6 +588,25 @@ def test_transpose_example():
     out = alloc(D(3, 2))
     transform(x, TransformSpec(TransformKind.TRANSPOSE), out)
     assert to_array(out).tolist() == [[1, 4], [2, 5], [3, 6]]
+
+
+def test_reshape_keeps_the_column_major_order():
+    """RESHAPE reads a padded or broadcast view's values in column-major
+    order and writes them at the new extent, as ``view_at`` reads a dense
+    buffer; an extent of another size is InvalidSpecError('shape')."""
+    x = np.arange(12, dtype=np.float32).reshape(3, 4)
+    padded = view_at(np.full(5 * 4, np.nan, np.float32), 0, TensorDesc(3, 4, 5, DType.FP32))
+    padded.as2d()[:, :] = x
+    out = alloc(D(2, 6))
+    transform(padded, TransformSpec(TransformKind.RESHAPE, rows=2, cols=6), out)
+    assert bits_equal(out.primary, x.T.reshape(-1))
+    row = broadcast(from_array(x[:1]), Bcast.ROW, 3, 4)
+    transform(row, TransformSpec(TransformKind.RESHAPE, rows=2, cols=6), out)
+    assert bits_equal(out.primary, np.repeat(x[0], 3))
+    for rows, cols in ((5, 5), (0, 12)):
+        with pytest.raises(InvalidSpecError) as e:
+            transform(padded, TransformSpec(TransformKind.RESHAPE, rows=rows, cols=cols), out)
+        assert e.value.code == "shape"
 
 
 def test_transpose_involution():

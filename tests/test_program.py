@@ -1,10 +1,12 @@
 """A plan's lowered C program against its per-step path, on every backend:
 the C kernels as loaded, their default build, and the numpy reference paths
 (where nothing is run in C).  BUFFERED without a ``step_hook`` runs each run
-of lowered ADD/SUB/MUL/DIV/MAX/SQUARE/RELU/RSQRT/MULADD/NMULADD steps, all
-FP32 or all FP64, as one C call, each argument read as the view passed lays
-it out (plain, ROW, COL or SCALAR); with a hook it runs every step on its
-own; both must give the bits of ``evaluate_naive``."""
+of lowered steps (ADD/SUB/MUL/DIV/MAX/SQUARE/RELU/RSQRT/MULADD/NMULADD,
+FP32 <-> FP64 conversions, ROWS and COLS SUM folds, each FP32 or FP64 over
+its own extent, and RESHAPEs, which emit no code) as one C call, each
+argument read as the view passed lays it out (plain, ROW, COL or SCALAR)
+and each smaller operand by broadcast; with a hook it runs every step on
+its own; both must give the bits of ``evaluate_naive``."""
 
 import threading
 
@@ -39,6 +41,7 @@ from tensorprim import (
     view_at,
 )
 from tensorprim import equation
+from tensorprim.dtypes import narrow
 
 from util import bits_equal
 
@@ -122,15 +125,21 @@ _EXTENTS = st.sampled_from([1, 2, 3, 5, 8, 16, 17])
 _UNARY = ("square", "relu", "rsqrt", "tanh", "exp")
 _BINARY = ("add", "sub", "mul", "div", "max")
 _TERNARY = ("muladd", "nmuladd")
+# the folds a program runs, and one that stays a kernel call
+_REDUCES = [ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM), ReduceSpec(ReduceAxis.COLS, ReduceOp.SUM),
+            ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, squared=True),
+            ReduceSpec(ReduceAxis.ROWS, ReduceOp.MAX)]
 
 
 class RandomEquation:
     """A random FP32 or FP64 equation drawn from ``data``: mostly lowered
     kinds, with TANH and EXP (per-step kinds), and, with ``mix``, MATMUL, a
-    ROWS REDUCE joined back by ADD, and arguments declared as ROW, COL or
-    SCALAR broadcasts.  Leaves take new argument slots or reuse one of the
-    same descriptor.  A broadcast operand of a MATMUL is an error at build
-    (asserted), and the MATMUL then reads the RELU of that leaf."""
+    ROWS (plain, squared or MAX) or COLS REDUCE joined back by ADD, binary
+    operands of a smaller extent (1 x n, m x 1, 1 x 1, a subtree or an
+    argument) that the join broadcasts, and arguments declared as ROW, COL
+    or SCALAR broadcasts.  Leaves take new argument slots or reuse one of
+    the same descriptor.  A broadcast operand of a MATMUL is an error at
+    build (asserted), and the MATMUL then reads the RELU of that leaf."""
 
     def __init__(self, data, m, n, mix, dtype=DType.FP32, depth=4):
         self.data, self.mix, self.dtype = data, mix, dtype
@@ -170,12 +179,18 @@ class RandomEquation:
         if kind == "matmul":
             k = self._draw(_EXTENTS)
             return (kind, self._gen(m, k, depth - 1), self._gen(k, n, depth - 1))
-        if kind == "reduce":   # (m x k) -> m x 1, added to an m x n operand
+        if kind == "reduce":   # m x k -> m x 1 or k x n -> 1 x n, added to an m x n operand
             k = self._draw(_EXTENTS)
-            return ("reduce", self._gen(m, k, depth - 1), self._gen(m, n, depth - 1))
+            spec = self._draw(st.sampled_from(_REDUCES))
+            shape = (k, n) if spec.axis is ReduceAxis.COLS else (m, k)
+            return ("reduce", spec, self._gen(*shape, depth - 1), self._gen(m, n, depth - 1))
         if kind in _TERNARY:
             return (kind, *[self._gen(m, n, depth - 1) for _ in range(3)])
-        return (kind, self._gen(m, n, depth - 1), self._gen(m, n, depth - 1))
+        left = right = (m, n)
+        if self.mix and self._draw(st.integers(0, 2)) == 0:   # one read by broadcast
+            small = self._draw(st.sampled_from([(1, n), (m, 1), (1, 1)]))
+            left, right = (small, right) if self._draw(st.booleans()) else (left, small)
+        return (kind, self._gen(*left, depth - 1), self._gen(*right, depth - 1))
 
     def _build(self, t):
         b = self.builder
@@ -194,9 +209,8 @@ class RandomEquation:
                 operands = [b.unary(UnaryKind.RELU, v) if w else v for v, w in zip(operands, wide)]
             return b.binary(BinaryKind.MATMUL, *operands)
         if tag == "reduce":
-            red = b.unary(UnaryKind.REDUCE, self._build(t[1]),
-                          reduce=ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM))
-            return b.binary(BinaryKind.ADD, self._build(t[2]), red)
+            red = b.unary(UnaryKind.REDUCE, self._build(t[2]), reduce=t[1])
+            return b.binary(BinaryKind.ADD, self._build(t[3]), red)
         if tag in _TERNARY:
             return b.ternary(TernaryKind[tag.upper()], *[self._build(c) for c in t[1:]])
         return b.binary(BinaryKind[tag.upper()], self._build(t[1]), self._build(t[2]))
@@ -256,8 +270,13 @@ def _check_random(data, m, n, mix, special, native_backend, out_pad, out_choice)
     assert bits_equal(per_step, naive)
     assert bits_equal(program, naive)
     lowered = sum([r.steps for r in plan.program.schedule if type(r) is equation.Run])
-    refused = plan.program.out_dtype is not None and (out_is_arg is not None
-                                                      or out_choice == "bf16")
+    # out overlapping an argument or of another dtype than the root's, or
+    # a REDUCE step reading a ROW or SCALAR argument (a fold reads rows at
+    # unit stride), refuses the program
+    refused = (plan.program.out_dtype is not None and (out_is_arg is not None
+                                                       or out_choice == "bf16")
+               or any(eq.descs[i].bcast in (Bcast.ROW, Bcast.SCALAR)
+                      for i in plan.program.folds))
     if native_backend == "numpy" or not lowered:
         assert runs.done == []
     elif refused:
@@ -316,7 +335,7 @@ def test_a_run_publishes_exactly_the_values_kernel_steps_read(data, m, n):
                 run_of[next(steps).node] = i
         else:
             assert next(steps) is item
-    assert all((equation._opcode(s.node.kernel) is not None) == (s.node in run_of)
+    assert all((equation._step_record(s.node) is not None) == (s.node in run_of)
                for s in plan.steps)
     slot_of = {s.node: s.output[1] for s in plan.steps}
     want = {i: set() for i, item in enumerate(schedule) if type(item) is equation.Run}
@@ -371,6 +390,11 @@ def test_random_equations_tile_to_the_naive_bits(data, m, n, mix, special, tm, t
 # what is lowered, and when the program runs
 # ---------------------------------------------------------------------------
 
+def records(plan):
+    """The step records of the plan's program, one row each."""
+    return plan.program.code.reshape(-1, equation._STEP_LEN)
+
+
 def lowered_kinds(plan):
     """The kinds of the plan's steps that its program runs, in order."""
     prog = plan.program
@@ -383,15 +407,16 @@ def lowered_kinds(plan):
     return kinds
 
 
-def test_float_elementwise_steps_of_one_dtype_and_extent_are_lowered():
+def test_float_elementwise_steps_of_one_dtype_are_lowered():
     plan = plan_equation("relu(T0 + T1) * T0 - square(T1) / rsqrt(T0)", [D(3, 5)] * 2)
     assert sorted([k.value for k in lowered_kinds(plan)]) == [
         "add", "div", "mul", "relu", "rsqrt", "square", "sub"]
     prog = plan.program
     assert sum(type(r) is equation.Run for r in prog.schedule) == 1
-    assert prog.out_dtype is DType.FP32 and prog.reads == (0, 1) and prog.code.size == 5 * 7
+    assert prog.out_dtype is DType.FP32 and prog.reads == (0, 1) and prog.folds == ()
+    assert prog.code.size == equation._STEP_LEN * 7
     # MAX, MULADD and NMULADD, all FP64, over arguments declared ROW, COL
-    # and SCALAR: one FP64 run
+    # and SCALAR: FP64 steps (type 1) of the plan's extent
     b = TreeBuilder([D(3, 5, DType.FP64), D(3, 5, DType.FP64, ld=1, bcast=Bcast.ROW),
                      D(3, 5, DType.FP64, bcast=Bcast.COL),
                      D(3, 5, DType.FP64, ld=1, bcast=Bcast.SCALAR)])
@@ -400,15 +425,25 @@ def test_float_elementwise_steps_of_one_dtype_and_extent_are_lowered():
     plan = create_execution_plan(b.tree(b.binary(BinaryKind.MAX, outer, b.leaf(3))))
     assert lowered_kinds(plan) == [TernaryKind.MULADD, TernaryKind.NMULADD, BinaryKind.MAX]
     prog = plan.program
-    assert [(r.dtype, r.steps) for r in prog.schedule] == [(DType.FP64, 3)]
+    assert [r.steps for r in prog.schedule] == [3]
+    assert [tuple(r[:7]) for r in records(plan)] == [(8, 1, 3, 5, 0, 0, 0), (9, 1, 3, 5, 0, 0, 0),
+                                                     (6, 1, 3, 5, 0, 0, 0)]
     assert prog.out_dtype is DType.FP64 and prog.reads == (0, 1, 2, 3)
-    # the transcendental and other kinds, BF16 steps, a join from a smaller
-    # extent, a BF16 child and steps of mixed FP32 and FP64 stay kernel calls
+    # a join from a smaller extent reads the smaller value by broadcast: a
+    # 1 x n one as ROW (1), m x 1 as COL (2), 1 x 1 as SCALAR (3)
+    for descs, kind in [([D(3, 5), D(1, 5)], 1), ([D(3, 5), D(3, 1)], 2),
+                        ([D(3, 5, DType.FP64), D(1, 1, DType.FP64)], 3)]:
+        plan = plan_equation("T0 * relu(T1)", descs)
+        assert lowered_kinds(plan) == [UnaryKind.RELU, BinaryKind.MUL]
+        relu, mul = records(plan)
+        assert tuple(relu[2:7]) == (descs[1].rows, descs[1].cols, 0, 0, 0)
+        assert tuple(mul[2:7]) == (3, 5, 0, kind, 0)
+    # the transcendental and other kinds, BF16 steps, a BF16 child, steps
+    # of mixed FP32 and FP64 and an IDENTITY to its own dtype stay kernel
+    # calls
     unary = ["tanh", "sigmoid", "gelu", "exp", "sqrt", "reciprocal", "inc", "identity"]
     for text, descs in [*[(f"{name}(T0)", [D(3, 5)]) for name in unary],
                         ("T0 + T1", [D(3, 5, DType.BF16)] * 2),
-                        ("T0 * T1", [D(3, 5), D(1, 5)]),
-                        ("T0 * T1", [D(3, 5, DType.FP64), D(1, 1, DType.FP64)]),
                         ("inc(T0) + T1", [D(3, 5, DType.BF16), D(3, 5)]),
                         ("T0 + T1", [D(3, 5, DType.FP64), D(3, 5)]),
                         ("T0 - T1", [D(3, 5), D(3, 5, DType.FP64, ld=1, bcast=Bcast.ROW)])]:
@@ -416,6 +451,49 @@ def test_float_elementwise_steps_of_one_dtype_and_extent_are_lowered():
     # a MATMUL and the steps around it
     mixed = plan_equation("T0 matmul T1 + square(T2)", [D(3, 4), D(4, 5), D(3, 5)])
     assert lowered_kinds(mixed) == [UnaryKind.SQUARE, BinaryKind.ADD]
+
+
+def test_conversions_folds_and_reshapes_are_lowered():
+    """An IDENTITY to the other float dtype is a CONVERT over its extent,
+    a ROWS (plain or squared) or COLS SUM reduce of FP32 or FP64 a fold
+    over its operand's extent, and a RESHAPE of a non-leaf emits no code and
+    keeps its child's slot; other reduces, a BF16 operand and a RESHAPE of
+    a leaf or at the root stay kernel calls."""
+    rows = ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM)
+    b = TreeBuilder([D(6, 4), D(2, 3, DType.FP64)])
+    sums = b.unary(UnaryKind.REDUCE, b.leaf(0), reduce=rows)                 # 6 x 1
+    wide = b.reshape(b.unary(UnaryKind.IDENTITY, sums, dtype=DType.FP64), 2, 3)
+    col = b.unary(UnaryKind.REDUCE, wide, reduce=ReduceSpec(ReduceAxis.COLS, ReduceOp.SUM))
+    root = b.unary(UnaryKind.IDENTITY, b.binary(BinaryKind.ADD, col, b.leaf(1)),
+                   dtype=DType.FP32)
+    plan = create_execution_plan(b.tree(root))
+    assert [r.steps for r in plan.program.schedule] == [5]
+    assert [tuple(r[:7]) for r in records(plan)] == [
+        (11, 0, 6, 4, 0, 0, 0), (10, 1, 6, 1, 0, 0, 0), (13, 1, 2, 3, 0, 0, 0),
+        (0, 1, 2, 3, 1, 0, 1), (10, 0, 2, 3, 0, 0, 0)]
+    assert plan.program.folds == (0,) and plan.program.out_dtype is DType.FP32
+    by_kind = {s.node.kind: s for s in plan.steps if s.node.kind is UnaryKind.TRANSFORM}
+    reshape = by_kind[UnaryKind.TRANSFORM]
+    assert reshape.output == reshape.inputs[0]
+    # the squared ROWS fold; MAX, ALL and squared COLS folds and a BF16
+    # operand stay kernel calls
+    for spec, dtype, code in [(ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, True), DType.FP32, 12),
+                              (ReduceSpec(ReduceAxis.ROWS, ReduceOp.MAX), DType.FP32, None),
+                              (ReduceSpec(ReduceAxis.ALL, ReduceOp.SUM), DType.FP64, None),
+                              (ReduceSpec(ReduceAxis.COLS, ReduceOp.SUM, True), DType.FP32, None),
+                              (rows, DType.BF16, None)]:
+        b = TreeBuilder([D(3, 4, dtype)])
+        red = b.unary(UnaryKind.REDUCE, b.leaf(0), reduce=spec)
+        assert equation._step_record(red) == (None if code is None else (code, int(dtype is DType.FP64), 3, 4,
+                                                       0, 0, 0)), spec
+    b = TreeBuilder([D(3, 4)])
+    assert equation._step_record(b.reshape(b.leaf(0), 4, 3)) is None
+    plan = create_execution_plan(b.tree(b.reshape(b.unary(UnaryKind.RELU, b.leaf(0)), 4, 3)))
+    assert lowered_kinds(plan) == [UnaryKind.RELU] and plan.program.out_dtype is None
+    # an IDENTITY converts only to FP32 or FP64
+    for kind, dtype in [(UnaryKind.RELU, DType.FP64), (UnaryKind.IDENTITY, DType.BF16)]:
+        with pytest.raises(equation.EquationError, match="converts"):
+            TreeBuilder([D(3, 4)]).unary(kind, TreeBuilder([D(3, 4)]).leaf(0), dtype=dtype)
 
 
 def test_a_contraction_with_a_broadcast_operand_is_an_error_at_build():
@@ -429,24 +507,31 @@ def test_a_contraction_with_a_broadcast_operand_is_an_error_at_build():
     assert e.value.code == "shape"
 
 
-def test_runs_split_at_kernel_calls_and_extent_changes():
+def test_runs_split_at_kernel_calls_alone():
     plan = plan_equation("tanh(T0 + T1) * T1 + square(T2 matmul T3)",
                          [D(4, 4), D(4, 4), D(4, 2), D(2, 4)])
     prog = plan.program
-    runs = [(r.m, r.n, r.steps) for r in prog.schedule if type(r) is equation.Run]
-    assert sum(s for _, _, s in runs) == 4 and prog.code.size == 5 * 4
-    assert all((m, n) == (4, 4) for m, n, _ in runs)
+    runs = [r.steps for r in prog.schedule if type(r) is equation.Run]
+    assert sum(runs) == 4 and prog.code.size == equation._STEP_LEN * 4
+    assert all(tuple(r[2:4]) == (4, 4) for r in records(plan))
     # the value of T0 + T1 is read by the TANH kernel call: its run publishes it
     first = next(r for r in prog.schedule if type(r) is equation.Run)
     assert [d.rows for _, d in first.live] == [4]
-    # an FP64 step after FP32 ones opens a run of its own
-    b = TreeBuilder([D(4, 4), D(4, 4, DType.FP64)])
+    # FP32 and FP64 steps, and steps of several extents, join one run: each
+    # step carries its own type and extent
+    b = TreeBuilder([D(4, 4), D(4, 4, DType.FP64), D(1, 4, DType.FP64)])
+    wide = b.unary(UnaryKind.IDENTITY, b.unary(UnaryKind.SQUARE, b.leaf(0)), dtype=DType.FP64)
+    plan = create_execution_plan(b.tree(b.binary(BinaryKind.MUL,
+                                                 b.unary(UnaryKind.RELU, b.leaf(2)), wide)))
+    assert [r.steps for r in plan.program.schedule] == [4]
+    assert [tuple(r[1:4]) for r in records(plan)] == [(0, 4, 4), (1, 4, 4), (1, 1, 4),
+                                                      (1, 4, 4)]
+    # an ADD of FP32 and FP64 stays a kernel call between two runs
     wide = b.binary(BinaryKind.ADD, b.unary(UnaryKind.SQUARE, b.leaf(0)), b.leaf(1))
     plan = create_execution_plan(b.tree(b.binary(BinaryKind.MUL, b.leaf(1), wide)))
     assert lowered_kinds(plan) == [UnaryKind.SQUARE, BinaryKind.MUL]
-    prog = plan.program
-    assert [r.dtype for r in prog.schedule if type(r) is equation.Run] == [DType.FP32,
-                                                                           DType.FP64]
+    assert [type(r) for r in plan.program.schedule] == [equation.Run, equation.PlanStep,
+                                                        equation.Run]
 
 
 def test_a_plan_carries_its_program_from_the_start(native_backend):
@@ -455,7 +540,8 @@ def test_a_plan_carries_its_program_from_the_start(native_backend):
     runs no program) and Hybrid."""
     plan = plan_equation("T0 * T1 - T0", [D(2, 3)] * 2)
     prog = plan.program
-    assert [type(r) for r in prog.schedule] == [equation.Run] and prog.code.size == 5 * 2
+    assert [type(r) for r in prog.schedule] == [equation.Run]
+    assert prog.code.size == equation._STEP_LEN * 2
     x = from_array(np.ones((2, 3), np.float32))
     for hook in (None, _PER_STEP):
         with pytest.MonkeyPatch.context() as mp:
@@ -695,12 +781,52 @@ def test_rsqrt_is_two_roundings_and_max_keeps_the_nan(dtype, native_backend):
 
 
 # ---------------------------------------------------------------------------
-# the normalisation statistics: two FP64 plans of the norm kernels
+# the normalisation trees of the norm kernels: one program each
 # ---------------------------------------------------------------------------
 
 def _per_step_only(mp):
     """Refuse every program, so each plan runs its per-step path."""
     mp.setattr(native, "program", lambda *a, **k: None)
+
+
+def _norm_view(x: np.ndarray, dtype: DType, pad: int) -> "ops.TensorView":
+    """FP32 values ``x`` stored as ``dtype`` in a view whose columns are
+    ``pad`` NaN elements apart beyond its rows."""
+    rows, cols = x.shape
+    d = D(rows, cols, dtype, ld=rows + pad)
+    v = view_at(narrow(np.full(d.min_buffer_len, np.nan, np.float32), dtype), 0, d)
+    v.as2d()[:, :] = narrow(x, dtype)
+    return v
+
+
+def _norm_parts(plan):
+    """The plan of a norm tree and the plans of its subtrees of the rows'
+    FP32 scale and shift (the operands of its inner multiply-add)."""
+    inner = plan.tree.root.children[0]
+    return [plan] + [create_execution_plan(equation.EqTree(inner.children[k], plan.tree.args))
+                     for k in (1, 2)]
+
+
+def _program_and_per_step(plans, args, native_backend, finite=True):
+    """Each plan evaluated by its program and per step, from fresh
+    outputs: the two results' bytes, bitwise equal; where C runs, every
+    program ran (and, with ``finite`` values, reported no NaN)."""
+    got = []
+    for per_step in (False, True):
+        out = []
+        with pytest.MonkeyPatch.context() as mp:
+            runs = Runs(mp)
+            if per_step:
+                _per_step_only(mp)
+            for plan in plans:
+                dst = alloc(D(plan.out_desc.rows, plan.out_desc.cols))
+                evaluate(plan, Buffered(), args, dst)
+                out.append(dst.primary)
+        got.append(np.concatenate(out))
+        if not per_step and native_backend != "numpy":
+            assert runs.refused == 0 and runs.done and (all(runs.done) or not finite)
+    assert bits_equal(got[0], got[1])
+    return got[0]
 
 
 # eps down to FP32's smallest normal, where 1/sqrt(eps) of a variance of 0
@@ -712,14 +838,18 @@ _EPS = st.sampled_from([1e-5, 1.0, 1.1754943508222875e-38, 2.2250738585072014e-3
 @_PROPERTY
 @given(data=st.data(), per=st.sampled_from([1, 2, 3, 7]), groups=st.sampled_from([1, 2, 5, 8]),
        cols=st.sampled_from([1, 2, 3, 9]), eps=_EPS,
-       fill=st.sampled_from(["normal", "offset", "constant", "special"]))
-def test_norm_statistics_plans_equal_the_per_step_path(data, per, groups, cols, eps, fill,
-                                                       native_backend):
+       fill=st.sampled_from(["normal", "offset", "constant", "special"]),
+       pad=st.sampled_from([0, 0, 2]), dtype=st.sampled_from([DType.FP32, DType.FP32, DType.BF16]))
+def test_norm_statistics_plans_equal_the_per_step_path(data, per, groups, cols, eps, fill, pad,
+                                                       dtype, native_backend):
     """GROUPNORM of groups of one row, of several and of all rows (and
-    layernorm where each group is one row), its statistics by the FP64
-    plans against their per-step path: ordinary values, a large offset
-    whose variance cancels below 0, constant rows (variance 0), NaN and
-    Inf rows, and eps from 1 down to the smallest FP32 normal."""
+    layernorm, with its mean and variance, where each group is one row),
+    by the one program of its tree against its per-step path: ordinary
+    values, a large offset whose variance cancels below 0, constant rows
+    (variance 0), NaN and Inf rows, eps from 1 down to the smallest FP32
+    normal, extents of 1, x at a padded ld (NaN padding, never read), and
+    a BF16 x, whose row sums stay kernel calls between the program's
+    runs."""
     rows = per * groups
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((rows, cols)).astype(np.float32)
@@ -738,16 +868,25 @@ def test_norm_statistics_plans_equal_the_per_step_path(data, per, groups, cols, 
     outs = []
     for per_step in (False, True):
         with pytest.MonkeyPatch.context() as mp:
+            runs = Runs(mp)
             if per_step:
                 _per_step_only(mp)
             got = alloc(D(rows, cols))
-            kernels.norm_scaling(from_array(x), None, None, from_array(g), from_array(bias),
-                                 kernels.NormMode.GROUPNORM, got, groups=groups, eps=eps)
+            kernels.norm_scaling(_norm_view(x, dtype, pad), None, None, from_array(g),
+                                 from_array(bias), kernels.NormMode.GROUPNORM, got,
+                                 groups=groups, eps=eps)
             outs.append(got.primary.copy())
             if cols >= 2:
                 ln, mean, var = alloc(D(rows, cols)), alloc(D(rows, 1)), alloc(D(rows, 1))
-                kernels.layernorm(from_array(x), row_g, row_b, eps, ln, mean, var)
+                kernels.layernorm(_norm_view(x, dtype, pad), row_g, row_b, eps, ln, mean, var)
                 outs += [ln.primary.copy(), mean.primary.copy(), var.primary.copy()]
+        if not per_step and native_backend != "numpy":
+            # an eps of FP64's smallest normal over a variance of 0 makes an
+            # infinite FP32 scale, and so a NaN result, from finite x
+            assert runs.refused == 0 and runs.done
+            assert all(runs.done) or fill == "special" or eps < 1e-300
+            if dtype is DType.FP32:   # one run per evaluation
+                assert len(runs.done) == (4 if cols >= 2 else 1) or not all(runs.done)
     half = len(outs) // 2
     for a, b in zip(outs[:half], outs[half:]):
         assert bits_equal(a, b)
@@ -755,62 +894,91 @@ def test_norm_statistics_plans_equal_the_per_step_path(data, per, groups, cols, 
 
 @_PROPERTY
 @given(data=st.data(), groups=st.sampled_from([1, 2, 8, 63, 64, 65, 130]),
-       n=st.sampled_from([1, 2, 3, 256, 65536]),
+       n=st.sampled_from([1, 2, 3, 256, 4096]),
        eps=st.sampled_from([1e-5, 2.2250738585072014e-308, 2.3e-308, 4.9e-324]),
        fill=st.sampled_from(["normal", "cancel", "zero", "special"]))
 def test_statistics_plans_equal_their_per_step_path(data, groups, n, eps, fill,
                                                     native_backend):
-    """rstd and shift of the two FP64 plans from sums S and squared sums SS
-    against their per-step path: ordinary sums, sums whose variance
-    cancels below 0 (SS/n < (S/n)^2), all zero (a MAX tie of zeros),
-    NaN, Inf and huge values, and eps near the smallest FP64 normal or the
-    smallest subnormal; more than 64 groups run the SCALAR constants in
-    blocks of 64 and a tail."""
+    """The GROUPNORM tree of ``groups`` groups of ``n`` elements (built
+    past the plan cache, by ``__wrapped__``), and its subtrees of the rows'
+    scale and shift, by their programs against their per-step path: ordinary sums, constant groups whose variance cancels
+    below 0 (SS/n < (S/n)^2), all zero (a MAX tie of zeros), NaN, Inf and
+    values whose squares overflow FP32, and eps near the smallest FP64
+    normal or the smallest subnormal; more than 64 groups run a statistic
+    of one element per column in blocks of 64 and a tail."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    s = rng.standard_normal((1, groups)) * n
-    ss = np.abs(rng.standard_normal((1, groups))) * n + s * s / n
+    per = 2 if n % 2 == 0 and n > 2 else 1
+    rows, cols = groups * per, n // per
+    x = (rng.standard_normal((rows, cols)) * 4).astype(np.float32)
     if fill == "cancel":
-        ss = s * s / n * (1.0 - 1e-15 * rng.random((1, groups)))
+        x = np.repeat(np.float32(1000.1) * rng.integers(1, 9, (rows, 1)).astype(np.float32),
+                      cols, axis=1)
     elif fill == "zero":
-        s[:], ss[:] = 0.0, rng.choice([0.0, -0.0], (1, groups))
+        x = rng.choice(np.array([0.0, -0.0], np.float32), (rows, cols))
     elif fill == "special":
-        hit = rng.random((1, groups)) < 0.3
-        ss[hit] = rng.choice([np.nan, np.inf, -np.inf, 1e300, -1e-300], int(hit.sum()))
-    rstd_plan, shift_plan, (nv, zero, ev, minus1) = kernels._stats_plans(groups, n, eps)
-    got = []
-    for per_step in (False, True):
-        sv, ssv = from_array(s), from_array(ss)
-        rstd, shift = alloc(D(1, groups, DType.FP64)), alloc(D(1, groups, DType.FP64))
-        with pytest.MonkeyPatch.context() as mp:
-            runs = Runs(mp)
-            if per_step:
-                _per_step_only(mp)
-            evaluate(rstd_plan, Buffered(), [sv, ssv, nv, zero, ev], rstd)
-            evaluate(shift_plan, Buffered(), [sv, nv, minus1, rstd], shift)
-        got.append(np.concatenate([rstd.primary, shift.primary]))
-        if not per_step and native_backend != "numpy":
-            assert len(runs.done) == 2 and (fill == "special" or all(runs.done))
-    assert bits_equal(got[0], got[1])
+        hit = rng.random((rows, cols)) < 0.3 / cols
+        x[hit] = rng.choice(np.array([np.nan, np.inf, -np.inf, 3e38, -2e19], np.float32),
+                            int(hit.sum()))
+    plan, consts = kernels._norm_plan.__wrapped__(rows, cols, groups, eps, DType.FP32)
+    gb = [broadcast(from_array(rng.standard_normal((rows, 1)).astype(np.float32)),
+                    Bcast.COL, rows, cols) for _ in range(2)]
+    # an eps below FP32's range over a variance of 0 makes an infinite FP32
+    # scale, and a NaN result (0 * inf, inf - inf) from finite x
+    _program_and_per_step(_norm_parts(plan), [from_array(x), *consts, *gb], native_backend,
+                          finite=fill != "special" and eps > 1e-300)
 
 
-@pytest.mark.parametrize("s, ss", [(0.0, -0.0), (-0.0, -0.0), (3.0, 1.0), (2.0, 4.0)])
-def test_statistics_plan_clamps_the_variance_at_plus_zero(s, ss, native_backend):
-    """The rstd plan of one group of one element with eps -0: var = SS - S*S
-    is -0, below 0 or +0, and MAX(var, +0) gives +0 (a tie returns the
-    second operand), so rstd = 1/sqrt(+0 + -0) is +inf, where a
-    first-operand tie rule would give -inf; inf is no NaN, so where C runs
-    the program keeps its result, equal to the per-step one."""
-    rstd_plan, _, (n, zero, eps, _) = kernels._stats_plans.__wrapped__(1, 1, -0.0)
-    got = []
-    for per_step in (False, True):
-        args = [from_array(np.array([[v]])) for v in (s, ss)] + [n, zero, eps]
-        out = alloc(D(1, 1, DType.FP64))
-        with pytest.MonkeyPatch.context() as mp:
-            runs = Runs(mp)
-            if per_step:
-                _per_step_only(mp)
-            evaluate(rstd_plan, Buffered(), args, out)
-        got.append(out.primary[0])
-        if not per_step:
-            assert runs.done == ([] if native_backend == "numpy" else [True])
-    assert got[0] == np.inf and got[1] == np.inf
+@pytest.mark.parametrize("v", [0.0, -0.0, 1.1, 3.0])
+def test_statistics_plan_clamps_the_variance_at_plus_zero(v, native_backend):
+    """The tree of one group of one element with eps -0 (built through the
+    cache's ``__wrapped__``, since -0.0 == 0.0 would share an entry): var =
+    SS - S*S, the FP32 square less the exact one, is +0 or, for 1.1, below
+    0, and MAX(var, +0) gives +0, so rstd = 1/sqrt(+0 + -0) is +inf (a -0
+    var, whose tie the MAX rule sends to +0 too, cannot arise: SS is a sum
+    from +0); inf is no NaN, so where C runs the scale's program keeps its
+    result, equal to the per-step one.  The variance plan gives +0."""
+    plan, consts = kernels._norm_plan.__wrapped__(1, 1, 1, -0.0, DType.FP32)
+    var_plan, _ = kernels._norm_plan.__wrapped__(1, 1, 1, -0.0, DType.FP32, "var")
+    gb = [alloc(D(1, 1, bcast=Bcast.COL), fill=1.0)] * 2
+    args = [from_array(np.array([[v]], np.float32)), *consts, *gb]
+    scale = _program_and_per_step(_norm_parts(plan)[1:2], args, native_backend)
+    assert scale[0] == np.inf
+    var = _program_and_per_step([var_plan], args, native_backend)
+    assert bits_equal(var, np.zeros(1, np.float32))
+
+
+@pytest.mark.parametrize("groups", [1, 2, 6])
+def test_norm_steps_that_change_size_write_a_slot_of_their_own(groups, native_backend):
+    """In a norm tree, every CONVERT and REDUCE step writes a slot that
+    none of its operands occupies, so it never writes over bytes it still
+    reads, and a RESHAPE keeps its operand's slot (the same bytes, no
+    code); NaN-poisoning every slot a step leaves dead (a ``step_hook``,
+    per step) gives the bits of the clean evaluation, by the program where
+    C runs: no step reads a slot the plan recycled."""
+    rows, cols = 6, 5
+    plan, consts = kernels._norm_plan(rows, cols, groups, 1e-5, DType.FP32)
+    fresh = reshapes = 0
+    for step in plan.steps:
+        tmp = [ref for kind, ref in step.inputs if kind == "tmp"]
+        if equation._fresh(step.node):
+            fresh += 1
+            assert step.output[1] not in tmp
+        elif step.node.kind is UnaryKind.TRANSFORM:
+            reshapes += 1
+            assert [step.output[1]] == tmp
+    assert fresh == 5 * 3 + 2 and reshapes == 5 + 2
+    rng = np.random.default_rng(groups)
+    args = [from_array(rng.standard_normal((rows, cols)).astype(np.float32)), *consts,
+            *[from_array(rng.standard_normal((rows, cols)).astype(np.float32))] * 2]
+
+    def poison(step, dead):
+        for v in dead:
+            v.as2d()[:, :] = np.nan
+
+    clean, poisoned = alloc(D(rows, cols)), alloc(D(rows, cols))
+    with pytest.MonkeyPatch.context() as mp:
+        runs = Runs(mp)
+        evaluate(plan, Buffered(), args, clean)
+    assert runs.done == ([] if native_backend == "numpy" else [True])
+    evaluate(plan, Buffered(), args, poisoned, step_hook=poison)
+    assert bits_equal(clean.primary, poisoned.primary)
