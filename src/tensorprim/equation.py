@@ -30,21 +30,23 @@ equation.
 Evaluation replays the plan's decisions.  BUFFERED runs every step into its
 planned slot, over byte buffers of the recorded sizes made fresh for each
 call; each run of consecutive FP32 and FP64 steps that a program runs
-(``_step_record``: the elementwise kinds of ``_OPCODES``, conversions,
-REDUCE SUM folds, and RESHAPEs, which emit no code), lowered as the plan
-was built into its C program (``ExecPlan.program``), runs in one native
-call, each step over its own extent, reading each argument as the view
-passed lays it out (plain, ROW, COL or SCALAR) and each smaller operand by
-broadcast; every other step is one kernel call, and a program that meets
-a NaN or an operand C cannot take leaves the plan to its per-step path.
-HYBRID runs the non-elementwise nodes the same way, into private buffers,
-and each maximal region of pure elementwise maps (TILE_FUSED: the whole
-tree, which must be one such region) in blocks of whole tiles: each node's
-bound ndarray math (``Kernel.math``) runs on numpy slices, one block within
-a fixed byte budget at a time, and every result is rounded to the node's
-dtype, as storing a temporary does.  All three produce bitwise-identical
-results to naive per-node evaluation because each node runs the same math
-on the same values in the same order.
+(``_step_record``: the elementwise kinds of ``_OPCODES``, FP32 EXP among
+them, conversions, SUM and COLS MAX folds, and RESHAPEs, which emit no
+code), lowered as the plan was built into its C program
+(``ExecPlan.program``), runs in one native call, each step over its own
+extent, reading each argument as the view passed lays it out (plain, ROW,
+COL or SCALAR) and each smaller operand by broadcast; every other step is
+one kernel call, and a program that meets a NaN or an operand C cannot
+take leaves the plan to its per-step path.
+HYBRID runs the non-elementwise nodes the same way, into private buffers
+(a RESHAPE of one is a view of its bytes, no copy), and each maximal
+region of pure elementwise maps (TILE_FUSED: the whole tree, which must be
+one such region) in blocks of whole tiles: each node's bound ndarray math
+(``Kernel.math``) runs on numpy slices, one block within a fixed byte
+budget at a time, and every result is rounded to the node's dtype, as
+storing a temporary does.  All three produce bitwise-identical results to
+naive per-node evaluation because each node runs the same math on the same
+values in the same order.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from .ops import (
     TransformSpec,
     UnaryKind,
 )
-from .tensor import Bcast, TensorDesc, TensorView, alloc
+from .tensor import Bcast, TensorDesc, TensorView, alloc, view_at
 
 OpKind = Union[UnaryKind, BinaryKind, TernaryKind]
 
@@ -726,13 +728,14 @@ def _slot_dst(made: dict[tuple[int, TensorDesc], TensorView], bufs: dict[int, np
 # the elementwise kinds a program runs, by their opcode in native.c's program
 _OPCODES = {BinaryKind.ADD: 0, BinaryKind.SUB: 1, BinaryKind.MUL: 2, UnaryKind.SQUARE: 3,
             UnaryKind.RELU: 4, BinaryKind.DIV: 5, BinaryKind.MAX: 6, UnaryKind.RSQRT: 7,
-            TernaryKind.MULADD: 8, TernaryKind.NMULADD: 9}
-_CONVERT = 10   # an IDENTITY from FP32 to FP64 or back
+            TernaryKind.MULADD: 8, TernaryKind.NMULADD: 9, UnaryKind.EXP: 10}
+_CONVERT = 11   # an IDENTITY from FP32 to FP64 or back
 # the REDUCE specs a program folds, by opcode; every opcode from _FOLD up is a fold
-_FOLD = 11
+_FOLD = 12
 _FOLDS = {ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM): _FOLD,
           ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, squared=True): _FOLD + 1,
-          ReduceSpec(ReduceAxis.COLS, ReduceOp.SUM): _FOLD + 2}
+          ReduceSpec(ReduceAxis.COLS, ReduceOp.SUM): _FOLD + 2,
+          ReduceSpec(ReduceAxis.COLS, ReduceOp.MAX): _FOLD + 3}
 _STEP_LEN = 11   # int64 fields of a step record: the 7 of ``_step_record``, a, b, c, d
 
 
@@ -745,11 +748,12 @@ def _step_record(node: EqNode) -> tuple | None:
     no code; None when the node stays a kernel call.
 
     A program runs the elementwise kinds of ``_OPCODES`` (RELU without a
-    bitmask) whose value and operands are all FP32, or all FP64; an IDENTITY
-    that converts FP32 to FP64 or back (CONVERT, over its value's extent);
-    and the REDUCE SUM folds of ``_FOLDS`` of an FP32 or FP64 operand (over
-    the operand's extent).  A leaf may be declared a broadcast of any kind,
-    since the program reads each argument as the view passed to
+    bitmask, EXP in FP32 alone and not EXACT) whose value and operands are
+    all FP32, or all FP64; an IDENTITY that converts FP32 to FP64 or back
+    (CONVERT, over its value's extent); and the folds of ``_FOLDS`` (ROWS
+    SUM, plain or squared, COLS SUM and COLS MAX) of an FP32 or FP64 operand
+    (over the operand's extent).  A leaf may be declared a broadcast of any
+    kind, since the program reads each argument as the view passed to
     ``evaluate`` lays it out."""
     od = node.out_desc
     dtype = od.dtype
@@ -767,11 +771,9 @@ def _step_record(node: EqNode) -> tuple | None:
         if kind is UnaryKind.IDENTITY:
             return None if a.dtype is dtype or a.dtype not in native.PROGRAM_DTYPES else \
                 (_CONVERT, fp64, od.rows, od.cols, 0, 0, 0)
-        if kind is UnaryKind.TRANSFORM:
-            return () if kernel.spec.transform.kind is TransformKind.RESHAPE \
-                and children[0].kind is not None else None
-        return None
-    if kernel.math is None or a.dtype is not dtype:
+        return () if _reshapes_a_value(node) else None
+    if kernel.math is None or a.dtype is not dtype or kind is UnaryKind.EXP and (
+            fp64 or kernel.spec.approx is Approx.EXACT):
         return None
     m, n = od.rows, od.cols
     ka = (a.rows != m) | (a.cols != n) << 1
@@ -787,6 +789,14 @@ def _step_record(node: EqNode) -> tuple | None:
     if c.dtype is not dtype:
         return None
     return (op, fp64, m, n, ka, kb, (c.rows != m) | (c.cols != n) << 1)
+
+
+def _reshapes_a_value(n: EqNode) -> bool:
+    """Whether ``n`` is a RESHAPE of a non-leaf child: that value's dense
+    bytes read at a new extent, so a program emits no code for it and HYBRID
+    views its child's private buffer."""
+    return n.kind is UnaryKind.TRANSFORM and n.kernel.spec.transform.kind is \
+        TransformKind.RESHAPE and not n.children[0].is_leaf
 
 
 def _fresh(n: EqNode) -> bool:
@@ -934,6 +944,10 @@ def _eval_hybrid(plan: ExecPlan, args: Sequence[TensorView], out: TensorView,
         region = regions.get(n.node_id)
         if region is None and n.fusable():
             continue  # runs inside its region
+        if _reshapes_a_value(n) and not s.is_root:   # a view of its child's private buffer
+            materialized[n.node_id] = view_at(materialized[n.children[0].node_id].primary, 0,
+                                              n.out_desc)
+            continue
         dst = out if s.is_root else alloc(n.out_desc)
         if region is not None:
             _eval_tiled(region[::-1], args, dst, tile_m, tile_n, materialized)

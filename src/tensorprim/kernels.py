@@ -3,23 +3,23 @@ operators, the contraction engine and equation plans.
 
 Nothing in this module touches tensor elements directly: all math goes
 through primitive calls or planned equations, and buffers are reinterpreted
-only through ``view_at``.  A source audit check enforces that no array
+only by an equation's RESHAPE.  A source audit check enforces that no array
 library is imported and that no element buffer is indexed or used in
 arithmetic.  A layernorm or GROUPNORM call is one evaluation of one cached
 equation tree, its statistics included (row folds, FP64 group sums and
 statistics, the scaling), which runs as one C program where C runs.
 
-Softmax makes a fixed number of calls, never one per slice: two per-slice
-folds, each two COLS reduces whose bits are those of an ALL reduce of every
-slice, and two elementwise plans over the whole input, each slice's value
-broadcast over its columns.  The sparse kernels make a fixed number of
-primitive calls per bag, never one per index: an embedding bag is one
-indexed reduce of the table's columns, and binary-reduce gathers each
-table's columns into a scratch block once and reduces once, with the
-reduction's pinned ascending order.  A split SGD step is one primitive call
-(``split_sgd``), which updates the hi/lo halves in place in C with no FP32
-scratch; the PACK, NMULADD and UNPACK composition is its reference path
-and runs on the columns C leaves, from the first that holds a NaN.
+Softmax is one evaluation of each of two cached trees over all slices,
+each one C program where C runs: a slice's MAX (SUM) is two COLS folds
+with the bits of an ALL reduce, read by broadcast in the tree of the EXP
+(the scaling).  The sparse kernels make a fixed number of primitive calls
+per bag, never one per index: an embedding bag is one indexed reduce of
+the table's columns, and binary-reduce gathers each table's columns into
+a scratch block once and reduces once, with the reduction's pinned
+ascending order.  A split SGD step is one primitive call (``split_sgd``),
+which updates the hi/lo halves in place in C with no FP32 scratch; the
+PACK, NMULADD and UNPACK composition is its reference path and runs on
+the columns C leaves, from the first that holds a NaN.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .tensor import (
     TensorView,
     alloc,
     broadcast,
-    view_at,
 )
 
 
@@ -82,54 +81,54 @@ class SoftmaxSpec:
 
 
 @functools.lru_cache(maxsize=DISPATCH_CACHE_SIZE)
-def _softmax_plans(rows: int, cols: int, dtype: DType) -> tuple[eqn.ExecPlan, eqn.ExecPlan]:
-    """The two elementwise plans of a softmax over a rows x cols input:
-    E = exp(X - R) and Y = E * R, each R a 1 x cols row broadcast over the
-    rows.  R and E take the dtype of the input's reduce accumulator."""
+def _softmax_plans(s1: int, s2: int, s3: int, dtype: DType
+                   ) -> tuple[eqn.ExecPlan, eqn.ExecPlan, TensorView]:
+    """The plans E = EXP(X - R) and Y = E * R' of a softmax of s2 slices of
+    s1 x s3 and their constant, a 1.0 SCALAR at s3 x s2, built once.  R (R')
+    is a 1 x (s2*s3) row, read by broadcast, of each slice's MAX (1/SUM) in
+    its s3 columns: two COLS folds, of X and of its partials RESHAPEd to
+    s3 x s2 (ALL is exactly that two-stage fold), one MUL (a DIV 1/S, the
+    bits of RECIPROCAL) against the 1.0 that spreads each slice's value over
+    its column, and a RESHAPE to the row.  R, E and R' take the dtype of
+    the input's reduce accumulator."""
     acc = kernel_for(UnaryKind.REDUCE, (TensorDesc(1, 1, 1, dtype),),
                      reduce=ReduceSpec(ReduceAxis.ALL, ReduceOp.SUM)).out_desc.dtype
-    row = TensorDesc(rows, cols, 1, acc, Bcast.ROW)
-    b = eqn.TreeBuilder([TensorDesc(rows, cols, rows, dtype), row])
-    num = b.tree(b.unary(UnaryKind.EXP, b.binary(BinaryKind.SUB, b.leaf(0), b.leaf(1))))
-    b = eqn.TreeBuilder([num.root.out_desc, row])
-    scale = b.tree(b.binary(BinaryKind.MUL, b.leaf(0), b.leaf(1)))
-    return eqn.create_execution_plan(num), eqn.create_execution_plan(scale)
+    one = broadcast(alloc(TensorDesc(1, 1, 1, acc), fill=1.0), Bcast.SCALAR, s3, s2)
+
+    def spread(b: eqn.TreeBuilder, op: ReduceOp) -> eqn.EqNode:   # 1 x (s2*s3)
+        fold = ReduceSpec(ReduceAxis.COLS, op)
+        part = b.unary(UnaryKind.REDUCE, b.leaf(0), reduce=fold)
+        value = b.unary(UnaryKind.REDUCE, b.reshape(part, s3, s2), reduce=fold)
+        wide = b.binary(BinaryKind.MUL, value, b.leaf(1)) if op is ReduceOp.MAX else \
+            b.binary(BinaryKind.DIV, b.leaf(1), value)
+        return b.reshape(wide, 1, s2 * s3)
+
+    b = eqn.TreeBuilder([TensorDesc(s1, s2 * s3, s1, dtype), one.desc])
+    num = b.tree(b.unary(UnaryKind.EXP, b.binary(BinaryKind.SUB, b.leaf(0),
+                                                 spread(b, ReduceOp.MAX))))
+    b = eqn.TreeBuilder([num.root.out_desc, one.desc])
+    scale = b.tree(b.binary(BinaryKind.MUL, b.leaf(0), spread(b, ReduceOp.SUM)))
+    return eqn.create_execution_plan(num), eqn.create_execution_plan(scale), one
 
 
 def softmax(spec: SoftmaxSpec, x: TensorView, y: TensorView,
             strategy: eqn.EvalStrategy | None = None) -> None:
     """Slice-wise softmax: each of the s2 instances is normalised over its
-    whole s1 x s3 slice (max subtraction, exp, reciprocal-sum scaling).
-
-    All slices run together, at the caller's ``ld``.  A slice's MAX (SUM)
-    is two COLS reduces, of the input and then of its s3 column partials,
-    which gives the bits of an ALL reduce of the slice: ALL is exactly that
-    two-stage fold.  An IDENTITY (a RECIPROCAL, for the sum) spreads each
-    slice's value over its s3 columns of a 1 x (s2*s3) row, which the two
-    elementwise plans of :func:`_softmax_plans` read as a ROW broadcast."""
+    whole s1 x s3 slice (max subtraction, exp, reciprocal-sum scaling), all
+    at once at the caller's ``ld``, by one evaluation of each plan of
+    :func:`_softmax_plans` (TileFused runs as Hybrid: the trees hold folds)."""
     s1, s2, s3 = spec.s1, spec.s2, spec.s3
     if (x.desc.rows, x.desc.cols) != (s1, s2 * s3):
         raise TensorError("softmax input must be s1 x (s2*s3)")
     if (y.desc.rows, y.desc.cols) != (x.desc.rows, x.desc.cols):
         raise TensorError("softmax output shape mismatch")
-    num, scale = _softmax_plans(s1, s2 * s3, x.desc.dtype)
+    num, scale, one = _softmax_plans(s1, s2, s3, x.desc.dtype)
     strategy = strategy or eqn.Buffered()
+    if isinstance(strategy, eqn.TileFused):
+        strategy = eqn.Hybrid(strategy.tile_m, strategy.tile_n)
     e = alloc(num.out_desc)
-    acc = e.desc.dtype
-    part, row = (alloc(TensorDesc(1, s2 * s3, 1, acc)) for _ in range(2))
-    value = alloc(TensorDesc(1, s2, 1, acc))
-
-    def grid(v: TensorView) -> TensorView:
-        # a 1 x (s2*s3) row as s3 x s2: one column per slice
-        return view_at(v.primary, 0, TensorDesc(s3, s2, s3, acc))
-
-    wide = broadcast(row, Bcast.ROW, s1, s2 * s3)
-    for src, op, spread, plan, dst in ((x, ReduceOp.MAX, UnaryKind.IDENTITY, num, e),
-                                       (e, ReduceOp.SUM, UnaryKind.RECIPROCAL, scale, y)):
-        reduce(src, ReduceSpec(ReduceAxis.COLS, op), part)
-        reduce(grid(part), ReduceSpec(ReduceAxis.COLS, op), value)
-        apply_unary(spread, broadcast(value, Bcast.ROW, s3, s2), grid(row))
-        eqn.evaluate(plan, strategy, [src, wide], dst)
+    eqn.evaluate(num, strategy, [x, one], e)
+    eqn.evaluate(scale, strategy, [e, one], y)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
  * the operator set, a block of the xorshift128 PRNG streams, FP32 DROPOUT,
  * the three FP32 approximation engines (rational tanh, piecewise cubic,
  * exp), PACK, UNPACK and the split SGD step, and the plan program that runs
- * an equation's FP32 and FP64 elementwise, conversion and REDUCE SUM steps
- * (MULADD and NMULADD among them: a direct call of either runs numpy, in
- * ops).
+ * an equation's FP32 and FP64 elementwise, conversion and fold steps, FP32
+ * EXP among them (MULADD and NMULADD too: a direct call of either runs
+ * numpy, in ops).
  * Every kernel gives, bit for bit, what its numpy reference path gives.
  * Which of the two runs is decided in native.py alone: without a build or
  * while a verify fault is set, every caller takes its numpy path.
@@ -146,11 +146,12 @@
  * +0) does), MAX (a > b || a != a ? a : b: a NaN is kept and a tie of zeros
  * returns b, as np.maximum and the MAX reduce do), RSQRT 1 / sqrt(a),
  * MULADD c + a*b and NMULADD c - a*b, each operation rounded on its own, as
- * ops computes them.  CONVERT writes a into d's type, the other one (FP32
- * to FP64 exactly, FP64 to FP32 rounded to nearest).  ROWS_SUM,
- * ROWS_SUMSQ and COLS_SUM fold a (m x n) into d (m x 1 or 1 x n) by the
- * REDUCE helpers above, in their order.  A unary step names a as b and c,
- * a binary one a as c.
+ * ops computes them, and, in FP32 alone, EXP: exp_taylor_one inlined, the
+ * bits of exp_taylor_f32.  CONVERT writes a into d's type, the other one
+ * (FP32 to FP64 exactly, FP64 to FP32 rounded to nearest).  ROWS_SUM,
+ * ROWS_SUMSQ, COLS_SUM and COLS_MAX fold a (m x n) into d (m x 1 or 1 x n)
+ * by the REDUCE helpers above, in their order and, for MAX, by their NaN
+ * rule.  A unary step names a as b and c, a binary one a as c.
  * An operand's table kind is how the view passed lays it out: PLAIN
  * (element (i, j) at p[i + j*ld]), ROW (p[j*ld], one element per column),
  * COL (p[i], one column read for every column) or SCALAR (p[0]): a column
@@ -161,7 +162,7 @@
  * that one of its operands occupies (of the step's extent, or smaller and
  * read by broadcast: see DEFINE_PROGRAM), or a slot it alone touches (a
  * CONVERT or REDUCE step, whose value is of another element size or
- * extent).  The transcendental kinds stay kernel calls.
+ * extent).  TANH, SIGMOID and GELU stay kernel calls.
  */
 
 #include <float.h>
@@ -789,8 +790,8 @@ split_sgd_f32(int64_t m, int64_t n, const float *restrict g, int64_t ldg,
 
 /* the opcodes of equation._OPCODES, as the planner writes them */
 enum { PROG_ADD, PROG_SUB, PROG_MUL, PROG_SQUARE, PROG_RELU, PROG_DIV, PROG_MAX,
-       PROG_RSQRT, PROG_MULADD, PROG_NMULADD, PROG_CONVERT, PROG_ROWS_SUM,
-       PROG_ROWS_SUMSQ, PROG_COLS_SUM };
+       PROG_RSQRT, PROG_MULADD, PROG_NMULADD, PROG_EXP, PROG_CONVERT, PROG_ROWS_SUM,
+       PROG_ROWS_SUMSQ, PROG_COLS_SUM, PROG_COLS_MAX };
 /* the fields of a step record, as equation.py lowers them */
 enum { STEP_OP, STEP_TYPE, STEP_M, STEP_N, STEP_KA, STEP_KB, STEP_KC,
        STEP_A, STEP_B, STEP_C, STEP_D, STEP_LEN };
@@ -830,7 +831,10 @@ INLINE intptr_t operand_at(const int64_t *s, const int64_t *table, int k,
 /* NAME##_span runs an elementwise step over len elements, d = op(a, b, c),
  * each operand at unit stride (b and c unread by a unary kind, c by a
  * binary one), and returns 1 when a result is a NaN; RELU tests its input,
- * because its select would turn a NaN into 0.
+ * because its select would turn a NaN into 0.  EXP is the one-element
+ * function the instance names: exp_taylor_one for FP32; FP64 lowers no EXP
+ * step, and its instance's EXP_NONE makes a NaN, which would rerun the plan
+ * per step.
  *
  * NAME##_map runs an elementwise step over its m x n extent.  A step whose
  * operands and d are all flat (dense at ld m, or SCALAR) runs as one column
@@ -842,12 +846,12 @@ INLINE intptr_t operand_at(const int64_t *s, const int64_t *table, int k,
  * (m x 1) or SCALAR value lies within column 0, which runs last, element
  * by element in place (a SCALAR one from its copy).
  *
- * NAME##_fold runs a REDUCE SUM step by REDUCE's own fold helpers, so in
- * their pinned order: ROWS (plain or squared) folds the m x n operand a into
- * m x 1, COLS into 1 x n.  a is read at its column stride (0 for a COL view;
- * native.program refuses a ROW or SCALAR one), and d, a slot of its own or
- * out, overlaps it nowhere. */
-#define DEFINE_PROGRAM(NAME, T, SQRT, REDUCE)                                  \
+ * NAME##_fold runs a fold step by REDUCE's own helpers, so in their pinned
+ * order and by their NaN rule: ROWS SUM (plain or squared) folds the m x n
+ * operand a into m x 1, COLS SUM and COLS MAX into 1 x n.  a is read at
+ * its column stride (0 for a COL view; native.program refuses a ROW or
+ * SCALAR one), and d, a slot of its own or out, overlaps it nowhere. */
+#define DEFINE_PROGRAM(NAME, T, SQRT, REDUCE, EXP)                             \
 INLINE int NAME##_span(int64_t op, int64_t len, const T *a, const T *b,        \
                        const T *c, T *d)                                       \
 {                                                                              \
@@ -863,6 +867,7 @@ INLINE int NAME##_span(int64_t op, int64_t len, const T *a, const T *b,        \
     case PROG_RSQRT: PROGRAM_LOOP(T, (T)1 / SQRT(a[i])); break;                \
     case PROG_MULADD: PROGRAM_LOOP(T, c[i] + a[i] * b[i]); break;              \
     case PROG_NMULADD: PROGRAM_LOOP(T, c[i] - a[i] * b[i]); break;             \
+    case PROG_EXP: PROGRAM_LOOP(T, EXP(a[i])); break;                          \
     default:                                                                   \
         for (int64_t i = 0; i < len; i++) {                                    \
             const T x = a[i];                                                  \
@@ -929,7 +934,10 @@ INLINE int NAME##_fold(const int64_t *s, const int64_t *table)                 \
     } else {                                                                   \
         len = n;                                                               \
         step = e[1] ? e[1] : 1;                                                \
-        REDUCE##_run(m, n, x, ld, step, AXIS_COLS, OP_SUM, 0, out);            \
+        if (s[STEP_OP] == PROG_COLS_SUM)                                       \
+            REDUCE##_run(m, n, x, ld, step, AXIS_COLS, OP_SUM, 0, out);        \
+        else                                                                   \
+            REDUCE##_run(m, n, x, ld, step, AXIS_COLS, OP_MAX, 0, out);        \
     }                                                                          \
     int nan = 0;                                                               \
     for (int64_t i = 0; i < len; i++)                                          \
@@ -937,8 +945,10 @@ INLINE int NAME##_fold(const int64_t *s, const int64_t *table)                 \
     return nan;                                                                \
 }
 
-DEFINE_PROGRAM(prog_f32, float, sqrtf, reduce_f32)
-DEFINE_PROGRAM(prog_f64, double, sqrt, reduce_f64)
+#define EXP_NONE(x) NAN
+
+DEFINE_PROGRAM(prog_f32, float, sqrtf, reduce_f32, exp_taylor_one)
+DEFINE_PROGRAM(prog_f64, double, sqrt, reduce_f64, EXP_NONE)
 
 /* A CONVERT step: d (m x n, of the step's type) = a, of the other type:
  * FP32 to FP64 exactly, FP64 to FP32 rounded to nearest (+-inf beyond

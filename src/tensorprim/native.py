@@ -6,8 +6,9 @@ PACK, NMULADD and UNPACK composition is its reference path and resumes at
 a column holding a NaN), the three FP32 approximation engines of
 ``approx``, and the plan program of ``equation`` (the one C MULADD and
 NMULADD: a direct call of either runs numpy), one entry whose steps each
-carry their extent and element type: elementwise, FP32/FP64 conversion
-and REDUCE SUM steps, so a layernorm or GROUPNORM is one call.
+carry their extent and element type: elementwise (FP32 EXP among them),
+FP32/FP64 conversion and fold (SUM, COLS MAX) steps, so a layernorm or
+GROUPNORM is one call, and a softmax two.
 
 Every kernel but brgemm and the plan program takes one ABI, as the paper
 defines a primitive on 2-D blocks: ``(m, n)``, then each operand as a

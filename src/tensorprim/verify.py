@@ -1000,11 +1000,16 @@ def random_equation(rng, dtype: DType, rows: int = 4, cols: int = 4):
     return tree, args
 
 
-def norm_trees(rng) -> list[tuple[str, eqn.ExecPlan, list]]:
-    """The trees of layernorm (16 x 64, one group per row) and GROUPNORM
-    (16 x 64 in 4 groups), each with arguments: random x, its constants,
-    and G and B broadcast per channel."""
-    trees = []
+def kernel_trees(rng) -> list[tuple[str, eqn.ExecPlan, list]]:
+    """The trees of the composite kernels, each with arguments: softmax's
+    two (16 x 64 in 4 slices of 16 x 16; random x, and a random exp in
+    [0, 1), each with the 1.0 constant), then layernorm (16 x 64, one
+    group per row) and GROUPNORM (16 x 64 in 4 groups), each with random x,
+    its constants, and G and B broadcast per channel."""
+    num, scale, one = kernels._softmax_plans(16, 4, 16, DType.FP32)
+    x = from_array((4.0 * rng.standard_normal((16, 64))).astype(np.float32))
+    e = from_array(rng.random((16, 64), dtype=np.float32))
+    trees = [("softmax-num-tree", num, [x, one]), ("softmax-den-tree", scale, [e, one])]
     for name, groups in (("layernorm-tree", 16), ("groupnorm-tree", 4)):
         plan, consts = kernels._norm_plan(16, 64, groups, 1e-5, DType.FP32)
         gb = [broadcast(from_array(rng.standard_normal((16, 1)).astype(np.float32)),
@@ -1030,7 +1035,8 @@ def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
     """BUFFERED (its lowered C program where C runs), BUFFERED step by step
     (a ``step_hook`` selects that path), TILE_FUSED (where legal), HYBRID
     and naive per-node evaluation agree bitwise over FP32 and FP64 inputs,
-    for random equations and the trees of the norm kernels (``norm_trees``).
+    for random equations and the trees of the composite kernels
+    (``kernel_trees``).
     The tiled strategies run at the default block budget, where a small
     equation's region is one block, and at one tile per block (budget 1),
     where the 2 x 2 tiles cut every region.  The detail counts the FP32 and
@@ -1041,7 +1047,7 @@ def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
     fused_seen = 0
     lowered = 0
     per_step = lambda step, dead: None
-    cases = [(plan, args) for _, plan, args in norm_trees(np.random.default_rng([seed, 1]))]
+    cases = [(plan, args) for _, plan, args in kernel_trees(np.random.default_rng([seed, 1]))]
     for i in range(equations):
         dtype = DType.FP64 if i % 2 else DType.FP32
         tree, args = random_equation(rng, dtype)
@@ -1068,9 +1074,9 @@ def check_fusion_fidelity(seed: int = 0, equations: int = 1000) -> CheckResult:
                    for budget in (eqn._TILE_BLOCK_BYTES, 1) for strategy in tiled):
             bad += 1
     return CheckResult("equation-fusion-fidelity", bad == 0, bad, 0,
-                       f"{equations} equations and the layernorm and groupnorm trees, "
-                       f"{fused_seen} tile-fusable, {lowered} steps lowered, program on "
-                       f"{native.backend()}")
+                       f"{equations} equations and the softmax, layernorm and groupnorm "
+                       f"trees, {fused_seen} tile-fusable, {lowered} steps lowered, program "
+                       f"on {native.backend()}")
 
 
 def check_temp_bytes_metric(seed: int = 0) -> CheckResult:
@@ -1084,10 +1090,8 @@ def check_temp_bytes_metric(seed: int = 0) -> CheckResult:
     ok = True
     details = []
     plans = []
-    p1, p2 = kernels._softmax_plans(16, 64, DType.FP32)
-    plans += [("softmax-num", p1), ("softmax-den", p2)]
     plans.append(("batchnorm-scale", kernels._scaling_plan(16, 64, DType.FP32)))
-    plans += [(name, plan) for name, plan, _ in norm_trees(np.random.default_rng(seed))]
+    plans += [(name, plan) for name, plan, _ in kernel_trees(np.random.default_rng(seed))]
     sq = TensorDesc(16, 16, 16, DType.FP32)
     wk = eqn.plan_equation("tanh(T0) + (T1 matmul T2) / (T3 - T4)", [sq] * 5)
     plans.append(("worked-example", wk))
@@ -1125,7 +1129,7 @@ def check_poison_liveness(seed: int = 0) -> CheckResult:
     leaves the result unchanged: the poisoned evaluation (step by step, as
     a ``step_hook`` selects) equals the clean one, which runs the plan's C
     program where C runs, for the worked example in FP64 and FP32 and the
-    trees of the norm kernels (``norm_trees``)."""
+    trees of the composite kernels (``kernel_trees``)."""
     rng = np.random.default_rng(seed)
     cases = []
     for dtype in (DType.FP64, DType.FP32):
@@ -1133,7 +1137,7 @@ def check_poison_liveness(seed: int = 0) -> CheckResult:
         plan = eqn.plan_equation("tanh(T0) + (T1 matmul T2) / (T3 - T4)", [d] * 5)
         cases.append((plan, [from_array(rng.uniform(0.2, 1.5, size=(4, 4)).astype(dtype.storage))
                              for _ in range(5)]))
-    cases += [(plan, args) for _, plan, args in norm_trees(rng)]
+    cases += [(plan, args) for _, plan, args in kernel_trees(rng)]
 
     def hook(step, dead_views):
         for v in dead_views:
@@ -1146,7 +1150,7 @@ def check_poison_liveness(seed: int = 0) -> CheckResult:
         eqn.evaluate(plan, eqn.Buffered(), args, poisoned, step_hook=hook)
         bad += not _bits_equal(to_array(clean), to_array(poisoned))
     return CheckResult("equation-poison-liveness", bad == 0, bad, 0,
-                       "the worked example and the layernorm and groupnorm trees")
+                       "the worked example and the softmax, layernorm and groupnorm trees")
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,55 @@ def test_batched_softmax_equals_the_per_slice_oracle(in_dt, out_dt, extents, odd
         assert bits_equal(x.primary, want.primary)
 
 
+def test_a_softmax_is_two_evaluations_of_two_programs(native_backend):
+    """An FP32 softmax evaluates its two plans once each: under Buffered
+    each runs as one C program call where C runs (no ``reduce``,
+    ``apply_unary``, ``exp_taylor`` or ``transform`` call: every node is a
+    program step), and per step on the numpy backend, where each RESHAPE is
+    a ``transform`` copy; under Hybrid a RESHAPE views its operand's buffer,
+    so no ``transform`` call copies it.  Both give the per-slice oracle's
+    bits."""
+    from tensorprim import approx, equation, kernels, native, ops
+
+    spec = SoftmaxSpec(16, 4, 8)
+    x = from_array((4.0 * np.random.default_rng(24).standard_normal((16, 32))).astype(np.float32))
+    want = alloc(D(16, 32))
+    oracle_softmax(spec, x, want)
+    calls = {"evaluate": 0, "program": 0, "reduce": 0, "apply_unary": 0, "exp_taylor": 0,
+             "transform": 0}
+    make = native.program
+
+    def counted(name, fn):
+        def call(*a, **k):
+            calls[name] += 1
+            return fn(*a, **k)
+        return call
+
+    def program(*a, **k):
+        run = make(*a, **k)
+        return None if run is None else counted("program", run)
+
+    c = native_backend != "numpy"
+    for strategy, want_calls in [
+            (Buffered(), {"evaluate": 2, "program": 2 * c, "reduce": 4 * (not c),
+                          "apply_unary": 1 - c, "exp_taylor": 1 - c, "transform": 4 * (not c)}),
+            (Hybrid(16, 16), {"evaluate": 2, "program": 0, "reduce": 4, "apply_unary": 0,
+                              "exp_taylor": 1, "transform": 0})]:
+        got = alloc(D(16, 32))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(equation, "evaluate", counted("evaluate", equation.evaluate))
+            mp.setattr(native, "program", program)
+            mp.setattr(approx, "exp_taylor", counted("exp_taylor", approx.exp_taylor))
+            for module in (ops, kernels):
+                for name in ("reduce", "apply_unary", "transform"):
+                    mp.setattr(module, name, counted(name, getattr(module, name)))
+            for key in calls:
+                calls[key] = 0
+            softmax(spec, x, got, strategy)
+        assert calls == want_calls, strategy
+        assert bits_equal(got.primary, want.primary), strategy
+
+
 @pytest.mark.parametrize("dtype", [DType.INT32, DType.INT8])
 def test_softmax_of_an_integer_input_raises_before_any_write(dtype):
     x = from_array(np.ones((4, 6), dtype.storage), dtype)

@@ -5,10 +5,10 @@ the return type of ``RESTYPES`` (a status or nothing) and the parameters of
 kernel that returns a status but is called as ``void`` would have its
 status ignored, and one called with too few arguments would read garbage;
 neither shows in a call that happens to work.  The FP32 approximation
-engines of the loaded library must also hold packed float arithmetic in
-each target clone (``objdump -d``): a select written so that the
-vectoriser cannot if-convert it leaves an engine a scalar loop, with the
-same bits at a fraction of the speed."""
+engines of the loaded library, and the program's FP32 EXP step, must also
+hold packed float arithmetic in each target clone (``objdump -d``): a
+select written so that the vectoriser cannot if-convert it leaves an
+engine a scalar loop, with the same bits at a fraction of the speed."""
 
 import ctypes
 import platform
@@ -109,13 +109,17 @@ def test_every_engine_has_a_caller_in_the_library(name):
 
 
 _PACKED = re.compile(r"\sv?(?:mul|add|div)ps\s")
+# a packed FP32 -> int32 conversion: in ``program`` only the EXP step's
+# exponent (exp_taylor_one's (int32_t)nc) converts a float to an integer
+_PACKED_EXP = re.compile(r"\sv?cvttps2dq\s")
 
 
 def test_the_fp32_approximation_engines_vectorise():
     """Each FP32 approximation engine, in its ``.avx2`` and its ``.default``
     clone, runs packed float arithmetic (``mulps``, ``addps`` or ``divps``,
     VEX-encoded or not): its loop is vectorised, not a scalar loop with a
-    branch per element."""
+    branch per element.  So does the EXP step of ``program``, whose packed
+    exponent conversion shows it."""
     if platform.machine() not in ("x86_64", "AMD64"):
         pytest.skip("the target clones are built on x86-64 only")
     if shutil.which("objdump") is None:
@@ -136,4 +140,8 @@ def test_the_fp32_approximation_engines_vectorise():
             name = f"{engine}.{clone}"
             assert name in bodies, f"{name}: no such function in {lib._name}"
             packed[name] = len(_PACKED.findall(bodies[name]))
+    for clone in ("avx2", "default"):
+        name = f"program.{clone}"
+        assert name in bodies, f"{name}: no such function in {lib._name}"
+        packed[name] = len(_PACKED_EXP.findall(bodies[name]))
     assert all(packed.values()), packed

@@ -2,11 +2,12 @@
 the C kernels as loaded, their default build, and the numpy reference paths
 (where nothing is run in C).  BUFFERED without a ``step_hook`` runs each run
 of lowered steps (ADD/SUB/MUL/DIV/MAX/SQUARE/RELU/RSQRT/MULADD/NMULADD,
-FP32 <-> FP64 conversions, ROWS and COLS SUM folds, each FP32 or FP64 over
-its own extent, and RESHAPEs, which emit no code) as one C call, each
-argument read as the view passed lays it out (plain, ROW, COL or SCALAR)
-and each smaller operand by broadcast; with a hook it runs every step on
-its own; both must give the bits of ``evaluate_naive``."""
+FP32 EXP, FP32 <-> FP64 conversions, ROWS and COLS SUM and COLS MAX folds,
+each FP32 or FP64 over its own extent, and RESHAPEs, which emit no code)
+as one C call, each argument read as the view passed lays it out (plain,
+ROW, COL or SCALAR) and each smaller operand by broadcast; with a hook it
+runs every step on its own; both must give the bits of
+``evaluate_naive``."""
 
 import threading
 
@@ -29,6 +30,7 @@ from tensorprim import (
     TreeBuilder,
     UnaryKind,
     alloc,
+    approx,
     broadcast,
     create_execution_plan,
     evaluate,
@@ -122,24 +124,25 @@ def three_ways(plan, make_args, out_desc, out_pad=0, out_is_arg=None):
 # ---------------------------------------------------------------------------
 
 _EXTENTS = st.sampled_from([1, 2, 3, 5, 8, 16, 17])
-_UNARY = ("square", "relu", "rsqrt", "tanh", "exp")
+_UNARY = ("square", "relu", "rsqrt", "exp", "tanh", "sigmoid")
 _BINARY = ("add", "sub", "mul", "div", "max")
 _TERNARY = ("muladd", "nmuladd")
 # the folds a program runs, and one that stays a kernel call
 _REDUCES = [ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM), ReduceSpec(ReduceAxis.COLS, ReduceOp.SUM),
             ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, squared=True),
-            ReduceSpec(ReduceAxis.ROWS, ReduceOp.MAX)]
+            ReduceSpec(ReduceAxis.COLS, ReduceOp.MAX), ReduceSpec(ReduceAxis.ROWS, ReduceOp.MAX)]
 
 
 class RandomEquation:
     """A random FP32 or FP64 equation drawn from ``data``: mostly lowered
-    kinds, with TANH and EXP (per-step kinds), and, with ``mix``, MATMUL, a
-    ROWS (plain, squared or MAX) or COLS REDUCE joined back by ADD, binary
-    operands of a smaller extent (1 x n, m x 1, 1 x 1, a subtree or an
-    argument) that the join broadcasts, and arguments declared as ROW, COL
-    or SCALAR broadcasts.  Leaves take new argument slots or reuse one of
-    the same descriptor.  A broadcast operand of a MATMUL is an error at
-    build (asserted), and the MATMUL then reads the RELU of that leaf."""
+    kinds (EXP in FP32 alone), with TANH and SIGMOID (per-step kinds), and,
+    with ``mix``, MATMUL, a ROWS (plain, squared or MAX) or COLS (SUM or
+    MAX) REDUCE joined back by ADD, binary operands of a smaller extent
+    (1 x n, m x 1, 1 x 1, a subtree or an argument) that the join
+    broadcasts, and arguments declared as ROW, COL or SCALAR broadcasts.
+    Leaves take new argument slots or reuse one of the same descriptor.  A
+    broadcast operand of a MATMUL is an error at build (asserted), and the
+    MATMUL then reads the RELU of that leaf."""
 
     def __init__(self, data, m, n, mix, dtype=DType.FP32, depth=4):
         self.data, self.mix, self.dtype = data, mix, dtype
@@ -292,9 +295,10 @@ def _check_random(data, m, n, mix, special, native_backend, out_pad, out_choice)
        out_choice=st.sampled_from(["fp32", "fp32", "arg", "bf16"]))
 def test_random_finite_equations_equal_the_per_step_path(data, m, n, out_pad, out_choice,
                                                          native_backend):
-    """Lowered kinds with TANH and EXP, FP32 or FP64, at padded ld, extents
-    of 1, ``out`` padded, BF16, or an argument itself; finite arguments
-    (RSQRT of a negative, or a division 0/0, still makes a NaN)."""
+    """Lowered kinds with TANH and SIGMOID, FP32 or FP64, at padded ld,
+    extents of 1, ``out`` padded, BF16, or an argument itself; finite
+    arguments (RSQRT of a negative, or a division 0/0, still makes a
+    NaN)."""
     _check_random(data, m, n, False, False, native_backend, out_pad, out_choice)
 
 
@@ -438,11 +442,18 @@ def test_float_elementwise_steps_of_one_dtype_are_lowered():
         relu, mul = records(plan)
         assert tuple(relu[2:7]) == (descs[1].rows, descs[1].cols, 0, 0, 0)
         assert tuple(mul[2:7]) == (3, 5, 0, kind, 0)
-    # the transcendental and other kinds, BF16 steps, a BF16 child, steps
-    # of mixed FP32 and FP64 and an IDENTITY to its own dtype stay kernel
-    # calls
-    unary = ["tanh", "sigmoid", "gelu", "exp", "sqrt", "reciprocal", "inc", "identity"]
+    # FP32 EXP is lowered; FP64 EXP, EXACT EXP, the other transcendental
+    # and other kinds, BF16 steps, a BF16 child, steps of mixed FP32 and
+    # FP64 and an IDENTITY to its own dtype stay kernel calls
+    plan = plan_equation("exp(T0 - T1)", [D(3, 5), D(1, 5)])
+    assert lowered_kinds(plan) == [BinaryKind.SUB, UnaryKind.EXP]
+    assert tuple(records(plan)[1][:7]) == (10, 0, 3, 5, 0, 0, 0)
+    b = TreeBuilder([D(3, 5)])
+    exact = b.tree(b.unary(UnaryKind.EXP, b.leaf(0), approx=ops.Approx.EXACT))
+    assert lowered_kinds(create_execution_plan(exact)) == []
+    unary = ["tanh", "sigmoid", "gelu", "sqrt", "reciprocal", "inc", "identity"]
     for text, descs in [*[(f"{name}(T0)", [D(3, 5)]) for name in unary],
+                        ("exp(T0)", [D(3, 5, DType.FP64)]),
                         ("T0 + T1", [D(3, 5, DType.BF16)] * 2),
                         ("inc(T0) + T1", [D(3, 5, DType.BF16), D(3, 5)]),
                         ("T0 + T1", [D(3, 5, DType.FP64), D(3, 5)]),
@@ -455,10 +466,10 @@ def test_float_elementwise_steps_of_one_dtype_are_lowered():
 
 def test_conversions_folds_and_reshapes_are_lowered():
     """An IDENTITY to the other float dtype is a CONVERT over its extent,
-    a ROWS (plain or squared) or COLS SUM reduce of FP32 or FP64 a fold
-    over its operand's extent, and a RESHAPE of a non-leaf emits no code and
-    keeps its child's slot; other reduces, a BF16 operand and a RESHAPE of
-    a leaf or at the root stay kernel calls."""
+    a ROWS (plain or squared) or COLS SUM or COLS MAX reduce of FP32 or
+    FP64 a fold over its operand's extent, and a RESHAPE of a non-leaf
+    emits no code and keeps its child's slot; other reduces, a BF16 operand
+    and a RESHAPE of a leaf or at the root stay kernel calls."""
     rows = ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM)
     b = TreeBuilder([D(6, 4), D(2, 3, DType.FP64)])
     sums = b.unary(UnaryKind.REDUCE, b.leaf(0), reduce=rows)                 # 6 x 1
@@ -469,15 +480,16 @@ def test_conversions_folds_and_reshapes_are_lowered():
     plan = create_execution_plan(b.tree(root))
     assert [r.steps for r in plan.program.schedule] == [5]
     assert [tuple(r[:7]) for r in records(plan)] == [
-        (11, 0, 6, 4, 0, 0, 0), (10, 1, 6, 1, 0, 0, 0), (13, 1, 2, 3, 0, 0, 0),
-        (0, 1, 2, 3, 1, 0, 1), (10, 0, 2, 3, 0, 0, 0)]
+        (12, 0, 6, 4, 0, 0, 0), (11, 1, 6, 1, 0, 0, 0), (14, 1, 2, 3, 0, 0, 0),
+        (0, 1, 2, 3, 1, 0, 1), (11, 0, 2, 3, 0, 0, 0)]
     assert plan.program.folds == (0,) and plan.program.out_dtype is DType.FP32
     by_kind = {s.node.kind: s for s in plan.steps if s.node.kind is UnaryKind.TRANSFORM}
     reshape = by_kind[UnaryKind.TRANSFORM]
     assert reshape.output == reshape.inputs[0]
-    # the squared ROWS fold; MAX, ALL and squared COLS folds and a BF16
-    # operand stay kernel calls
-    for spec, dtype, code in [(ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, True), DType.FP32, 12),
+    # the squared ROWS and the COLS MAX folds; ROWS MAX, ALL and squared
+    # COLS folds and a BF16 operand stay kernel calls
+    for spec, dtype, code in [(ReduceSpec(ReduceAxis.ROWS, ReduceOp.SUM, True), DType.FP32, 13),
+                              (ReduceSpec(ReduceAxis.COLS, ReduceOp.MAX), DType.FP64, 15),
                               (ReduceSpec(ReduceAxis.ROWS, ReduceOp.MAX), DType.FP32, None),
                               (ReduceSpec(ReduceAxis.ALL, ReduceOp.SUM), DType.FP64, None),
                               (ReduceSpec(ReduceAxis.COLS, ReduceOp.SUM, True), DType.FP32, None),
@@ -778,6 +790,51 @@ def test_rsqrt_is_two_roundings_and_max_keeps_the_nan(dtype, native_backend):
     evaluate_naive(plan.tree, [from_array(x), from_array(y)], want)
     assert bits_equal(got.primary, want.primary)
     assert runs.done == ([] if native_backend == "numpy" else [False])
+
+
+def _exp_edges() -> np.ndarray:
+    """FP32 inputs at the edges of ``exp_taylor``: around the saturation
+    bands (88 and -87) and the subnormal results below -87.3, where |r| =
+    |x| log2(e) nears 2^22 and 2^23 (the rounding constant's limits), the
+    largest finite values, +-Inf, +-0 and subnormals."""
+    f32 = np.float32
+    log2e = float(np.uint32(0x3FB8AA3B).view(f32))
+    centres = [88.0, 88.72283, 87.5, -87.0, -87.33654, -88.0, -100.0, -103.97,
+               2.0**22 / log2e, 2.0**23 / log2e, 2.0**24, 3.4028235e38, 0.5, 1e-3]
+    edges = []
+    with np.errstate(over="ignore"):   # past the largest finite value: +-inf
+        for c in centres:
+            for v in (f32(c), f32(-c)):
+                edges += [v, np.nextafter(v, f32(np.inf)), np.nextafter(v, f32(-np.inf))]
+    edges += [np.inf, -np.inf, 0.0, -0.0, 1e-40, -1e-42, 1.4e-45, -1.4e-45]
+    return np.array(edges, f32)
+
+
+@pytest.mark.parametrize("pad", [0, 3])
+def test_exp_steps_give_the_engine_bits(pad, native_backend):
+    """An FP32 EXP step gives ``approx.exp_taylor``'s bits, by the program
+    and per step, at the edges of ``_exp_edges`` and random values across
+    both bands, at a padded ld; a NaN input (with its payload) makes the
+    run report it, and the plan reruns per step with the same bits."""
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-110.0, 110.0, (37, 9)).astype(np.float32)
+    edges = _exp_edges()
+    x.reshape(-1)[:edges.size] = edges
+    plan = plan_equation("exp(T0)", [D(37, 9)])
+    want = approx.exp_taylor(x)
+    for nan in (False, True):
+        if nan:
+            x[5, 2] = np.array(0x7FC0_0123, np.uint32).view(np.float32)
+            x[30, 7] = np.array(0xFFC0_0042, np.uint32).view(np.float32)
+            want = approx.exp_taylor(x)
+        with pytest.MonkeyPatch.context() as mp:
+            runs = Runs(mp)
+            naive, per_step, program = three_ways(plan, lambda: [padded_view(x, pad)],
+                                                  plan.out_desc, pad)
+        assert runs.done == ([] if native_backend == "numpy" else [not nan])
+        got = np.array([program[j * (37 + pad):][:37] for j in range(9)]).T
+        assert bits_equal(got, want)
+        assert bits_equal(per_step, naive) and bits_equal(program, naive)
 
 
 # ---------------------------------------------------------------------------
